@@ -172,6 +172,15 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"bad boolean {text!r}")
 
 
+def _check_numbers(noise_levels, eta: float, delta: float, max_iter: int) -> None:
+    """Reject bad numeric settings before any problem is built."""
+    if not all(0.0 <= nu < np.inf for nu in noise_levels):
+        raise ConfigError("noise levels must be finite and nonnegative")
+    if not np.isfinite(delta):
+        raise ConfigError(f"delta must be finite, got {delta!r}")
+    SolverConfig(eta=eta, max_iter=max_iter)  # ValueError on a bad eta or max_iter
+
+
 def _validate_regs(regs) -> tuple[str, ...]:
     for name in regs:
         if name not in REGULARIZER_NAMES:
@@ -196,8 +205,7 @@ def cmd_solve(args) -> int:
     max_iter = args.max_iter if args.max_iter is not None else 100
     prefix = args.out or "solve"
     _validate_regs([reg])
-    if nu < 0:
-        raise ConfigError("noise level must be nonnegative")
+    _check_numbers([nu], eta, delta, max_iter)
 
     base = build_problem(problem, n)
     result = run_single(base, nu, seed, reg, eta, delta, max_iter)
@@ -239,8 +247,7 @@ def cmd_table(args) -> int:
     delta = args.delta if args.delta is not None else 1.0
     max_iter = args.max_iter if args.max_iter is not None else 100
     out = args.out or f"table_{problem}.csv"
-    if any(nu < 0 for nu in noise_levels):
-        raise ConfigError("noise levels must be nonnegative")
+    _check_numbers(noise_levels, eta, delta, max_iter)
     if not seeds:
         raise ConfigError("need at least one seed")
 

@@ -203,8 +203,8 @@ def add_noise(problem: TestProblem, nu: float, seed: int) -> TestProblem:
     The generator is counter-based (Philox) and fully determined by the
     seed, so realizations are reproducible across platforms and runs.
     """
-    if nu < 0.0:
-        raise ValueError(f"noise level must be nonnegative, got {nu!r}")
+    if not 0.0 <= nu < np.inf:
+        raise ValueError(f"noise level must be finite and nonnegative, got {nu!r}")
     if nu == 0.0:
         e = np.zeros(problem.n)
     else:

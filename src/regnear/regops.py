@@ -12,11 +12,11 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import BadDimension, ShapeMismatch, SingularCore
+from .linalg import RANK_TOL
 from .nearness import NullSpaceBasis
-
-_PIVOT_TOL = 1e-12
 
 
 class RegularizerKind(str, Enum):
@@ -43,6 +43,8 @@ def make_regularization_matrix(kind: RegularizerKind, n: int, delta: float = 1.0
     kind = RegularizerKind(kind)
     if n < 3:
         raise BadDimension(f"{kind.value} needs n >= 3")
+    if not np.isfinite(delta):
+        raise ValueError(f"delta must be finite, got {delta!r}")
     if kind is RegularizerKind.L1_DELTA and not delta > 0.0:
         raise ValueError(f"delta must be positive, got {delta!r}")
 
@@ -128,18 +130,15 @@ def make_projector_closed(which: str, n: int) -> np.ndarray:
     raise ValueError(f"unknown closed-form projector {which!r} (use 'P1' or 'P2')")
 
 
-_KIND_BASIS = {
-    RegularizerKind.L1_DELTA: "N1",
-    RegularizerKind.L1_ZERO: "N1",
-    RegularizerKind.L2_TILDE: "N2",
-    RegularizerKind.L2_ZERO: "N2",
-}
-
-_MODE_KINDS = {
-    Mode.IDENTITY: {RegularizerKind.IDENTITY},
-    Mode.RIGHT: {RegularizerKind.L1_DELTA, RegularizerKind.L2_TILDE},
-    Mode.TWO_SIDED: {RegularizerKind.L1_DELTA, RegularizerKind.L2_TILDE},
-    Mode.PLAIN: {RegularizerKind.L1_ZERO, RegularizerKind.L2_ZERO},
+# Per composable kind: the null-space basis it pairs with (first
+# differences annihilate constants, second differences affine trends)
+# and the modes it may be composed in.
+_KIND_TABLE = {
+    RegularizerKind.IDENTITY: (None, {Mode.IDENTITY}),
+    RegularizerKind.L1_DELTA: ("N1", {Mode.RIGHT, Mode.TWO_SIDED}),
+    RegularizerKind.L1_ZERO: ("N1", {Mode.PLAIN}),
+    RegularizerKind.L2_TILDE: ("N2", {Mode.RIGHT, Mode.TWO_SIDED}),
+    RegularizerKind.L2_ZERO: ("N2", {Mode.PLAIN}),
 }
 
 
@@ -150,6 +149,11 @@ class ProjectedRegularizer:
     Ltilde is the square core matrix (the regularizer itself in PLAIN
     and IDENTITY modes); basis spans the null space that the projector
     enforces (empty in IDENTITY mode).
+
+    Every non-identity core is LU-factored once, in banded storage, at
+    construction; a numerically singular factor raises SingularCore.
+    In PLAIN mode the zero rows of Ltilde are first replaced by unit
+    rows, which completes the singular matrix to an invertible one.
     """
 
     n: int
@@ -164,6 +168,47 @@ class ProjectedRegularizer:
             raise ShapeMismatch("core matrix must be square of size n")
         if self.basis.n != self.n:
             raise ShapeMismatch("basis dimension does not match")
+        if self.mode is Mode.IDENTITY:
+            return
+        core = np.asarray(self.Ltilde, dtype=float)
+        free = None
+        if self.mode is Mode.PLAIN:
+            free = np.flatnonzero(~core.any(axis=1))
+            core = core.copy()
+            core[free, free] = 1.0
+        rows, cols = np.nonzero(core)
+        kl = int(np.max(rows - cols, initial=0))
+        ku = int(np.max(cols - rows, initial=0))
+        ab = np.zeros((2 * kl + ku + 1, self.n))
+        ab[kl + ku + rows - cols, cols] = core[rows, cols]
+        lu, piv, _ = dgbtrf(ab, kl, ku)
+        pivot = np.min(np.abs(lu[kl + ku]))
+        if not pivot > RANK_TOL * np.max(np.abs(ab)):
+            raise SingularCore(f"core of {self.kind.value} is numerically singular "
+                               f"(smallest pivot {pivot:.3g})")
+        object.__setattr__(self, "_factor", (kl, ku, lu, piv, free))
+
+    def core_solve(self, z: np.ndarray) -> np.ndarray:
+        """Action of the core's inverse: the minimal-norm pseudoinverse in
+        PLAIN mode, the identity in IDENTITY mode.
+
+        The PLAIN action solves with the completed core after zeroing
+        the entries of z on the replaced rows, then projects out the
+        basis.  This equals pinv(Ltilde) @ z when the basis spans the
+        null space of Ltilde and its nonzero rows have full rank, as for
+        the catalog's zero-row stencils.
+        """
+        z = np.asarray(z, dtype=float)
+        if self.mode is Mode.IDENTITY:
+            return z.copy()
+        kl, ku, lu, piv, free = self._factor
+        if free is None:
+            return dgbtrs(lu, kl, ku, z, piv)[0]
+        z = z.copy()
+        z[free] = 0.0
+        y = dgbtrs(lu, kl, ku, z, piv)[0]
+        V = self.basis.V
+        return y - V @ (V.T @ y)
 
     def projector(self) -> np.ndarray:
         if self.basis.ell == 0:
@@ -182,40 +227,28 @@ class ProjectedRegularizer:
 
 
 def compose_regularizer(kind: RegularizerKind, n: int, mode: Mode,
-                        delta: float = 1.0,
-                        which_nullspace: str | None = None) -> ProjectedRegularizer:
+                        delta: float = 1.0) -> ProjectedRegularizer:
     """Combine a catalog matrix with its matching null-space projector.
 
     The basis is implied by the kind (first-difference kinds pair with
     the constant null space, second-difference kinds with the affine
-    one); which_nullspace may restate it but must agree.  Invertible-core
-    modes verify the core is nonsingular.
+    one).  A numerically singular core raises SingularCore.
     """
     kind = RegularizerKind(kind)
     mode = Mode(mode)
-    if kind not in _MODE_KINDS[mode]:
-        allowed = ", ".join(sorted(k.value for k in _MODE_KINDS[mode]))
-        raise ValueError(f"mode {mode.value} accepts kinds {{{allowed}}}, not {kind.value}")
-    implied = _KIND_BASIS.get(kind)
-    if which_nullspace is not None and which_nullspace != implied:
-        raise ValueError(f"kind {kind.value} pairs with null space {implied}, "
-                         f"not {which_nullspace}")
+    basis_name, modes = _KIND_TABLE.get(kind, (None, set()))
+    if mode not in modes:
+        allowed = ", ".join(sorted(m.value for m in modes))
+        raise ValueError(f"kind {kind.value} composes in modes {{{allowed}}}, "
+                         f"not {mode.value}")
     core = make_regularization_matrix(kind, n, delta)
-    if mode is Mode.IDENTITY:
-        basis = NullSpaceBasis.empty(n)
-    else:
-        basis = make_nullspace_basis(_KIND_BASIS[kind], n)
-    if mode in (Mode.RIGHT, Mode.TWO_SIDED):
-        diag_r = np.abs(np.diag(np.linalg.qr(core, mode="r")))
-        if np.min(diag_r) <= _PIVOT_TOL * max(np.linalg.norm(core), 1e-300):
-            raise SingularCore(f"core {kind.value} is numerically singular (delta={delta!r}?)")
+    basis = (NullSpaceBasis.empty(n) if basis_name is None
+             else make_nullspace_basis(basis_name, n))
     return ProjectedRegularizer(n=n, Ltilde=core, basis=basis, mode=mode,
                                 kind=kind, delta=delta)
 
 
 # Names accepted on the command line, in canonical output order.
-REGULARIZER_NAMES = ("I", "L10", "L1dP1", "L20", "L2tP2", "P2L2tP2")
-
 _NAME_TABLE = {
     "I": (RegularizerKind.IDENTITY, Mode.IDENTITY),
     "L10": (RegularizerKind.L1_ZERO, Mode.PLAIN),
@@ -224,6 +257,7 @@ _NAME_TABLE = {
     "L2tP2": (RegularizerKind.L2_TILDE, Mode.RIGHT),
     "P2L2tP2": (RegularizerKind.L2_TILDE, Mode.TWO_SIDED),
 }
+REGULARIZER_NAMES = tuple(_NAME_TABLE)
 
 
 def regularizer_from_name(name: str, n: int, delta: float = 1.0) -> ProjectedRegularizer:

@@ -44,10 +44,10 @@ class SolverConfig:
     breakdown_tol: float = 1e-14
 
     def __post_init__(self):
-        if not self.eta > 1.0:
-            raise ValueError(f"eta must exceed 1, got {self.eta!r}")
-        if self.epsilon < 0.0:
-            raise ValueError(f"epsilon must be nonnegative, got {self.epsilon!r}")
+        if not 1.0 < self.eta < np.inf:
+            raise ValueError(f"eta must be finite and exceed 1, got {self.eta!r}")
+        if not 0.0 <= self.epsilon < np.inf:
+            raise ValueError(f"epsilon must be finite and nonnegative, got {self.epsilon!r}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter!r}")
         if not 0.0 <= self.breakdown_tol < 1.0:

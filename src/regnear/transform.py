@@ -16,8 +16,10 @@ Mode by mode:
   applied to the once-transformed operator and right-hand side.  The
   result is a nested context whose own split refits the null-space
   component against the data;
-* plain singular square matrices: the split plus a minimal-norm
-  pseudoinverse action of the full matrix, built once from the SVD.
+* plain singular square matrices: the split plus the minimal-norm
+  pseudoinverse action of the full matrix, a banded solve with its
+  invertible completion (zero rows replaced by unit rows) followed by
+  the removal of the null-space component.
 
 The two-sided refit trades the exact penalty bookkeeping for data fit,
 which is the behaviour the iterative solver wants.  The exact fixed-mu
@@ -33,7 +35,7 @@ wrapper counts products with K so drivers can report totals honestly.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -78,26 +80,6 @@ class LinearOperator:
             return self._count
 
 
-def _banded_rep(a: np.ndarray) -> tuple[int, int, np.ndarray]:
-    """Pack a square matrix into the diagonal-ordered form solve_banded wants."""
-    n = a.shape[0]
-    lo = 0
-    hi = 0
-    for d in range(1, n):
-        if np.any(a.diagonal(-d) != 0.0):
-            lo = d
-        if np.any(a.diagonal(d) != 0.0):
-            hi = d
-    ab = np.zeros((lo + hi + 1, n))
-    for d in range(-lo, hi + 1):
-        row = hi - d
-        if d >= 0:
-            ab[row, d:] = a.diagonal(d)
-        else:
-            ab[row, : n + d] = a.diagonal(d)
-    return lo, hi, ab
-
-
 @dataclass
 class StandardFormContext:
     """Everything prepare_context factored out of (K, b, regularizer)."""
@@ -113,8 +95,6 @@ class StandardFormContext:
     b1: np.ndarray           # right-hand side with the range of K V removed
     prepare_matvecs: int
     inner: Optional["StandardFormContext"] = None
-    _core_solve: Optional[Callable[[np.ndarray], np.ndarray]] = field(
-        default=None, repr=False)
 
     @property
     def matvec_count(self) -> int:
@@ -136,30 +116,7 @@ class StandardFormContext:
         z = np.asarray(z, dtype=float)
         if z.shape != (self.n,):
             raise ShapeMismatch(f"expected shape ({self.n},), got {z.shape}")
-        if self._core_solve is None:
-            return z.copy()
-        return self._core_solve(z)
-
-
-def _make_core_solve(reg: ProjectedRegularizer):
-    if reg.mode is Mode.IDENTITY:
-        return None
-
-    if reg.mode is Mode.PLAIN:
-        # Square singular matrix: no banded inverse exists, build the
-        # minimal-norm least-squares action once.
-        pinv = np.linalg.pinv(reg.Ltilde, rcond=RANK_TOL)
-        return lambda z: pinv @ z
-
-    lo, hi, ab = _banded_rep(reg.Ltilde)
-    band = ab[hi] if lo or hi else ab[0]
-    if np.any(np.abs(band) <= RANK_TOL * max(1.0, float(np.abs(ab).max()))):
-        raise SingularCore("core factor has a vanishing pivot")
-
-    def solve(z: np.ndarray) -> np.ndarray:
-        return scipy.linalg.solve_banded((lo, hi), ab, z)
-
-    return solve
+        return self.reg.core_solve(z)
 
 
 def prepare_context(K, b: np.ndarray, reg: ProjectedRegularizer) -> StandardFormContext:
@@ -191,15 +148,13 @@ def prepare_context(K, b: np.ndarray, reg: ProjectedRegularizer) -> StandardForm
         x0 = V @ solve_upper_triangular(R, qtb)
         b1 = b - Q @ qtb
 
-    core_solve = _make_core_solve(reg)
-
     inner = None
     if reg.mode is Mode.TWO_SIDED:
         # Third step: the projector left of the core is split off the
         # same way the outer null space was, but against the operator
         # that already carries the first two steps.
         def once_transformed(z: np.ndarray) -> np.ndarray:
-            t = op.matvec(core_solve(z))
+            t = op.matvec(reg.core_solve(z))
             if ell == 0:
                 return t
             return t - Q @ (Q.T @ t)
@@ -212,8 +167,7 @@ def prepare_context(K, b: np.ndarray, reg: ProjectedRegularizer) -> StandardForm
 
     return StandardFormContext(
         reg=reg, op=op, m=m, n=n, ell=ell, Q=Q, R=R, x0=x0, b1=b1,
-        prepare_matvecs=op.matvec_count - start, inner=inner,
-        _core_solve=core_solve)
+        prepare_matvecs=op.matvec_count - start, inner=inner)
 
 
 def apply_k2(ctx: StandardFormContext, z: np.ndarray) -> np.ndarray:

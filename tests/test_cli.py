@@ -99,6 +99,17 @@ class TestSolveCommand:
                      "--out", str(tmp_path / "x")])
         assert code == 2
 
+    @pytest.mark.parametrize("flags", [
+        ["--noise", "inf"], ["--noise", "nan"], ["--eta", "inf"],
+        ["--delta", "inf"], ["--delta", "nan"],
+    ])
+    def test_non_finite_setting_is_config_error(self, tmp_path, flags):
+        prefix = tmp_path / "x"
+        code = main(["solve", "--n", "16", "--reg", "L1dP1", *flags,
+                     "--out", str(prefix)])
+        assert code == 2
+        assert not (tmp_path / "x.csv").exists()
+
     def test_numerical_failure_exit_code(self, tmp_path):
         # a vanishing corner weight makes the invertible core singular
         code = main(["solve", "--n", "16", "--reg", "L1dP1",
@@ -179,6 +190,12 @@ class TestTableCommand:
             text = f.read()
         assert text.count("ERROR_SingularCore") == 2
         assert "SingularCore" in capsys.readouterr().out
+
+    def test_rejects_non_finite_noise_level(self, tmp_path, capsys):
+        code = main(["table", "--n", "16", "--noise", "1e-2,nan",
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert capsys.readouterr().out == ""  # no cell ran
 
     def test_rejects_empty_seed_list(self, tmp_path):
         code = main(["table", "--n", "16", "--seeds", ",",

@@ -162,6 +162,11 @@ class TestNoise:
         with pytest.raises(ValueError):
             add_noise(build_phillips(8), -1e-3, seed=1)
 
+    @pytest.mark.parametrize("nu", [np.inf, np.nan])
+    def test_non_finite_level_rejected(self, nu):
+        with pytest.raises(ValueError, match="finite"):
+            add_noise(build_phillips(8), nu, seed=1)
+
     def test_original_untouched(self):
         p = build_phillips(8)
         b_before = p.b.copy()

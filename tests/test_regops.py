@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regnear.errors import BadDimension, ShapeMismatch, SingularCore
 from regnear.nearness import NullSpaceBasis, build_projector
@@ -83,6 +85,12 @@ class TestStencils:
             make_regularization_matrix(RegularizerKind.L1_DELTA, 5, delta=0.0)
         with pytest.raises(ValueError):
             make_regularization_matrix(RegularizerKind.L1_DELTA, 5, delta=-1.0)
+
+    @pytest.mark.parametrize("delta", [np.inf, -np.inf, np.nan])
+    def test_non_finite_delta_rejected(self, delta):
+        for kind in RegularizerKind:
+            with pytest.raises(ValueError, match="finite"):
+                make_regularization_matrix(kind, 5, delta=delta)
 
 
 class TestNullspaceBases:
@@ -198,15 +206,6 @@ class TestComposition:
         with pytest.raises(ValueError):
             compose_regularizer(RegularizerKind.L2_TILDE, 6, Mode.PLAIN)
 
-    def test_nullspace_name_mismatch(self):
-        with pytest.raises(ValueError):
-            compose_regularizer(RegularizerKind.L1_DELTA, 6, Mode.RIGHT,
-                                which_nullspace="N2")
-        # restating the implied space is allowed
-        reg = compose_regularizer(RegularizerKind.L1_DELTA, 6, Mode.RIGHT,
-                                  which_nullspace="N1")
-        assert reg.basis.ell == 1
-
     def test_singular_core_detected(self):
         with pytest.raises(SingularCore):
             compose_regularizer(RegularizerKind.L1_DELTA, 6, Mode.RIGHT,
@@ -247,6 +246,20 @@ class TestNameTable:
     def test_delta_threading(self):
         reg = regularizer_from_name("L1dP1", 10, delta=0.25)
         assert reg.Ltilde[9, 9] == 0.125
+
+    @settings(max_examples=200, deadline=None)
+    @given(name=st.sampled_from([r for r in REGULARIZER_NAMES if r != "I"]),
+           n=st.integers(4, 60), delta=st.floats(0.1, 10.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_core_solve_matches_dense_inverse(self, name, n, delta, seed):
+        reg = regularizer_from_name(name, n, delta)
+        z = np.random.default_rng(seed).standard_normal(n)
+        if reg.mode is Mode.PLAIN:
+            expected = np.linalg.pinv(reg.Ltilde) @ z
+        else:
+            expected = np.linalg.solve(reg.Ltilde, z)
+        assert (np.linalg.norm(reg.core_solve(z) - expected)
+                <= 1e-10 * np.linalg.norm(expected))
 
     def test_unknown_name_lists_valid_ones(self):
         with pytest.raises(ValueError, match="L2tP2"):

@@ -48,6 +48,7 @@ class TestSolverConfig:
     @pytest.mark.parametrize("kwargs", [
         {"eta": 1.0}, {"eta": 0.5}, {"epsilon": -1.0},
         {"max_iter": 0}, {"breakdown_tol": -1e-3}, {"breakdown_tol": 1.0},
+        {"eta": np.inf}, {"epsilon": np.nan}, {"epsilon": np.inf},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):

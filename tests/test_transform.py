@@ -120,9 +120,18 @@ class TestPrepare:
     def test_singular_core_rejected(self):
         core = np.eye(5)
         core[2, 2] = 0.0
-        reg = unit_vector_reg(5, 0, core=core)
         with pytest.raises(SingularCore):
-            prepare_context(LinearOperator.from_matrix(np.eye(5)), np.ones(5), reg)
+            unit_vector_reg(5, 0, core=core)
+
+    def test_singular_core_with_nonzero_diagonal_rejected(self):
+        # the diagonal alone looks healthy; elimination exposes the
+        # dependent rows of the leading 2 x 2 block of ones
+        core = np.eye(5)
+        core[:2, :2] = 1.0
+        with pytest.raises(SingularCore):
+            unit_vector_reg(5, 0, core=core)
+        with pytest.raises(SingularCore):
+            unit_vector_reg(5, 0, core=core + 1e-15 * np.eye(5))
 
     def test_core_solve_shape_guard(self):
         reg = regularizer_from_name("L1dP1", 5)
