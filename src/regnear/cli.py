@@ -28,8 +28,7 @@ from .regops import (REGULARIZER_NAMES, RegularizerKind,
                      make_nullspace_basis, make_regularization_matrix,
                      regularizer_from_name)
 from .solver import SolverConfig, rrgmres_solve
-from .transform import (LinearOperator, back_transform, k2_operator,
-                        prepare_context)
+from .transform import back_transform, prepare_context
 
 DEFAULT_NOISE = (1e-2, 1e-3, 1e-4)
 DEFAULT_SEEDS = tuple(range(1, 11))
@@ -82,16 +81,15 @@ def run_single(base_problem, nu: float, seed: int, reg_name: str,
     """One full pipeline pass; matvec phases are counted separately."""
     prob = add_noise(base_problem, nu, seed)
     reg = regularizer_from_name(reg_name, prob.n, delta)
-    op = LinearOperator.from_matrix(prob.K)
-    ctx = prepare_context(op, prob.b, reg)
+    ctx = prepare_context(prob.K, prob.b, reg)
     cfg = SolverConfig(eta=eta, epsilon=prob.epsilon, max_iter=max_iter)
-    res = rrgmres_solve(k2_operator(ctx), ctx.solver_rhs, cfg)
-    before_back = op.matvec_count
+    res = rrgmres_solve(ctx, ctx.solver_rhs, cfg)
+    before_back = ctx.matvec_count
     x = back_transform(ctx, res.z)
-    back_mv = op.matvec_count - before_back
+    back_mv = ctx.matvec_count - before_back
     return RunResult(
         problem=prob.name, n=prob.n, nu=nu, regularizer=reg_name, seed=seed,
-        iterations=res.k, matvecs=op.matvec_count,
+        iterations=res.k, matvecs=ctx.matvec_count,
         relative_error=relative_error(x, prob.x_hat),
         stop_reason=res.stop_reason.value,
         matvecs_prepare=ctx.prepare_matvecs, matvecs_solve=res.solve_matvecs,

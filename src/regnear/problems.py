@@ -145,13 +145,10 @@ def build_deriv2(n: int) -> TestProblem:
         raise BadDimension("deriv2 needs n >= 4")
     h = 1.0 / n
     mids = (np.arange(1, n + 1) - 0.5) * h
-    K = np.empty((n, n))
     # i > j: s >= t throughout, kernel t(s-1); the factored integrals give
     # h * mid_j * (mid_i - 1); symmetry fills the upper triangle
-    for i in range(n):
-        for j in range(i):
-            K[i, j] = h * mids[j] * (mids[i] - 1.0)
-            K[j, i] = K[i, j]
+    lower = np.tril(np.outer(mids - 1.0, h * mids), -1)
+    K = lower + lower.T
     alpha = np.arange(n) * h
     beta = alpha + h
     K[np.arange(n), np.arange(n)] = (

@@ -130,25 +130,15 @@ def make_projector_closed(which: str, n: int) -> np.ndarray:
     raise ValueError(f"unknown closed-form projector {which!r} (use 'P1' or 'P2')")
 
 
-# Per composable kind: the null-space basis it pairs with (first
-# differences annihilate constants, second differences affine trends)
-# and the modes it may be composed in.
-_KIND_TABLE = {
-    RegularizerKind.IDENTITY: (None, {Mode.IDENTITY}),
-    RegularizerKind.L1_DELTA: ("N1", {Mode.RIGHT, Mode.TWO_SIDED}),
-    RegularizerKind.L1_ZERO: ("N1", {Mode.PLAIN}),
-    RegularizerKind.L2_TILDE: ("N2", {Mode.RIGHT, Mode.TWO_SIDED}),
-    RegularizerKind.L2_ZERO: ("N2", {Mode.PLAIN}),
-}
-
-
 @dataclass(frozen=True)
 class ProjectedRegularizer:
     """A regularizer ready for the standard-form transformation.
 
     Ltilde is the square core matrix (the regularizer itself in PLAIN
     and IDENTITY modes); basis spans the null space that the projector
-    enforces (empty in IDENTITY mode).
+    enforces.  The catalog's IDENTITY regularizer has an empty basis;
+    the nested split of the two-sided transformation uses an IDENTITY
+    core with a nonempty one.
 
     Every non-identity core is LU-factored once, in banded storage, at
     construction; a numerically singular factor raises SingularCore.
@@ -226,21 +216,36 @@ class ProjectedRegularizer:
         return P @ self.Ltilde @ P
 
 
+# The named regularizers, in canonical output order: the (kind, mode)
+# pair each composes and the null-space basis its projector removes
+# (first differences annihilate constants, second differences affine
+# trends).  compose_regularizer accepts exactly these pairs.
+_CATALOG = {
+    "I": (RegularizerKind.IDENTITY, Mode.IDENTITY, None),
+    "L10": (RegularizerKind.L1_ZERO, Mode.PLAIN, "N1"),
+    "L1dP1": (RegularizerKind.L1_DELTA, Mode.RIGHT, "N1"),
+    "L20": (RegularizerKind.L2_ZERO, Mode.PLAIN, "N2"),
+    "L2tP2": (RegularizerKind.L2_TILDE, Mode.RIGHT, "N2"),
+    "P2L2tP2": (RegularizerKind.L2_TILDE, Mode.TWO_SIDED, "N2"),
+}
+REGULARIZER_NAMES = tuple(_CATALOG)
+
+
 def compose_regularizer(kind: RegularizerKind, n: int, mode: Mode,
                         delta: float = 1.0) -> ProjectedRegularizer:
     """Combine a catalog matrix with its matching null-space projector.
 
-    The basis is implied by the kind (first-difference kinds pair with
-    the constant null space, second-difference kinds with the affine
-    one).  A numerically singular core raises SingularCore.
+    The (kind, mode) pair must be one of the catalog's, which also names
+    the basis.  A numerically singular core raises SingularCore.
     """
     kind = RegularizerKind(kind)
     mode = Mode(mode)
-    basis_name, modes = _KIND_TABLE.get(kind, (None, set()))
-    if mode not in modes:
-        allowed = ", ".join(sorted(m.value for m in modes))
+    bases = {(k, m): b for k, m, b in _CATALOG.values()}
+    if (kind, mode) not in bases:
+        allowed = ", ".join(sorted(m.value for k, m in bases if k is kind))
         raise ValueError(f"kind {kind.value} composes in modes {{{allowed}}}, "
                          f"not {mode.value}")
+    basis_name = bases[kind, mode]
     core = make_regularization_matrix(kind, n, delta)
     basis = (NullSpaceBasis.empty(n) if basis_name is None
              else make_nullspace_basis(basis_name, n))
@@ -248,21 +253,9 @@ def compose_regularizer(kind: RegularizerKind, n: int, mode: Mode,
                                 kind=kind, delta=delta)
 
 
-# Names accepted on the command line, in canonical output order.
-_NAME_TABLE = {
-    "I": (RegularizerKind.IDENTITY, Mode.IDENTITY),
-    "L10": (RegularizerKind.L1_ZERO, Mode.PLAIN),
-    "L1dP1": (RegularizerKind.L1_DELTA, Mode.RIGHT),
-    "L20": (RegularizerKind.L2_ZERO, Mode.PLAIN),
-    "L2tP2": (RegularizerKind.L2_TILDE, Mode.RIGHT),
-    "P2L2tP2": (RegularizerKind.L2_TILDE, Mode.TWO_SIDED),
-}
-REGULARIZER_NAMES = tuple(_NAME_TABLE)
-
-
 def regularizer_from_name(name: str, n: int, delta: float = 1.0) -> ProjectedRegularizer:
     try:
-        kind, mode = _NAME_TABLE[name]
+        kind, mode, _ = _CATALOG[name]
     except KeyError:
         valid = ", ".join(REGULARIZER_NAMES)
         raise ValueError(f"unknown regularizer {name!r}; valid names: {valid}") from None

@@ -20,10 +20,13 @@ from typing import Optional
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 
 from .errors import NoRoot, ShapeMismatch, SingularSystem
 from .linalg import min_norm_lstsq_solve
+
+# A new Krylov direction shorter than this fraction of ||A b|| ends the
+# basis (the same test, against ||b||, rejects a vanishing A b).
+BREAKDOWN_TOL = 1e-14
 
 
 class StopReason(str, Enum):
@@ -41,7 +44,6 @@ class SolverConfig:
     eta: float = 1.01
     epsilon: float = 0.0
     max_iter: int = 100
-    breakdown_tol: float = 1e-14
 
     def __post_init__(self):
         if not 1.0 < self.eta < np.inf:
@@ -50,8 +52,6 @@ class SolverConfig:
             raise ValueError(f"epsilon must be finite and nonnegative, got {self.epsilon!r}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter!r}")
-        if not 0.0 <= self.breakdown_tol < 1.0:
-            raise ValueError(f"breakdown_tol must lie in [0, 1), got {self.breakdown_tol!r}")
 
 
 @dataclass
@@ -101,40 +101,35 @@ def _make_rotation(a: float, b: float) -> tuple[float, float, float]:
     return a / r, b / r, r
 
 
-def _givens_lsq(h: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, float]:
-    """Minimize ||h y - c|| for upper-Hessenberg h of shape (k+1, k).
+def _rotate_in(rot: list, col: np.ndarray, g) -> None:
+    """Rotate column j = len(rot) of a Hessenberg matrix into triangular form.
 
-    Returns the minimizer and the residual norm.  Falls back to a
-    rank-revealing solve when elimination leaves a singular triangle.
+    col holds the column's j + 2 leading entries and is overwritten with
+    the rotated ones; the new rotation is appended to rot and applied to
+    entries j and j + 1 of the rotated right-hand side g.
     """
-    h = np.asarray(h, dtype=float)
-    c = np.asarray(c, dtype=float)
-    if h.ndim != 2 or h.shape[0] != h.shape[1] + 1:
-        raise ShapeMismatch(f"expected (k+1, k) Hessenberg block, got {h.shape}")
-    if c.shape != (h.shape[0],):
-        raise ShapeMismatch("right-hand side length must match the row count")
-    k = h.shape[1]
-    r = h.copy()
-    g = c.copy()
-    rot = []
-    for j in range(k):
-        for i, (cs, sn) in enumerate(rot):
-            r[i, j], r[i + 1, j] = _apply_rotation(cs, sn, r[i, j], r[i + 1, j])
-        cs, sn, rr = _make_rotation(r[j, j], r[j + 1, j])
-        rot.append((cs, sn))
-        r[j, j] = rr
-        r[j + 1, j] = 0.0
-        g[j], g[j + 1] = _apply_rotation(cs, sn, g[j], g[j + 1])
-    tri = r[:k, :k]
-    rhs = g[:k]
-    diag = np.abs(np.diag(tri)) if k else np.array([])
-    scale = np.max(np.abs(tri)) if k else 0.0
-    if k and np.min(diag) > 1e-14 * max(scale, 1e-300):
-        y = scipy.linalg.solve_triangular(tri, rhs, lower=False)
-    else:
-        y = min_norm_lstsq_solve(h, c)
-        return y, float(np.linalg.norm(h @ y - c))
-    return y, abs(float(g[k]))
+    j = len(rot)
+    for i, (cs, sn) in enumerate(rot):
+        col[i], col[i + 1] = _apply_rotation(cs, sn, col[i], col[i + 1])
+    cs, sn, rr = _make_rotation(col[j], col[j + 1])
+    rot.append((cs, sn))
+    col[j] = rr
+    col[j + 1] = 0.0
+    g[j], g[j + 1] = _apply_rotation(cs, sn, g[j], g[j + 1])
+
+
+def _solve_rotated(tri: np.ndarray, rhs: np.ndarray, h: np.ndarray,
+                   c: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Minimize ||h y - c|| given the rotated triangle tri y = rhs.
+
+    Back-substitutes in the k x k triangle; when elimination left it
+    singular, falls back to the rank-revealing minimum-norm solve of the
+    unrotated (k+1, k) problem.  The flag tells which path ran.
+    """
+    k = tri.shape[0]
+    if k and np.min(np.abs(np.diag(tri))) > 1e-14 * max(np.max(np.abs(tri)), 1e-300):
+        return scipy.linalg.solve_triangular(tri, rhs, lower=False), True
+    return min_norm_lstsq_solve(h, c), False
 
 
 def hessenberg_residual(h: np.ndarray, beta: float) -> tuple[float, np.ndarray]:
@@ -142,9 +137,16 @@ def hessenberg_residual(h: np.ndarray, beta: float) -> tuple[float, np.ndarray]:
     h = np.asarray(h, dtype=float)
     if h.ndim != 2 or h.shape[0] != h.shape[1] + 1:
         raise ShapeMismatch(f"expected (k+1, k) Hessenberg block, got {h.shape}")
-    c = np.zeros(h.shape[0])
+    k = h.shape[1]
+    c = np.zeros(k + 1)
     c[0] = float(beta)
-    y, res = _givens_lsq(h, c)
+    r = h.copy()
+    g = c.copy()
+    rot: list[tuple[float, float]] = []
+    for j in range(k):
+        _rotate_in(rot, r[:j + 2, j], g)
+    y, rotated = _solve_rotated(r[:k, :k], g[:k], h, c)
+    res = abs(float(g[k])) if rotated else float(np.linalg.norm(h @ y - c))
     return res, y
 
 
@@ -156,7 +158,8 @@ def rrgmres_solve(A, b: np.ndarray, cfg: SolverConfig,
     Iteration k costs one application of A; the initial Krylov seed A b
     costs one more.  A zero starting guess is implicit: the k = 0 entry
     of the log is ||b||, and if that already meets the discrepancy test
-    no operator application happens at all.
+    no operator application happens at all.  The log and solve_matvecs
+    count the calls of A.matvec made here and nothing else.
     """
     m, n = A.shape
     if m != n:
@@ -165,17 +168,11 @@ def rrgmres_solve(A, b: np.ndarray, cfg: SolverConfig,
     if b.shape != (n,):
         raise ShapeMismatch(f"right-hand side has shape {b.shape}, expected ({n},)")
 
-    start_count = A.matvec_count if hasattr(A, "matvec_count") else 0
-    local_count = 0
-
-    def applies() -> int:
-        if hasattr(A, "matvec_count"):
-            return A.matvec_count - start_count
-        return local_count
+    applies = 0
 
     def matvec(v: np.ndarray) -> np.ndarray:
-        nonlocal local_count
-        local_count += 1
+        nonlocal applies
+        applies += 1
         return A.matvec(v)
 
     log = IterationLog()
@@ -187,15 +184,15 @@ def rrgmres_solve(A, b: np.ndarray, cfg: SolverConfig,
     if bnorm <= threshold:
         return RRGMRESResult(z=np.zeros(n), k=0, residual=bnorm,
                              stop_reason=StopReason.INITIAL_RESIDUAL_OK,
-                             log=log, solve_matvecs=applies(), iterates=iterates)
+                             log=log, solve_matvecs=applies, iterates=iterates)
 
     seed = matvec(b)
     beta0 = float(np.linalg.norm(seed))
-    if beta0 <= cfg.breakdown_tol * bnorm:
+    if beta0 <= BREAKDOWN_TOL * bnorm:
         # A b vanished: the range-restricted space is empty
         return RRGMRESResult(z=np.zeros(n), k=0, residual=bnorm,
                              stop_reason=StopReason.BREAKDOWN,
-                             log=log, solve_matvecs=applies(), iterates=iterates)
+                             log=log, solve_matvecs=applies, iterates=iterates)
 
     basis = [seed / beta0]
     # split b into basis projections and an explicit remainder vector;
@@ -203,26 +200,21 @@ def rrgmres_solve(A, b: np.ndarray, cfg: SolverConfig,
     # suffers when the basis captures b almost entirely
     craw = [float(basis[0] @ b)]
     bres = b - craw[0] * basis[0]
-    hraw = np.zeros((cfg.max_iter + 1, cfg.max_iter))
-    rmat = np.zeros((cfg.max_iter, cfg.max_iter))
+    # Hessenberg columns as computed and as rotated; the storage doubles
+    # when the iteration outgrows it, so max_iter only bounds the loop
+    cap = min(cfg.max_iter, 32)
+    hraw = np.zeros((cap + 1, cap))
+    rmat = np.zeros((cap, cap))
     g = [craw[0]]                      # rotated right-hand side
     rot: list[tuple[float, float]] = []
 
     def solve_current(k: int) -> np.ndarray:
-        tri = rmat[:k, :k]
-        diag = np.abs(np.diag(tri))
-        scale = np.max(np.abs(tri)) if k else 0.0
-        if k and np.min(diag) > 1e-14 * max(scale, 1e-300):
-            y = scipy.linalg.solve_triangular(tri, np.asarray(g[:k]), lower=False)
-        else:
-            y = min_norm_lstsq_solve(hraw[:k + 1, :k], np.asarray(craw[:k + 1]))
+        y, _ = _solve_rotated(rmat[:k, :k], np.asarray(g[:k]),
+                              hraw[:k + 1, :k], np.asarray(craw[:k + 1]))
         return np.column_stack(basis[:k]) @ y
 
-    z = np.zeros(n)
-    residual = bnorm
+    z = None
     stop = StopReason.MAX_ITER
-    k_done = 0
-
     for k in range(1, cfg.max_iter + 1):
         j = k - 1
         w = matvec(basis[j])
@@ -237,60 +229,44 @@ def rrgmres_solve(A, b: np.ndarray, cfg: SolverConfig,
             w = w - corr * basis[i]
         hkk = float(np.linalg.norm(w))
         col[k] = hkk
+        if k > cap:
+            grow = min(cap, cfg.max_iter - cap)
+            cap += grow
+            hraw, rmat = np.pad(hraw, (0, grow)), np.pad(rmat, (0, grow))
         hraw[: k + 1, j] = col
 
-        if hkk <= cfg.breakdown_tol * beta0:
+        if hkk <= BREAKDOWN_TOL * beta0:
             # basis cannot grow; solve the square projected problem as-is
             hsq = hraw[:k, :k]
             csh = np.asarray(craw[:k])
             y = min_norm_lstsq_solve(hsq, csh)
             proj = float(np.linalg.norm(hsq @ y - csh))
-            gamma = float(np.linalg.norm(bres))
-            residual = float(np.hypot(proj, gamma))
             z = np.column_stack(basis[:k]) @ y
-            k_done = k
-            log.record(k, residual, applies())
-            if keep_iterates:
-                iterates.append(z.copy())
-            stop = (StopReason.DISCREPANCY_MET if residual <= threshold
-                    else StopReason.BREAKDOWN)
-            break
+            stop = StopReason.BREAKDOWN
+        else:
+            vnew = w / hkk
+            basis.append(vnew)
+            cnew = float(vnew @ bres)
+            craw.append(cnew)
+            bres = bres - cnew * vnew
+            g.append(cnew)
+            _rotate_in(rot, col, g)
+            rmat[:k, j] = col[:k]
+            proj = abs(g[k])
 
-        vnew = w / hkk
-        basis.append(vnew)
-        cnew = float(vnew @ bres)
-        craw.append(cnew)
-        bres = bres - cnew * vnew
-
-        for i, (cs, sn) in enumerate(rot):
-            col[i], col[i + 1] = _apply_rotation(cs, sn, col[i], col[i + 1])
-        cs, sn, rr = _make_rotation(col[j], col[j + 1])
-        rot.append((cs, sn))
-        col[j] = rr
-        col[j + 1] = 0.0
-        rmat[:k, j] = col[:k]
-        g.append(cnew)
-        g[j], g[j + 1] = _apply_rotation(cs, sn, g[j], g[j + 1])
-
-        gamma = float(np.linalg.norm(bres))
-        proj = abs(g[k])
-        residual = float(np.hypot(proj, gamma))
-        k_done = k
-        log.record(k, residual, applies())
+        residual = float(np.hypot(proj, float(np.linalg.norm(bres))))
+        log.record(k, residual, applies)
         if keep_iterates:
-            iterates.append(solve_current(k))
-
+            iterates.append(solve_current(k) if z is None else z.copy())
         if residual <= threshold:
-            z = iterates[-1].copy() if keep_iterates else solve_current(k)
             stop = StopReason.DISCREPANCY_MET
+        if stop is not StopReason.MAX_ITER:
             break
-    else:
-        k_done = cfg.max_iter
-        z = iterates[-1].copy() if keep_iterates else solve_current(cfg.max_iter)
-        stop = StopReason.MAX_ITER
 
-    return RRGMRESResult(z=z, k=k_done, residual=residual, stop_reason=stop,
-                         log=log, solve_matvecs=applies(), iterates=iterates)
+    if z is None:
+        z = iterates[-1].copy() if keep_iterates else solve_current(k)
+    return RRGMRESResult(z=z, k=k, residual=residual, stop_reason=stop,
+                         log=log, solve_matvecs=applies, iterates=iterates)
 
 
 def tikhonov_direct_oracle(K: np.ndarray, L: np.ndarray, b: np.ndarray,
@@ -350,6 +326,10 @@ def discrepancy_mu_solve(K: np.ndarray, L: np.ndarray, b: np.ndarray,
         grow += 1
     if flo > 0.0 or fhi < 0.0:
         raise NoRoot("discrepancy level is not bracketed by any mu")
+    # imported here, not at module level: this oracle is the only user of
+    # scipy.optimize, which would add about 0.3 s to every CLI start
+    import scipy.optimize
+
     root = scipy.optimize.brentq(gap, lo, hi, xtol=1e-12, rtol=max(rtol, 1e-15))
     mu = float(np.exp(root))
     return mu, tikhonov_direct_oracle(K, L, b, mu)

@@ -29,8 +29,10 @@ reaches (right/plain modes) or through the effective regularizer's
 pseudoinverse (two-sided), and maps back.  Both reproduce the dense
 general-form solution to rounding error.
 
-Each routine states its matrix-vector product cost; the operator
-wrapper counts products with K so drivers can report totals honestly.
+Each routine states its matrix-vector product cost.  The context is
+itself the transformed operator (shape, matvec) handed to the solver,
+and its matvec_count is the count of products with K that the wrapped
+LinearOperator keeps, so drivers can report totals honestly.
 """
 from __future__ import annotations
 
@@ -43,7 +45,7 @@ import scipy.linalg
 
 from .errors import ShapeMismatch, SingularCore
 from .linalg import RANK_TOL, solve_upper_triangular, thin_qr
-from .regops import Mode, ProjectedRegularizer
+from .regops import Mode, ProjectedRegularizer, RegularizerKind
 
 
 class LinearOperator:
@@ -95,6 +97,14 @@ class StandardFormContext:
     b1: np.ndarray           # right-hand side with the range of K V removed
     prepare_matvecs: int
     inner: Optional["StandardFormContext"] = None
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.m, self.n)
+
+    def matvec(self, z: np.ndarray) -> np.ndarray:
+        """The transformed operator; see apply_k2."""
+        return apply_k2(self, z)
 
     @property
     def matvec_count(self) -> int:
@@ -160,8 +170,8 @@ def prepare_context(K, b: np.ndarray, reg: ProjectedRegularizer) -> StandardForm
             return t - Q @ (Q.T @ t)
 
         inner_reg = ProjectedRegularizer(
-            n=n, Ltilde=np.eye(n), basis=reg.basis, mode=Mode.RIGHT,
-            kind=reg.kind, delta=reg.delta)
+            n=n, Ltilde=np.eye(n), basis=reg.basis, mode=Mode.IDENTITY,
+            kind=RegularizerKind.IDENTITY, delta=reg.delta)
         inner = prepare_context(
             LinearOperator((m, n), once_transformed), b1, inner_reg)
 
@@ -174,9 +184,6 @@ def apply_k2(ctx: StandardFormContext, z: np.ndarray) -> np.ndarray:
     """Transformed operator on z.  Costs exactly one product with K."""
     if ctx.inner is not None:
         return apply_k2(ctx.inner, z)
-    z = np.asarray(z, dtype=float)
-    if ctx.reg.mode is Mode.IDENTITY:
-        return ctx.op.matvec(z)
     t = ctx.op.matvec(ctx.core_solve(z))
     if ctx.ell == 0:
         return t
@@ -206,38 +213,15 @@ def back_transform(ctx: StandardFormContext, z: np.ndarray) -> np.ndarray:
     two-sided mode), none otherwise.  The residual is preserved exactly:
     for the returned x, ||K x - b|| equals the transformed residual.
     """
-    z = np.asarray(z, dtype=float)
-    if ctx.reg.mode is Mode.IDENTITY:
-        if z.shape != (ctx.n,):
-            raise ShapeMismatch(f"expected shape ({ctx.n},), got {z.shape}")
-        return z.copy()
     if ctx.inner is not None:
         z = back_transform(ctx.inner, z)
     y = ctx.core_solve(z)
     return apply_pk_dagger(ctx, y) + ctx.x0
 
 
-class _TransformedOperator:
-    """Adapter presenting apply_k2 with the LinearOperator interface.
-
-    Deliberately does not keep its own counter: the underlying operator
-    already counts the single product with K each application costs.
-    """
-
-    def __init__(self, ctx: StandardFormContext):
-        self._ctx = ctx
-        self.shape = (ctx.m, ctx.n)
-
-    def matvec(self, z: np.ndarray) -> np.ndarray:
-        return apply_k2(self._ctx, z)
-
-    @property
-    def matvec_count(self) -> int:
-        return self._ctx.op.matvec_count
-
-
-def k2_operator(ctx: StandardFormContext) -> _TransformedOperator:
-    return _TransformedOperator(ctx)
+def k2_operator(ctx: StandardFormContext) -> StandardFormContext:
+    """The transformed operator, which is the context itself."""
+    return ctx
 
 
 def _orthonormal_range(a: np.ndarray, rank: int) -> np.ndarray:

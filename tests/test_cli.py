@@ -1,11 +1,23 @@
 """Command-line harness: subcommands, config handling, exit codes, CSV."""
+import csv
+import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from regnear.cli import (RUN_COLUMNS, _parse_floats, _parse_seeds, main,
-                         run_single)
+import regnear
+from regnear.cli import (DEFAULT_NOISE, DEFAULT_SEEDS, RUN_COLUMNS,
+                         _parse_floats, _parse_seeds, main, run_single)
 from regnear.linalg import read_matrix, read_vector, write_matrix
-from regnear.problems import add_noise, build_phillips, relative_error
+from regnear.problems import (add_noise, build_phillips, build_problem,
+                              relative_error)
+from regnear.regops import REGULARIZER_NAMES
+
+SWEEP_FIXTURE = Path(__file__).parent / "data" / "default_sweep.csv"
 
 
 class TestRunSingle:
@@ -38,6 +50,29 @@ class TestRunSingle:
         assert parts[0] == "phillips"
         assert int(parts[RUN_COLUMNS.index("n")]) == 16
         assert float(parts[RUN_COLUMNS.index("relative_error")]) == r.relative_error
+
+
+class TestDefaultSweepRegression:
+    """Every cell of the default n = 200 table sweeps against the results
+    recorded in tests/data/default_sweep.csv."""
+
+    @pytest.mark.parametrize("problem", ["phillips", "deriv2"])
+    def test_cells_match_recorded_sweep(self, problem):
+        with open(SWEEP_FIXTURE) as f:
+            rows = [r for r in csv.DictReader(f) if r["problem"] == problem]
+        grid = {(float(r["nu"]), r["regularizer"], int(r["seed"])) for r in rows}
+        assert len(rows) == len(grid)
+        assert grid == set(itertools.product(DEFAULT_NOISE, REGULARIZER_NAMES,
+                                             DEFAULT_SEEDS))
+        base = build_problem(problem, 200)
+        for row in rows:
+            r = run_single(base, float(row["nu"]), int(row["seed"]),
+                           row["regularizer"], eta=1.01, delta=1.0)
+            for col in ("iterations", "stop_reason", "matvecs",
+                        "matvecs_prepare", "matvecs_solve", "matvecs_back"):
+                assert str(getattr(r, col)) == row[col], (row, col)
+            assert r.relative_error == pytest.approx(
+                float(row["relative_error"]), rel=1e-6), row
 
 
 class TestArgumentParsing:
@@ -88,6 +123,17 @@ class TestSolveCommand:
         with open(prefix + ".csv") as f:
             row = f.read().strip().split("\n")[1]
         assert row.split(",")[RUN_COLUMNS.index("stop_reason")] == "MAX_ITER"
+
+    def test_huge_iteration_cap_matches_small_one(self, tmp_path):
+        # the solver's storage follows the iterations run, not max_iter
+        rows = []
+        for cap in ("100", "10000000"):
+            prefix = str(tmp_path / f"cap{cap}")
+            assert main(["solve", "--n", "16", "--max-iter", cap,
+                         "--out", prefix]) == 0
+            with open(prefix + ".csv") as f:
+                rows.append(f.read().strip().split("\n")[1])
+        assert rows[0] == rows[1]
 
     def test_unknown_regularizer_is_config_error(self, tmp_path):
         code = main(["solve", "--n", "16", "--reg", "L99",
@@ -288,3 +334,12 @@ class TestNearestCommand:
 
     def test_requires_both_files(self, tmp_path):
         assert main(["nearest", "--out", str(tmp_path / "o.txt")]) == 2
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    # only the dense Tikhonov oracle needs scipy.optimize; the CLI must
+    # start without paying for its import
+    src = os.path.dirname(os.path.dirname(regnear.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, regnear.cli; sys.exit('scipy.optimize' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

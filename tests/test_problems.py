@@ -93,6 +93,18 @@ class TestDeriv2:
             q = deriv2_entry_by_quadrature(n, i, j)
             assert K[i, j] == pytest.approx(q, abs=1e-10)
 
+    def test_off_diagonal_entries_match_entry_formula(self):
+        # below the diagonal K[i, j] = h * mid_j * (mid_i - 1), mirrored above
+        n = 37
+        h = 1.0 / n
+        mids = (np.arange(1, n + 1) - 0.5) * h
+        expected = np.zeros((n, n))
+        for i in range(n):
+            for j in range(i):
+                expected[i, j] = expected[j, i] = h * mids[j] * (mids[i] - 1.0)
+        off = ~np.eye(n, dtype=bool)
+        assert np.array_equal(build_deriv2(n).K[off], expected[off])
+
     def test_quadrature_entry_guards(self):
         with pytest.raises(BadDimension):
             deriv2_entry_by_quadrature(10, 10, 0)

@@ -43,11 +43,10 @@ class TestSolverConfig:
         assert cfg.eta == 1.01
         assert cfg.epsilon == 0.0
         assert cfg.max_iter == 100
-        assert cfg.breakdown_tol == 1e-14
 
     @pytest.mark.parametrize("kwargs", [
         {"eta": 1.0}, {"eta": 0.5}, {"epsilon": -1.0},
-        {"max_iter": 0}, {"breakdown_tol": -1e-3}, {"breakdown_tol": 1.0},
+        {"max_iter": 0}, {"max_iter": -5}, {"eta": np.nan},
         {"eta": np.inf}, {"epsilon": np.nan}, {"epsilon": np.inf},
     ])
     def test_rejects_bad_values(self, kwargs):
@@ -208,6 +207,28 @@ class TestRRGMRES:
         res = rrgmres_solve(LinearOperator.from_matrix(a), b,
                             SolverConfig(epsilon=0.0, max_iter=4))
         assert [mv for _, _, mv in res.log.entries] == [0, 2, 3, 4, 5]
+
+    def test_counts_calls_of_its_operator_only(self):
+        # an operator's own counter (here: products with K, two per call)
+        # does not enter the solver's count
+        rng = np.random.default_rng(111)
+        k_op = LinearOperator.from_matrix(rng.standard_normal((9, 9)))
+
+        class SquaredK:
+            shape = (9, 9)
+
+            def matvec(self, v):
+                return k_op.matvec(k_op.matvec(v))
+
+            @property
+            def matvec_count(self):
+                return k_op.matvec_count
+
+        res = rrgmres_solve(SquaredK(), rng.standard_normal(9),
+                            SolverConfig(epsilon=0.0, max_iter=4))
+        assert res.solve_matvecs == 5
+        assert [mv for _, _, mv in res.log.entries] == [0, 2, 3, 4, 5]
+        assert k_op.matvec_count == 10
 
     def test_discrepancy_stop_obeys_threshold(self):
         rng = np.random.default_rng(110)
