@@ -22,9 +22,10 @@ from .regops import (Mode, ProjectedRegularizer, REGULARIZER_NAMES,
 from .solver import (IterationLog, RRGMRESResult, SolverConfig, StopReason,
                      discrepancy_mu_solve, hessenberg_residual, rrgmres_solve,
                      tikhonov_direct_oracle)
-from .transform import (LinearOperator, StandardFormContext, apply_k2,
-                        apply_pk_dagger, back_transform, k2_operator,
-                        prepare_context, tikhonov_minimizer_via_transform)
+from .transform import (LinearOperator, StandardFormContext, StandardFormFactor,
+                        apply_k2, apply_pk_dagger, back_transform,
+                        factor_transform, k2_operator, prepare_context,
+                        project_rhs, tikhonov_minimizer_via_transform)
 
 __version__ = "0.1.0"
 

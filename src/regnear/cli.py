@@ -16,6 +16,7 @@ import argparse
 import statistics
 import sys
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -28,7 +29,8 @@ from .regops import (REGULARIZER_NAMES, RegularizerKind,
                      make_nullspace_basis, make_regularization_matrix,
                      regularizer_from_name)
 from .solver import SolverConfig, rrgmres_solve
-from .transform import back_transform, prepare_context
+from .transform import (StandardFormFactor, back_transform, factor_transform,
+                        project_rhs)
 
 DEFAULT_NOISE = (1e-2, 1e-3, 1e-4)
 DEFAULT_SEEDS = tuple(range(1, 11))
@@ -77,11 +79,19 @@ class RunResult:
 
 
 def run_single(base_problem, nu: float, seed: int, reg_name: str,
-               eta: float, delta: float, max_iter: int = 100) -> RunResult:
-    """One full pipeline pass; matvec phases are counted separately."""
+               eta: float, delta: float, max_iter: int = 100,
+               factor: Optional[StandardFormFactor] = None) -> RunResult:
+    """One full pipeline pass; matvec phases are counted separately.
+
+    factor, when given, must be factor_transform of base_problem.K and
+    the reg_name regularizer; it is reused as is, so runs that share it
+    skip the factor step.  Each run still reports the factor's own
+    prepare count, so the columns do not depend on whether it is shared.
+    """
     prob = add_noise(base_problem, nu, seed)
-    reg = regularizer_from_name(reg_name, prob.n, delta)
-    ctx = prepare_context(prob.K, prob.b, reg)
+    if factor is None:
+        factor = factor_transform(prob.K, regularizer_from_name(reg_name, prob.n, delta))
+    ctx = project_rhs(factor, prob.b)
     cfg = SolverConfig(eta=eta, epsilon=prob.epsilon, max_iter=max_iter)
     res = rrgmres_solve(ctx, ctx.solver_rhs, cfg)
     before_back = ctx.matvec_count
@@ -89,7 +99,8 @@ def run_single(base_problem, nu: float, seed: int, reg_name: str,
     back_mv = ctx.matvec_count - before_back
     return RunResult(
         problem=prob.name, n=prob.n, nu=nu, regularizer=reg_name, seed=seed,
-        iterations=res.k, matvecs=ctx.matvec_count,
+        iterations=res.k,
+        matvecs=ctx.prepare_matvecs + res.solve_matvecs + back_mv,
         relative_error=relative_error(x, prob.x_hat),
         stop_reason=res.stop_reason.value,
         matvecs_prepare=ctx.prepare_matvecs, matvecs_solve=res.solve_matvecs,
@@ -253,10 +264,17 @@ def cmd_table(args) -> int:
     lines = [",".join(RUN_COLUMNS)]
     for nu in noise_levels:
         for reg in regs:
+            # one factor serves the block's seeds; when factoring fails,
+            # each seed's run_single raises the failure again and it is
+            # reported per seed
+            try:
+                factor = factor_transform(base.K, regularizer_from_name(reg, n, delta))
+            except NumericsError:
+                factor = None
             block: list = []
             for seed in seeds:
                 try:
-                    r = run_single(base, nu, seed, reg, eta, delta, max_iter)
+                    r = run_single(base, nu, seed, reg, eta, delta, max_iter, factor)
                 except NumericsError as exc:
                     tag = f"ERROR_{type(exc).__name__}"
                     cells = {c: "" for c in RUN_COLUMNS}

@@ -7,7 +7,7 @@ Because b is generally not contained in the span of the Arnoldi basis,
 the least-squares subproblem has a full projected right-hand side plus
 an out-of-span remainder; both pieces are tracked incrementally with
 Givens rotations so each iteration costs one operator application and
-O(k) vector work.
+O(k) vector work, done as two block Gram-Schmidt passes over the basis.
 
 Also provides the dense Tikhonov solver used as an equivalence oracle
 and a discrepancy-principle search over the Tikhonov parameter.
@@ -159,7 +159,8 @@ def rrgmres_solve(A, b: np.ndarray, cfg: SolverConfig,
     costs one more.  A zero starting guess is implicit: the k = 0 entry
     of the log is ||b||, and if that already meets the discrepancy test
     no operator application happens at all.  The log and solve_matvecs
-    count the calls of A.matvec made here and nothing else.
+    count the calls of A.matvec made here and nothing else.  A b with
+    non-finite entries raises ValueError before any call.
     """
     m, n = A.shape
     if m != n:
@@ -167,6 +168,8 @@ def rrgmres_solve(A, b: np.ndarray, cfg: SolverConfig,
     b = np.asarray(b, dtype=float)
     if b.shape != (n,):
         raise ShapeMismatch(f"right-hand side has shape {b.shape}, expected ({n},)")
+    if not np.all(np.isfinite(b)):
+        raise ValueError("right-hand side must be finite")
 
     applies = 0
 
@@ -194,45 +197,46 @@ def rrgmres_solve(A, b: np.ndarray, cfg: SolverConfig,
                              stop_reason=StopReason.BREAKDOWN,
                              log=log, solve_matvecs=applies, iterates=iterates)
 
-    basis = [seed / beta0]
+    # Arnoldi basis (contiguous columns) and Hessenberg columns as
+    # computed and as rotated; the storage doubles when the iteration
+    # outgrows it, so max_iter only bounds the loop
+    cap = min(cfg.max_iter, 32)
+    basis = np.zeros((n, cap + 1), order="F")
+    basis[:, 0] = seed / beta0
+    hraw = np.zeros((cap + 1, cap))
+    rmat = np.zeros((cap, cap))
     # split b into basis projections and an explicit remainder vector;
     # keeping the remainder avoids the cancellation that ||b||^2 - sum c_j^2
     # suffers when the basis captures b almost entirely
-    craw = [float(basis[0] @ b)]
-    bres = b - craw[0] * basis[0]
-    # Hessenberg columns as computed and as rotated; the storage doubles
-    # when the iteration outgrows it, so max_iter only bounds the loop
-    cap = min(cfg.max_iter, 32)
-    hraw = np.zeros((cap + 1, cap))
-    rmat = np.zeros((cap, cap))
+    craw = [float(basis[:, 0] @ b)]
+    bres = b - craw[0] * basis[:, 0]
     g = [craw[0]]                      # rotated right-hand side
     rot: list[tuple[float, float]] = []
 
     def solve_current(k: int) -> np.ndarray:
         y, _ = _solve_rotated(rmat[:k, :k], np.asarray(g[:k]),
                               hraw[:k + 1, :k], np.asarray(craw[:k + 1]))
-        return np.column_stack(basis[:k]) @ y
+        return basis[:, :k] @ y
 
     z = None
     stop = StopReason.MAX_ITER
     for k in range(1, cfg.max_iter + 1):
         j = k - 1
-        w = matvec(basis[j])
-        col = np.zeros(k + 1)
-        for i in range(k):
-            col[i] = float(basis[i] @ w)
-            w = w - col[i] * basis[i]
-        # one unconditional reorthogonalization pass keeps the basis clean
-        for i in range(k):
-            corr = float(basis[i] @ w)
-            col[i] += corr
-            w = w - corr * basis[i]
+        w = matvec(basis[:, j])
+        vk = basis[:, :k]
+        # classical Gram-Schmidt in two block passes (CGS2); the second,
+        # unconditional pass keeps the basis orthogonal to working precision
+        h = vk.T @ w
+        w = w - vk @ h
+        corr = vk.T @ w
+        w = w - vk @ corr
         hkk = float(np.linalg.norm(w))
-        col[k] = hkk
+        col = np.append(h + corr, hkk)
         if k > cap:
             grow = min(cap, cfg.max_iter - cap)
             cap += grow
             hraw, rmat = np.pad(hraw, (0, grow)), np.pad(rmat, (0, grow))
+            basis = np.pad(basis, ((0, 0), (0, grow)))
         hraw[: k + 1, j] = col
 
         if hkk <= BREAKDOWN_TOL * beta0:
@@ -241,11 +245,11 @@ def rrgmres_solve(A, b: np.ndarray, cfg: SolverConfig,
             csh = np.asarray(craw[:k])
             y = min_norm_lstsq_solve(hsq, csh)
             proj = float(np.linalg.norm(hsq @ y - csh))
-            z = np.column_stack(basis[:k]) @ y
+            z = basis[:, :k] @ y
             stop = StopReason.BREAKDOWN
         else:
             vnew = w / hkk
-            basis.append(vnew)
+            basis[:, k] = vnew
             cnew = float(vnew @ bres)
             craw.append(cnew)
             bres = bres - cnew * vnew

@@ -29,15 +29,26 @@ reaches (right/plain modes) or through the effective regularizer's
 pseudoinverse (two-sided), and maps back.  Both reproduce the dense
 general-form solution to rounding error.
 
+The work comes in two steps.  factor_transform(K, reg) does everything
+that does not depend on the data: the thin QR of K V, the core's banded
+LU (owned by the regularizer) and, in two-sided mode, the nested split.
+It costs ell products with K (2*ell in two-sided mode) and records that
+count.  project_rhs(factor, b) then computes the per-b pieces x0 and b1,
+recursing into the nested split, with no product with K, so one factor
+serves any number of right-hand sides.  prepare_context(K, b, reg) is
+the two steps in a row.
+
 Each routine states its matrix-vector product cost.  The context is
 itself the transformed operator (shape, matvec) handed to the solver,
 and its matvec_count is the count of products with K that the wrapped
-LinearOperator keeps, so drivers can report totals honestly.
+LinearOperator keeps.  That count runs across every context made from
+one factor, so a driver that shares a factor counts one run as the
+factor's prepare_matvecs plus the products the run itself makes.
 """
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -83,8 +94,8 @@ class LinearOperator:
 
 
 @dataclass
-class StandardFormContext:
-    """Everything prepare_context factored out of (K, b, regularizer)."""
+class StandardFormFactor:
+    """What factor_transform computes from (K, regularizer) alone."""
 
     reg: ProjectedRegularizer
     op: LinearOperator
@@ -93,10 +104,8 @@ class StandardFormContext:
     ell: int
     Q: np.ndarray            # m x ell, thin QR factor of K V
     R: np.ndarray            # ell x ell upper triangular
-    x0: np.ndarray           # null-space component of the solution
-    b1: np.ndarray           # right-hand side with the range of K V removed
     prepare_matvecs: int
-    inner: Optional["StandardFormContext"] = None
+    inner: Optional["StandardFormFactor"]
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -108,14 +117,13 @@ class StandardFormContext:
 
     @property
     def matvec_count(self) -> int:
-        return self.op.matvec_count
+        """Products with K made so far through the wrapped operator.
 
-    @property
-    def solver_rhs(self) -> np.ndarray:
-        """Data vector of the standard-form system the solver iterates on."""
-        if self.inner is not None:
-            return self.inner.b1
-        return self.b1
+        The count is cumulative: it spans every factor and context that
+        shares the operator, so with one factor serving several
+        right-hand sides it covers all of their runs.
+        """
+        return self.op.matvec_count
 
     def core_solve(self, z: np.ndarray) -> np.ndarray:
         """Action of the core factor's inverse.  No products with K.
@@ -129,17 +137,46 @@ class StandardFormContext:
         return self.reg.core_solve(z)
 
 
-def prepare_context(K, b: np.ndarray, reg: ProjectedRegularizer) -> StandardFormContext:
-    """Factor the transformation.
+@dataclass
+class StandardFormContext(StandardFormFactor):
+    """A factor together with the per-b pieces project_rhs computed."""
+
+    x0: np.ndarray           # null-space component of the solution
+    b1: np.ndarray           # right-hand side with the range of K V removed
+
+    @property
+    def solver_rhs(self) -> np.ndarray:
+        """Data vector of the standard-form system the solver iterates on."""
+        if self.inner is not None:
+            return self.inner.b1
+        return self.b1
+
+
+# the fields a context copies from its factor; inner is projected anew
+_FACTOR_FIELDS = tuple(f.name for f in fields(StandardFormFactor) if f.name != "inner")
+
+
+def _as_operator(K) -> LinearOperator:
+    return K if isinstance(K, LinearOperator) else LinearOperator.from_matrix(K)
+
+
+def _checked_rhs(b: np.ndarray, m: int) -> np.ndarray:
+    b = np.asarray(b, dtype=float)
+    if b.shape != (m,):
+        raise ShapeMismatch(f"right-hand side has shape {b.shape}, expected ({m},)")
+    if not np.all(np.isfinite(b)):
+        raise ValueError("right-hand side must be finite")
+    return b
+
+
+def factor_transform(K, reg: ProjectedRegularizer) -> StandardFormFactor:
+    """The factor step: all the work that does not depend on b.
 
     Costs ell products with K (2*ell in two-sided mode, whose nested
     split transforms the basis once more through the operator).
     """
-    op = K if isinstance(K, LinearOperator) else LinearOperator.from_matrix(K)
+    op = _as_operator(K)
     m, n = op.shape
-    b = np.asarray(b, dtype=float)
-    if b.shape != (m,):
-        raise ShapeMismatch(f"right-hand side has shape {b.shape}, expected ({m},)")
     if reg.n != n:
         raise ShapeMismatch(f"regularizer built for n={reg.n}, operator has n={n}")
 
@@ -148,15 +185,10 @@ def prepare_context(K, b: np.ndarray, reg: ProjectedRegularizer) -> StandardForm
     if ell == 0:
         Q = np.zeros((m, 0))
         R = np.zeros((0, 0))
-        x0 = np.zeros(n)
-        b1 = b.copy()
     else:
         V = reg.basis.V
         kv = np.column_stack([op.matvec(V[:, j]) for j in range(ell)])
         Q, R = thin_qr(kv)
-        qtb = Q.T @ b
-        x0 = V @ solve_upper_triangular(R, qtb)
-        b1 = b - Q @ qtb
 
     inner = None
     if reg.mode is Mode.TWO_SIDED:
@@ -172,15 +204,47 @@ def prepare_context(K, b: np.ndarray, reg: ProjectedRegularizer) -> StandardForm
         inner_reg = ProjectedRegularizer(
             n=n, Ltilde=np.eye(n), basis=reg.basis, mode=Mode.IDENTITY,
             kind=RegularizerKind.IDENTITY, delta=reg.delta)
-        inner = prepare_context(
-            LinearOperator((m, n), once_transformed), b1, inner_reg)
+        inner = factor_transform(LinearOperator((m, n), once_transformed), inner_reg)
 
-    return StandardFormContext(
-        reg=reg, op=op, m=m, n=n, ell=ell, Q=Q, R=R, x0=x0, b1=b1,
+    return StandardFormFactor(
+        reg=reg, op=op, m=m, n=n, ell=ell, Q=Q, R=R,
         prepare_matvecs=op.matvec_count - start, inner=inner)
 
 
-def apply_k2(ctx: StandardFormContext, z: np.ndarray) -> np.ndarray:
+def project_rhs(factor: StandardFormFactor, b: np.ndarray) -> StandardFormContext:
+    """The per-b step: x0 and b1, also for the nested split.
+
+    Costs no products with K and leaves the factor as it was.
+    """
+    return _project(factor, _checked_rhs(b, factor.m))
+
+
+def _project(factor: StandardFormFactor, b: np.ndarray) -> StandardFormContext:
+    if factor.ell == 0:
+        x0 = np.zeros(factor.n)
+        b1 = b.copy()
+    else:
+        qtb = factor.Q.T @ b
+        x0 = factor.reg.basis.V @ solve_upper_triangular(factor.R, qtb)
+        b1 = b - factor.Q @ qtb
+    inner = None if factor.inner is None else _project(factor.inner, b1)
+    shared = {name: getattr(factor, name) for name in _FACTOR_FIELDS}
+    return StandardFormContext(**shared, inner=inner, x0=x0, b1=b1)
+
+
+def prepare_context(K, b: np.ndarray, reg: ProjectedRegularizer) -> StandardFormContext:
+    """The factor step followed by the per-b step.
+
+    Costs ell products with K (2*ell in two-sided mode); a right-hand
+    side of the wrong shape or with non-finite entries is rejected
+    before any of them.
+    """
+    op = _as_operator(K)
+    b = _checked_rhs(b, op.shape[0])
+    return _project(factor_transform(op, reg), b)
+
+
+def apply_k2(ctx: StandardFormFactor, z: np.ndarray) -> np.ndarray:
     """Transformed operator on z.  Costs exactly one product with K."""
     if ctx.inner is not None:
         return apply_k2(ctx.inner, z)
@@ -190,7 +254,7 @@ def apply_k2(ctx: StandardFormContext, z: np.ndarray) -> np.ndarray:
     return t - ctx.Q @ (ctx.Q.T @ t)
 
 
-def apply_pk_dagger(ctx: StandardFormContext, y: np.ndarray) -> np.ndarray:
+def apply_pk_dagger(ctx: StandardFormFactor, y: np.ndarray) -> np.ndarray:
     """Oblique projector that restores the null-space component's slot.
 
     Costs one product with K when the null space is nontrivial, none

@@ -10,12 +10,14 @@ import numpy as np
 import pytest
 
 import regnear
+import regnear.cli
 from regnear.cli import (DEFAULT_NOISE, DEFAULT_SEEDS, RUN_COLUMNS,
                          _parse_floats, _parse_seeds, main, run_single)
 from regnear.linalg import read_matrix, read_vector, write_matrix
 from regnear.problems import (add_noise, build_phillips, build_problem,
                               relative_error)
 from regnear.regops import REGULARIZER_NAMES
+from regnear.transform import factor_transform
 
 SWEEP_FIXTURE = Path(__file__).parent / "data" / "default_sweep.csv"
 
@@ -73,6 +75,35 @@ class TestDefaultSweepRegression:
                 assert str(getattr(r, col)) == row[col], (row, col)
             assert r.relative_error == pytest.approx(
                 float(row["relative_error"]), rel=1e-6), row
+
+    @pytest.mark.parametrize("problem", ["phillips", "deriv2"])
+    def test_table_matches_recorded_sweep(self, problem, tmp_path, capsys):
+        out = tmp_path / "table.csv"
+        assert main(["table", "--problem", problem, "--out", str(out)]) == 0
+        with open(out) as f:
+            got = [r for r in csv.DictReader(f) if r["seed"] != "median"]
+        with open(SWEEP_FIXTURE) as f:
+            want = [r for r in csv.DictReader(f) if r["problem"] == problem]
+        assert len(got) == len(want) == 180
+        for row, ref in zip(got, want):
+            for col in ("problem", "n", "nu", "regularizer", "seed",
+                        "iterations", "stop_reason", "matvecs",
+                        "matvecs_prepare", "matvecs_solve", "matvecs_back"):
+                assert row[col] == ref[col], (ref, col)
+            assert float(row["relative_error"]) == pytest.approx(
+                float(ref["relative_error"]), rel=1e-6), ref
+
+    def test_table_factors_once_per_block(self, tmp_path, monkeypatch, capsys):
+        calls = []
+
+        def counting_factor(K, reg):
+            calls.append(reg.kind)
+            return factor_transform(K, reg)
+
+        monkeypatch.setattr(regnear.cli, "factor_transform", counting_factor)
+        assert main(["table", "--problem", "phillips",
+                     "--out", str(tmp_path / "table.csv")]) == 0
+        assert len(calls) == len(DEFAULT_NOISE) * len(REGULARIZER_NAMES) == 18
 
 
 class TestArgumentParsing:

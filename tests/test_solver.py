@@ -230,6 +230,16 @@ class TestRRGMRES:
         assert [mv for _, _, mv in res.log.entries] == [0, 2, 3, 4, 5]
         assert k_op.matvec_count == 10
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rhs_rejected_before_any_product(self, bad):
+        rng = np.random.default_rng(112)
+        op = RecordingOperator(rng.standard_normal((6, 6)))
+        b = rng.standard_normal(6)
+        b[0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            rrgmres_solve(op, b, SolverConfig(epsilon=0.1))
+        assert op.inputs == []
+
     def test_discrepancy_stop_obeys_threshold(self):
         rng = np.random.default_rng(110)
         a = rng.standard_normal((12, 12)) + 4.0 * np.eye(12)

@@ -5,18 +5,21 @@ contexts under test only ever apply operator actions.
 """
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regnear.errors import RankDeficient, ShapeMismatch, SingularCore
 from regnear.linalg import thin_qr
 from regnear.nearness import NullSpaceBasis
 from regnear.problems import add_noise, build_phillips
-from regnear.regops import (Mode, ProjectedRegularizer, RegularizerKind,
-                            compose_regularizer, regularizer_from_name)
+from regnear.regops import (REGULARIZER_NAMES, Mode, ProjectedRegularizer,
+                            RegularizerKind, compose_regularizer,
+                            regularizer_from_name)
 from regnear.solver import SolverConfig, rrgmres_solve, tikhonov_direct_oracle
 from regnear.transform import (LinearOperator, StandardFormContext, apply_k2,
-                               apply_pk_dagger, back_transform, k2_operator,
-                               prepare_context,
-                               tikhonov_minimizer_via_transform)
+                               apply_pk_dagger, back_transform,
+                               factor_transform, k2_operator, prepare_context,
+                               project_rhs, tikhonov_minimizer_via_transform)
 
 
 def unit_vector_reg(n, j, mode=Mode.RIGHT, core=None):
@@ -139,6 +142,77 @@ class TestPrepare:
                               np.ones(5), reg)
         with pytest.raises(ShapeMismatch):
             ctx.core_solve(np.ones(4))
+
+
+def assert_same_context(ctx, ref):
+    """Bit-for-bit equality of the per-b pieces, nested split included."""
+    assert np.array_equal(ctx.x0, ref.x0)
+    assert np.array_equal(ctx.b1, ref.b1)
+    assert np.array_equal(ctx.solver_rhs, ref.solver_rhs)
+    assert ctx.prepare_matvecs == ref.prepare_matvecs
+    assert (ctx.inner is None) == (ref.inner is None)
+    if ctx.inner is not None:
+        assert np.array_equal(ctx.inner.Q, ref.inner.Q)
+        assert np.array_equal(ctx.inner.R, ref.inner.R)
+        assert_same_context(ctx.inner, ref.inner)
+
+
+class TestFactorOnce:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(4, 40), seed=st.integers(0, 2**32 - 1),
+           name=st.sampled_from(REGULARIZER_NAMES))
+    def test_factor_does_not_depend_on_rhs(self, n, seed, name):
+        rng = np.random.default_rng(seed)
+        K = rng.standard_normal((n, n)) + 4.0 * np.eye(n)
+        reg = regularizer_from_name(name, n)
+        op = LinearOperator.from_matrix(K)
+        factor = factor_transform(op, reg)
+        factored = [factor.Q.copy(), factor.R.copy()]
+        if factor.inner is not None:
+            factored += [factor.inner.Q.copy(), factor.inner.R.copy()]
+        for _ in range(3):
+            b = rng.standard_normal(n)
+            before = op.matvec_count
+            ctx = project_rhs(factor, b)
+            assert op.matvec_count == before
+            assert_same_context(ctx, prepare_context(K, b, reg))
+            # a context serves as a factor for the next right-hand side
+            assert_same_context(project_rhs(ctx, -b), project_rhs(factor, -b))
+        now = [factor.Q, factor.R]
+        if factor.inner is not None:
+            now += [factor.inner.Q, factor.inner.R]
+        assert all(np.array_equal(a, c) for a, c in zip(factored, now))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["I", "L10"])
+    def test_non_finite_rhs_rejected_before_any_product(self, name, bad):
+        rng = np.random.default_rng(66)
+        n = 8
+        reg = regularizer_from_name(name, n)
+        b = rng.standard_normal(n)
+        b[3] = bad
+        op = LinearOperator.from_matrix(rng.standard_normal((n, n)) + 4.0 * np.eye(n))
+        with pytest.raises(ValueError, match="finite"):
+            prepare_context(op, b, reg)
+        assert op.matvec_count == 0
+        factor = factor_transform(op, reg)
+        before = op.matvec_count
+        with pytest.raises(ValueError, match="finite"):
+            project_rhs(factor, b)
+        assert op.matvec_count == before
+
+    def test_shared_factor_counts_every_run(self):
+        # the operator's count spans every context made from one factor,
+        # while each context keeps the factor's own prepare count
+        rng = np.random.default_rng(67)
+        n = 10
+        op = LinearOperator.from_matrix(rng.standard_normal((n, n)) + 4.0 * np.eye(n))
+        factor = factor_transform(op, regularizer_from_name("P2L2tP2", n))
+        contexts = [project_rhs(factor, rng.standard_normal(n)) for _ in range(2)]
+        for ctx in contexts:
+            apply_k2(ctx, rng.standard_normal(n))
+            assert ctx.prepare_matvecs == 4
+        assert contexts[0].matvec_count == op.matvec_count == 4 + 2
 
 
 class TestProjectedPseudoinverse:
