@@ -109,9 +109,6 @@ def run_single(base_problem, nu: float, seed: int, reg_name: str,
 
 # --- config file ----------------------------------------------------------
 
-_LIST_KEYS = {"noise", "regs", "seeds"}
-
-
 def _parse_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
     try:
@@ -129,22 +126,19 @@ def _parse_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _apply_config(args: argparse.Namespace, converters: dict) -> None:
-    """Fill still-unset flags from the config file, then hard defaults.
-
-    Command-line flags always win because they leave their slot non-None.
-    """
-    if getattr(args, "config", None):
-        raw = _parse_config_file(args.config)
-        for key, val in raw.items():
-            if key not in converters:
-                valid = ", ".join(sorted(converters))
-                raise ConfigError(f"unknown config key {key!r}; valid keys: {valid}")
-            if getattr(args, key, None) is None:
-                try:
-                    setattr(args, key, converters[key](val))
-                except ValueError as exc:
-                    raise ConfigError(f"config key {key}: {exc}") from exc
+def _config_defaults(parser: argparse.ArgumentParser, path: str) -> dict:
+    """The config file's values, each converted by its option's declared type."""
+    actions = {a.dest: a for a in parser._actions if a.dest not in ("help", "config")}
+    values = {}
+    for key, val in _parse_config_file(path).items():
+        if key not in actions:
+            valid = ", ".join(sorted(actions))
+            raise ConfigError(f"unknown config key {key!r}; valid keys: {valid}")
+        try:
+            values[key] = (actions[key].type or str)(val)
+        except ValueError as exc:
+            raise ConfigError(f"config key {key}: {exc}") from exc
+    return values
 
 
 def _parse_seeds(text: str) -> tuple[int, ...]:
@@ -190,34 +184,23 @@ def _check_numbers(noise_levels, eta: float, delta: float, max_iter: int) -> Non
     SolverConfig(eta=eta, max_iter=max_iter)  # ValueError on a bad eta or max_iter
 
 
-def _validate_regs(regs) -> tuple[str, ...]:
+def _validate_regs(regs) -> None:
     for name in regs:
         if name not in REGULARIZER_NAMES:
             valid = ", ".join(REGULARIZER_NAMES)
             raise ConfigError(f"unknown regularizer {name!r}; valid names: {valid}")
-    return tuple(regs)
 
 
 # --- subcommands ----------------------------------------------------------
 
 def cmd_solve(args) -> int:
-    _apply_config(args, {
-        "problem": str, "n": int, "noise": float, "reg": str, "seed": int,
-        "eta": float, "delta": float, "out": str, "max_iter": int})
-    problem = args.problem or "phillips"
-    n = args.n if args.n is not None else 200
-    nu = args.noise if args.noise is not None else 1e-2
-    reg = args.reg or "I"
-    seed = args.seed if args.seed is not None else 1
-    eta = args.eta if args.eta is not None else 1.01
-    delta = args.delta if args.delta is not None else 1.0
-    max_iter = args.max_iter if args.max_iter is not None else 100
-    prefix = args.out or "solve"
-    _validate_regs([reg])
-    _check_numbers([nu], eta, delta, max_iter)
+    _validate_regs([args.reg])
+    _check_numbers([args.noise], args.eta, args.delta, args.max_iter)
 
-    base = build_problem(problem, n)
-    result = run_single(base, nu, seed, reg, eta, delta, max_iter)
+    base = build_problem(args.problem, args.n)
+    result = run_single(base, args.noise, args.seed, args.reg, args.eta,
+                        args.delta, args.max_iter)
+    prefix = args.out
     csv_path = f"{prefix}.csv"
     with open(csv_path, "w") as f:
         f.write(",".join(RUN_COLUMNS) + "\n")
@@ -243,27 +226,19 @@ def _median_row(problem: str, n: int, nu: float, reg: str, rows: list) -> str:
 
 
 def cmd_table(args) -> int:
-    _apply_config(args, {
-        "problem": str, "n": int, "noise": _parse_floats, "regs": _parse_regs,
-        "seeds": _parse_seeds, "eta": float, "delta": float, "out": str,
-        "max_iter": int})
-    problem = args.problem or "phillips"
-    n = args.n if args.n is not None else 200
-    noise_levels = args.noise if args.noise is not None else DEFAULT_NOISE
-    regs = _validate_regs(args.regs if args.regs is not None else REGULARIZER_NAMES)
-    seeds = args.seeds if args.seeds is not None else DEFAULT_SEEDS
-    eta = args.eta if args.eta is not None else 1.01
-    delta = args.delta if args.delta is not None else 1.0
-    max_iter = args.max_iter if args.max_iter is not None else 100
+    problem, n, delta = args.problem, args.n, args.delta
+    _validate_regs(args.regs)
+    _check_numbers(args.noise, args.eta, delta, args.max_iter)
+    for what, values in (("noise level", args.noise), ("regularizer", args.regs),
+                         ("seed", args.seeds)):
+        if not values:
+            raise ConfigError(f"need at least one {what}")
     out = args.out or f"table_{problem}.csv"
-    _check_numbers(noise_levels, eta, delta, max_iter)
-    if not seeds:
-        raise ConfigError("need at least one seed")
 
     base = build_problem(problem, n)
     lines = [",".join(RUN_COLUMNS)]
-    for nu in noise_levels:
-        for reg in regs:
+    for nu in args.noise:
+        for reg in args.regs:
             # one factor serves the block's seeds; when factoring fails,
             # each seed's run_single raises the failure again and it is
             # reported per seed
@@ -272,9 +247,10 @@ def cmd_table(args) -> int:
             except NumericsError:
                 factor = None
             block: list = []
-            for seed in seeds:
+            for seed in args.seeds:
                 try:
-                    r = run_single(base, nu, seed, reg, eta, delta, max_iter, factor)
+                    r = run_single(base, nu, seed, reg, args.eta, delta,
+                                   args.max_iter, factor)
                 except NumericsError as exc:
                     tag = f"ERROR_{type(exc).__name__}"
                     cells = {c: "" for c in RUN_COLUMNS}
@@ -295,18 +271,13 @@ def cmd_table(args) -> int:
 
 
 def cmd_distances(args) -> int:
-    _apply_config(args, {"min_n": int, "max_n": int, "step": int, "out": str})
-    n_min = args.min_n if args.min_n is not None else 4
-    n_max = args.max_n if args.max_n is not None else 400
-    step = args.step if args.step is not None else 1
-    out = args.out or "distances.csv"
-    if not (4 <= n_min <= n_max):
+    if not (4 <= args.min_n <= args.max_n):
         raise ConfigError("need 4 <= min-n <= max-n")
-    if step < 1:
+    if args.step < 1:
         raise ConfigError("step must be positive")
 
     lines = ["n,dist_L20,dist_PL2P,dist_L2P"]
-    for n in range(n_min, n_max + 1, step):
+    for n in range(args.min_n, args.max_n + 1, args.step):
         l2t = make_regularization_matrix(RegularizerKind.L2_TILDE, n)
         l20 = make_regularization_matrix(RegularizerKind.L2_ZERO, n)
         basis = make_nullspace_basis("N2", n)
@@ -314,107 +285,105 @@ def cmd_distances(args) -> int:
         d_two = nearness_distance(l2t, basis, symmetric=True)
         d_right = nearness_distance(l2t, basis, symmetric=False)
         lines.append(f"{n},{d_l20:.17g},{d_two:.17g},{d_right:.17g}")
-    with open(out, "w") as f:
+    with open(args.out, "w") as f:
         f.write("\n".join(lines) + "\n")
-    print(f"wrote {out} ({len(lines) - 1} rows)")
+    print(f"wrote {args.out} ({len(lines) - 1} rows)")
     return 0
 
 
 def cmd_nearest(args) -> int:
-    _apply_config(args, {"matrix": str, "nullspace": str, "symmetric": _parse_bool,
-                         "out": str})
     if not args.matrix or not args.nullspace:
         raise ConfigError("nearest needs --matrix and --nullspace files")
-    out = args.out or "nearest.txt"
-    symmetric = bool(args.symmetric)
     a = read_matrix(args.matrix)
     v = read_matrix(args.nullspace)
     basis = NullSpaceBasis.from_vectors(v)
-    if symmetric:
+    if args.symmetric:
         ahat = nearest_symmetric_with_nullspace(a, basis)
     else:
         ahat = nearest_with_nullspace(a, basis)
-    write_matrix(out, ahat)
-    dist = nearness_distance(a, basis, symmetric=symmetric)
+    write_matrix(args.out, ahat)
+    dist = nearness_distance(a, basis, symmetric=args.symmetric)
     print(f"distance {dist:.12g}")
-    print(f"wrote {out}")
+    print(f"wrote {args.out}")
     return 0
 
 
 # --- entry point ----------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser and its subcommand parsers by name."""
     p = argparse.ArgumentParser(
         prog="regnear",
         description="Null-space-aware regularizers, standard-form transformation, "
                     "and range-restricted GMRES experiments.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp):
+    def add_command(name, func, help, out, *options):
+        """A subcommand with the given (flag, settings) options, then
+        --config and --out (default out)."""
+        sp = sub.add_parser(name, help=help)
+        for flag, settings in options:
+            sp.add_argument(flag, **settings)
         sp.add_argument("--config", help="flat key=value file; flags override it")
-        sp.add_argument("--out", help="output path (CSV file or prefix)")
+        sp.add_argument("--out", default=out, help="output path (CSV file or prefix)")
+        sp.set_defaults(func=func)
 
-    sp = sub.add_parser("solve", help="run a single experiment cell")
-    sp.add_argument("--problem", choices=("phillips", "deriv2"))
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--noise", type=float)
-    sp.add_argument("--reg")
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--eta", type=float)
-    sp.add_argument("--delta", type=float)
-    sp.add_argument("--max-iter", dest="max_iter", type=int)
-    add_common(sp)
-    sp.set_defaults(func=cmd_solve)
+    # the run flags that solve and table share
+    problem = [("--problem", dict(choices=("phillips", "deriv2"), default="phillips")),
+               ("--n", dict(type=int, default=200))]
+    solver = [("--eta", dict(type=float, default=1.01)),
+              ("--delta", dict(type=float, default=1.0)),
+              ("--max-iter", dict(type=int, default=100))]
 
-    sp = sub.add_parser("table", help="full noise x regularizer x seed sweep")
-    sp.add_argument("--problem", choices=("phillips", "deriv2"))
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--noise", type=_parse_floats,
-                    help="comma-separated noise levels")
-    sp.add_argument("--regs", type=_parse_regs,
-                    help="comma-separated regularizer names")
-    sp.add_argument("--seeds", type=_parse_seeds,
-                    help="comma list or lo..hi range")
-    sp.add_argument("--eta", type=float)
-    sp.add_argument("--delta", type=float)
-    sp.add_argument("--max-iter", dest="max_iter", type=int)
-    add_common(sp)
-    sp.set_defaults(func=cmd_table)
-
-    sp = sub.add_parser("distances", help="nearness distances versus matrix order")
-    sp.add_argument("--min-n", dest="min_n", type=int)
-    sp.add_argument("--max-n", dest="max_n", type=int)
-    sp.add_argument("--step", type=int)
-    add_common(sp)
-    sp.set_defaults(func=cmd_distances)
-
-    sp = sub.add_parser("nearest", help="project a matrix file onto a null-space "
-                                        "constraint")
-    sp.add_argument("--matrix", help="matrix text file for A")
-    sp.add_argument("--nullspace", help="matrix text file whose columns span "
-                                        "the null space")
-    sp.add_argument("--symmetric", nargs="?", const=True, default=None,
-                    type=_parse_bool, help="use the symmetric variant")
-    add_common(sp)
-    sp.set_defaults(func=cmd_nearest)
-    return p
+    add_command("solve", cmd_solve, "run a single experiment cell", "solve",
+                *problem,
+                ("--noise", dict(type=float, default=1e-2)),
+                ("--reg", dict(default="I")),
+                ("--seed", dict(type=int, default=1)),
+                *solver)
+    # the table's default output name follows --problem
+    add_command("table", cmd_table, "full noise x regularizer x seed sweep", None,
+                *problem,
+                ("--noise", dict(type=_parse_floats, default=DEFAULT_NOISE,
+                                 help="comma-separated noise levels")),
+                ("--regs", dict(type=_parse_regs, default=REGULARIZER_NAMES,
+                                help="comma-separated regularizer names")),
+                ("--seeds", dict(type=_parse_seeds, default=DEFAULT_SEEDS,
+                                 help="comma list or lo..hi range")),
+                *solver)
+    add_command("distances", cmd_distances, "nearness distances versus matrix order",
+                "distances.csv",
+                ("--min-n", dict(type=int, default=4)),
+                ("--max-n", dict(type=int, default=400)),
+                ("--step", dict(type=int, default=1)))
+    add_command("nearest", cmd_nearest,
+                "project a matrix file onto a null-space constraint", "nearest.txt",
+                ("--matrix", dict(help="matrix text file for A")),
+                ("--nullspace", dict(help="matrix text file whose columns span "
+                                          "the null space")),
+                ("--symmetric", dict(nargs="?", const=True, default=False,
+                                     type=_parse_bool, help="use the symmetric variant")))
+    return p, sub.choices
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    """Run one subcommand.  A setting comes from its flag, else from the
+    --config file, else from the parser's default: the file's values
+    become the subcommand's defaults and the flags are parsed again."""
+    parser, commands = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.config:
+            command = commands[args.command]
+            command.set_defaults(**_config_defaults(command, args.config))
+            args = parser.parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericsError as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    return 0
 
 
 if __name__ == "__main__":

@@ -38,8 +38,30 @@ class Mode(str, Enum):
     PLAIN = "PLAIN"            # L = core, used as-is (square, singular)
 
 
+# The difference stencils, coefficients left to right; entry
+# (len - 1) // 2 sits on the diagonal
+_FIRST = (0.5, -0.5)
+_SECOND = (-0.25, 0.5, -0.25)
+
+# kind -> (stencil, what becomes of the rows where it overhangs the n
+# columns: kept with their in-range entries, zeroed, or dropped)
+_STENCIL_RULE = {
+    RegularizerKind.L1_RECT: (_FIRST, "drop"),
+    RegularizerKind.L2_RECT: (_SECOND, "drop"),
+    RegularizerKind.L1_DELTA: (_FIRST, "zero"),
+    RegularizerKind.L1_ZERO: (_FIRST, "zero"),
+    RegularizerKind.L2_ZERO: (_SECOND, "zero"),
+    RegularizerKind.L2_TILDE: (_SECOND, "keep"),
+}
+
+
 def make_regularization_matrix(kind: RegularizerKind, n: int, delta: float = 1.0) -> np.ndarray:
-    """Assemble one of the catalog matrices at dimension n."""
+    """Assemble one of the catalog matrices at dimension n.
+
+    A difference stencil is laid along the diagonal of an n x n array;
+    the rows where it overhangs the columns are kept, zeroed or dropped
+    as the kind says, and L1_DELTA then puts delta / 2 in its last row.
+    """
     kind = RegularizerKind(kind)
     if n < 3:
         raise BadDimension(f"{kind.value} needs n >= 3")
@@ -51,45 +73,20 @@ def make_regularization_matrix(kind: RegularizerKind, n: int, delta: float = 1.0
     if kind is RegularizerKind.IDENTITY:
         return np.eye(n)
 
-    if kind is RegularizerKind.L1_RECT:
-        L = np.zeros((n - 1, n))
-        idx = np.arange(n - 1)
-        L[idx, idx] = 0.5
-        L[idx, idx + 1] = -0.5
-        return L
-
-    if kind is RegularizerKind.L2_RECT:
-        L = np.zeros((n - 2, n))
-        idx = np.arange(n - 2)
-        L[idx, idx] = -0.25
-        L[idx, idx + 1] = 0.5
-        L[idx, idx + 2] = -0.25
-        return L
-
-    if kind in (RegularizerKind.L1_DELTA, RegularizerKind.L1_ZERO):
-        if kind is RegularizerKind.L1_ZERO:
-            delta = 0.0
-        L = np.zeros((n, n))
-        idx = np.arange(n - 1)
-        L[idx, idx] = 0.5
-        L[idx, idx + 1] = -0.5
-        L[n - 1, n - 1] = delta / 2.0
-        return L
-
-    if kind is RegularizerKind.L2_ZERO:
-        L = np.zeros((n, n))
-        idx = np.arange(1, n - 1)
-        L[idx, idx - 1] = -0.25
-        L[idx, idx] = 0.5
-        L[idx, idx + 1] = -0.25
-        return L
-
-    # L2_TILDE: full tridiagonal second difference, corner rows included
+    stencil, overhang = _STENCIL_RULE[kind]
+    top = (len(stencil) - 1) // 2    # rows [0, top) and [bottom, n) overhang
+    bottom = n - (len(stencil) - 1 - top)
     L = np.zeros((n, n))
-    idx = np.arange(n)
-    L[idx, idx] = 0.5
-    L[idx[:-1], idx[:-1] + 1] = -0.25
-    L[idx[1:], idx[1:] - 1] = -0.25
+    for j, c in enumerate(stencil):
+        offset = j - top
+        np.fill_diagonal(L[max(-offset, 0):, max(offset, 0):], c)
+    if overhang == "drop":
+        return L[top:bottom]
+    if overhang == "zero":
+        L[:top] = 0.0
+        L[bottom:] = 0.0
+    if kind is RegularizerKind.L1_DELTA:
+        L[-1, -1] = delta / 2.0
     return L
 
 
@@ -136,9 +133,7 @@ class ProjectedRegularizer:
 
     Ltilde is the square core matrix (the regularizer itself in PLAIN
     and IDENTITY modes); basis spans the null space that the projector
-    enforces.  The catalog's IDENTITY regularizer has an empty basis;
-    the nested split of the two-sided transformation uses an IDENTITY
-    core with a nonempty one.
+    enforces.
 
     Every non-identity core is LU-factored once, in banded storage, at
     construction; a numerically singular factor raises SingularCore.

@@ -24,8 +24,10 @@ import scipy.linalg
 from .errors import NoRoot, ShapeMismatch, SingularSystem
 from .linalg import min_norm_lstsq_solve
 
-# A new Krylov direction shorter than this fraction of ||A b|| ends the
-# basis (the same test, against ||b||, rejects a vanishing A b).
+# A new Krylov direction, made from a unit vector, shorter than this
+# fraction of ||A b|| / ||b|| ends the basis; the same test, with ||A b||
+# against ||b||, rejects a vanishing A b.  Both sides scale alike with A
+# and neither depends on the scale of b.
 BREAKDOWN_TOL = 1e-14
 
 
@@ -239,7 +241,7 @@ def rrgmres_solve(A, b: np.ndarray, cfg: SolverConfig,
             basis = np.pad(basis, ((0, 0), (0, grow)))
         hraw[: k + 1, j] = col
 
-        if hkk <= BREAKDOWN_TOL * beta0:
+        if hkk <= BREAKDOWN_TOL * beta0 / bnorm:
             # basis cannot grow; solve the square projected problem as-is
             hsq = hraw[:k, :k]
             csh = np.asarray(craw[:k])

@@ -4,18 +4,19 @@ Folds a regularizer with known null space into the operator so the
 iterative solver only ever sees a standard-form system.  The factored
 pieces are computed once; afterwards every application of the
 transformed operator costs exactly one product with K, and mapping a
-transformed solution back costs one more (two for the nested variant).
+transformed solution back costs one more (two for the two-sided
+composition).
 
 Mode by mode:
 
 * right-projected (core @ P): the null-space component is split off
   against the data via a thin QR of K V, and the invertible core is
   absorbed by a banded solve per application;
-* two-sided (P @ core @ P): after the split and the core solve, the
-  leftover projector is handled by a second split of the same shape,
-  applied to the once-transformed operator and right-hand side.  The
-  result is a nested context whose own split refits the null-space
-  component against the data;
+* two-sided (P @ core @ P): the same first split and core solve, then a
+  second split of the same shape for the projector left of the core.
+  It is a thin QR of K1 V, where K1 = (I - Q Q^T) K core^-1 is the
+  operator after the first split, and it refits the null-space
+  component against the data once more.  One factor holds both splits;
 * plain singular square matrices: the split plus the minimal-norm
   pseudoinverse action of the full matrix, a banded solve with its
   invertible completion (zero rows replaced by unit rows) followed by
@@ -31,12 +32,13 @@ general-form solution to rounding error.
 
 The work comes in two steps.  factor_transform(K, reg) does everything
 that does not depend on the data: the thin QR of K V, the core's banded
-LU (owned by the regularizer) and, in two-sided mode, the nested split.
-It costs ell products with K (2*ell in two-sided mode) and records that
-count.  project_rhs(factor, b) then computes the per-b pieces x0 and b1,
-recursing into the nested split, with no product with K, so one factor
-serves any number of right-hand sides.  prepare_context(K, b, reg) is
-the two steps in a row.
+LU (owned by the regularizer) and, in two-sided mode, the thin QR of
+K1 V.  It costs ell products with K (2*ell in two-sided mode) and
+records that count.  project_rhs(factor, b) then computes the per-b
+pieces, the null-space component x0 and the split-off right-hand side
+b1 of each split, with no product with K, so one factor serves any
+number of right-hand sides.  prepare_context(K, b, reg) is the two
+steps in a row.
 
 Each routine states its matrix-vector product cost.  The context is
 itself the transformed operator (shape, matvec) handed to the solver,
@@ -56,7 +58,7 @@ import scipy.linalg
 
 from .errors import ShapeMismatch, SingularCore
 from .linalg import RANK_TOL, solve_upper_triangular, thin_qr
-from .regops import Mode, ProjectedRegularizer, RegularizerKind
+from .regops import Mode, ProjectedRegularizer
 
 
 class LinearOperator:
@@ -104,8 +106,9 @@ class StandardFormFactor:
     ell: int
     Q: np.ndarray            # m x ell, thin QR factor of K V
     R: np.ndarray            # ell x ell upper triangular
+    Q2: Optional[np.ndarray]  # the second split, in two-sided mode with ell > 0:
+    R2: Optional[np.ndarray]  # thin QR of K1 V
     prepare_matvecs: int
-    inner: Optional["StandardFormFactor"]
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -143,17 +146,12 @@ class StandardFormContext(StandardFormFactor):
 
     x0: np.ndarray           # null-space component of the solution
     b1: np.ndarray           # right-hand side with the range of K V removed
-
-    @property
-    def solver_rhs(self) -> np.ndarray:
-        """Data vector of the standard-form system the solver iterates on."""
-        if self.inner is not None:
-            return self.inner.b1
-        return self.b1
+    x0_2: Optional[np.ndarray]  # x0 of the second split, when there is one
+    solver_rhs: np.ndarray   # data vector the solver iterates on: b1, or
+                             # b1 with the range of K1 V removed
 
 
-# the fields a context copies from its factor; inner is projected anew
-_FACTOR_FIELDS = tuple(f.name for f in fields(StandardFormFactor) if f.name != "inner")
+_FACTOR_FIELDS = tuple(f.name for f in fields(StandardFormFactor))
 
 
 def _as_operator(K) -> LinearOperator:
@@ -169,67 +167,69 @@ def _checked_rhs(b: np.ndarray, m: int) -> np.ndarray:
     return b
 
 
+def _k1(factor: StandardFormFactor, z: np.ndarray) -> np.ndarray:
+    """(I - Q Q^T) K core^-1 z, the operator after the first split.
+
+    Costs exactly one product with K.
+    """
+    t = factor.op.matvec(factor.core_solve(z))
+    if factor.ell == 0:
+        return t
+    return t - factor.Q @ (factor.Q.T @ t)
+
+
+def _split_factor(apply, V: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Thin QR of apply(V), one column at a time: one application per column."""
+    if V.shape[1] == 0:
+        return np.zeros((m, 0)), np.zeros((0, 0))
+    return thin_qr(np.column_stack([apply(V[:, j]) for j in range(V.shape[1])]))
+
+
 def factor_transform(K, reg: ProjectedRegularizer) -> StandardFormFactor:
     """The factor step: all the work that does not depend on b.
 
-    Costs ell products with K (2*ell in two-sided mode, whose nested
-    split transforms the basis once more through the operator).
+    Costs ell products with K (2*ell in two-sided mode, whose second
+    split transforms the basis once more through K1).
     """
     op = _as_operator(K)
     m, n = op.shape
     if reg.n != n:
         raise ShapeMismatch(f"regularizer built for n={reg.n}, operator has n={n}")
 
-    ell = reg.basis.ell
     start = op.matvec_count
-    if ell == 0:
-        Q = np.zeros((m, 0))
-        R = np.zeros((0, 0))
-    else:
-        V = reg.basis.V
-        kv = np.column_stack([op.matvec(V[:, j]) for j in range(ell)])
-        Q, R = thin_qr(kv)
-
-    inner = None
-    if reg.mode is Mode.TWO_SIDED:
-        # Third step: the projector left of the core is split off the
-        # same way the outer null space was, but against the operator
-        # that already carries the first two steps.
-        def once_transformed(z: np.ndarray) -> np.ndarray:
-            t = op.matvec(reg.core_solve(z))
-            if ell == 0:
-                return t
-            return t - Q @ (Q.T @ t)
-
-        inner_reg = ProjectedRegularizer(
-            n=n, Ltilde=np.eye(n), basis=reg.basis, mode=Mode.IDENTITY,
-            kind=RegularizerKind.IDENTITY, delta=reg.delta)
-        inner = factor_transform(LinearOperator((m, n), once_transformed), inner_reg)
-
-    return StandardFormFactor(
-        reg=reg, op=op, m=m, n=n, ell=ell, Q=Q, R=R,
-        prepare_matvecs=op.matvec_count - start, inner=inner)
+    Q, R = _split_factor(op.matvec, reg.basis.V, m)
+    factor = StandardFormFactor(reg=reg, op=op, m=m, n=n, ell=reg.basis.ell,
+                                Q=Q, R=R, Q2=None, R2=None, prepare_matvecs=0)
+    if reg.mode is Mode.TWO_SIDED and factor.ell:
+        factor.Q2, factor.R2 = _split_factor(lambda v: _k1(factor, v), reg.basis.V, m)
+    factor.prepare_matvecs = op.matvec_count - start
+    return factor
 
 
 def project_rhs(factor: StandardFormFactor, b: np.ndarray) -> StandardFormContext:
-    """The per-b step: x0 and b1, also for the nested split.
+    """The per-b step: x0 and b1 of each split.
 
     Costs no products with K and leaves the factor as it was.
     """
     return _project(factor, _checked_rhs(b, factor.m))
 
 
+def _split_rhs(V: np.ndarray, Q: np.ndarray, R: np.ndarray,
+               b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x0 and b1 of one split with Q R = (operator) V: the least-squares
+    fit of b by the operator on span(V), as a vector V c, and the rest of b."""
+    if V.shape[1] == 0:
+        return np.zeros(V.shape[0]), b.copy()
+    qtb = Q.T @ b
+    return V @ solve_upper_triangular(R, qtb), b - Q @ qtb
+
+
 def _project(factor: StandardFormFactor, b: np.ndarray) -> StandardFormContext:
-    if factor.ell == 0:
-        x0 = np.zeros(factor.n)
-        b1 = b.copy()
-    else:
-        qtb = factor.Q.T @ b
-        x0 = factor.reg.basis.V @ solve_upper_triangular(factor.R, qtb)
-        b1 = b - factor.Q @ qtb
-    inner = None if factor.inner is None else _project(factor.inner, b1)
+    V = factor.reg.basis.V
+    x0, b1 = _split_rhs(V, factor.Q, factor.R, b)
+    x0_2, rhs = (None, b1) if factor.Q2 is None else _split_rhs(V, factor.Q2, factor.R2, b1)
     shared = {name: getattr(factor, name) for name in _FACTOR_FIELDS}
-    return StandardFormContext(**shared, inner=inner, x0=x0, b1=b1)
+    return StandardFormContext(**shared, x0=x0, b1=b1, x0_2=x0_2, solver_rhs=rhs)
 
 
 def prepare_context(K, b: np.ndarray, reg: ProjectedRegularizer) -> StandardFormContext:
@@ -246,12 +246,10 @@ def prepare_context(K, b: np.ndarray, reg: ProjectedRegularizer) -> StandardForm
 
 def apply_k2(ctx: StandardFormFactor, z: np.ndarray) -> np.ndarray:
     """Transformed operator on z.  Costs exactly one product with K."""
-    if ctx.inner is not None:
-        return apply_k2(ctx.inner, z)
-    t = ctx.op.matvec(ctx.core_solve(z))
-    if ctx.ell == 0:
+    t = _k1(ctx, z)
+    if ctx.Q2 is None:
         return t
-    return t - ctx.Q @ (ctx.Q.T @ t)
+    return t - ctx.Q2 @ (ctx.Q2.T @ t)
 
 
 def apply_pk_dagger(ctx: StandardFormFactor, y: np.ndarray) -> np.ndarray:
@@ -277,8 +275,10 @@ def back_transform(ctx: StandardFormContext, z: np.ndarray) -> np.ndarray:
     two-sided mode), none otherwise.  The residual is preserved exactly:
     for the returned x, ||K x - b|| equals the transformed residual.
     """
-    if ctx.inner is not None:
-        z = back_transform(ctx.inner, z)
+    if ctx.Q2 is not None:
+        # the second split's oblique projector, with K1 in place of K
+        coeff = solve_upper_triangular(ctx.R2, ctx.Q2.T @ _k1(ctx, z))
+        z = z - ctx.reg.basis.V @ coeff + ctx.x0_2
     y = ctx.core_solve(z)
     return apply_pk_dagger(ctx, y) + ctx.x0
 
@@ -305,9 +305,9 @@ def tikhonov_minimizer_via_transform(K: np.ndarray, b: np.ndarray,
     subspace the substitution reaches and maps the solution back.  The
     substitution z = core @ P @ x only sweeps the range of the effective
     regularizer, so the identity penalty is minimized there; in
-    two-sided mode the nested data refit breaks that bookkeeping, and
-    the minimizer is routed through the effective regularizer's
-    pseudoinverse instead.  Agrees with the dense normal-equations
+    two-sided mode the data refit of the second split breaks that
+    bookkeeping, and the minimizer is routed through the effective
+    regularizer's pseudoinverse instead.  Agrees with the dense normal-equations
     solution of the general-form problem to rounding error.
     """
     K = np.asarray(K, dtype=float)

@@ -279,6 +279,19 @@ class TestTableCommand:
                      "--out", str(tmp_path / "x.csv")])
         assert code == 2
 
+    @pytest.mark.parametrize("setting", [
+        ["--noise", ","], ["--regs", ","], "noise = ,", "regs = ,", "seeds = ,",
+    ], ids=["noise-flag", "regs-flag", "noise-config", "regs-config", "seeds-config"])
+    def test_rejects_empty_list_from_flag_or_config(self, tmp_path, capsys, setting):
+        if isinstance(setting, str):
+            cfg = tmp_path / "empty.cfg"
+            cfg.write_text(setting + "\n")
+            setting = ["--config", str(cfg)]
+        out = tmp_path / "x.csv"
+        assert main(["table", "--n", "16", *setting, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().out == ""  # no cell ran
+
 
 class TestDistancesCommand:
     def test_curve_values(self, tmp_path):

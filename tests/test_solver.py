@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from regnear.errors import NoRoot, ShapeMismatch, SingularSystem
+from regnear.problems import add_noise, build_problem
+from regnear.regops import regularizer_from_name
 from regnear.solver import (IterationLog, RRGMRESResult, SolverConfig,
                             StopReason, discrepancy_mu_solve,
                             hessenberg_residual, rrgmres_solve,
                             tikhonov_direct_oracle)
-from regnear.transform import LinearOperator
+from regnear.transform import LinearOperator, prepare_context
 
 
 class RecordingOperator:
@@ -253,6 +255,27 @@ class TestRRGMRES:
         # earlier iterations were above the threshold
         for _, r, _ in res.log.entries[:-1]:
             assert r > 1.01 * eps
+
+    @pytest.mark.parametrize("problem,reg", [("phillips", "I"),
+                                             ("phillips", "P2L2tP2"),
+                                             ("phillips", "L1dP1"),
+                                             ("deriv2", "I")])
+    def test_stop_does_not_depend_on_scale_of_rhs(self, problem, reg):
+        # scaling b and epsilon together scales the whole problem; the
+        # breakdown test must not fire early when ||A b|| grows with b
+        prob = add_noise(build_problem(problem, 40), 1e-3, seed=1)
+        runs = {}
+        for scale in (1e-12, 1.0, 1e12):
+            ctx = prepare_context(prob.K, scale * prob.b,
+                                  regularizer_from_name(reg, 40))
+            runs[scale] = rrgmres_solve(ctx, ctx.solver_rhs,
+                                        SolverConfig(epsilon=scale * prob.epsilon))
+        ref = runs[1.0]
+        assert ref.stop_reason is StopReason.DISCREPANCY_MET
+        for scale, res in runs.items():
+            assert (res.k, res.stop_reason) == (ref.k, ref.stop_reason), scale
+            np.testing.assert_allclose(res.z / scale, ref.z, rtol=1e-8,
+                                       atol=1e-8 * np.linalg.norm(ref.z))
 
     def test_shape_guards(self):
         with pytest.raises(ShapeMismatch):

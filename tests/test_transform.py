@@ -88,7 +88,7 @@ class TestPrepare:
 
     @pytest.mark.parametrize("name,expected", [
         ("I", 0), ("L10", 1), ("L1dP1", 1), ("L20", 2), ("L2tP2", 2),
-        ("P2L2tP2", 4),  # nested split pays the basis transform twice
+        ("P2L2tP2", 4),  # the second split pays the basis transform again
     ])
     def test_prepare_matvec_cost(self, name, expected):
         rng = np.random.default_rng(64)
@@ -144,17 +144,16 @@ class TestPrepare:
             ctx.core_solve(np.ones(4))
 
 
+def same_or_both_none(a, b):
+    return (a is None and b is None) or (
+        a is not None and b is not None and np.array_equal(a, b))
+
+
 def assert_same_context(ctx, ref):
-    """Bit-for-bit equality of the per-b pieces, nested split included."""
-    assert np.array_equal(ctx.x0, ref.x0)
-    assert np.array_equal(ctx.b1, ref.b1)
-    assert np.array_equal(ctx.solver_rhs, ref.solver_rhs)
+    """Bit-for-bit equality of the per-b pieces and the second split."""
+    for name in ("x0", "b1", "x0_2", "solver_rhs", "Q2", "R2"):
+        assert same_or_both_none(getattr(ctx, name), getattr(ref, name)), name
     assert ctx.prepare_matvecs == ref.prepare_matvecs
-    assert (ctx.inner is None) == (ref.inner is None)
-    if ctx.inner is not None:
-        assert np.array_equal(ctx.inner.Q, ref.inner.Q)
-        assert np.array_equal(ctx.inner.R, ref.inner.R)
-        assert_same_context(ctx.inner, ref.inner)
 
 
 class TestFactorOnce:
@@ -167,9 +166,10 @@ class TestFactorOnce:
         reg = regularizer_from_name(name, n)
         op = LinearOperator.from_matrix(K)
         factor = factor_transform(op, reg)
-        factored = [factor.Q.copy(), factor.R.copy()]
-        if factor.inner is not None:
-            factored += [factor.inner.Q.copy(), factor.inner.R.copy()]
+        assert (factor.Q2 is None) == (reg.mode is not Mode.TWO_SIDED)
+        splits = ("Q", "R", "Q2", "R2")
+        factored = [None if getattr(factor, a) is None else getattr(factor, a).copy()
+                    for a in splits]
         for _ in range(3):
             b = rng.standard_normal(n)
             before = op.matvec_count
@@ -178,10 +178,8 @@ class TestFactorOnce:
             assert_same_context(ctx, prepare_context(K, b, reg))
             # a context serves as a factor for the next right-hand side
             assert_same_context(project_rhs(ctx, -b), project_rhs(factor, -b))
-        now = [factor.Q, factor.R]
-        if factor.inner is not None:
-            now += [factor.inner.Q, factor.inner.R]
-        assert all(np.array_equal(a, c) for a, c in zip(factored, now))
+        for a, before in zip(splits, factored):
+            assert same_or_both_none(getattr(factor, a), before), a
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("name", ["I", "L10"])
@@ -357,14 +355,12 @@ class TestTransformedOperator:
         right = prepare_context(LinearOperator.from_matrix(K), b,
                                 regularizer_from_name("L2tP2", n))
         assert np.array_equal(right.solver_rhs, right.b1)
-        nested = prepare_context(LinearOperator.from_matrix(K), b,
-                                 regularizer_from_name("P2L2tP2", n))
-        assert nested.inner is not None
-        assert np.array_equal(nested.solver_rhs, nested.inner.b1)
-        # the nested right-hand side re-projects the outer one
-        q2 = nested.inner.Q
-        np.testing.assert_allclose(nested.solver_rhs,
-                                   nested.b1 - q2 @ (q2.T @ nested.b1),
+        assert right.Q2 is None and right.x0_2 is None
+        two = prepare_context(LinearOperator.from_matrix(K), b,
+                              regularizer_from_name("P2L2tP2", n))
+        # the second split re-projects the first one's right-hand side
+        q2 = two.Q2
+        np.testing.assert_allclose(two.solver_rhs, two.b1 - q2 @ (q2.T @ two.b1),
                                    atol=1e-12)
 
 
@@ -402,11 +398,14 @@ class TestBackTransform:
 
     @pytest.mark.parametrize("name", ["I", "L1dP1", "L2tP2", "L10", "L20",
                                       "P2L2tP2"])
-    def test_residual_identity(self, name):
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(4, 40), extra_rows=st.integers(0, 20),
+           seed=st.integers(0, 2**32 - 1))
+    def test_residual_identity(self, name, n, extra_rows, seed):
         # ||K x - b|| for x = back_transform(z) equals the transformed
         # residual the solver sees, for any z, in every mode
-        rng = np.random.default_rng(92)
-        m, n = 13, 10
+        rng = np.random.default_rng(seed)
+        m = n + extra_rows
         K = rng.standard_normal((m, n))
         b = rng.standard_normal(m)
         reg = regularizer_from_name(name, n)
