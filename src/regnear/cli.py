@@ -8,7 +8,8 @@ the tridiagonal second-difference matrix as the dimension grows, and
 
 All numeric CSV output is written with 17 significant digits so reruns
 of identical configurations are byte-identical.  Exit codes: 0 success,
-2 configuration error, 3 numerical failure.
+2 configuration error (a file that cannot be read or written
+included), 3 numerical failure.
 """
 from __future__ import annotations
 
@@ -378,7 +379,7 @@ def main(argv=None) -> int:
             command.set_defaults(**_config_defaults(command, args.config))
             args = parser.parse_args(argv)
         return args.func(args)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericsError as exc:

@@ -135,10 +135,11 @@ class ProjectedRegularizer:
     and IDENTITY modes); basis spans the null space that the projector
     enforces.
 
-    Every non-identity core is LU-factored once, in banded storage, at
-    construction; a numerically singular factor raises SingularCore.
-    In PLAIN mode the zero rows of Ltilde are first replaced by unit
-    rows, which completes the singular matrix to an invertible one.
+    Every core, the identity's too, is LU-factored once, in banded
+    storage, at construction; a numerically singular factor raises
+    SingularCore.  In PLAIN mode the zero rows of Ltilde are first
+    replaced by unit rows, which completes the singular matrix to an
+    invertible one.
     """
 
     n: int
@@ -153,10 +154,7 @@ class ProjectedRegularizer:
             raise ShapeMismatch("core matrix must be square of size n")
         if self.basis.n != self.n:
             raise ShapeMismatch("basis dimension does not match")
-        if self.mode is Mode.IDENTITY:
-            return
         core = np.asarray(self.Ltilde, dtype=float)
-        free = None
         if self.mode is Mode.PLAIN:
             free = np.flatnonzero(~core.any(axis=1))
             core = core.copy()
@@ -171,27 +169,23 @@ class ProjectedRegularizer:
         if not pivot > RANK_TOL * np.max(np.abs(ab)):
             raise SingularCore(f"core of {self.kind.value} is numerically singular "
                                f"(smallest pivot {pivot:.3g})")
-        object.__setattr__(self, "_factor", (kl, ku, lu, piv, free))
+        object.__setattr__(self, "_factor", (kl, ku, lu, piv))
 
     def core_solve(self, z: np.ndarray) -> np.ndarray:
         """Action of the core's inverse: the minimal-norm pseudoinverse in
-        PLAIN mode, the identity in IDENTITY mode.
+        PLAIN mode.  Always a new array.
 
-        The PLAIN action solves with the completed core after zeroing
-        the entries of z on the replaced rows, then projects out the
-        basis.  This equals pinv(Ltilde) @ z when the basis spans the
-        null space of Ltilde and its nonzero rows have full rank, as for
-        the catalog's zero-row stencils.
+        The PLAIN action solves with the completed core, then projects
+        out the basis.  This equals pinv(Ltilde) @ z when the basis
+        spans the null space of Ltilde and its nonzero rows have full
+        rank, as for the catalog's zero-row stencils: the entries of z on
+        the replaced rows then solve to a vector in the span of the
+        basis, which the projection removes.
         """
-        z = np.asarray(z, dtype=float)
-        if self.mode is Mode.IDENTITY:
-            return z.copy()
-        kl, ku, lu, piv, free = self._factor
-        if free is None:
-            return dgbtrs(lu, kl, ku, z, piv)[0]
-        z = z.copy()
-        z[free] = 0.0
-        y = dgbtrs(lu, kl, ku, z, piv)[0]
+        kl, ku, lu, piv = self._factor
+        y = dgbtrs(lu, kl, ku, np.asarray(z, dtype=float), piv)[0]
+        if self.mode is not Mode.PLAIN:
+            return y
         V = self.basis.V
         return y - V @ (V.T @ y)
 

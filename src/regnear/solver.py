@@ -220,7 +220,6 @@ def rrgmres_solve(A, b: np.ndarray, cfg: SolverConfig,
                               hraw[:k + 1, :k], np.asarray(craw[:k + 1]))
         return basis[:, :k] @ y
 
-    z = None
     stop = StopReason.MAX_ITER
     for k in range(1, cfg.max_iter + 1):
         j = k - 1
@@ -242,35 +241,30 @@ def rrgmres_solve(A, b: np.ndarray, cfg: SolverConfig,
         hraw[: k + 1, j] = col
 
         if hkk <= BREAKDOWN_TOL * beta0 / bnorm:
-            # basis cannot grow; solve the square projected problem as-is
-            hsq = hraw[:k, :k]
-            csh = np.asarray(craw[:k])
-            y = min_norm_lstsq_solve(hsq, csh)
-            proj = float(np.linalg.norm(hsq @ y - csh))
-            z = basis[:, :k] @ y
+            # the basis cannot grow, and b has no part along the direction
+            # that does not exist: its c_k is 0 and bres stays as it is
+            cnew = 0.0
             stop = StopReason.BREAKDOWN
         else:
             vnew = w / hkk
             basis[:, k] = vnew
             cnew = float(vnew @ bres)
-            craw.append(cnew)
             bres = bres - cnew * vnew
-            g.append(cnew)
-            _rotate_in(rot, col, g)
-            rmat[:k, j] = col[:k]
-            proj = abs(g[k])
+        craw.append(cnew)
+        g.append(cnew)
+        _rotate_in(rot, col, g)
+        rmat[:k, j] = col[:k]
 
-        residual = float(np.hypot(proj, float(np.linalg.norm(bres))))
+        residual = float(np.hypot(g[k], float(np.linalg.norm(bres))))
         log.record(k, residual, applies)
         if keep_iterates:
-            iterates.append(solve_current(k) if z is None else z.copy())
+            iterates.append(solve_current(k))
         if residual <= threshold:
             stop = StopReason.DISCREPANCY_MET
         if stop is not StopReason.MAX_ITER:
             break
 
-    if z is None:
-        z = iterates[-1].copy() if keep_iterates else solve_current(k)
+    z = iterates[-1].copy() if keep_iterates else solve_current(k)
     return RRGMRESResult(z=z, k=k, residual=residual, stop_reason=stop,
                          log=log, solve_matvecs=applies, iterates=iterates)
 

@@ -7,14 +7,22 @@ transformed operator costs exactly one product with K, and mapping a
 transformed solution back costs one more (two for the two-sided
 composition).
 
+A split of an operator K against the null-space basis V is the pair
+Q, W with K W = Q: Q R = K V is a thin QR and W = V R^-1.  It gives
+both things the transformation needs from (K V)^+ = R^-1 Q^T: the
+null-space component x0 = W Q^T b of the solution, and the oblique
+projector y - W Q^T K y of the back map.  R is checked once, when the
+split is made, and never solved with afterwards.  An empty basis gives
+an empty Q and W, whose products are exact zeros.
+
 Mode by mode:
 
 * right-projected (core @ P): the null-space component is split off
-  against the data via a thin QR of K V, and the invertible core is
+  against the data by the split of K, and the invertible core is
   absorbed by a banded solve per application;
 * two-sided (P @ core @ P): the same first split and core solve, then a
   second split of the same shape for the projector left of the core.
-  It is a thin QR of K1 V, where K1 = (I - Q Q^T) K core^-1 is the
+  It is the split of K1, where K1 = (I - Q Q^T) K core^-1 is the
   operator after the first split, and it refits the null-space
   component against the data once more.  One factor holds both splits;
 * plain singular square matrices: the split plus the minimal-norm
@@ -31,9 +39,9 @@ pseudoinverse (two-sided), and maps back.  Both reproduce the dense
 general-form solution to rounding error.
 
 The work comes in two steps.  factor_transform(K, reg) does everything
-that does not depend on the data: the thin QR of K V, the core's banded
-LU (owned by the regularizer) and, in two-sided mode, the thin QR of
-K1 V.  It costs ell products with K (2*ell in two-sided mode) and
+that does not depend on the data: the split of K, the core's banded LU
+(owned by the regularizer) and, in two-sided mode, the split of K1.
+It costs ell products with K (2*ell in two-sided mode) and
 records that count.  project_rhs(factor, b) then computes the per-b
 pieces, the null-space component x0 and the split-off right-hand side
 b1 of each split, with no product with K, so one factor serves any
@@ -57,7 +65,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ShapeMismatch, SingularCore
-from .linalg import RANK_TOL, solve_upper_triangular, thin_qr
+from .linalg import RANK_TOL, thin_qr
 from .regops import Mode, ProjectedRegularizer
 
 
@@ -106,8 +114,10 @@ class StandardFormFactor:
     ell: int
     Q: np.ndarray            # m x ell, thin QR factor of K V
     R: np.ndarray            # ell x ell upper triangular
-    Q2: Optional[np.ndarray]  # the second split, in two-sided mode with ell > 0:
+    W: np.ndarray            # n x ell, V R^-1, so that K W = Q
+    Q2: Optional[np.ndarray]  # the second split, in two-sided mode:
     R2: Optional[np.ndarray]  # thin QR of K1 V
+    W2: Optional[np.ndarray]  # and V R2^-1, so that K1 W2 = Q2
     prepare_matvecs: int
 
     @property
@@ -173,16 +183,21 @@ def _k1(factor: StandardFormFactor, z: np.ndarray) -> np.ndarray:
     Costs exactly one product with K.
     """
     t = factor.op.matvec(factor.core_solve(z))
-    if factor.ell == 0:
-        return t
     return t - factor.Q @ (factor.Q.T @ t)
 
 
-def _split_factor(apply, V: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Thin QR of apply(V), one column at a time: one application per column."""
-    if V.shape[1] == 0:
-        return np.zeros((m, 0)), np.zeros((0, 0))
-    return thin_qr(np.column_stack([apply(V[:, j]) for j in range(V.shape[1])]))
+def _split_factor(apply, V: np.ndarray, m: int) -> tuple[np.ndarray, ...]:
+    """Q, R and W of one split: Q R = apply(V), made one column at a time
+    with one application per column, and W = V R^-1, so apply(W) = Q.
+
+    thin_qr has checked R, so W is formed once here and no later step
+    solves with R.
+    """
+    kv = np.empty((m, V.shape[1]))
+    for j, v in enumerate(V.T):
+        kv[:, j] = apply(v)
+    Q, R = thin_qr(kv)
+    return Q, R, np.linalg.solve(R.T, V.T).T
 
 
 def factor_transform(K, reg: ProjectedRegularizer) -> StandardFormFactor:
@@ -197,11 +212,13 @@ def factor_transform(K, reg: ProjectedRegularizer) -> StandardFormFactor:
         raise ShapeMismatch(f"regularizer built for n={reg.n}, operator has n={n}")
 
     start = op.matvec_count
-    Q, R = _split_factor(op.matvec, reg.basis.V, m)
+    Q, R, W = _split_factor(op.matvec, reg.basis.V, m)
     factor = StandardFormFactor(reg=reg, op=op, m=m, n=n, ell=reg.basis.ell,
-                                Q=Q, R=R, Q2=None, R2=None, prepare_matvecs=0)
-    if reg.mode is Mode.TWO_SIDED and factor.ell:
-        factor.Q2, factor.R2 = _split_factor(lambda v: _k1(factor, v), reg.basis.V, m)
+                                Q=Q, R=R, W=W, Q2=None, R2=None, W2=None,
+                                prepare_matvecs=0)
+    if reg.mode is Mode.TWO_SIDED:
+        factor.Q2, factor.R2, factor.W2 = _split_factor(
+            lambda v: _k1(factor, v), reg.basis.V, m)
     factor.prepare_matvecs = op.matvec_count - start
     return factor
 
@@ -214,20 +231,18 @@ def project_rhs(factor: StandardFormFactor, b: np.ndarray) -> StandardFormContex
     return _project(factor, _checked_rhs(b, factor.m))
 
 
-def _split_rhs(V: np.ndarray, Q: np.ndarray, R: np.ndarray,
+def _split_rhs(Q: np.ndarray, W: np.ndarray,
                b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """x0 and b1 of one split with Q R = (operator) V: the least-squares
-    fit of b by the operator on span(V), as a vector V c, and the rest of b."""
-    if V.shape[1] == 0:
-        return np.zeros(V.shape[0]), b.copy()
+    """x0 and b1 of one split with (operator) W = Q: the least-squares
+    fit of b by the operator on span(V), as the vector W Q^T b, and the
+    rest of b."""
     qtb = Q.T @ b
-    return V @ solve_upper_triangular(R, qtb), b - Q @ qtb
+    return W @ qtb, b - Q @ qtb
 
 
 def _project(factor: StandardFormFactor, b: np.ndarray) -> StandardFormContext:
-    V = factor.reg.basis.V
-    x0, b1 = _split_rhs(V, factor.Q, factor.R, b)
-    x0_2, rhs = (None, b1) if factor.Q2 is None else _split_rhs(V, factor.Q2, factor.R2, b1)
+    x0, b1 = _split_rhs(factor.Q, factor.W, b)
+    x0_2, rhs = (None, b1) if factor.Q2 is None else _split_rhs(factor.Q2, factor.W2, b1)
     shared = {name: getattr(factor, name) for name in _FACTOR_FIELDS}
     return StandardFormContext(**shared, x0=x0, b1=b1, x0_2=x0_2, solver_rhs=rhs)
 
@@ -253,7 +268,8 @@ def apply_k2(ctx: StandardFormFactor, z: np.ndarray) -> np.ndarray:
 
 
 def apply_pk_dagger(ctx: StandardFormFactor, y: np.ndarray) -> np.ndarray:
-    """Oblique projector that restores the null-space component's slot.
+    """Oblique projector that restores the null-space component's slot:
+    y - W Q^T K y.
 
     Costs one product with K when the null space is nontrivial, none
     otherwise.
@@ -263,22 +279,20 @@ def apply_pk_dagger(ctx: StandardFormFactor, y: np.ndarray) -> np.ndarray:
         raise ShapeMismatch(f"expected shape ({ctx.n},), got {y.shape}")
     if ctx.ell == 0:
         return y.copy()
-    ky = ctx.op.matvec(y)
-    coeff = solve_upper_triangular(ctx.R, ctx.Q.T @ ky)
-    return y - ctx.reg.basis.V @ coeff
+    return y - ctx.W @ (ctx.Q.T @ ctx.op.matvec(y))
 
 
 def back_transform(ctx: StandardFormContext, z: np.ndarray) -> np.ndarray:
     """Map a transformed-space solution back to the original variables.
 
-    Costs one product with K when the null space is nontrivial (two in
-    two-sided mode), none otherwise.  The residual is preserved exactly:
+    Costs one product with K when the null space is nontrivial, none
+    otherwise, and one more in two-sided mode, for the second split's
+    projector z - W2 Q2^T K1 z.  The residual is preserved exactly:
     for the returned x, ||K x - b|| equals the transformed residual.
     """
     if ctx.Q2 is not None:
         # the second split's oblique projector, with K1 in place of K
-        coeff = solve_upper_triangular(ctx.R2, ctx.Q2.T @ _k1(ctx, z))
-        z = z - ctx.reg.basis.V @ coeff + ctx.x0_2
+        z = z - ctx.W2 @ (ctx.Q2.T @ _k1(ctx, z)) + ctx.x0_2
     y = ctx.core_solve(z)
     return apply_pk_dagger(ctx, y) + ctx.x0
 

@@ -1,5 +1,6 @@
 """Command-line harness: subcommands, config handling, exit codes, CSV."""
 import csv
+import functools
 import itertools
 import os
 import subprocess
@@ -8,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import regnear
 import regnear.cli
@@ -16,10 +19,16 @@ from regnear.cli import (DEFAULT_NOISE, DEFAULT_SEEDS, RUN_COLUMNS,
 from regnear.linalg import read_matrix, read_vector, write_matrix
 from regnear.problems import (add_noise, build_phillips, build_problem,
                               relative_error)
-from regnear.regops import REGULARIZER_NAMES
+from regnear.regops import REGULARIZER_NAMES, Mode, regularizer_from_name
 from regnear.transform import factor_transform
 
 SWEEP_FIXTURE = Path(__file__).parent / "data" / "default_sweep.csv"
+
+
+@functools.lru_cache(maxsize=None)
+def cached_problem(problem, n):
+    """The noise-free test problem, built once per (problem, n)."""
+    return build_problem(problem, n)
 
 
 class TestRunSingle:
@@ -52,6 +61,27 @@ class TestRunSingle:
         assert parts[0] == "phillips"
         assert int(parts[RUN_COLUMNS.index("n")]) == 16
         assert float(parts[RUN_COLUMNS.index("relative_error")]) == r.relative_error
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(problem=st.sampled_from(["phillips", "deriv2"]), n=st.integers(20, 60),
+           name=st.sampled_from(REGULARIZER_NAMES), nu=st.floats(1e-4, 1e-2),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matvec_totals(self, problem, n, name, nu, seed):
+        # prepare pays one product per basis vector and split, the solver
+        # k + 1 (the seed A b and one per iteration), the back map one per
+        # oblique projector
+        reg = regularizer_from_name(name, n)
+        two_sided = reg.mode is Mode.TWO_SIDED
+        r = run_single(cached_problem(problem, n), nu, seed, name, eta=1.01,
+                       delta=1.0)
+        assert r.matvecs == r.matvecs_prepare + r.matvecs_solve + r.matvecs_back
+        assert r.matvecs_prepare == (2 if two_sided else 1) * reg.basis.ell
+        if r.iterations == 0:
+            assert r.stop_reason == "INITIAL_RESIDUAL_OK" and r.matvecs_solve == 0
+        else:
+            assert r.matvecs_solve == r.iterations + 1
+        assert r.matvecs_back == (0 if name == "I" else 2 if two_sided else 1)
 
 
 class TestDefaultSweepRegression:
@@ -378,6 +408,28 @@ class TestNearestCommand:
 
     def test_requires_both_files(self, tmp_path):
         assert main(["nearest", "--out", str(tmp_path / "o.txt")]) == 2
+
+
+@pytest.mark.parametrize("command", ["distances", "solve", "table", "nearest"])
+def test_unwritable_or_missing_file_is_config_error(command, tmp_path, capsys):
+    # a path in a directory that does not exist, for the output file or,
+    # for nearest, the input matrix: one error line and exit code 2
+    missing = tmp_path / "missing"
+    run = ["--n", "12", "--noise", "1e-2"]
+    argv = {
+        "distances": ["distances", "--max-n", "6", "--out", str(missing / "d.csv")],
+        "solve": ["solve", *run, "--out", str(missing / "s")],
+        "table": ["table", *run, "--regs", "I", "--seeds", "1",
+                  "--out", str(missing / "t.csv")],
+        "nearest": ["nearest", "--matrix", str(missing / "a.txt"),
+                    "--nullspace", str(missing / "v.txt"),
+                    "--out", str(tmp_path / "o.txt")],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(missing) in err
+    assert not missing.exists()
 
 
 def test_cli_import_leaves_out_scipy_optimize():

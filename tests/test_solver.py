@@ -3,6 +3,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regnear.errors import NoRoot, ShapeMismatch, SingularSystem
 from regnear.problems import add_noise, build_problem
@@ -276,6 +278,36 @@ class TestRRGMRES:
             assert (res.k, res.stop_reason) == (ref.k, ref.stop_reason), scale
             np.testing.assert_allclose(res.z / scale, ref.z, rtol=1e-8,
                                        atol=1e-8 * np.linalg.norm(ref.z))
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 6), rest=st.integers(1, 10),
+           seed=st.integers(0, 2**32 - 1))
+    def test_breakdown_on_an_invariant_block(self, d, rest, seed):
+        # A is block diagonal and b lives on its well-conditioned leading
+        # d x d block, so the range-restricted space fills that block in
+        # d steps and the next direction vanishes; the breakdown step
+        # must still give the least-squares iterate and its residual
+        rng = np.random.default_rng(seed)
+        n = d + rest
+        a = np.zeros((n, n))
+        a[:d, :d] = 2.0 * np.eye(d) + 0.5 * rng.standard_normal((d, d)) / np.sqrt(d)
+        a[d:, d:] = rng.standard_normal((rest, rest))
+        b = np.zeros(n)
+        b[:d] = rng.standard_normal(d)
+        res = rrgmres_solve(LinearOperator.from_matrix(a), b,
+                            SolverConfig(epsilon=0.0), keep_iterates=True)
+        assert res.k == d
+        # with epsilon 0 only an exactly zero residual meets the discrepancy
+        assert (res.stop_reason is StopReason.BREAKDOWN
+                or (res.stop_reason is StopReason.DISCREPANCY_MET
+                    and res.residual == 0.0))
+        bnorm = np.linalg.norm(b)
+        for k, (z, (_, logged, _)) in enumerate(zip(res.iterates,
+                                                    res.log.entries[1:]), 1):
+            ref = krylov_brute_force(a, b, k)
+            assert np.linalg.norm(z - ref) <= 1e-8 * np.linalg.norm(ref)
+            assert abs(logged - np.linalg.norm(a @ z - b)) <= 1e-8 * bnorm
+        assert np.array_equal(res.z, res.iterates[-1])
 
     def test_shape_guards(self):
         with pytest.raises(ShapeMismatch):

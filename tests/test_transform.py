@@ -213,6 +213,36 @@ class TestFactorOnce:
         assert contexts[0].matvec_count == op.matvec_count == 4 + 2
 
 
+class TestSplit:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(4, 40), extra_rows=st.integers(0, 20),
+           seed=st.integers(0, 2**32 - 1), name=st.sampled_from(REGULARIZER_NAMES))
+    def test_w_maps_to_q_and_x0_fits_best(self, n, extra_rows, seed, name):
+        # each split is K W = Q (K1 W2 = Q2 for the second), and
+        # x0 = W Q^T b fits b at least as well as any K V c
+        rng = np.random.default_rng(seed)
+        m = n + extra_rows
+        K = rng.standard_normal((m, n))
+        b = rng.standard_normal(m)
+        reg = regularizer_from_name(name, n)
+        ctx = prepare_context(K, b, reg)
+        V = reg.basis.V
+        assert ctx.W.shape == V.shape
+        assert (np.linalg.norm(K @ ctx.W - ctx.Q)
+                <= 1e-10 * max(np.linalg.norm(ctx.Q), 1.0))
+        if reg.mode is Mode.TWO_SIDED:
+            k1 = (K - ctx.Q @ (ctx.Q.T @ K)) @ np.linalg.inv(reg.Ltilde)
+            assert (np.linalg.norm(k1 @ ctx.W2 - ctx.Q2)
+                    <= 1e-10 * max(np.linalg.norm(ctx.Q2), 1.0))
+        np.testing.assert_allclose(V @ (V.T @ ctx.x0), ctx.x0,
+                                   atol=1e-12 * max(np.linalg.norm(ctx.x0), 1.0))
+        fit = np.linalg.norm(K @ ctx.x0 - b)
+        c_best = V.T @ ctx.x0
+        for c in (rng.standard_normal(reg.basis.ell),
+                  c_best + 1e-3 * rng.standard_normal(reg.basis.ell)):
+            assert fit <= np.linalg.norm(K @ (V @ c) - b) + 1e-12 * np.linalg.norm(b)
+
+
 class TestProjectedPseudoinverse:
     def test_trivial_without_split(self):
         reg = compose_regularizer(RegularizerKind.IDENTITY, 4, Mode.IDENTITY)
