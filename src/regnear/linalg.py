@@ -1,15 +1,14 @@
 """Dense linear-algebra kernels and the plain-text matrix format.
 
-Thin wrappers around LAPACK-backed numpy/scipy routines, with the error
-policy this package promises: explicit exceptions instead of silent NaNs
-or warnings.
+Thin wrappers around LAPACK-backed numpy routines and one back
+substitution in numpy, with the error policy this package promises:
+explicit exceptions instead of silent NaNs or warnings.
 """
 from __future__ import annotations
 
 import io
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ParseError, RankDeficient, ShapeMismatch, SingularTriangular
 
@@ -50,6 +49,17 @@ def thin_qr(a) -> tuple[np.ndarray, np.ndarray]:
     return q, r
 
 
+def back_substitute(t: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Solve T y = c for upper-triangular T, with no checks.
+
+    Row by row from the bottom: y_i = (c_i - T[i, i+1:] @ y[i+1:]) / T_ii.
+    """
+    y = np.empty(c.shape)
+    for i in range(t.shape[0] - 1, -1, -1):
+        y[i] = (c[i] - t[i, i + 1:] @ y[i + 1:]) / t[i, i]
+    return y
+
+
 def solve_upper_triangular(r, c) -> np.ndarray:
     """Back substitution for an upper-triangular system R x = c."""
     r = _as_float_array(r, "triangular matrix")
@@ -63,7 +73,7 @@ def solve_upper_triangular(r, c) -> np.ndarray:
     diag = np.abs(np.diag(r))
     if np.min(diag) <= RANK_TOL * max(np.max(np.abs(r)), 1e-300):
         raise SingularTriangular("diagonal entry too small for back substitution")
-    return scipy.linalg.solve_triangular(r, c, lower=False)
+    return back_substitute(r, c)
 
 
 def min_norm_lstsq_solve(a, b) -> np.ndarray:

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .errors import BadDimension, ShapeMismatch
 
@@ -118,7 +117,10 @@ def build_phillips(n: int, quad_tol: float = 1e-12) -> TestProblem:
             return _phillips_solution(u) * (h - np.abs(u - _c))
 
         offsets[d] = _integrate_pieces(f, list(pts), quad_tol) / h
-    K = scipy.linalg.toeplitz(offsets)
+    # row i of the Toeplitz matrix is offsets[|i - j|], j = 0..n-1: the
+    # window of offsets mirrored about 0 that starts n - 1 - i entries in
+    mirrored = np.concatenate((offsets[:0:-1], offsets))
+    K = np.lib.stride_tricks.sliding_window_view(mirrored, n)[::-1].copy()
     mids = -6.0 + (np.arange(1, n + 1) - 0.5) * h
     x_hat = np.sqrt(h) * _phillips_solution(mids) + 1.0
     b_hat = K @ x_hat

@@ -5,6 +5,12 @@ Scaled first- and second-difference matrices, their square variants
 projectors for constants and linear trends, and the composition of an
 invertible core with a projector into the regularizers the solver
 pipeline consumes.
+
+The catalog's cores solve in closed form, in numpy alone: the
+bidiagonal first-difference cores by one reverse cumulative sum, the
+1/4 tridiag(-1, 2, -1) cores by the two cumulative sums of its Green's
+function.  A core passed to ProjectedRegularizer directly is factored
+by LAPACK's banded LU, the one use of scipy here.
 """
 from __future__ import annotations
 
@@ -12,7 +18,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import BadDimension, ShapeMismatch, SingularCore
 from .linalg import RANK_TOL
@@ -135,11 +140,12 @@ class ProjectedRegularizer:
     and IDENTITY modes); basis spans the null space that the projector
     enforces.
 
-    Every core, the identity's too, is LU-factored once, in banded
-    storage, at construction; a numerically singular factor raises
-    SingularCore.  In PLAIN mode the zero rows of Ltilde are first
-    replaced by unit rows, which completes the singular matrix to an
-    invertible one.
+    A core passed in directly is LU-factored once, in banded storage, at
+    construction; in PLAIN mode its zero rows are first replaced by unit
+    rows, which completes the singular matrix to an invertible one.  The
+    regularizers compose_regularizer builds solve with their stencil's
+    core in closed form instead and need no factorization.  Either way
+    a numerically singular core raises SingularCore.
     """
 
     n: int
@@ -154,6 +160,14 @@ class ProjectedRegularizer:
             raise ShapeMismatch("core matrix must be square of size n")
         if self.basis.n != self.n:
             raise ShapeMismatch("basis dimension does not match")
+        object.__setattr__(self, "_solve", self._make_solve())
+
+    def _make_solve(self):
+        """The banded LU of the (completed) core, as a solve z -> y."""
+        # imported here: only cores passed in directly need LAPACK's
+        # banded LU, and scipy would add about 0.4 s to every CLI start
+        from scipy.linalg.lapack import dgbtrf, dgbtrs
+
         core = np.asarray(self.Ltilde, dtype=float)
         if self.mode is Mode.PLAIN:
             free = np.flatnonzero(~core.any(axis=1))
@@ -165,11 +179,8 @@ class ProjectedRegularizer:
         ab = np.zeros((2 * kl + ku + 1, self.n))
         ab[kl + ku + rows - cols, cols] = core[rows, cols]
         lu, piv, _ = dgbtrf(ab, kl, ku)
-        pivot = np.min(np.abs(lu[kl + ku]))
-        if not pivot > RANK_TOL * np.max(np.abs(ab)):
-            raise SingularCore(f"core of {self.kind.value} is numerically singular "
-                               f"(smallest pivot {pivot:.3g})")
-        object.__setattr__(self, "_factor", (kl, ku, lu, piv))
+        _check_pivot(self.kind, np.min(np.abs(lu[kl + ku])), np.max(np.abs(ab)))
+        return lambda z: dgbtrs(lu, kl, ku, z, piv)[0]
 
     def core_solve(self, z: np.ndarray) -> np.ndarray:
         """Action of the core's inverse: the minimal-norm pseudoinverse in
@@ -182,8 +193,7 @@ class ProjectedRegularizer:
         the replaced rows then solve to a vector in the span of the
         basis, which the projection removes.
         """
-        kl, ku, lu, piv = self._factor
-        y = dgbtrs(lu, kl, ku, np.asarray(z, dtype=float), piv)[0]
+        y = self._solve(np.asarray(z, dtype=float))
         if self.mode is not Mode.PLAIN:
             return y
         V = self.basis.V
@@ -203,6 +213,79 @@ class ProjectedRegularizer:
         if self.mode is Mode.RIGHT:
             return self.Ltilde @ P
         return P @ self.Ltilde @ P
+
+
+def _check_pivot(kind: RegularizerKind, pivot: float, scale: float) -> None:
+    if not pivot > RANK_TOL * scale:
+        raise SingularCore(f"core of {kind.value} is numerically singular "
+                           f"(smallest pivot {pivot:.3g})")
+
+
+def _first_difference_solve(z: np.ndarray, corner: float) -> np.ndarray:
+    """Solve with the bidiagonal core, (1/2, -1/2) on each row and corner
+    as its last diagonal entry.
+
+    x_{n-1} = z_{n-1} / corner, then x_i = 2 z_i + x_{i+1}: one reverse
+    cumulative sum.  Doubling is exact and the sum runs in sequence, so
+    this rounds exactly as a banded back substitution does.
+    """
+    a = 2.0 * z
+    a[-1] = z[-1] / corner
+    return np.cumsum(a[::-1])[::-1].copy()
+
+
+def _second_difference_solve(r: np.ndarray) -> np.ndarray:
+    """T^-1 r for T = tridiag(-1, 2, -1) of order m.
+
+    T^-1 is the Green's function min(i, j) (m + 1 - max(i, j)) / (m + 1),
+    indices from 1, so the product is two cumulative sums: of j r_j up
+    to row i and of (m + 1 - j) r_j beyond it.
+    """
+    m = r.shape[0]
+    i = np.arange(1.0, m + 1.0)
+    up_to = np.cumsum(i * r)
+    beyond = np.zeros(m)
+    beyond[:-1] = np.cumsum(((m + 1.0 - i) * r)[:0:-1])[::-1]
+    return ((m + 1.0 - i) * up_to + i * beyond) / (m + 1.0)
+
+
+def _completed_second_difference_solve(z: np.ndarray) -> np.ndarray:
+    """Solve with L2_ZERO completed by unit rows 0 and n-1: x keeps z's
+    end entries, and the interior rows are 1/4 T of order n-2 with the
+    ends moved to the right-hand side."""
+    r = 4.0 * z[1:-1]
+    r[0] += z[0]
+    r[-1] += z[-1]
+    return np.concatenate((z[:1], _second_difference_solve(r), z[-1:]))
+
+
+def _stencil_solve(kind: RegularizerKind, delta: float):
+    """The closed-form solve with the (completed) core of a catalog kind.
+
+    Only L1_DELTA can be singular: its pivots are its diagonal, 1/2 and
+    delta/2.  The 1/4 T cores have pivots (i + 1) / (4 i) >= 1/4, and the
+    unit rows of a completion pivot on 1.
+    """
+    if kind is RegularizerKind.IDENTITY:
+        return np.copy
+    if kind is RegularizerKind.L1_DELTA:
+        corner = delta / 2.0
+        _check_pivot(kind, min(0.5, corner), max(0.5, corner))
+        return lambda z: _first_difference_solve(z, corner)
+    if kind is RegularizerKind.L1_ZERO:
+        return lambda z: _first_difference_solve(z, 1.0)
+    if kind is RegularizerKind.L2_TILDE:
+        return lambda z: _second_difference_solve(4.0 * z)
+    # compose_regularizer admits no other kind than these five
+    return _completed_second_difference_solve
+
+
+class _StencilRegularizer(ProjectedRegularizer):
+    """A regularizer compose_regularizer built: its core is the catalog
+    matrix of its kind, so it solves in closed form, with no factorization."""
+
+    def _make_solve(self):
+        return _stencil_solve(self.kind, self.delta)
 
 
 # The named regularizers, in canonical output order: the (kind, mode)
@@ -238,8 +321,8 @@ def compose_regularizer(kind: RegularizerKind, n: int, mode: Mode,
     core = make_regularization_matrix(kind, n, delta)
     basis = (NullSpaceBasis.empty(n) if basis_name is None
              else make_nullspace_basis(basis_name, n))
-    return ProjectedRegularizer(n=n, Ltilde=core, basis=basis, mode=mode,
-                                kind=kind, delta=delta)
+    return _StencilRegularizer(n=n, Ltilde=core, basis=basis, mode=mode,
+                               kind=kind, delta=delta)
 
 
 def regularizer_from_name(name: str, n: int, delta: float = 1.0) -> ProjectedRegularizer:

@@ -19,10 +19,9 @@ from enum import Enum
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NoRoot, ShapeMismatch, SingularSystem
-from .linalg import min_norm_lstsq_solve
+from .linalg import back_substitute, min_norm_lstsq_solve
 
 # A new Krylov direction, made from a unit vector, shorter than this
 # fraction of ||A b|| / ||b|| ends the basis; the same test, with ||A b||
@@ -111,12 +110,16 @@ def _rotate_in(rot: list, col: np.ndarray, g) -> None:
     entries j and j + 1 of the rotated right-hand side g.
     """
     j = len(rot)
+    # the loop runs on Python floats: they round as NumPy scalars do,
+    # at a fraction of the cost per operation
+    c = col.tolist()
     for i, (cs, sn) in enumerate(rot):
-        col[i], col[i + 1] = _apply_rotation(cs, sn, col[i], col[i + 1])
-    cs, sn, rr = _make_rotation(col[j], col[j + 1])
+        c[i], c[i + 1] = _apply_rotation(cs, sn, c[i], c[i + 1])
+    cs, sn, rr = _make_rotation(c[j], c[j + 1])
     rot.append((cs, sn))
-    col[j] = rr
-    col[j + 1] = 0.0
+    c[j] = rr
+    c[j + 1] = 0.0
+    col[:] = c
     g[j], g[j + 1] = _apply_rotation(cs, sn, g[j], g[j + 1])
 
 
@@ -130,7 +133,7 @@ def _solve_rotated(tri: np.ndarray, rhs: np.ndarray, h: np.ndarray,
     """
     k = tri.shape[0]
     if k and np.min(np.abs(np.diag(tri))) > 1e-14 * max(np.max(np.abs(tri)), 1e-300):
-        return scipy.linalg.solve_triangular(tri, rhs, lower=False), True
+        return back_substitute(tri, rhs), True
     return min_norm_lstsq_solve(h, c), False
 
 
@@ -285,6 +288,10 @@ def tikhonov_direct_oracle(K: np.ndarray, L: np.ndarray, b: np.ndarray,
         raise ShapeMismatch("right-hand side length must match K's row count")
     if mu < 0.0:
         raise ValueError(f"mu must be nonnegative, got {mu!r}")
+    # imported here, not at module level: the CLI never calls this
+    # oracle, and scipy would add about 0.4 s to every CLI start
+    import scipy.linalg
+
     a = K.T @ K + mu * (L.T @ L)
     try:
         factor = scipy.linalg.cho_factor(a)

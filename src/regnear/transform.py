@@ -19,14 +19,14 @@ Mode by mode:
 
 * right-projected (core @ P): the null-space component is split off
   against the data by the split of K, and the invertible core is
-  absorbed by a banded solve per application;
+  absorbed by a core solve per application;
 * two-sided (P @ core @ P): the same first split and core solve, then a
   second split of the same shape for the projector left of the core.
   It is the split of K1, where K1 = (I - Q Q^T) K core^-1 is the
   operator after the first split, and it refits the null-space
   component against the data once more.  One factor holds both splits;
 * plain singular square matrices: the split plus the minimal-norm
-  pseudoinverse action of the full matrix, a banded solve with its
+  pseudoinverse action of the full matrix, a solve with its
   invertible completion (zero rows replaced by unit rows) followed by
   the removal of the null-space component.
 
@@ -39,8 +39,8 @@ pseudoinverse (two-sided), and maps back.  Both reproduce the dense
 general-form solution to rounding error.
 
 The work comes in two steps.  factor_transform(K, reg) does everything
-that does not depend on the data: the split of K, the core's banded LU
-(owned by the regularizer) and, in two-sided mode, the split of K1.
+that does not depend on the data: the split of K and, in two-sided
+mode, the split of K1; the core's solve belongs to the regularizer.
 It costs ell products with K (2*ell in two-sided mode) and
 records that count.  project_rhs(factor, b) then computes the per-b
 pieces, the null-space component x0 and the split-off right-hand side
@@ -62,7 +62,6 @@ from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ShapeMismatch, SingularCore
 from .linalg import RANK_TOL, thin_qr
@@ -324,6 +323,10 @@ def tikhonov_minimizer_via_transform(K: np.ndarray, b: np.ndarray,
     regularizer's pseudoinverse instead.  Agrees with the dense normal-equations
     solution of the general-form problem to rounding error.
     """
+    # imported here, not at module level: the CLI never calls this
+    # oracle, and scipy would add about 0.4 s to every CLI start
+    import scipy.linalg
+
     K = np.asarray(K, dtype=float)
     b = np.asarray(b, dtype=float)
     if mu <= 0.0:

@@ -217,11 +217,12 @@ class TestSolveCommand:
         assert code == 2
         assert not (tmp_path / "x.csv").exists()
 
-    def test_numerical_failure_exit_code(self, tmp_path):
+    def test_numerical_failure_exit_code(self, tmp_path, capsys):
         # a vanishing corner weight makes the invertible core singular
         code = main(["solve", "--n", "16", "--reg", "L1dP1",
                      "--delta", "1e-20", "--out", str(tmp_path / "x")])
         assert code == 3
+        assert "SingularCore" in capsys.readouterr().err
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -432,10 +433,68 @@ def test_unwritable_or_missing_file_is_config_error(command, tmp_path, capsys):
     assert not missing.exists()
 
 
-def test_cli_import_leaves_out_scipy_optimize():
-    # only the dense Tikhonov oracle needs scipy.optimize; the CLI must
-    # start without paying for its import
+def _child_env():
     src = os.path.dirname(os.path.dirname(regnear.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
+    return dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS="1")
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    # only the dense oracles and cores passed in directly need scipy; the
+    # CLI must start without paying for its import
     code = "import sys, regnear.cli; sys.exit('scipy.optimize' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    assert subprocess.run([sys.executable, "-c", code],
+                          env=_child_env()).returncode == 0
+    code = ("import sys, regnear.cli; "
+            "sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
+    assert subprocess.run([sys.executable, "-c", code],
+                          env=_child_env()).returncode == 0
+
+
+# Runs every subcommand at a small size, in the working directory, with
+# scipy blocked when the first argument is "block".
+_EVERY_COMMAND = """
+import sys
+
+if sys.argv[1] == "block":
+    class NoScipy:
+        def find_spec(self, name, path=None, target=None):
+            if name.split(".")[0] == "scipy":
+                raise ImportError(f"{name} is blocked")
+
+    sys.meta_path.insert(0, NoScipy())
+
+from regnear.cli import main
+from regnear.regops import REGULARIZER_NAMES
+
+runs = [["distances", "--max-n", "20", "--out", "d.csv"],
+        ["nearest", "--matrix", "a.txt", "--nullspace", "v.txt",
+         "--symmetric", "true", "--out", "o.txt"]]
+for problem in ("phillips", "deriv2"):
+    runs += [["solve", "--problem", problem, "--n", "40", "--reg", reg,
+              "--out", f"{problem}-{reg}"] for reg in REGULARIZER_NAMES]
+    runs.append(["table", "--problem", problem, "--n", "40", "--seeds", "1..2",
+                 "--out", f"{problem}.csv"])
+for argv in runs:
+    if main(argv) != 0:
+        sys.exit(f"{argv} failed")
+"""
+
+
+def test_every_command_runs_without_scipy(tmp_path):
+    # the same files and the same stdout with scipy importable or blocked
+    a = np.diag([2.0, 3.0, 4.0, 5.0]) + 1.0
+    outputs = {}
+    for mode in ("block", "allow"):
+        cwd = tmp_path / mode
+        cwd.mkdir()
+        write_matrix(str(cwd / "a.txt"), a)
+        write_matrix(str(cwd / "v.txt"), np.ones((4, 1)))
+        run = subprocess.run([sys.executable, "-c", _EVERY_COMMAND, mode],
+                             cwd=cwd, env=_child_env(), capture_output=True)
+        assert run.returncode == 0, run.stderr.decode()
+        files = {f.name: f.read_bytes() for f in sorted(cwd.iterdir())}
+        outputs[mode] = (run.stdout, files)
+    # the two inputs, distances, nearest, and for each problem three
+    # files per solve and the table
+    assert len(outputs["block"][1]) == 2 + 1 + 1 + 2 * (3 * 6 + 1)
+    assert outputs["block"] == outputs["allow"]

@@ -6,6 +6,8 @@ random feasible competitors.
 """
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regnear.errors import (BadDimension, DependentVectors, NotSymmetric,
                             RankDeficient, ShapeMismatch)
@@ -14,6 +16,8 @@ from regnear.nearness import (NullSpaceBasis, build_projector,
                               nearest_symmetric_with_nullspace,
                               nearest_two_vector, nearest_with_nullspace,
                               nearness_distance)
+from regnear.regops import (RegularizerKind, make_nullspace_basis,
+                            make_projector_closed, make_regularization_matrix)
 
 
 def random_basis(rng, n, ell):
@@ -307,3 +311,52 @@ class TestNearnessDistance:
 
     def test_empty_basis(self):
         assert nearness_distance(np.eye(3), NullSpaceBasis.empty(3)) == 0.0
+
+
+class TestNearnessProperties:
+    """The closed forms and the optimality of A P and P A P over n, delta
+    and the seed, with the bases of the catalog and random ones."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(4, 80), delta=st.floats(1e-3, 1e3),
+           which=st.sampled_from(["1", "2"]), seed=st.integers(0, 2**32 - 1))
+    def test_distances_match_dense_projector(self, n, delta, which, seed):
+        l1 = make_regularization_matrix(RegularizerKind.L1_DELTA, n, delta)
+        basis = make_nullspace_basis("N" + which, n)
+        p = make_projector_closed("P" + which, n)
+        if which == "1":
+            # only the corner row of L1delta sees the constants
+            assert nearness_distance(l1, basis) == pytest.approx(
+                delta / (2.0 * np.sqrt(n)), rel=1e-10)
+        a = l1 + np.random.default_rng(seed).standard_normal((n, n))
+        sym = a + a.T
+        tol = 1e-10 * max(1.0, frobenius_norm(sym))
+        assert abs(nearness_distance(a, basis) - frobenius_norm(a - a @ p)) <= tol
+        d_sym = nearness_distance(sym, basis, symmetric=True)
+        assert abs(d_sym - frobenius_norm(sym - p @ sym @ p)) <= tol
+        # ||A - P A P||^2 = 2 ||A V||^2 - ||V^T A V||^2 for symmetric A
+        av = sym @ basis.V
+        formula = np.sqrt(2.0 * frobenius_norm(av) ** 2
+                          - frobenius_norm(basis.V.T @ av) ** 2)
+        assert abs(d_sym - formula) <= tol
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(3, 30), ell=st.integers(1, 2), delta=st.floats(1e-3, 1e3),
+           scale=st.floats(1e-3, 1e2), seed=st.integers(0, 2**32 - 1))
+    def test_projections_beat_feasible_competitors(self, n, ell, delta, scale, seed):
+        rng = np.random.default_rng(seed)
+        basis = random_basis(rng, n, ell)
+        p = build_projector(basis.V, orthonormal=True)
+        a = (make_regularization_matrix(RegularizerKind.L1_DELTA, n, delta)
+             + rng.standard_normal((n, n)))
+        slack = 1e-12 * frobenius_norm(a)
+        ap = nearest_with_nullspace(a, basis)
+        # A P + M P annihilates the basis for every M
+        m = scale * rng.standard_normal((n, n))
+        assert frobenius_norm(a - ap) <= frobenius_norm(a - (ap + m @ p)) + slack
+        # P S P is symmetric and annihilates the basis for every symmetric S
+        sym = a + a.T
+        pap = nearest_symmetric_with_nullspace(sym, basis)
+        w = scale * rng.standard_normal((n, n))
+        s = sym + w + w.T
+        assert frobenius_norm(sym - pap) <= frobenius_norm(sym - p @ s @ p) + slack

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from regnear.errors import BadDimension, ShapeMismatch, SingularCore
+from regnear.linalg import RANK_TOL
 from regnear.nearness import NullSpaceBasis, build_projector
 from regnear.regops import (Mode, ProjectedRegularizer, REGULARIZER_NAMES,
                             RegularizerKind, compose_regularizer,
@@ -264,3 +265,56 @@ class TestNameTable:
     def test_unknown_name_lists_valid_ones(self):
         with pytest.raises(ValueError, match="L2tP2"):
             regularizer_from_name("L3", 10)
+
+
+def banded_lu_twin(reg):
+    """The same regularizer built from its dense core, which ProjectedRegularizer
+    solves by the banded LU."""
+    return ProjectedRegularizer(n=reg.n, Ltilde=reg.Ltilde, basis=reg.basis,
+                                mode=reg.mode, kind=reg.kind, delta=reg.delta)
+
+
+class TestClosedFormSolves:
+    """The catalog's closed-form core solves against the banded LU."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(name=st.sampled_from(REGULARIZER_NAMES), n=st.integers(3, 300),
+           delta=st.floats(1e-3, 1e3), seed=st.integers(0, 2**32 - 1))
+    def test_matches_banded_lu(self, name, n, delta, seed):
+        reg = regularizer_from_name(name, n, delta)
+        z = np.random.default_rng(seed).standard_normal(n)
+        x = reg.core_solve(z)
+        expected = banded_lu_twin(reg).core_solve(z)
+        if name in ("I", "L10", "L1dP1"):
+            # doubling is exact and the cumulative sum runs in sequence,
+            # so the bidiagonal solve rounds as the back substitution does
+            assert np.array_equal(x, expected)
+        else:
+            assert np.linalg.norm(x - expected) <= 1e-11 * np.linalg.norm(expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(3, 40),
+           threshold=st.sampled_from([RANK_TOL, 1 / RANK_TOL]),
+           ulps=st.integers(-8, 8))
+    @example(n=16, threshold=1e-20, ulps=0)
+    def test_singular_for_the_same_delta(self, n, threshold, ulps):
+        # delta a few ulps either side of where min(1/2, delta/2) meets
+        # RANK_TOL * max(1/2, delta/2)
+        delta = float(threshold)
+        for _ in range(abs(ulps)):
+            delta = np.nextafter(delta, np.inf if ulps > 0 else 0.0)
+        core = make_regularization_matrix(RegularizerKind.L1_DELTA, n, delta)
+
+        def singular(build):
+            try:
+                build()
+            except SingularCore:
+                return True
+            return False
+
+        closed = singular(lambda: compose_regularizer(
+            RegularizerKind.L1_DELTA, n, Mode.RIGHT, delta))
+        banded = singular(lambda: ProjectedRegularizer(
+            n=n, Ltilde=core, basis=make_nullspace_basis("N1", n),
+            mode=Mode.RIGHT, kind=RegularizerKind.L1_DELTA, delta=delta))
+        assert closed == banded
