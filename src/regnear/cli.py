@@ -8,8 +8,8 @@ the tridiagonal second-difference matrix as the dimension grows, and
 
 All numeric CSV output is written with 17 significant digits so reruns
 of identical configurations are byte-identical.  Exit codes: 0 success,
-2 configuration error (a file that cannot be read or written
-included), 3 numerical failure.
+2 configuration error (a file that cannot be read or written, or a
+size that does not fit in memory, included), 3 numerical failure.
 """
 from __future__ import annotations
 
@@ -185,6 +185,16 @@ def _check_numbers(noise_levels, eta: float, delta: float, max_iter: int) -> Non
     SolverConfig(eta=eta, max_iter=max_iter)  # ValueError on a bad eta or max_iter
 
 
+def _build_base(problem: str, n: int):
+    """The noise-free problem; a K too large for memory is a bad n."""
+    try:
+        return build_problem(problem, n)
+    except MemoryError:
+        raise ConfigError(f"n = {n} needs a dense {n}x{n} K "
+                          f"({8 * n * n / 2**30:.3g} GiB), more than the "
+                          f"memory available") from None
+
+
 def _validate_regs(regs) -> None:
     for name in regs:
         if name not in REGULARIZER_NAMES:
@@ -198,7 +208,7 @@ def cmd_solve(args) -> int:
     _validate_regs([args.reg])
     _check_numbers([args.noise], args.eta, args.delta, args.max_iter)
 
-    base = build_problem(args.problem, args.n)
+    base = _build_base(args.problem, args.n)
     result = run_single(base, args.noise, args.seed, args.reg, args.eta,
                         args.delta, args.max_iter)
     prefix = args.out
@@ -236,7 +246,7 @@ def cmd_table(args) -> int:
             raise ConfigError(f"need at least one {what}")
     out = args.out or f"table_{problem}.csv"
 
-    base = build_problem(problem, n)
+    base = _build_base(problem, n)
     lines = [",".join(RUN_COLUMNS)]
     for nu in args.noise:
         for reg in args.regs:
@@ -381,6 +391,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     except NumericsError as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)

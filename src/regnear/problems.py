@@ -3,9 +3,11 @@
 Both problems project kernel and solution onto orthonormal box functions
 (height 1/sqrt(h) on each of n equal cells), so matrix entries are cell
 integrals of the kernel divided by h.  The convolution problem on
-[-6, 6] integrates its kernel numerically; the Green's-function problem
-on [0, 1] has piecewise-bilinear kernel pieces and exact entry formulas,
-cross-checkable against quadrature.
+[-6, 6] integrates its kernel for all diagonal offsets in one vectorised
+panel pass, checked against per-offset adaptive quadrature; the
+Green's-function problem on [0, 1] has piecewise-bilinear kernel pieces
+and exact entry formulas, cross-checkable against quadrature.  Each
+builder allocates K and no other array of its size.
 
 The synthetic data are noise-free right-hand sides b_hat = K x_hat with
 a constant vector added to x_hat, plus Gaussian noise rescaled to a
@@ -91,6 +93,74 @@ def _phillips_solution(s):
     return np.where(np.abs(s) < 3.0, 1.0 + np.cos(np.pi * s / 3.0), 0.0)
 
 
+def _phillips_weighted(u, h: float, center):
+    """The kernel times the triangular cell-overlap weight centred at
+    center, the integrand of one diagonal offset; center may be a column
+    of offsets, one per row of u."""
+    return _phillips_solution(u) * (h - np.abs(u - center))
+
+
+def phillips_offset_by_quadrature(n: int, d: int, tol: float = 1e-12) -> float:
+    """One diagonal offset of the phillips matrix by adaptive quadrature.
+
+    The integrand is split at the weight's kink and at the kernel's
+    support edges.  Exists to cross-check phillips_offsets; never used
+    to build matrices.
+    """
+    if n < 1 or not 0 <= d < n:
+        raise BadDimension("offset out of range")
+    h = 12.0 / n
+    center = d * h
+    lo = max(center - h, -3.0)
+    hi = min(center + h, 3.0)
+    if hi <= lo:
+        return 0.0  # kernel support and cell overlap are disjoint: exact zero
+    pts = sorted({lo, hi, *(p for p in (center,) if lo < p < hi)})
+    return _integrate_pieces(lambda u: _phillips_weighted(u, h, center),
+                             pts, tol) / h
+
+
+def phillips_offsets(n: int, quad_tol: float = 1e-12) -> np.ndarray:
+    """The phillips matrix entry of every diagonal offset (its first row).
+
+    One vectorised panel pass does for all offsets at once what
+    adaptive_gauss_legendre does first on each piece: a 10-point
+    Gauss-Legendre panel against its two halves.  A piece whose halves
+    miss the panel by more than quad_tol continues in
+    adaptive_gauss_legendre.  The panels round as _gl_panel does (each
+    is the same dot product), so the offsets equal those of
+    phillips_offset_by_quadrature to the bit.
+    """
+    h = 12.0 / n
+    center = np.arange(n) * h
+    # the cell overlap of the later offsets misses the kernel's support
+    center = center[center - h < 3.0]
+    lo = np.maximum(center - h, -3.0)
+    hi = np.minimum(center + h, 3.0)
+    # each offset splits at the weight's kink; beyond the support edge
+    # its right piece [hi, hi] is empty and integrates to zero
+    kink = np.minimum(center, hi)
+    a = np.concatenate((lo, kink))
+    b = np.concatenate((kink, hi))
+    c = np.concatenate((center, center))[:, None]
+
+    def panel(start, end):
+        # _gl_panel on every piece, with the same arithmetic
+        half = 0.5 * (end - start)
+        u = 0.5 * (start + end)[:, None] + half[:, None] * _GL_NODES
+        return half * np.vecdot(_phillips_weighted(u, h, c), _GL_WEIGHTS)
+
+    mid = 0.5 * (a + b)
+    whole = panel(a, b)
+    pieces = panel(a, mid) + panel(mid, b)
+    for i in np.flatnonzero(~(np.abs(pieces - whole) <= quad_tol)):
+        pieces[i] = adaptive_gauss_legendre(
+            lambda u, _c=c[i, 0]: _phillips_weighted(u, h, _c), a[i], b[i], quad_tol)
+    offsets = np.zeros(n)
+    offsets[:center.size] = (pieces[:center.size] + pieces[center.size:]) / h
+    return offsets
+
+
 def build_phillips(n: int, quad_tol: float = 1e-12) -> TestProblem:
     """Convolution equation on [-6, 6] with a cosine-bump kernel.
 
@@ -99,24 +169,13 @@ def build_phillips(n: int, quad_tol: float = 1e-12) -> TestProblem:
     (symmetric Toeplitz) matrix.  Integrating the triangular cell-overlap
     weight against the kernel reduces each entry to a single 1-d
     integral, split at the weight's kink and at the kernel's support
-    edges.
+    edges; phillips_offsets computes them all in one vectorised panel
+    pass.
     """
     if n < 4:
         raise BadDimension("phillips needs n >= 4")
     h = 12.0 / n
-    offsets = np.zeros(n)
-    for d in range(n):
-        center = d * h
-        lo = max(center - h, -3.0)
-        hi = min(center + h, 3.0)
-        if hi <= lo:
-            continue  # kernel support and cell overlap are disjoint: exact zero
-        pts = sorted({lo, hi, *(p for p in (center,) if lo < p < hi)})
-
-        def f(u, _c=center):
-            return _phillips_solution(u) * (h - np.abs(u - _c))
-
-        offsets[d] = _integrate_pieces(f, list(pts), quad_tol) / h
+    offsets = phillips_offsets(n, quad_tol)
     # row i of the Toeplitz matrix is offsets[|i - j|], j = 0..n-1: the
     # window of offsets mirrored about 0 that starts n - 1 - i entries in
     mirrored = np.concatenate((offsets[:0:-1], offsets))
@@ -134,6 +193,11 @@ def _deriv2_kernel(s, t):
     return np.where(s < t, s * (t - 1.0), t * (s - 1.0))
 
 
+# rows per step of build_deriv2's in-place symmetrization; the step's
+# temporaries are of order this squared, not n squared
+_DERIV2_ROW_BLOCK = 64
+
+
 def build_deriv2(n: int) -> TestProblem:
     """Second-derivative Green's function problem on [0, 1].
 
@@ -148,9 +212,15 @@ def build_deriv2(n: int) -> TestProblem:
     h = 1.0 / n
     mids = (np.arange(1, n + 1) - 0.5) * h
     # i > j: s >= t throughout, kernel t(s-1); the factored integrals give
-    # h * mid_j * (mid_i - 1); symmetry fills the upper triangle
-    lower = np.tril(np.outer(mids - 1.0, h * mids), -1)
-    K = lower + lower.T
+    # h * mid_j * (mid_i - 1); symmetry fills the upper triangle, copied
+    # from the lower one block of rows at a time, in place
+    K = np.outer(mids - 1.0, h * mids)
+    for r0 in range(0, n, _DERIV2_ROW_BLOCK):
+        r1 = min(r0 + _DERIV2_ROW_BLOCK, n)
+        K[r0:r1, r1:] = K[r1:, r0:r1].T
+        block = K[r0:r1, r0:r1]
+        upper = np.triu_indices(r1 - r0, 1)
+        block[upper] = block.T[upper]
     alpha = np.arange(n) * h
     beta = alpha + h
     K[np.arange(n), np.arange(n)] = (
@@ -196,6 +266,11 @@ def build_problem(name: str, n: int) -> TestProblem:
     raise ValueError(f"unknown problem {name!r} (use 'phillips' or 'deriv2')")
 
 
+# the largest norm whose square float64 still holds: the discrepancy
+# principle's epsilon = ||e|| is a 2-norm and squares it
+_MAX_SQUARABLE = float(np.sqrt(np.finfo(float).max))
+
+
 def add_noise(problem: TestProblem, nu: float, seed: int) -> TestProblem:
     """Perturb b_hat with Gaussian noise rescaled to ||e|| = nu * ||b_hat||.
 
@@ -204,12 +279,17 @@ def add_noise(problem: TestProblem, nu: float, seed: int) -> TestProblem:
     """
     if not 0.0 <= nu < np.inf:
         raise ValueError(f"noise level must be finite and nonnegative, got {nu!r}")
+    # in Python floats, which overflow to inf without a numpy warning
+    e_norm = nu * float(np.linalg.norm(problem.b_hat))
+    if not e_norm < _MAX_SQUARABLE:
+        raise ValueError(f"noise level {nu!r} makes ||e|| = nu * ||b_hat|| = "
+                         f"{e_norm:.3g}, whose square overflows float64")
     if nu == 0.0:
         e = np.zeros(problem.n)
     else:
         gen = np.random.Generator(np.random.Philox(seed))
         raw = gen.standard_normal(problem.n)
-        e = raw * (nu * np.linalg.norm(problem.b_hat) / np.linalg.norm(raw))
+        e = raw * (e_norm / np.linalg.norm(raw))
     return TestProblem(name=problem.name, n=problem.n, K=problem.K,
                        x_hat=problem.x_hat, b_hat=problem.b_hat,
                        b=problem.b_hat + e,

@@ -9,8 +9,10 @@ pipeline consumes.
 The catalog's cores solve in closed form, in numpy alone: the
 bidiagonal first-difference cores by one reverse cumulative sum, the
 1/4 tridiag(-1, 2, -1) cores by the two cumulative sums of its Green's
-function.  A core passed to ProjectedRegularizer directly is factored
-by LAPACK's banded LU, the one use of scipy here.
+function.  A catalog regularizer holds no n x n array; its dense core
+is assembled only when asked for.  A core passed to
+ProjectedRegularizer directly is factored by LAPACK's banded LU, the one
+use of scipy here.
 """
 from __future__ import annotations
 
@@ -60,6 +62,15 @@ _STENCIL_RULE = {
 }
 
 
+def _check_catalog_args(kind: RegularizerKind, n: int, delta: float) -> None:
+    if n < 3:
+        raise BadDimension(f"{kind.value} needs n >= 3")
+    if not np.isfinite(delta):
+        raise ValueError(f"delta must be finite, got {delta!r}")
+    if kind is RegularizerKind.L1_DELTA and not delta > 0.0:
+        raise ValueError(f"delta must be positive, got {delta!r}")
+
+
 def make_regularization_matrix(kind: RegularizerKind, n: int, delta: float = 1.0) -> np.ndarray:
     """Assemble one of the catalog matrices at dimension n.
 
@@ -68,13 +79,7 @@ def make_regularization_matrix(kind: RegularizerKind, n: int, delta: float = 1.0
     as the kind says, and L1_DELTA then puts delta / 2 in its last row.
     """
     kind = RegularizerKind(kind)
-    if n < 3:
-        raise BadDimension(f"{kind.value} needs n >= 3")
-    if not np.isfinite(delta):
-        raise ValueError(f"delta must be finite, got {delta!r}")
-    if kind is RegularizerKind.L1_DELTA and not delta > 0.0:
-        raise ValueError(f"delta must be positive, got {delta!r}")
-
+    _check_catalog_args(kind, n, delta)
     if kind is RegularizerKind.IDENTITY:
         return np.eye(n)
 
@@ -137,15 +142,16 @@ class ProjectedRegularizer:
     """A regularizer ready for the standard-form transformation.
 
     Ltilde is the square core matrix (the regularizer itself in PLAIN
-    and IDENTITY modes); basis spans the null space that the projector
-    enforces.
+    and IDENTITY modes), built on demand for catalog regularizers; basis
+    spans the null space that the projector enforces.
 
     A core passed in directly is LU-factored once, in banded storage, at
     construction; in PLAIN mode its zero rows are first replaced by unit
     rows, which completes the singular matrix to an invertible one.  The
     regularizers compose_regularizer builds solve with their stencil's
-    core in closed form instead and need no factorization.  Either way
-    a numerically singular core raises SingularCore.
+    core in closed form instead, need no factorization and store no
+    core: their Ltilde is assembled from (kind, n, delta) each time it
+    is read.  Either way a numerically singular core raises SingularCore.
     """
 
     n: int
@@ -156,19 +162,19 @@ class ProjectedRegularizer:
     delta: float = 1.0
 
     def __post_init__(self):
-        if self.Ltilde.shape != (self.n, self.n):
-            raise ShapeMismatch("core matrix must be square of size n")
         if self.basis.n != self.n:
             raise ShapeMismatch("basis dimension does not match")
         object.__setattr__(self, "_solve", self._make_solve())
 
     def _make_solve(self):
         """The banded LU of the (completed) core, as a solve z -> y."""
+        core = np.asarray(self.Ltilde, dtype=float)
+        if core.shape != (self.n, self.n):
+            raise ShapeMismatch("core matrix must be square of size n")
         # imported here: only cores passed in directly need LAPACK's
         # banded LU, and scipy would add about 0.4 s to every CLI start
         from scipy.linalg.lapack import dgbtrf, dgbtrs
 
-        core = np.asarray(self.Ltilde, dtype=float)
         if self.mode is Mode.PLAIN:
             free = np.flatnonzero(~core.any(axis=1))
             core = core.copy()
@@ -282,7 +288,19 @@ def _stencil_solve(kind: RegularizerKind, delta: float):
 
 class _StencilRegularizer(ProjectedRegularizer):
     """A regularizer compose_regularizer built: its core is the catalog
-    matrix of its kind, so it solves in closed form, with no factorization."""
+    matrix of its kind, so it solves in closed form, with no
+    factorization, and its dense core is assembled only when read."""
+
+    def __init__(self, n: int, basis: NullSpaceBasis, mode: Mode,
+                 kind: RegularizerKind, delta: float):
+        for name, value in (("n", n), ("basis", basis), ("mode", mode),
+                            ("kind", kind), ("delta", delta)):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    @property
+    def Ltilde(self) -> np.ndarray:
+        return make_regularization_matrix(self.kind, self.n, self.delta)
 
     def _make_solve(self):
         return _stencil_solve(self.kind, self.delta)
@@ -308,7 +326,9 @@ def compose_regularizer(kind: RegularizerKind, n: int, mode: Mode,
     """Combine a catalog matrix with its matching null-space projector.
 
     The (kind, mode) pair must be one of the catalog's, which also names
-    the basis.  A numerically singular core raises SingularCore.
+    the basis.  The arguments are checked as make_regularization_matrix
+    checks them, but no dense core is built.  A numerically singular core
+    raises SingularCore.
     """
     kind = RegularizerKind(kind)
     mode = Mode(mode)
@@ -317,12 +337,12 @@ def compose_regularizer(kind: RegularizerKind, n: int, mode: Mode,
         allowed = ", ".join(sorted(m.value for k, m in bases if k is kind))
         raise ValueError(f"kind {kind.value} composes in modes {{{allowed}}}, "
                          f"not {mode.value}")
+    _check_catalog_args(kind, n, delta)
     basis_name = bases[kind, mode]
-    core = make_regularization_matrix(kind, n, delta)
     basis = (NullSpaceBasis.empty(n) if basis_name is None
              else make_nullspace_basis(basis_name, n))
-    return _StencilRegularizer(n=n, Ltilde=core, basis=basis, mode=mode,
-                               kind=kind, delta=delta)
+    return _StencilRegularizer(n=n, basis=basis, mode=mode, kind=kind,
+                               delta=delta)
 
 
 def regularizer_from_name(name: str, n: int, delta: float = 1.0) -> ProjectedRegularizer:

@@ -5,6 +5,7 @@ import itertools
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -431,6 +432,47 @@ def test_unwritable_or_missing_file_is_config_error(command, tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(missing) in err
     assert not missing.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "table"])
+def test_out_of_memory_is_config_error(command, tmp_path, capsys, monkeypatch):
+    # a dense K that does not fit: one error line that names n, exit code 2
+    # (the build is faked: a test never asks for the real allocation)
+    def no_memory(problem, n):
+        raise MemoryError
+
+    monkeypatch.setattr(regnear.cli, "build_problem", no_memory)
+    assert main([command, "--n", "300000", "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "n = 300000" in err and "300000x300000" in err
+
+
+def test_other_out_of_memory_is_config_error(tmp_path, capsys, monkeypatch):
+    # any other allocation that fails ends in one error line, not a traceback
+    def no_memory(kind, n, delta=1.0):
+        raise MemoryError(f"Unable to allocate {8 * n * n} bytes")
+
+    monkeypatch.setattr(regnear.cli, "make_regularization_matrix", no_memory)
+    assert main(["distances", "--out", str(tmp_path / "d.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: out of memory: Unable to allocate 128 bytes\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--noise", "1e200"], ["solve", "--noise", "1e300"],
+    ["table", "--noise", "1e300", "--regs", "I", "--seeds", "1"],
+], ids=["solve-1e200", "solve-1e300", "table-1e300"])
+def test_overflowing_noise_norm_is_config_error(argv, tmp_path, capsys):
+    # ||e|| = nu ||b_hat|| beyond sqrt(float max) cannot be squared: it is
+    # refused in one error line that names nu, before numpy could warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([*argv, "--n", "40", "--out", str(tmp_path / "x")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: noise level ") and err.count("\n") == 1
+    assert repr(float(argv[2])) in err
 
 
 def _child_env():

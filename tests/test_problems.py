@@ -1,11 +1,29 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import regnear.problems
 from regnear.errors import BadDimension, ShapeMismatch
 from regnear.problems import (NoiseInfo, adaptive_gauss_legendre, add_noise,
                               build_deriv2, build_phillips, build_problem,
-                              deriv2_entry_by_quadrature, relative_error)
+                              deriv2_entry_by_quadrature,
+                              phillips_offset_by_quadrature, phillips_offsets,
+                              relative_error)
 from regnear.problems import TestProblem as ProblemInstance
+
+
+def traced_peak(build):
+    """Peak bytes traced while build() runs (numpy reports its arrays)."""
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestQuadrature:
@@ -72,6 +90,48 @@ class TestPhillips:
         s = np.linalg.svd(build_phillips(200).K, compute_uv=False)
         assert s[40] / s[0] < 1e-3
 
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(4, 64))
+    @example(n=200)
+    @example(n=201)
+    @example(n=2000)
+    @example(n=4001)
+    def test_offsets_match_quadrature_oracle(self, n):
+        # the vectorised panel pass against adaptive quadrature per offset
+        offsets = phillips_offsets(n)
+        oracle = np.array([phillips_offset_by_quadrature(n, d) for d in range(n)])
+        assert np.max(np.abs(offsets - oracle)) <= 2e-15 * np.max(np.abs(oracle))
+
+    def test_matrix_row_is_the_offsets(self):
+        assert np.array_equal(build_phillips(40).K[0], phillips_offsets(40))
+
+    def test_failed_estimate_continues_adaptively(self, monkeypatch):
+        # at a tolerance below the panels' rounding some pieces miss it
+        # and go on halving; the result still matches the oracle
+        calls = []
+        adaptive = regnear.problems.adaptive_gauss_legendre
+
+        def counted(*args, **kwargs):
+            calls.append(args[1:3])
+            return adaptive(*args, **kwargs)
+
+        monkeypatch.setattr(regnear.problems, "adaptive_gauss_legendre", counted)
+        offsets = phillips_offsets(7, quad_tol=3e-16)
+        assert calls
+        monkeypatch.undo()
+        oracle = np.array([phillips_offset_by_quadrature(7, d, tol=3e-16)
+                           for d in range(7)])
+        assert np.max(np.abs(offsets - oracle)) <= 2e-15 * np.max(np.abs(oracle))
+
+    def test_oracle_guards(self):
+        with pytest.raises(BadDimension):
+            phillips_offset_by_quadrature(10, 10)
+        assert phillips_offset_by_quadrature(8, 3) == 0.0  # beyond the support
+
+    def test_builds_nothing_else_of_size_n_squared(self):
+        n = 2000
+        assert traced_peak(lambda: build_phillips(n)) <= 1.1 * 8 * n * n
+
 
 class TestDeriv2:
     def test_dimension_guard(self):
@@ -104,6 +164,27 @@ class TestDeriv2:
                 expected[i, j] = expected[j, i] = h * mids[j] * (mids[i] - 1.0)
         off = ~np.eye(n, dtype=bool)
         assert np.array_equal(build_deriv2(n).K[off], expected[off])
+
+    def test_in_place_symmetrization_is_bit_equal(self):
+        # the row-block copy gives the bits of the lower triangle plus its
+        # transpose, with the closed-form diagonal
+        for n in range(4, 301):
+            h = 1.0 / n
+            mids = (np.arange(1, n + 1) - 0.5) * h
+            lower = np.tril(np.outer(mids - 1.0, h * mids), -1)
+            expected = lower + lower.T
+            alpha = np.arange(n) * h
+            beta = alpha + h
+            np.fill_diagonal(expected,
+                             (beta + alpha) * (beta ** 2 + alpha ** 2) / 4.0
+                             - (beta ** 2 + alpha * beta + alpha ** 2) / 3.0
+                             - alpha ** 2 * (beta + alpha) / 2.0
+                             + alpha ** 2)
+            assert np.array_equal(build_deriv2(n).K, expected), n
+
+    def test_builds_nothing_else_of_size_n_squared(self):
+        n = 2000
+        assert traced_peak(lambda: build_deriv2(n)) <= 1.1 * 8 * n * n
 
     def test_quadrature_entry_guards(self):
         with pytest.raises(BadDimension):
@@ -177,6 +258,25 @@ class TestNoise:
     @pytest.mark.parametrize("nu", [np.inf, np.nan])
     def test_non_finite_level_rejected(self, nu):
         with pytest.raises(ValueError, match="finite"):
+            add_noise(build_phillips(8), nu, seed=1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(problem=st.sampled_from(["phillips", "deriv2"]),
+           nu=st.floats(1e-8, 1e150), seed=st.integers(0, 2**32 - 1))
+    def test_noise_bits_follow_the_rescaling(self, problem, nu, seed):
+        # e = raw (nu ||b_hat|| / ||raw||), evaluated in that order
+        p = build_problem(problem, 12)
+        raw = np.random.Generator(np.random.Philox(seed)).standard_normal(12)
+        e = raw * (nu * np.linalg.norm(p.b_hat) / np.linalg.norm(raw))
+        noisy = add_noise(p, nu, seed)
+        assert np.array_equal(noisy.noise.e, e)
+        assert noisy.epsilon == float(np.linalg.norm(e))
+
+    @pytest.mark.parametrize("nu", [1e200, 1e300, 1.7e308])
+    def test_unsquarable_noise_norm_rejected(self, nu):
+        # ||e|| = nu ||b_hat|| at or past sqrt(float max): its square, which
+        # epsilon takes, would overflow
+        with pytest.raises(ValueError, match=re.escape(f"noise level {nu!r}")):
             add_noise(build_phillips(8), nu, seed=1)
 
     def test_original_untouched(self):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -265,6 +267,60 @@ class TestNameTable:
     def test_unknown_name_lists_valid_ones(self):
         with pytest.raises(ValueError, match="L2tP2"):
             regularizer_from_name("L3", 10)
+
+
+def dense_core(name, n, delta):
+    """The catalog core of a named regularizer, from np.eye bands."""
+    first = 0.5 * (np.eye(n) - np.eye(n, k=1))
+    second = 0.25 * (2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1))
+    if name == "I":
+        return np.eye(n)
+    if name in ("L10", "L1dP1"):
+        first[-1] = 0.0
+        if name == "L1dP1":
+            first[-1, -1] = delta / 2.0
+        return first
+    if name == "L20":
+        second[[0, -1]] = 0.0
+    return second
+
+
+class TestCoreOnDemand:
+    """Catalog regularizers store no dense core and build it when read."""
+
+    @pytest.mark.parametrize("name", REGULARIZER_NAMES)
+    def test_holds_no_dense_core(self, name):
+        tracemalloc.start()
+        try:
+            reg = regularizer_from_name(name, 2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        assert reg.basis.n == 2000
+
+    @pytest.mark.parametrize("n", [3, 4, 17, 200])
+    @pytest.mark.parametrize("delta", [0.37, 1.0, 2.5])
+    def test_core_read_on_demand(self, n, delta):
+        for name in REGULARIZER_NAMES:
+            reg = regularizer_from_name(name, n, delta)
+            assert np.array_equal(reg.Ltilde, dense_core(name, n, delta)), name
+
+    @pytest.mark.parametrize("name,n,delta,error", [
+        ("L20", 2, 1.0, BadDimension), ("I", 2, 1.0, BadDimension),
+        ("L2tP2", 5, np.nan, ValueError), ("I", 5, np.inf, ValueError),
+        ("L1dP1", 5, 0.0, ValueError), ("L1dP1", 5, -1.0, ValueError),
+    ])
+    def test_compose_checks_what_the_dense_core_checks(self, name, n, delta, error):
+        with pytest.raises(error):
+            regularizer_from_name(name, n, delta)
+
+    def test_core_passed_in_is_kept(self):
+        core = make_regularization_matrix(RegularizerKind.L2_TILDE, 6)
+        reg = ProjectedRegularizer(n=6, Ltilde=core,
+                                   basis=make_nullspace_basis("N2", 6),
+                                   mode=Mode.RIGHT, kind=RegularizerKind.L2_TILDE)
+        assert reg.Ltilde is core
 
 
 def banded_lu_twin(reg):
