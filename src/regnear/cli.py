@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NumericsError
+from .errors import BadDimension, NumericsError
 from .linalg import read_matrix, write_matrix, write_vector
 from .nearness import (NullSpaceBasis, nearest_symmetric_with_nullspace,
                        nearest_with_nullspace, nearness_distance)
@@ -186,9 +186,12 @@ def _check_numbers(noise_levels, eta: float, delta: float, max_iter: int) -> Non
 
 
 def _build_base(problem: str, n: int):
-    """The noise-free problem; a K too large for memory is a bad n."""
+    """The noise-free problem; an n out of range, or a K too large for
+    memory, is a bad n."""
     try:
         return build_problem(problem, n)
+    except BadDimension as exc:
+        raise ConfigError(f"--n {n}: {exc}") from None
     except MemoryError:
         raise ConfigError(f"n = {n} needs a dense {n}x{n} K "
                           f"({8 * n * n / 2**30:.3g} GiB), more than the "

@@ -56,6 +56,8 @@ class NullSpaceBasis:
 
     @classmethod
     def empty(cls, n: int) -> "NullSpaceBasis":
+        if n < 0:
+            raise BadDimension(f"basis dimension must be nonnegative, got {n}")
         return cls(n=n, ell=0, V=np.zeros((n, 0)))
 
     @classmethod

@@ -9,10 +9,9 @@ pipeline consumes.
 The catalog's cores solve in closed form, in numpy alone: the
 bidiagonal first-difference cores by one reverse cumulative sum, the
 1/4 tridiag(-1, 2, -1) cores by the two cumulative sums of its Green's
-function.  A catalog regularizer holds no n x n array; its dense core
-is assembled only when asked for.  A core passed to
-ProjectedRegularizer directly is factored by LAPACK's banded LU, the one
-use of scipy here.
+function.  Every regularizer is one of these stencils, so none holds
+an n x n array: its dense core is assembled only when asked for.  The
+module needs numpy alone.
 """
 from __future__ import annotations
 
@@ -137,96 +136,6 @@ def make_projector_closed(which: str, n: int) -> np.ndarray:
     raise ValueError(f"unknown closed-form projector {which!r} (use 'P1' or 'P2')")
 
 
-@dataclass(frozen=True)
-class ProjectedRegularizer:
-    """A regularizer ready for the standard-form transformation.
-
-    Ltilde is the square core matrix (the regularizer itself in PLAIN
-    and IDENTITY modes), built on demand for catalog regularizers; basis
-    spans the null space that the projector enforces.
-
-    A core passed in directly is LU-factored once, in banded storage, at
-    construction; in PLAIN mode its zero rows are first replaced by unit
-    rows, which completes the singular matrix to an invertible one.  The
-    regularizers compose_regularizer builds solve with their stencil's
-    core in closed form instead, need no factorization and store no
-    core: their Ltilde is assembled from (kind, n, delta) each time it
-    is read.  Either way a numerically singular core raises SingularCore.
-    """
-
-    n: int
-    Ltilde: np.ndarray
-    basis: NullSpaceBasis
-    mode: Mode
-    kind: RegularizerKind
-    delta: float = 1.0
-
-    def __post_init__(self):
-        if self.basis.n != self.n:
-            raise ShapeMismatch("basis dimension does not match")
-        object.__setattr__(self, "_solve", self._make_solve())
-
-    def _make_solve(self):
-        """The banded LU of the (completed) core, as a solve z -> y."""
-        core = np.asarray(self.Ltilde, dtype=float)
-        if core.shape != (self.n, self.n):
-            raise ShapeMismatch("core matrix must be square of size n")
-        # imported here: only cores passed in directly need LAPACK's
-        # banded LU, and scipy would add about 0.4 s to every CLI start
-        from scipy.linalg.lapack import dgbtrf, dgbtrs
-
-        if self.mode is Mode.PLAIN:
-            free = np.flatnonzero(~core.any(axis=1))
-            core = core.copy()
-            core[free, free] = 1.0
-        rows, cols = np.nonzero(core)
-        kl = int(np.max(rows - cols, initial=0))
-        ku = int(np.max(cols - rows, initial=0))
-        ab = np.zeros((2 * kl + ku + 1, self.n))
-        ab[kl + ku + rows - cols, cols] = core[rows, cols]
-        lu, piv, _ = dgbtrf(ab, kl, ku)
-        _check_pivot(self.kind, np.min(np.abs(lu[kl + ku])), np.max(np.abs(ab)))
-        return lambda z: dgbtrs(lu, kl, ku, z, piv)[0]
-
-    def core_solve(self, z: np.ndarray) -> np.ndarray:
-        """Action of the core's inverse: the minimal-norm pseudoinverse in
-        PLAIN mode.  Always a new array.
-
-        The PLAIN action solves with the completed core, then projects
-        out the basis.  This equals pinv(Ltilde) @ z when the basis
-        spans the null space of Ltilde and its nonzero rows have full
-        rank, as for the catalog's zero-row stencils: the entries of z on
-        the replaced rows then solve to a vector in the span of the
-        basis, which the projection removes.
-        """
-        y = self._solve(np.asarray(z, dtype=float))
-        if self.mode is not Mode.PLAIN:
-            return y
-        V = self.basis.V
-        return y - V @ (V.T @ y)
-
-    def projector(self) -> np.ndarray:
-        if self.basis.ell == 0:
-            return np.eye(self.n)
-        V = self.basis.V
-        return np.eye(self.n) - V @ V.T
-
-    def effective_matrix(self) -> np.ndarray:
-        """Assemble the regularizer this object represents, densely."""
-        if self.mode in (Mode.IDENTITY, Mode.PLAIN):
-            return self.Ltilde.copy()
-        P = self.projector()
-        if self.mode is Mode.RIGHT:
-            return self.Ltilde @ P
-        return P @ self.Ltilde @ P
-
-
-def _check_pivot(kind: RegularizerKind, pivot: float, scale: float) -> None:
-    if not pivot > RANK_TOL * scale:
-        raise SingularCore(f"core of {kind.value} is numerically singular "
-                           f"(smallest pivot {pivot:.3g})")
-
-
 def _first_difference_solve(z: np.ndarray, corner: float) -> np.ndarray:
     """Solve with the bidiagonal core, (1/2, -1/2) on each row and corner
     as its last diagonal entry.
@@ -276,40 +185,23 @@ def _stencil_solve(kind: RegularizerKind, delta: float):
         return np.copy
     if kind is RegularizerKind.L1_DELTA:
         corner = delta / 2.0
-        _check_pivot(kind, min(0.5, corner), max(0.5, corner))
+        pivot = min(0.5, corner)
+        if not pivot > RANK_TOL * max(0.5, corner):
+            raise SingularCore(f"core of {kind.value} is numerically singular "
+                               f"(smallest pivot {pivot:.3g})")
         return lambda z: _first_difference_solve(z, corner)
     if kind is RegularizerKind.L1_ZERO:
         return lambda z: _first_difference_solve(z, 1.0)
     if kind is RegularizerKind.L2_TILDE:
         return lambda z: _second_difference_solve(4.0 * z)
-    # compose_regularizer admits no other kind than these five
+    # the catalog pairs no other kind than these five
     return _completed_second_difference_solve
-
-
-class _StencilRegularizer(ProjectedRegularizer):
-    """A regularizer compose_regularizer built: its core is the catalog
-    matrix of its kind, so it solves in closed form, with no
-    factorization, and its dense core is assembled only when read."""
-
-    def __init__(self, n: int, basis: NullSpaceBasis, mode: Mode,
-                 kind: RegularizerKind, delta: float):
-        for name, value in (("n", n), ("basis", basis), ("mode", mode),
-                            ("kind", kind), ("delta", delta)):
-            object.__setattr__(self, name, value)
-        self.__post_init__()
-
-    @property
-    def Ltilde(self) -> np.ndarray:
-        return make_regularization_matrix(self.kind, self.n, self.delta)
-
-    def _make_solve(self):
-        return _stencil_solve(self.kind, self.delta)
 
 
 # The named regularizers, in canonical output order: the (kind, mode)
 # pair each composes and the null-space basis its projector removes
 # (first differences annihilate constants, second differences affine
-# trends).  compose_regularizer accepts exactly these pairs.
+# trends).  A ProjectedRegularizer is exactly one of these pairs.
 _CATALOG = {
     "I": (RegularizerKind.IDENTITY, Mode.IDENTITY, None),
     "L10": (RegularizerKind.L1_ZERO, Mode.PLAIN, "N1"),
@@ -319,30 +211,92 @@ _CATALOG = {
     "P2L2tP2": (RegularizerKind.L2_TILDE, Mode.TWO_SIDED, "N2"),
 }
 REGULARIZER_NAMES = tuple(_CATALOG)
+_PAIR_BASIS = {(kind, mode): basis for kind, mode, basis in _CATALOG.values()}
+
+
+@dataclass(frozen=True)
+class ProjectedRegularizer:
+    """A regularizer ready for the standard-form transformation.
+
+    Its core is the catalog matrix of its kind, and (kind, mode) must be
+    one of the catalog's pairs; basis spans the null space that the
+    projector enforces.  The core solves in closed form, with no
+    factorization, and no dense core is stored: Ltilde (the regularizer
+    itself in PLAIN and IDENTITY modes) is assembled from (kind, n,
+    delta) each time it is read.  A numerically singular core raises
+    SingularCore at construction.
+    """
+
+    n: int
+    basis: NullSpaceBasis
+    mode: Mode
+    kind: RegularizerKind
+    delta: float = 1.0
+
+    def __post_init__(self):
+        object.__setattr__(self, "kind", RegularizerKind(self.kind))
+        object.__setattr__(self, "mode", Mode(self.mode))
+        if self.basis.n != self.n:
+            raise ShapeMismatch("basis dimension does not match")
+        _check_catalog_args(self.kind, self.n, self.delta)
+        if (self.kind, self.mode) not in _PAIR_BASIS:
+            allowed = ", ".join(sorted(m.value for k, m in _PAIR_BASIS
+                                       if k is self.kind))
+            raise ValueError(f"kind {self.kind.value} composes in modes "
+                             f"{{{allowed}}}, not {self.mode.value}")
+        object.__setattr__(self, "_solve", _stencil_solve(self.kind, self.delta))
+
+    @property
+    def Ltilde(self) -> np.ndarray:
+        return make_regularization_matrix(self.kind, self.n, self.delta)
+
+    def core_solve(self, z: np.ndarray) -> np.ndarray:
+        """Action of the core's inverse: the minimal-norm pseudoinverse in
+        PLAIN mode.  Always a new array.
+
+        The PLAIN action solves with the core completed by unit rows in
+        place of its zero rows, then projects out the basis.  This equals
+        pinv(Ltilde) @ z when the basis spans the null space of Ltilde,
+        as for the catalog's zero-row stencils: the entries of z on the
+        replaced rows then solve to a vector in the span of the basis,
+        which the projection removes.
+        """
+        z = np.asarray(z, dtype=float)
+        if z.shape != (self.n,):
+            raise ShapeMismatch(f"expected shape ({self.n},), got {z.shape}")
+        y = self._solve(z)
+        if self.mode is not Mode.PLAIN:
+            return y
+        V = self.basis.V
+        return y - V @ (V.T @ y)
+
+    def projector(self) -> np.ndarray:
+        V = self.basis.V
+        return np.eye(self.n) - V @ V.T
+
+    def effective_matrix(self) -> np.ndarray:
+        """Assemble the regularizer this object represents, densely."""
+        core = self.Ltilde
+        if self.mode in (Mode.IDENTITY, Mode.PLAIN):
+            return core
+        P = self.projector()
+        if self.mode is Mode.RIGHT:
+            return core @ P
+        return P @ core @ P
 
 
 def compose_regularizer(kind: RegularizerKind, n: int, mode: Mode,
                         delta: float = 1.0) -> ProjectedRegularizer:
     """Combine a catalog matrix with its matching null-space projector.
 
-    The (kind, mode) pair must be one of the catalog's, which also names
-    the basis.  The arguments are checked as make_regularization_matrix
-    checks them, but no dense core is built.  A numerically singular core
-    raises SingularCore.
+    Picks the basis the catalog names for the (kind, mode) pair; the
+    regularizer checks the rest.
     """
-    kind = RegularizerKind(kind)
-    mode = Mode(mode)
-    bases = {(k, m): b for k, m, b in _CATALOG.values()}
-    if (kind, mode) not in bases:
-        allowed = ", ".join(sorted(m.value for k, m in bases if k is kind))
-        raise ValueError(f"kind {kind.value} composes in modes {{{allowed}}}, "
-                         f"not {mode.value}")
-    _check_catalog_args(kind, n, delta)
-    basis_name = bases[kind, mode]
+    basis_name = _PAIR_BASIS.get((kind, mode))
     basis = (NullSpaceBasis.empty(n) if basis_name is None
              else make_nullspace_basis(basis_name, n))
-    return _StencilRegularizer(n=n, basis=basis, mode=mode, kind=kind,
-                               delta=delta)
+    return ProjectedRegularizer(n=n, basis=basis, mode=mode, kind=kind,
+                                delta=delta)
 
 
 def regularizer_from_name(name: str, n: int, delta: float = 1.0) -> ProjectedRegularizer:

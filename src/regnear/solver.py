@@ -68,17 +68,6 @@ class IterationLog:
     def residuals(self) -> list:
         return [r for _, r, _ in self.entries]
 
-    def write_csv(self, f) -> None:
-        own = isinstance(f, (str, bytes))
-        handle = open(f, "w") if own else f
-        try:
-            handle.write("k,residual,matvecs\n")
-            for k, r, mv in self.entries:
-                handle.write(f"{k},{r:.17g},{mv}\n")
-        finally:
-            if own:
-                handle.close()
-
 
 @dataclass
 class RRGMRESResult:

@@ -137,17 +137,6 @@ class StandardFormFactor:
         """
         return self.op.matvec_count
 
-    def core_solve(self, z: np.ndarray) -> np.ndarray:
-        """Action of the core factor's inverse.  No products with K.
-
-        Minimal-norm pseudoinverse action in plain mode; identity when
-        the regularizer is the identity.
-        """
-        z = np.asarray(z, dtype=float)
-        if z.shape != (self.n,):
-            raise ShapeMismatch(f"expected shape ({self.n},), got {z.shape}")
-        return self.reg.core_solve(z)
-
 
 @dataclass
 class StandardFormContext(StandardFormFactor):
@@ -181,7 +170,7 @@ def _k1(factor: StandardFormFactor, z: np.ndarray) -> np.ndarray:
 
     Costs exactly one product with K.
     """
-    t = factor.op.matvec(factor.core_solve(z))
+    t = factor.op.matvec(factor.reg.core_solve(z))
     return t - factor.Q @ (factor.Q.T @ t)
 
 
@@ -292,7 +281,7 @@ def back_transform(ctx: StandardFormContext, z: np.ndarray) -> np.ndarray:
     if ctx.Q2 is not None:
         # the second split's oblique projector, with K1 in place of K
         z = z - ctx.W2 @ (ctx.Q2.T @ _k1(ctx, z)) + ctx.x0_2
-    y = ctx.core_solve(z)
+    y = ctx.reg.core_solve(z)
     return apply_pk_dagger(ctx, y) + ctx.x0
 
 

@@ -448,6 +448,21 @@ def test_out_of_memory_is_config_error(command, tmp_path, capsys, monkeypatch):
     assert "n = 300000" in err and "300000x300000" in err
 
 
+@pytest.mark.parametrize("problem", ["phillips", "deriv2"])
+@pytest.mark.parametrize("argv", [["solve", "--n", "3"],
+                                  ["table", "--n", "-5", "--seeds", "1"]],
+                         ids=["solve", "table"])
+def test_out_of_range_n_is_config_error(argv, problem, tmp_path, capsys):
+    # a problem size the builder refuses is a bad flag value, not a
+    # numerical failure: one error line, exit code 2 and no output file
+    out = tmp_path / "x"
+    assert main([*argv, "--problem", problem, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{problem} needs n >= 4" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_other_out_of_memory_is_config_error(tmp_path, capsys, monkeypatch):
     # any other allocation that fails ends in one error line, not a traceback
     def no_memory(kind, n, delta=1.0):
@@ -481,8 +496,8 @@ def _child_env():
 
 
 def test_cli_import_leaves_out_scipy_optimize():
-    # only the dense oracles and cores passed in directly need scipy; the
-    # CLI must start without paying for its import
+    # only the dense oracles need scipy; the CLI must start without
+    # paying for its import
     code = "import sys, regnear.cli; sys.exit('scipy.optimize' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code],
                           env=_child_env()).returncode == 0

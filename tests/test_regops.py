@@ -1,10 +1,15 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
+import regnear
 from regnear.errors import BadDimension, ShapeMismatch, SingularCore
 from regnear.linalg import RANK_TOL
 from regnear.nearness import NullSpaceBasis, build_projector
@@ -215,16 +220,15 @@ class TestComposition:
                                 delta=1e-20)
 
     def test_validation_of_fields(self):
-        basis = NullSpaceBasis.empty(4)
         with pytest.raises(ShapeMismatch):
-            ProjectedRegularizer(n=4, Ltilde=np.eye(3), basis=basis,
+            ProjectedRegularizer(n=5, basis=NullSpaceBasis.empty(4),
                                  mode=Mode.IDENTITY,
                                  kind=RegularizerKind.IDENTITY)
-        with pytest.raises(ShapeMismatch):
-            ProjectedRegularizer(n=5, Ltilde=np.eye(5),
-                                 basis=NullSpaceBasis.empty(4),
-                                 mode=Mode.IDENTITY,
-                                 kind=RegularizerKind.IDENTITY)
+        # a (kind, mode) pair the catalog does not name
+        with pytest.raises(ValueError, match="composes in modes"):
+            ProjectedRegularizer(n=5, basis=make_nullspace_basis("N1", 5),
+                                 mode=Mode.RIGHT,
+                                 kind=RegularizerKind.L1_ZERO)
 
 
 class TestNameTable:
@@ -308,6 +312,7 @@ class TestCoreOnDemand:
 
     @pytest.mark.parametrize("name,n,delta,error", [
         ("L20", 2, 1.0, BadDimension), ("I", 2, 1.0, BadDimension),
+        ("I", -5, 1.0, BadDimension),
         ("L2tP2", 5, np.nan, ValueError), ("I", 5, np.inf, ValueError),
         ("L1dP1", 5, 0.0, ValueError), ("L1dP1", 5, -1.0, ValueError),
     ])
@@ -315,23 +320,36 @@ class TestCoreOnDemand:
         with pytest.raises(error):
             regularizer_from_name(name, n, delta)
 
-    def test_core_passed_in_is_kept(self):
-        core = make_regularization_matrix(RegularizerKind.L2_TILDE, 6)
-        reg = ProjectedRegularizer(n=6, Ltilde=core,
-                                   basis=make_nullspace_basis("N2", 6),
-                                   mode=Mode.RIGHT, kind=RegularizerKind.L2_TILDE)
-        assert reg.Ltilde is core
 
+def banded_lu_solve(core, mode, V):
+    """Reference core solve: LAPACK's banded LU of the dense core.
 
-def banded_lu_twin(reg):
-    """The same regularizer built from its dense core, which ProjectedRegularizer
-    solves by the banded LU."""
-    return ProjectedRegularizer(n=reg.n, Ltilde=reg.Ltilde, basis=reg.basis,
-                                mode=reg.mode, kind=reg.kind, delta=reg.delta)
+    In PLAIN mode the zero rows of the core are first replaced by unit
+    rows, and the basis V is projected out of each solution.  A smallest
+    pivot not above RANK_TOL times the largest entry raises SingularCore.
+    """
+    core = np.array(core, dtype=float)
+    if mode is Mode.PLAIN:
+        free = np.flatnonzero(~core.any(axis=1))
+        core[free, free] = 1.0
+    rows, cols = np.nonzero(core)
+    kl = int(np.max(rows - cols, initial=0))
+    ku = int(np.max(cols - rows, initial=0))
+    ab = np.zeros((2 * kl + ku + 1, core.shape[0]))
+    ab[kl + ku + rows - cols, cols] = core[rows, cols]
+    lu, piv, _ = dgbtrf(ab, kl, ku)
+    if not np.min(np.abs(lu[kl + ku])) > RANK_TOL * np.max(np.abs(ab)):
+        raise SingularCore("banded LU met a numerically zero pivot")
+
+    def solve(z):
+        y = dgbtrs(lu, kl, ku, z, piv)[0]
+        return y - V @ (V.T @ y) if mode is Mode.PLAIN else y
+    return solve
 
 
 class TestClosedFormSolves:
-    """The catalog's closed-form core solves against the banded LU."""
+    """The catalog's closed-form core solves against the banded LU of
+    the dense core."""
 
     @settings(max_examples=300, deadline=None)
     @given(name=st.sampled_from(REGULARIZER_NAMES), n=st.integers(3, 300),
@@ -340,7 +358,7 @@ class TestClosedFormSolves:
         reg = regularizer_from_name(name, n, delta)
         z = np.random.default_rng(seed).standard_normal(n)
         x = reg.core_solve(z)
-        expected = banded_lu_twin(reg).core_solve(z)
+        expected = banded_lu_solve(reg.Ltilde, reg.mode, reg.basis.V)(z)
         if name in ("I", "L10", "L1dP1"):
             # doubling is exact and the cumulative sum runs in sequence,
             # so the bidiagonal solve rounds as the back substitution does
@@ -370,7 +388,65 @@ class TestClosedFormSolves:
 
         closed = singular(lambda: compose_regularizer(
             RegularizerKind.L1_DELTA, n, Mode.RIGHT, delta))
-        banded = singular(lambda: ProjectedRegularizer(
-            n=n, Ltilde=core, basis=make_nullspace_basis("N1", n),
-            mode=Mode.RIGHT, kind=RegularizerKind.L1_DELTA, delta=delta))
+        banded = singular(lambda: banded_lu_solve(core, Mode.RIGHT, None))
         assert closed == banded
+
+
+# Builds every catalog (kind, mode) pair directly, and one with a basis
+# the catalog does not name, and solves with each core, with scipy
+# blocked; exits with the number of scipy imports attempted.
+_DIRECT_PAIRS = """
+import sys
+
+attempts = []
+
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            attempts.append(name)
+            raise ImportError(f"{name} is blocked")
+
+
+sys.meta_path.insert(0, NoScipy())
+
+import numpy as np
+from regnear.nearness import NullSpaceBasis
+from regnear.regops import (_CATALOG, Mode, ProjectedRegularizer,
+                            RegularizerKind, make_nullspace_basis)
+
+n = 12
+z = np.linspace(-1.0, 1.0, n)
+for kind, mode, name in _CATALOG.values():
+    basis = NullSpaceBasis.empty(n) if name is None else make_nullspace_basis(name, n)
+    reg = ProjectedRegularizer(n=n, basis=basis, mode=mode, kind=kind, delta=0.5)
+    assert np.all(np.isfinite(reg.core_solve(z)))
+unit = np.zeros((n, 1))
+unit[3, 0] = 1.0
+reg = ProjectedRegularizer(n=n, basis=NullSpaceBasis(n=n, ell=1, V=unit),
+                           mode=Mode.PLAIN, kind=RegularizerKind.L1_ZERO)
+assert reg.core_solve(z)[3] == 0.0
+print(attempts)
+sys.exit(len(attempts))
+"""
+
+
+class TestDirectConstruction:
+    """ProjectedRegularizer built directly is the catalog regularizer."""
+
+    def test_every_pair_solves_without_scipy(self):
+        src = os.path.dirname(os.path.dirname(regnear.__file__))
+        run = subprocess.run([sys.executable, "-c", _DIRECT_PAIRS],
+                             env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True)
+        assert run.returncode == 0, run.stdout + run.stderr
+
+    @pytest.mark.parametrize("name", REGULARIZER_NAMES)
+    def test_same_solve_as_composed(self, name):
+        composed = regularizer_from_name(name, 30, delta=0.7)
+        direct = ProjectedRegularizer(n=30, basis=composed.basis,
+                                      mode=composed.mode.value,
+                                      kind=composed.kind.value, delta=0.7)
+        assert direct.kind is composed.kind and direct.mode is composed.mode
+        z = np.random.default_rng(31).standard_normal(30)
+        assert np.array_equal(direct.core_solve(z), composed.core_solve(z))

@@ -1,6 +1,4 @@
 """Iterative solver tests against brute-force Krylov and dense oracles."""
-import io
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,10 +7,9 @@ from hypothesis import strategies as st
 from regnear.errors import NoRoot, ShapeMismatch, SingularSystem
 from regnear.problems import add_noise, build_problem
 from regnear.regops import regularizer_from_name
-from regnear.solver import (IterationLog, RRGMRESResult, SolverConfig,
-                            StopReason, discrepancy_mu_solve,
-                            hessenberg_residual, rrgmres_solve,
-                            tikhonov_direct_oracle)
+from regnear.solver import (RRGMRESResult, SolverConfig, StopReason,
+                            discrepancy_mu_solve, hessenberg_residual,
+                            rrgmres_solve, tikhonov_direct_oracle)
 from regnear.transform import LinearOperator, prepare_context
 
 
@@ -322,24 +319,6 @@ class TestRRGMRES:
                             np.array([1.0, 0.0]), SolverConfig(epsilon=1e-8))
         assert isinstance(res, RRGMRESResult)
         assert res.iterates is None  # not requested
-
-
-class TestIterationLog:
-    def test_csv_golden(self):
-        log = IterationLog()
-        log.record(0, 1.5, 0)
-        log.record(1, 0.25, 2)
-        buf = io.StringIO()
-        log.write_csv(buf)
-        assert buf.getvalue() == "k,residual,matvecs\n0,1.5,0\n1,0.25,2\n"
-
-    def test_csv_to_path(self, tmp_path):
-        log = IterationLog()
-        log.record(0, 2.0, 0)
-        path = str(tmp_path / "log.csv")
-        log.write_csv(path)
-        with open(path) as f:
-            assert f.read() == "k,residual,matvecs\n0,2,0\n"
 
 
 class TestTikhonovOracle:
