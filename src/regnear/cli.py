@@ -9,14 +9,15 @@ the tridiagonal second-difference matrix as the dimension grows, and
 All numeric CSV output is written with 17 significant digits so reruns
 of identical configurations are byte-identical.  Exit codes: 0 success,
 2 configuration error (a file that cannot be read or written, or a
-size that does not fit in memory, included), 3 numerical failure.
+size that does not fit in memory, included), 3 numerical failure (the
+bad content of an input file that could be read included).
 """
 from __future__ import annotations
 
 import argparse
 import statistics
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -36,11 +37,6 @@ from .transform import (StandardFormFactor, back_transform, factor_transform,
 DEFAULT_NOISE = (1e-2, 1e-3, 1e-4)
 DEFAULT_SEEDS = tuple(range(1, 11))
 
-RUN_COLUMNS = ("problem", "n", "nu", "regularizer", "seed", "iterations",
-               "matvecs", "relative_error", "stop_reason",
-               "matvecs_prepare", "matvecs_solve", "matvecs_back", "residual")
-
-
 class ConfigError(Exception):
     """Bad flags, config file, or argument combination (exit code 2)."""
 
@@ -51,7 +47,7 @@ def _fmt(v) -> str:
     return str(v)
 
 
-@dataclass
+@dataclass(eq=False)
 class RunResult:
     problem: str
     n: int
@@ -77,6 +73,10 @@ class RunResult:
                 f"matvecs {self.matvecs} = prepare {self.matvecs_prepare} "
                 f"+ solve {self.matvecs_solve} + back {self.matvecs_back}; "
                 f"k={self.iterations} {self.stop_reason}")
+
+
+# the CSV columns: every field of a run but its solution vector
+RUN_COLUMNS = tuple(f.name for f in fields(RunResult) if f.name != "x")
 
 
 def run_single(base_problem, nu: float, seed: int, reg_name: str,
@@ -226,17 +226,20 @@ def cmd_solve(args) -> int:
     return 0
 
 
+def _partial_row(problem: str, n: int, nu: float, reg: str, seed: str,
+                 **cells: str) -> str:
+    """A CSV row for one table cell with the given columns; the others
+    are blank."""
+    cells.update(problem=problem, n=str(n), nu=_fmt(nu), regularizer=reg,
+                 seed=seed)
+    return ",".join(cells.get(c, "") for c in RUN_COLUMNS)
+
+
 def _median_row(problem: str, n: int, nu: float, reg: str, rows: list) -> str:
     ok = [r for r in rows if isinstance(r, RunResult)]
-    cells = {c: "" for c in RUN_COLUMNS}
-    cells.update(problem=problem, n=str(n), nu=_fmt(nu), regularizer=reg,
-                 seed="median")
-    if ok:
-        cells["iterations"] = _fmt(float(statistics.median(r.iterations for r in ok)))
-        cells["matvecs"] = _fmt(float(statistics.median(r.matvecs for r in ok)))
-        cells["relative_error"] = _fmt(float(statistics.median(
-            r.relative_error for r in ok)))
-    return ",".join(str(cells[c]) for c in RUN_COLUMNS)
+    medians = {c: _fmt(float(statistics.median(getattr(r, c) for r in ok)))
+               for c in ("iterations", "matvecs", "relative_error")} if ok else {}
+    return _partial_row(problem, n, nu, reg, "median", **medians)
 
 
 def cmd_table(args) -> int:
@@ -267,10 +270,8 @@ def cmd_table(args) -> int:
                                    args.max_iter, factor)
                 except NumericsError as exc:
                     tag = f"ERROR_{type(exc).__name__}"
-                    cells = {c: "" for c in RUN_COLUMNS}
-                    cells.update(problem=problem, n=str(n), nu=_fmt(nu),
-                                 regularizer=reg, seed=str(seed), stop_reason=tag)
-                    lines.append(",".join(str(cells[c]) for c in RUN_COLUMNS))
+                    lines.append(_partial_row(problem, n, nu, reg, str(seed),
+                                              stop_reason=tag))
                     block.append(tag)
                     print(f"{problem} n={n} nu={_fmt(nu)} {reg} seed={seed}: {tag}: {exc}")
                     continue

@@ -49,19 +49,19 @@ def thin_qr(a) -> tuple[np.ndarray, np.ndarray]:
     return q, r
 
 
-def back_substitute(t: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Solve T y = c for upper-triangular T, with no checks.
-
-    Row by row from the bottom: y_i = (c_i - T[i, i+1:] @ y[i+1:]) / T_ii.
-    """
-    y = np.empty(c.shape)
-    for i in range(t.shape[0] - 1, -1, -1):
-        y[i] = (c[i] - t[i, i + 1:] @ y[i + 1:]) / t[i, i]
-    return y
+def triangle_is_singular(min_diag: float, max_entry: float) -> bool:
+    """The package's rule for a numerically singular triangle: its
+    smallest diagonal magnitude at or below RANK_TOL times its largest
+    entry magnitude."""
+    return min_diag <= RANK_TOL * max(max_entry, 1e-300)
 
 
 def solve_upper_triangular(r, c) -> np.ndarray:
-    """Back substitution for an upper-triangular system R x = c."""
+    """Back substitution for an upper-triangular system R x = c.
+
+    Row by row from the bottom: x_i = (c_i - R[i, i+1:] @ x[i+1:]) / R_ii.
+    Raises SingularTriangular when triangle_is_singular holds for R.
+    """
     r = _as_float_array(r, "triangular matrix")
     c = _as_float_array(c, "right-hand side")
     if r.ndim != 2 or r.shape[0] != r.shape[1]:
@@ -70,10 +70,12 @@ def solve_upper_triangular(r, c) -> np.ndarray:
         raise ShapeMismatch("right-hand side length does not match")
     if r.shape[0] == 0:
         return np.zeros_like(c)
-    diag = np.abs(np.diag(r))
-    if np.min(diag) <= RANK_TOL * max(np.max(np.abs(r)), 1e-300):
+    if triangle_is_singular(np.min(np.abs(np.diag(r))), np.max(np.abs(r))):
         raise SingularTriangular("diagonal entry too small for back substitution")
-    return back_substitute(r, c)
+    x = np.empty(c.shape)
+    for i in range(r.shape[0] - 1, -1, -1):
+        x[i] = (c[i] - r[i, i + 1:] @ x[i + 1:]) / r[i, i]
+    return x
 
 
 def min_norm_lstsq_solve(a, b) -> np.ndarray:

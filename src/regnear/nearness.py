@@ -9,7 +9,7 @@ distances live here.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +20,7 @@ _ORTHO_TOL = 1e-12
 _SPAN_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NullSpaceBasis:
     """Orthonormal basis of the null space to be enforced.
 
@@ -32,7 +32,7 @@ class NullSpaceBasis:
     n: int
     ell: int
     V: np.ndarray
-    raw: np.ndarray | None = field(default=None, compare=False)
+    raw: np.ndarray | None = None
 
     def __post_init__(self):
         V = np.asarray(self.V, dtype=float)
@@ -61,19 +61,13 @@ class NullSpaceBasis:
         return cls(n=n, ell=0, V=np.zeros((n, 0)))
 
     @classmethod
-    def from_vectors(cls, vectors, orthonormal: bool = False) -> "NullSpaceBasis":
-        """Build a basis from the columns of `vectors`.
-
-        With orthonormal=True the columns are trusted as-is; otherwise
-        they are orthonormalized by thin QR (raising RankDeficient for
-        dependent input).
-        """
+    def from_vectors(cls, vectors) -> "NullSpaceBasis":
+        """Build a basis from the columns of `vectors`, orthonormalized by
+        thin QR (raising RankDeficient for dependent input)."""
         raw = np.atleast_2d(np.asarray(vectors, dtype=float))
         if raw.ndim != 2:
             raise ShapeMismatch("expected a 2-d array of column vectors")
         n, ell = raw.shape
-        if orthonormal:
-            return cls(n=n, ell=ell, V=raw)
         if ell == 0:
             return cls.empty(n)
         q, _ = thin_qr(raw)

@@ -61,7 +61,7 @@ def _integrate_pieces(f, points: list[float], tol: float) -> float:
     return total
 
 
-@dataclass
+@dataclass(eq=False)
 class NoiseInfo:
     nu: float
     seed: int
@@ -73,7 +73,7 @@ class NoiseInfo:
         return float(np.linalg.norm(self.e))
 
 
-@dataclass
+@dataclass(eq=False)
 class TestProblem:
     name: str
     n: int

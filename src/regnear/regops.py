@@ -214,7 +214,7 @@ REGULARIZER_NAMES = tuple(_CATALOG)
 _PAIR_BASIS = {(kind, mode): basis for kind, mode, basis in _CATALOG.values()}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProjectedRegularizer:
     """A regularizer ready for the standard-form transformation.
 

@@ -5,9 +5,15 @@ rather than b itself, which keeps the iterates in the range of A and
 suppresses the noise component that b carries in ill-posed problems.
 Because b is generally not contained in the span of the Arnoldi basis,
 the least-squares subproblem has a full projected right-hand side plus
-an out-of-span remainder; both pieces are tracked incrementally with
-Givens rotations so each iteration costs one operator application and
-O(k) vector work, done as two block Gram-Schmidt passes over the basis.
+an out-of-span remainder vector.  The subproblem is kept once, as the
+Givens-rotated triangle R, its rotated right-hand side g and the
+rotations, updated as each Hessenberg column arrives, so each iteration
+costs one operator application and O(k) vector work, done as two block
+Gram-Schmidt passes over the basis.  Every iterate, residual and
+fallback is read from that state.  When R is singular by linalg's rule
+(triangle_is_singular), the iterate takes the minimum-norm solution of
+R y = g[:k], and the residual of step k, ||A z_k - b||, is the hypot
+of g[k], the remainder and the misfit ||R y - g[:k]||.
 
 Also provides the dense Tikhonov solver used as an equivalence oracle
 and a discrepancy-principle search over the Tikhonov parameter.
@@ -20,8 +26,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NoRoot, ShapeMismatch, SingularSystem
-from .linalg import back_substitute, min_norm_lstsq_solve
+from .errors import NoRoot, ShapeMismatch, SingularSystem, SingularTriangular
+from .linalg import (min_norm_lstsq_solve, solve_upper_triangular,
+                     triangle_is_singular)
 
 # A new Krylov direction, made from a unit vector, shorter than this
 # fraction of ||A b|| / ||b|| ends the basis; the same test, with ||A b||
@@ -69,7 +76,7 @@ class IterationLog:
         return [r for _, r, _ in self.entries]
 
 
-@dataclass
+@dataclass(eq=False)
 class RRGMRESResult:
     z: np.ndarray
     k: int
@@ -91,12 +98,14 @@ def _make_rotation(a: float, b: float) -> tuple[float, float, float]:
     return a / r, b / r, r
 
 
-def _rotate_in(rot: list, col: np.ndarray, g) -> None:
+def _rotate_in(rot: list, col: np.ndarray, g) -> tuple[float, float]:
     """Rotate column j = len(rot) of a Hessenberg matrix into triangular form.
 
     col holds the column's j + 2 leading entries and is overwritten with
     the rotated ones; the new rotation is appended to rot and applied to
-    entries j and j + 1 of the rotated right-hand side g.
+    entries j and j + 1 of the rotated right-hand side g.  Returns the
+    new diagonal entry and the largest magnitude in the rotated column,
+    the two numbers the singular-triangle rule reads.
     """
     j = len(rot)
     # the loop runs on Python floats: they round as NumPy scalars do,
@@ -110,38 +119,45 @@ def _rotate_in(rot: list, col: np.ndarray, g) -> None:
     c[j + 1] = 0.0
     col[:] = c
     g[j], g[j + 1] = _apply_rotation(cs, sn, g[j], g[j + 1])
+    return rr, max(map(abs, c))
 
 
-def _solve_rotated(tri: np.ndarray, rhs: np.ndarray, h: np.ndarray,
-                   c: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Minimize ||h y - c|| given the rotated triangle tri y = rhs.
+def _solve_rotated(tri: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
+    """Minimize ||tri y - rhs|| for the k x k rotated triangle.
 
-    Back-substitutes in the k x k triangle; when elimination left it
-    singular, falls back to the rank-revealing minimum-norm solve of the
-    unrotated (k+1, k) problem.  The flag tells which path ran.
+    Returns the minimizer and the misfit ||tri y - rhs||.  A nonsingular
+    triangle back-substitutes, with misfit 0; one that
+    solve_upper_triangular judges singular takes the minimum-norm
+    least-squares solution.  The rotations are orthogonal, so this has
+    the minimizers and the singular values of the unrotated (k+1, k)
+    problem, whose residual is hypot(g[k], misfit).
     """
-    k = tri.shape[0]
-    if k and np.min(np.abs(np.diag(tri))) > 1e-14 * max(np.max(np.abs(tri)), 1e-300):
-        return back_substitute(tri, rhs), True
-    return min_norm_lstsq_solve(h, c), False
+    try:
+        return solve_upper_triangular(tri, rhs), 0.0
+    except SingularTriangular:
+        y = min_norm_lstsq_solve(tri, rhs)
+        return y, float(np.linalg.norm(tri @ y - rhs))
 
 
 def hessenberg_residual(h: np.ndarray, beta: float) -> tuple[float, np.ndarray]:
-    """Residual and minimizer of ||beta e1 - h y|| for (k+1, k) Hessenberg h."""
+    """Residual and minimizer of ||beta e1 - h y|| for (k+1, k) Hessenberg h.
+
+    h is rotated into a triangle R with right-hand side g; the residual
+    is hypot(g[k], ||R y - g[:k]||), and the misfit term is nonzero only
+    when R is singular and y is the minimum-norm least-squares solution.
+    """
     h = np.asarray(h, dtype=float)
     if h.ndim != 2 or h.shape[0] != h.shape[1] + 1:
         raise ShapeMismatch(f"expected (k+1, k) Hessenberg block, got {h.shape}")
     k = h.shape[1]
-    c = np.zeros(k + 1)
-    c[0] = float(beta)
     r = h.copy()
-    g = c.copy()
+    g = np.zeros(k + 1)
+    g[0] = float(beta)
     rot: list[tuple[float, float]] = []
     for j in range(k):
         _rotate_in(rot, r[:j + 2, j], g)
-    y, rotated = _solve_rotated(r[:k, :k], g[:k], h, c)
-    res = abs(float(g[k])) if rotated else float(np.linalg.norm(h @ y - c))
-    return res, y
+    y, misfit = _solve_rotated(r[:k, :k], g[:k])
+    return float(np.hypot(g[k], misfit)), y
 
 
 def rrgmres_solve(A, b: np.ndarray, cfg: SolverConfig,
@@ -155,6 +171,11 @@ def rrgmres_solve(A, b: np.ndarray, cfg: SolverConfig,
     no operator application happens at all.  The log and solve_matvecs
     count the calls of A.matvec made here and nothing else.  A b with
     non-finite entries raises ValueError before any call.
+
+    The residual logged at step k, compared with eta * epsilon and
+    returned, is ||A z_k - b|| of the iterate z_k of that step, also
+    when the rotated triangle is singular (see _solve_rotated).  With
+    keep_iterates the iterates of every step are returned as well.
     """
     m, n = A.shape
     if m != n:
@@ -191,26 +212,27 @@ def rrgmres_solve(A, b: np.ndarray, cfg: SolverConfig,
                              stop_reason=StopReason.BREAKDOWN,
                              log=log, solve_matvecs=applies, iterates=iterates)
 
-    # Arnoldi basis (contiguous columns) and Hessenberg columns as
-    # computed and as rotated; the storage doubles when the iteration
-    # outgrows it, so max_iter only bounds the loop
+    # Arnoldi basis (contiguous columns) and the rotated triangle; the
+    # storage doubles when the iteration outgrows it, so max_iter only
+    # bounds the loop
     cap = min(cfg.max_iter, 32)
     basis = np.zeros((n, cap + 1), order="F")
     basis[:, 0] = seed / beta0
-    hraw = np.zeros((cap + 1, cap))
     rmat = np.zeros((cap, cap))
     # split b into basis projections and an explicit remainder vector;
     # keeping the remainder avoids the cancellation that ||b||^2 - sum c_j^2
     # suffers when the basis captures b almost entirely
-    craw = [float(basis[:, 0] @ b)]
-    bres = b - craw[0] * basis[:, 0]
-    g = [craw[0]]                      # rotated right-hand side
+    g = [float(basis[:, 0] @ b)]       # rotated right-hand side
+    bres = b - g[0] * basis[:, 0]
     rot: list[tuple[float, float]] = []
+    # smallest diagonal entry and largest entry of the triangle so far;
+    # columns of R are final once rotated in, and so are these
+    dmin, rmax = np.inf, 0.0
 
-    def solve_current(k: int) -> np.ndarray:
-        y, _ = _solve_rotated(rmat[:k, :k], np.asarray(g[:k]),
-                              hraw[:k + 1, :k], np.asarray(craw[:k + 1]))
-        return basis[:, :k] @ y
+    def solve(i: int) -> tuple[np.ndarray, float]:
+        # the first i columns of R and g[:i] are final from step i on, so
+        # the iterate of step i can be read at any later point
+        return _solve_rotated(rmat[:i, :i], np.asarray(g[:i]))
 
     stop = StopReason.MAX_ITER
     for k in range(1, cfg.max_iter + 1):
@@ -228,9 +250,8 @@ def rrgmres_solve(A, b: np.ndarray, cfg: SolverConfig,
         if k > cap:
             grow = min(cap, cfg.max_iter - cap)
             cap += grow
-            hraw, rmat = np.pad(hraw, (0, grow)), np.pad(rmat, (0, grow))
+            rmat = np.pad(rmat, (0, grow))
             basis = np.pad(basis, ((0, 0), (0, grow)))
-        hraw[: k + 1, j] = col
 
         if hkk <= BREAKDOWN_TOL * beta0 / bnorm:
             # the basis cannot grow, and b has no part along the direction
@@ -242,23 +263,26 @@ def rrgmres_solve(A, b: np.ndarray, cfg: SolverConfig,
             basis[:, k] = vnew
             cnew = float(vnew @ bres)
             bres = bres - cnew * vnew
-        craw.append(cnew)
         g.append(cnew)
-        _rotate_in(rot, col, g)
+        diag, cmax = _rotate_in(rot, col, g)
         rmat[:k, j] = col[:k]
+        dmin, rmax = min(dmin, diag), max(rmax, cmax)
 
-        residual = float(np.hypot(g[k], float(np.linalg.norm(bres))))
+        residual = float(np.hypot(g[k], np.linalg.norm(bres)))
+        if triangle_is_singular(dmin, rmax):
+            # ||A z_k - b||^2 = g_k^2 + ||bres||^2 + misfit^2
+            residual = float(np.hypot(residual, solve(k)[1]))
         log.record(k, residual, applies)
-        if keep_iterates:
-            iterates.append(solve_current(k))
         if residual <= threshold:
             stop = StopReason.DISCREPANCY_MET
         if stop is not StopReason.MAX_ITER:
             break
 
-    z = iterates[-1].copy() if keep_iterates else solve_current(k)
-    return RRGMRESResult(z=z, k=k, residual=residual, stop_reason=stop,
-                         log=log, solve_matvecs=applies, iterates=iterates)
+    if keep_iterates:
+        iterates = [basis[:, :i] @ solve(i)[0] for i in range(1, k + 1)]
+    return RRGMRESResult(z=basis[:, :k] @ solve(k)[0], k=k, residual=residual,
+                         stop_reason=stop, log=log, solve_matvecs=applies,
+                         iterates=iterates)
 
 
 def tikhonov_direct_oracle(K: np.ndarray, L: np.ndarray, b: np.ndarray,

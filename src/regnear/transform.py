@@ -102,7 +102,7 @@ class LinearOperator:
             return self._count
 
 
-@dataclass
+@dataclass(eq=False)
 class StandardFormFactor:
     """What factor_transform computes from (K, regularizer) alone."""
 
@@ -138,7 +138,7 @@ class StandardFormFactor:
         return self.op.matvec_count
 
 
-@dataclass
+@dataclass(eq=False)
 class StandardFormContext(StandardFormFactor):
     """A factor together with the per-b pieces project_rhs computed."""
 

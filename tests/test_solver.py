@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regnear.errors import NoRoot, ShapeMismatch, SingularSystem
+from regnear.linalg import RANK_TOL
 from regnear.problems import add_noise, build_problem
 from regnear.regops import regularizer_from_name
 from regnear.solver import (RRGMRESResult, SolverConfig, StopReason,
@@ -83,6 +84,35 @@ class TestHessenbergResidual:
             y_ref, *_ = np.linalg.lstsq(h, c, rcond=None)
             np.testing.assert_allclose(y, y_ref, atol=1e-10)
             assert res == pytest.approx(np.linalg.norm(h @ y_ref - c), abs=1e-10)
+
+    @settings(max_examples=80, deadline=None)
+    @given(shapes=st.lists(st.sampled_from(["keep", "zero_sub", "zero_col", "repeat"]),
+                           min_size=1, max_size=7),
+           seed=st.integers(0, 2**32 - 1))
+    def test_rank_deficient_against_lstsq(self, shapes, seed):
+        # zero subdiagonal entries, zero columns and repeated columns make
+        # the rotated triangle singular (or split it into blocks); the
+        # fallback on the triangle must give the minimum-norm solution of
+        # the unrotated problem and its residual
+        rng = np.random.default_rng(seed)
+        k = len(shapes)
+        h = np.triu(rng.standard_normal((k + 1, k)), -1)
+        for j, shape in enumerate(shapes):
+            if shape == "zero_sub":
+                h[j + 1, j] = 0.0
+            elif shape == "zero_col":
+                h[:, j] = 0.0
+            elif shape == "repeat" and j:
+                # an earlier column keeps the Hessenberg pattern
+                h[:, j] = h[:, int(rng.integers(j))]
+        beta = float(rng.standard_normal())
+        res, y = hessenberg_residual(h, beta)
+        c = np.zeros(k + 1)
+        c[0] = beta
+        y_ref, *_ = np.linalg.lstsq(h, c, rcond=RANK_TOL)
+        scale = max(1.0, np.linalg.norm(y_ref))
+        np.testing.assert_allclose(y, y_ref, rtol=0, atol=1e-10 * scale)
+        assert res == pytest.approx(np.linalg.norm(h @ y_ref - c), abs=1e-10 * scale)
 
     def test_shape_guard(self):
         with pytest.raises(ShapeMismatch):
@@ -305,6 +335,50 @@ class TestRRGMRES:
             assert np.linalg.norm(z - ref) <= 1e-8 * np.linalg.norm(ref)
             assert abs(logged - np.linalg.norm(a @ z - b)) <= 1e-8 * bnorm
         assert np.array_equal(res.z, res.iterates[-1])
+
+    @pytest.mark.parametrize("epsilon", [0.0, 1.2])
+    def test_singular_triangle_reports_the_iterate_residual(self, epsilon):
+        # A b = e1 and A e1 = 0: the first step breaks down with a zero
+        # triangle, so z = 0 and ||A z - b|| = ||b|| = sqrt(2); the part
+        # of b along e1 that the triangle cannot fit counts too, and
+        # epsilon 1.2 (threshold 1.212) is not met
+        a = np.array([[0.0, 1.0], [0.0, 0.0]])
+        res = rrgmres_solve(LinearOperator.from_matrix(a), np.ones(2),
+                            SolverConfig(epsilon=epsilon))
+        assert res.stop_reason is StopReason.BREAKDOWN
+        assert res.k == 1
+        assert res.residual == pytest.approx(np.sqrt(2.0), rel=1e-15)
+        assert res.log.entries[-1][1] == res.residual
+        np.testing.assert_array_equal(res.z, np.zeros(2))
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(2, 6), rest=st.integers(0, 3),
+           frac=st.floats(0.0, 1.2), seed=st.integers(0, 2**32 - 1))
+    def test_residual_is_that_of_the_iterate_on_a_singular_space(
+            self, d, rest, frac, seed):
+        # A is block diagonal: a d x d weighted down-shift, which maps its
+        # last unit vector to zero, and a diagonal block of distinct
+        # eigenvalues.  The range-restricted space comes to hold that null
+        # vector, and the rotated triangle turns singular.  Every logged
+        # residual must still be ||A z_k - b||, so the discrepancy
+        # principle stops only on an iterate that meets it.  The entries
+        # of b are bounded away from 0, which keeps every diagonal ratio
+        # of the triangle far from RANK_TOL on either side
+        rng = np.random.default_rng(seed)
+        n = d + rest
+        a = np.zeros((n, n))
+        a[np.arange(1, d), np.arange(d - 1)] = rng.uniform(0.5, 2.0, d - 1)
+        a[d:, d:] = np.diag(rng.choice([-3.0, -2.0, -1.0, 1.0, 2.0, 3.0], rest,
+                                       replace=False))
+        b = rng.choice([-1.0, 1.0], n) * rng.uniform(0.5, 2.0, n)
+        bnorm = np.linalg.norm(b)
+        cfg = SolverConfig(epsilon=frac * bnorm / 1.01)
+        res = rrgmres_solve(LinearOperator.from_matrix(a), b, cfg,
+                            keep_iterates=True)
+        for z, (_, logged, _) in zip(res.iterates, res.log.entries[1:]):
+            assert abs(logged - np.linalg.norm(a @ z - b)) <= 1e-8 * bnorm
+        if res.stop_reason is StopReason.DISCREPANCY_MET:
+            assert np.linalg.norm(a @ res.z - b) <= cfg.eta * cfg.epsilon + 1e-12 * bnorm
 
     def test_shape_guards(self):
         with pytest.raises(ShapeMismatch):
