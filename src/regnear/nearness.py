@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadDimension, DependentVectors, NotSymmetric, RankDeficient, ShapeMismatch
-from .linalg import frobenius_norm, thin_qr
+from .linalg import thin_qr
 
 _ORTHO_TOL = 1e-12
 _SPAN_TOL = 1e-10
@@ -142,15 +142,19 @@ def nearest_two_vector(a, v1, v2) -> np.ndarray:
     return a - a @ c
 
 
-def nearest_symmetric_with_nullspace(a, basis: NullSpaceBasis) -> np.ndarray:
-    """Closest symmetric matrix with the prescribed null space: P a P."""
-    a = np.asarray(a, dtype=float)
-    _check_basis(a, basis)
+def _check_symmetric(a: np.ndarray) -> None:
     if a.shape[0] != a.shape[1]:
         raise ShapeMismatch("symmetric variant needs a square matrix")
     scale = max(np.linalg.norm(a), 1e-300)
     if np.linalg.norm(a - a.T) > _ORTHO_TOL * scale:
         raise NotSymmetric("input matrix is not symmetric")
+
+
+def nearest_symmetric_with_nullspace(a, basis: NullSpaceBasis) -> np.ndarray:
+    """Closest symmetric matrix with the prescribed null space: P a P."""
+    a = np.asarray(a, dtype=float)
+    _check_basis(a, basis)
+    _check_symmetric(a)
     if basis.ell == 0:
         return a.copy()
     V = basis.V
@@ -164,12 +168,20 @@ def nearness_distance(a, basis: NullSpaceBasis, symmetric: bool = False) -> floa
 
     General case: || a V V^T ||_F, which reduces to || a V ||_F for an
     orthonormal basis.  Symmetric case: the norm of the full update
-    a - P a P.
+    a - P a P, whose blocks against span(V) and its complement W are
+    V^T a V, V^T a W and W^T a V (W^T a W is kept), so its square is
+    ||a V||^2 + ||a^T V||^2 - ||V^T a V||^2; P a P is never formed.
     """
     a = np.asarray(a, dtype=float)
     _check_basis(a, basis)
     if basis.ell == 0:
         return 0.0
+    av = a @ basis.V
     if not symmetric:
-        return float(np.linalg.norm(a @ basis.V))
-    return frobenius_norm(a - nearest_symmetric_with_nullspace(a, basis))
+        return float(np.linalg.norm(av))
+    _check_symmetric(a)
+    # ||V^T a W||^2, clamped so that rounding cannot put the symmetric
+    # distance below the general one
+    cross = (np.linalg.norm(a.T @ basis.V) ** 2
+             - np.linalg.norm(basis.V.T @ av) ** 2)
+    return float(np.sqrt(np.linalg.norm(av) ** 2 + max(cross, 0.0)))

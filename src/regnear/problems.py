@@ -2,12 +2,14 @@
 
 Both problems project kernel and solution onto orthonormal box functions
 (height 1/sqrt(h) on each of n equal cells), so matrix entries are cell
-integrals of the kernel divided by h.  The convolution problem on
-[-6, 6] integrates its kernel for all diagonal offsets in one vectorised
-panel pass, checked against per-offset adaptive quadrature; the
+integrals of the kernel divided by h, and both builders evaluate them
+exactly.  The convolution problem on [-6, 6] has one closed form per
+diagonal offset, Hansen's row plus a term for the kernel's support
+edge, evaluated for all offsets in one vectorised expression; the
 Green's-function problem on [0, 1] has piecewise-bilinear kernel pieces
-and exact entry formulas, cross-checkable against quadrature.  Each
-builder allocates K and no other array of its size.
+and exact entry formulas.  The adaptive quadrature here serves only the
+*_by_quadrature oracles that cross-check both.  Each builder allocates
+K and no other array of its size.
 
 The synthetic data are noise-free right-hand sides b_hat = K x_hat with
 a constant vector added to x_hat, plus Gaussian noise rescaled to a
@@ -93,11 +95,11 @@ def _phillips_solution(s):
     return np.where(np.abs(s) < 3.0, 1.0 + np.cos(np.pi * s / 3.0), 0.0)
 
 
-def _phillips_weighted(u, h: float, center):
-    """The kernel times the triangular cell-overlap weight centred at
-    center, the integrand of one diagonal offset; center may be a column
-    of offsets, one per row of u."""
-    return _phillips_solution(u) * (h - np.abs(u - center))
+def _phillips_weighted(t, h: float, center):
+    """The kernel times the triangular cell-overlap weight of one diagonal
+    offset, in the local variable t = u - center: the weight h - |t| is
+    then exact however far the offset lies from 0."""
+    return _phillips_solution(center + t) * (h - np.abs(t))
 
 
 def phillips_offset_by_quadrature(n: int, d: int, tol: float = 1e-12) -> float:
@@ -111,71 +113,68 @@ def phillips_offset_by_quadrature(n: int, d: int, tol: float = 1e-12) -> float:
         raise BadDimension("offset out of range")
     h = 12.0 / n
     center = d * h
-    lo = max(center - h, -3.0)
-    hi = min(center + h, 3.0)
+    lo = max(-h, -3.0 - center)
+    hi = min(h, 3.0 - center)
     if hi <= lo:
         return 0.0  # kernel support and cell overlap are disjoint: exact zero
-    pts = sorted({lo, hi, *(p for p in (center,) if lo < p < hi)})
-    return _integrate_pieces(lambda u: _phillips_weighted(u, h, center),
+    pts = [lo, 0.0, hi] if lo < 0.0 < hi else [lo, hi]
+    return _integrate_pieces(lambda t: _phillips_weighted(t, h, center),
                              pts, tol) / h
 
 
-def phillips_offsets(n: int, quad_tol: float = 1e-12) -> np.ndarray:
+_PHILLIPS_A = np.pi / 3.0
+
+
+def _phillips_edge(t):
+    """Psi(t) = integral over 0 < v < t of (1 - cos(a v)) (t - v), zero for
+    t <= 0: the kernel's continuation past u = 3 against a ramp."""
+    t = np.maximum(t, 0.0)
+    return 0.5 * t * t - 2.0 * (np.sin(0.5 * _PHILLIPS_A * t) / _PHILLIPS_A) ** 2
+
+
+def phillips_offsets(n: int) -> np.ndarray:
     """The phillips matrix entry of every diagonal offset (its first row).
 
-    One vectorised panel pass does for all offsets at once what
-    adaptive_gauss_legendre does first on each piece: a 10-point
-    Gauss-Legendre panel against its two halves.  A piece whose halves
-    miss the panel by more than quad_tol continues in
-    adaptive_gauss_legendre.  The panels round as _gl_panel does (each
-    is the same dot product), so the offsets equal those of
-    phillips_offset_by_quadrature to the bit.
+    Offset d integrates the kernel 1 + cos(a u), a = pi/3, against the
+    triangular weight h - |u - c| on |u - c| < h, c = d h, divided by h.
+    Over the whole line that is Hansen's row (Regularization Tools),
+    h + 9 / (h pi^2) (2 cos(a c) - cos(a (c - h)) - cos(a (c + h))),
+    here written as h + cos(a c) (2 sin(a h/2) / a)^2 / h, which has no
+    cancellation.  The edge term takes off the bump's continuation past
+    u = 3: the weight is a second difference of ramps, so that part is
+    the second difference of _phillips_edge at tau = c - 3, nonzero only
+    for the one or two offsets whose weight crosses u = 3.  The weight
+    misses the support exactly when (d - 1) h >= 3, tested on integers
+    as 4 (d - 1) >= n, so those offsets are exactly 0 (a float test
+    leaves a rounding residue, sometimes negative, at d = n/4 + 1).
     """
     h = 12.0 / n
-    center = np.arange(n) * h
-    # the cell overlap of the later offsets misses the kernel's support
-    center = center[center - h < 3.0]
-    lo = np.maximum(center - h, -3.0)
-    hi = np.minimum(center + h, 3.0)
-    # each offset splits at the weight's kink; beyond the support edge
-    # its right piece [hi, hi] is empty and integrates to zero
-    kink = np.minimum(center, hi)
-    a = np.concatenate((lo, kink))
-    b = np.concatenate((kink, hi))
-    c = np.concatenate((center, center))[:, None]
-
-    def panel(start, end):
-        # _gl_panel on every piece, with the same arithmetic
-        half = 0.5 * (end - start)
-        u = 0.5 * (start + end)[:, None] + half[:, None] * _GL_NODES
-        return half * np.vecdot(_phillips_weighted(u, h, c), _GL_WEIGHTS)
-
-    mid = 0.5 * (a + b)
-    whole = panel(a, b)
-    pieces = panel(a, mid) + panel(mid, b)
-    for i in np.flatnonzero(~(np.abs(pieces - whole) <= quad_tol)):
-        pieces[i] = adaptive_gauss_legendre(
-            lambda u, _c=c[i, 0]: _phillips_weighted(u, h, _c), a[i], b[i], quad_tol)
+    d = np.arange(n)
+    c = d[4 * (d - 1) < n] * h
+    tau = c - 3.0
+    edge = (_phillips_edge(tau + h) - 2.0 * _phillips_edge(tau)
+            + _phillips_edge(tau - h))
+    # the Fourier transform of the triangular weight at a, over h
+    tri_hat = (2.0 * np.sin(0.5 * _PHILLIPS_A * h) / _PHILLIPS_A) ** 2 / h
     offsets = np.zeros(n)
-    offsets[:center.size] = (pieces[:center.size] + pieces[center.size:]) / h
+    offsets[:c.size] = h + np.cos(_PHILLIPS_A * c) * tri_hat - edge / h
     return offsets
 
 
-def build_phillips(n: int, quad_tol: float = 1e-12) -> TestProblem:
+def build_phillips(n: int) -> TestProblem:
     """Convolution equation on [-6, 6] with a cosine-bump kernel.
 
     The kernel k(tau, sigma) = x(tau - sigma) depends on the cell index
     difference only, so one integral per diagonal offset fills the whole
     (symmetric Toeplitz) matrix.  Integrating the triangular cell-overlap
     weight against the kernel reduces each entry to a single 1-d
-    integral, split at the weight's kink and at the kernel's support
-    edges; phillips_offsets computes them all in one vectorised panel
-    pass.
+    integral with a closed form; phillips_offsets evaluates them all in
+    one vectorised expression.
     """
     if n < 4:
         raise BadDimension("phillips needs n >= 4")
     h = 12.0 / n
-    offsets = phillips_offsets(n, quad_tol)
+    offsets = phillips_offsets(n)
     # row i of the Toeplitz matrix is offsets[|i - j|], j = 0..n-1: the
     # window of offsets mirrored about 0 that starts n - 1 - i entries in
     mirrored = np.concatenate((offsets[:0:-1], offsets))

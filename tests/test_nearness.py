@@ -20,6 +20,12 @@ from regnear.regops import (RegularizerKind, make_nullspace_basis,
                             make_projector_closed, make_regularization_matrix)
 
 
+# both symmetric-variant entry points share one square-and-symmetric check
+SYMMETRIC_OPS = (nearest_symmetric_with_nullspace,
+                 lambda a, basis: nearness_distance(a, basis, symmetric=True))
+SYMMETRIC_IDS = ("nearest", "distance")
+
+
 def random_basis(rng, n, ell):
     q, _ = np.linalg.qr(rng.standard_normal((n, ell)))
     return NullSpaceBasis(n=n, ell=ell, V=q)
@@ -268,15 +274,17 @@ class TestNearestSymmetric:
                 frobenius_norm(a) * frobenius_norm(b), 1.0)
             assert d <= frobenius_norm(a - b) + 1e-12
 
-    def test_rejects_asymmetric(self):
+    @pytest.mark.parametrize("symmetric_op", SYMMETRIC_OPS, ids=SYMMETRIC_IDS)
+    def test_rejects_asymmetric(self, symmetric_op):
         basis = NullSpaceBasis(n=3, ell=1, V=np.ones((3, 1)) / np.sqrt(3.0))
         with pytest.raises(NotSymmetric):
-            nearest_symmetric_with_nullspace(np.triu(np.ones((3, 3))), basis)
+            symmetric_op(np.triu(np.ones((3, 3))), basis)
 
-    def test_rejects_rectangular(self):
+    @pytest.mark.parametrize("symmetric_op", SYMMETRIC_OPS, ids=SYMMETRIC_IDS)
+    def test_rejects_rectangular(self, symmetric_op):
         basis = NullSpaceBasis(n=3, ell=1, V=np.ones((3, 1)) / np.sqrt(3.0))
         with pytest.raises(ShapeMismatch):
-            nearest_symmetric_with_nullspace(np.ones((2, 3)), basis)
+            symmetric_op(np.ones((2, 3)), basis)
 
 
 class TestNearnessDistance:
@@ -360,3 +368,17 @@ class TestNearnessProperties:
         w = scale * rng.standard_normal((n, n))
         s = sym + w + w.T
         assert frobenius_norm(sym - pap) <= frobenius_norm(sym - p @ s @ p) + slack
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(3, 30), ell=st.integers(1, 2), seed=st.integers(0, 2**32 - 1))
+    def test_symmetric_distance_never_below_general(self, n, ell, seed):
+        # V spans an invariant subspace of A, so V^T A W = 0 and the two
+        # distances are equal; the symmetric one is never below in floats
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        a = (q * rng.standard_normal(n)) @ q.T
+        a = 0.5 * (a + a.T)
+        basis = NullSpaceBasis(n=n, ell=ell, V=q[:, :ell])
+        d_gen = nearness_distance(a, basis)
+        d_sym = nearness_distance(a, basis, symmetric=True)
+        assert d_gen <= d_sym <= d_gen * (1.0 + 1e-12)

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import regnear.problems
 from regnear.errors import BadDimension, ShapeMismatch
 from regnear.problems import (NoiseInfo, adaptive_gauss_legendre, add_noise,
                               build_deriv2, build_phillips, build_problem,
@@ -60,17 +59,21 @@ class TestPhillips:
             diag = np.diagonal(p.K, d)
             assert np.max(np.abs(diag - diag[0])) == 0.0
 
-    def test_far_cells_exactly_zero(self):
-        # kernel support is |tau - sigma| < 3; with h = 1.5 any offset of
-        # three or more cells cannot overlap it
-        p = build_phillips(8)
-        assert np.array_equal(p.K[0, 3:], np.zeros(5))
-        assert p.K[0, 2] != 0.0
-
-    def test_quadrature_tolerance_stability(self):
-        k_loose = build_phillips(8, quad_tol=1e-10).K[0, 0]
-        k_tight = build_phillips(8, quad_tol=1e-13).K[0, 0]
-        assert abs(k_loose - k_tight) <= 1e-9
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(4, 3000))
+    @example(n=8)
+    @example(n=200)
+    @example(n=201)
+    @example(n=2000)
+    def test_far_cells_exactly_zero(self, n):
+        # kernel support is |tau - sigma| < 3: the cell overlap of offset d
+        # reaches it exactly when (d - 1) h < 3, that is 4 (d - 1) < n;
+        # every other offset is exactly 0 and every one inside is positive
+        offsets = phillips_offsets(n)
+        d = np.arange(n)
+        inside = 4 * (d - 1) < n
+        assert np.all(offsets[~inside] == 0.0)
+        assert np.all(offsets[inside] > 0.0)
 
     def test_solution_shape(self):
         n = 16
@@ -97,31 +100,13 @@ class TestPhillips:
     @example(n=2000)
     @example(n=4001)
     def test_offsets_match_quadrature_oracle(self, n):
-        # the vectorised panel pass against adaptive quadrature per offset
+        # the closed form against adaptive quadrature per offset
         offsets = phillips_offsets(n)
         oracle = np.array([phillips_offset_by_quadrature(n, d) for d in range(n)])
         assert np.max(np.abs(offsets - oracle)) <= 2e-15 * np.max(np.abs(oracle))
 
     def test_matrix_row_is_the_offsets(self):
         assert np.array_equal(build_phillips(40).K[0], phillips_offsets(40))
-
-    def test_failed_estimate_continues_adaptively(self, monkeypatch):
-        # at a tolerance below the panels' rounding some pieces miss it
-        # and go on halving; the result still matches the oracle
-        calls = []
-        adaptive = regnear.problems.adaptive_gauss_legendre
-
-        def counted(*args, **kwargs):
-            calls.append(args[1:3])
-            return adaptive(*args, **kwargs)
-
-        monkeypatch.setattr(regnear.problems, "adaptive_gauss_legendre", counted)
-        offsets = phillips_offsets(7, quad_tol=3e-16)
-        assert calls
-        monkeypatch.undo()
-        oracle = np.array([phillips_offset_by_quadrature(7, d, tol=3e-16)
-                           for d in range(7)])
-        assert np.max(np.abs(offsets - oracle)) <= 2e-15 * np.max(np.abs(oracle))
 
     def test_oracle_guards(self):
         with pytest.raises(BadDimension):
