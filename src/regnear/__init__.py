@@ -16,14 +16,13 @@ from .problems import (NoiseInfo, TestProblem, add_noise, build_deriv2,
                        build_phillips, build_problem,
                        deriv2_entry_by_quadrature, relative_error)
 from .regops import (Mode, ProjectedRegularizer, REGULARIZER_NAMES,
-                     RegularizerKind, compose_regularizer,
-                     make_nullspace_basis, make_projector_closed,
+                     RegularizerKind, make_nullspace_basis, make_projector_closed,
                      make_regularization_matrix, regularizer_from_name)
 from .solver import (IterationLog, RRGMRESResult, SolverConfig, StopReason,
                      discrepancy_mu_solve, hessenberg_residual, rrgmres_solve,
                      tikhonov_direct_oracle)
 from .transform import (LinearOperator, StandardFormContext, StandardFormFactor,
-                        apply_k2, apply_pk_dagger, back_transform,
+                        apply_pk_dagger, back_transform,
                         factor_transform, k2_operator, prepare_context,
                         project_rhs, tikhonov_minimizer_via_transform)
 

@@ -74,11 +74,9 @@ class NullSpaceBasis:
         return cls(n=n, ell=ell, V=q, raw=raw)
 
 
-def build_projector(V, orthonormal: bool = False) -> np.ndarray:
-    """Orthogonal projector onto the complement of the column span of V.
-
-    For orthonormal V this is I - V V^T; otherwise the Gram matrix
-    V^T V is inverted explicitly.  An empty V gives the identity.
+def build_projector(V) -> np.ndarray:
+    """Orthogonal projector onto the complement of the column span of V,
+    I - V (V^T V)^-1 V^T.  An empty V gives the identity.
     """
     V = np.asarray(V, dtype=float)
     if V.ndim == 1:
@@ -88,10 +86,8 @@ def build_projector(V, orthonormal: bool = False) -> np.ndarray:
         return np.eye(n)
     if ell > n:
         raise ShapeMismatch("projector basis has more columns than rows")
-    # detects dependent columns regardless of the route taken below
+    # dependent columns raise here, before the Gram matrix is inverted
     thin_qr(V)
-    if orthonormal:
-        return np.eye(n) - V @ V.T
     omega = V.T @ V
     return np.eye(n) - V @ np.linalg.solve(omega, V.T)
 

@@ -2,9 +2,9 @@
 
 Scaled first- and second-difference matrices, their square variants
 (zero-padded or made invertible), the closed-form null-space bases and
-projectors for constants and linear trends, and the composition of an
-invertible core with a projector into the regularizers the solver
-pipeline consumes.
+projectors for constants and linear trends, and the catalog of the six
+named regularizers the solver pipeline consumes, each a core composed
+with the projector of its null space and fixed by its name alone.
 
 The catalog's cores solve in closed form, in numpy alone: the
 bidiagonal first-difference cores by one reverse cumulative sum, the
@@ -22,7 +22,8 @@ import numpy as np
 
 from .errors import BadDimension, ShapeMismatch, SingularCore
 from .linalg import RANK_TOL
-from .nearness import NullSpaceBasis
+from .nearness import (NullSpaceBasis, nearest_symmetric_with_nullspace,
+                       nearest_with_nullspace)
 
 
 class RegularizerKind(str, Enum):
@@ -198,10 +199,10 @@ def _stencil_solve(kind: RegularizerKind, delta: float):
     return _completed_second_difference_solve
 
 
-# The named regularizers, in canonical output order: the (kind, mode)
-# pair each composes and the null-space basis its projector removes
-# (first differences annihilate constants, second differences affine
-# trends).  A ProjectedRegularizer is exactly one of these pairs.
+# The named regularizers, in canonical output order: the kind of each
+# one's core, the mode that composes it and the null-space basis its
+# projector removes (first differences annihilate constants, second
+# differences affine trends).  A name fixes a ProjectedRegularizer.
 _CATALOG = {
     "I": (RegularizerKind.IDENTITY, Mode.IDENTITY, None),
     "L10": (RegularizerKind.L1_ZERO, Mode.PLAIN, "N1"),
@@ -211,40 +212,41 @@ _CATALOG = {
     "P2L2tP2": (RegularizerKind.L2_TILDE, Mode.TWO_SIDED, "N2"),
 }
 REGULARIZER_NAMES = tuple(_CATALOG)
-_PAIR_BASIS = {(kind, mode): basis for kind, mode, basis in _CATALOG.values()}
 
 
 @dataclass(frozen=True, eq=False)
 class ProjectedRegularizer:
-    """A regularizer ready for the standard-form transformation.
+    """A named regularizer of order n, ready for the standard-form
+    transformation.
 
-    Its core is the catalog matrix of its kind, and (kind, mode) must be
-    one of the catalog's pairs; basis spans the null space that the
-    projector enforces.  The core solves in closed form, with no
-    factorization, and no dense core is stored: Ltilde (the regularizer
-    itself in PLAIN and IDENTITY modes) is assembled from (kind, n,
-    delta) each time it is read.  A numerically singular core raises
-    SingularCore at construction.
+    The catalog name fixes the rest, which is read from the catalog
+    when the regularizer is built: kind (its core's stencil), mode (how
+    core and projector compose) and basis (the null space the projector
+    enforces).  The core solves in closed form, with no factorization,
+    and no dense core is stored: Ltilde (the regularizer itself in
+    PLAIN and IDENTITY modes) is assembled from (kind, n, delta) each
+    time it is read.  An unknown name raises ValueError, and a
+    numerically singular core raises SingularCore.
     """
 
+    name: str
     n: int
-    basis: NullSpaceBasis
-    mode: Mode
-    kind: RegularizerKind
     delta: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "kind", RegularizerKind(self.kind))
-        object.__setattr__(self, "mode", Mode(self.mode))
-        if self.basis.n != self.n:
-            raise ShapeMismatch("basis dimension does not match")
-        _check_catalog_args(self.kind, self.n, self.delta)
-        if (self.kind, self.mode) not in _PAIR_BASIS:
-            allowed = ", ".join(sorted(m.value for k, m in _PAIR_BASIS
-                                       if k is self.kind))
-            raise ValueError(f"kind {self.kind.value} composes in modes "
-                             f"{{{allowed}}}, not {self.mode.value}")
-        object.__setattr__(self, "_solve", _stencil_solve(self.kind, self.delta))
+        try:
+            kind, mode, basis_name = _CATALOG[self.name]
+        except KeyError:
+            valid = ", ".join(REGULARIZER_NAMES)
+            raise ValueError(f"unknown regularizer {self.name!r}; "
+                             f"valid names: {valid}") from None
+        _check_catalog_args(kind, self.n, self.delta)
+        basis = (NullSpaceBasis.empty(self.n) if basis_name is None
+                 else make_nullspace_basis(basis_name, self.n))
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "_solve", _stencil_solve(kind, self.delta))
 
     @property
     def Ltilde(self) -> np.ndarray:
@@ -256,10 +258,10 @@ class ProjectedRegularizer:
 
         The PLAIN action solves with the core completed by unit rows in
         place of its zero rows, then projects out the basis.  This equals
-        pinv(Ltilde) @ z when the basis spans the null space of Ltilde,
-        as for the catalog's zero-row stencils: the entries of z on the
-        replaced rows then solve to a vector in the span of the basis,
-        which the projection removes.
+        pinv(Ltilde) @ z, because the catalog's basis spans the null
+        space of each zero-row stencil: the entries of z on the replaced
+        rows solve to a vector in the span of the basis, which the
+        projection removes.
         """
         z = np.asarray(z, dtype=float)
         if z.shape != (self.n,):
@@ -270,39 +272,20 @@ class ProjectedRegularizer:
         V = self.basis.V
         return y - V @ (V.T @ y)
 
-    def projector(self) -> np.ndarray:
-        V = self.basis.V
-        return np.eye(self.n) - V @ V.T
-
     def effective_matrix(self) -> np.ndarray:
-        """Assemble the regularizer this object represents, densely."""
-        core = self.Ltilde
-        if self.mode in (Mode.IDENTITY, Mode.PLAIN):
-            return core
-        P = self.projector()
+        """The regularizer itself, densely.
+
+        In RIGHT mode it is the nearest matrix to the core whose null
+        space contains span(basis), core @ P; in TWO_SIDED mode the
+        nearest symmetric one, P @ core @ P.  Both are computed by
+        nearness.  In PLAIN and IDENTITY modes it is the core.
+        """
         if self.mode is Mode.RIGHT:
-            return core @ P
-        return P @ core @ P
-
-
-def compose_regularizer(kind: RegularizerKind, n: int, mode: Mode,
-                        delta: float = 1.0) -> ProjectedRegularizer:
-    """Combine a catalog matrix with its matching null-space projector.
-
-    Picks the basis the catalog names for the (kind, mode) pair; the
-    regularizer checks the rest.
-    """
-    basis_name = _PAIR_BASIS.get((kind, mode))
-    basis = (NullSpaceBasis.empty(n) if basis_name is None
-             else make_nullspace_basis(basis_name, n))
-    return ProjectedRegularizer(n=n, basis=basis, mode=mode, kind=kind,
-                                delta=delta)
+            return nearest_with_nullspace(self.Ltilde, self.basis)
+        if self.mode is Mode.TWO_SIDED:
+            return nearest_symmetric_with_nullspace(self.Ltilde, self.basis)
+        return self.Ltilde
 
 
 def regularizer_from_name(name: str, n: int, delta: float = 1.0) -> ProjectedRegularizer:
-    try:
-        kind, mode, _ = _CATALOG[name]
-    except KeyError:
-        valid = ", ".join(REGULARIZER_NAMES)
-        raise ValueError(f"unknown regularizer {name!r}; valid names: {valid}") from None
-    return compose_regularizer(kind, n, mode, delta)
+    return ProjectedRegularizer(name, n, delta)

@@ -124,8 +124,11 @@ class StandardFormFactor:
         return (self.m, self.n)
 
     def matvec(self, z: np.ndarray) -> np.ndarray:
-        """The transformed operator; see apply_k2."""
-        return apply_k2(self, z)
+        """The transformed operator on z.  Costs exactly one product with K."""
+        t = _k1(self, z)
+        if self.Q2 is None:
+            return t
+        return t - self.Q2 @ (self.Q2.T @ t)
 
     @property
     def matvec_count(self) -> int:
@@ -247,14 +250,6 @@ def prepare_context(K, b: np.ndarray, reg: ProjectedRegularizer) -> StandardForm
     return _project(factor_transform(op, reg), b)
 
 
-def apply_k2(ctx: StandardFormFactor, z: np.ndarray) -> np.ndarray:
-    """Transformed operator on z.  Costs exactly one product with K."""
-    t = _k1(ctx, z)
-    if ctx.Q2 is None:
-        return t
-    return t - ctx.Q2 @ (ctx.Q2.T @ t)
-
-
 def apply_pk_dagger(ctx: StandardFormFactor, y: np.ndarray) -> np.ndarray:
     """Oblique projector that restores the null-space component's slot:
     y - W Q^T K y.
@@ -330,7 +325,7 @@ def tikhonov_minimizer_via_transform(K: np.ndarray, b: np.ndarray,
     if reg.mode in (Mode.RIGHT, Mode.PLAIN):
         lam = reg.effective_matrix()
         w = _orthonormal_range(lam, n - ctx.ell)
-        k2w = np.column_stack([apply_k2(ctx, w[:, j]) for j in range(w.shape[1])])
+        k2w = np.column_stack([ctx.matvec(w[:, j]) for j in range(w.shape[1])])
         g = k2w.T @ k2w + mu * np.eye(w.shape[1])
         s = scipy.linalg.cho_solve(scipy.linalg.cho_factor(g), k2w.T @ ctx.b1)
         return back_transform(ctx, w @ s)
@@ -338,10 +333,8 @@ def tikhonov_minimizer_via_transform(K: np.ndarray, b: np.ndarray,
     # Two-sided: the pseudoinverse of P core P is solve(P core P + V V^T, P z),
     # because the shifted matrix acts as the core on the complement and as
     # the identity on the null space.
-    V = reg.basis.V
-    lam = reg.effective_matrix()
-    shifted = lam + V @ V.T
-    pinv_core = scipy.linalg.solve(shifted, reg.projector())
+    vvt = reg.basis.V @ reg.basis.V.T
+    pinv_core = scipy.linalg.solve(reg.effective_matrix() + vvt, np.eye(n) - vvt)
     k1 = K - ctx.Q @ (ctx.Q.T @ K)
     khat = k1 @ pinv_core
     g = khat.T @ khat + mu * np.eye(n)

@@ -92,12 +92,6 @@ class TestBuildProjector:
             np.testing.assert_allclose(p @ p, p, atol=1e-10 * n)
             assert np.max(np.abs(p @ v)) <= 1e-10
 
-    def test_orthonormal_flag_agrees(self):
-        rng = np.random.default_rng(15)
-        q, _ = np.linalg.qr(rng.standard_normal((6, 2)))
-        np.testing.assert_allclose(build_projector(q, orthonormal=True),
-                                   build_projector(q), atol=1e-12)
-
     def test_dependent_columns(self):
         v = np.column_stack([np.ones(4), np.ones(4)])
         with pytest.raises(RankDeficient):
@@ -167,7 +161,7 @@ class TestNearestWithNullspace:
     def test_residual_orthogonality_and_optimality(self):
         rng = np.random.default_rng(24)
         basis = random_basis(rng, 6, 2)
-        p = build_projector(basis.V, orthonormal=True)
+        p = build_projector(basis.V)
         a = rng.standard_normal((4, 6))
         ahat = nearest_with_nullspace(a, basis)
         d = frobenius_norm(a - ahat)
@@ -225,7 +219,7 @@ class TestNearestSymmetric:
     def test_fixed_point(self):
         rng = np.random.default_rng(41)
         basis = random_basis(rng, 5, 1)
-        p = build_projector(basis.V, orthonormal=True)
+        p = build_projector(basis.V)
         s = rng.standard_normal((5, 5))
         a = p @ (s + s.T) @ p
         np.testing.assert_allclose(nearest_symmetric_with_nullspace(a, basis), a,
@@ -244,7 +238,7 @@ class TestNearestSymmetric:
     def test_equals_projector_sandwich(self):
         rng = np.random.default_rng(43)
         basis = random_basis(rng, 6, 2)
-        p = build_projector(basis.V, orthonormal=True)
+        p = build_projector(basis.V)
         s = rng.standard_normal((6, 6))
         a = s + s.T
         np.testing.assert_allclose(nearest_symmetric_with_nullspace(a, basis),
@@ -262,7 +256,7 @@ class TestNearestSymmetric:
     def test_optimality_among_symmetric_feasible(self):
         rng = np.random.default_rng(45)
         basis = random_basis(rng, 5, 1)
-        p = build_projector(basis.V, orthonormal=True)
+        p = build_projector(basis.V)
         s = rng.standard_normal((5, 5))
         a = s + s.T
         ahat = nearest_symmetric_with_nullspace(a, basis)
@@ -309,7 +303,7 @@ class TestNearnessDistance:
             basis = NullSpaceBasis.from_vectors(
                 np.column_stack([np.ones(n), np.arange(1.0, n + 1.0)]))
             d_sym = nearness_distance(a, basis, symmetric=True)
-            p = build_projector(basis.V, orthonormal=True)
+            p = build_projector(basis.V)
             assert d_sym == pytest.approx(frobenius_norm(a - p @ a @ p), abs=1e-12)
             d_gen = nearness_distance(a, basis)
             assert d_gen == pytest.approx(
@@ -354,7 +348,7 @@ class TestNearnessProperties:
     def test_projections_beat_feasible_competitors(self, n, ell, delta, scale, seed):
         rng = np.random.default_rng(seed)
         basis = random_basis(rng, n, ell)
-        p = build_projector(basis.V, orthonormal=True)
+        p = build_projector(basis.V)
         a = (make_regularization_matrix(RegularizerKind.L1_DELTA, n, delta)
              + rng.standard_normal((n, n)))
         slack = 1e-12 * frobenius_norm(a)

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -10,12 +11,11 @@ from hypothesis import strategies as st
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 import regnear
-from regnear.errors import BadDimension, ShapeMismatch, SingularCore
+from regnear.errors import BadDimension, SingularCore
 from regnear.linalg import RANK_TOL
-from regnear.nearness import NullSpaceBasis, build_projector
+from regnear.nearness import build_projector
 from regnear.regops import (Mode, ProjectedRegularizer, REGULARIZER_NAMES,
-                            RegularizerKind, compose_regularizer,
-                            make_nullspace_basis, make_projector_closed,
+                            RegularizerKind, make_nullspace_basis, make_projector_closed,
                             make_regularization_matrix, regularizer_from_name)
 
 
@@ -176,7 +176,7 @@ class TestClosedFormProjectors:
 
 class TestComposition:
     def test_right_mode_first_difference(self):
-        reg = compose_regularizer(RegularizerKind.L1_DELTA, 8, Mode.RIGHT)
+        reg = regularizer_from_name("L1dP1", 8)
         assert reg.delta == 1.0  # default per the conditioning discussion
         assert reg.basis.ell == 1
         eff = reg.effective_matrix()
@@ -185,7 +185,7 @@ class TestComposition:
             eff, reg.Ltilde @ make_projector_closed("P1", 8), atol=1e-13)
 
     def test_two_sided_mode_is_symmetric_and_annihilates(self):
-        reg = compose_regularizer(RegularizerKind.L2_TILDE, 12, Mode.TWO_SIDED)
+        reg = regularizer_from_name("P2L2tP2", 12)
         eff = reg.effective_matrix()
         assert np.linalg.norm(eff - eff.T) <= 1e-12
         assert np.max(np.abs(eff @ reg.basis.V)) <= 1e-13
@@ -196,39 +196,38 @@ class TestComposition:
             atol=1e-12)
 
     def test_identity_mode(self):
-        reg = compose_regularizer(RegularizerKind.IDENTITY, 5, Mode.IDENTITY)
+        reg = regularizer_from_name("I", 5)
         assert reg.basis.ell == 0
         assert np.array_equal(reg.effective_matrix(), np.eye(5))
-        assert np.array_equal(reg.projector(), np.eye(5))
+        assert np.array_equal(build_projector(reg.basis.V), np.eye(5))
 
     def test_plain_mode_uses_matrix_as_is(self):
-        reg = compose_regularizer(RegularizerKind.L2_ZERO, 6, Mode.PLAIN)
+        reg = regularizer_from_name("L20", 6)
         assert np.array_equal(
             reg.effective_matrix(),
             make_regularization_matrix(RegularizerKind.L2_ZERO, 6))
         assert reg.basis.ell == 2  # split metadata still carried
 
-    def test_mode_kind_mismatch(self):
-        with pytest.raises(ValueError):
-            compose_regularizer(RegularizerKind.L1_ZERO, 6, Mode.RIGHT)
-        with pytest.raises(ValueError):
-            compose_regularizer(RegularizerKind.L2_TILDE, 6, Mode.PLAIN)
-
     def test_singular_core_detected(self):
         with pytest.raises(SingularCore):
-            compose_regularizer(RegularizerKind.L1_DELTA, 6, Mode.RIGHT,
-                                delta=1e-20)
+            regularizer_from_name("L1dP1", 6, delta=1e-20)
 
-    def test_validation_of_fields(self):
-        with pytest.raises(ShapeMismatch):
-            ProjectedRegularizer(n=5, basis=NullSpaceBasis.empty(4),
-                                 mode=Mode.IDENTITY,
-                                 kind=RegularizerKind.IDENTITY)
-        # a (kind, mode) pair the catalog does not name
-        with pytest.raises(ValueError, match="composes in modes"):
-            ProjectedRegularizer(n=5, basis=make_nullspace_basis("N1", 5),
-                                 mode=Mode.RIGHT,
-                                 kind=RegularizerKind.L1_ZERO)
+    @settings(max_examples=200, deadline=None)
+    @given(name=st.sampled_from(REGULARIZER_NAMES), n=st.integers(4, 60),
+           delta=st.floats(0.1, 10.0))
+    def test_effective_matrix_is_the_nearest_with_the_null_space(self, name, n,
+                                                                delta):
+        reg = regularizer_from_name(name, n, delta)
+        eff = reg.effective_matrix()
+        assert np.max(np.abs(eff @ reg.basis.V), initial=0.0) <= 1e-12
+        if reg.mode in (Mode.RIGHT, Mode.TWO_SIDED):
+            p = make_projector_closed(f"P{reg.basis.ell}", n)
+            expected = reg.Ltilde @ p
+            if reg.mode is Mode.TWO_SIDED:
+                expected = p @ expected
+            assert np.max(np.abs(eff - expected)) <= 1e-12
+        else:
+            assert np.array_equal(eff, reg.Ltilde)
 
 
 class TestNameTable:
@@ -246,6 +245,7 @@ class TestNameTable:
     ])
     def test_name_resolution(self, name, kind, mode):
         reg = regularizer_from_name(name, 10)
+        assert reg.name == name
         assert reg.kind is kind
         assert reg.mode is mode
         assert reg.n == 10
@@ -255,7 +255,7 @@ class TestNameTable:
         assert reg.Ltilde[9, 9] == 0.125
 
     @settings(max_examples=200, deadline=None)
-    @given(name=st.sampled_from([r for r in REGULARIZER_NAMES if r != "I"]),
+    @given(name=st.sampled_from(REGULARIZER_NAMES),
            n=st.integers(4, 60), delta=st.floats(0.1, 10.0),
            seed=st.integers(0, 2**32 - 1))
     def test_core_solve_matches_dense_inverse(self, name, n, delta, seed):
@@ -386,15 +386,13 @@ class TestClosedFormSolves:
                 return True
             return False
 
-        closed = singular(lambda: compose_regularizer(
-            RegularizerKind.L1_DELTA, n, Mode.RIGHT, delta))
+        closed = singular(lambda: regularizer_from_name("L1dP1", n, delta))
         banded = singular(lambda: banded_lu_solve(core, Mode.RIGHT, None))
         assert closed == banded
 
 
-# Builds every catalog (kind, mode) pair directly, and one with a basis
-# the catalog does not name, and solves with each core, with scipy
-# blocked; exits with the number of scipy imports attempted.
+# Builds every named regularizer directly and solves with its core,
+# with scipy blocked; exits with the number of scipy imports attempted.
 _DIRECT_PAIRS = """
 import sys
 
@@ -411,21 +409,13 @@ class NoScipy:
 sys.meta_path.insert(0, NoScipy())
 
 import numpy as np
-from regnear.nearness import NullSpaceBasis
-from regnear.regops import (_CATALOG, Mode, ProjectedRegularizer,
-                            RegularizerKind, make_nullspace_basis)
+from regnear.regops import REGULARIZER_NAMES, ProjectedRegularizer
 
 n = 12
 z = np.linspace(-1.0, 1.0, n)
-for kind, mode, name in _CATALOG.values():
-    basis = NullSpaceBasis.empty(n) if name is None else make_nullspace_basis(name, n)
-    reg = ProjectedRegularizer(n=n, basis=basis, mode=mode, kind=kind, delta=0.5)
+for name in REGULARIZER_NAMES:
+    reg = ProjectedRegularizer(name, n, 0.5)
     assert np.all(np.isfinite(reg.core_solve(z)))
-unit = np.zeros((n, 1))
-unit[3, 0] = 1.0
-reg = ProjectedRegularizer(n=n, basis=NullSpaceBasis(n=n, ell=1, V=unit),
-                           mode=Mode.PLAIN, kind=RegularizerKind.L1_ZERO)
-assert reg.core_solve(z)[3] == 0.0
 print(attempts)
 sys.exit(len(attempts))
 """
@@ -444,9 +434,12 @@ class TestDirectConstruction:
     @pytest.mark.parametrize("name", REGULARIZER_NAMES)
     def test_same_solve_as_composed(self, name):
         composed = regularizer_from_name(name, 30, delta=0.7)
-        direct = ProjectedRegularizer(n=30, basis=composed.basis,
-                                      mode=composed.mode.value,
-                                      kind=composed.kind.value, delta=0.7)
+        direct = ProjectedRegularizer(name, 30, 0.7)
         assert direct.kind is composed.kind and direct.mode is composed.mode
+        assert np.array_equal(direct.basis.V, composed.basis.V)
         z = np.random.default_rng(31).standard_normal(30)
         assert np.array_equal(direct.core_solve(z), composed.core_solve(z))
+
+    def test_fields_are_name_n_and_delta(self):
+        assert [f.name for f in dataclasses.fields(ProjectedRegularizer)] == [
+            "name", "n", "delta"]

@@ -10,29 +10,13 @@ from hypothesis import strategies as st
 
 from regnear.errors import RankDeficient, ShapeMismatch
 from regnear.linalg import thin_qr
-from regnear.nearness import NullSpaceBasis
 from regnear.problems import add_noise, build_phillips
-from regnear.regops import (REGULARIZER_NAMES, Mode, ProjectedRegularizer,
-                            RegularizerKind, compose_regularizer,
-                            regularizer_from_name)
+from regnear.regops import REGULARIZER_NAMES, Mode, regularizer_from_name
 from regnear.solver import SolverConfig, rrgmres_solve, tikhonov_direct_oracle
-from regnear.transform import (LinearOperator, StandardFormContext, apply_k2,
+from regnear.transform import (LinearOperator, StandardFormContext,
                                apply_pk_dagger, back_transform,
                                factor_transform, k2_operator, prepare_context,
                                project_rhs, tikhonov_minimizer_via_transform)
-
-
-def unit_vector_reg(n, j):
-    """Regularizer whose null space is the j-th coordinate direction.
-
-    Its core is the L1_DELTA stencil's; the tests that use it look only
-    at the split, which does not depend on the core.
-    """
-    v = np.zeros((n, 1))
-    v[j, 0] = 1.0
-    basis = NullSpaceBasis(n=n, ell=1, V=v)
-    return ProjectedRegularizer(n=n, basis=basis, mode=Mode.RIGHT,
-                                kind=RegularizerKind.L1_DELTA)
 
 
 class TestLinearOperator:
@@ -71,7 +55,7 @@ class TestPrepare:
         rng = np.random.default_rng(62)
         n = 5
         b = rng.standard_normal(n)
-        reg = unit_vector_reg(n, 2)
+        reg = regularizer_from_name("L1dP1", n)
         ctx = prepare_context(LinearOperator.from_matrix(np.eye(n)), b, reg)
         v = reg.basis.V[:, 0]
         np.testing.assert_allclose(ctx.x0, v * (v @ b), atol=1e-14)
@@ -82,7 +66,7 @@ class TestPrepare:
     def test_empty_split(self):
         rng = np.random.default_rng(63)
         b = rng.standard_normal(4)
-        reg = compose_regularizer(RegularizerKind.IDENTITY, 4, Mode.IDENTITY)
+        reg = regularizer_from_name("I", 4)
         ctx = prepare_context(LinearOperator.from_matrix(np.eye(4)), b, reg)
         assert ctx.ell == 0
         assert np.array_equal(ctx.x0, np.zeros(4))
@@ -193,7 +177,7 @@ class TestFactorOnce:
         factor = factor_transform(op, regularizer_from_name("P2L2tP2", n))
         contexts = [project_rhs(factor, rng.standard_normal(n)) for _ in range(2)]
         for ctx in contexts:
-            apply_k2(ctx, rng.standard_normal(n))
+            ctx.matvec(rng.standard_normal(n))
             assert ctx.prepare_matvecs == 4
         assert contexts[0].matvec_count == op.matvec_count == 4 + 2
 
@@ -230,7 +214,7 @@ class TestSplit:
 
 class TestProjectedPseudoinverse:
     def test_trivial_without_split(self):
-        reg = compose_regularizer(RegularizerKind.IDENTITY, 4, Mode.IDENTITY)
+        reg = regularizer_from_name("I", 4)
         op = LinearOperator.from_matrix(np.eye(4))
         ctx = prepare_context(op, np.ones(4), reg)
         before = op.matvec_count
@@ -242,7 +226,7 @@ class TestProjectedPseudoinverse:
         rng = np.random.default_rng(71)
         m, n = 9, 7
         K = rng.standard_normal((m, n))
-        reg = unit_vector_reg(n, 3)
+        reg = regularizer_from_name("L1dP1", n)
         ctx = prepare_context(LinearOperator.from_matrix(K), rng.standard_normal(m),
                               reg)
         V = reg.basis.V
@@ -307,10 +291,10 @@ class TestTransformedOperator:
     def test_identity_mode_passthrough(self):
         rng = np.random.default_rng(81)
         b = rng.standard_normal(5)
-        reg = compose_regularizer(RegularizerKind.IDENTITY, 5, Mode.IDENTITY)
+        reg = regularizer_from_name("I", 5)
         ctx = prepare_context(LinearOperator.from_matrix(np.eye(5)), b, reg)
         z = rng.standard_normal(5)
-        np.testing.assert_allclose(apply_k2(ctx, z), z, atol=1e-15)
+        np.testing.assert_allclose(ctx.matvec(z), z, atol=1e-15)
 
     @pytest.mark.parametrize("name", ["L1dP1", "L2tP2", "L10", "L20", "P2L2tP2"])
     def test_dense_assembly_oracle(self, name):
@@ -324,7 +308,7 @@ class TestTransformedOperator:
         scale = np.linalg.norm(dense)
         for _ in range(10):
             z = rng.standard_normal(n)
-            np.testing.assert_allclose(apply_k2(ctx, z), dense @ z,
+            np.testing.assert_allclose(ctx.matvec(z), dense @ z,
                                        atol=1e-10 * max(scale, 1.0))
 
     @pytest.mark.parametrize("name", ["I", "L1dP1", "L20", "P2L2tP2"])
@@ -335,7 +319,7 @@ class TestTransformedOperator:
         ctx = prepare_context(op, rng.standard_normal(n),
                               regularizer_from_name(name, n))
         before = op.matvec_count
-        apply_k2(ctx, rng.standard_normal(n))
+        ctx.matvec(rng.standard_normal(n))
         assert op.matvec_count == before + 1
 
     def test_operator_adapter(self):
@@ -347,7 +331,7 @@ class TestTransformedOperator:
         a = k2_operator(ctx)
         assert a.shape == (n, n)
         z = rng.standard_normal(n)
-        np.testing.assert_allclose(a.matvec(z.copy()), apply_k2(ctx, z), atol=1e-13)
+        np.testing.assert_allclose(a.matvec(z.copy()), ctx.matvec(z), atol=1e-13)
         assert a.matvec_count == op.matvec_count
 
     def test_solver_rhs_selection(self):
@@ -380,7 +364,7 @@ class TestBackTransform:
                                        atol=1e-14)
 
     def test_identity_mode_is_copy(self):
-        reg = compose_regularizer(RegularizerKind.IDENTITY, 4, Mode.IDENTITY)
+        reg = regularizer_from_name("I", 4)
         ctx = prepare_context(LinearOperator.from_matrix(np.eye(4)), np.ones(4),
                               reg)
         z = np.array([1.0, 2.0, 3.0, 4.0])
@@ -414,7 +398,7 @@ class TestBackTransform:
             z = rng.standard_normal(n)
             x = back_transform(ctx, z)
             lhs = np.linalg.norm(K @ x - b)
-            rhs = np.linalg.norm(apply_k2(ctx, z) - ctx.solver_rhs)
+            rhs = np.linalg.norm(ctx.matvec(z) - ctx.solver_rhs)
             assert lhs == pytest.approx(rhs, abs=1e-10 * max(1.0, rhs))
 
     @pytest.mark.parametrize("name,cost", [("I", 0), ("L1dP1", 1), ("L10", 1),
@@ -448,7 +432,7 @@ class TestSquareSingularCoincidence:
         scale = np.linalg.norm(prob.K)
         for _ in range(5):
             z = rng.standard_normal(30)
-            np.testing.assert_allclose(apply_k2(ctx_p, z), apply_k2(ctx_r, z),
+            np.testing.assert_allclose(ctx_p.matvec(z), ctx_r.matvec(z),
                                        atol=1e-10 * scale)
             np.testing.assert_allclose(back_transform(ctx_p, z),
                                        back_transform(ctx_r, z),
@@ -463,7 +447,7 @@ class TestPenalizedEquivalence:
 
     def test_identity_mode_closed_form(self):
         b = np.array([2.0, -4.0, 6.0])
-        reg = compose_regularizer(RegularizerKind.IDENTITY, 3, Mode.IDENTITY)
+        reg = regularizer_from_name("I", 3)
         x = tikhonov_minimizer_via_transform(np.eye(3), b, reg, 1.0)
         np.testing.assert_allclose(x, b / 2.0, atol=1e-12)
 
