@@ -9,15 +9,16 @@ from .errors import (BadDimension, DependentVectors, NoRoot, NotSymmetric,
 from .linalg import (frobenius_inner, frobenius_norm, min_norm_lstsq_solve,
                      read_matrix, read_vector, solve_upper_triangular, thin_qr,
                      write_matrix, write_vector)
-from .nearness import (NullSpaceBasis, build_projector, nearest_two_vector,
-                       nearest_symmetric_with_nullspace, nearest_with_nullspace,
-                       nearness_distance)
+from .nearness import (NullSpaceBasis, build_projector, distance_from_products,
+                       nearest_two_vector, nearest_symmetric_with_nullspace,
+                       nearest_with_nullspace, nearness_distance)
 from .problems import (NoiseInfo, TestProblem, add_noise, build_deriv2,
                        build_phillips, build_problem,
                        deriv2_entry_by_quadrature, relative_error)
 from .regops import (Mode, ProjectedRegularizer, REGULARIZER_NAMES,
                      RegularizerKind, make_nullspace_basis, make_projector_closed,
-                     make_regularization_matrix, regularizer_from_name)
+                     make_regularization_matrix, regularizer_from_name,
+                     stencil_product)
 from .solver import (IterationLog, RRGMRESResult, SolverConfig, StopReason,
                      discrepancy_mu_solve, hessenberg_residual, rrgmres_solve,
                      tikhonov_direct_oracle)

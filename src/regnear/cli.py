@@ -24,12 +24,13 @@ import numpy as np
 
 from .errors import BadDimension, NumericsError
 from .linalg import read_matrix, write_matrix, write_vector
-from .nearness import (NullSpaceBasis, nearest_symmetric_with_nullspace,
+from .nearness import (NullSpaceBasis, distance_from_products,
+                       nearest_symmetric_with_nullspace,
                        nearest_with_nullspace, nearness_distance)
 from .problems import add_noise, build_problem, relative_error
 from .regops import (REGULARIZER_NAMES, RegularizerKind,
-                     make_nullspace_basis, make_regularization_matrix,
-                     regularizer_from_name)
+                     make_nullspace_basis, regularizer_from_name,
+                     stencil_product)
 from .solver import SolverConfig, rrgmres_solve
 from .transform import (StandardFormFactor, back_transform, factor_transform,
                         project_rhs)
@@ -291,14 +292,17 @@ def cmd_distances(args) -> int:
     if args.step < 1:
         raise ConfigError("step must be positive")
 
+    # L2_TILDE and L2_ZERO differ in the two overhang rows, (1/2, -1/4)
+    # and (-1/4, 1/2), at every order
+    d_l20 = float(np.sqrt(0.625))
     lines = ["n,dist_L20,dist_PL2P,dist_L2P"]
     for n in range(args.min_n, args.max_n + 1, args.step):
-        l2t = make_regularization_matrix(RegularizerKind.L2_TILDE, n)
-        l20 = make_regularization_matrix(RegularizerKind.L2_ZERO, n)
-        basis = make_nullspace_basis("N2", n)
-        d_l20 = float(np.linalg.norm(l2t - l20))
-        d_two = nearness_distance(l2t, basis, symmetric=True)
-        d_right = nearness_distance(l2t, basis, symmetric=False)
+        V = make_nullspace_basis("N2", n).V
+        lv = stencil_product(RegularizerKind.L2_TILDE, n, V)
+        # L2_TILDE is symmetric (a palindromic stencil with its overhang
+        # rows kept), so L2_TILDE^T V is lv too
+        d_two = distance_from_products(V, lv, lv)
+        d_right = distance_from_products(V, lv)
         lines.append(f"{n},{d_l20:.17g},{d_two:.17g},{d_right:.17g}")
     with open(args.out, "w") as f:
         f.write("\n".join(lines) + "\n")

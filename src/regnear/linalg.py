@@ -120,9 +120,9 @@ def write_matrix(f, a) -> None:
         with open(f, "w") as fh:
             write_matrix(fh, a)
         return
-    f.write(f"{a.shape[0]} {a.shape[1]}\n")
-    for row in a:
-        f.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+    # the whole text in one write, from Python floats
+    rows = "".join(" ".join(f"{v:.17g}" for v in row) + "\n" for row in a.tolist())
+    f.write(f"{a.shape[0]} {a.shape[1]}\n{rows}")
 
 
 def read_matrix(f) -> np.ndarray:

@@ -10,8 +10,9 @@ The catalog's cores solve in closed form, in numpy alone: the
 bidiagonal first-difference cores by one reverse cumulative sum, the
 1/4 tridiag(-1, 2, -1) cores by the two cumulative sums of its Green's
 function.  Every regularizer is one of these stencils, so none holds
-an n x n array: its dense core is assembled only when asked for.  The
-module needs numpy alone.
+an n x n array: its dense core is assembled only when asked for, and
+stencil_product applies a catalog matrix to an n x k block from its
+stencil in O(n k).  The module needs numpy alone.
 """
 from __future__ import annotations
 
@@ -98,6 +99,45 @@ def make_regularization_matrix(kind: RegularizerKind, n: int, delta: float = 1.0
     if kind is RegularizerKind.L1_DELTA:
         L[-1, -1] = delta / 2.0
     return L
+
+
+def stencil_product(kind: RegularizerKind, n: int, X, delta: float = 1.0) -> np.ndarray:
+    """L X for the catalog matrix L of the kind at dimension n, in O(n k).
+
+    X has n rows (or is a vector of length n).  Each row of L X is the
+    stencil's weighted sum of neighbouring rows of X, taken left to
+    right; the rows where the stencil overhangs are kept with their
+    in-range terms, zeroed or dropped as _STENCIL_RULE says, and
+    L1_DELTA scales the last row of X by delta / 2.  No n x n array is
+    formed, and the result equals make_regularization_matrix(kind, n,
+    delta) @ X.
+    """
+    kind = RegularizerKind(kind)
+    _check_catalog_args(kind, n, delta)
+    X = np.asarray(X, dtype=float)
+    if X.ndim not in (1, 2) or X.shape[0] != n:
+        raise ShapeMismatch(f"expected {n} rows, got shape {X.shape}")
+    if kind is RegularizerKind.IDENTITY:
+        return X.copy()
+
+    stencil, overhang = _STENCIL_RULE[kind]
+    top = (len(stencil) - 1) // 2
+    bottom = n - (len(stencil) - 1 - top)
+    # X between zero rows, so that an overhanging row sums its in-range
+    # terms alone
+    padded = np.zeros((n + len(stencil) - 1,) + X.shape[1:])
+    padded[top:top + n] = X
+    Y = stencil[0] * padded[:n]
+    for j, c in enumerate(stencil[1:], 1):
+        Y += c * padded[j:j + n]
+    if overhang == "drop":
+        return Y[top:bottom]
+    if overhang == "zero":
+        Y[:top] = 0.0
+        Y[bottom:] = 0.0
+    if kind is RegularizerKind.L1_DELTA:
+        Y[-1] = delta / 2.0 * X[-1]
+    return Y
 
 
 def make_nullspace_basis(which: str, n: int) -> NullSpaceBasis:

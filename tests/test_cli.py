@@ -340,6 +340,52 @@ class TestDistancesCommand:
             assert float(d_l20) == pytest.approx(const, rel=1e-12)
             assert float(d_right) < float(d_two) < float(d_l20)
 
+    @staticmethod
+    def dense_row(n):
+        """(||L2t - L20||, ||L2t - P L2t P||, ||L2t - L2t P||) with the
+        explicit projector P = I - V V^T of the constants and linear
+        trends."""
+        l2t = (np.diag(np.full(n, 0.5)) + np.diag(np.full(n - 1, -0.25), 1)
+               + np.diag(np.full(n - 1, -0.25), -1))
+        l20 = l2t.copy()
+        l20[[0, -1]] = 0.0
+        V, _ = np.linalg.qr(np.column_stack([np.ones(n), np.arange(1.0, n + 1.0)]))
+        P = np.eye(n) - V @ V.T
+        return (np.linalg.norm(l2t - l20), np.linalg.norm(l2t - P @ l2t @ P),
+                np.linalg.norm(l2t - l2t @ P))
+
+    @pytest.mark.parametrize("argv,orders", [
+        (["--min-n", "4", "--max-n", "6"], [4, 5, 6]),
+        (["--min-n", "78", "--max-n", "78"], [78]),
+        (["--min-n", "211", "--max-n", "211"], [211]),
+        (["--min-n", "400", "--max-n", "400"], [400]),
+        (["--min-n", "4", "--max-n", "60", "--step", "7"], list(range(4, 61, 7))),
+    ], ids=["4-6", "78", "211", "400", "step7"])
+    def test_rows_match_dense_projector(self, argv, orders, tmp_path):
+        out = tmp_path / "d.csv"
+        assert main(["distances", *argv, "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert [int(r.split(",")[0]) for r in rows] == orders
+        for row in rows:
+            n, *got = row.split(",")
+            np.testing.assert_allclose([float(g) for g in got],
+                                       self.dense_row(int(n)), rtol=1e-12)
+
+    def test_large_order_builds_no_square_array(self, tmp_path):
+        # at n = 4000 an n x n array of doubles takes 128 MB; the table
+        # works on n x 2 blocks alone
+        import tracemalloc
+        out = tmp_path / "d.csv"
+        tracemalloc.start()
+        try:
+            assert main(["distances", "--min-n", "4000", "--max-n", "4000",
+                         "--out", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        assert out.read_text().splitlines()[1].startswith("4000,")
+
     def test_bad_range(self, tmp_path):
         assert main(["distances", "--min-n", "10", "--max-n", "4",
                      "--out", str(tmp_path / "d.csv")]) == 2
@@ -468,7 +514,7 @@ def test_other_out_of_memory_is_config_error(tmp_path, capsys, monkeypatch):
     def no_memory(kind, n, delta=1.0):
         raise MemoryError(f"Unable to allocate {8 * n * n} bytes")
 
-    monkeypatch.setattr(regnear.cli, "make_regularization_matrix", no_memory)
+    monkeypatch.setattr(regnear.cli, "make_nullspace_basis", no_memory)
     assert main(["distances", "--out", str(tmp_path / "d.csv")]) == 2
     err = capsys.readouterr().err
     assert err == "error: out of memory: Unable to allocate 128 bytes\n"

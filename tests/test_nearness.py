@@ -13,11 +13,13 @@ from regnear.errors import (BadDimension, DependentVectors, NotSymmetric,
                             RankDeficient, ShapeMismatch)
 from regnear.linalg import frobenius_inner, frobenius_norm
 from regnear.nearness import (NullSpaceBasis, build_projector,
+                              distance_from_products,
                               nearest_symmetric_with_nullspace,
                               nearest_two_vector, nearest_with_nullspace,
                               nearness_distance)
 from regnear.regops import (RegularizerKind, make_nullspace_basis,
-                            make_projector_closed, make_regularization_matrix)
+                            make_projector_closed, make_regularization_matrix,
+                            stencil_product)
 
 
 # both symmetric-variant entry points share one square-and-symmetric check
@@ -275,6 +277,18 @@ class TestNearestSymmetric:
             symmetric_op(np.triu(np.ones((3, 3))), basis)
 
     @pytest.mark.parametrize("symmetric_op", SYMMETRIC_OPS, ids=SYMMETRIC_IDS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite(self, symmetric_op, bad):
+        # one bad entry in an asymmetric matrix: a NaN makes every norm
+        # NaN, an inf makes the scale infinite, and neither may pass as
+        # symmetric
+        a = np.triu(np.ones((3, 3)))
+        a[0, 1] = bad
+        basis = NullSpaceBasis(n=3, ell=1, V=np.ones((3, 1)) / np.sqrt(3.0))
+        with pytest.raises(NotSymmetric):
+            symmetric_op(a, basis)
+
+    @pytest.mark.parametrize("symmetric_op", SYMMETRIC_OPS, ids=SYMMETRIC_IDS)
     def test_rejects_rectangular(self, symmetric_op):
         basis = NullSpaceBasis(n=3, ell=1, V=np.ones((3, 1)) / np.sqrt(3.0))
         with pytest.raises(ShapeMismatch):
@@ -313,6 +327,19 @@ class TestNearnessDistance:
 
     def test_empty_basis(self):
         assert nearness_distance(np.eye(3), NullSpaceBasis.empty(3)) == 0.0
+
+    def test_stencil_products_give_the_dense_bits(self):
+        # the distances table passes the stencil product L2_TILDE V as
+        # both a V and a^T V; over the table's default orders it must
+        # reproduce the dense route to the last bit
+        for n in range(4, 401):
+            a = make_regularization_matrix(RegularizerKind.L2_TILDE, n)
+            basis = make_nullspace_basis("N2", n)
+            lv = stencil_product(RegularizerKind.L2_TILDE, n, basis.V)
+            assert distance_from_products(basis.V, lv, lv) == nearness_distance(
+                a, basis, symmetric=True), n
+            assert distance_from_products(basis.V, lv) == nearness_distance(
+                a, basis), n
 
 
 class TestNearnessProperties:

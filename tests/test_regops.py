@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 import regnear
-from regnear.errors import BadDimension, SingularCore
+from regnear.errors import BadDimension, ShapeMismatch, SingularCore
 from regnear.linalg import RANK_TOL
 from regnear.nearness import build_projector
 from regnear.regops import (Mode, ProjectedRegularizer, REGULARIZER_NAMES,
                             RegularizerKind, make_nullspace_basis, make_projector_closed,
-                            make_regularization_matrix, regularizer_from_name)
+                            make_regularization_matrix, regularizer_from_name,
+                            stencil_product)
 
 
 class TestStencils:
@@ -99,6 +100,42 @@ class TestStencils:
         for kind in RegularizerKind:
             with pytest.raises(ValueError, match="finite"):
                 make_regularization_matrix(kind, 5, delta=delta)
+
+
+class TestStencilProduct:
+    """L X from the stencil, against the assembled catalog matrix."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(list(RegularizerKind)), n=st.integers(3, 60),
+           k=st.integers(0, 3), vector=st.booleans(),
+           delta=st.floats(1e-3, 1e3), seed=st.integers(0, 2**32 - 1))
+    def test_equals_dense_product(self, kind, n, k, vector, delta, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal(n if vector else (n, k))
+        dense = make_regularization_matrix(kind, n, delta) @ X
+        got = stencil_product(kind, n, X, delta)
+        assert got.shape == dense.shape
+        scale = max(np.max(np.abs(dense), initial=0.0), 1e-300)
+        assert np.max(np.abs(got - dense), initial=0.0) <= 1e-14 * scale
+
+    def test_does_not_change_its_input(self):
+        X = np.arange(12.0).reshape(6, 2)
+        for kind in RegularizerKind:
+            got = stencil_product(kind, 6, X)
+            assert not np.shares_memory(got, X)
+        assert np.array_equal(X, np.arange(12.0).reshape(6, 2))
+
+    @pytest.mark.parametrize("X", [np.ones((5, 2)), np.ones(5), np.ones((7, 2, 1))],
+                             ids=["rows", "vector", "3-d"])
+    def test_shape_guard(self, X):
+        with pytest.raises(ShapeMismatch):
+            stencil_product(RegularizerKind.L2_TILDE, 6, X)
+
+    def test_catalog_guards(self):
+        with pytest.raises(BadDimension):
+            stencil_product(RegularizerKind.L1_RECT, 2, np.ones(2))
+        with pytest.raises(ValueError):
+            stencil_product(RegularizerKind.L1_DELTA, 5, np.ones(5), delta=0.0)
 
 
 class TestNullspaceBases:
