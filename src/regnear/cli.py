@@ -27,7 +27,7 @@ from .linalg import read_matrix, write_matrix, write_vector
 from .nearness import (NullSpaceBasis, distance_from_products,
                        nearest_symmetric_with_nullspace,
                        nearest_with_nullspace, nearness_distance)
-from .problems import add_noise, build_problem, relative_error
+from .problems import DENSE_MAX_N, add_noise, build_problem, relative_error
 from .regops import (REGULARIZER_NAMES, RegularizerKind,
                      make_nullspace_basis, regularizer_from_name,
                      stencil_product)
@@ -85,14 +85,14 @@ def run_single(base_problem, nu: float, seed: int, reg_name: str,
                factor: Optional[StandardFormFactor] = None) -> RunResult:
     """One full pipeline pass; matvec phases are counted separately.
 
-    factor, when given, must be factor_transform of base_problem.K and
+    factor, when given, must be factor_transform of base_problem.op and
     the reg_name regularizer; it is reused as is, so runs that share it
     skip the factor step.  Each run still reports the factor's own
     prepare count, so the columns do not depend on whether it is shared.
     """
     prob = add_noise(base_problem, nu, seed)
     if factor is None:
-        factor = factor_transform(prob.K, regularizer_from_name(reg_name, prob.n, delta))
+        factor = factor_transform(prob.op, regularizer_from_name(reg_name, prob.n, delta))
     ctx = project_rhs(factor, prob.b)
     cfg = SolverConfig(eta=eta, epsilon=prob.epsilon, max_iter=max_iter)
     res = rrgmres_solve(ctx, ctx.solver_rhs, cfg)
@@ -187,16 +187,18 @@ def _check_numbers(noise_levels, eta: float, delta: float, max_iter: int) -> Non
 
 
 def _build_base(problem: str, n: int):
-    """The noise-free problem; an n out of range, or a K too large for
-    memory, is a bad n."""
+    """The noise-free problem; an n out of range, or a problem too large
+    for memory, is a bad n."""
     try:
         return build_problem(problem, n)
     except BadDimension as exc:
         raise ConfigError(f"--n {n}: {exc}") from None
     except MemoryError:
-        raise ConfigError(f"n = {n} needs a dense {n}x{n} K "
-                          f"({8 * n * n / 2**30:.3g} GiB), more than the "
-                          f"memory available") from None
+        # only at or below DENSE_MAX_N does the build hold a dense K
+        dense = (f", with a dense {n}x{n} K ({8 * n * n / 2**30:.3g} GiB)"
+                 if n <= DENSE_MAX_N else "")
+        raise ConfigError(f"n = {n}{dense} needs more than the memory "
+                          f"available") from None
 
 
 def _validate_regs(regs) -> None:
@@ -261,7 +263,7 @@ def cmd_table(args) -> int:
             # each seed's run_single raises the failure again and it is
             # reported per seed
             try:
-                factor = factor_transform(base.K, regularizer_from_name(reg, n, delta))
+                factor = factor_transform(base.op, regularizer_from_name(reg, n, delta))
             except NumericsError:
                 factor = None
             block: list = []

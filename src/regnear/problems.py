@@ -8,8 +8,14 @@ diagonal offset, Hansen's row plus a term for the kernel's support
 edge, evaluated for all offsets in one vectorised expression; the
 Green's-function problem on [0, 1] has piecewise-bilinear kernel pieces
 and exact entry formulas.  The adaptive quadrature here serves only the
-*_by_quadrature oracles that cross-check both.  Each builder allocates
-K and no other array of its size.
+*_by_quadrature oracles that cross-check both.
+
+K is handed on as an operator.  At or below DENSE_MAX_N a builder
+stores dense K and a product is one GEMV.  Above it a builder allocates
+no n x n array: phillips, symmetric Toeplitz, multiplies through a
+circulant embedding and the FFT, and deriv2, semiseparable, through two
+cumulative sums of its generators, in O(n log n) and O(n).  Dense K is
+then assembled from the same closed forms each time it is read.
 
 The synthetic data are noise-free right-hand sides b_hat = K x_hat with
 a constant vector added to x_hat, plus Gaussian noise rescaled to a
@@ -18,12 +24,18 @@ discrepancy principle can use it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field, replace
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import BadDimension, ShapeMismatch
+from .transform import LinearOperator
+
+# The largest order at which K is stored dense.  Up to about this n one
+# GEMV is as fast as the structured product; see CHANGES.md for the
+# measurement.
+DENSE_MAX_N = 320
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
 
@@ -77,17 +89,45 @@ class NoiseInfo:
 
 @dataclass(eq=False)
 class TestProblem:
+    """K as the operator op, which counts its products, with the exact
+    solution x_hat, the exact data b_hat = K x_hat and the data b."""
+
     name: str
     n: int
-    K: np.ndarray
+    op: LinearOperator
     x_hat: np.ndarray
     b_hat: np.ndarray
     b: np.ndarray
+    dense: Callable[[], np.ndarray] = field(repr=False)
     noise: Optional[NoiseInfo] = None
+
+    @property
+    def K(self) -> np.ndarray:
+        """Dense K: the stored matrix at or below DENSE_MAX_N; above it,
+        assembled on every read, at 8 n^2 bytes."""
+        return self.dense()
 
     @property
     def epsilon(self) -> float:
         return self.noise.epsilon if self.noise is not None else 0.0
+
+
+def _with_operator(name: str, x_hat: np.ndarray,
+                   dense: Callable[[], np.ndarray],
+                   structured: Callable[[], Callable]) -> TestProblem:
+    """The problem with K as an operator.  At or below DENSE_MAX_N,
+    K = dense() is stored and serves every product; above it,
+    structured() makes the matvec and dense() runs only when K is read.
+    b_hat = K x_hat is a product the operator does not count."""
+    n = x_hat.size
+    if n <= DENSE_MAX_N:
+        K = dense()
+        op, b_hat, dense = LinearOperator.from_matrix(K), K @ x_hat, (lambda: K)
+    else:
+        matvec = structured()
+        op, b_hat = LinearOperator((n, n), matvec), matvec(x_hat)
+    return TestProblem(name=name, n=n, op=op, x_hat=x_hat, b_hat=b_hat,
+                       b=b_hat.copy(), dense=dense)
 
 
 def _phillips_solution(s):
@@ -161,6 +201,34 @@ def phillips_offsets(n: int) -> np.ndarray:
     return offsets
 
 
+def _phillips_matrix(offsets: np.ndarray) -> np.ndarray:
+    """The symmetric Toeplitz matrix whose first row is offsets."""
+    n = offsets.size
+    # row i is offsets[|i - j|], j = 0..n-1: the window of offsets
+    # mirrored about 0 that starts n - 1 - i entries in
+    mirrored = np.concatenate((offsets[:0:-1], offsets))
+    return np.lib.stride_tricks.sliding_window_view(mirrored, n)[::-1].copy()
+
+
+def _phillips_fft_matvec(offsets: np.ndarray) -> Callable:
+    """x -> K x for the Toeplitz K of offsets, by circulant embedding.
+
+    Only the first w offsets are nonzero (positive inside the kernel's
+    support, exactly 0 beyond it), so a circulant of length m >= n + w - 1
+    whose first column is offsets[:w], then zeros, then offsets[w-1:0:-1],
+    holds K as its leading n x n block.  Its spectrum is taken once; each
+    product is one forward and one inverse real FFT of length m.
+    """
+    n = offsets.size
+    w = int(np.count_nonzero(offsets))
+    m = 1 << (n + w - 2).bit_length()   # a power of two, >= n + w - 1
+    col = np.zeros(m)
+    col[:w] = offsets[:w]
+    col[m - w + 1:] = offsets[w - 1:0:-1]
+    spectrum = np.fft.rfft(col)
+    return lambda x: np.fft.irfft(np.fft.rfft(x, m) * spectrum, m)[:n]
+
+
 def build_phillips(n: int) -> TestProblem:
     """Convolution equation on [-6, 6] with a cosine-bump kernel.
 
@@ -169,21 +237,17 @@ def build_phillips(n: int) -> TestProblem:
     (symmetric Toeplitz) matrix.  Integrating the triangular cell-overlap
     weight against the kernel reduces each entry to a single 1-d
     integral with a closed form; phillips_offsets evaluates them all in
-    one vectorised expression.
+    one vectorised expression.  Above DENSE_MAX_N, products go through
+    the FFT of a circulant embedding.
     """
     if n < 4:
         raise BadDimension("phillips needs n >= 4")
     h = 12.0 / n
     offsets = phillips_offsets(n)
-    # row i of the Toeplitz matrix is offsets[|i - j|], j = 0..n-1: the
-    # window of offsets mirrored about 0 that starts n - 1 - i entries in
-    mirrored = np.concatenate((offsets[:0:-1], offsets))
-    K = np.lib.stride_tricks.sliding_window_view(mirrored, n)[::-1].copy()
     mids = -6.0 + (np.arange(1, n + 1) - 0.5) * h
     x_hat = np.sqrt(h) * _phillips_solution(mids) + 1.0
-    b_hat = K @ x_hat
-    return TestProblem(name="phillips", n=n, K=K, x_hat=x_hat,
-                       b_hat=b_hat, b=b_hat.copy())
+    return _with_operator("phillips", x_hat, lambda: _phillips_matrix(offsets),
+                          lambda: _phillips_fft_matvec(offsets))
 
 
 def _deriv2_kernel(s, t):
@@ -192,9 +256,26 @@ def _deriv2_kernel(s, t):
     return np.where(s < t, s * (t - 1.0), t * (s - 1.0))
 
 
-# rows per step of build_deriv2's in-place symmetrization; the step's
-# temporaries are of order this squared, not n squared
-_DERIV2_ROW_BLOCK = 64
+def _deriv2_matrix(u: np.ndarray, v: np.ndarray, diag: np.ndarray) -> np.ndarray:
+    """The symmetric matrix with u_i v_j below the diagonal and diag on it."""
+    lower = np.tril(np.outer(u, v), -1)
+    K = lower + lower.T
+    np.fill_diagonal(K, diag)
+    return K
+
+
+def _deriv2_matvec(u: np.ndarray, v: np.ndarray, diag: np.ndarray) -> Callable:
+    """x -> K x for the semiseparable K of _deriv2_matrix(u, v, diag):
+    (K x)_i = u_i sum_{j<i} v_j x_j + v_i sum_{j>i} u_j x_j + diag_i x_i,
+    two cumulative sums and O(n) work."""
+    def matvec(x):
+        below = np.cumsum(v * x)                # sum over j <= i
+        above = np.cumsum((u * x)[::-1])[::-1]  # sum over j >= i
+        y = diag * x
+        y[1:] += u[1:] * below[:-1]
+        y[:-1] += v[:-1] * above[1:]
+        return y
+    return matvec
 
 
 def build_deriv2(n: int) -> TestProblem:
@@ -204,33 +285,26 @@ def build_deriv2(n: int) -> TestProblem:
     on each triangle, so every cell integral has a closed form.  For
     distinct cells the double integral factors into two one-dimensional
     ones; the diagonal cells integrate the kernel over a square split by
-    the diagonal.
+    the diagonal.  So K is semiseparable, with generators u and v below
+    the diagonal, and above DENSE_MAX_N its products take two
+    cumulative sums.
     """
     if n < 4:
         raise BadDimension("deriv2 needs n >= 4")
     h = 1.0 / n
     mids = (np.arange(1, n + 1) - 0.5) * h
     # i > j: s >= t throughout, kernel t(s-1); the factored integrals give
-    # h * mid_j * (mid_i - 1); symmetry fills the upper triangle, copied
-    # from the lower one block of rows at a time, in place
-    K = np.outer(mids - 1.0, h * mids)
-    for r0 in range(0, n, _DERIV2_ROW_BLOCK):
-        r1 = min(r0 + _DERIV2_ROW_BLOCK, n)
-        K[r0:r1, r1:] = K[r1:, r0:r1].T
-        block = K[r0:r1, r0:r1]
-        upper = np.triu_indices(r1 - r0, 1)
-        block[upper] = block.T[upper]
+    # h * mid_j * (mid_i - 1) = u_i v_j; symmetry fills the upper triangle
+    u, v = mids - 1.0, h * mids
     alpha = np.arange(n) * h
     beta = alpha + h
-    K[np.arange(n), np.arange(n)] = (
-        (beta + alpha) * (beta ** 2 + alpha ** 2) / 4.0
-        - (beta ** 2 + alpha * beta + alpha ** 2) / 3.0
-        - alpha ** 2 * (beta + alpha) / 2.0
-        + alpha ** 2)
+    diag = ((beta + alpha) * (beta ** 2 + alpha ** 2) / 4.0
+            - (beta ** 2 + alpha * beta + alpha ** 2) / 3.0
+            - alpha ** 2 * (beta + alpha) / 2.0
+            + alpha ** 2)
     x_hat = np.sqrt(h) * np.exp(mids) + 1.0
-    b_hat = K @ x_hat
-    return TestProblem(name="deriv2", n=n, K=K, x_hat=x_hat,
-                       b_hat=b_hat, b=b_hat.copy())
+    return _with_operator("deriv2", x_hat, lambda: _deriv2_matrix(u, v, diag),
+                          lambda: _deriv2_matvec(u, v, diag))
 
 
 def deriv2_entry_by_quadrature(n: int, i: int, j: int, tol: float = 1e-12) -> float:
@@ -275,6 +349,7 @@ def add_noise(problem: TestProblem, nu: float, seed: int) -> TestProblem:
 
     The generator is counter-based (Philox) and fully determined by the
     seed, so realizations are reproducible across platforms and runs.
+    The result shares the problem's operator and reads no dense K.
     """
     if not 0.0 <= nu < np.inf:
         raise ValueError(f"noise level must be finite and nonnegative, got {nu!r}")
@@ -289,10 +364,8 @@ def add_noise(problem: TestProblem, nu: float, seed: int) -> TestProblem:
         gen = np.random.Generator(np.random.Philox(seed))
         raw = gen.standard_normal(problem.n)
         e = raw * (e_norm / np.linalg.norm(raw))
-    return TestProblem(name=problem.name, n=problem.n, K=problem.K,
-                       x_hat=problem.x_hat, b_hat=problem.b_hat,
-                       b=problem.b_hat + e,
-                       noise=NoiseInfo(nu=float(nu), seed=int(seed), e=e))
+    return replace(problem, b=problem.b_hat + e,
+                   noise=NoiseInfo(nu=float(nu), seed=int(seed), e=e))
 
 
 def relative_error(x_k: np.ndarray, x_hat: np.ndarray) -> float:

@@ -53,11 +53,12 @@ itself the transformed operator (shape, matvec) handed to the solver,
 and its matvec_count is the count of products with K that the wrapped
 LinearOperator keeps.  That count runs across every context made from
 one factor, so a driver that shares a factor counts one run as the
-factor's prepare_matvecs plus the products the run itself makes.
+factor's prepare_matvecs plus the products the run itself makes.  The
+count is a plain integer, not thread-safe: products with one operator
+are made from one thread at a time.
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
@@ -69,7 +70,10 @@ from .regops import Mode, ProjectedRegularizer
 
 
 class LinearOperator:
-    """Matrix-vector products with a running, thread-safe count."""
+    """Matrix-vector products with a running count.
+
+    The count is not thread-safe: concurrent products may be missed.
+    """
 
     def __init__(self, shape: tuple[int, int], matvec: Callable[[np.ndarray], np.ndarray]):
         m, n = shape
@@ -78,7 +82,6 @@ class LinearOperator:
         self.shape = (int(m), int(n))
         self._matvec = matvec
         self._count = 0
-        self._lock = threading.Lock()
 
     @classmethod
     def from_matrix(cls, a: np.ndarray) -> "LinearOperator":
@@ -92,14 +95,12 @@ class LinearOperator:
         if v.shape != (self.shape[1],):
             raise ShapeMismatch(
                 f"operand has shape {v.shape}, operator expects ({self.shape[1]},)")
-        with self._lock:
-            self._count += 1
+        self._count += 1
         return np.asarray(self._matvec(v), dtype=float)
 
     @property
     def matvec_count(self) -> int:
-        with self._lock:
-            return self._count
+        return self._count
 
 
 @dataclass(eq=False)

@@ -7,7 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from regnear.errors import BadDimension, ShapeMismatch
-from regnear.problems import (NoiseInfo, adaptive_gauss_legendre, add_noise,
+from regnear.problems import (DENSE_MAX_N, NoiseInfo, adaptive_gauss_legendre,
+                              add_noise,
                               build_deriv2, build_phillips, build_problem,
                               deriv2_entry_by_quadrature,
                               phillips_offset_by_quadrature, phillips_offsets,
@@ -194,6 +195,51 @@ class TestDeriv2:
     def test_singular_value_decay(self):
         s = np.linalg.svd(build_deriv2(200).K, compute_uv=False)
         assert s[40] / s[0] < 1e-3
+
+
+class TestOperator:
+    """K as an operator: dense at or below DENSE_MAX_N, structured above."""
+
+    @pytest.mark.parametrize("name", ["phillips", "deriv2"])
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(4, 3000), seed=st.integers(0, 2**32 - 1))
+    @example(n=DENSE_MAX_N - 1, seed=1)
+    @example(n=DENSE_MAX_N, seed=2)
+    @example(n=DENSE_MAX_N + 1, seed=3)
+    @example(n=2001, seed=4)  # the phillips support edge inside a cell
+    @example(n=4001, seed=5)
+    def test_matvec_matches_dense_K(self, name, n, seed):
+        p = build_problem(name, n)
+        x = np.random.default_rng(seed).standard_normal(n)
+        y = p.K @ x
+        assert np.linalg.norm(p.op.matvec(x) - y) <= 1e-13 * np.linalg.norm(y)
+
+    @pytest.mark.parametrize("name", ["phillips", "deriv2"])
+    @pytest.mark.parametrize("n", [DENSE_MAX_N + 1, 2000, 2001])
+    def test_b_hat_is_K_x_hat(self, name, n):
+        p = build_problem(name, n)
+        y = p.K @ p.x_hat
+        assert np.linalg.norm(p.b_hat - y) <= 1e-13 * np.linalg.norm(y)
+        assert p.op.matvec_count == 0  # b_hat is not a counted product
+
+    @pytest.mark.parametrize("name", ["phillips", "deriv2"])
+    def test_dense_only_up_to_the_crossover(self, name):
+        small = build_problem(name, DENSE_MAX_N)
+        assert small.K is small.K  # stored
+        large = build_problem(name, DENSE_MAX_N + 1)
+        assert large.K is not large.K  # assembled on each read
+        assert np.array_equal(large.K, large.K)
+
+    @pytest.mark.parametrize("name", ["phillips", "deriv2"])
+    def test_build_and_noise_hold_no_dense_K(self, name):
+        n = 2000
+        # first-use imports (numpy.fft, the noise generator) are not the
+        # build's nor the noise's
+        add_noise(build_problem(name, DENSE_MAX_N + 1), 1e-3, 11)
+        assert traced_peak(lambda: build_problem(name, n)) < 2**20
+        base = build_problem(name, n)
+        assert traced_peak(lambda: add_noise(base, 1e-3, 11)) < 2**20
+        assert add_noise(base, 1e-3, 11).op is base.op
 
 
 class TestDispatch:

@@ -132,6 +132,24 @@ class TestRRGMRES:
         assert res.solve_matvecs == 0
         assert res.log.entries == [(0, pytest.approx(np.linalg.norm(b)), 0)]
 
+    def test_zero_data_with_zero_epsilon_needs_no_product(self):
+        # ||b|| = 0 meets the threshold eta * 0 = 0 with equality
+        op = LinearOperator.from_matrix(np.eye(3))
+        res = rrgmres_solve(op, np.zeros(3), SolverConfig(epsilon=0.0))
+        assert res.stop_reason is StopReason.INITIAL_RESIDUAL_OK
+        assert res.k == 0 and res.solve_matvecs == 0
+        assert op.matvec_count == 0
+
+    def test_residual_equal_to_threshold_meets_discrepancy(self):
+        # A z = (z1, 0) cannot fit b2 = 1, so the step-1 residual is
+        # exactly 1.0, equal to eta * epsilon = 2 * 0.5; the basis breaks
+        # down at the same step, but the discrepancy test decides the stop
+        res = rrgmres_solve(LinearOperator.from_matrix(np.diag([1.0, 0.0])),
+                            np.array([1.0, 1.0]),
+                            SolverConfig(eta=2.0, epsilon=0.5))
+        assert res.k == 1 and res.residual == 1.0
+        assert res.stop_reason is StopReason.DISCREPANCY_MET
+
     def test_identity_recovers_data_in_one_step(self):
         rng = np.random.default_rng(102)
         b = rng.standard_normal(7)
