@@ -15,7 +15,6 @@ bad content of an input file that could be read included).
 from __future__ import annotations
 
 import argparse
-import statistics
 import sys
 from dataclasses import dataclass, fields
 from typing import Optional
@@ -27,8 +26,8 @@ from .linalg import read_matrix, write_matrix, write_vector
 from .nearness import (NullSpaceBasis, distance_from_products,
                        nearest_symmetric_with_nullspace,
                        nearest_with_nullspace, nearness_distance)
-from .problems import DENSE_MAX_N, add_noise, build_problem, relative_error
-from .regops import (REGULARIZER_NAMES, RegularizerKind,
+from .problems import add_noise, build_problem, relative_error
+from .regops import (REGULARIZER_NAMES, RegularizerKind, catalog_entry,
                      make_nullspace_basis, regularizer_from_name,
                      stencil_product)
 from .solver import SolverConfig, rrgmres_solve
@@ -194,18 +193,12 @@ def _build_base(problem: str, n: int):
     except BadDimension as exc:
         raise ConfigError(f"--n {n}: {exc}") from None
     except MemoryError:
-        # only at or below DENSE_MAX_N does the build hold a dense K
-        dense = (f", with a dense {n}x{n} K ({8 * n * n / 2**30:.3g} GiB)"
-                 if n <= DENSE_MAX_N else "")
-        raise ConfigError(f"n = {n}{dense} needs more than the memory "
-                          f"available") from None
+        raise ConfigError(f"n = {n} needs more than the memory available") from None
 
 
 def _validate_regs(regs) -> None:
     for name in regs:
-        if name not in REGULARIZER_NAMES:
-            valid = ", ".join(REGULARIZER_NAMES)
-            raise ConfigError(f"unknown regularizer {name!r}; valid names: {valid}")
+        catalog_entry(name)  # ValueError on an unknown name
 
 
 # --- subcommands ----------------------------------------------------------
@@ -240,7 +233,7 @@ def _partial_row(problem: str, n: int, nu: float, reg: str, seed: str,
 
 def _median_row(problem: str, n: int, nu: float, reg: str, rows: list) -> str:
     ok = [r for r in rows if isinstance(r, RunResult)]
-    medians = {c: _fmt(float(statistics.median(getattr(r, c) for r in ok)))
+    medians = {c: _fmt(float(np.median([getattr(r, c) for r in ok])))
                for c in ("iterations", "matvecs", "relative_error")} if ok else {}
     return _partial_row(problem, n, nu, reg, "median", **medians)
 

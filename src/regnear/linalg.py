@@ -22,6 +22,17 @@ def _as_float_array(a, name: str) -> np.ndarray:
     return arr
 
 
+def checked_rhs(b, m: int) -> np.ndarray:
+    """b as a float vector of length m; ShapeMismatch for another shape,
+    ValueError for a non-finite entry."""
+    b = np.asarray(b, dtype=float)
+    if b.shape != (m,):
+        raise ShapeMismatch(f"right-hand side has shape {b.shape}, expected ({m},)")
+    if not np.all(np.isfinite(b)):
+        raise ValueError("right-hand side must be finite")
+    return b
+
+
 def thin_qr(a) -> tuple[np.ndarray, np.ndarray]:
     """Thin QR factorization of a tall matrix.
 
@@ -126,7 +137,11 @@ def write_matrix(f, a) -> None:
 
 
 def read_matrix(f) -> np.ndarray:
-    """Read a matrix in the plain-text format; raises ParseError on bad input."""
+    """Read a matrix in the plain-text format; raises ParseError on bad input.
+
+    The header fixes the row count: blank lines may follow the last
+    row, anything else is bad input.
+    """
     if isinstance(f, (str, bytes)):
         with open(f) as fh:
             return read_matrix(fh)
@@ -148,6 +163,8 @@ def read_matrix(f) -> np.ndarray:
             data.append([float(p) for p in parts])
         except ValueError as exc:
             raise ParseError(f"row {i + 1}: non-numeric entry") from exc
+    if f.read().strip():
+        raise ParseError(f"content after the {rows} rows the header declares")
     out = np.array(data, dtype=float).reshape(rows, cols)
     if not np.all(np.isfinite(out)):
         raise ParseError("non-finite entry in matrix file")

@@ -8,7 +8,8 @@ diagonal offset, Hansen's row plus a term for the kernel's support
 edge, evaluated for all offsets in one vectorised expression; the
 Green's-function problem on [0, 1] has piecewise-bilinear kernel pieces
 and exact entry formulas.  The adaptive quadrature here serves only the
-*_by_quadrature oracles that cross-check both.
+*_by_quadrature oracles that cross-check both; its Gauss-Legendre rule
+is made on first use, so importing the module computes none.
 
 K is handed on as an operator.  At or below DENSE_MAX_N a builder
 stores dense K and a product is one GEMV.  Above it a builder allocates
@@ -24,6 +25,7 @@ discrepancy principle can use it.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
@@ -37,13 +39,19 @@ from .transform import LinearOperator
 # measurement.
 DENSE_MAX_N = 320
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
+
+@functools.cache
+def _gl_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The 10-point Gauss-Legendre nodes and weights, made on first use:
+    only the quadrature oracles need them, and the CLI never calls one."""
+    return np.polynomial.legendre.leggauss(10)
 
 
 def _gl_panel(f, a: float, b: float) -> float:
+    nodes, weights = _gl_rule()
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    return half * float(np.dot(_GL_WEIGHTS, f(mid + half * _GL_NODES)))
+    return half * float(np.dot(weights, f(mid + half * nodes)))
 
 
 def adaptive_gauss_legendre(f, a: float, b: float, tol: float = 1e-12,

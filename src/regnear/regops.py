@@ -12,7 +12,8 @@ bidiagonal first-difference cores by one reverse cumulative sum, the
 function.  Every regularizer is one of these stencils, so none holds
 an n x n array: its dense core is assembled only when asked for, and
 stencil_product applies a catalog matrix to an n x k block from its
-stencil in O(n k).  The module needs numpy alone.
+stencil in O(n k).  A dense catalog matrix is its stencil applied to
+the identity.  The module needs numpy alone.
 """
 from __future__ import annotations
 
@@ -73,32 +74,12 @@ def _check_catalog_args(kind: RegularizerKind, n: int, delta: float) -> None:
 
 
 def make_regularization_matrix(kind: RegularizerKind, n: int, delta: float = 1.0) -> np.ndarray:
-    """Assemble one of the catalog matrices at dimension n.
-
-    A difference stencil is laid along the diagonal of an n x n array;
-    the rows where it overhangs the columns are kept, zeroed or dropped
-    as the kind says, and L1_DELTA then puts delta / 2 in its last row.
-    """
+    """Assemble one of the catalog matrices at dimension n: its stencil
+    applied to the identity, stencil_product(kind, n, I, delta)."""
     kind = RegularizerKind(kind)
+    # before np.eye, so that a bad n raises BadDimension, not numpy's error
     _check_catalog_args(kind, n, delta)
-    if kind is RegularizerKind.IDENTITY:
-        return np.eye(n)
-
-    stencil, overhang = _STENCIL_RULE[kind]
-    top = (len(stencil) - 1) // 2    # rows [0, top) and [bottom, n) overhang
-    bottom = n - (len(stencil) - 1 - top)
-    L = np.zeros((n, n))
-    for j, c in enumerate(stencil):
-        offset = j - top
-        np.fill_diagonal(L[max(-offset, 0):, max(offset, 0):], c)
-    if overhang == "drop":
-        return L[top:bottom]
-    if overhang == "zero":
-        L[:top] = 0.0
-        L[bottom:] = 0.0
-    if kind is RegularizerKind.L1_DELTA:
-        L[-1, -1] = delta / 2.0
-    return L
+    return stencil_product(kind, n, np.eye(n), delta)
 
 
 def stencil_product(kind: RegularizerKind, n: int, X, delta: float = 1.0) -> np.ndarray:
@@ -109,8 +90,7 @@ def stencil_product(kind: RegularizerKind, n: int, X, delta: float = 1.0) -> np.
     right; the rows where the stencil overhangs are kept with their
     in-range terms, zeroed or dropped as _STENCIL_RULE says, and
     L1_DELTA scales the last row of X by delta / 2.  No n x n array is
-    formed, and the result equals make_regularization_matrix(kind, n,
-    delta) @ X.
+    formed unless X is one.
     """
     kind = RegularizerKind(kind)
     _check_catalog_args(kind, n, delta)
@@ -254,6 +234,17 @@ _CATALOG = {
 REGULARIZER_NAMES = tuple(_CATALOG)
 
 
+def catalog_entry(name: str) -> tuple:
+    """The (kind, mode, basis name) of a named regularizer; an unknown
+    name raises ValueError."""
+    try:
+        return _CATALOG[name]
+    except KeyError:
+        valid = ", ".join(REGULARIZER_NAMES)
+        raise ValueError(f"unknown regularizer {name!r}; "
+                         f"valid names: {valid}") from None
+
+
 @dataclass(frozen=True, eq=False)
 class ProjectedRegularizer:
     """A named regularizer of order n, ready for the standard-form
@@ -274,12 +265,7 @@ class ProjectedRegularizer:
     delta: float = 1.0
 
     def __post_init__(self):
-        try:
-            kind, mode, basis_name = _CATALOG[self.name]
-        except KeyError:
-            valid = ", ".join(REGULARIZER_NAMES)
-            raise ValueError(f"unknown regularizer {self.name!r}; "
-                             f"valid names: {valid}") from None
+        kind, mode, basis_name = catalog_entry(self.name)
         _check_catalog_args(kind, self.n, self.delta)
         basis = (NullSpaceBasis.empty(self.n) if basis_name is None
                  else make_nullspace_basis(basis_name, self.n))

@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NoRoot, ShapeMismatch, SingularSystem, SingularTriangular
-from .linalg import (min_norm_lstsq_solve, solve_upper_triangular,
+from .linalg import (checked_rhs, min_norm_lstsq_solve, solve_upper_triangular,
                      triangle_is_singular)
 
 # A new Krylov direction, made from a unit vector, shorter than this
@@ -180,11 +180,7 @@ def rrgmres_solve(A, b: np.ndarray, cfg: SolverConfig,
     m, n = A.shape
     if m != n:
         raise ShapeMismatch(f"operator must be square, got shape {(m, n)}")
-    b = np.asarray(b, dtype=float)
-    if b.shape != (n,):
-        raise ShapeMismatch(f"right-hand side has shape {b.shape}, expected ({n},)")
-    if not np.all(np.isfinite(b)):
-        raise ValueError("right-hand side must be finite")
+    b = checked_rhs(b, n)
 
     applies = 0
 

@@ -65,7 +65,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ShapeMismatch, SingularCore
-from .linalg import RANK_TOL, thin_qr
+from .linalg import RANK_TOL, checked_rhs, thin_qr
 from .regops import Mode, ProjectedRegularizer
 
 
@@ -160,15 +160,6 @@ def _as_operator(K) -> LinearOperator:
     return K if isinstance(K, LinearOperator) else LinearOperator.from_matrix(K)
 
 
-def _checked_rhs(b: np.ndarray, m: int) -> np.ndarray:
-    b = np.asarray(b, dtype=float)
-    if b.shape != (m,):
-        raise ShapeMismatch(f"right-hand side has shape {b.shape}, expected ({m},)")
-    if not np.all(np.isfinite(b)):
-        raise ValueError("right-hand side must be finite")
-    return b
-
-
 def _k1(factor: StandardFormFactor, z: np.ndarray) -> np.ndarray:
     """(I - Q Q^T) K core^-1 z, the operator after the first split.
 
@@ -220,7 +211,10 @@ def project_rhs(factor: StandardFormFactor, b: np.ndarray) -> StandardFormContex
 
     Costs no products with K and leaves the factor as it was.
     """
-    return _project(factor, _checked_rhs(b, factor.m))
+    x0, b1 = _split_rhs(factor.Q, factor.W, checked_rhs(b, factor.m))
+    x0_2, rhs = (None, b1) if factor.Q2 is None else _split_rhs(factor.Q2, factor.W2, b1)
+    shared = {name: getattr(factor, name) for name in _FACTOR_FIELDS}
+    return StandardFormContext(**shared, x0=x0, b1=b1, x0_2=x0_2, solver_rhs=rhs)
 
 
 def _split_rhs(Q: np.ndarray, W: np.ndarray,
@@ -232,13 +226,6 @@ def _split_rhs(Q: np.ndarray, W: np.ndarray,
     return W @ qtb, b - Q @ qtb
 
 
-def _project(factor: StandardFormFactor, b: np.ndarray) -> StandardFormContext:
-    x0, b1 = _split_rhs(factor.Q, factor.W, b)
-    x0_2, rhs = (None, b1) if factor.Q2 is None else _split_rhs(factor.Q2, factor.W2, b1)
-    shared = {name: getattr(factor, name) for name in _FACTOR_FIELDS}
-    return StandardFormContext(**shared, x0=x0, b1=b1, x0_2=x0_2, solver_rhs=rhs)
-
-
 def prepare_context(K, b: np.ndarray, reg: ProjectedRegularizer) -> StandardFormContext:
     """The factor step followed by the per-b step.
 
@@ -247,8 +234,8 @@ def prepare_context(K, b: np.ndarray, reg: ProjectedRegularizer) -> StandardForm
     before any of them.
     """
     op = _as_operator(K)
-    b = _checked_rhs(b, op.shape[0])
-    return _project(factor_transform(op, reg), b)
+    b = checked_rhs(b, op.shape[0])
+    return project_rhs(factor_transform(op, reg), b)
 
 
 def apply_pk_dagger(ctx: StandardFormFactor, y: np.ndarray) -> np.ndarray:

@@ -3,6 +3,7 @@ import csv
 import functools
 import itertools
 import os
+import statistics
 import subprocess
 import sys
 import warnings
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 import regnear
 import regnear.cli
-from regnear.cli import (DEFAULT_NOISE, DEFAULT_SEEDS, RUN_COLUMNS,
+from regnear.cli import (DEFAULT_NOISE, DEFAULT_SEEDS, RUN_COLUMNS, _fmt,
                          _parse_floats, _parse_seeds, main, run_single)
 from regnear.linalg import read_matrix, read_vector, write_matrix
 from regnear.problems import (add_noise, build_phillips, build_problem,
@@ -298,6 +299,31 @@ class TestTableCommand:
         # aggregate rows carry no solver fields
         assert block[2][RUN_COLUMNS.index("stop_reason")] == ""
 
+    @pytest.mark.parametrize("seeds", ["1..3", "1..4"], ids=["odd", "even"])
+    def test_median_cells_are_statistics_median(self, seeds, tmp_path):
+        # each median cell, as text, is the exact median of its block's
+        # seed rows, with the even count averaging the middle two
+        out = tmp_path / "t.csv"
+        assert main(["table", "--problem", "deriv2", "--n", "40",
+                     "--noise", "1e-2,1e-4", "--regs", "I,L1dP1,L20",
+                     "--seeds", seeds, "--out", str(out)]) == 0
+        with open(out) as f:
+            rows = list(csv.DictReader(f))
+        blocks, block = [], []
+        for row in rows:
+            if row["seed"] != "median":
+                block.append(row)
+                continue
+            blocks.append((block, row))
+            block = []
+        assert len(blocks) == 6 and not block
+        for seed_rows, median in blocks:
+            assert len(seed_rows) == len(_parse_seeds(seeds))
+            for col, parse in (("iterations", int), ("matvecs", int),
+                               ("relative_error", float)):
+                want = statistics.median(parse(r[col]) for r in seed_rows)
+                assert median[col] == _fmt(float(want)), (median, col)
+
     def test_deterministic_output(self, tmp_path):
         first = self.run_small_table(tmp_path, "a.csv")
         second = self.run_small_table(tmp_path, "b.csv")
@@ -468,6 +494,19 @@ class TestNearestCommand:
                      "--out", str(tmp_path / "o.txt")])
         assert code == 3
 
+    def test_rows_beyond_the_header_are_a_parse_error(self, tmp_path, capsys):
+        # a 2 x 2 header over three rows: the third row is not dropped
+        bad = tmp_path / "a.txt"
+        bad.write_text("2 2\n2 1\n1 3\n5 5\n")
+        v_path = str(tmp_path / "v.txt")
+        write_matrix(v_path, np.ones((2, 1)))
+        out = tmp_path / "o.txt"
+        code = main(["nearest", "--matrix", str(bad), "--nullspace", v_path,
+                     "--out", str(out)])
+        assert code == 3
+        assert "ParseError" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_requires_both_files(self, tmp_path):
         assert main(["nearest", "--out", str(tmp_path / "o.txt")]) == 2
 
@@ -573,6 +612,18 @@ def test_cli_import_leaves_out_numpy_fft():
     code = "import sys, regnear.cli; sys.exit('numpy.fft' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code],
                           env=_child_env()).returncode == 0
+
+
+def test_cli_import_leaves_out_what_it_never_runs():
+    # the table's median is np.median, not statistics (which loads
+    # fractions and decimal), and the Gauss-Legendre rule of the
+    # quadrature oracles, from numpy.polynomial, is made on first use
+    code = ("import sys, regnear.cli; sys.exit(sorted(m for m in "
+            "('statistics', 'fractions', 'decimal', 'numpy.polynomial') "
+            "if m in sys.modules) or None)")
+    run = subprocess.run([sys.executable, "-c", code], env=_child_env(),
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
 
 
 # Runs every subcommand at a small size, in the working directory, with

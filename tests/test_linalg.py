@@ -198,10 +198,16 @@ class TestTextFormat:
         "2 2\n1 2\n3\n",          # short row
         "1 2\n1 banana\n",        # non-numeric entry
         "1 1\nnan\n",             # non-finite value
+        "2 2\n1 2\n3 4\n5 6\n",   # a row beyond the header's count
+        "1 1\n1\n\nx\n",          # content after a blank line
     ])
     def test_parse_errors(self, text):
         with pytest.raises(ParseError):
             read_matrix(io.StringIO(text))
+
+    def test_blank_lines_may_follow_the_rows(self):
+        got = read_matrix(io.StringIO("2 1\n1\n2\n\n  \n"))
+        assert np.array_equal(got, [[1.0], [2.0]])
 
     def test_write_rejects_nonfinite(self, tmp_path):
         with pytest.raises(ValueError):

@@ -101,6 +101,24 @@ class TestStencils:
             with pytest.raises(ValueError, match="finite"):
                 make_regularization_matrix(kind, 5, delta=delta)
 
+    @pytest.mark.parametrize("delta", [1e-3, 0.37, 1.0, 7.0, 1e3])
+    def test_equals_eye_band_reference(self, delta):
+        # every kind against its np.eye-band construction, bit for bit
+        for kind in RegularizerKind:
+            for n in range(3, 81):
+                want = dense_kind(kind, n, delta)
+                got = make_regularization_matrix(kind, n, delta)
+                assert got.shape == want.shape, (kind, n)
+                assert got.tobytes() == want.tobytes(), (kind, n)
+
+    @pytest.mark.parametrize("n", [-5, 2])
+    @pytest.mark.parametrize("kind", list(RegularizerKind))
+    def test_bad_order_is_bad_dimension(self, kind, n):
+        with pytest.raises(BadDimension):
+            make_regularization_matrix(kind, n)
+        with pytest.raises(BadDimension):
+            stencil_product(kind, n, np.ones(2))
+
 
 class TestStencilProduct:
     """L X from the stencil, against the assembled catalog matrix."""
@@ -324,6 +342,21 @@ def dense_core(name, n, delta):
     if name == "L20":
         second[[0, -1]] = 0.0
     return second
+
+
+def dense_kind(kind, n, delta):
+    """Any catalog kind from dense_core's np.eye bands: a rectangular kind
+    is the rows of its square variant that the stencil fills."""
+    name, rows = {
+        RegularizerKind.IDENTITY: ("I", slice(None)),
+        RegularizerKind.L1_RECT: ("L10", slice(0, -1)),
+        RegularizerKind.L2_RECT: ("L20", slice(1, -1)),
+        RegularizerKind.L1_DELTA: ("L1dP1", slice(None)),
+        RegularizerKind.L1_ZERO: ("L10", slice(None)),
+        RegularizerKind.L2_ZERO: ("L20", slice(None)),
+        RegularizerKind.L2_TILDE: ("L2tP2", slice(None)),
+    }[kind]
+    return dense_core(name, n, delta)[rows]
 
 
 class TestCoreOnDemand:
