@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass, fields
-from typing import Optional
 
 import numpy as np
 
@@ -79,19 +78,13 @@ class RunResult:
 RUN_COLUMNS = tuple(f.name for f in fields(RunResult) if f.name != "x")
 
 
-def run_single(base_problem, nu: float, seed: int, reg_name: str,
-               eta: float, delta: float, max_iter: int = 100,
-               factor: Optional[StandardFormFactor] = None) -> RunResult:
-    """One full pipeline pass; matvec phases are counted separately.
-
-    factor, when given, must be factor_transform of base_problem.op and
-    the reg_name regularizer; it is reused as is, so runs that share it
-    skip the factor step.  Each run still reports the factor's own
-    prepare count, so the columns do not depend on whether it is shared.
-    """
-    prob = add_noise(base_problem, nu, seed)
-    if factor is None:
-        factor = factor_transform(prob.op, regularizer_from_name(reg_name, prob.n, delta))
+def run_cell(prob, factor: StandardFormFactor, eta: float,
+             max_iter: int = 100) -> RunResult:
+    """One run on the noisy problem prob: project, solve and
+    back-transform with factor, the factor_transform of prob's K and a
+    regularizer, counting the matvec phases apart.  The row reports the
+    factor's own prepare count, so its columns do not depend on how many
+    runs share the factor."""
     ctx = project_rhs(factor, prob.b)
     cfg = SolverConfig(eta=eta, epsilon=prob.epsilon, max_iter=max_iter)
     res = rrgmres_solve(ctx, ctx.solver_rhs, cfg)
@@ -99,13 +92,21 @@ def run_single(base_problem, nu: float, seed: int, reg_name: str,
     x = back_transform(ctx, res.z)
     back_mv = ctx.matvec_count - before_back
     return RunResult(
-        problem=prob.name, n=prob.n, nu=nu, regularizer=reg_name, seed=seed,
-        iterations=res.k,
+        problem=prob.name, n=prob.n, nu=prob.noise.nu,
+        regularizer=factor.reg.name, seed=prob.noise.seed, iterations=res.k,
         matvecs=ctx.prepare_matvecs + res.solve_matvecs + back_mv,
         relative_error=relative_error(x, prob.x_hat),
         stop_reason=res.stop_reason.value,
         matvecs_prepare=ctx.prepare_matvecs, matvecs_solve=res.solve_matvecs,
         matvecs_back=back_mv, residual=res.residual, x=x)
+
+
+def run_single(base_problem, nu: float, seed: int, reg_name: str,
+               eta: float, delta: float, max_iter: int = 100) -> RunResult:
+    """One cell from scratch: the noise, the factor, then run_cell."""
+    prob = add_noise(base_problem, nu, seed)
+    factor = factor_transform(prob.op, regularizer_from_name(reg_name, prob.n, delta))
+    return run_cell(prob, factor, eta, max_iter)
 
 
 # --- config file ----------------------------------------------------------
@@ -176,10 +177,12 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"bad boolean {text!r}")
 
 
-def _check_numbers(noise_levels, eta: float, delta: float, max_iter: int) -> None:
+def _check_numbers(noise_levels, seeds, eta, delta, max_iter) -> None:
     """Reject bad numeric settings before any problem is built."""
     if not all(0.0 <= nu < np.inf for nu in noise_levels):
         raise ConfigError("noise levels must be finite and nonnegative")
+    if any(seed < 0 for seed in seeds):
+        raise ConfigError(f"seed {min(seeds)} is negative; seeds must be nonnegative")
     if not np.isfinite(delta):
         raise ConfigError(f"delta must be finite, got {delta!r}")
     SolverConfig(eta=eta, max_iter=max_iter)  # ValueError on a bad eta or max_iter
@@ -205,7 +208,7 @@ def _validate_regs(regs) -> None:
 
 def cmd_solve(args) -> int:
     _validate_regs([args.reg])
-    _check_numbers([args.noise], args.eta, args.delta, args.max_iter)
+    _check_numbers([args.noise], [args.seed], args.eta, args.delta, args.max_iter)
 
     base = _build_base(args.problem, args.n)
     result = run_single(base, args.noise, args.seed, args.reg, args.eta,
@@ -231,17 +234,16 @@ def _partial_row(problem: str, n: int, nu: float, reg: str, seed: str,
     return ",".join(cells.get(c, "") for c in RUN_COLUMNS)
 
 
-def _median_row(problem: str, n: int, nu: float, reg: str, rows: list) -> str:
-    ok = [r for r in rows if isinstance(r, RunResult)]
-    medians = {c: _fmt(float(np.median([getattr(r, c) for r in ok])))
-               for c in ("iterations", "matvecs", "relative_error")} if ok else {}
+def _median_row(problem: str, n: int, nu: float, reg: str, runs: list) -> str:
+    medians = {c: _fmt(float(np.median([getattr(r, c) for r in runs])))
+               for c in ("iterations", "matvecs", "relative_error")} if runs else {}
     return _partial_row(problem, n, nu, reg, "median", **medians)
 
 
 def cmd_table(args) -> int:
     problem, n, delta = args.problem, args.n, args.delta
     _validate_regs(args.regs)
-    _check_numbers(args.noise, args.eta, delta, args.max_iter)
+    _check_numbers(args.noise, args.seeds, args.eta, delta, args.max_iter)
     for what, values in (("noise level", args.noise), ("regularizer", args.regs),
                          ("seed", args.seeds)):
         if not values:
@@ -249,32 +251,31 @@ def cmd_table(args) -> int:
     out = args.out or f"table_{problem}.csv"
 
     base = _build_base(problem, n)
+    # the factor depends on the regularizer alone and the noise on
+    # (nu, seed) alone: each is made once, and a factor that fails is
+    # reported from its stored exception in every row it would serve
+    factors = {}
+    for reg in dict.fromkeys(args.regs):
+        try:
+            factors[reg] = factor_transform(base.op, regularizer_from_name(reg, n, delta))
+        except NumericsError as exc:
+            factors[reg] = exc
     lines = [",".join(RUN_COLUMNS)]
     for nu in args.noise:
+        noisy = [add_noise(base, nu, seed) for seed in args.seeds]
         for reg in args.regs:
-            # one factor serves the block's seeds; when factoring fails,
-            # each seed's run_single raises the failure again and it is
-            # reported per seed
-            try:
-                factor = factor_transform(base.op, regularizer_from_name(reg, n, delta))
-            except NumericsError:
-                factor = None
-            block: list = []
-            for seed in args.seeds:
-                try:
-                    r = run_single(base, nu, seed, reg, args.eta, delta,
-                                   args.max_iter, factor)
-                except NumericsError as exc:
-                    tag = f"ERROR_{type(exc).__name__}"
-                    lines.append(_partial_row(problem, n, nu, reg, str(seed),
-                                              stop_reason=tag))
-                    block.append(tag)
-                    print(f"{problem} n={n} nu={_fmt(nu)} {reg} seed={seed}: {tag}: {exc}")
-                    continue
-                lines.append(r.csv_row())
-                block.append(r)
-                print(r.breakdown_line())
-            lines.append(_median_row(problem, n, nu, reg, block))
+            factor = factors[reg]
+            if isinstance(factor, NumericsError):
+                runs, tag = [], f"ERROR_{type(factor).__name__}"
+                for seed in args.seeds:
+                    lines.append(_partial_row(problem, n, nu, reg, str(seed), stop_reason=tag))
+                    print(f"{problem} n={n} nu={_fmt(nu)} {reg} seed={seed}: {tag}: {factor}")
+            else:
+                runs = [run_cell(prob, factor, args.eta, args.max_iter) for prob in noisy]
+                for r in runs:
+                    lines.append(r.csv_row())
+                    print(r.breakdown_line())
+            lines.append(_median_row(problem, n, nu, reg, runs))
     with open(out, "w") as f:
         f.write("\n".join(lines) + "\n")
     print(f"wrote {out} ({len(lines) - 1} rows)")

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 import regnear
 import regnear.cli
 from regnear.cli import (DEFAULT_NOISE, DEFAULT_SEEDS, RUN_COLUMNS, _fmt,
-                         _parse_floats, _parse_seeds, main, run_single)
+                         _parse_floats, _parse_seeds, main, run_cell,
+                         run_single)
 from regnear.linalg import read_matrix, read_vector, write_matrix
 from regnear.problems import (add_noise, build_phillips, build_problem,
                               relative_error)
@@ -42,7 +43,7 @@ class TestRunSingle:
         dense = factor_transform(LinearOperator.from_matrix(base.K),
                                  regularizer_from_name(reg, 2000))
         a = run_single(base, 1e-3, 11, reg, 1.01, 1.0)
-        b = run_single(base, 1e-3, 11, reg, 1.01, 1.0, factor=dense)
+        b = run_cell(add_noise(base, 1e-3, 11), dense, 1.01)
         for col in ("iterations", "matvecs", "stop_reason", "matvecs_prepare",
                     "matvecs_solve", "matvecs_back"):
             assert getattr(a, col) == getattr(b, col), col
@@ -140,16 +141,25 @@ class TestDefaultSweepRegression:
                 float(ref["relative_error"]), rel=1e-6), ref
 
     def test_table_factors_once_per_block(self, tmp_path, monkeypatch, capsys):
-        calls = []
+        # one factor per regularizer serves every noise level, and one
+        # noise draw per (noise level, seed) serves every regularizer
+        factors, noises = [], []
 
         def counting_factor(K, reg):
-            calls.append(reg.kind)
+            factors.append(reg.name)
             return factor_transform(K, reg)
 
+        def counting_noise(base, nu, seed):
+            noises.append((nu, seed))
+            return add_noise(base, nu, seed)
+
         monkeypatch.setattr(regnear.cli, "factor_transform", counting_factor)
+        monkeypatch.setattr(regnear.cli, "add_noise", counting_noise)
         assert main(["table", "--problem", "phillips",
                      "--out", str(tmp_path / "table.csv")]) == 0
-        assert len(calls) == len(DEFAULT_NOISE) * len(REGULARIZER_NAMES) == 18
+        assert factors == list(REGULARIZER_NAMES) and len(factors) == 6
+        assert sorted(noises) == sorted(itertools.product(DEFAULT_NOISE, DEFAULT_SEEDS))
+        assert len(noises) == 30
 
 
 class TestArgumentParsing:
@@ -232,6 +242,16 @@ class TestSolveCommand:
                      "--out", str(prefix)])
         assert code == 2
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("noise", ["1e-2", "0"])
+    def test_negative_seed_is_config_error(self, tmp_path, capsys, noise):
+        # rejected before the problem is built, with or without noise
+        code = main(["solve", "--n", "16", "--noise", noise, "--seed", "-1",
+                     "--out", str(tmp_path / "x")])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("error:") == 1 and "seed -1" in err
+        assert not list(tmp_path.iterdir())
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         # a vanishing corner weight makes the invertible core singular
@@ -329,7 +349,15 @@ class TestTableCommand:
         second = self.run_small_table(tmp_path, "b.csv")
         assert first == second
 
-    def test_failed_cell_is_recorded_and_run_continues(self, tmp_path, capsys):
+    def test_failed_cell_is_recorded_and_run_continues(self, tmp_path, capsys,
+                                                       monkeypatch):
+        builds = []
+
+        def counting_build(name, n, delta=1.0):
+            builds.append((name, n, delta))
+            return regularizer_from_name(name, n, delta)
+
+        monkeypatch.setattr(regnear.cli, "regularizer_from_name", counting_build)
         out = str(tmp_path / "err.csv")
         code = main(["table", "--problem", "phillips", "--n", "16",
                      "--noise", "1e-2", "--regs", "L1dP1", "--seeds", "1..2",
@@ -339,6 +367,28 @@ class TestTableCommand:
             text = f.read()
         assert text.count("ERROR_SingularCore") == 2
         assert "SingularCore" in capsys.readouterr().out
+        # the failed factor is stored and reported, not attempted per seed
+        assert builds == [("L1dP1", 16, 1e-20)]
+
+    @pytest.mark.parametrize("noise", ["1e-2", "0"])
+    def test_negative_seed_is_config_error(self, tmp_path, capsys, noise):
+        # no row of the valid seed 1 is run before the bad one is seen
+        out = tmp_path / "x.csv"
+        code = main(["table", "--n", "16", "--regs", "I", "--seeds", "1,-1",
+                     "--noise", noise, "--out", str(out)])
+        assert code == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and err.count("error:") == 1 and "seed -1" in err
+        assert not out.exists()
+
+    def test_negative_delta_fails_before_any_row(self, tmp_path, capsys):
+        # the regularizers are all built before the first row is run
+        out = tmp_path / "x.csv"
+        code = main(["table", "--n", "16", "--delta", "-1", "--out", str(out)])
+        assert code == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and "delta" in err
+        assert not out.exists()
 
     def test_rejects_non_finite_noise_level(self, tmp_path, capsys):
         code = main(["table", "--n", "16", "--noise", "1e-2,nan",

@@ -398,6 +398,31 @@ class TestRRGMRES:
         if res.stop_reason is StopReason.DISCREPANCY_MET:
             assert np.linalg.norm(a @ res.z - b) <= cfg.eta * cfg.epsilon + 1e-12 * bnorm
 
+    @pytest.mark.parametrize("a, b", [
+        # step 2 rotates in a diagonal entry of 5e-13 below an entry of
+        # 1.3e4: the rule compares the diagonal with the largest entry,
+        # not with itself
+        ([[1e-7, 1.3e4, 2e3], [0.0, 1e-7, 120.0], [0.0, 0.0, 1e-8]],
+         [-1.4e-6, -3.9e-4, 7.8e-8]),
+        # a diagonal entry of 5e-12 at step 4 is followed by 0.18 at
+        # step 5: only the running minimum keeps the triangle singular
+        ([[1e-6, 780.0, 1.1e5, -1.3, -16.0], [0.0, 1e-8, 9.2e4, 1800.0, -1.5],
+          [0.0, 0.0, 1e-9, -9.4e4, -0.36], [0.0, 0.0, 0.0, 1.0, 1.0],
+          [0.0, 0.0, 0.0, 0.0, 0.1]],
+         [0.012, -3.7e-7, 9.1e-8, -7e-5, -0.87]),
+    ], ids=["largest-entry", "smallest-diagonal"])
+    def test_singular_rule_reads_the_whole_triangle(self, a, b):
+        # graded upper-triangular A, whose rotated triangle is singular
+        # by the ratio of its smallest diagonal entry to its largest entry
+        # so far; every logged residual is that of its iterate
+        a, b = np.array(a), np.array(b)
+        res = rrgmres_solve(LinearOperator.from_matrix(a), b,
+                            SolverConfig(epsilon=0.0, max_iter=12),
+                            keep_iterates=True)
+        bnorm = np.linalg.norm(b)
+        for z, (_, logged, _) in zip(res.iterates, res.log.entries[1:]):
+            assert abs(logged - np.linalg.norm(a @ z - b)) <= 1e-8 * bnorm
+
     def test_shape_guards(self):
         with pytest.raises(ShapeMismatch):
             rrgmres_solve(LinearOperator.from_matrix(np.ones((3, 2))),
