@@ -20,7 +20,8 @@ from .regops import (Mode, ProjectedRegularizer, REGULARIZER_NAMES,
                      make_regularization_matrix, regularizer_from_name,
                      stencil_product)
 from .solver import (IterationLog, RRGMRESResult, SolverConfig, StopReason,
-                     discrepancy_mu_solve, hessenberg_residual, rrgmres_solve,
+                     discrepancy_mu_solve, hessenberg_residual, rrgmres_block,
+                     rrgmres_solve,
                      tikhonov_direct_oracle)
 from .transform import (LinearOperator, StandardFormContext, StandardFormFactor,
                         apply_pk_dagger, back_transform,

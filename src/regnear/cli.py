@@ -29,7 +29,7 @@ from .problems import add_noise, build_problem, relative_error
 from .regops import (REGULARIZER_NAMES, RegularizerKind, catalog_entry,
                      make_nullspace_basis, regularizer_from_name,
                      stencil_product)
-from .solver import SolverConfig, rrgmres_solve
+from .solver import SolverConfig, rrgmres_block, rrgmres_solve
 from .transform import (StandardFormFactor, back_transform, factor_transform,
                         project_rhs)
 
@@ -78,27 +78,53 @@ class RunResult:
 RUN_COLUMNS = tuple(f.name for f in fields(RunResult) if f.name != "x")
 
 
-def run_cell(prob, factor: StandardFormFactor, eta: float,
-             max_iter: int = 100) -> RunResult:
-    """One run on the noisy problem prob: project, solve and
-    back-transform with factor, the factor_transform of prob's K and a
-    regularizer, counting the matvec phases apart.  The row reports the
-    factor's own prepare count, so its columns do not depend on how many
-    runs share the factor."""
-    ctx = project_rhs(factor, prob.b)
-    cfg = SolverConfig(eta=eta, epsilon=prob.epsilon, max_iter=max_iter)
-    res = rrgmres_solve(ctx, ctx.solver_rhs, cfg)
-    before_back = ctx.matvec_count
-    x = back_transform(ctx, res.z)
-    back_mv = ctx.matvec_count - before_back
+def _config(prob, eta: float, max_iter: int) -> SolverConfig:
+    return SolverConfig(eta=eta, epsilon=prob.epsilon, max_iter=max_iter)
+
+
+def _back(ctx, z: np.ndarray) -> tuple[np.ndarray, int]:
+    """back_transform of z (a vector, or one column per run) and the
+    products with K it cost each run."""
+    before = ctx.matvec_count
+    x = back_transform(ctx, z)
+    return x, (ctx.matvec_count - before) // (z.shape[1] if z.ndim == 2 else 1)
+
+
+def _run_result(prob, factor: StandardFormFactor, res, x: np.ndarray,
+                back_mv: int) -> RunResult:
+    """The row of one run.  It reports the factor's own prepare count,
+    so its columns do not depend on how many runs share the factor."""
     return RunResult(
         problem=prob.name, n=prob.n, nu=prob.noise.nu,
         regularizer=factor.reg.name, seed=prob.noise.seed, iterations=res.k,
-        matvecs=ctx.prepare_matvecs + res.solve_matvecs + back_mv,
+        matvecs=factor.prepare_matvecs + res.solve_matvecs + back_mv,
         relative_error=relative_error(x, prob.x_hat),
         stop_reason=res.stop_reason.value,
-        matvecs_prepare=ctx.prepare_matvecs, matvecs_solve=res.solve_matvecs,
+        matvecs_prepare=factor.prepare_matvecs, matvecs_solve=res.solve_matvecs,
         matvecs_back=back_mv, residual=res.residual, x=x)
+
+
+def run_cell(prob, factor: StandardFormFactor, eta: float,
+             max_iter: int = 100) -> RunResult:
+    """One run on the noisy problem prob: project, solve with
+    rrgmres_solve and back-transform with factor, the factor_transform
+    of prob's K and a regularizer, counting the matvec phases apart."""
+    ctx = project_rhs(factor, prob.b)
+    res = rrgmres_solve(ctx, ctx.solver_rhs, _config(prob, eta, max_iter))
+    return _run_result(prob, factor, res, *_back(ctx, res.z))
+
+
+def run_block(probs: list, factor: StandardFormFactor, eta: float,
+              max_iter: int = 100) -> list:
+    """run_cell for each of the noisy problems probs, which share K, in
+    lockstep: one projection, one rrgmres_block and one back-transform
+    for the block of their right-hand sides.  Each row counts the block
+    columns its own run took, so it reads as its run_cell row does."""
+    ctx = project_rhs(factor, np.column_stack([p.b for p in probs]))
+    sols = rrgmres_block(ctx, ctx.solver_rhs, [_config(p, eta, max_iter) for p in probs])
+    xs, back_mv = _back(ctx, np.column_stack([r.z for r in sols]))
+    return [_run_result(p, factor, r, x, back_mv)
+            for p, r, x in zip(probs, sols, xs.T.copy())]
 
 
 def run_single(base_problem, nu: float, seed: int, reg_name: str,
@@ -253,7 +279,8 @@ def cmd_table(args) -> int:
     base = _build_base(problem, n)
     # the factor depends on the regularizer alone and the noise on
     # (nu, seed) alone: each is made once, and a factor that fails is
-    # reported from its stored exception in every row it would serve
+    # reported from its stored exception in every row it would serve.
+    # The seeds of one (nu, regularizer) run in lockstep, as one block
     factors = {}
     for reg in dict.fromkeys(args.regs):
         try:
@@ -271,7 +298,7 @@ def cmd_table(args) -> int:
                     lines.append(_partial_row(problem, n, nu, reg, str(seed), stop_reason=tag))
                     print(f"{problem} n={n} nu={_fmt(nu)} {reg} seed={seed}: {tag}: {factor}")
             else:
-                runs = [run_cell(prob, factor, args.eta, args.max_iter) for prob in noisy]
+                runs = run_block(noisy, factor, args.eta, args.max_iter)
                 for r in runs:
                     lines.append(r.csv_row())
                     print(r.breakdown_line())

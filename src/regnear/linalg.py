@@ -22,11 +22,14 @@ def _as_float_array(a, name: str) -> np.ndarray:
     return arr
 
 
-def checked_rhs(b, m: int) -> np.ndarray:
-    """b as a float vector of length m; ShapeMismatch for another shape,
+def checked_rhs(b, m: int, block: bool = False) -> np.ndarray:
+    """b as a float vector of length m, or with block as an m x s block
+    of right-hand sides, s >= 1; ShapeMismatch for another shape,
     ValueError for a non-finite entry."""
     b = np.asarray(b, dtype=float)
-    if b.shape != (m,):
+    if block and (b.ndim != 2 or b.shape[0] != m or b.shape[1] < 1):
+        raise ShapeMismatch(f"right-hand sides have shape {b.shape}, expected ({m}, s)")
+    if not block and b.shape != (m,):
         raise ShapeMismatch(f"right-hand side has shape {b.shape}, expected ({m},)")
     if not np.all(np.isfinite(b)):
         raise ValueError("right-hand side must be finite")
@@ -60,11 +63,11 @@ def thin_qr(a) -> tuple[np.ndarray, np.ndarray]:
     return q, r
 
 
-def triangle_is_singular(min_diag: float, max_entry: float) -> bool:
+def triangle_is_singular(min_diag, max_entry):
     """The package's rule for a numerically singular triangle: its
     smallest diagonal magnitude at or below RANK_TOL times its largest
-    entry magnitude."""
-    return min_diag <= RANK_TOL * max(max_entry, 1e-300)
+    entry magnitude.  Elementwise over arrays of triangles."""
+    return min_diag <= RANK_TOL * np.maximum(max_entry, 1e-300)
 
 
 def solve_upper_triangular(r, c) -> np.ndarray:

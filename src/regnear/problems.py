@@ -12,11 +12,13 @@ and exact entry formulas.  The adaptive quadrature here serves only the
 is made on first use, so importing the module computes none.
 
 K is handed on as an operator.  At or below DENSE_MAX_N a builder
-stores dense K and a product is one GEMV.  Above it a builder allocates
-no n x n array: phillips, symmetric Toeplitz, multiplies through a
-circulant embedding and the FFT, and deriv2, semiseparable, through two
-cumulative sums of its generators, in O(n log n) and O(n).  Dense K is
-then assembled from the same closed forms each time it is read.
+stores dense K and a product is one GEMV, a block product one GEMM.
+Above it a builder allocates no n x n array: phillips, symmetric
+Toeplitz, multiplies through a circulant embedding and the FFT, and
+deriv2, semiseparable, through two cumulative sums of its generators,
+in O(n log n) and O(n).  Both work down axis 0, so one callable serves
+a vector and each column of a block.  Dense K is then assembled from
+the same closed forms each time it is read.
 
 The synthetic data are noise-free right-hand sides b_hat = K x_hat with
 a constant vector added to x_hat, plus Gaussian noise rescaled to a
@@ -234,7 +236,12 @@ def _phillips_fft_matvec(offsets: np.ndarray) -> Callable:
     col[:w] = offsets[:w]
     col[m - w + 1:] = offsets[w - 1:0:-1]
     spectrum = np.fft.rfft(col)
-    return lambda x: np.fft.irfft(np.fft.rfft(x, m) * spectrum, m)[:n]
+
+    def matvec(x):
+        # down axis 0: a vector, or each column of a block
+        spec = spectrum.reshape(spectrum.shape + (1,) * (x.ndim - 1))
+        return np.fft.irfft(np.fft.rfft(x, m, axis=0) * spec, m, axis=0)[:n]
+    return matvec
 
 
 def build_phillips(n: int) -> TestProblem:
@@ -275,13 +282,15 @@ def _deriv2_matrix(u: np.ndarray, v: np.ndarray, diag: np.ndarray) -> np.ndarray
 def _deriv2_matvec(u: np.ndarray, v: np.ndarray, diag: np.ndarray) -> Callable:
     """x -> K x for the semiseparable K of _deriv2_matrix(u, v, diag):
     (K x)_i = u_i sum_{j<i} v_j x_j + v_i sum_{j>i} u_j x_j + diag_i x_i,
-    two cumulative sums and O(n) work."""
+    two cumulative sums and O(n) work, down axis 0 of a vector or of a
+    block."""
     def matvec(x):
-        below = np.cumsum(v * x)                # sum over j <= i
-        above = np.cumsum((u * x)[::-1])[::-1]  # sum over j >= i
-        y = diag * x
-        y[1:] += u[1:] * below[:-1]
-        y[:-1] += v[:-1] * above[1:]
+        uc, vc, dc = (a.reshape(a.shape + (1,) * (x.ndim - 1)) for a in (u, v, diag))
+        below = np.cumsum(vc * x, axis=0)                 # sum over j <= i
+        above = np.cumsum((uc * x)[::-1], axis=0)[::-1]   # sum over j >= i
+        y = dc * x
+        y[1:] += uc[1:] * below[:-1]
+        y[:-1] += vc[:-1] * above[1:]
         return y
     return matvec
 

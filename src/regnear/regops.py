@@ -9,11 +9,12 @@ with the projector of its null space and fixed by its name alone.
 The catalog's cores solve in closed form, in numpy alone: the
 bidiagonal first-difference cores by one reverse cumulative sum, the
 1/4 tridiag(-1, 2, -1) cores by the two cumulative sums of its Green's
-function.  Every regularizer is one of these stencils, so none holds
-an n x n array: its dense core is assembled only when asked for, and
-stencil_product applies a catalog matrix to an n x k block from its
-stencil in O(n k).  A dense catalog matrix is its stencil applied to
-the identity.  The module needs numpy alone.
+function.  Each works down axis 0, so it solves a vector or every
+column of a block at once.  Every regularizer is one of these
+stencils, so none holds an n x n array: its dense core is assembled
+only when asked for, and stencil_product applies a catalog matrix to an
+n x k block from its stencil in O(n k).  A dense catalog matrix is its
+stencil applied to the identity.  The module needs numpy alone.
 """
 from __future__ import annotations
 
@@ -159,7 +160,7 @@ def make_projector_closed(which: str, n: int) -> np.ndarray:
 
 def _first_difference_solve(z: np.ndarray, corner: float) -> np.ndarray:
     """Solve with the bidiagonal core, (1/2, -1/2) on each row and corner
-    as its last diagonal entry.
+    as its last diagonal entry, down axis 0 of z.
 
     x_{n-1} = z_{n-1} / corner, then x_i = 2 z_i + x_{i+1}: one reverse
     cumulative sum.  Doubling is exact and the sum runs in sequence, so
@@ -167,21 +168,21 @@ def _first_difference_solve(z: np.ndarray, corner: float) -> np.ndarray:
     """
     a = 2.0 * z
     a[-1] = z[-1] / corner
-    return np.cumsum(a[::-1])[::-1].copy()
+    return np.cumsum(a[::-1], axis=0)[::-1].copy()
 
 
 def _second_difference_solve(r: np.ndarray) -> np.ndarray:
-    """T^-1 r for T = tridiag(-1, 2, -1) of order m.
+    """T^-1 r for T = tridiag(-1, 2, -1) of order m, down axis 0 of r.
 
     T^-1 is the Green's function min(i, j) (m + 1 - max(i, j)) / (m + 1),
     indices from 1, so the product is two cumulative sums: of j r_j up
     to row i and of (m + 1 - j) r_j beyond it.
     """
     m = r.shape[0]
-    i = np.arange(1.0, m + 1.0)
-    up_to = np.cumsum(i * r)
-    beyond = np.zeros(m)
-    beyond[:-1] = np.cumsum(((m + 1.0 - i) * r)[:0:-1])[::-1]
+    i = np.arange(1.0, m + 1.0).reshape((m,) + (1,) * (r.ndim - 1))
+    up_to = np.cumsum(i * r, axis=0)
+    beyond = np.zeros(r.shape)
+    beyond[:-1] = np.cumsum(((m + 1.0 - i) * r)[:0:-1], axis=0)[::-1]
     return ((m + 1.0 - i) * up_to + i * beyond) / (m + 1.0)
 
 
@@ -280,7 +281,8 @@ class ProjectedRegularizer:
 
     def core_solve(self, z: np.ndarray) -> np.ndarray:
         """Action of the core's inverse: the minimal-norm pseudoinverse in
-        PLAIN mode.  Always a new array.
+        PLAIN mode.  On a vector, or on each column of an n x s block.
+        Always a new array.
 
         The PLAIN action solves with the core completed by unit rows in
         place of its zero rows, then projects out the basis.  This equals
@@ -290,8 +292,9 @@ class ProjectedRegularizer:
         projection removes.
         """
         z = np.asarray(z, dtype=float)
-        if z.shape != (self.n,):
-            raise ShapeMismatch(f"expected shape ({self.n},), got {z.shape}")
+        if z.ndim not in (1, 2) or z.shape[0] != self.n:
+            raise ShapeMismatch(f"expected shape ({self.n},) or ({self.n}, s), "
+                                f"got {z.shape}")
         y = self._solve(z)
         if self.mode is not Mode.PLAIN:
             return y

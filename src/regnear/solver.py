@@ -15,11 +15,25 @@ fallback is read from that state.  When R is singular by linalg's rule
 R y = g[:k], and the residual of step k, ||A z_k - b||, is the hypot
 of g[k], the remainder and the misfit ||R y - g[:k]||.
 
+There is one loop, and it runs a block of right-hand sides in lockstep
+(Neuman, Reichel & Sadok 2012 on range-restricted methods with several
+right-hand sides; the Krylov spaces stay separate and only the products
+are shared).  rrgmres_block takes an n x s block B and one SolverConfig
+per column, and each step applies A.matmat once, to the newest basis
+vector of every column still running: one product per column, which is
+the paper's cost model.  Each column keeps its own basis, R, g,
+rotations, log and stop reason, and leaves the block when it stops, so
+its result is the one it would get alone, to rounding.  rrgmres_solve
+is the case s = 1 and applies A.matvec, so any object with shape and
+matvec serves it.  The basis grows in chunks of a few steps, with no
+copy of what is stored, so max_iter bounds the loop and not the memory.
+
 Also provides the dense Tikhonov solver used as an equivalence oracle
 and a discrepancy-principle search over the Tikhonov parameter.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -87,39 +101,41 @@ class RRGMRESResult:
     iterates: Optional[list] = None
 
 
-def _apply_rotation(cs: float, sn: float, a: float, b: float) -> tuple[float, float]:
+def _apply_rotation(cs, sn, a, b):
     return cs * a + sn * b, -sn * a + cs * b
 
 
-def _make_rotation(a: float, b: float) -> tuple[float, float, float]:
-    r = float(np.hypot(a, b))
-    if r == 0.0:
-        return 1.0, 0.0, 0.0
-    return a / r, b / r, r
+def _make_rotation(a, b):
+    # elementwise over a batch; a zero pair takes the identity rotation
+    r = np.hypot(a, b)
+    zero = r == 0.0
+    safe = np.where(zero, 1.0, r)
+    return np.where(zero, 1.0, a / safe), b / safe, r
 
 
-def _rotate_in(rot: list, col: np.ndarray, g) -> tuple[float, float]:
-    """Rotate column j = len(rot) of a Hessenberg matrix into triangular form.
+def _rotate_in(rot: np.ndarray, col: np.ndarray, g: np.ndarray):
+    """Rotate column j of a Hessenberg matrix into triangular form, for a
+    batch of problems side by side.
 
-    col holds the column's j + 2 leading entries and is overwritten with
-    the rotated ones; the new rotation is appended to rot and applied to
-    entries j and j + 1 of the rotated right-hand side g.  Returns the
-    new diagonal entry and the largest magnitude in the rotated column,
-    the two numbers the singular-triangle rule reads.
+    Axis 0 of each array runs down the column; any further axes are the
+    batch.  col holds the column's j + 2 leading entries and is
+    overwritten with the rotated ones.  rot[0, :j] and rot[1, :j] hold
+    the cosines and sines of the earlier rotations; the new rotation is
+    written to rot[:, j] and applied to entries j and j + 1 of the
+    rotated right-hand side g.  Returns the new diagonal entry and the
+    largest magnitude in the rotated column, the two numbers the
+    singular-triangle rule reads.
     """
-    j = len(rot)
-    # the loop runs on Python floats: they round as NumPy scalars do,
-    # at a fraction of the cost per operation
-    c = col.tolist()
-    for i, (cs, sn) in enumerate(rot):
-        c[i], c[i + 1] = _apply_rotation(cs, sn, c[i], c[i + 1])
+    j = col.shape[0] - 2
+    c = list(col)
+    for i in range(j):
+        c[i], c[i + 1] = _apply_rotation(rot[0, i], rot[1, i], c[i], c[i + 1])
     cs, sn, rr = _make_rotation(c[j], c[j + 1])
-    rot.append((cs, sn))
-    c[j] = rr
-    c[j + 1] = 0.0
-    col[:] = c
+    rot[0, j], rot[1, j] = cs, sn
+    col[:j + 1] = c[:j] + [rr]
+    col[j + 1] = 0.0
     g[j], g[j + 1] = _apply_rotation(cs, sn, g[j], g[j + 1])
-    return rr, max(map(abs, c))
+    return rr, np.abs(col).max(axis=0)
 
 
 def _solve_rotated(tri: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
@@ -153,11 +169,18 @@ def hessenberg_residual(h: np.ndarray, beta: float) -> tuple[float, np.ndarray]:
     r = h.copy()
     g = np.zeros(k + 1)
     g[0] = float(beta)
-    rot: list[tuple[float, float]] = []
+    rot = np.zeros((2, k))
     for j in range(k):
         _rotate_in(rot, r[:j + 2, j], g)
     y, misfit = _solve_rotated(r[:k, :k], g[:k])
     return float(np.hypot(g[k], misfit)), y
+
+
+def _square(A) -> int:
+    m, n = A.shape
+    if m != n:
+        raise ShapeMismatch(f"operator must be square, got shape {(m, n)}")
+    return n
 
 
 def rrgmres_solve(A, b: np.ndarray, cfg: SolverConfig,
@@ -165,120 +188,213 @@ def rrgmres_solve(A, b: np.ndarray, cfg: SolverConfig,
     """Iterate on the square operator A until the discrepancy principle
     is satisfied, the basis breaks down, or max_iter is reached.
 
-    Iteration k costs one application of A; the initial Krylov seed A b
-    costs one more.  A zero starting guess is implicit: the k = 0 entry
-    of the log is ||b||, and if that already meets the discrepancy test
-    no operator application happens at all.  The log and solve_matvecs
-    count the calls of A.matvec made here and nothing else.  A b with
-    non-finite entries raises ValueError before any call.
+    The one-column case of rrgmres_block: A needs shape and matvec
+    alone.  Iteration k costs one application of A; the initial Krylov
+    seed A b costs one more.  A zero starting guess is implicit: the
+    k = 0 entry of the log is ||b||, and if that already meets the
+    discrepancy test no operator application happens at all.  The log
+    and solve_matvecs count the calls of A.matvec made here and nothing
+    else.  A b with non-finite entries raises ValueError before any call.
 
     The residual logged at step k, compared with eta * epsilon and
     returned, is ||A z_k - b|| of the iterate z_k of that step, also
     when the rotated triangle is singular (see _solve_rotated).  With
     keep_iterates the iterates of every step are returned as well.
     """
-    m, n = A.shape
-    if m != n:
-        raise ShapeMismatch(f"operator must be square, got shape {(m, n)}")
-    b = checked_rhs(b, n)
+    b = checked_rhs(b, _square(A))
+    (res,) = _lockstep(lambda X: A.matvec(X[:, 0])[:, None], b[:, None], [cfg],
+                       keep_iterates)
+    return res
 
-    applies = 0
 
-    def matvec(v: np.ndarray) -> np.ndarray:
-        nonlocal applies
-        applies += 1
-        return A.matvec(v)
+def rrgmres_block(A, B: np.ndarray, cfgs, keep_iterates: bool = False) -> list:
+    """rrgmres_solve for each column of the n x s block B, column j with
+    cfgs[j], the s runs side by side.
 
-    log = IterationLog()
-    threshold = cfg.eta * cfg.epsilon
-    bnorm = float(np.linalg.norm(b))
-    log.record(0, bnorm, 0)
-    iterates = [] if keep_iterates else None
+    Each step applies A.matmat once, to the block of the newest basis
+    vectors of the columns still running, so a product with K serves
+    them all.  Each column keeps its own basis, rotated triangle,
+    rotations, log and stop, and leaves the block when it stops.  Its
+    result is rrgmres_solve's for that column alone, to rounding: its
+    solve_matvecs and log count the block columns it took part in, and
+    A's own count rises by their sum.
+    """
+    n = _square(A)
+    B = checked_rhs(B, n, block=True)
+    cfgs = list(cfgs)
+    if len(cfgs) != B.shape[1]:
+        raise ShapeMismatch(f"{B.shape[1]} right-hand sides but {len(cfgs)} configs")
+    return _lockstep(A.matmat, B, cfgs, keep_iterates)
 
-    if bnorm <= threshold:
-        return RRGMRESResult(z=np.zeros(n), k=0, residual=bnorm,
-                             stop_reason=StopReason.INITIAL_RESIDUAL_OK,
-                             log=log, solve_matvecs=applies, iterates=iterates)
 
-    seed = matvec(b)
-    beta0 = float(np.linalg.norm(seed))
-    if beta0 <= BREAKDOWN_TOL * bnorm:
-        # A b vanished: the range-restricted space is empty
-        return RRGMRESResult(z=np.zeros(n), k=0, residual=bnorm,
-                             stop_reason=StopReason.BREAKDOWN,
-                             log=log, solve_matvecs=applies, iterates=iterates)
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (s, n) arrays, each one BLAS dot."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
-    # Arnoldi basis (contiguous columns) and the rotated triangle; the
-    # storage doubles when the iteration outgrows it, so max_iter only
-    # bounds the loop
-    cap = min(cfg.max_iter, 32)
-    basis = np.zeros((n, cap + 1), order="F")
-    basis[:, 0] = seed / beta0
-    rmat = np.zeros((cap, cap))
+
+def _pieces(chunks: list, k: int) -> list:
+    """The filled parts of the basis chunks that hold basis vectors
+    0..k-1, each (s, used, n)."""
+    size = chunks[0].shape[1]
+    return [c[:, :min(size, k - lo)] for lo, c in zip(range(0, k, size), chunks)]
+
+
+def _coefficients(pieces: list, w: np.ndarray) -> np.ndarray:
+    """(s, k): each seed's basis vectors against its row of w, one GEMV
+    per seed and chunk."""
+    return np.concatenate([np.matmul(p, w[:, :, None]) for p in pieces], axis=1)[:, :, 0]
+
+
+def _combination(pieces: list, y: np.ndarray) -> np.ndarray:
+    """(s, n): each seed's basis vectors combined with its row of y."""
+    out, lo = None, 0
+    for p in pieces:
+        term = np.matmul(y[:, None, lo:lo + p.shape[1]], p)[:, 0]
+        out = term if out is None else out + term
+        lo += p.shape[1]
+    return out
+
+
+def _enlarged(a: np.ndarray, shape: tuple) -> np.ndarray:
+    """a in the leading corner of a zero array of the given shape."""
+    out = np.zeros(shape)
+    out[tuple(slice(d) for d in a.shape)] = a
+    return out
+
+
+def _lockstep(product, B: np.ndarray, cfgs: list, keep_iterates: bool) -> list:
+    """RRGMRES on the columns of B side by side: the one loop behind
+    rrgmres_solve and rrgmres_block.  product(X) applies the operator to
+    each column of the n x s' block X, one column per running
+    right-hand side, and is called once per step.
+
+    The running columns are all at the same step k.  Their state runs
+    along a column axis: axis 0 of the basis, of bres and of the
+    per-column numbers, the last axis of the small least-squares state
+    (the rotated triangle R, g and the rotations).  The basis is kept in
+    chunks of a few steps, each allocated when the iteration reaches it,
+    so no step copies the basis and max_iter only bounds the loop; the
+    small state grows by the same number of steps.  A column that stops
+    takes its iterate and leaves, and every array drops its slice.
+    """
+    n, s = B.shape
+    bt = np.ascontiguousarray(B.T)          # each b as a row
+    bnorm = np.sqrt(_dots(bt, bt))
+    threshold = np.array([cfg.eta * cfg.epsilon for cfg in cfgs])
+    max_iter = np.array([cfg.max_iter for cfg in cfgs])
+    logs = [IterationLog() for _ in range(s)]
+    for log, r in zip(logs, bnorm.tolist()):
+        log.record(0, r, 0)
+    results = [None] * s
+
+    def stop_at_zero(stopped, reason: StopReason, applies: int) -> None:
+        for c in stopped:
+            results[c] = RRGMRESResult(
+                z=np.zeros(n), k=0, residual=float(bnorm[c]), stop_reason=reason,
+                log=logs[c], solve_matvecs=applies,
+                iterates=[] if keep_iterates else None)
+
+    met = bnorm <= threshold
+    stop_at_zero(np.flatnonzero(met), StopReason.INITIAL_RESIDUAL_OK, 0)
+    cols = np.flatnonzero(~met)             # the running columns of B
+    if cols.size == 0:
+        return results
+    ab = np.ascontiguousarray(product(B[:, cols]).T)
+    beta0 = np.sqrt(_dots(ab, ab))
+    # A b vanished: the range-restricted space is empty
+    empty = beta0 <= BREAKDOWN_TOL * bnorm[cols]
+    stop_at_zero(cols[empty], StopReason.BREAKDOWN, 1)
+    if empty.all():
+        return results
+    cols, ab, beta0 = cols[~empty], ab[~empty], beta0[~empty]
+    bnorm, threshold, max_iter = bnorm[cols], threshold[cols], max_iter[cols]
+
+    size = 8  # basis vectors per chunk
+    v0 = ab / beta0[:, None]
+    chunks = [np.empty((cols.size, size, n))]
+    chunks[0][:, 0] = v0
+    g = np.zeros((size + 1, cols.size))     # rotated right-hand sides
+    g[0] = _dots(v0, bt[cols])
     # split b into basis projections and an explicit remainder vector;
     # keeping the remainder avoids the cancellation that ||b||^2 - sum c_j^2
     # suffers when the basis captures b almost entirely
-    g = [float(basis[:, 0] @ b)]       # rotated right-hand side
-    bres = b - g[0] * basis[:, 0]
-    rot: list[tuple[float, float]] = []
-    # smallest diagonal entry and largest entry of the triangle so far;
+    bres = bt[cols] - g[0][:, None] * v0
+    rot = np.zeros((2, size, cols.size))
+    rmat = np.zeros((size, size, cols.size))
+    # smallest diagonal entry and largest entry of each triangle so far;
     # columns of R are final once rotated in, and so are these
-    dmin, rmax = np.inf, 0.0
+    dmin, rmax = np.full(cols.size, np.inf), np.zeros(cols.size)
 
-    def solve(i: int) -> tuple[np.ndarray, float]:
-        # the first i columns of R and g[:i] are final from step i on, so
-        # the iterate of step i can be read at any later point
-        return _solve_rotated(rmat[:i, :i], np.asarray(g[:i]))
+    def solve(i: int, k: int) -> tuple[np.ndarray, float]:
+        # the first k columns of R and g[:k] are final from step k on, so
+        # the iterate of step k can be read at any later point
+        return _solve_rotated(np.ascontiguousarray(rmat[:k, :k, i]),
+                              np.ascontiguousarray(g[:k, i]))
 
-    stop = StopReason.MAX_ITER
-    for k in range(1, cfg.max_iter + 1):
+    def iterate(i: int, k: int) -> np.ndarray:
+        basis = [p[i:i + 1] for p in _pieces(chunks, k)]
+        return _combination(basis, solve(i, k)[0][None])[0]
+
+    for k in itertools.count(1):  # every column leaves by its max_iter
         j = k - 1
-        w = matvec(basis[:, j])
-        vk = basis[:, :k]
+        w = np.ascontiguousarray(product(chunks[j // size][:, j % size].T).T)
+        pieces = _pieces(chunks, k)
         # classical Gram-Schmidt in two block passes (CGS2); the second,
         # unconditional pass keeps the basis orthogonal to working precision
-        h = vk.T @ w
-        w = w - vk @ h
-        corr = vk.T @ w
-        w = w - vk @ corr
-        hkk = float(np.linalg.norm(w))
-        col = np.append(h + corr, hkk)
-        if k > cap:
-            grow = min(cap, cfg.max_iter - cap)
-            cap += grow
-            rmat = np.pad(rmat, (0, grow))
-            basis = np.pad(basis, ((0, 0), (0, grow)))
+        h = _coefficients(pieces, w)
+        w = w - _combination(pieces, h)
+        corr = _coefficients(pieces, w)
+        w = w - _combination(pieces, corr)
+        hkk = np.sqrt(_dots(w, w))
+        hcol = np.concatenate(((h + corr).T, hkk[None]))
+        if k > rmat.shape[0]:
+            cap = rmat.shape[0] + size
+            rmat = _enlarged(rmat, (cap, cap, cols.size))
+            g = _enlarged(g, (cap + 1, cols.size))
+            rot = _enlarged(rot, (2, cap, cols.size))
 
-        if hkk <= BREAKDOWN_TOL * beta0 / bnorm:
-            # the basis cannot grow, and b has no part along the direction
-            # that does not exist: its c_k is 0 and bres stays as it is
-            cnew = 0.0
-            stop = StopReason.BREAKDOWN
-        else:
-            vnew = w / hkk
-            basis[:, k] = vnew
-            cnew = float(vnew @ bres)
-            bres = bres - cnew * vnew
-        g.append(cnew)
-        diag, cmax = _rotate_in(rot, col, g)
-        rmat[:k, j] = col[:k]
-        dmin, rmax = min(dmin, diag), max(rmax, cmax)
+        # a column whose basis cannot grow has no part of b along the
+        # direction that does not exist: its c_k is 0 and bres stays
+        broken = hkk <= BREAKDOWN_TOL * beta0 / bnorm
+        vnew = w / np.where(broken, 1.0, hkk)[:, None]
+        if k % size == 0:
+            chunks.append(np.empty((cols.size, size, n)))
+        chunks[k // size][:, k % size] = vnew
+        g[k] = np.where(broken, 0.0, _dots(vnew, bres))
+        bres = bres - g[k][:, None] * vnew
+        diag, cmax = _rotate_in(rot, hcol, g)
+        rmat[:k, j] = hcol[:k]
+        dmin, rmax = np.minimum(dmin, diag), np.maximum(rmax, cmax)
 
-        residual = float(np.hypot(g[k], np.linalg.norm(bres)))
-        if triangle_is_singular(dmin, rmax):
+        residual = np.hypot(g[k], np.sqrt(_dots(bres, bres)))
+        for i in np.flatnonzero(triangle_is_singular(dmin, rmax)):
             # ||A z_k - b||^2 = g_k^2 + ||bres||^2 + misfit^2
-            residual = float(np.hypot(residual, solve(k)[1]))
-        log.record(k, residual, applies)
-        if residual <= threshold:
-            stop = StopReason.DISCREPANCY_MET
-        if stop is not StopReason.MAX_ITER:
-            break
+            residual[i] = np.hypot(residual[i], solve(i, k)[1])
+        for c, r in zip(cols.tolist(), residual.tolist()):
+            logs[c].record(k, r, k + 1)
 
-    if keep_iterates:
-        iterates = [basis[:, :i] @ solve(i)[0] for i in range(1, k + 1)]
-    return RRGMRESResult(z=basis[:, :k] @ solve(k)[0], k=k, residual=residual,
-                         stop_reason=stop, log=log, solve_matvecs=applies,
-                         iterates=iterates)
+        met = residual <= threshold
+        done = met | broken | (k >= max_iter)
+        if not done.any():
+            continue
+        for i in np.flatnonzero(done):
+            stop = (StopReason.DISCREPANCY_MET if met[i] else
+                    StopReason.BREAKDOWN if broken[i] else StopReason.MAX_ITER)
+            results[cols[i]] = RRGMRESResult(
+                z=iterate(i, k), k=k, residual=float(residual[i]),
+                stop_reason=stop, log=logs[cols[i]], solve_matvecs=k + 1,
+                iterates=([iterate(i, m) for m in range(1, k + 1)]
+                          if keep_iterates else None))
+        keep = ~done
+        if not keep.any():
+            return results
+        # chunk by chunk, so the basis is never held twice
+        pieces = None
+        for ci in range(len(chunks)):
+            chunks[ci] = chunks[ci][keep]
+        cols, beta0, bnorm, threshold, max_iter, bres, dmin, rmax = (
+            a[keep] for a in (cols, beta0, bnorm, threshold, max_iter, bres, dmin, rmax))
+        g, rot, rmat = g[:, keep], rot[..., keep], rmat[..., keep]
 
 
 def tikhonov_direct_oracle(K: np.ndarray, L: np.ndarray, b: np.ndarray,

@@ -49,13 +49,21 @@ number of right-hand sides.  prepare_context(K, b, reg) is the two
 steps in a row.
 
 Each routine states its matrix-vector product cost.  The context is
-itself the transformed operator (shape, matvec) handed to the solver,
-and its matvec_count is the count of products with K that the wrapped
-LinearOperator keeps.  That count runs across every context made from
-one factor, so a driver that shares a factor counts one run as the
-factor's prepare_matvecs plus the products the run itself makes.  The
-count is a plain integer, not thread-safe: products with one operator
-are made from one thread at a time.
+itself the transformed operator (shape, matvec, matmat) handed to the
+solver, and its matvec_count is the count of products with K that the
+wrapped LinearOperator keeps.  That count runs across every context
+made from one factor, so a driver that shares a factor counts one run
+as the factor's prepare_matvecs plus the products the run itself makes.
+The count is a plain integer, not thread-safe: products with one
+operator are made from one thread at a time.
+
+Every per-b step also takes a block.  project_rhs of an m x s block of
+right-hand sides gives a context whose x0, b1 and solver_rhs are
+blocks; matmat and back_transform then work on each column of an n x s
+block.  A block product with K is one call (a GEMM when K is dense),
+and LinearOperator.matmat counts it as s products, one per column, so
+each column costs what it would alone and a driver reads a column's
+share as the count's rise divided by s.
 """
 from __future__ import annotations
 
@@ -72,7 +80,10 @@ from .regops import Mode, ProjectedRegularizer
 class LinearOperator:
     """Matrix-vector products with a running count.
 
-    The count is not thread-safe: concurrent products may be missed.
+    The callable applies the operator along axis 0: to a vector, or to
+    each column of a block.  matvec(v) counts one product and matmat(X)
+    counts one per column of X.  The count is not thread-safe:
+    concurrent products may be missed.
     """
 
     def __init__(self, shape: tuple[int, int], matvec: Callable[[np.ndarray], np.ndarray]):
@@ -97,6 +108,15 @@ class LinearOperator:
                 f"operand has shape {v.shape}, operator expects ({self.shape[1]},)")
         self._count += 1
         return np.asarray(self._matvec(v), dtype=float)
+
+    def matmat(self, X: np.ndarray) -> np.ndarray:
+        """The operator on each column of X, one product per column."""
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[0] != self.shape[1]:
+            raise ShapeMismatch(
+                f"operand has shape {X.shape}, operator expects ({self.shape[1]}, s)")
+        self._count += X.shape[1]
+        return np.asarray(self._matvec(X), dtype=float)
 
     @property
     def matvec_count(self) -> int:
@@ -125,11 +145,15 @@ class StandardFormFactor:
         return (self.m, self.n)
 
     def matvec(self, z: np.ndarray) -> np.ndarray:
-        """The transformed operator on z.  Costs exactly one product with K."""
+        """The transformed operator on z, a vector, or on each column of
+        an n x s block.  Costs exactly one product with K per column."""
         t = _k1(self, z)
         if self.Q2 is None:
             return t
         return t - self.Q2 @ (self.Q2.T @ t)
+
+    # the block product, which the solver's lockstep loop calls
+    matmat = matvec
 
     @property
     def matvec_count(self) -> int:
@@ -160,12 +184,18 @@ def _as_operator(K) -> LinearOperator:
     return K if isinstance(K, LinearOperator) else LinearOperator.from_matrix(K)
 
 
-def _k1(factor: StandardFormFactor, z: np.ndarray) -> np.ndarray:
-    """(I - Q Q^T) K core^-1 z, the operator after the first split.
+def _product(op: LinearOperator, y: np.ndarray) -> np.ndarray:
+    """K y for a vector y, or K on each column of a block y."""
+    return op.matvec(y) if y.ndim == 1 else op.matmat(y)
 
-    Costs exactly one product with K.
+
+def _k1(factor: StandardFormFactor, z: np.ndarray) -> np.ndarray:
+    """(I - Q Q^T) K core^-1 z, the operator after the first split, for
+    a vector z or on each column of a block.
+
+    Costs exactly one product with K per column.
     """
-    t = factor.op.matvec(factor.reg.core_solve(z))
+    t = _product(factor.op, factor.reg.core_solve(z))
     return t - factor.Q @ (factor.Q.T @ t)
 
 
@@ -207,11 +237,14 @@ def factor_transform(K, reg: ProjectedRegularizer) -> StandardFormFactor:
 
 
 def project_rhs(factor: StandardFormFactor, b: np.ndarray) -> StandardFormContext:
-    """The per-b step: x0 and b1 of each split.
+    """The per-b step: x0 and b1 of each split, for a right-hand side b
+    or for each column of an m x s block of them, whose pieces are then
+    blocks too.
 
     Costs no products with K and leaves the factor as it was.
     """
-    x0, b1 = _split_rhs(factor.Q, factor.W, checked_rhs(b, factor.m))
+    b = checked_rhs(b, factor.m, block=np.ndim(b) == 2)
+    x0, b1 = _split_rhs(factor.Q, factor.W, b)
     x0_2, rhs = (None, b1) if factor.Q2 is None else _split_rhs(factor.Q2, factor.W2, b1)
     shared = {name: getattr(factor, name) for name in _FACTOR_FIELDS}
     return StandardFormContext(**shared, x0=x0, b1=b1, x0_2=x0_2, solver_rhs=rhs)
@@ -240,26 +273,29 @@ def prepare_context(K, b: np.ndarray, reg: ProjectedRegularizer) -> StandardForm
 
 def apply_pk_dagger(ctx: StandardFormFactor, y: np.ndarray) -> np.ndarray:
     """Oblique projector that restores the null-space component's slot:
-    y - W Q^T K y.
+    y - W Q^T K y, for a vector y or on each column of an n x s block.
 
-    Costs one product with K when the null space is nontrivial, none
-    otherwise.
+    Costs one product with K per column when the null space is
+    nontrivial, none otherwise.
     """
     y = np.asarray(y, dtype=float)
-    if y.shape != (ctx.n,):
-        raise ShapeMismatch(f"expected shape ({ctx.n},), got {y.shape}")
+    if y.ndim not in (1, 2) or y.shape[0] != ctx.n:
+        raise ShapeMismatch(f"expected shape ({ctx.n},) or ({ctx.n}, s), got {y.shape}")
     if ctx.ell == 0:
         return y.copy()
-    return y - ctx.W @ (ctx.Q.T @ ctx.op.matvec(y))
+    return y - ctx.W @ (ctx.Q.T @ _product(ctx.op, y))
 
 
 def back_transform(ctx: StandardFormContext, z: np.ndarray) -> np.ndarray:
-    """Map a transformed-space solution back to the original variables.
+    """Map a transformed-space solution back to the original variables:
+    a vector z, or each column of an n x s block Z for the context of a
+    block of right-hand sides.
 
-    Costs one product with K when the null space is nontrivial, none
-    otherwise, and one more in two-sided mode, for the second split's
-    projector z - W2 Q2^T K1 z.  The residual is preserved exactly:
-    for the returned x, ||K x - b|| equals the transformed residual.
+    Costs one product with K per column when the null space is
+    nontrivial, none otherwise, and one more in two-sided mode, for the
+    second split's projector z - W2 Q2^T K1 z.  The residual is
+    preserved exactly: for the returned x, ||K x - b|| equals the
+    transformed residual.
     """
     if ctx.Q2 is not None:
         # the second split's oblique projector, with K1 in place of K

@@ -162,6 +162,34 @@ class TestDefaultSweepRegression:
         assert len(noises) == 30
 
 
+    @pytest.mark.parametrize("problem", ["phillips", "deriv2"])
+    def test_block_above_the_crossover_matches_run_single(
+            self, problem, tmp_path, monkeypatch, capsys):
+        # at n = 400 K is the structured operator and each block of seeds
+        # is one structured product per step; dense K must not be read
+        def no_dense_K(*args):
+            raise AssertionError("dense K was read")
+
+        monkeypatch.setattr(regnear.problems, "_phillips_matrix", no_dense_K)
+        monkeypatch.setattr(regnear.problems, "_deriv2_matrix", no_dense_K)
+        out = tmp_path / "table.csv"
+        assert main(["table", "--problem", problem, "--n", "400", "--seeds", "1..3",
+                     "--regs", "I,L1dP1,P2L2tP2", "--out", str(out)]) == 0
+        with open(out) as f:
+            rows = [r for r in csv.DictReader(f) if r["seed"] != "median"]
+        assert len(rows) == 3 * 3 * 3
+        base = cached_problem(problem, 400)
+        for row in rows:
+            r = run_single(base, float(row["nu"]), int(row["seed"]),
+                           row["regularizer"], eta=1.01, delta=1.0)
+            for col in ("problem", "n", "nu", "regularizer", "seed",
+                        "iterations", "stop_reason", "matvecs",
+                        "matvecs_prepare", "matvecs_solve", "matvecs_back"):
+                assert row[col] == _fmt(getattr(r, col)), (row, col)
+            assert float(row["relative_error"]) == pytest.approx(
+                r.relative_error, rel=1e-6), row
+
+
 class TestArgumentParsing:
     def test_seed_range(self):
         assert _parse_seeds("2..5") == (2, 3, 4, 5)

@@ -10,7 +10,8 @@ from regnear.problems import add_noise, build_problem
 from regnear.regops import regularizer_from_name
 from regnear.solver import (RRGMRESResult, SolverConfig, StopReason,
                             discrepancy_mu_solve, hessenberg_residual,
-                            rrgmres_solve, tikhonov_direct_oracle)
+                            rrgmres_block, rrgmres_solve,
+                            tikhonov_direct_oracle)
 from regnear.transform import LinearOperator, prepare_context
 
 
@@ -37,6 +38,22 @@ def krylov_brute_force(a, b, k):
     mk = np.column_stack(cols)
     y, *_ = np.linalg.lstsq(a @ mk, b, rcond=None)
     return mk @ y
+
+
+# graded upper-triangular operators whose rotated triangles turn singular
+SINGULAR_RULE_CASES = [
+    # step 2 rotates in a diagonal entry of 5e-13 below an entry of
+    # 1.3e4: the rule compares the diagonal with the largest entry, not
+    # with itself
+    ([[1e-7, 1.3e4, 2e3], [0.0, 1e-7, 120.0], [0.0, 0.0, 1e-8]],
+     [-1.4e-6, -3.9e-4, 7.8e-8]),
+    # a diagonal entry of 5e-12 at step 4 is followed by 0.18 at step 5:
+    # only the running minimum keeps the triangle singular
+    ([[1e-6, 780.0, 1.1e5, -1.3, -16.0], [0.0, 1e-8, 9.2e4, 1800.0, -1.5],
+      [0.0, 0.0, 1e-9, -9.4e4, -0.36], [0.0, 0.0, 0.0, 1.0, 1.0],
+      [0.0, 0.0, 0.0, 0.0, 0.1]],
+     [0.012, -3.7e-7, 9.1e-8, -7e-5, -0.87]),
+]
 
 
 class TestSolverConfig:
@@ -398,19 +415,8 @@ class TestRRGMRES:
         if res.stop_reason is StopReason.DISCREPANCY_MET:
             assert np.linalg.norm(a @ res.z - b) <= cfg.eta * cfg.epsilon + 1e-12 * bnorm
 
-    @pytest.mark.parametrize("a, b", [
-        # step 2 rotates in a diagonal entry of 5e-13 below an entry of
-        # 1.3e4: the rule compares the diagonal with the largest entry,
-        # not with itself
-        ([[1e-7, 1.3e4, 2e3], [0.0, 1e-7, 120.0], [0.0, 0.0, 1e-8]],
-         [-1.4e-6, -3.9e-4, 7.8e-8]),
-        # a diagonal entry of 5e-12 at step 4 is followed by 0.18 at
-        # step 5: only the running minimum keeps the triangle singular
-        ([[1e-6, 780.0, 1.1e5, -1.3, -16.0], [0.0, 1e-8, 9.2e4, 1800.0, -1.5],
-          [0.0, 0.0, 1e-9, -9.4e4, -0.36], [0.0, 0.0, 0.0, 1.0, 1.0],
-          [0.0, 0.0, 0.0, 0.0, 0.1]],
-         [0.012, -3.7e-7, 9.1e-8, -7e-5, -0.87]),
-    ], ids=["largest-entry", "smallest-diagonal"])
+    @pytest.mark.parametrize("a, b", SINGULAR_RULE_CASES,
+                             ids=["largest-entry", "smallest-diagonal"])
     def test_singular_rule_reads_the_whole_triangle(self, a, b):
         # graded upper-triangular A, whose rotated triangle is singular
         # by the ratio of its smallest diagonal entry to its largest entry
@@ -436,6 +442,143 @@ class TestRRGMRES:
                             np.array([1.0, 0.0]), SolverConfig(epsilon=1e-8))
         assert isinstance(res, RRGMRESResult)
         assert res.iterates is None  # not requested
+
+
+def assert_block_equals_singles(a, B, cfgs, keep_iterates=False):
+    """rrgmres_block on B against one rrgmres_solve per column: the same
+    k, stop reason and matvec columns, and logged residuals, z (and
+    iterates) to 1e-10 relative; the operator's count rises by the sum
+    of the columns' counts."""
+    op = LinearOperator.from_matrix(a)
+    block = rrgmres_block(op, B, cfgs, keep_iterates=keep_iterates)
+    assert op.matvec_count == sum(r.solve_matvecs for r in block)
+    for j, (res, cfg) in enumerate(zip(block, cfgs)):
+        ref = rrgmres_solve(LinearOperator.from_matrix(a), B[:, j], cfg,
+                            keep_iterates=keep_iterates)
+        assert (res.k, res.stop_reason, res.solve_matvecs) == (
+            ref.k, ref.stop_reason, ref.solve_matvecs), j
+        assert [(k, mv) for k, _, mv in res.log.entries] == [
+            (k, mv) for k, _, mv in ref.log.entries]
+        bnorm = np.linalg.norm(B[:, j])
+        np.testing.assert_allclose(res.log.residuals(), ref.log.residuals(),
+                                   rtol=0, atol=1e-10 * bnorm)
+        assert res.residual == res.log.entries[-1][1]
+        pairs = [(res.z, ref.z)]
+        if keep_iterates:
+            assert len(res.iterates) == len(ref.iterates) == res.k
+            pairs += list(zip(res.iterates, ref.iterates))
+        for z, z_ref in pairs:
+            assert np.linalg.norm(z - z_ref) <= 1e-10 * max(np.linalg.norm(z_ref), 1e-300)
+    return block
+
+
+class TestRRGMRESBlock:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(4, 40),
+           kinds=st.lists(st.sampled_from(["discrepancy", "initial", "null", "max_iter"]),
+                          min_size=1, max_size=6),
+           seed=st.integers(0, 2**32 - 1))
+    def test_block_equals_singles(self, n, kinds, seed):
+        # A is well conditioned on its range and maps the last unit vector
+        # to zero.  Each column draws a kind: b with a discrepancy stop at
+        # its own step, ||b|| below eta * epsilon (k = 0), b along the null
+        # vector (A b = 0, a breakdown at k = 0), or epsilon 0 with a small
+        # cap (MAX_ITER); the columns leave the block at different steps
+        rng = np.random.default_rng(seed)
+        a = 2.0 * np.eye(n) + 0.5 * rng.standard_normal((n, n)) / np.sqrt(n)
+        a[:, -1] = 0.0
+        a[-1, :] = 0.0
+        B = rng.standard_normal((n, len(kinds)))
+        cfgs = []
+        for j, kind in enumerate(kinds):
+            bnorm = np.linalg.norm(B[:, j])
+            if kind == "discrepancy":
+                cfg = SolverConfig(epsilon=float(rng.uniform(1e-8, 0.5)) * bnorm)
+            elif kind == "initial":
+                cfg = SolverConfig(epsilon=2.0 * bnorm)
+            elif kind == "null":
+                B[:, j] = 0.0
+                B[-1, j] = rng.uniform(0.5, 2.0)
+                cfg = SolverConfig(epsilon=0.0)
+            else:
+                cfg = SolverConfig(epsilon=0.0, max_iter=int(rng.integers(1, min(6, n - 1))))
+            cfgs.append(cfg)
+        block = assert_block_equals_singles(a, B, cfgs, keep_iterates=True)
+        for kind, res in zip(kinds, block):
+            if kind == "initial":
+                assert (res.k, res.stop_reason) == (0, StopReason.INITIAL_RESIDUAL_OK)
+            elif kind == "null":
+                assert (res.k, res.stop_reason) == (0, StopReason.BREAKDOWN)
+                assert res.solve_matvecs == 1
+            elif kind == "max_iter":
+                assert res.stop_reason is StopReason.MAX_ITER
+
+    @pytest.mark.parametrize("a, b", SINGULAR_RULE_CASES,
+                             ids=["largest-entry", "smallest-diagonal"])
+    def test_singular_triangle_in_a_block(self, a, b):
+        # the singular-rule operators with their b as one column of a
+        # block, next to columns whose triangles stay regular
+        a, b = np.array(a), np.array(b)
+        rng = np.random.default_rng(7)
+        B = np.column_stack([rng.standard_normal(b.size), b, a @ rng.standard_normal(b.size)])
+        cfgs = [SolverConfig(epsilon=1e-3 * np.linalg.norm(B[:, 0])),
+                SolverConfig(epsilon=0.0, max_iter=12),
+                SolverConfig(epsilon=0.0, max_iter=2)]
+        block = assert_block_equals_singles(a, B, cfgs, keep_iterates=True)
+        bnorm = np.linalg.norm(b)
+        for z, (_, logged, _) in zip(block[1].iterates, block[1].log.entries[1:]):
+            assert abs(logged - np.linalg.norm(a @ z - b)) <= 1e-8 * bnorm
+
+    def test_storage_grows_past_many_chunks(self):
+        # an orthogonal operator, 40 plane rotations whose 80 eigenvalues
+        # are the roots of z^80 = -1: its Krylov matrices are Vandermonde
+        # matrices on those roots, scaled by b's weight in each plane, so
+        # the least-squares oracle stays well conditioned for all 70 steps
+        # that epsilon 0 and max_iter 70 run
+        rng = np.random.default_rng(150)
+        a = np.zeros((80, 80))
+        for j, theta in enumerate(np.pi * (2 * np.arange(40) + 1) / 80):
+            c, s = np.cos(theta), np.sin(theta)
+            a[2 * j:2 * j + 2, 2 * j:2 * j + 2] = [[c, -s], [s, c]]
+        angle = rng.uniform(0.0, 2.0 * np.pi, 40)
+        b = np.ravel(np.column_stack([np.cos(angle), np.sin(angle)])
+                     * rng.uniform(0.5, 2.0, 40)[:, None])
+        res = rrgmres_solve(LinearOperator.from_matrix(a), b,
+                            SolverConfig(epsilon=0.0, max_iter=70),
+                            keep_iterates=True)
+        assert (res.k, res.stop_reason, res.solve_matvecs) == (70, StopReason.MAX_ITER, 71)
+        bnorm = np.linalg.norm(b)
+        for k, (zk, (_, logged, mv)) in enumerate(zip(res.iterates, res.log.entries[1:]), 1):
+            z_ref = krylov_brute_force(a, b, k)
+            assert np.linalg.norm(zk - z_ref) <= 1e-8 * max(np.linalg.norm(z_ref), 1.0)
+            assert abs(logged - np.linalg.norm(a @ z_ref - b)) <= 1e-8 * bnorm
+            assert mv == k + 1
+        assert np.array_equal(res.z, res.iterates[-1])
+
+    def test_one_column_block_is_rrgmres_solve(self):
+        rng = np.random.default_rng(151)
+        a = rng.standard_normal((12, 12)) + 4.0 * np.eye(12)
+        b = rng.standard_normal(12)
+        cfg = SolverConfig(epsilon=1e-6 * np.linalg.norm(b))
+        (res,) = assert_block_equals_singles(a, b[:, None], [cfg])
+        assert res.stop_reason is StopReason.DISCREPANCY_MET
+
+    def test_guards(self):
+        op = LinearOperator.from_matrix(np.eye(3))
+        with pytest.raises(ShapeMismatch):
+            rrgmres_block(op, np.ones(3), [SolverConfig()])
+        with pytest.raises(ShapeMismatch):
+            rrgmres_block(op, np.ones((4, 2)), [SolverConfig()] * 2)
+        with pytest.raises(ShapeMismatch):
+            rrgmres_block(op, np.ones((3, 2)), [SolverConfig()])
+        with pytest.raises(ShapeMismatch):
+            rrgmres_block(LinearOperator.from_matrix(np.ones((3, 2))),
+                          np.ones((2, 1)), [SolverConfig()])
+        B = np.ones((3, 2))
+        B[1, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            rrgmres_block(op, B, [SolverConfig()] * 2)
+        assert op.matvec_count == 0
 
 
 class TestTikhonovOracle:

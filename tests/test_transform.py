@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from regnear.errors import RankDeficient, ShapeMismatch
 from regnear.linalg import thin_qr
-from regnear.problems import add_noise, build_phillips
+from regnear.problems import add_noise, build_phillips, build_problem
 from regnear.regops import REGULARIZER_NAMES, Mode, regularizer_from_name
 from regnear.solver import SolverConfig, rrgmres_solve, tikhonov_direct_oracle
 from regnear.transform import (LinearOperator, StandardFormContext,
@@ -111,6 +111,72 @@ class TestPrepare:
         reg = regularizer_from_name("L1dP1", 5)
         with pytest.raises(ShapeMismatch):
             reg.core_solve(np.ones(4))
+
+
+def columns_close(block, columns, rel, scales=None):
+    """Each column of block against its 1-d counterpart, to rel relative
+    to that column's scale (by default its norm)."""
+    for j, col in enumerate(columns):
+        scale = np.linalg.norm(col) if scales is None else scales[j]
+        assert np.linalg.norm(block[:, j] - col) <= rel * scale, j
+
+
+class TestBlockProducts:
+    """A block of s columns through each product equals s vector
+    products, column by column, and counts s."""
+
+    @pytest.mark.parametrize("name", ["phillips", "deriv2"])
+    @pytest.mark.parametrize("n", [200, 400, 401])
+    def test_matmat_is_matvec_by_column(self, name, n):
+        # n = 200 is dense K (one GEMM); 400 and 401 are the structured
+        # products (FFT, cumulative sums), down axis 0
+        op = build_problem(name, n).op
+        X = np.random.default_rng(n).standard_normal((n, 5))
+        Y = op.matmat(X)
+        assert Y.shape == (n, 5) and op.matvec_count == 5
+        columns_close(Y, [op.matvec(x) for x in X.T], 1e-13)
+        assert op.matvec_count == 10
+        op.matmat(X[:, :1])
+        assert op.matvec_count == 11
+
+    def test_matmat_shape_errors(self):
+        op = LinearOperator.from_matrix(np.eye(3))
+        for bad in (np.ones(3), np.ones((4, 2)), np.ones((3, 2, 1))):
+            with pytest.raises(ShapeMismatch):
+                op.matmat(bad)
+        assert op.matvec_count == 0
+
+    @pytest.mark.parametrize("name", REGULARIZER_NAMES)
+    @pytest.mark.parametrize("problem, n", [("phillips", 200), ("deriv2", 400),
+                                            ("phillips", 401)])
+    def test_factor_block_product_and_back_map(self, name, problem, n):
+        base = build_problem(problem, n)
+        factor = factor_transform(base.op, regularizer_from_name(name, n))
+        rng = np.random.default_rng(n)
+        Z = rng.standard_normal((n, 4))
+        start = factor.matvec_count
+        Y = factor.matmat(Z)
+        assert factor.matvec_count - start == 4
+        # the projections cancel most of K core^-1 z, whose norm is the
+        # scale that rounding works at
+        scales = [np.linalg.norm(base.op.matvec(factor.reg.core_solve(z))) for z in Z.T]
+        columns_close(Y, [factor.matvec(z) for z in Z.T], 1e-14, scales)
+
+        B = base.b_hat[:, None] + rng.standard_normal((n, 4))
+        ctx = project_rhs(factor, B)
+        singles = [project_rhs(factor, b) for b in B.T]
+        for field in ("x0", "b1", "solver_rhs"):
+            columns_close(getattr(ctx, field), [getattr(c, field) for c in singles], 1e-14)
+        start = factor.matvec_count
+        X = back_transform(ctx, Z)
+        per_column = (factor.matvec_count - start) // 4
+        assert factor.matvec_count - start == 4 * per_column
+        xs = []
+        for c, z in zip(singles, Z.T):
+            before = factor.matvec_count
+            xs.append(back_transform(c, z))
+            assert factor.matvec_count - before == per_column
+        columns_close(X, xs, 1e-13)
 
 
 def same_or_both_none(a, b):
