@@ -114,17 +114,25 @@ def run_cell(prob, factor: StandardFormFactor, eta: float,
     return _run_result(prob, factor, res, *_back(ctx, res.z))
 
 
-def run_block(probs: list, factor: StandardFormFactor, eta: float,
-              max_iter: int = 100) -> list:
-    """run_cell for each of the noisy problems probs, which share K, in
-    lockstep: one projection, one rrgmres_block and one back-transform
-    for the block of their right-hand sides.  Each row counts the block
-    columns its own run took, so it reads as its run_cell row does."""
-    ctx = project_rhs(factor, np.column_stack([p.b for p in probs]))
-    sols = rrgmres_block(ctx, ctx.solver_rhs, [_config(p, eta, max_iter) for p in probs])
-    xs, back_mv = _back(ctx, np.column_stack([r.z for r in sols]))
-    return [_run_result(p, factor, r, x, back_mv)
-            for p, r, x in zip(probs, sols, xs.T.copy())]
+def run_block(probs: list, factors: list, eta: float, max_iter: int = 100) -> list:
+    """run_cell for each of the noisy problems probs, which share K, with
+    each of factors, all in lockstep: one projection per factor of the
+    block of their right-hand sides, one rrgmres_block with a group of
+    columns per factor, and one back-transform per factor.  Returns the
+    rows factor by factor, each list in the order of probs; each row
+    counts the columns its own run took, so it reads as its run_cell
+    row does."""
+    b = np.column_stack([p.b for p in probs])
+    ctxs = [project_rhs(factor, b) for factor in factors]
+    cfgs = [_config(p, eta, max_iter) for p in probs]
+    sols = rrgmres_block(ctxs, [ctx.solver_rhs for ctx in ctxs], cfgs * len(ctxs))
+    rows = []
+    for c, (factor, ctx) in enumerate(zip(factors, ctxs)):
+        res = sols[c * len(probs):(c + 1) * len(probs)]
+        xs, back_mv = _back(ctx, np.column_stack([r.z for r in res]))
+        rows.append([_run_result(p, factor, r, x, back_mv)
+                     for p, r, x in zip(probs, res, xs.T.copy())])
+    return rows
 
 
 def run_single(base_problem, nu: float, seed: int, reg_name: str,
@@ -260,8 +268,15 @@ def _partial_row(problem: str, n: int, nu: float, reg: str, seed: str,
     return ",".join(cells.get(c, "") for c in RUN_COLUMNS)
 
 
+def _median(values: list) -> float:
+    """The median of a list of numbers, as np.median gives it: the middle
+    one, or the mean of the middle two."""
+    v, h = sorted(values), len(values) // 2
+    return float(v[h] if len(v) % 2 else (v[h - 1] + v[h]) / 2)
+
+
 def _median_row(problem: str, n: int, nu: float, reg: str, runs: list) -> str:
-    medians = {c: _fmt(float(np.median([getattr(r, c) for r in runs])))
+    medians = {c: _fmt(_median([getattr(r, c) for r in runs]))
                for c in ("iterations", "matvecs", "relative_error")} if runs else {}
     return _partial_row(problem, n, nu, reg, "median", **medians)
 
@@ -280,28 +295,29 @@ def cmd_table(args) -> int:
     # the factor depends on the regularizer alone and the noise on
     # (nu, seed) alone: each is made once, and a factor that fails is
     # reported from its stored exception in every row it would serve.
-    # The seeds of one (nu, regularizer) run in lockstep, as one block
-    factors = {}
+    # Each noise level runs its seeds with every factor in one lockstep
+    # loop, a group of columns per factor
+    factors, failed = {}, {}
     for reg in dict.fromkeys(args.regs):
         try:
             factors[reg] = factor_transform(base.op, regularizer_from_name(reg, n, delta))
         except NumericsError as exc:
-            factors[reg] = exc
+            failed[reg] = exc
     lines = [",".join(RUN_COLUMNS)]
     for nu in args.noise:
         noisy = [add_noise(base, nu, seed) for seed in args.seeds]
+        blocks = dict(zip(factors, run_block(noisy, list(factors.values()), args.eta,
+                                             args.max_iter))) if factors else {}
         for reg in args.regs:
-            factor = factors[reg]
-            if isinstance(factor, NumericsError):
-                runs, tag = [], f"ERROR_{type(factor).__name__}"
+            runs = blocks.get(reg, [])
+            if reg in failed:
+                tag = f"ERROR_{type(failed[reg]).__name__}"
                 for seed in args.seeds:
                     lines.append(_partial_row(problem, n, nu, reg, str(seed), stop_reason=tag))
-                    print(f"{problem} n={n} nu={_fmt(nu)} {reg} seed={seed}: {tag}: {factor}")
-            else:
-                runs = run_block(noisy, factor, args.eta, args.max_iter)
-                for r in runs:
-                    lines.append(r.csv_row())
-                    print(r.breakdown_line())
+                    print(f"{problem} n={n} nu={_fmt(nu)} {reg} seed={seed}: {tag}: {failed[reg]}")
+            for r in runs:
+                lines.append(r.csv_row())
+                print(r.breakdown_line())
             lines.append(_median_row(problem, n, nu, reg, runs))
     with open(out, "w") as f:
         f.write("\n".join(lines) + "\n")

@@ -71,24 +71,29 @@ def triangle_is_singular(min_diag, max_entry):
 
 
 def solve_upper_triangular(r, c) -> np.ndarray:
-    """Back substitution for an upper-triangular system R x = c.
+    """Back substitution for an upper-triangular system R x = c, or for
+    each of a stack of them: r of shape (..., k, k) and c of (..., k).
 
-    Row by row from the bottom: x_i = (c_i - R[i, i+1:] @ x[i+1:]) / R_ii.
-    Raises SingularTriangular when triangle_is_singular holds for R.
+    Row by row from the bottom: x_i = (c_i - R[i, i+1:] @ x[i+1:]) / R_ii,
+    the dot one BLAS call per system, so each system of a stack is solved
+    as it would be alone.  Raises SingularTriangular when
+    triangle_is_singular holds for any R.
     """
     r = _as_float_array(r, "triangular matrix")
     c = _as_float_array(c, "right-hand side")
-    if r.ndim != 2 or r.shape[0] != r.shape[1]:
+    if r.ndim < 2 or r.shape[-1] != r.shape[-2]:
         raise ShapeMismatch("triangular matrix must be square")
-    if c.shape[0] != r.shape[0]:
+    if c.shape != r.shape[:-1]:
         raise ShapeMismatch("right-hand side length does not match")
-    if r.shape[0] == 0:
+    if r.shape[-1] == 0:
         return np.zeros_like(c)
-    if triangle_is_singular(np.min(np.abs(np.diag(r))), np.max(np.abs(r))):
+    if np.any(triangle_is_singular(np.abs(np.diagonal(r, 0, -2, -1)).min(axis=-1),
+                                   np.abs(r).max(axis=(-2, -1)))):
         raise SingularTriangular("diagonal entry too small for back substitution")
     x = np.empty(c.shape)
-    for i in range(r.shape[0] - 1, -1, -1):
-        x[i] = (c[i] - r[i, i + 1:] @ x[i + 1:]) / r[i, i]
+    for i in range(r.shape[-1] - 1, -1, -1):
+        dot = np.matmul(r[..., i:i + 1, i + 1:], x[..., i + 1:, None])[..., 0, 0]
+        x[..., i] = (c[..., i] - dot) / r[..., i, i]
     return x
 
 

@@ -17,13 +17,19 @@ of g[k], the remainder and the misfit ||R y - g[:k]||.
 
 There is one loop, and it runs a block of right-hand sides in lockstep
 (Neuman, Reichel & Sadok 2012 on range-restricted methods with several
-right-hand sides; the Krylov spaces stay separate and only the products
-are shared).  rrgmres_block takes an n x s block B and one SolverConfig
-per column, and each step applies A.matmat once, to the newest basis
-vector of every column still running: one product per column, which is
-the paper's cost model.  Each column keeps its own basis, R, g,
-rotations, log and stop reason, and leaves the block when it stops, so
-its result is the one it would get alone, to rounding.  rrgmres_solve
+right-hand sides; the Krylov spaces stay separate and only the per-step
+work is shared).  rrgmres_block takes an n x s block B and one
+SolverConfig per column, or several operators of one order with a
+block each, whose columns then run as consecutive groups of one loop.
+Each step applies each operator's matmat once, to the newest basis
+vectors of its columns still running, a contiguous slice of them: one
+product per column, which is the paper's cost model.  Gram-Schmidt, the
+rotations, the norms, the stop tests and the compaction run once per
+step for every group.  Each column keeps its own basis, R, g, rotations,
+log and stop reason, and leaves the loop when it stops, so its result
+is the one it would get alone, to rounding, and a group's results do
+not depend on the groups beside it.  The columns that stop at one step
+share one back substitution and one basis combination.  rrgmres_solve
 is the case s = 1 and applies A.matvec, so any object with shape and
 matvec serves it.  The basis grows in chunks of a few steps, with no
 copy of what is stored, so max_iter bounds the loop and not the memory.
@@ -202,34 +208,53 @@ def rrgmres_solve(A, b: np.ndarray, cfg: SolverConfig,
     keep_iterates the iterates of every step are returned as well.
     """
     b = checked_rhs(b, _square(A))
-    (res,) = _lockstep(lambda X: A.matvec(X[:, 0])[:, None], b[:, None], [cfg],
-                       keep_iterates)
+    (res,) = _lockstep([lambda X: A.matvec(X[:, 0])[:, None]], [1], b[:, None],
+                       [cfg], keep_iterates)
     return res
 
 
-def rrgmres_block(A, B: np.ndarray, cfgs, keep_iterates: bool = False) -> list:
+def rrgmres_block(A, B, cfgs, keep_iterates: bool = False) -> list:
     """rrgmres_solve for each column of the n x s block B, column j with
     cfgs[j], the s runs side by side.
 
-    Each step applies A.matmat once, to the block of the newest basis
-    vectors of the columns still running, so a product with K serves
-    them all.  Each column keeps its own basis, rotated triangle,
-    rotations, log and stop, and leaves the block when it stops.  Its
-    result is rrgmres_solve's for that column alone, to rounding: its
+    A may also be a list of operators of one order, with B a list of
+    blocks, one per operator: each block's columns run with its
+    operator, all of them in the one loop, and cfgs and the results
+    follow the columns of the blocks in order.  Each step applies each
+    operator's matmat once, to the block of the newest basis vectors of
+    its columns still running, so a product with K serves them all.
+    Each column keeps its own basis, rotated triangle, rotations, log
+    and stop, and leaves the loop when it stops.  Its result is
+    rrgmres_solve's for that column alone, to rounding, and the result
+    of a block does not depend on the blocks run beside it: its
     solve_matvecs and log count the block columns it took part in, and
-    A's own count rises by their sum.
+    each operator's own count rises by the sum over its columns.
     """
-    n = _square(A)
-    B = checked_rhs(B, n, block=True)
-    cfgs = list(cfgs)
+    if not isinstance(A, (list, tuple)):
+        A, B = [A], [B]
+    if len(A) != len(B) or len({_square(a) for a in A}) != 1:
+        raise ShapeMismatch(f"{len(B)} blocks for {len(A)} operators, or orders differ")
+    blocks = [checked_rhs(b, _square(A[0]), block=True) for b in B]
+    B, cfgs = np.concatenate(blocks, axis=1), list(cfgs)
     if len(cfgs) != B.shape[1]:
         raise ShapeMismatch(f"{B.shape[1]} right-hand sides but {len(cfgs)} configs")
-    return _lockstep(A.matmat, B, cfgs, keep_iterates)
+    return _lockstep([a.matmat for a in A], [b.shape[1] for b in blocks], B, cfgs,
+                     keep_iterates)
 
 
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise dot products of two (s, n) arrays, each one BLAS dot."""
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _by_group(products: list, group: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """(s, n): products[c] on the columns of the n x s block X that group
+    marks c, a contiguous run of them for each c, one call per run, the
+    results as the rows of a C-ordered array."""
+    out = np.empty(X.shape[::-1])
+    for c, lo, m in zip(*np.unique(group, return_index=True, return_counts=True)):
+        out[lo:lo + m] = products[c](X[:, lo:lo + m]).T
+    return out
 
 
 def _pieces(chunks: list, k: int) -> list:
@@ -245,8 +270,9 @@ def _coefficients(pieces: list, w: np.ndarray) -> np.ndarray:
     return np.concatenate([np.matmul(p, w[:, :, None]) for p in pieces], axis=1)[:, :, 0]
 
 
-def _combination(pieces: list, y: np.ndarray) -> np.ndarray:
-    """(s, n): each seed's basis vectors combined with its row of y."""
+def _combination(pieces, y: np.ndarray) -> np.ndarray:
+    """(s, n): each seed's basis vectors combined with its row of y.
+    pieces may be a generator, read once."""
     out, lo = None, 0
     for p in pieces:
         term = np.matmul(y[:, None, lo:lo + p.shape[1]], p)[:, 0]
@@ -262,26 +288,31 @@ def _enlarged(a: np.ndarray, shape: tuple) -> np.ndarray:
     return out
 
 
-def _lockstep(product, B: np.ndarray, cfgs: list, keep_iterates: bool) -> list:
+def _lockstep(products: list, widths: list, B, cfgs: list, keep_iterates: bool) -> list:
     """RRGMRES on the columns of B side by side: the one loop behind
-    rrgmres_solve and rrgmres_block.  product(X) applies the operator to
-    each column of the n x s' block X, one column per running
-    right-hand side, and is called once per step.
+    rrgmres_solve and rrgmres_block.  The columns come in groups, the
+    first widths[0] of B, then the next widths[1], and so on, and
+    products[c](X) applies group c's operator to each column of an
+    n x s' block X.  Each step calls each product once, on a contiguous
+    slice of the newest basis vectors: those of its group's running
+    columns.
 
     The running columns are all at the same step k.  Their state runs
-    along a column axis: axis 0 of the basis, of bres and of the
-    per-column numbers, the last axis of the small least-squares state
-    (the rotated triangle R, g and the rotations).  The basis is kept in
-    chunks of a few steps, each allocated when the iteration reaches it,
-    so no step copies the basis and max_iter only bounds the loop; the
-    small state grows by the same number of steps.  A column that stops
-    takes its iterate and leaves, and every array drops its slice.
+    along a column axis: axis 0 of the basis, of bres, of the rotated
+    triangle R and of the per-column numbers, the last axis of g and the
+    rotations.  The basis is kept in chunks of a few steps, each
+    allocated when the iteration reaches it, so no step copies the
+    basis and max_iter only bounds the loop; the small state grows by
+    the same number of steps.  A column that stops takes its iterate
+    and leaves, and every array drops its slice, which keeps each
+    group's running columns contiguous.
     """
     n, s = B.shape
     bt = np.ascontiguousarray(B.T)          # each b as a row
     bnorm = np.sqrt(_dots(bt, bt))
     threshold = np.array([cfg.eta * cfg.epsilon for cfg in cfgs])
     max_iter = np.array([cfg.max_iter for cfg in cfgs])
+    group = np.repeat(np.arange(len(products)), widths)
     logs = [IterationLog() for _ in range(s)]
     for log, r in zip(logs, bnorm.tolist()):
         log.record(0, r, 0)
@@ -299,7 +330,7 @@ def _lockstep(product, B: np.ndarray, cfgs: list, keep_iterates: bool) -> list:
     cols = np.flatnonzero(~met)             # the running columns of B
     if cols.size == 0:
         return results
-    ab = np.ascontiguousarray(product(B[:, cols]).T)
+    ab = _by_group(products, group[cols], B[:, cols])
     beta0 = np.sqrt(_dots(ab, ab))
     # A b vanished: the range-restricted space is empty
     empty = beta0 <= BREAKDOWN_TOL * bnorm[cols]
@@ -307,7 +338,7 @@ def _lockstep(product, B: np.ndarray, cfgs: list, keep_iterates: bool) -> list:
     if empty.all():
         return results
     cols, ab, beta0 = cols[~empty], ab[~empty], beta0[~empty]
-    bnorm, threshold, max_iter = bnorm[cols], threshold[cols], max_iter[cols]
+    bnorm, threshold, max_iter, group = (a[cols] for a in (bnorm, threshold, max_iter, group))
 
     size = 8  # basis vectors per chunk
     v0 = ab / beta0[:, None]
@@ -320,7 +351,7 @@ def _lockstep(product, B: np.ndarray, cfgs: list, keep_iterates: bool) -> list:
     # suffers when the basis captures b almost entirely
     bres = bt[cols] - g[0][:, None] * v0
     rot = np.zeros((2, size, cols.size))
-    rmat = np.zeros((size, size, cols.size))
+    rmat = np.zeros((cols.size, size, size))
     # smallest diagonal entry and largest entry of each triangle so far;
     # columns of R are final once rotated in, and so are these
     dmin, rmax = np.full(cols.size, np.inf), np.zeros(cols.size)
@@ -328,7 +359,7 @@ def _lockstep(product, B: np.ndarray, cfgs: list, keep_iterates: bool) -> list:
     def solve(i: int, k: int) -> tuple[np.ndarray, float]:
         # the first k columns of R and g[:k] are final from step k on, so
         # the iterate of step k can be read at any later point
-        return _solve_rotated(np.ascontiguousarray(rmat[:k, :k, i]),
+        return _solve_rotated(np.ascontiguousarray(rmat[i, :k, :k]),
                               np.ascontiguousarray(g[:k, i]))
 
     def iterate(i: int, k: int) -> np.ndarray:
@@ -337,7 +368,7 @@ def _lockstep(product, B: np.ndarray, cfgs: list, keep_iterates: bool) -> list:
 
     for k in itertools.count(1):  # every column leaves by its max_iter
         j = k - 1
-        w = np.ascontiguousarray(product(chunks[j // size][:, j % size].T).T)
+        w = _by_group(products, group, chunks[j // size][:, j % size].T)
         pieces = _pieces(chunks, k)
         # classical Gram-Schmidt in two block passes (CGS2); the second,
         # unconditional pass keeps the basis orthogonal to working precision
@@ -347,9 +378,9 @@ def _lockstep(product, B: np.ndarray, cfgs: list, keep_iterates: bool) -> list:
         w = w - _combination(pieces, corr)
         hkk = np.sqrt(_dots(w, w))
         hcol = np.concatenate(((h + corr).T, hkk[None]))
-        if k > rmat.shape[0]:
-            cap = rmat.shape[0] + size
-            rmat = _enlarged(rmat, (cap, cap, cols.size))
+        if k > rmat.shape[1]:
+            cap = rmat.shape[1] + size
+            rmat = _enlarged(rmat, (cols.size, cap, cap))
             g = _enlarged(g, (cap + 1, cols.size))
             rot = _enlarged(rot, (2, cap, cols.size))
 
@@ -363,7 +394,7 @@ def _lockstep(product, B: np.ndarray, cfgs: list, keep_iterates: bool) -> list:
         g[k] = np.where(broken, 0.0, _dots(vnew, bres))
         bres = bres - g[k][:, None] * vnew
         diag, cmax = _rotate_in(rot, hcol, g)
-        rmat[:k, j] = hcol[:k]
+        rmat[:, :k, j] = hcol[:k].T
         dmin, rmax = np.minimum(dmin, diag), np.maximum(rmax, cmax)
 
         residual = np.hypot(g[k], np.sqrt(_dots(bres, bres)))
@@ -377,11 +408,19 @@ def _lockstep(product, B: np.ndarray, cfgs: list, keep_iterates: bool) -> list:
         done = met | broken | (k >= max_iter)
         if not done.any():
             continue
-        for i in np.flatnonzero(done):
+        # the columns that stop share k: those whose triangles are regular
+        # by the running dmin and rmax back-substitute together and
+        # combine their bases in one pass; a singular one takes
+        # _solve_rotated's minimum-norm path
+        leaving = np.flatnonzero(done)
+        regular = leaving[~triangle_is_singular(dmin[leaving], rmax[leaving])]
+        y = solve_upper_triangular(rmat[regular, :k, :k], g[:k, regular].T)
+        zs = dict(zip(regular.tolist(), _combination((p[regular] for p in pieces), y)))
+        for i in leaving.tolist():
             stop = (StopReason.DISCREPANCY_MET if met[i] else
                     StopReason.BREAKDOWN if broken[i] else StopReason.MAX_ITER)
             results[cols[i]] = RRGMRESResult(
-                z=iterate(i, k), k=k, residual=float(residual[i]),
+                z=zs[i] if i in zs else iterate(i, k), k=k, residual=float(residual[i]),
                 stop_reason=stop, log=logs[cols[i]], solve_matvecs=k + 1,
                 iterates=([iterate(i, m) for m in range(1, k + 1)]
                           if keep_iterates else None))
@@ -392,9 +431,10 @@ def _lockstep(product, B: np.ndarray, cfgs: list, keep_iterates: bool) -> list:
         pieces = None
         for ci in range(len(chunks)):
             chunks[ci] = chunks[ci][keep]
-        cols, beta0, bnorm, threshold, max_iter, bres, dmin, rmax = (
-            a[keep] for a in (cols, beta0, bnorm, threshold, max_iter, bres, dmin, rmax))
-        g, rot, rmat = g[:, keep], rot[..., keep], rmat[..., keep]
+        cols, beta0, bnorm, threshold, max_iter, group, bres, dmin, rmax, rmat = (
+            a[keep] for a in (cols, beta0, bnorm, threshold, max_iter, group, bres,
+                              dmin, rmax, rmat))
+        g, rot = g[:, keep], rot[..., keep]
 
 
 def tikhonov_direct_oracle(K: np.ndarray, L: np.ndarray, b: np.ndarray,

@@ -17,12 +17,13 @@ from hypothesis import strategies as st
 import regnear
 import regnear.cli
 from regnear.cli import (DEFAULT_NOISE, DEFAULT_SEEDS, RUN_COLUMNS, _fmt,
-                         _parse_floats, _parse_seeds, main, run_cell,
+                         _median, _parse_floats, _parse_seeds, main, run_cell,
                          run_single)
 from regnear.linalg import read_matrix, read_vector, write_matrix
 from regnear.problems import (add_noise, build_phillips, build_problem,
                               relative_error)
 from regnear.regops import REGULARIZER_NAMES, Mode, regularizer_from_name
+from regnear.solver import rrgmres_block
 from regnear.transform import LinearOperator, factor_transform
 
 SWEEP_FIXTURE = Path(__file__).parent / "data" / "default_sweep.csv"
@@ -160,6 +161,21 @@ class TestDefaultSweepRegression:
         assert factors == list(REGULARIZER_NAMES) and len(factors) == 6
         assert sorted(noises) == sorted(itertools.product(DEFAULT_NOISE, DEFAULT_SEEDS))
         assert len(noises) == 30
+
+    def test_table_makes_one_solver_call_per_noise_level(self, tmp_path, monkeypatch,
+                                                         capsys):
+        # each noise level is one lockstep loop: its ten seeds with each of
+        # the six factors, a group of columns per factor
+        calls = []
+
+        def counting_block(A, B, cfgs, keep_iterates=False):
+            calls.append([b.shape[1] for b in B])
+            return rrgmres_block(A, B, cfgs, keep_iterates)
+
+        monkeypatch.setattr(regnear.cli, "rrgmres_block", counting_block)
+        assert main(["table", "--problem", "phillips",
+                     "--out", str(tmp_path / "table.csv")]) == 0
+        assert calls == [[10] * 6] * 3
 
 
     @pytest.mark.parametrize("problem", ["phillips", "deriv2"])
@@ -397,6 +413,55 @@ class TestTableCommand:
         assert "SingularCore" in capsys.readouterr().out
         # the failed factor is stored and reported, not attempted per seed
         assert builds == [("L1dP1", 16, 1e-20)]
+
+    def test_every_factor_failed_makes_no_solver_call(self, tmp_path, capsys,
+                                                      monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the solver ran")
+
+        monkeypatch.setattr(regnear.cli, "rrgmres_block", no_solve)
+        out = tmp_path / "err.csv"
+        assert main(["table", "--regs", "L1dP1", "--delta", "1e-20", "--seeds", "1..2",
+                     "--out", str(out)]) == 0
+        with open(out) as f:
+            rows = list(csv.DictReader(f))
+        assert len(rows) == len(DEFAULT_NOISE) * 3
+        for row in rows:
+            want = "" if row["seed"] == "median" else "ERROR_SingularCore"
+            assert row["stop_reason"] == want and row["iterations"] == ""
+        assert capsys.readouterr().out.count(": ERROR_SingularCore: ") == 6
+
+    def test_repeated_regularizers_and_seeds(self, tmp_path, capsys):
+        # a regularizer or a seed named twice repeats its rows where it
+        # is named; each row reads as the row of the table without repeats
+        def table(regs, seeds):
+            out = tmp_path / "t.csv"
+            assert main(["table", "--n", "30", "--regs", regs, "--seeds", seeds,
+                         "--noise", "1e-2,0", "--out", str(out)]) == 0
+            with open(out) as f:
+                return [r for r in csv.DictReader(f) if r["seed"] != "median"]
+
+        plain = {(r["nu"], r["regularizer"], r["seed"]): r for r in table("I,L1dP1", "3,1")}
+        rows = table("I,L1dP1,I", "3,1,3")
+        keys = [(r["nu"], r["regularizer"], r["seed"]) for r in rows]
+        assert keys == [(_fmt(nu), reg, seed) for nu in (1e-2, 0.0)
+                        for reg in ("I", "L1dP1", "I") for seed in ("3", "1", "3")]
+        for row, key in zip(rows, keys):
+            ref = plain[key]
+            for col in RUN_COLUMNS:
+                if col in ("relative_error", "residual"):
+                    assert float(row[col]) == pytest.approx(float(ref[col]), rel=1e-12)
+                else:
+                    assert row[col] == ref[col], (key, col)
+        # the second I block is the first, to the bit
+        assert rows[:3] == rows[6:9] and rows[9:12] == rows[15:18]
+
+    @settings(max_examples=100, deadline=None)
+    @given(values=st.one_of(
+        st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=12),
+        st.lists(st.integers(0, 10**6), min_size=1, max_size=12)))
+    def test_median_is_np_median(self, values):
+        assert _median(values) == float(np.median(values))
 
     @pytest.mark.parametrize("noise", ["1e-2", "0"])
     def test_negative_seed_is_config_error(self, tmp_path, capsys, noise):
@@ -693,15 +758,28 @@ def test_cli_import_leaves_out_numpy_fft():
 
 
 def test_cli_import_leaves_out_what_it_never_runs():
-    # the table's median is np.median, not statistics (which loads
-    # fractions and decimal), and the Gauss-Legendre rule of the
-    # quadrature oracles, from numpy.polynomial, is made on first use
+    # the table's median is a sorted midpoint of Python numbers, not
+    # statistics (which loads fractions and decimal), and the
+    # Gauss-Legendre rule of the quadrature oracles, from
+    # numpy.polynomial, is made on first use
     code = ("import sys, regnear.cli; sys.exit(sorted(m for m in "
             "('statistics', 'fractions', 'decimal', 'numpy.polynomial') "
             "if m in sys.modules) or None)")
     run = subprocess.run([sys.executable, "-c", code], env=_child_env(),
                          capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
+
+
+def test_table_leaves_out_numpy_ma(tmp_path):
+    # np.median would load numpy.ma, about 15 ms and 1.4 MB of a cold
+    # table; the medians of an odd and an even seed count need neither
+    for seeds in ("1..3", "1..4"):
+        code = ("import sys; from regnear.cli import main; "
+                f"code = main(['table', '--n', '40', '--seeds', '{seeds}', '--out', 't.csv']); "
+                "sys.exit(code or 'numpy.ma' in sys.modules)")
+        run = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=_child_env(),
+                             capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
 
 
 # Runs every subcommand at a small size, in the working directory, with

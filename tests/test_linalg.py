@@ -80,6 +80,27 @@ class TestTriangularSolve:
             solve_upper_triangular(np.ones((2, 3)), np.ones(2))
         with pytest.raises(ShapeMismatch):
             solve_upper_triangular(np.eye(3), np.ones(2))
+        with pytest.raises(ShapeMismatch):
+            solve_upper_triangular(np.ones(3), np.ones(3))
+        with pytest.raises(ShapeMismatch):
+            solve_upper_triangular(np.stack([np.eye(3)] * 2), np.ones((3, 2)))
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 7, 40])
+    def test_stack_solves_each_as_alone(self, k):
+        # each system of a stack gets the bits it gets alone
+        rng = np.random.default_rng(k)
+        r = np.triu(rng.standard_normal((5, k, k))) + 3.0 * np.eye(k)
+        c = rng.standard_normal((5, k))
+        x = solve_upper_triangular(r, c)
+        assert x.shape == (5, k)
+        for xi, ri, ci in zip(x, r, c):
+            assert np.array_equal(xi, solve_upper_triangular(ri, ci))
+        assert solve_upper_triangular(r[:0], c[:0]).shape == (0, k)
+
+    def test_one_singular_triangle_fails_the_stack(self):
+        r = np.stack([np.eye(2), [[1.0, 1.0], [0.0, 0.0]]])
+        with pytest.raises(SingularTriangular):
+            solve_upper_triangular(r, np.ones((2, 2)))
 
 
 class TestMinNormLstsq:

@@ -472,37 +472,45 @@ def assert_block_equals_singles(a, B, cfgs, keep_iterates=False):
     return block
 
 
+def draw_block(rng, n, kinds):
+    """A, B and one config per column of B, for the column kinds drawn.
+
+    A is well conditioned on its range and maps the last unit vector to
+    zero.  Each column draws a kind: b with a discrepancy stop at its
+    own step, ||b|| below eta * epsilon (k = 0), b along the null vector
+    (A b = 0, a breakdown at k = 0), or epsilon 0 with a small cap
+    (MAX_ITER); the columns leave the block at different steps.
+    """
+    a = 2.0 * np.eye(n) + 0.5 * rng.standard_normal((n, n)) / np.sqrt(n)
+    a[:, -1] = 0.0
+    a[-1, :] = 0.0
+    B = rng.standard_normal((n, len(kinds)))
+    cfgs = []
+    for j, kind in enumerate(kinds):
+        bnorm = np.linalg.norm(B[:, j])
+        if kind == "discrepancy":
+            cfg = SolverConfig(epsilon=float(rng.uniform(1e-8, 0.5)) * bnorm)
+        elif kind == "initial":
+            cfg = SolverConfig(epsilon=2.0 * bnorm)
+        elif kind == "null":
+            B[:, j] = 0.0
+            B[-1, j] = rng.uniform(0.5, 2.0)
+            cfg = SolverConfig(epsilon=0.0)
+        else:
+            cfg = SolverConfig(epsilon=0.0, max_iter=int(rng.integers(1, min(6, n - 1))))
+        cfgs.append(cfg)
+    return a, B, cfgs
+
+
+KINDS = st.sampled_from(["discrepancy", "initial", "null", "max_iter"])
+
+
 class TestRRGMRESBlock:
     @settings(max_examples=60, deadline=None)
-    @given(n=st.integers(4, 40),
-           kinds=st.lists(st.sampled_from(["discrepancy", "initial", "null", "max_iter"]),
-                          min_size=1, max_size=6),
+    @given(n=st.integers(4, 40), kinds=st.lists(KINDS, min_size=1, max_size=6),
            seed=st.integers(0, 2**32 - 1))
     def test_block_equals_singles(self, n, kinds, seed):
-        # A is well conditioned on its range and maps the last unit vector
-        # to zero.  Each column draws a kind: b with a discrepancy stop at
-        # its own step, ||b|| below eta * epsilon (k = 0), b along the null
-        # vector (A b = 0, a breakdown at k = 0), or epsilon 0 with a small
-        # cap (MAX_ITER); the columns leave the block at different steps
-        rng = np.random.default_rng(seed)
-        a = 2.0 * np.eye(n) + 0.5 * rng.standard_normal((n, n)) / np.sqrt(n)
-        a[:, -1] = 0.0
-        a[-1, :] = 0.0
-        B = rng.standard_normal((n, len(kinds)))
-        cfgs = []
-        for j, kind in enumerate(kinds):
-            bnorm = np.linalg.norm(B[:, j])
-            if kind == "discrepancy":
-                cfg = SolverConfig(epsilon=float(rng.uniform(1e-8, 0.5)) * bnorm)
-            elif kind == "initial":
-                cfg = SolverConfig(epsilon=2.0 * bnorm)
-            elif kind == "null":
-                B[:, j] = 0.0
-                B[-1, j] = rng.uniform(0.5, 2.0)
-                cfg = SolverConfig(epsilon=0.0)
-            else:
-                cfg = SolverConfig(epsilon=0.0, max_iter=int(rng.integers(1, min(6, n - 1))))
-            cfgs.append(cfg)
+        a, B, cfgs = draw_block(np.random.default_rng(seed), n, kinds)
         block = assert_block_equals_singles(a, B, cfgs, keep_iterates=True)
         for kind, res in zip(kinds, block):
             if kind == "initial":
@@ -512,6 +520,47 @@ class TestRRGMRESBlock:
                 assert res.solve_matvecs == 1
             elif kind == "max_iter":
                 assert res.stop_reason is StopReason.MAX_ITER
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(8, 30),
+           groups=st.lists(st.tuples(st.lists(KINDS, min_size=1, max_size=4),
+                                     st.sampled_from([None, 0, 1])),
+                           min_size=1, max_size=4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_operator_groups_run_as_they_would_alone(self, n, groups, seed):
+        # several operators in one call, each with its own block: every
+        # block's results equal those of its operator alone, bit for bit,
+        # and each operator's count rises by its own columns' sum.  A
+        # group may carry a singular-rule triangle as an extra column: the
+        # graded operator sits in its operator's leading corner, cut off
+        # from the rest, and b lives there
+        rng = np.random.default_rng(seed)
+        drawn = []
+        for kinds, case in groups:
+            a, B, cfgs = draw_block(rng, n, kinds)
+            if case is not None:
+                tri, b = map(np.array, SINGULAR_RULE_CASES[case])
+                m = b.size
+                a[:m], a[:, :m] = 0.0, 0.0
+                a[:m, :m] = tri
+                B = np.column_stack([B, np.concatenate([b, np.zeros(n - m)])])
+                cfgs.append(SolverConfig(epsilon=0.0, max_iter=12))
+            drawn.append((a, B, cfgs))
+        ops = [LinearOperator.from_matrix(a) for a, _, _ in drawn]
+        together = rrgmres_block(ops, [B for _, B, _ in drawn],
+                                 [cfg for _, _, cfgs in drawn for cfg in cfgs])
+        lo = 0
+        for op, (a, B, cfgs) in zip(ops, drawn):
+            mine = together[lo:lo + len(cfgs)]
+            lo += len(cfgs)
+            assert op.matvec_count == sum(r.solve_matvecs for r in mine)
+            alone = rrgmres_block(LinearOperator.from_matrix(a), B, cfgs)
+            for res, ref in zip(mine, alone, strict=True):
+                assert (res.k, res.stop_reason, res.solve_matvecs, res.residual) == (
+                    ref.k, ref.stop_reason, ref.solve_matvecs, ref.residual)
+                assert res.log.entries == ref.log.entries
+                assert np.array_equal(res.z, ref.z)
+        assert lo == len(together)
 
     @pytest.mark.parametrize("a, b", SINGULAR_RULE_CASES,
                              ids=["largest-entry", "smallest-diagonal"])
@@ -579,6 +628,25 @@ class TestRRGMRESBlock:
         with pytest.raises(ValueError, match="finite"):
             rrgmres_block(op, B, [SolverConfig()] * 2)
         assert op.matvec_count == 0
+
+    def test_operator_group_guards(self):
+        ops = [LinearOperator.from_matrix(np.eye(3)), LinearOperator.from_matrix(2 * np.eye(3))]
+        B = np.ones((3, 2))
+        with pytest.raises(ShapeMismatch):  # a block short
+            rrgmres_block(ops, [B], [SolverConfig()] * 2)
+        with pytest.raises(ShapeMismatch):  # operators of two orders
+            rrgmres_block([ops[0], LinearOperator.from_matrix(np.eye(4))],
+                          [B, np.ones((4, 1))], [SolverConfig()] * 3)
+        with pytest.raises(ShapeMismatch):  # no operator
+            rrgmres_block([], [], [])
+        with pytest.raises(ShapeMismatch):  # a config short
+            rrgmres_block(ops, [B, B], [SolverConfig()] * 3)
+        assert [op.matvec_count for op in ops] == [0, 0]
+        res = rrgmres_block(ops, [B, B], [SolverConfig(epsilon=1e-9)] * 4)
+        assert [op.matvec_count for op in ops] == [4, 4]
+        for r, scale in zip(res, [1.0, 1.0, 0.5, 0.5]):
+            assert (r.k, r.stop_reason) == (1, StopReason.DISCREPANCY_MET)
+            np.testing.assert_allclose(r.z, scale * np.ones(3))
 
 
 class TestTikhonovOracle:
