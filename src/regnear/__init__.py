@@ -1,33 +1,58 @@
 """Regularization matrices by matrix nearness, a standard-form
 transformation built on their null spaces, and range-restricted GMRES
 with discrepancy-principle stopping, exercised on two classic
-ill-posed test problems."""
+ill-posed test problems.
 
-from .errors import (BadDimension, DependentVectors, NoRoot, NotSymmetric,
-                     NumericsError, ParseError, RankDeficient, ShapeMismatch,
-                     SingularCore, SingularSystem, SingularTriangular)
-from .linalg import (frobenius_inner, frobenius_norm, min_norm_lstsq_solve,
-                     read_matrix, read_vector, solve_upper_triangular, thin_qr,
-                     write_matrix, write_vector)
-from .nearness import (NullSpaceBasis, build_projector, distance_from_products,
-                       nearest_two_vector, nearest_symmetric_with_nullspace,
-                       nearest_with_nullspace, nearness_distance)
-from .problems import (NoiseInfo, TestProblem, add_noise, build_deriv2,
-                       build_phillips, build_problem,
-                       deriv2_entry_by_quadrature, relative_error)
-from .regops import (Mode, ProjectedRegularizer, REGULARIZER_NAMES,
-                     RegularizerKind, make_nullspace_basis, make_projector_closed,
-                     make_regularization_matrix, regularizer_from_name,
-                     stencil_product)
-from .solver import (IterationLog, RRGMRESResult, SolverConfig, StopReason,
-                     discrepancy_mu_solve, hessenberg_residual, rrgmres_block,
-                     rrgmres_solve,
-                     tikhonov_direct_oracle)
-from .transform import (LinearOperator, StandardFormContext, StandardFormFactor,
-                        apply_pk_dagger, back_transform,
-                        factor_transform, k2_operator, prepare_context,
-                        project_rhs, tikhonov_minimizer_via_transform)
+Importing the package loads no submodule: each public name is read
+from its submodule on first use, so a program loads only the layers it
+uses.
+"""
+
+import importlib
+
+# the public names, by the submodule that defines them
+_EXPORTS = {
+    "errors": ("BadDimension", "DependentVectors", "NoRoot", "NotSymmetric",
+               "NumericsError", "ParseError", "RankDeficient", "ShapeMismatch",
+               "SingularCore", "SingularSystem", "SingularTriangular"),
+    "linalg": ("frobenius_inner", "frobenius_norm", "min_norm_lstsq_solve",
+               "read_matrix", "read_vector", "solve_upper_triangular", "thin_qr",
+               "write_matrix", "write_vector"),
+    "nearness": ("NullSpaceBasis", "build_projector", "distance_from_products",
+                 "nearest_two_vector", "nearest_symmetric_with_nullspace",
+                 "nearest_with_nullspace", "nearness_distance"),
+    "problems": ("NoiseInfo", "TestProblem", "add_noise", "build_deriv2",
+                 "build_phillips", "build_problem", "deriv2_entry_by_quadrature",
+                 "relative_error"),
+    "regops": ("Mode", "ProjectedRegularizer", "REGULARIZER_NAMES",
+               "RegularizerKind", "make_nullspace_basis", "make_projector_closed",
+               "make_regularization_matrix", "regularizer_from_name",
+               "stacked_n2_bases", "stencil_product"),
+    "solver": ("IterationLog", "RRGMRESResult", "SolverConfig", "StopReason",
+               "discrepancy_mu_solve", "hessenberg_residual", "rrgmres_block",
+               "rrgmres_solve", "tikhonov_direct_oracle"),
+    "transform": ("LinearOperator", "StandardFormContext", "StandardFormFactor",
+                  "apply_pk_dagger", "back_transform", "factor_transform",
+                  "k2_operator", "prepare_context", "project_rhs",
+                  "tikhonov_minimizer_via_transform"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    """A public name, or one of the submodules above, loaded on first use."""
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

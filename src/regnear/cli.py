@@ -15,6 +15,7 @@ bad content of an input file that could be read included).
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 from dataclasses import dataclass, fields
 
@@ -25,16 +26,39 @@ from .linalg import read_matrix, write_matrix, write_vector
 from .nearness import (NullSpaceBasis, distance_from_products,
                        nearest_symmetric_with_nullspace,
                        nearest_with_nullspace, nearness_distance)
-from .problems import add_noise, build_problem, relative_error
 from .regops import (REGULARIZER_NAMES, RegularizerKind, catalog_entry,
-                     make_nullspace_basis, regularizer_from_name,
-                     stencil_product)
-from .solver import SolverConfig, rrgmres_block, rrgmres_solve
-from .transform import (StandardFormFactor, back_transform, factor_transform,
-                        project_rhs)
+                     regularizer_from_name, stacked_n2_bases, stencil_product)
 
 DEFAULT_NOISE = (1e-2, 1e-3, 1e-4)
 DEFAULT_SEEDS = tuple(range(1, 11))
+
+# The names of the solve and table pipeline, by the module that defines
+# them.  They are bound here on first use, so that distances and nearest
+# import neither problems, transform nor solver.
+_PIPELINE = {
+    "problems": ("add_noise", "build_problem", "relative_error"),
+    "solver": ("SolverConfig", "rrgmres_block", "rrgmres_solve"),
+    "transform": ("back_transform", "factor_transform", "project_rhs"),
+}
+
+
+def _load_pipeline() -> None:
+    """Bind each pipeline name that is not bound here yet; one that is
+    (a test may have replaced it) is kept."""
+    namespace = globals()
+    for module, names in _PIPELINE.items():
+        if not all(name in namespace for name in names):
+            mod = importlib.import_module(f"{__package__}.{module}")
+            for name in names:
+                namespace.setdefault(name, getattr(mod, name))
+
+
+def __getattr__(name: str):
+    if any(name in names for names in _PIPELINE.values()):
+        _load_pipeline()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 class ConfigError(Exception):
     """Bad flags, config file, or argument combination (exit code 2)."""
@@ -109,6 +133,7 @@ def run_cell(prob, factor: StandardFormFactor, eta: float,
     """One run on the noisy problem prob: project, solve with
     rrgmres_solve and back-transform with factor, the factor_transform
     of prob's K and a regularizer, counting the matvec phases apart."""
+    _load_pipeline()
     ctx = project_rhs(factor, prob.b)
     res = rrgmres_solve(ctx, ctx.solver_rhs, _config(prob, eta, max_iter))
     return _run_result(prob, factor, res, *_back(ctx, res.z))
@@ -122,6 +147,7 @@ def run_block(probs: list, factors: list, eta: float, max_iter: int = 100) -> li
     rows factor by factor, each list in the order of probs; each row
     counts the columns its own run took, so it reads as its run_cell
     row does."""
+    _load_pipeline()
     b = np.column_stack([p.b for p in probs])
     ctxs = [project_rhs(factor, b) for factor in factors]
     cfgs = [_config(p, eta, max_iter) for p in probs]
@@ -138,6 +164,7 @@ def run_block(probs: list, factors: list, eta: float, max_iter: int = 100) -> li
 def run_single(base_problem, nu: float, seed: int, reg_name: str,
                eta: float, delta: float, max_iter: int = 100) -> RunResult:
     """One cell from scratch: the noise, the factor, then run_cell."""
+    _load_pipeline()
     prob = add_noise(base_problem, nu, seed)
     factor = factor_transform(prob.op, regularizer_from_name(reg_name, prob.n, delta))
     return run_cell(prob, factor, eta, max_iter)
@@ -241,6 +268,7 @@ def _validate_regs(regs) -> None:
 # --- subcommands ----------------------------------------------------------
 
 def cmd_solve(args) -> int:
+    _load_pipeline()
     _validate_regs([args.reg])
     _check_numbers([args.noise], [args.seed], args.eta, args.delta, args.max_iter)
 
@@ -282,6 +310,7 @@ def _median_row(problem: str, n: int, nu: float, reg: str, runs: list) -> str:
 
 
 def cmd_table(args) -> int:
+    _load_pipeline()
     problem, n, delta = args.problem, args.n, args.delta
     _validate_regs(args.regs)
     _check_numbers(args.noise, args.seeds, args.eta, delta, args.max_iter)
@@ -325,6 +354,25 @@ def cmd_table(args) -> int:
     return 0
 
 
+# the most rows of a distances block: enough orders to share each
+# stacked array operation, few enough to keep the block small
+_DISTANCE_BLOCK_ROWS = 4096
+
+
+def _order_blocks(orders):
+    """orders cut into runs of consecutive orders whose stacked bases,
+    n + 1 rows each, fit in _DISTANCE_BLOCK_ROWS, one list at a time; an
+    order larger than that is a block of its own."""
+    block, rows = [], 0
+    for n in orders:
+        if block and rows + n + 1 > _DISTANCE_BLOCK_ROWS:
+            yield block
+            block, rows = [], 0
+        block.append(n)
+        rows += n + 1
+    yield block
+
+
 def cmd_distances(args) -> int:
     if not (4 <= args.min_n <= args.max_n):
         raise ConfigError("need 4 <= min-n <= max-n")
@@ -335,14 +383,19 @@ def cmd_distances(args) -> int:
     # and (-1/4, 1/2), at every order
     d_l20 = float(np.sqrt(0.625))
     lines = ["n,dist_L20,dist_PL2P,dist_L2P"]
-    for n in range(args.min_n, args.max_n + 1, args.step):
-        V = make_nullspace_basis("N2", n).V
-        lv = stencil_product(RegularizerKind.L2_TILDE, n, V)
-        # L2_TILDE is symmetric (a palindromic stencil with its overhang
-        # rows kept), so L2_TILDE^T V is lv too
-        d_two = distance_from_products(V, lv, lv)
-        d_right = distance_from_products(V, lv)
-        lines.append(f"{n},{d_l20:.17g},{d_two:.17g},{d_right:.17g}")
+    for block in _order_blocks(range(args.min_n, args.max_n + 1, args.step)):
+        # the bases of the block's orders, each followed by a zero row,
+        # and one stencil product for all of them: on each order's rows
+        # it is that order's own L2_TILDE V, bit for bit
+        V, starts = stacked_n2_bases(block)
+        LV = stencil_product(RegularizerKind.L2_TILDE, V.shape[0], V)
+        for n, s in zip(block, starts.tolist()):
+            v, lv = V[s:s + n], LV[s:s + n]
+            # L2_TILDE is symmetric (a palindromic stencil with its
+            # overhang rows kept), so L2_TILDE^T V is lv too
+            d_two = distance_from_products(v, lv, lv)
+            d_right = distance_from_products(v, lv)
+            lines.append(f"{n},{d_l20:.17g},{d_two:.17g},{d_right:.17g}")
     with open(args.out, "w") as f:
         f.write("\n".join(lines) + "\n")
     print(f"wrote {args.out} ({len(lines) - 1} rows)")

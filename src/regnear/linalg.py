@@ -135,13 +135,17 @@ def frobenius_norm(a) -> float:
 def write_matrix(f, a) -> None:
     """Write a matrix to an open text file or file path."""
     a = np.atleast_2d(_as_float_array(a, "matrix"))
+    if a.ndim != 2:
+        raise ShapeMismatch(f"write_matrix expects at most 2 dimensions, got {a.ndim}")
     if isinstance(f, (str, bytes)):
         with open(f, "w") as fh:
             write_matrix(fh, a)
         return
-    # the whole text in one write, from Python floats
-    rows = "".join(" ".join(f"{v:.17g}" for v in row) + "\n" for row in a.tolist())
-    f.write(f"{a.shape[0]} {a.shape[1]}\n{rows}")
+    # the whole text in one write: one % over a template of a row per
+    # line, from Python floats
+    rows, cols = a.shape
+    row = " ".join(["%.17g"] * cols) + "\n"
+    f.write(f"{rows} {cols}\n" + (row * rows) % tuple(a.ravel().tolist()))
 
 
 def read_matrix(f) -> np.ndarray:

@@ -14,7 +14,9 @@ column of a block at once.  Every regularizer is one of these
 stencils, so none holds an n x n array: its dense core is assembled
 only when asked for, and stencil_product applies a catalog matrix to an
 n x k block from its stencil in O(n k).  A dense catalog matrix is its
-stencil applied to the identity.  The module needs numpy alone.
+stencil applied to the identity.  stacked_n2_bases lays the N2 bases
+of many orders in one array, so that one stencil product serves them
+all.  The module needs numpy alone.
 """
 from __future__ import annotations
 
@@ -23,10 +25,10 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import BadDimension, ShapeMismatch, SingularCore
+from .errors import BadDimension, RankDeficient, ShapeMismatch, SingularCore
 from .linalg import RANK_TOL
-from .nearness import (NullSpaceBasis, nearest_symmetric_with_nullspace,
-                       nearest_with_nullspace)
+from .nearness import (_ORTHO_TOL, _SPAN_TOL, NullSpaceBasis,
+                       nearest_symmetric_with_nullspace, nearest_with_nullspace)
 
 
 class RegularizerKind(str, Enum):
@@ -130,13 +132,74 @@ def make_nullspace_basis(which: str, n: int) -> NullSpaceBasis:
         V = raw / np.sqrt(n)
         return NullSpaceBasis(n=n, ell=1, V=V, raw=raw)
     if which == "N2":
-        t = np.arange(1.0, n + 1.0)
-        raw = np.column_stack([np.ones(n), t])
-        v1 = np.ones(n) / np.sqrt(n)
-        centered = t - (n + 1.0) / 2.0
-        v2 = centered / np.sqrt(n * (n * n - 1.0) / 12.0)
-        return NullSpaceBasis(n=n, ell=2, V=np.column_stack([v1, v2]), raw=raw)
+        v1, v2, t, _ = _stacked_n2(np.array([n]))
+        return NullSpaceBasis(n=n, ell=2, V=np.column_stack((v1[:n], v2[:n])),
+                              raw=np.column_stack((np.ones(n), t[:n])))
     raise ValueError(f"unknown null-space basis {which!r} (use 'N1' or 'N2')")
+
+
+def _stacked_n2(orders: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The closed form of the N2 bases of orders, stacked as
+    stacked_n2_bases lays them out: the columns (v1, v2) of the bases,
+    the trend t = 1..n each is built from, and starts.  All three are
+    +0.0 on the zero rows.
+
+    Entry for entry the same arithmetic at every order: v1 = 1 / sqrt(n)
+    and v2 = (t - (n + 1) / 2) / sqrt(n (n^2 - 1) / 12).
+    """
+    rows = orders + 1
+    n = orders.astype(float)
+    ends = np.cumsum(rows)
+    starts = ends - rows
+    t = np.arange(1.0, ends[-1] + 1.0) - np.repeat(starts, rows)
+    v1 = np.repeat(1.0 / np.sqrt(n), rows)
+    v2 = ((t - np.repeat((n + 1.0) / 2.0, rows))
+          / np.repeat(np.sqrt(n * (n * n - 1.0) / 12.0), rows))
+    for column in (v1, v2, t):
+        column[ends - 1] = 0.0
+    return v1, v2, t, starts
+
+
+def stacked_n2_bases(orders) -> tuple[np.ndarray, np.ndarray]:
+    """The orthonormal N2 bases (constants and linear trends) of many
+    orders in one array, each followed by one zero row.
+
+    Returns (V, starts): V has sum(n + 1) rows and 2 columns, and the
+    basis of orders[i] is V[starts[i]:starts[i] + orders[i]], bit for
+    bit make_nullspace_basis("N2", orders[i]).V.  The zero row after
+    each basis is the padding a three-point stencil reads at its edge,
+    so one stencil_product of L2_TILDE, which keeps its overhang rows,
+    over all of V gives on each basis's rows that order's own product,
+    bit for bit.  The checks of NullSpaceBasis run over every
+    order at once, with its tolerances: RankDeficient when a basis is
+    not orthonormal or does not span its vectors (1, t).
+    """
+    orders = np.asarray(orders, dtype=np.int64).reshape(-1)
+    if orders.min() < 3:
+        raise BadDimension("null-space bases need n >= 3")
+    v1, v2, t, starts = _stacked_n2(orders)
+    one = np.ones(v1.size)
+    one[starts + orders] = 0.0
+
+    def per_order(x):
+        """The sum of x over each order's rows."""
+        return np.add.reduceat(x, starts)
+
+    def each_row(c):
+        """The value c of each order on each of its rows."""
+        return np.repeat(c, orders + 1)
+
+    # V^T V, and V^T raw for the raw vectors (1, t)
+    if np.max(np.abs([per_order(v1 * v1) - 1.0, per_order(v1 * v2),
+                      per_order(v2 * v2) - 1.0])) > _ORTHO_TOL:
+        raise RankDeficient("basis columns are not orthonormal")
+    resid_one = one - v1 * each_row(per_order(v1)) - v2 * each_row(per_order(v2))
+    resid_t = t - v1 * each_row(per_order(v1 * t)) - v2 * each_row(per_order(v2 * t))
+    resid_norm = np.sqrt(per_order(resid_one * resid_one + resid_t * resid_t))
+    raw_norm = np.sqrt(per_order(one + t * t))
+    if np.any(resid_norm > _SPAN_TOL * np.maximum(raw_norm, 1.0)):
+        raise RankDeficient("raw vectors do not lie in span of the basis")
+    return np.column_stack((v1, v2)), starts
 
 
 def make_projector_closed(which: str, n: int) -> np.ndarray:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import regnear
@@ -20,13 +20,18 @@ from regnear.cli import (DEFAULT_NOISE, DEFAULT_SEEDS, RUN_COLUMNS, _fmt,
                          _median, _parse_floats, _parse_seeds, main, run_cell,
                          run_single)
 from regnear.linalg import read_matrix, read_vector, write_matrix
+from regnear.nearness import distance_from_products
 from regnear.problems import (add_noise, build_phillips, build_problem,
                               relative_error)
-from regnear.regops import REGULARIZER_NAMES, Mode, regularizer_from_name
+from regnear.regops import (REGULARIZER_NAMES, Mode, RegularizerKind,
+                            make_nullspace_basis, regularizer_from_name,
+                            stencil_product)
 from regnear.solver import rrgmres_block
 from regnear.transform import LinearOperator, factor_transform
 
 SWEEP_FIXTURE = Path(__file__).parent / "data" / "default_sweep.csv"
+README = Path(__file__).resolve().parents[1] / "README.md"
+BLOCK_ROWS = regnear.cli._DISTANCE_BLOCK_ROWS
 
 
 @functools.lru_cache(maxsize=None)
@@ -569,6 +574,45 @@ class TestDistancesCommand:
         assert peak < 1e6
         assert out.read_text().splitlines()[1].startswith("4000,")
 
+    @staticmethod
+    def per_order_line(n):
+        """The table's row for order n by the per-order route: the basis
+        of that order alone, its own stencil product, then the two
+        distances."""
+        V = make_nullspace_basis("N2", n).V
+        lv = stencil_product(RegularizerKind.L2_TILDE, n, V)
+        return (f"{n},{float(np.sqrt(0.625)):.17g},"
+                f"{distance_from_products(V, lv, lv):.17g},"
+                f"{distance_from_products(V, lv):.17g}")
+
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(lo=st.integers(4, BLOCK_ROWS + 100), span=st.integers(0, 300),
+           step=st.integers(1, 40))
+    @example(lo=4, span=396, step=1)  # the default table: many blocks
+    @example(lo=5, span=295, step=7)
+    # orders on both sides of the cap: 4096 rows fill a block, and the
+    # 4097 rows of order 4096 are a block of their own
+    @example(lo=BLOCK_ROWS - 3, span=8, step=1)
+    def test_rows_are_the_per_order_route_bit_for_bit(self, tmp_path, lo, span, step):
+        out = tmp_path / "d.csv"
+        assert main(["distances", "--min-n", str(lo), "--max-n", str(lo + span),
+                     "--step", str(step), "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert rows == [self.per_order_line(n) for n in range(lo, lo + span + 1, step)]
+
+    def test_default_run_stays_small(self, tmp_path):
+        # the 397 orders of the default table come in blocks of at most
+        # BLOCK_ROWS rows, each a few n x 2 arrays
+        import tracemalloc
+        tracemalloc.start()
+        try:
+            assert main(["distances", "--out", str(tmp_path / "d.csv")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
     def test_bad_range(self, tmp_path):
         assert main(["distances", "--min-n", "10", "--max-n", "4",
                      "--out", str(tmp_path / "d.csv")]) == 2
@@ -707,10 +751,10 @@ def test_out_of_range_n_is_config_error(argv, problem, tmp_path, capsys):
 
 def test_other_out_of_memory_is_config_error(tmp_path, capsys, monkeypatch):
     # any other allocation that fails ends in one error line, not a traceback
-    def no_memory(kind, n, delta=1.0):
-        raise MemoryError(f"Unable to allocate {8 * n * n} bytes")
+    def no_memory(orders):
+        raise MemoryError(f"Unable to allocate {8 * orders[0] ** 2} bytes")
 
-    monkeypatch.setattr(regnear.cli, "make_nullspace_basis", no_memory)
+    monkeypatch.setattr(regnear.cli, "stacked_n2_bases", no_memory)
     assert main(["distances", "--out", str(tmp_path / "d.csv")]) == 2
     err = capsys.readouterr().err
     assert err == "error: out of memory: Unable to allocate 128 bytes\n"
@@ -765,6 +809,64 @@ def test_cli_import_leaves_out_what_it_never_runs():
     code = ("import sys, regnear.cli; sys.exit(sorted(m for m in "
             "('statistics', 'fractions', 'decimal', 'numpy.polynomial') "
             "if m in sys.modules) or None)")
+    run = subprocess.run([sys.executable, "-c", code], env=_child_env(),
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+
+
+def test_distances_and_nearest_leave_out_the_solve_pipeline(tmp_path):
+    # the two commands run on regops and nearness alone: the problems,
+    # the transformation, the solver and numpy.random (which only the
+    # noise draws use) load for solve and table
+    write_matrix(str(tmp_path / "a.txt"), np.diag([2.0, 3.0, 4.0]) + 1.0)
+    write_matrix(str(tmp_path / "v.txt"), np.ones((3, 1)))
+    code = """
+import sys
+from regnear.cli import main
+
+unused = ("regnear.problems", "regnear.transform", "regnear.solver", "numpy.random")
+for argv in (["distances", "--max-n", "20", "--out", "d.csv"],
+             ["nearest", "--matrix", "a.txt", "--nullspace", "v.txt", "--out", "o.txt"]):
+    if main(argv) != 0:
+        sys.exit(f"{argv[0]} failed")
+    loaded = [m for m in unused if m in sys.modules]
+    if loaded:
+        sys.exit(f"{argv[0]} loaded {loaded}")
+"""
+    run = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=_child_env(),
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+
+
+def test_package_import_loads_no_submodule():
+    code = ("import sys, regnear; "
+            "sys.exit(sorted(m for m in sys.modules if m.startswith('regnear.')) or None)")
+    run = subprocess.run([sys.executable, "-c", code], env=_child_env(),
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+
+
+def _readme_imports() -> list[str]:
+    """The names the README's examples import from regnear."""
+    import ast
+    names = []
+    for block in README.read_text().split("```python")[1:]:
+        for node in ast.walk(ast.parse(block.split("```")[0])):
+            if isinstance(node, ast.ImportFrom) and node.module == "regnear":
+                names += [a.name for a in node.names]
+    return names
+
+
+def test_every_public_name_resolves():
+    # each name loads its submodule on first use, in a fresh process;
+    # the README imports only names of __all__
+    readme = _readme_imports()
+    assert readme and set(readme) <= set(regnear.__all__)
+    code = ("import regnear; "
+            "missing = [n for n in regnear.__all__ if getattr(regnear, n, None) is None]; "
+            "assert not missing, missing; "
+            "assert set(regnear.__all__) <= set(dir(regnear)); "
+            f"from regnear import {', '.join(readme)}")
     run = subprocess.run([sys.executable, "-c", code], env=_child_env(),
                          capture_output=True, text=True)
     assert run.returncode == 0, run.stderr

@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from regnear.errors import (ParseError, RankDeficient, ShapeMismatch,
                             SingularTriangular)
@@ -237,3 +240,31 @@ class TestTextFormat:
     def test_write_vector_rejects_matrix(self, tmp_path):
         with pytest.raises(ShapeMismatch):
             write_vector(str(tmp_path / "bad.txt"), np.eye(2))
+
+    def test_write_rejects_more_than_two_dimensions(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        with pytest.raises(ShapeMismatch):
+            write_matrix(str(path), np.ones((1, 1, 1)))
+        assert not path.exists()
+
+    # the edges of the format: signed zero, the subnormals, the largest
+    # double (about 1.8e308), and numbers whose 17th digit is needed
+    _EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                                    1.7976931348623157e308, -1.7976931348623157e308,
+                                    0.1, 1 / 3])
+
+    @settings(max_examples=200, deadline=None)
+    @given(hnp.arrays(np.float64,
+                      hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=6),
+                      elements=st.one_of(_EDGE_FLOATS,
+                                         st.floats(allow_nan=False, allow_infinity=False))))
+    @example(np.zeros((0, 3)))
+    @example(np.zeros((3, 0)))
+    @example(np.array([-0.0, 5e-324, 1.7976931348623157e308]))
+    def test_text_is_each_entry_at_17_digits(self, a):
+        # every shape the writer takes: a number, a vector (one row), a
+        # matrix, 0 rows or 0 columns included
+        rows, cols = np.atleast_2d(a).shape
+        body = "".join(" ".join(f"{v:.17g}" for v in row) + "\n"
+                       for row in np.atleast_2d(a).tolist())
+        assert matrix_to_text(a) == f"{rows} {cols}\n{body}"

@@ -11,13 +11,14 @@ from hypothesis import strategies as st
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 import regnear
-from regnear.errors import BadDimension, ShapeMismatch, SingularCore
+from regnear import regops
+from regnear.errors import BadDimension, RankDeficient, ShapeMismatch, SingularCore
 from regnear.linalg import RANK_TOL
 from regnear.nearness import build_projector
 from regnear.regops import (Mode, ProjectedRegularizer, REGULARIZER_NAMES,
                             RegularizerKind, make_nullspace_basis, make_projector_closed,
                             make_regularization_matrix, regularizer_from_name,
-                            stencil_product)
+                            stacked_n2_bases, stencil_product)
 
 
 class TestStencils:
@@ -188,6 +189,60 @@ class TestNullspaceBases:
             make_nullspace_basis("N3", 5)
         with pytest.raises(BadDimension):
             make_nullspace_basis("N1", 2)
+
+
+class TestStackedBases:
+    @staticmethod
+    def closed_form(n):
+        """The N2 basis of order n by its formula, as its own arrays."""
+        t = np.arange(1.0, n + 1.0)
+        v1 = np.ones(n) / np.sqrt(n)
+        v2 = (t - (n + 1.0) / 2.0) / np.sqrt(n * (n * n - 1.0) / 12.0)
+        return np.column_stack([v1, v2])
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(3, 3000), min_size=1, max_size=6))
+    @example([3])
+    @example([4096, 3, 5000])
+    def test_each_basis_is_its_own_order_bit_for_bit(self, orders):
+        V, starts = stacked_n2_bases(orders)
+        assert V.shape == (sum(n + 1 for n in orders), 2) and V.flags.c_contiguous
+        assert starts.tolist() == np.cumsum([0] + [n + 1 for n in orders[:-1]]).tolist()
+        for n, s in zip(orders, starts.tolist()):
+            own = V[s:s + n].tobytes()
+            assert own == self.closed_form(n).tobytes()
+            assert own == make_nullspace_basis("N2", n).V.tobytes()
+            # +0.0 on the zero row, as a stencil pads its edge
+            assert V[s + n].tobytes() == bytes(16)
+
+    def test_one_stencil_product_gives_each_orders_own(self):
+        orders = [3, 4, 17, 5]
+        V, starts = stacked_n2_bases(orders)
+        LV = stencil_product(RegularizerKind.L2_TILDE, V.shape[0], V)
+        for n, s in zip(orders, starts.tolist()):
+            own = stencil_product(RegularizerKind.L2_TILDE, n,
+                                  make_nullspace_basis("N2", n).V)
+            assert LV[s:s + n].tobytes() == own.tobytes()
+
+    @pytest.mark.parametrize("column,message", [(0, "orthonormal"), (1, "orthonormal"),
+                                                (2, "span")], ids=["v1", "v2", "t"])
+    def test_checks_see_every_order(self, monkeypatch, column, message):
+        # one entry of the third order's columns v1, v2 or t off by a
+        # part in a million: the checks of NullSpaceBasis catch it
+        real = regops._stacked_n2
+
+        def one_entry_off(orders):
+            columns = real(orders)
+            columns[column][columns[3][2] + 1] *= 1.0 + 1e-6
+            return columns
+
+        monkeypatch.setattr(regops, "_stacked_n2", one_entry_off)
+        with pytest.raises(RankDeficient, match=message):
+            stacked_n2_bases([5, 6, 7, 8])
+
+    def test_bad_order(self):
+        with pytest.raises(BadDimension):
+            stacked_n2_bases([5, 2, 7])
 
 
 class TestClosedFormProjectors:
