@@ -70,6 +70,13 @@ def triangle_is_singular(min_diag, max_entry):
     return min_diag <= RANK_TOL * np.maximum(max_entry, 1e-300)
 
 
+def singular_triangles(r) -> np.ndarray:
+    """triangle_is_singular for each triangle of the stack r, (..., k, k),
+    read from its entries; an empty triangle is regular."""
+    return triangle_is_singular(np.abs(np.diagonal(r, 0, -2, -1)).min(axis=-1, initial=np.inf),
+                                np.abs(r).max(axis=(-2, -1), initial=0.0))
+
+
 def solve_upper_triangular(r, c) -> np.ndarray:
     """Back substitution for an upper-triangular system R x = c, or for
     each of a stack of them: r of shape (..., k, k) and c of (..., k).
@@ -87,8 +94,7 @@ def solve_upper_triangular(r, c) -> np.ndarray:
         raise ShapeMismatch("right-hand side length does not match")
     if r.shape[-1] == 0:
         return np.zeros_like(c)
-    if np.any(triangle_is_singular(np.abs(np.diagonal(r, 0, -2, -1)).min(axis=-1),
-                                   np.abs(r).max(axis=(-2, -1)))):
+    if np.any(singular_triangles(r)):
         raise SingularTriangular("diagonal entry too small for back substitution")
     x = np.empty(c.shape)
     for i in range(r.shape[-1] - 1, -1, -1):

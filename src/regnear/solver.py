@@ -7,13 +7,9 @@ Because b is generally not contained in the span of the Arnoldi basis,
 the least-squares subproblem has a full projected right-hand side plus
 an out-of-span remainder vector.  The subproblem is kept once, as the
 Givens-rotated triangle R, its rotated right-hand side g and the
-rotations, updated as each Hessenberg column arrives, so each iteration
-costs one operator application and O(k) vector work, done as two block
-Gram-Schmidt passes over the basis.  Every iterate, residual and
-fallback is read from that state.  When R is singular by linalg's rule
-(triangle_is_singular), the iterate takes the minimum-norm solution of
-R y = g[:k], and the residual of step k, ||A z_k - b||, is the hypot
-of g[k], the remainder and the misfit ||R y - g[:k]||.
+rotations (Saad 2003, section 6.5), updated as each Hessenberg column
+arrives, so each iteration costs one operator application and O(k)
+vector work, done as two block Gram-Schmidt passes over the basis.
 
 There is one loop, and it runs a block of right-hand sides in lockstep
 (Neuman, Reichel & Sadok 2012 on range-restricted methods with several
@@ -23,16 +19,29 @@ SolverConfig per column, or several operators of one order with a
 block each, whose columns then run as consecutive groups of one loop.
 Each step applies each operator's matmat once, to the newest basis
 vectors of its columns still running, a contiguous slice of them: one
-product per column, which is the paper's cost model.  Gram-Schmidt, the
-rotations, the norms, the stop tests and the compaction run once per
-step for every group.  Each column keeps its own basis, R, g, rotations,
-log and stop reason, and leaves the loop when it stops, so its result
-is the one it would get alone, to rounding, and a group's results do
-not depend on the groups beside it.  The columns that stop at one step
-share one back substitution and one basis combination.  rrgmres_solve
-is the case s = 1 and applies A.matvec, so any object with shape and
-matvec serves it.  The basis grows in chunks of a few steps, with no
-copy of what is stored, so max_iter bounds the loop and not the memory.
+product per column, which is the paper's cost model.  rrgmres_solve is
+the case s = 1 and applies A.matvec, so any object with shape and
+matvec serves it.
+
+The running columns share one state, a struct of arrays along the
+column axis (_Columns): each column's basis, the remainder of b, R, g,
+the rotations, the running extremes of R, and its stopping data.
+Gram-Schmidt, the rotations, the norms and the stop tests run once per
+step for every column.  The state grows by a chunk of steps at a time,
+copying only the small arrays and never the stored basis, so max_iter
+bounds the loop and not the memory; a column that stops leaves through
+one take, which keeps each group's columns contiguous.  So a column's
+result is the one it would get alone, to rounding, and a group's
+results do not depend on the groups beside it.
+
+One method forms the iterates of any set of columns at any step, and
+every iterate and residual is read through it: the columns that stop,
+the iterates kept on request, the k = 0 stops and the misfit of a
+singular column.  The regular triangles back-substitute together and
+combine their bases in one pass.  When R is singular by linalg's rule
+(triangle_is_singular), the iterate takes the minimum-norm solution of
+R y = g[:k], and the residual of step k, ||A z_k - b||, is the hypot
+of g[k], the remainder and the misfit ||R y - g[:k]||.
 
 Also provides the dense Tikhonov solver used as an equivalence oracle
 and a discrepancy-principle search over the Tikhonov parameter.
@@ -46,9 +55,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NoRoot, ShapeMismatch, SingularSystem, SingularTriangular
-from .linalg import (checked_rhs, min_norm_lstsq_solve, solve_upper_triangular,
-                     triangle_is_singular)
+from .errors import NoRoot, ShapeMismatch, SingularSystem
+from .linalg import (checked_rhs, min_norm_lstsq_solve, singular_triangles,
+                     solve_upper_triangular, triangle_is_singular)
 
 # A new Krylov direction, made from a unit vector, shorter than this
 # fraction of ||A b|| / ||b|| ends the basis; the same test, with ||A b||
@@ -144,21 +153,24 @@ def _rotate_in(rot: np.ndarray, col: np.ndarray, g: np.ndarray):
     return rr, np.abs(col).max(axis=0)
 
 
-def _solve_rotated(tri: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
-    """Minimize ||tri y - rhs|| for the k x k rotated triangle.
+def _least_squares(R: np.ndarray, g: np.ndarray,
+                   singular: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimize ||R y - g|| for a stack of m x m rotated triangles R,
+    (r, m, m), and right-hand sides g, (r, m).
 
-    Returns the minimizer and the misfit ||tri y - rhs||.  A nonsingular
-    triangle back-substitutes, with misfit 0; one that
-    solve_upper_triangular judges singular takes the minimum-norm
-    least-squares solution.  The rotations are orthogonal, so this has
-    the minimizers and the singular values of the unrotated (k+1, k)
-    problem, whose residual is hypot(g[k], misfit).
+    singular marks the triangles that linalg's rule judges singular.
+    The others back-substitute together, with misfit 0; each singular
+    one takes the minimum-norm least-squares solution.  Returns y, (r,
+    m), and the misfits ||R y - g||.  The rotations are orthogonal, so
+    this has the minimizers and the singular values of the unrotated
+    (m+1, m) problem, whose residual is hypot(g_m, misfit).
     """
-    try:
-        return solve_upper_triangular(tri, rhs), 0.0
-    except SingularTriangular:
-        y = min_norm_lstsq_solve(tri, rhs)
-        return y, float(np.linalg.norm(tri @ y - rhs))
+    y, misfit = np.empty(g.shape), np.zeros(len(g))
+    y[~singular] = solve_upper_triangular(R[~singular], g[~singular])
+    for i in np.flatnonzero(singular):
+        y[i] = min_norm_lstsq_solve(R[i], g[i])
+        misfit[i] = np.linalg.norm(R[i] @ y[i] - g[i])
+    return y, misfit
 
 
 def hessenberg_residual(h: np.ndarray, beta: float) -> tuple[float, np.ndarray]:
@@ -178,8 +190,9 @@ def hessenberg_residual(h: np.ndarray, beta: float) -> tuple[float, np.ndarray]:
     rot = np.zeros((2, k))
     for j in range(k):
         _rotate_in(rot, r[:j + 2, j], g)
-    y, misfit = _solve_rotated(r[:k, :k], g[:k])
-    return float(np.hypot(g[k], misfit)), y
+    tri = r[None, :k, :k]
+    y, misfit = _least_squares(tri, g[None, :k], singular_triangles(tri))
+    return float(np.hypot(g[k], misfit[0])), y[0]
 
 
 def _square(A) -> int:
@@ -204,7 +217,7 @@ def rrgmres_solve(A, b: np.ndarray, cfg: SolverConfig,
 
     The residual logged at step k, compared with eta * epsilon and
     returned, is ||A z_k - b|| of the iterate z_k of that step, also
-    when the rotated triangle is singular (see _solve_rotated).  With
+    when the rotated triangle is singular (see _least_squares).  With
     keep_iterates the iterates of every step are returned as well.
     """
     b = checked_rhs(b, _square(A))
@@ -247,21 +260,22 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-def _by_group(products: list, group: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """(s, n): products[c] on the columns of the n x s block X that group
-    marks c, a contiguous run of them for each c, one call per run, the
-    results as the rows of a C-ordered array."""
-    out = np.empty(X.shape[::-1])
-    for c, lo, m in zip(*np.unique(group, return_index=True, return_counts=True)):
-        out[lo:lo + m] = products[c](X[:, lo:lo + m]).T
+def _by_group(products: list, widths: list, X: np.ndarray) -> np.ndarray:
+    """(s, n): products[c] on the next widths[c] columns of the n x s
+    block X, one call per group that has any, the results as the rows
+    of a C-ordered array."""
+    out, lo = np.empty(X.shape[::-1]), 0
+    for product, m in zip(products, widths):
+        if m:
+            out[lo:lo + m] = product(X[:, lo:lo + m]).T
+        lo += m
     return out
 
 
 def _pieces(chunks: list, k: int) -> list:
     """The filled parts of the basis chunks that hold basis vectors
     0..k-1, each (s, used, n)."""
-    size = chunks[0].shape[1]
-    return [c[:, :min(size, k - lo)] for lo, c in zip(range(0, k, size), chunks)]
+    return [c[:, :min(SIZE, k - lo)] for lo, c in zip(range(0, k, SIZE), chunks)]
 
 
 def _coefficients(pieces: list, w: np.ndarray) -> np.ndarray:
@@ -281,11 +295,83 @@ def _combination(pieces, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _enlarged(a: np.ndarray, shape: tuple) -> np.ndarray:
-    """a in the leading corner of a zero array of the given shape."""
-    out = np.zeros(shape)
-    out[tuple(slice(d) for d in a.shape)] = a
-    return out
+SIZE = 8  # basis vectors per chunk
+
+
+class _Columns:
+    """The running columns of _lockstep, all at step k.
+
+    Every array attribute runs along the column axis, axis 0, one entry
+    per running column: its column of B (cols) and operator group, ||b||
+    (bnorm), eta * epsilon (threshold), max_iter, ||A b|| (beta0), the
+    remainder bres of b outside the basis, the smallest diagonal entry
+    and the largest entry of R so far (dmin, rmax), and the rotated
+    least-squares problem: the triangle R (s, cap, cap), its right-hand
+    side g (s, cap) and the cosines and sines of the rotations (s, 2,
+    cap).  The basis is a list of chunks of SIZE steps, each (s, SIZE,
+    n), and widths counts the running columns of each group, whose
+    columns are contiguous and in group order.
+    """
+
+    def __init__(self, n: int, widths: list, **arrays):
+        self.__dict__.update(arrays)
+        self.n, self.widths, self.chunks, self.k = n, list(widths), [], 0
+
+    def take(self, keep: np.ndarray) -> None:
+        """Keep the columns that keep marks: every array, the basis chunk
+        by chunk so that it is never held twice, and the widths."""
+        for name, a in list(vars(self).items()):
+            if isinstance(a, np.ndarray):
+                setattr(self, name, a[keep])
+        for i, c in enumerate(self.chunks):
+            self.chunks[i] = c[keep]
+        self.widths = np.bincount(self.group, minlength=len(self.widths)).tolist()
+
+    def grow(self) -> None:
+        """Room for SIZE more steps: one more basis chunk, and R, g and
+        the rotations in the leading corner of zero arrays that hold
+        SIZE more.  Nothing stored is copied but the small state."""
+        s, cap = self.cols.size, self.g.shape[1] + SIZE
+        self.chunks.append(np.empty((s, SIZE, self.n)))
+        for name, shape in (("R", (cap, cap)), ("g", (cap,)), ("rot", (2, cap))):
+            small, big = getattr(self, name), np.zeros((s, *shape))
+            big[tuple(map(slice, small.shape))] = small
+            setattr(self, name, big)
+
+    def extend(self, k: int, v: np.ndarray, broken) -> None:
+        """Store the basis vectors v_k, the rows of v, and split b along
+        them: g_k = v_k . bres, and bres loses that part.  A column that
+        broken marks has no new direction, so its g_k is 0 and its bres
+        stays.  The explicit remainder avoids the cancellation that
+        ||b||^2 - sum g_j^2 suffers when the basis captures b almost
+        entirely."""
+        if k % SIZE == 0:
+            self.grow()
+        self.chunks[k // SIZE][:, k % SIZE] = v
+        self.g[:, k] = np.where(broken, 0.0, _dots(v, self.bres))
+        self.bres = self.bres - self.g[:, k, None] * v
+
+    def singular(self, rows, m: int) -> np.ndarray:
+        """linalg's rule for the triangles R[:m, :m] of the columns rows:
+        at step k from the running dmin and rmax, at an earlier step
+        from R itself.  Columns of R are final once rotated in, so both
+        read the same numbers."""
+        if m == self.k:
+            return triangle_is_singular(self.dmin[rows], self.rmax[rows])
+        return singular_triangles(self.R[rows, :m, :m])
+
+    def iterates(self, rows: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """The iterates z_m of the columns rows, (len(rows), n), and their
+        misfits ||R y - g[:m]||, at any step m <= k; m = 0 gives z = 0.
+        The first m columns of R and g[:m] are final from step m on.
+        The regular triangles back-substitute together, the singular
+        ones take the minimum-norm solve, and one pass combines the
+        bases."""
+        if m == 0:
+            return np.zeros((rows.size, self.n)), np.zeros(rows.size)
+        y, misfit = _least_squares(self.R[rows, :m, :m], self.g[rows, :m],
+                                   self.singular(rows, m))
+        return _combination((p[rows] for p in _pieces(self.chunks, m)), y), misfit
 
 
 def _lockstep(products: list, widths: list, B, cfgs: list, keep_iterates: bool) -> list:
@@ -297,144 +383,88 @@ def _lockstep(products: list, widths: list, B, cfgs: list, keep_iterates: bool) 
     slice of the newest basis vectors: those of its group's running
     columns.
 
-    The running columns are all at the same step k.  Their state runs
-    along a column axis: axis 0 of the basis, of bres, of the rotated
-    triangle R and of the per-column numbers, the last axis of g and the
-    rotations.  The basis is kept in chunks of a few steps, each
-    allocated when the iteration reaches it, so no step copies the
-    basis and max_iter only bounds the loop; the small state grows by
-    the same number of steps.  A column that stops takes its iterate
-    and leaves, and every array drops its slice, which keeps each
-    group's running columns contiguous.
+    The running columns are all at the same step k, and their state is
+    one _Columns.  A column that stops takes its iterate, and its log,
+    and leaves: the state takes the rest, which keeps each group's
+    running columns contiguous.
     """
     n, s = B.shape
     bt = np.ascontiguousarray(B.T)          # each b as a row
     bnorm = np.sqrt(_dots(bt, bt))
-    threshold = np.array([cfg.eta * cfg.epsilon for cfg in cfgs])
-    max_iter = np.array([cfg.max_iter for cfg in cfgs])
-    group = np.repeat(np.arange(len(products)), widths)
     logs = [IterationLog() for _ in range(s)]
     for log, r in zip(logs, bnorm.tolist()):
         log.record(0, r, 0)
     results = [None] * s
+    st = _Columns(n, widths, cols=np.arange(s), bnorm=bnorm, bres=bt,
+                  group=np.repeat(np.arange(len(products)), widths),
+                  threshold=np.array([cfg.eta * cfg.epsilon for cfg in cfgs]),
+                  max_iter=np.array([cfg.max_iter for cfg in cfgs]),
+                  dmin=np.full(s, np.inf), rmax=np.zeros(s),
+                  R=np.zeros((s, 0, 0)), g=np.zeros((s, 0)), rot=np.zeros((s, 2, 0)))
 
-    def stop_at_zero(stopped, reason: StopReason, applies: int) -> None:
-        for c in stopped:
+    def leave(stops: list, residual: np.ndarray, applies: int) -> bool:
+        """The running columns that a mask of stops, a list of (mask,
+        StopReason) pairs, marks take their results at step k, each with
+        the reason of the first mask that marks it, and leave.  True
+        when no column is left."""
+        done = np.logical_or.reduce([mask for mask, _ in stops])
+        if not done.any():
+            return False
+        rows = np.flatnonzero(done)
+        z = st.iterates(rows, st.k)[0]
+        kept = [st.iterates(rows, m)[0] for m in range(1, st.k + 1)] if keep_iterates else None
+        for j, i in enumerate(rows.tolist()):
+            c = int(st.cols[i])
             results[c] = RRGMRESResult(
-                z=np.zeros(n), k=0, residual=float(bnorm[c]), stop_reason=reason,
+                z=z[j], k=st.k, residual=float(residual[i]),
+                stop_reason=next(reason for mask, reason in stops if mask[i]),
                 log=logs[c], solve_matvecs=applies,
-                iterates=[] if keep_iterates else None)
+                iterates=None if kept is None else [zm[j] for zm in kept])
+        st.take(~done)
+        return st.cols.size == 0
 
-    met = bnorm <= threshold
-    stop_at_zero(np.flatnonzero(met), StopReason.INITIAL_RESIDUAL_OK, 0)
-    cols = np.flatnonzero(~met)             # the running columns of B
-    if cols.size == 0:
+    if leave([(bnorm <= st.threshold, StopReason.INITIAL_RESIDUAL_OK)], bnorm, 0):
         return results
-    ab = _by_group(products, group[cols], B[:, cols])
-    beta0 = np.sqrt(_dots(ab, ab))
+    ab = _by_group(products, st.widths, B[:, st.cols])
+    st.beta0 = np.sqrt(_dots(ab, ab))
     # A b vanished: the range-restricted space is empty
-    empty = beta0 <= BREAKDOWN_TOL * bnorm[cols]
-    stop_at_zero(cols[empty], StopReason.BREAKDOWN, 1)
-    if empty.all():
+    empty = st.beta0 <= BREAKDOWN_TOL * st.bnorm
+    if leave([(empty, StopReason.BREAKDOWN)], st.bnorm, 1):
         return results
-    cols, ab, beta0 = cols[~empty], ab[~empty], beta0[~empty]
-    bnorm, threshold, max_iter, group = (a[cols] for a in (bnorm, threshold, max_iter, group))
-
-    size = 8  # basis vectors per chunk
-    v0 = ab / beta0[:, None]
-    chunks = [np.empty((cols.size, size, n))]
-    chunks[0][:, 0] = v0
-    g = np.zeros((size + 1, cols.size))     # rotated right-hand sides
-    g[0] = _dots(v0, bt[cols])
-    # split b into basis projections and an explicit remainder vector;
-    # keeping the remainder avoids the cancellation that ||b||^2 - sum c_j^2
-    # suffers when the basis captures b almost entirely
-    bres = bt[cols] - g[0][:, None] * v0
-    rot = np.zeros((2, size, cols.size))
-    rmat = np.zeros((cols.size, size, size))
-    # smallest diagonal entry and largest entry of each triangle so far;
-    # columns of R are final once rotated in, and so are these
-    dmin, rmax = np.full(cols.size, np.inf), np.zeros(cols.size)
-
-    def solve(i: int, k: int) -> tuple[np.ndarray, float]:
-        # the first k columns of R and g[:k] are final from step k on, so
-        # the iterate of step k can be read at any later point
-        return _solve_rotated(np.ascontiguousarray(rmat[i, :k, :k]),
-                              np.ascontiguousarray(g[:k, i]))
-
-    def iterate(i: int, k: int) -> np.ndarray:
-        basis = [p[i:i + 1] for p in _pieces(chunks, k)]
-        return _combination(basis, solve(i, k)[0][None])[0]
+    st.extend(0, ab[~empty] / st.beta0[:, None], False)
 
     for k in itertools.count(1):  # every column leaves by its max_iter
         j = k - 1
-        w = _by_group(products, group, chunks[j // size][:, j % size].T)
-        pieces = _pieces(chunks, k)
+        w = _by_group(products, st.widths, st.chunks[j // SIZE][:, j % SIZE].T)
+        pieces = _pieces(st.chunks, k)
         # classical Gram-Schmidt in two block passes (CGS2); the second,
         # unconditional pass keeps the basis orthogonal to working precision
         h = _coefficients(pieces, w)
         w = w - _combination(pieces, h)
         corr = _coefficients(pieces, w)
         w = w - _combination(pieces, corr)
+        del pieces  # no view of the basis outlives the step's take
         hkk = np.sqrt(_dots(w, w))
         hcol = np.concatenate(((h + corr).T, hkk[None]))
-        if k > rmat.shape[1]:
-            cap = rmat.shape[1] + size
-            rmat = _enlarged(rmat, (cols.size, cap, cap))
-            g = _enlarged(g, (cap + 1, cols.size))
-            rot = _enlarged(rot, (2, cap, cols.size))
 
-        # a column whose basis cannot grow has no part of b along the
-        # direction that does not exist: its c_k is 0 and bres stays
-        broken = hkk <= BREAKDOWN_TOL * beta0 / bnorm
-        vnew = w / np.where(broken, 1.0, hkk)[:, None]
-        if k % size == 0:
-            chunks.append(np.empty((cols.size, size, n)))
-        chunks[k // size][:, k % size] = vnew
-        g[k] = np.where(broken, 0.0, _dots(vnew, bres))
-        bres = bres - g[k][:, None] * vnew
-        diag, cmax = _rotate_in(rot, hcol, g)
-        rmat[:, :k, j] = hcol[:k].T
-        dmin, rmax = np.minimum(dmin, diag), np.maximum(rmax, cmax)
+        # the basis of a column whose new direction vanishes cannot grow
+        broken = hkk <= BREAKDOWN_TOL * st.beta0 / st.bnorm
+        st.extend(k, w / np.where(broken, 1.0, hkk)[:, None], broken)
+        diag, cmax = _rotate_in(st.rot.transpose(1, 2, 0), hcol, st.g.T)
+        st.R[:, :k, j] = hcol[:k].T
+        st.dmin, st.rmax, st.k = np.minimum(st.dmin, diag), np.maximum(st.rmax, cmax), k
 
-        residual = np.hypot(g[k], np.sqrt(_dots(bres, bres)))
-        for i in np.flatnonzero(triangle_is_singular(dmin, rmax)):
+        residual = np.hypot(st.g[:, k], np.sqrt(_dots(st.bres, st.bres)))
+        rows = np.flatnonzero(st.singular(slice(None), k))
+        if rows.size:
             # ||A z_k - b||^2 = g_k^2 + ||bres||^2 + misfit^2
-            residual[i] = np.hypot(residual[i], solve(i, k)[1])
-        for c, r in zip(cols.tolist(), residual.tolist()):
+            residual[rows] = np.hypot(residual[rows], st.iterates(rows, k)[1])
+        for c, r in zip(st.cols.tolist(), residual.tolist()):
             logs[c].record(k, r, k + 1)
-
-        met = residual <= threshold
-        done = met | broken | (k >= max_iter)
-        if not done.any():
-            continue
-        # the columns that stop share k: those whose triangles are regular
-        # by the running dmin and rmax back-substitute together and
-        # combine their bases in one pass; a singular one takes
-        # _solve_rotated's minimum-norm path
-        leaving = np.flatnonzero(done)
-        regular = leaving[~triangle_is_singular(dmin[leaving], rmax[leaving])]
-        y = solve_upper_triangular(rmat[regular, :k, :k], g[:k, regular].T)
-        zs = dict(zip(regular.tolist(), _combination((p[regular] for p in pieces), y)))
-        for i in leaving.tolist():
-            stop = (StopReason.DISCREPANCY_MET if met[i] else
-                    StopReason.BREAKDOWN if broken[i] else StopReason.MAX_ITER)
-            results[cols[i]] = RRGMRESResult(
-                z=zs[i] if i in zs else iterate(i, k), k=k, residual=float(residual[i]),
-                stop_reason=stop, log=logs[cols[i]], solve_matvecs=k + 1,
-                iterates=([iterate(i, m) for m in range(1, k + 1)]
-                          if keep_iterates else None))
-        keep = ~done
-        if not keep.any():
+        if leave([(residual <= st.threshold, StopReason.DISCREPANCY_MET),
+                  (broken, StopReason.BREAKDOWN), (k >= st.max_iter, StopReason.MAX_ITER)],
+                 residual, k + 1):
             return results
-        # chunk by chunk, so the basis is never held twice
-        pieces = None
-        for ci in range(len(chunks)):
-            chunks[ci] = chunks[ci][keep]
-        cols, beta0, bnorm, threshold, max_iter, group, bres, dmin, rmax, rmat = (
-            a[keep] for a in (cols, beta0, bnorm, threshold, max_iter, group, bres,
-                              dmin, rmax, rmat))
-        g, rot = g[:, keep], rot[..., keep]
 
 
 def tikhonov_direct_oracle(K: np.ndarray, L: np.ndarray, b: np.ndarray,

@@ -649,6 +649,65 @@ class TestRRGMRESBlock:
             np.testing.assert_allclose(r.z, scale * np.ones(3))
 
 
+def draw_operator(rng, kind, n):
+    """An operator, three right-hand sides and a config for each, for
+    the kind drawn: a dense Gaussian matrix, a down-shift plus a tiny
+    diagonal (its triangles come near the singular rule), or a
+    SINGULAR_RULE_CASES operator with its b and two Gaussian columns."""
+    if kind == "gaussian":
+        a = rng.standard_normal((n, n))
+    elif kind == "shift":
+        a = np.eye(n, k=-1) + 10.0 ** rng.uniform(-14.0, -4.0) * np.diag(
+            rng.standard_normal(n))
+    else:
+        a, b = map(np.array, SINGULAR_RULE_CASES[kind])
+        n = b.size
+    B = rng.standard_normal((n, 3))
+    if kind in (0, 1):
+        B[:, 0] = b
+    return a, B, [SolverConfig(epsilon=0.0, max_iter=12)] * 3
+
+
+class TestIterates:
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(["gaussian", "shift", 0, 1]), n=st.integers(4, 30),
+           seed=st.integers(0, 2**32 - 1))
+    def test_every_kept_iterate_is_the_iterate_its_step_returns(self, kind, n, seed):
+        # iterates[m - 1] of a run is, bit for bit, the z that the same
+        # call returns when max_iter stops it at step m, alone and as
+        # one column of a block
+        a, B, cfgs = draw_operator(np.random.default_rng(seed), kind, n)
+        op = LinearOperator.from_matrix(a)
+        res = rrgmres_solve(op, B[:, 0], cfgs[0], keep_iterates=True)
+        assert len(res.iterates) == res.k
+        for m, zm in enumerate(res.iterates, 1):
+            short = rrgmres_solve(op, B[:, 0], SolverConfig(epsilon=0.0, max_iter=m))
+            assert short.k == m
+            assert np.array_equal(zm, short.z), m
+        block = rrgmres_block(op, B, cfgs, keep_iterates=True)
+        for m in range(1, max(r.k for r in block) + 1):
+            short = rrgmres_block(op, B, [SolverConfig(epsilon=0.0, max_iter=m)] * 3)
+            for j, (r, s) in enumerate(zip(block, short)):
+                if m <= r.k:
+                    assert s.k == m
+                    assert np.array_equal(r.iterates[m - 1], s.z), (m, j)
+
+    @pytest.mark.xfail(strict=True, reason="a rotated triangle just above the singular "
+                       "rule back-substitutes to an iterate whose residual the log does "
+                       "not report (ROADMAP item 5)")
+    def test_near_singular_triangle_logs_the_iterate_residual(self):
+        # the 5 x 5 down-shift: step 4's triangle is regular by the rule,
+        # but its iterate has entries near 4e19, and the logged 1.85e-3
+        # stands for a true ||A z - b|| of 2660
+        a = np.eye(5, k=-1)
+        b = np.random.default_rng(568).standard_normal(5)
+        res = rrgmres_solve(LinearOperator.from_matrix(a), b, SolverConfig(epsilon=0.0),
+                            keep_iterates=True)
+        bnorm = np.linalg.norm(b)
+        for z, (_, logged, _) in zip(res.iterates, res.log.entries[1:]):
+            assert abs(logged - np.linalg.norm(a @ z - b)) <= 1e-8 * bnorm
+
+
 class TestTikhonovOracle:
     def test_balanced_identity(self):
         b = np.array([2.0, 4.0, -6.0])

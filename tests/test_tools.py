@@ -1,0 +1,109 @@
+"""Tests of the repository tools: the code-line counter and the
+comparison logic of the reference-set gate."""
+import importlib.util
+from pathlib import Path
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def load_tool(name):
+    spec = importlib.util.spec_from_file_location(f"tool_{name}", TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+code_lines = load_tool("code_lines")
+golden = load_tool("golden")
+
+MODULE = '''"""A module docstring
+over two lines."""
+import os  # a trailing comment: the line holds code
+
+# a comment line
+
+
+def f(x):
+    """A function docstring."""
+    y = (x
+         + 1
+         + len(os.sep))
+    return y
+
+
+class C:
+    """A class
+    docstring."""
+
+    value = 1
+'''
+
+
+class TestCodeLines:
+    def test_counts_the_lines_of_code_by_hand(self, tmp_path, capsys):
+        # import, def, the three lines of y = ..., return, class, value
+        path = tmp_path / "mod.py"
+        path.write_text(MODULE)
+        assert code_lines.code_lines(path) == 8
+        (tmp_path / "__init__.py").write_text('"""Only a docstring."""\n')
+        assert code_lines.main(["code_lines.py", str(tmp_path)]) == 0
+        counts = [line.split() for line in capsys.readouterr().out.splitlines()]
+        assert counts == [["__init__.py", "0"], ["mod.py", "8"], ["total", "8"]]
+
+
+HEADER = ("problem,n,nu,regularizer,seed,iterations,stop_reason,matvecs,"
+          "matvecs_prepare,matvecs_solve,matvecs_back,relative_error\n")
+ROWS = ["deriv2,200,0.0001,L10,1,30,DISCREPANCY_MET,32,1,31,0,0.125",
+        "deriv2,200,0.0001,L10,2,29,DISCREPANCY_MET,31,1,30,0,0.25"]
+
+
+def manifest(rows, files=None):
+    cells = golden.read_cells(HEADER + "\n".join(rows) + "\n")
+    return {"bytecode": "compiled at every start",
+            "cases": {"table": {"args": ["table"], "exit": 0, "stdout": "aa",
+                                "stderr": "e0", "files": files or {"t.csv": "f0"},
+                                "cells": cells},
+                      "bad": {"args": ["solve"], "exit": 2, "stdout": "s", "stderr": "e",
+                              "files": {}, "cells": {}}}}
+
+
+class TestGoldenCompare:
+    def test_reads_the_cells_of_a_run_csv(self):
+        cells = golden.read_cells(HEADER + ROWS[0] + "\n")
+        assert cells == {"deriv2/200/0.0001/L10/1": {
+            "k": "30", "stop": "DISCREPANCY_MET", "matvecs": ["32", "1", "31", "0"],
+            "relative_error": "0.125"}}
+
+    def test_equal_manifests_are_byte_identical(self):
+        identical, lines = golden.compare(manifest(ROWS), manifest(ROWS), {})
+        assert identical
+        assert lines == ["bytecode: compiled at every start", "byte-identical"]
+
+    def test_names_the_cells_that_move(self):
+        # seed 1 moves its relative error by 4e-7 relative, and seed 2
+        # changes k and one matvec column; the fixture holds seed 1
+        moved = [ROWS[0].replace("0.125", "0.12500005"),
+                 ROWS[1].replace(",29,", ",30,").replace(",31,1,30,", ",32,1,31,")]
+        fixture = golden.read_cells(HEADER + ROWS[0].replace("0.125", "0.1250001") + "\n")
+        identical, lines = golden.compare(manifest(moved, files={"t.csv": "f1"}),
+                                          manifest(ROWS), fixture)
+        assert not identical
+        assert "table: differs in file t.csv" in lines
+        assert not any(line.startswith("bad") for line in lines)
+        k_line, = [line for line in lines if "/2:" in line]
+        assert "k, matvecs differ" in k_line
+        assert ("k, stop reason and matvecs equal in 1 of the 2 cells of the cases "
+                "that differ") in lines
+        assert ("relative_error moved in 1 cells, by more than 1e-08 in 1; "
+                "largest move 4e-07, deriv2/200/0.0001/L10/1") in lines
+        cell, = [line for line in lines if line.startswith("  deriv2/200/0.0001/L10/1")]
+        assert "moved 4e-07, k/stop/matvecs equal, 4e-07 from the fixture" in cell
+
+    def test_reports_a_difference_without_cells(self):
+        # the stream of a failing run changes: named, though it has no cell
+        new = manifest(ROWS)
+        new["cases"]["bad"]["stderr"] = "other"
+        identical, lines = golden.compare(new, manifest(ROWS), {})
+        assert not identical
+        assert lines[1:] == ["bad: differs in stderr", "k, stop reason and matvecs "
+                             "equal in 0 of the 0 cells of the cases that differ"]
