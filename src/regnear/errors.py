@@ -48,3 +48,7 @@ class NoRoot(NumericsError):
 
 class ParseError(NumericsError):
     """A text file does not conform to the matrix/vector format."""
+
+
+class ConfigError(Exception):
+    """Bad flags, config file, or argument combination (exit code 2)."""

@@ -34,11 +34,12 @@ one take, which keeps each group's columns contiguous.  So a column's
 result is the one it would get alone, to rounding, and a group's
 results do not depend on the groups beside it.
 
-One method forms the iterates of any set of columns at any step, and
-every iterate and residual is read through it: the columns that stop,
-the iterates kept on request, the k = 0 stops and the misfit of a
-singular column.  The regular triangles back-substitute together and
-combine their bases in one pass.  When R is singular by linalg's rule
+One method solves the least-squares problems of any set of columns at
+any step, and every iterate and residual is read through it: the
+iterates of the columns that stop, those kept on request and the k = 0
+stops, each combining its bases in one pass, and the misfit of a
+singular column, which forms no iterate.  The regular triangles
+back-substitute together.  When R is singular by linalg's rule
 (triangle_is_singular), the iterate takes the minimum-norm solution of
 R y = g[:k], and the residual of step k, ||A z_k - b||, is the hypot
 of g[k], the remainder and the misfit ||R y - g[:k]||.
@@ -360,18 +361,22 @@ class _Columns:
             return triangle_is_singular(self.dmin[rows], self.rmax[rows])
         return singular_triangles(self.R[rows, :m, :m])
 
-    def iterates(self, rows: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-        """The iterates z_m of the columns rows, (len(rows), n), and their
-        misfits ||R y - g[:m]||, at any step m <= k; m = 0 gives z = 0.
-        The first m columns of R and g[:m] are final from step m on.
-        The regular triangles back-substitute together, the singular
-        ones take the minimum-norm solve, and one pass combines the
-        bases."""
+    def least_squares(self, rows, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """The coefficients y of the iterates z_m of the columns rows,
+        (len(rows), m), and their misfits ||R y - g[:m]||, at any step
+        1 <= m <= k.  The first m columns of R and g[:m] are final from
+        step m on.  The regular triangles back-substitute together and
+        the singular ones take the minimum-norm solve."""
+        return _least_squares(self.R[rows, :m, :m], self.g[rows, :m],
+                              self.singular(rows, m))
+
+    def iterates(self, rows: np.ndarray, m: int) -> np.ndarray:
+        """The iterates z_m of the columns rows, (len(rows), n), at any
+        step m <= k, their bases combined in one pass; m = 0 gives z = 0."""
         if m == 0:
-            return np.zeros((rows.size, self.n)), np.zeros(rows.size)
-        y, misfit = _least_squares(self.R[rows, :m, :m], self.g[rows, :m],
-                                   self.singular(rows, m))
-        return _combination((p[rows] for p in _pieces(self.chunks, m)), y), misfit
+            return np.zeros((rows.size, self.n))
+        y = self.least_squares(rows, m)[0]
+        return _combination((p[rows] for p in _pieces(self.chunks, m)), y)
 
 
 def _lockstep(products: list, widths: list, B, cfgs: list, keep_iterates: bool) -> list:
@@ -411,8 +416,8 @@ def _lockstep(products: list, widths: list, B, cfgs: list, keep_iterates: bool) 
         if not done.any():
             return False
         rows = np.flatnonzero(done)
-        z = st.iterates(rows, st.k)[0]
-        kept = [st.iterates(rows, m)[0] for m in range(1, st.k + 1)] if keep_iterates else None
+        z = st.iterates(rows, st.k)
+        kept = [st.iterates(rows, m) for m in range(1, st.k + 1)] if keep_iterates else None
         for j, i in enumerate(rows.tolist()):
             c = int(st.cols[i])
             results[c] = RRGMRESResult(
@@ -458,7 +463,7 @@ def _lockstep(products: list, widths: list, B, cfgs: list, keep_iterates: bool) 
         rows = np.flatnonzero(st.singular(slice(None), k))
         if rows.size:
             # ||A z_k - b||^2 = g_k^2 + ||bres||^2 + misfit^2
-            residual[rows] = np.hypot(residual[rows], st.iterates(rows, k)[1])
+            residual[rows] = np.hypot(residual[rows], st.least_squares(rows, k)[1])
         for c, r in zip(st.cols.tolist(), residual.tolist()):
             logs[c].record(k, r, k + 1)
         if leave([(residual <= st.threshold, StopReason.DISCREPANCY_MET),

@@ -9,10 +9,11 @@ byte-level reproducibility of the run harness.
 import numpy as np
 import pytest
 
-from regnear.cli import main, run_single
+from regnear.cli import main
 from regnear.nearness import (NullSpaceBasis, build_projector,
                               nearest_symmetric_with_nullspace,
                               nearest_with_nullspace, nearness_distance)
+from regnear.pipeline import run_single
 from regnear.problems import build_deriv2, build_phillips
 from regnear.regops import (RegularizerKind, make_nullspace_basis,
                             make_projector_closed,

@@ -16,11 +16,12 @@ from hypothesis import strategies as st
 
 import regnear
 import regnear.cli
-from regnear.cli import (DEFAULT_NOISE, DEFAULT_SEEDS, RUN_COLUMNS, _fmt,
-                         _median, _parse_floats, _parse_seeds, main, run_cell,
-                         run_single)
+import regnear.pipeline
+from regnear.cli import (DEFAULT_NOISE, DEFAULT_SEEDS, _parse_floats, _parse_seeds,
+                         main)
 from regnear.linalg import read_matrix, read_vector, write_matrix
 from regnear.nearness import distance_from_products
+from regnear.pipeline import RUN_COLUMNS, _fmt, _median, run_block, run_single
 from regnear.problems import (add_noise, build_phillips, build_problem,
                               relative_error)
 from regnear.regops import (REGULARIZER_NAMES, Mode, RegularizerKind,
@@ -49,7 +50,7 @@ class TestRunSingle:
         dense = factor_transform(LinearOperator.from_matrix(base.K),
                                  regularizer_from_name(reg, 2000))
         a = run_single(base, 1e-3, 11, reg, 1.01, 1.0)
-        b = run_cell(add_noise(base, 1e-3, 11), dense, 1.01)
+        b = run_block([add_noise(base, 1e-3, 11)], [dense], 1.01)[0][0]
         for col in ("iterations", "matvecs", "stop_reason", "matvecs_prepare",
                     "matvecs_solve", "matvecs_back"):
             assert getattr(a, col) == getattr(b, col), col
@@ -159,8 +160,8 @@ class TestDefaultSweepRegression:
             noises.append((nu, seed))
             return add_noise(base, nu, seed)
 
-        monkeypatch.setattr(regnear.cli, "factor_transform", counting_factor)
-        monkeypatch.setattr(regnear.cli, "add_noise", counting_noise)
+        monkeypatch.setattr(regnear.pipeline, "factor_transform", counting_factor)
+        monkeypatch.setattr(regnear.pipeline, "add_noise", counting_noise)
         assert main(["table", "--problem", "phillips",
                      "--out", str(tmp_path / "table.csv")]) == 0
         assert factors == list(REGULARIZER_NAMES) and len(factors) == 6
@@ -177,7 +178,7 @@ class TestDefaultSweepRegression:
             calls.append([b.shape[1] for b in B])
             return rrgmres_block(A, B, cfgs, keep_iterates)
 
-        monkeypatch.setattr(regnear.cli, "rrgmres_block", counting_block)
+        monkeypatch.setattr(regnear.pipeline, "rrgmres_block", counting_block)
         assert main(["table", "--problem", "phillips",
                      "--out", str(tmp_path / "table.csv")]) == 0
         assert calls == [[10] * 6] * 3
@@ -406,7 +407,7 @@ class TestTableCommand:
             builds.append((name, n, delta))
             return regularizer_from_name(name, n, delta)
 
-        monkeypatch.setattr(regnear.cli, "regularizer_from_name", counting_build)
+        monkeypatch.setattr(regnear.pipeline, "regularizer_from_name", counting_build)
         out = str(tmp_path / "err.csv")
         code = main(["table", "--problem", "phillips", "--n", "16",
                      "--noise", "1e-2", "--regs", "L1dP1", "--seeds", "1..2",
@@ -424,7 +425,7 @@ class TestTableCommand:
         def no_solve(*args, **kwargs):
             raise AssertionError("the solver ran")
 
-        monkeypatch.setattr(regnear.cli, "rrgmres_block", no_solve)
+        monkeypatch.setattr(regnear.pipeline, "rrgmres_block", no_solve)
         out = tmp_path / "err.csv"
         assert main(["table", "--regs", "L1dP1", "--delta", "1e-20", "--seeds", "1..2",
                      "--out", str(out)]) == 0
@@ -460,6 +461,22 @@ class TestTableCommand:
                     assert row[col] == ref[col], (key, col)
         # the second I block is the first, to the bit
         assert rows[:3] == rows[6:9] and rows[9:12] == rows[15:18]
+
+    @pytest.mark.parametrize("reg", ["L1dP1", "P2L2tP2"])
+    @pytest.mark.parametrize("n", [200, 2000], ids=["dense-K", "structured-K"])
+    @pytest.mark.parametrize("problem", ["phillips", "deriv2"])
+    def test_one_cell_table_writes_the_solve_row(self, problem, n, reg, tmp_path, capsys):
+        # solve is the one-cell case of the table's run path: the same
+        # header and the same row, byte for byte
+        cell = ["--problem", problem, "--n", str(n), "--noise", "1e-3"]
+        assert main(["solve", *cell, "--reg", reg, "--seed", "11",
+                     "--out", str(tmp_path / "s")]) == 0
+        assert main(["table", *cell, "--regs", reg, "--seeds", "11",
+                     "--out", str(tmp_path / "t.csv")]) == 0
+        solved = (tmp_path / "s.csv").read_text().split("\n")
+        tabled = (tmp_path / "t.csv").read_text().split("\n")
+        assert len(solved) == 3 and len(tabled) == 4
+        assert tabled[:2] == solved[:2]
 
     @settings(max_examples=100, deadline=None)
     @given(values=st.one_of(
@@ -727,7 +744,7 @@ def test_out_of_memory_is_config_error(command, tmp_path, capsys, monkeypatch):
     def no_memory(problem, n):
         raise MemoryError
 
-    monkeypatch.setattr(regnear.cli, "build_problem", no_memory)
+    monkeypatch.setattr(regnear.pipeline, "build_problem", no_memory)
     assert main([command, "--n", "300000", "--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -803,12 +820,14 @@ def test_cli_import_leaves_out_numpy_fft():
 
 def test_cli_import_leaves_out_what_it_never_runs():
     # the table's median is a sorted midpoint of Python numbers, not
-    # statistics (which loads fractions and decimal), and the
-    # Gauss-Legendre rule of the quadrature oracles, from
-    # numpy.polynomial, is made on first use
+    # statistics (which loads fractions and decimal), the Gauss-Legendre
+    # rule of the quadrature oracles, from numpy.polynomial, is made on
+    # first use, and the pipeline module, with the layers only it uses,
+    # loads when solve or table runs
     code = ("import sys, regnear.cli; sys.exit(sorted(m for m in "
-            "('statistics', 'fractions', 'decimal', 'numpy.polynomial') "
-            "if m in sys.modules) or None)")
+            "('statistics', 'fractions', 'decimal', 'numpy.polynomial', "
+            "'regnear.pipeline', 'regnear.problems', 'regnear.transform', "
+            "'regnear.solver') if m in sys.modules) or None)")
     run = subprocess.run([sys.executable, "-c", code], env=_child_env(),
                          capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
@@ -824,7 +843,8 @@ def test_distances_and_nearest_leave_out_the_solve_pipeline(tmp_path):
 import sys
 from regnear.cli import main
 
-unused = ("regnear.problems", "regnear.transform", "regnear.solver", "numpy.random")
+unused = ("regnear.pipeline", "regnear.problems", "regnear.transform", "regnear.solver",
+          "numpy.random")
 for argv in (["distances", "--max-n", "20", "--out", "d.csv"],
              ["nearest", "--matrix", "a.txt", "--nullspace", "v.txt", "--out", "o.txt"]):
     if main(argv) != 0:
@@ -836,6 +856,21 @@ for argv in (["distances", "--max-n", "20", "--out", "d.csv"],
     run = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=_child_env(),
                          capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
+
+
+@pytest.mark.parametrize("argv", [["table", "--seeds", "5..1"], ["solve", "--seed", "-1"]],
+                         ids=["table-empty-seeds", "solve-negative-seed"])
+def test_pipeline_config_error_under_python_m(argv, tmp_path):
+    # run as python -m regnear.cli, the CLI module is __main__; a
+    # ConfigError raised in the pipeline must still be the class main
+    # catches: one error line, exit code 2, no traceback
+    run = subprocess.run([sys.executable, "-m", "regnear.cli", *argv, "--n", "16",
+                          "--out", str(tmp_path / "x")], cwd=tmp_path, env=_child_env(),
+                         capture_output=True, text=True)
+    assert run.returncode == 2, run.stderr
+    assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1, run.stderr
+    assert run.stderr.count("error:") == 1 and "Traceback" not in run.stderr
+    assert run.stdout == "" and list(tmp_path.iterdir()) == []
 
 
 def test_package_import_loads_no_submodule():

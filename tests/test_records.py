@@ -4,7 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from regnear.cli import run_single
+from regnear.pipeline import run_single
 from regnear.problems import add_noise, build_problem
 from regnear.regops import make_nullspace_basis, regularizer_from_name
 from regnear.solver import SolverConfig, rrgmres_solve

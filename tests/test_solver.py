@@ -1,9 +1,10 @@
 """Iterative solver tests against brute-force Krylov and dense oracles."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from regnear import solver
 from regnear.errors import NoRoot, ShapeMismatch, SingularSystem
 from regnear.linalg import RANK_TOL
 from regnear.problems import add_noise, build_problem
@@ -691,6 +692,31 @@ class TestIterates:
                 if m <= r.k:
                     assert s.k == m
                     assert np.array_equal(r.iterates[m - 1], s.z), (m, j)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(4, 30), seed=st.integers(0, 2**32 - 1))
+    @example(n=5, seed=0)
+    def test_a_singular_residual_forms_no_iterate(self, n, seed):
+        # a basis combination is made twice per step, by the two
+        # Gram-Schmidt passes, and once per step at which columns leave,
+        # for their iterates; the misfit of a singular triangle's
+        # residual forms none
+        calls = []
+
+        def counting(pieces, y):
+            calls.append(y.shape)
+            return combination(pieces, y)
+
+        combination = solver._combination
+        a, B, cfgs = draw_operator(np.random.default_rng(seed), "shift", n)
+        op = LinearOperator.from_matrix(a)
+        for run in (lambda: [rrgmres_solve(op, B[:, 0], cfgs[0])],
+                    lambda: rrgmres_block(op, B, cfgs)):
+            calls.clear()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(solver, "_combination", counting)
+                ks = [r.k for r in run()]
+            assert len(calls) == 2 * max(ks) + len({k for k in ks if k >= 1}), ks
 
     @pytest.mark.xfail(strict=True, reason="a rotated triangle just above the singular "
                        "rule back-substitutes to an iterate whose residual the log does "
