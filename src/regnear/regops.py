@@ -26,7 +26,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import BadDimension, RankDeficient, ShapeMismatch, SingularCore
-from .linalg import RANK_TOL
+from .linalg import triangle_is_singular
 from .nearness import (_ORTHO_TOL, _SPAN_TOL, NullSpaceBasis,
                        nearest_symmetric_with_nullspace, nearest_with_nullspace)
 
@@ -271,7 +271,7 @@ def _stencil_solve(kind: RegularizerKind, delta: float):
     if kind is RegularizerKind.L1_DELTA:
         corner = delta / 2.0
         pivot = min(0.5, corner)
-        if not pivot > RANK_TOL * max(0.5, corner):
+        if triangle_is_singular(pivot, max(0.5, corner)):
             raise SingularCore(f"core of {kind.value} is numerically singular "
                                f"(smallest pivot {pivot:.3g})")
         return lambda z: _first_difference_solve(z, corner)

@@ -25,7 +25,9 @@ matvec serves it.
 
 The running columns share one state, a struct of arrays along the
 column axis (_Columns): each column's basis, the remainder of b, R, g,
-the rotations, the running extremes of R, and its stopping data.
+the rotations, its residual history and its stopping data.  R is the
+only record of the singular rule, and the residual history the only
+record of the log, which a column's result reads when it leaves.
 Gram-Schmidt, the rotations, the norms and the stop tests run once per
 step for every column.  The state grows by a chunk of steps at a time,
 copying only the small arrays and never the stored basis, so max_iter
@@ -39,10 +41,10 @@ any step, and every iterate and residual is read through it: the
 iterates of the columns that stop, those kept on request and the k = 0
 stops, each combining its bases in one pass, and the misfit of a
 singular column, which forms no iterate.  The regular triangles
-back-substitute together.  When R is singular by linalg's rule
-(triangle_is_singular), the iterate takes the minimum-norm solution of
-R y = g[:k], and the residual of step k, ||A z_k - b||, is the hypot
-of g[k], the remainder and the misfit ||R y - g[:k]||.
+back-substitute together.  When R is singular by linalg's rule, read
+from R itself (singular_triangles), the iterate takes the minimum-norm
+solution of R y = g[:k], and the residual of step k, ||A z_k - b||, is
+the hypot of g[k], the remainder and the misfit ||R y - g[:k]||.
 
 Also provides the dense Tikhonov solver used as an equivalence oracle
 and a discrepancy-principle search over the Tikhonov parameter.
@@ -58,7 +60,7 @@ import numpy as np
 
 from .errors import NoRoot, ShapeMismatch, SingularSystem
 from .linalg import (checked_rhs, min_norm_lstsq_solve, singular_triangles,
-                     solve_upper_triangular, triangle_is_singular)
+                     solve_upper_triangular)
 
 # A new Krylov direction, made from a unit vector, shorter than this
 # fraction of ||A b|| / ||b|| ends the basis; the same test, with ||A b||
@@ -94,13 +96,12 @@ class SolverConfig:
 
 @dataclass
 class IterationLog:
-    """Residual history.  matvecs counts operator applications since the
-    solve started, so entry k of a transformed run reads k+1."""
+    """Residual history, entries (k, residual, matvecs) for k = 0..k of
+    the stop, built once when a column leaves the loop.  matvecs counts
+    operator applications since the solve started, so entry k of a
+    transformed run reads k+1."""
 
     entries: list = field(default_factory=list)
-
-    def record(self, k: int, residual: float, matvecs: int) -> None:
-        self.entries.append((int(k), float(residual), int(matvecs)))
 
     def residuals(self) -> list:
         return [r for _, r, _ in self.entries]
@@ -138,9 +139,7 @@ def _rotate_in(rot: np.ndarray, col: np.ndarray, g: np.ndarray):
     overwritten with the rotated ones.  rot[0, :j] and rot[1, :j] hold
     the cosines and sines of the earlier rotations; the new rotation is
     written to rot[:, j] and applied to entries j and j + 1 of the
-    rotated right-hand side g.  Returns the new diagonal entry and the
-    largest magnitude in the rotated column, the two numbers the
-    singular-triangle rule reads.
+    rotated right-hand side g.
     """
     j = col.shape[0] - 2
     c = list(col)
@@ -151,21 +150,20 @@ def _rotate_in(rot: np.ndarray, col: np.ndarray, g: np.ndarray):
     col[:j + 1] = c[:j] + [rr]
     col[j + 1] = 0.0
     g[j], g[j + 1] = _apply_rotation(cs, sn, g[j], g[j + 1])
-    return rr, np.abs(col).max(axis=0)
 
 
-def _least_squares(R: np.ndarray, g: np.ndarray,
-                   singular: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _least_squares(R: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Minimize ||R y - g|| for a stack of m x m rotated triangles R,
     (r, m, m), and right-hand sides g, (r, m).
 
-    singular marks the triangles that linalg's rule judges singular.
-    The others back-substitute together, with misfit 0; each singular
-    one takes the minimum-norm least-squares solution.  Returns y, (r,
+    The triangles that linalg's rule (singular_triangles) reads as
+    regular back-substitute together, with misfit 0; each singular one
+    takes the minimum-norm least-squares solution.  Returns y, (r,
     m), and the misfits ||R y - g||.  The rotations are orthogonal, so
     this has the minimizers and the singular values of the unrotated
     (m+1, m) problem, whose residual is hypot(g_m, misfit).
     """
+    singular = singular_triangles(R)
     y, misfit = np.empty(g.shape), np.zeros(len(g))
     y[~singular] = solve_upper_triangular(R[~singular], g[~singular])
     for i in np.flatnonzero(singular):
@@ -191,8 +189,7 @@ def hessenberg_residual(h: np.ndarray, beta: float) -> tuple[float, np.ndarray]:
     rot = np.zeros((2, k))
     for j in range(k):
         _rotate_in(rot, r[:j + 2, j], g)
-    tri = r[None, :k, :k]
-    y, misfit = _least_squares(tri, g[None, :k], singular_triangles(tri))
+    y, misfit = _least_squares(r[None, :k, :k], g[None, :k])
     return float(np.hypot(g[k], misfit[0])), y[0]
 
 
@@ -303,15 +300,16 @@ class _Columns:
     """The running columns of _lockstep, all at step k.
 
     Every array attribute runs along the column axis, axis 0, one entry
-    per running column: its column of B (cols) and operator group, ||b||
-    (bnorm), eta * epsilon (threshold), max_iter, ||A b|| (beta0), the
-    remainder bres of b outside the basis, the smallest diagonal entry
-    and the largest entry of R so far (dmin, rmax), and the rotated
-    least-squares problem: the triangle R (s, cap, cap), its right-hand
-    side g (s, cap) and the cosines and sines of the rotations (s, 2,
-    cap).  The basis is a list of chunks of SIZE steps, each (s, SIZE,
-    n), and widths counts the running columns of each group, whose
-    columns are contiguous and in group order.
+    per running column: its column of B (cols) and operator group,
+    eta * epsilon (threshold), max_iter, ||A b|| (beta0), the remainder
+    bres of b outside the basis, the residual of each step so far, res
+    (s, cap) with res[:, 0] = ||b||, and the rotated least-squares
+    problem: the triangle R (s, cap, cap), its right-hand side g (s,
+    cap) and the cosines and sines of the rotations (s, 2, cap).  R is
+    the only record of the singular rule, read by _least_squares.  The
+    basis is a list of chunks of SIZE steps, each (s, SIZE, n), and
+    widths counts the running columns of each group, whose columns are
+    contiguous and in group order.
     """
 
     def __init__(self, n: int, widths: list, **arrays):
@@ -329,12 +327,13 @@ class _Columns:
         self.widths = np.bincount(self.group, minlength=len(self.widths)).tolist()
 
     def grow(self) -> None:
-        """Room for SIZE more steps: one more basis chunk, and R, g and
-        the rotations in the leading corner of zero arrays that hold
+        """Room for SIZE more steps: one more basis chunk, and R, g, the
+        rotations and res in the leading corner of zero arrays that hold
         SIZE more.  Nothing stored is copied but the small state."""
         s, cap = self.cols.size, self.g.shape[1] + SIZE
         self.chunks.append(np.empty((s, SIZE, self.n)))
-        for name, shape in (("R", (cap, cap)), ("g", (cap,)), ("rot", (2, cap))):
+        for name, shape in (("R", (cap, cap)), ("g", (cap,)), ("rot", (2, cap)),
+                            ("res", (cap,))):
             small, big = getattr(self, name), np.zeros((s, *shape))
             big[tuple(map(slice, small.shape))] = small
             setattr(self, name, big)
@@ -352,23 +351,13 @@ class _Columns:
         self.g[:, k] = np.where(broken, 0.0, _dots(v, self.bres))
         self.bres = self.bres - self.g[:, k, None] * v
 
-    def singular(self, rows, m: int) -> np.ndarray:
-        """linalg's rule for the triangles R[:m, :m] of the columns rows:
-        at step k from the running dmin and rmax, at an earlier step
-        from R itself.  Columns of R are final once rotated in, so both
-        read the same numbers."""
-        if m == self.k:
-            return triangle_is_singular(self.dmin[rows], self.rmax[rows])
-        return singular_triangles(self.R[rows, :m, :m])
-
     def least_squares(self, rows, m: int) -> tuple[np.ndarray, np.ndarray]:
         """The coefficients y of the iterates z_m of the columns rows,
         (len(rows), m), and their misfits ||R y - g[:m]||, at any step
         1 <= m <= k.  The first m columns of R and g[:m] are final from
         step m on.  The regular triangles back-substitute together and
         the singular ones take the minimum-norm solve."""
-        return _least_squares(self.R[rows, :m, :m], self.g[rows, :m],
-                              self.singular(rows, m))
+        return _least_squares(self.R[rows, :m, :m], self.g[rows, :m])
 
     def iterates(self, rows: np.ndarray, m: int) -> np.ndarray:
         """The iterates z_m of the columns rows, (len(rows), n), at any
@@ -390,51 +379,49 @@ def _lockstep(products: list, widths: list, B, cfgs: list, keep_iterates: bool) 
 
     The running columns are all at the same step k, and their state is
     one _Columns.  A column that stops takes its iterate, and its log,
-    and leaves: the state takes the rest, which keeps each group's
-    running columns contiguous.
+    read from its residual history, and leaves: the state takes the
+    rest, which keeps each group's running columns contiguous.
     """
     n, s = B.shape
     bt = np.ascontiguousarray(B.T)          # each b as a row
     bnorm = np.sqrt(_dots(bt, bt))
-    logs = [IterationLog() for _ in range(s)]
-    for log, r in zip(logs, bnorm.tolist()):
-        log.record(0, r, 0)
     results = [None] * s
-    st = _Columns(n, widths, cols=np.arange(s), bnorm=bnorm, bres=bt,
+    # res starts as ||b|| alone: the k = 0 stops leave before any grow
+    st = _Columns(n, widths, cols=np.arange(s), res=bnorm[:, None], bres=bt,
                   group=np.repeat(np.arange(len(products)), widths),
                   threshold=np.array([cfg.eta * cfg.epsilon for cfg in cfgs]),
                   max_iter=np.array([cfg.max_iter for cfg in cfgs]),
-                  dmin=np.full(s, np.inf), rmax=np.zeros(s),
                   R=np.zeros((s, 0, 0)), g=np.zeros((s, 0)), rot=np.zeros((s, 2, 0)))
 
-    def leave(stops: list, residual: np.ndarray, applies: int) -> bool:
+    def leave(stops: list, applies: int) -> bool:
         """The running columns that a mask of stops, a list of (mask,
         StopReason) pairs, marks take their results at step k, each with
-        the reason of the first mask that marks it, and leave.  True
-        when no column is left."""
+        the reason of the first mask that marks it and the log of its
+        residuals res[:k + 1], and leave.  True when no column is left."""
         done = np.logical_or.reduce([mask for mask, _ in stops])
         if not done.any():
             return False
         rows = np.flatnonzero(done)
         z = st.iterates(rows, st.k)
         kept = [st.iterates(rows, m) for m in range(1, st.k + 1)] if keep_iterates else None
+        history = st.res[rows, :st.k + 1].tolist()
         for j, i in enumerate(rows.tolist()):
-            c = int(st.cols[i])
-            results[c] = RRGMRESResult(
-                z=z[j], k=st.k, residual=float(residual[i]),
+            results[int(st.cols[i])] = RRGMRESResult(
+                z=z[j], k=st.k, residual=history[j][-1],
                 stop_reason=next(reason for mask, reason in stops if mask[i]),
-                log=logs[c], solve_matvecs=applies,
+                log=IterationLog([(m, r, m + (m > 0)) for m, r in enumerate(history[j])]),
+                solve_matvecs=applies,
                 iterates=None if kept is None else [zm[j] for zm in kept])
         st.take(~done)
         return st.cols.size == 0
 
-    if leave([(bnorm <= st.threshold, StopReason.INITIAL_RESIDUAL_OK)], bnorm, 0):
+    if leave([(bnorm <= st.threshold, StopReason.INITIAL_RESIDUAL_OK)], 0):
         return results
     ab = _by_group(products, st.widths, B[:, st.cols])
     st.beta0 = np.sqrt(_dots(ab, ab))
     # A b vanished: the range-restricted space is empty
-    empty = st.beta0 <= BREAKDOWN_TOL * st.bnorm
-    if leave([(empty, StopReason.BREAKDOWN)], st.bnorm, 1):
+    empty = st.beta0 <= BREAKDOWN_TOL * st.res[:, 0]
+    if leave([(empty, StopReason.BREAKDOWN)], 1):
         return results
     st.extend(0, ab[~empty] / st.beta0[:, None], False)
 
@@ -453,22 +440,20 @@ def _lockstep(products: list, widths: list, B, cfgs: list, keep_iterates: bool) 
         hcol = np.concatenate(((h + corr).T, hkk[None]))
 
         # the basis of a column whose new direction vanishes cannot grow
-        broken = hkk <= BREAKDOWN_TOL * st.beta0 / st.bnorm
+        broken = hkk <= BREAKDOWN_TOL * st.beta0 / st.res[:, 0]
         st.extend(k, w / np.where(broken, 1.0, hkk)[:, None], broken)
-        diag, cmax = _rotate_in(st.rot.transpose(1, 2, 0), hcol, st.g.T)
-        st.R[:, :k, j] = hcol[:k].T
-        st.dmin, st.rmax, st.k = np.minimum(st.dmin, diag), np.maximum(st.rmax, cmax), k
+        _rotate_in(st.rot.transpose(1, 2, 0), hcol, st.g.T)
+        st.R[:, :k, j], st.k = hcol[:k].T, k
 
         residual = np.hypot(st.g[:, k], np.sqrt(_dots(st.bres, st.bres)))
-        rows = np.flatnonzero(st.singular(slice(None), k))
+        rows = np.flatnonzero(singular_triangles(st.R[:, :k, :k]))
         if rows.size:
             # ||A z_k - b||^2 = g_k^2 + ||bres||^2 + misfit^2
             residual[rows] = np.hypot(residual[rows], st.least_squares(rows, k)[1])
-        for c, r in zip(st.cols.tolist(), residual.tolist()):
-            logs[c].record(k, r, k + 1)
+        st.res[:, k] = residual
         if leave([(residual <= st.threshold, StopReason.DISCREPANCY_MET),
                   (broken, StopReason.BREAKDOWN), (k >= st.max_iter, StopReason.MAX_ITER)],
-                 residual, k + 1):
+                 k + 1):
             return results
 
 

@@ -463,7 +463,8 @@ def assert_block_equals_singles(a, B, cfgs, keep_iterates=False):
         bnorm = np.linalg.norm(B[:, j])
         np.testing.assert_allclose(res.log.residuals(), ref.log.residuals(),
                                    rtol=0, atol=1e-10 * bnorm)
-        assert res.residual == res.log.entries[-1][1]
+        assert_log_shape(res, B[:, j])
+        assert_log_shape(ref, B[:, j])
         pairs = [(res.z, ref.z)]
         if keep_iterates:
             assert len(res.iterates) == len(ref.iterates) == res.k
@@ -471,6 +472,17 @@ def assert_block_equals_singles(a, B, cfgs, keep_iterates=False):
         for z, z_ref in pairs:
             assert np.linalg.norm(z - z_ref) <= 1e-10 * max(np.linalg.norm(z_ref), 1e-300)
     return block
+
+
+def assert_log_shape(res, b):
+    """The log of a result: one entry (m, residual, matvecs) per step
+    m = 0..k, matvecs m + 1 from step 1 on (A b is the one extra
+    product), ||b|| first and the returned residual last."""
+    assert len(res.log.entries) == res.k + 1
+    for m, (step, _, matvecs) in enumerate(res.log.entries):
+        assert (step, matvecs) == (m, m + (m > 0))
+    assert res.log.entries[0][1] == pytest.approx(np.linalg.norm(b), rel=1e-15)
+    assert res.log.entries[-1][1] == res.residual
 
 
 def draw_block(rng, n, kinds):
@@ -521,6 +533,23 @@ class TestRRGMRESBlock:
                 assert res.solve_matvecs == 1
             elif kind == "max_iter":
                 assert res.stop_reason is StopReason.MAX_ITER
+
+    def test_log_shape_for_every_stop_reason(self):
+        # one block whose columns leave by each of the four reasons, the
+        # two k = 0 stops among them: A b = 0 breaks down after one product.
+        # The discrepancy column lies in the range of A, on which A is
+        # invertible, so its residual reaches the threshold no later than
+        # a breakdown would
+        kinds = ["initial", "null", "discrepancy", "max_iter"]
+        a, B, cfgs = draw_block(np.random.default_rng(152), 12, kinds)
+        B[-1, 2] = 0.0
+        block = assert_block_equals_singles(a, B, cfgs)
+        assert [res.stop_reason for res in block] == [
+            StopReason.INITIAL_RESIDUAL_OK, StopReason.BREAKDOWN,
+            StopReason.DISCREPANCY_MET, StopReason.MAX_ITER]
+        assert [res.k for res in block[:2]] == [0, 0]
+        assert block[1].log.entries == [(0, block[1].residual, 0)]
+        assert block[1].solve_matvecs == 1
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(8, 30),
