@@ -6,22 +6,26 @@ projectors for constants and linear trends, and the catalog of the six
 named regularizers the solver pipeline consumes, each a core composed
 with the projector of its null space and fixed by its name alone.
 
-The catalog's cores solve in closed form, in numpy alone: the
+Each kind is one row of _KINDS: its stencil, the rule for the rows
+where the stencil overhangs, and its closed-form solve.  The identity
+is the one-point stencil.  The cores solve in numpy alone: the
 bidiagonal first-difference cores by one reverse cumulative sum, the
 1/4 tridiag(-1, 2, -1) cores by the two cumulative sums of its Green's
 function.  Each works down axis 0, so it solves a vector or every
-column of a block at once.  Every regularizer is one of these
-stencils, so none holds an n x n array: its dense core is assembled
-only when asked for, and stencil_product applies a catalog matrix to an
-n x k block from its stencil in O(n k).  A dense catalog matrix is its
-stencil applied to the identity.  stacked_n2_bases lays the N2 bases
-of many orders in one array, so that one stencil product serves them
-all.  The module needs numpy alone.
+column of a block at once.  No regularizer holds an n x n array: its
+dense core is assembled only when asked for, and stencil_product
+applies a catalog matrix to an n x k block from its stencil in O(n k).
+A dense catalog matrix is its stencil applied to the identity.  One
+closed form gives every null-space basis: N1 is the first column of
+N2, and stacked_n2_bases lays the N2 bases of many orders in one
+array, so that one stencil product serves them all.  The module needs
+numpy alone.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
@@ -55,18 +59,6 @@ class Mode(str, Enum):
 _FIRST = (0.5, -0.5)
 _SECOND = (-0.25, 0.5, -0.25)
 
-# kind -> (stencil, what becomes of the rows where it overhangs the n
-# columns: kept with their in-range entries, zeroed, or dropped)
-_STENCIL_RULE = {
-    RegularizerKind.L1_RECT: (_FIRST, "drop"),
-    RegularizerKind.L2_RECT: (_SECOND, "drop"),
-    RegularizerKind.L1_DELTA: (_FIRST, "zero"),
-    RegularizerKind.L1_ZERO: (_FIRST, "zero"),
-    RegularizerKind.L2_ZERO: (_SECOND, "zero"),
-    RegularizerKind.L2_TILDE: (_SECOND, "keep"),
-}
-
-
 def _check_catalog_args(kind: RegularizerKind, n: int, delta: float) -> None:
     if n < 3:
         raise BadDimension(f"{kind.value} needs n >= 3")
@@ -91,19 +83,18 @@ def stencil_product(kind: RegularizerKind, n: int, X, delta: float = 1.0) -> np.
     X has n rows (or is a vector of length n).  Each row of L X is the
     stencil's weighted sum of neighbouring rows of X, taken left to
     right; the rows where the stencil overhangs are kept with their
-    in-range terms, zeroed or dropped as _STENCIL_RULE says, and
-    L1_DELTA scales the last row of X by delta / 2.  No n x n array is
-    formed unless X is one.
+    in-range terms, zeroed or dropped as the kind's row of _KINDS says,
+    and L1_DELTA scales the last row of X by delta / 2.  The identity
+    is the one-point stencil, so its product is a copy of X.  No n x n
+    array is formed unless X is one.
     """
     kind = RegularizerKind(kind)
     _check_catalog_args(kind, n, delta)
     X = np.asarray(X, dtype=float)
     if X.ndim not in (1, 2) or X.shape[0] != n:
         raise ShapeMismatch(f"expected {n} rows, got shape {X.shape}")
-    if kind is RegularizerKind.IDENTITY:
-        return X.copy()
 
-    stencil, overhang = _STENCIL_RULE[kind]
+    stencil, overhang, _ = _KINDS[kind]
     top = (len(stencil) - 1) // 2
     bottom = n - (len(stencil) - 1 - top)
     # X between zero rows, so that an overhanging row sums its in-range
@@ -124,18 +115,17 @@ def stencil_product(kind: RegularizerKind, n: int, X, delta: float = 1.0) -> np.
 
 
 def make_nullspace_basis(which: str, n: int) -> NullSpaceBasis:
-    """Closed-form orthonormal bases: N1 = constants, N2 = constants + linear."""
+    """Closed-form orthonormal bases: N1 = constants, N2 = constants +
+    linear.  Both are read from the one closed form of _stacked_n2: N1
+    is the first column of N2, bit for bit."""
     if n < 3:
         raise BadDimension("null-space bases need n >= 3")
-    if which == "N1":
-        raw = np.ones((n, 1))
-        V = raw / np.sqrt(n)
-        return NullSpaceBasis(n=n, ell=1, V=V, raw=raw)
-    if which == "N2":
-        v1, v2, t, _ = _stacked_n2(np.array([n]))
-        return NullSpaceBasis(n=n, ell=2, V=np.column_stack((v1[:n], v2[:n])),
-                              raw=np.column_stack((np.ones(n), t[:n])))
-    raise ValueError(f"unknown null-space basis {which!r} (use 'N1' or 'N2')")
+    ell = {"N1": 1, "N2": 2}.get(which)
+    if ell is None:
+        raise ValueError(f"unknown null-space basis {which!r} (use 'N1' or 'N2')")
+    v1, v2, t, _ = _stacked_n2(np.array([n]))
+    return NullSpaceBasis(n=n, ell=ell, V=np.column_stack((v1[:n], v2[:n])[:ell]),
+                          raw=np.column_stack((np.ones(n), t[:n])[:ell]))
 
 
 def _stacked_n2(orders: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -175,6 +165,8 @@ def stacked_n2_bases(orders) -> tuple[np.ndarray, np.ndarray]:
     not orthonormal or does not span its vectors (1, t).
     """
     orders = np.asarray(orders, dtype=np.int64).reshape(-1)
+    if orders.size == 0:
+        raise BadDimension("stacked_n2_bases needs at least one order")
     if orders.min() < 3:
         raise BadDimension("null-space bases need n >= 3")
     v1, v2, t, starts = _stacked_n2(orders)
@@ -259,28 +251,25 @@ def _completed_second_difference_solve(z: np.ndarray) -> np.ndarray:
     return np.concatenate((z[:1], _second_difference_solve(r), z[-1:]))
 
 
-def _stencil_solve(kind: RegularizerKind, delta: float):
-    """The closed-form solve with the (completed) core of a catalog kind.
-
-    Only L1_DELTA can be singular: its pivots are its diagonal, 1/2 and
-    delta/2.  The 1/4 T cores have pivots (i + 1) / (4 i) >= 1/4, and the
-    unit rows of a completion pivot on 1.
-    """
-    if kind is RegularizerKind.IDENTITY:
-        return np.copy
-    if kind is RegularizerKind.L1_DELTA:
-        corner = delta / 2.0
-        pivot = min(0.5, corner)
-        if triangle_is_singular(pivot, max(0.5, corner)):
-            raise SingularCore(f"core of {kind.value} is numerically singular "
-                               f"(smallest pivot {pivot:.3g})")
-        return lambda z: _first_difference_solve(z, corner)
-    if kind is RegularizerKind.L1_ZERO:
-        return lambda z: _first_difference_solve(z, 1.0)
-    if kind is RegularizerKind.L2_TILDE:
-        return lambda z: _second_difference_solve(4.0 * z)
-    # the catalog pairs no other kind than these five
-    return _completed_second_difference_solve
+# One row per kind: its stencil; what becomes of the rows where the
+# stencil overhangs the n columns (kept with their in-range entries,
+# zeroed or dropped); and its closed-form solve of (z, delta) with the
+# square core, completed by unit rows in place of its zero rows, or
+# None for a rectangular core.  The identity is the one-point stencil;
+# np.copy keeps z's memory order, by which the products downstream round.
+_KINDS = {
+    RegularizerKind.IDENTITY: ((1.0,), "keep", lambda z, delta: np.copy(z)),
+    RegularizerKind.L1_RECT: (_FIRST, "drop", None),
+    RegularizerKind.L2_RECT: (_SECOND, "drop", None),
+    RegularizerKind.L1_DELTA: (_FIRST, "zero",
+                               lambda z, delta: _first_difference_solve(z, delta / 2.0)),
+    RegularizerKind.L1_ZERO: (_FIRST, "zero",
+                              lambda z, delta: _first_difference_solve(z, 1.0)),
+    RegularizerKind.L2_ZERO: (_SECOND, "zero",
+                              lambda z, delta: _completed_second_difference_solve(z)),
+    RegularizerKind.L2_TILDE: (_SECOND, "keep",
+                               lambda z, delta: _second_difference_solve(4.0 * z)),
+}
 
 
 # The named regularizers, in canonical output order: the kind of each
@@ -315,13 +304,14 @@ class ProjectedRegularizer:
     transformation.
 
     The catalog name fixes the rest, which is read from the catalog
-    when the regularizer is built: kind (its core's stencil), mode (how
-    core and projector compose) and basis (the null space the projector
-    enforces).  The core solves in closed form, with no factorization,
-    and no dense core is stored: Ltilde (the regularizer itself in
-    PLAIN and IDENTITY modes) is assembled from (kind, n, delta) each
-    time it is read.  An unknown name raises ValueError, and a
-    numerically singular core raises SingularCore.
+    when the regularizer is built: kind (its core's row of _KINDS),
+    mode (how core and projector compose) and basis (the null space the
+    projector enforces).  The kind's closed-form solve is bound to
+    delta once, here, with no factorization, and no dense core is
+    stored: Ltilde (the regularizer itself in PLAIN and IDENTITY modes)
+    is assembled from (kind, n, delta) each time it is read.  An
+    unknown name raises ValueError, and a numerically singular core
+    raises SingularCore.
     """
 
     name: str
@@ -333,10 +323,19 @@ class ProjectedRegularizer:
         _check_catalog_args(kind, self.n, self.delta)
         basis = (NullSpaceBasis.empty(self.n) if basis_name is None
                  else make_nullspace_basis(basis_name, self.n))
+        if kind is RegularizerKind.L1_DELTA:
+            # the only core that can be singular: its pivots are its
+            # diagonal, 1/2 and delta/2, while the 1/4 T cores pivot on
+            # (i + 1) / (4 i) >= 1/4 and a completion's unit rows on 1
+            corner = self.delta / 2.0
+            pivot = min(0.5, corner)
+            if triangle_is_singular(pivot, max(0.5, corner)):
+                raise SingularCore(f"core of {kind.value} is numerically singular "
+                                   f"(smallest pivot {pivot:.3g})")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "_solve", _stencil_solve(kind, self.delta))
+        object.__setattr__(self, "_solve", partial(_KINDS[kind][2], delta=self.delta))
 
     @property
     def Ltilde(self) -> np.ndarray:

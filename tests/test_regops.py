@@ -212,6 +212,10 @@ class TestStackedBases:
             own = V[s:s + n].tobytes()
             assert own == self.closed_form(n).tobytes()
             assert own == make_nullspace_basis("N2", n).V.tobytes()
+            # N1 is N2's first column, read from the same closed form
+            n1 = make_nullspace_basis("N1", n).V
+            assert n1.flags.c_contiguous
+            assert n1.tobytes() == V[s:s + n, :1].tobytes()
             # +0.0 on the zero row, as a stencil pads its edge
             assert V[s + n].tobytes() == bytes(16)
 
@@ -243,6 +247,8 @@ class TestStackedBases:
     def test_bad_order(self):
         with pytest.raises(BadDimension):
             stacked_n2_bases([5, 2, 7])
+        with pytest.raises(BadDimension, match="at least one order"):
+            stacked_n2_bases([])
 
 
 class TestClosedFormProjectors:
@@ -310,6 +316,12 @@ class TestComposition:
         assert reg.basis.ell == 0
         assert np.array_equal(reg.effective_matrix(), np.eye(5))
         assert np.array_equal(build_projector(reg.basis.V), np.eye(5))
+        # the solve is a new array in z's memory order: the products
+        # downstream of it round by that order
+        Z = np.asfortranarray(np.arange(15.0).reshape(5, 3))
+        Y = reg.core_solve(Z)
+        assert np.array_equal(Y, Z) and not np.shares_memory(Y, Z)
+        assert Y.flags.f_contiguous and not Y.flags.c_contiguous
 
     def test_plain_mode_uses_matrix_as_is(self):
         reg = regularizer_from_name("L20", 6)
@@ -341,6 +353,15 @@ class TestComposition:
 
 
 class TestNameTable:
+    def test_one_row_per_kind(self):
+        # every kind the catalog names solves in closed form; the
+        # rectangular kinds have no square core to solve with
+        assert set(regops._KINDS) == set(RegularizerKind)
+        rect = {RegularizerKind.L1_RECT, RegularizerKind.L2_RECT}
+        assert {kind for kind, _, _ in regops._CATALOG.values()} == set(RegularizerKind) - rect
+        assert {kind for kind, (_, _, solve) in regops._KINDS.items()
+                if solve is None} == rect
+
     def test_canonical_names(self):
         assert REGULARIZER_NAMES == ("I", "L10", "L1dP1", "L20", "L2tP2",
                                      "P2L2tP2")
