@@ -6,13 +6,15 @@ explicit exceptions instead of silent NaNs or warnings.
 """
 from __future__ import annotations
 
-import io
-
 import numpy as np
 
 from .errors import ParseError, RankDeficient, ShapeMismatch, SingularTriangular
 
 RANK_TOL = 1e-12
+# sqrt(u), u the unit roundoff: a solution component along a singular
+# value below this fraction of the largest is amplified past 1/sqrt(u),
+# and so is the rounding that forming and applying it carries
+NEAR_SINGULAR_TOL = float(np.sqrt(np.finfo(float).eps / 2))
 
 
 def _as_float_array(a, name: str) -> np.ndarray:
@@ -63,18 +65,20 @@ def thin_qr(a) -> tuple[np.ndarray, np.ndarray]:
     return q, r
 
 
-def triangle_is_singular(min_diag, max_entry):
+def triangle_is_singular(min_diag, max_entry, tol=RANK_TOL):
     """The package's rule for a numerically singular triangle: its
-    smallest diagonal magnitude at or below RANK_TOL times its largest
-    entry magnitude.  Elementwise over arrays of triangles."""
-    return min_diag <= RANK_TOL * np.maximum(max_entry, 1e-300)
+    smallest diagonal magnitude at or below tol times its largest entry
+    magnitude.  Elementwise over arrays of triangles.  tol is RANK_TOL,
+    or NEAR_SINGULAR_TOL where a triangle near that rule is not to be
+    back-substituted."""
+    return min_diag <= tol * np.maximum(max_entry, 1e-300)
 
 
-def singular_triangles(r) -> np.ndarray:
+def singular_triangles(r, tol=RANK_TOL) -> np.ndarray:
     """triangle_is_singular for each triangle of the stack r, (..., k, k),
     read from its entries; an empty triangle is regular."""
     return triangle_is_singular(np.abs(np.diagonal(r, 0, -2, -1)).min(axis=-1, initial=np.inf),
-                                np.abs(r).max(axis=(-2, -1), initial=0.0))
+                                np.abs(r).max(axis=(-2, -1), initial=0.0), tol)
 
 
 def solve_upper_triangular(r, c) -> np.ndarray:
@@ -103,18 +107,19 @@ def solve_upper_triangular(r, c) -> np.ndarray:
     return x
 
 
-def min_norm_lstsq_solve(a, b) -> np.ndarray:
+def min_norm_lstsq_solve(a, b, rcond=RANK_TOL) -> np.ndarray:
     """Minimum-norm least-squares solution of a x = b.
 
-    Rank is decided by singular values relative to the largest one,
-    with the package-wide threshold RANK_TOL.  For consistent systems
-    this returns the solution orthogonal to the null space of a.
+    Rank is decided by singular values relative to the largest one:
+    those at or below rcond times it count as zero, by default with the
+    package-wide threshold RANK_TOL.  For consistent systems this
+    returns the solution orthogonal to the null space of a.
     """
     a = _as_float_array(a, "matrix")
     b = _as_float_array(b, "right-hand side")
     if a.ndim != 2 or b.shape[0] != a.shape[0]:
         raise ShapeMismatch("incompatible shapes for least squares")
-    x, *_ = np.linalg.lstsq(a, b, rcond=RANK_TOL)
+    x, *_ = np.linalg.lstsq(a, b, rcond=rcond)
     return x
 
 
@@ -203,9 +208,3 @@ def read_vector(f) -> np.ndarray:
     if a.ndim != 2 or (1 not in a.shape and 0 not in a.shape):
         raise ParseError("vector file must have a single row or column")
     return a.reshape(-1)
-
-
-def matrix_to_text(a) -> str:
-    buf = io.StringIO()
-    write_matrix(buf, a)
-    return buf.getvalue()

@@ -4,8 +4,8 @@ Given a matrix A and an orthonormal basis V of a target null space, the
 Frobenius-closest matrix whose null space contains span(V) is A*P with
 P the orthogonal projector onto the complement of span(V).  When the
 perturbed matrix must stay symmetric the closest choice is P*A*P.
-These operations, the projector construction, and the associated
-distances live here.
+These operations and the associated distances live here, computed
+without forming P; the dense projector is an oracle, in oracles.
 """
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadDimension, DependentVectors, NotSymmetric, RankDeficient, ShapeMismatch
+from .errors import BadDimension, NotSymmetric, RankDeficient, ShapeMismatch
 from .linalg import thin_qr
 
 _ORTHO_TOL = 1e-12
@@ -74,24 +74,6 @@ class NullSpaceBasis:
         return cls(n=n, ell=ell, V=q, raw=raw)
 
 
-def build_projector(V) -> np.ndarray:
-    """Orthogonal projector onto the complement of the column span of V,
-    I - V (V^T V)^-1 V^T.  An empty V gives the identity.
-    """
-    V = np.asarray(V, dtype=float)
-    if V.ndim == 1:
-        V = V.reshape(-1, 1)
-    n, ell = V.shape
-    if ell == 0:
-        return np.eye(n)
-    if ell > n:
-        raise ShapeMismatch("projector basis has more columns than rows")
-    # dependent columns raise here, before the Gram matrix is inverted
-    thin_qr(V)
-    omega = V.T @ V
-    return np.eye(n) - V @ np.linalg.solve(omega, V.T)
-
-
 def _check_basis(a: np.ndarray, basis: NullSpaceBasis) -> None:
     if a.ndim != 2:
         raise ShapeMismatch("expected a matrix")
@@ -111,31 +93,6 @@ def nearest_with_nullspace(a, basis: NullSpaceBasis) -> np.ndarray:
         return a.copy()
     av = a @ basis.V
     return a - av @ basis.V.T
-
-
-def nearest_two_vector(a, v1, v2) -> np.ndarray:
-    """Two-vector special case via the explicit correction matrix.
-
-    The subtracted correction C has entries assembled directly from
-    v1, v2, their norms and inner product; the result equals
-    nearest_with_nullspace with an orthonormalized {v1, v2} basis but
-    exercises an independent formula.
-    """
-    a = np.asarray(a, dtype=float)
-    v1 = np.asarray(v1, dtype=float).reshape(-1)
-    v2 = np.asarray(v2, dtype=float).reshape(-1)
-    if a.ndim != 2 or a.shape[1] != v1.shape[0] or v1.shape != v2.shape:
-        raise ShapeMismatch("matrix and vectors are not conformant")
-    n1 = float(v1 @ v1)
-    n2 = float(v2 @ v2)
-    ip = float(v1 @ v2)
-    det = n1 * n2 - ip * ip
-    if det <= _ORTHO_TOL * n1 * n2:
-        raise DependentVectors("the two null-space vectors are numerically parallel")
-    c = (n1 * np.outer(v2, v2)
-         - ip * (np.outer(v2, v1) + np.outer(v1, v2))
-         + n2 * np.outer(v1, v1)) / det
-    return a - a @ c
 
 
 def _check_symmetric(a: np.ndarray) -> None:

@@ -7,9 +7,8 @@ exactly.  The convolution problem on [-6, 6] has one closed form per
 diagonal offset, Hansen's row plus a term for the kernel's support
 edge, evaluated for all offsets in one vectorised expression; the
 Green's-function problem on [0, 1] has piecewise-bilinear kernel pieces
-and exact entry formulas.  The adaptive quadrature here serves only the
-*_by_quadrature oracles that cross-check both; its Gauss-Legendre rule
-is made on first use, so importing the module computes none.
+and exact entry formulas.  The *_by_quadrature oracles in oracles
+cross-check both.
 
 K is handed on as an operator.  At or below DENSE_MAX_N a builder
 stores dense K and a product is one GEMV, a block product one GEMM.
@@ -27,7 +26,6 @@ discrepancy principle can use it.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
@@ -40,49 +38,6 @@ from .transform import LinearOperator
 # GEMV is as fast as the structured product; see CHANGES.md for the
 # measurement.
 DENSE_MAX_N = 320
-
-
-@functools.cache
-def _gl_rule() -> tuple[np.ndarray, np.ndarray]:
-    """The 10-point Gauss-Legendre nodes and weights, made on first use:
-    only the quadrature oracles need them, and the CLI never calls one."""
-    return np.polynomial.legendre.leggauss(10)
-
-
-def _gl_panel(f, a: float, b: float) -> float:
-    nodes, weights = _gl_rule()
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    return half * float(np.dot(weights, f(mid + half * nodes)))
-
-
-def adaptive_gauss_legendre(f, a: float, b: float, tol: float = 1e-12,
-                            _depth: int = 0) -> float:
-    """Composite 10-point Gauss-Legendre with interval halving.
-
-    The error estimate compares one panel against its two halves; the
-    tolerance is absolute and split across subintervals.
-    """
-    if b <= a:
-        return 0.0
-    whole = _gl_panel(f, a, b)
-    mid = 0.5 * (a + b)
-    left = _gl_panel(f, a, mid)
-    right = _gl_panel(f, mid, b)
-    refined = left + right
-    if abs(refined - whole) <= tol or _depth >= 48:
-        return refined
-    return (adaptive_gauss_legendre(f, a, mid, 0.5 * tol, _depth + 1)
-            + adaptive_gauss_legendre(f, mid, b, 0.5 * tol, _depth + 1))
-
-
-def _integrate_pieces(f, points: list[float], tol: float) -> float:
-    """Integrate f over consecutive [points[i], points[i+1]] segments."""
-    total = 0.0
-    for lo, hi in zip(points[:-1], points[1:]):
-        if hi > lo:
-            total += adaptive_gauss_legendre(f, lo, hi, tol)
-    return total
 
 
 @dataclass(eq=False)
@@ -145,33 +100,6 @@ def _phillips_solution(s):
     return np.where(np.abs(s) < 3.0, 1.0 + np.cos(np.pi * s / 3.0), 0.0)
 
 
-def _phillips_weighted(t, h: float, center):
-    """The kernel times the triangular cell-overlap weight of one diagonal
-    offset, in the local variable t = u - center: the weight h - |t| is
-    then exact however far the offset lies from 0."""
-    return _phillips_solution(center + t) * (h - np.abs(t))
-
-
-def phillips_offset_by_quadrature(n: int, d: int, tol: float = 1e-12) -> float:
-    """One diagonal offset of the phillips matrix by adaptive quadrature.
-
-    The integrand is split at the weight's kink and at the kernel's
-    support edges.  Exists to cross-check phillips_offsets; never used
-    to build matrices.
-    """
-    if n < 1 or not 0 <= d < n:
-        raise BadDimension("offset out of range")
-    h = 12.0 / n
-    center = d * h
-    lo = max(-h, -3.0 - center)
-    hi = min(h, 3.0 - center)
-    if hi <= lo:
-        return 0.0  # kernel support and cell overlap are disjoint: exact zero
-    pts = [lo, 0.0, hi] if lo < 0.0 < hi else [lo, hi]
-    return _integrate_pieces(lambda t: _phillips_weighted(t, h, center),
-                             pts, tol) / h
-
-
 _PHILLIPS_A = np.pi / 3.0
 
 
@@ -220,18 +148,29 @@ def _phillips_matrix(offsets: np.ndarray) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(mirrored, n)[::-1].copy()
 
 
+def _smooth_length(size: int) -> int:
+    """The smallest m >= size of the form 2^a 3^b 5^c, a length at which
+    numpy's mixed-radix FFT is fast: for each 3^b 5^c, the least 2^a
+    that brings it to size."""
+    powers = range(size.bit_length())
+    return min(q << (-(-size // q) - 1).bit_length()
+               for q in (3 ** b * 5 ** c for b in powers for c in powers))
+
+
 def _phillips_fft_matvec(offsets: np.ndarray) -> Callable:
     """x -> K x for the Toeplitz K of offsets, by circulant embedding.
 
     Only the first w offsets are nonzero (positive inside the kernel's
     support, exactly 0 beyond it), so a circulant of length m >= n + w - 1
     whose first column is offsets[:w], then zeros, then offsets[w-1:0:-1],
-    holds K as its leading n x n block.  Its spectrum is taken once; each
-    product is one forward and one inverse real FFT of length m.
+    holds K as its leading n x n block.  m is the smallest 5-smooth
+    length at or above n + w - 1 (_smooth_length); the next power of two
+    can be nearly twice that.  Its spectrum is taken once; each product
+    is one forward and one inverse real FFT of length m.
     """
     n = offsets.size
     w = int(np.count_nonzero(offsets))
-    m = 1 << (n + w - 2).bit_length()   # a power of two, >= n + w - 1
+    m = _smooth_length(n + w - 1)
     col = np.zeros(m)
     col[:w] = offsets[:w]
     col[m - w + 1:] = offsets[w - 1:0:-1]
@@ -263,12 +202,6 @@ def build_phillips(n: int) -> TestProblem:
     x_hat = np.sqrt(h) * _phillips_solution(mids) + 1.0
     return _with_operator("phillips", x_hat, lambda: _phillips_matrix(offsets),
                           lambda: _phillips_fft_matvec(offsets))
-
-
-def _deriv2_kernel(s, t):
-    s = np.asarray(s, dtype=float)
-    t = np.asarray(t, dtype=float)
-    return np.where(s < t, s * (t - 1.0), t * (s - 1.0))
 
 
 def _deriv2_matrix(u: np.ndarray, v: np.ndarray, diag: np.ndarray) -> np.ndarray:
@@ -322,30 +255,6 @@ def build_deriv2(n: int) -> TestProblem:
     x_hat = np.sqrt(h) * np.exp(mids) + 1.0
     return _with_operator("deriv2", x_hat, lambda: _deriv2_matrix(u, v, diag),
                           lambda: _deriv2_matvec(u, v, diag))
-
-
-def deriv2_entry_by_quadrature(n: int, i: int, j: int, tol: float = 1e-12) -> float:
-    """Independent nested-quadrature evaluation of one Green's matrix entry.
-
-    Indices are 0-based.  Exists to cross-check the closed forms in
-    build_deriv2; never used to build matrices.
-    """
-    if n < 1 or not (0 <= i < n and 0 <= j < n):
-        raise BadDimension("cell indices out of range")
-    h = 1.0 / n
-    s_lo, s_hi = i * h, (i + 1) * h
-    t_lo, t_hi = j * h, (j + 1) * h
-
-    def inner(s: float) -> float:
-        pts = [t_lo, t_hi]
-        if t_lo < s < t_hi:
-            pts = [t_lo, s, t_hi]
-        return _integrate_pieces(lambda t: _deriv2_kernel(s, t), pts, tol)
-
-    outer = adaptive_gauss_legendre(
-        lambda s_arr: np.array([inner(float(s)) for s in np.atleast_1d(s_arr)]),
-        s_lo, s_hi, tol)
-    return outer / h
 
 
 def build_problem(name: str, n: int) -> TestProblem:

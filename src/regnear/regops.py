@@ -1,8 +1,8 @@
 """Difference-operator catalog and composed regularizers.
 
 Scaled first- and second-difference matrices, their square variants
-(zero-padded or made invertible), the closed-form null-space bases and
-projectors for constants and linear trends, and the catalog of the six
+(zero-padded or made invertible), the closed-form null-space bases for
+constants and linear trends, and the catalog of the six
 named regularizers the solver pipeline consumes, each a core composed
 with the projector of its null space and fixed by its name alone.
 
@@ -192,25 +192,6 @@ def stacked_n2_bases(orders) -> tuple[np.ndarray, np.ndarray]:
     if np.any(resid_norm > _SPAN_TOL * np.maximum(raw_norm, 1.0)):
         raise RankDeficient("raw vectors do not lie in span of the basis")
     return np.column_stack((v1, v2)), starts
-
-
-def make_projector_closed(which: str, n: int) -> np.ndarray:
-    """Entrywise closed forms of the complement projectors.
-
-    P1 removes the mean; P2 removes the best-fitting affine trend.
-    (At n = 2 the trend space is all of R^2, so P2 degenerates to the
-    zero matrix.)
-    """
-    if n < 2:
-        raise BadDimension("closed-form projectors need n >= 2")
-    if which == "P1":
-        return np.eye(n) - np.full((n, n), 1.0 / n)
-    if which == "P2":
-        h = np.arange(1, n + 1, dtype=float).reshape(-1, 1)
-        k = np.arange(1, n + 1, dtype=float).reshape(1, -1)
-        num = 2.0 * (n + 1) * (-3.0 * h + 2.0 * n + 1.0) + 6.0 * k * (2.0 * h - n - 1.0)
-        return np.eye(n) - num / (n * (n + 1.0) * (n - 1.0))
-    raise ValueError(f"unknown closed-form projector {which!r} (use 'P1' or 'P2')")
 
 
 def _first_difference_solve(z: np.ndarray, corner: float) -> np.ndarray:

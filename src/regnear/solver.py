@@ -39,15 +39,19 @@ results do not depend on the groups beside it.
 One method solves the least-squares problems of any set of columns at
 any step, and every iterate and residual is read through it: the
 iterates of the columns that stop, those kept on request and the k = 0
-stops, each combining its bases in one pass, and the misfit of a
-singular column, which forms no iterate.  The regular triangles
-back-substitute together.  When R is singular by linalg's rule, read
-from R itself (singular_triangles), the iterate takes the minimum-norm
-solution of R y = g[:k], and the residual of step k, ||A z_k - b||, is
-the hypot of g[k], the remainder and the misfit ||R y - g[:k]||.
-
-Also provides the dense Tikhonov solver used as an equivalence oracle
-and a discrepancy-principle search over the Tikhonov parameter.
+stops, each combining its bases in one pass, and the misfit of every
+column at every step, which forms no iterate.  The regular triangles
+back-substitute together.  A triangle is near singular when linalg's
+rule at NEAR_SINGULAR_TOL = sqrt(u) holds for it (singular_triangles,
+read from R itself), or when its back-substituted y is longer than
+||g|| / (NEAR_SINGULAR_TOL rmax), which finds a singular value that R
+hides far below its smallest diagonal entry.  Back substitution there
+gives a y so large that the rounding of z = V y and of A z outweighs
+the residual it would be logged with (Brown & Walker 1997 on GMRES for
+nearly singular systems).  So such a triangle takes the minimum-norm
+solution of R y = g[:k] on its singular values above NEAR_SINGULAR_TOL
+times the largest, and the residual of step k, ||A z_k - b||, is the
+hypot of g[k], the remainder and the misfit ||R y - g[:k]||.
 """
 from __future__ import annotations
 
@@ -58,9 +62,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NoRoot, ShapeMismatch, SingularSystem
-from .linalg import (checked_rhs, min_norm_lstsq_solve, singular_triangles,
-                     solve_upper_triangular)
+from .errors import ShapeMismatch
+from .linalg import (NEAR_SINGULAR_TOL, checked_rhs, min_norm_lstsq_solve,
+                     singular_triangles, solve_upper_triangular)
 
 # A new Krylov direction, made from a unit vector, shorter than this
 # fraction of ||A b|| / ||b|| ends the basis; the same test, with ||A b||
@@ -156,18 +160,23 @@ def _least_squares(R: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray
     """Minimize ||R y - g|| for a stack of m x m rotated triangles R,
     (r, m, m), and right-hand sides g, (r, m).
 
-    The triangles that linalg's rule (singular_triangles) reads as
-    regular back-substitute together, with misfit 0; each singular one
-    takes the minimum-norm least-squares solution.  Returns y, (r,
-    m), and the misfits ||R y - g||.  The rotations are orthogonal, so
-    this has the minimizers and the singular values of the unrotated
-    (m+1, m) problem, whose residual is hypot(g_m, misfit).
+    The triangles that linalg's rule at NEAR_SINGULAR_TOL
+    (singular_triangles) reads as regular back-substitute together, with
+    misfit 0.  Each near-singular one, by that rule or by a y longer
+    than ||g|| / (NEAR_SINGULAR_TOL rmax), takes the minimum-norm
+    least-squares solution on its singular values above
+    NEAR_SINGULAR_TOL times the largest.  Returns y, (r, m), and the
+    misfits ||R y - g||.  The rotations are orthogonal, so this has the
+    minimizers and the singular values of the unrotated (m+1, m)
+    problem, whose residual is hypot(g_m, misfit).
     """
-    singular = singular_triangles(R)
-    y, misfit = np.empty(g.shape), np.zeros(len(g))
-    y[~singular] = solve_upper_triangular(R[~singular], g[~singular])
-    for i in np.flatnonzero(singular):
-        y[i] = min_norm_lstsq_solve(R[i], g[i])
+    near = singular_triangles(R, NEAR_SINGULAR_TOL)
+    y, misfit = np.zeros(g.shape), np.zeros(len(g))
+    y[~near] = solve_upper_triangular(R[~near], g[~near])
+    rmax = np.abs(R).max(axis=(1, 2), initial=0.0)
+    near |= NEAR_SINGULAR_TOL * rmax * np.linalg.norm(y, axis=1) > np.linalg.norm(g, axis=1)
+    for i in np.flatnonzero(near):
+        y[i] = min_norm_lstsq_solve(R[i], g[i], NEAR_SINGULAR_TOL)
         misfit[i] = np.linalg.norm(R[i] @ y[i] - g[i])
     return y, misfit
 
@@ -177,7 +186,7 @@ def hessenberg_residual(h: np.ndarray, beta: float) -> tuple[float, np.ndarray]:
 
     h is rotated into a triangle R with right-hand side g; the residual
     is hypot(g[k], ||R y - g[:k]||), and the misfit term is nonzero only
-    when R is singular and y is the minimum-norm least-squares solution.
+    when R is near singular and y is the minimum-norm least-squares solution.
     """
     h = np.asarray(h, dtype=float)
     if h.ndim != 2 or h.shape[0] != h.shape[1] + 1:
@@ -215,7 +224,7 @@ def rrgmres_solve(A, b: np.ndarray, cfg: SolverConfig,
 
     The residual logged at step k, compared with eta * epsilon and
     returned, is ||A z_k - b|| of the iterate z_k of that step, also
-    when the rotated triangle is singular (see _least_squares).  With
+    when the rotated triangle is near singular (see _least_squares).  With
     keep_iterates the iterates of every step are returned as well.
     """
     b = checked_rhs(b, _square(A))
@@ -356,7 +365,7 @@ class _Columns:
         (len(rows), m), and their misfits ||R y - g[:m]||, at any step
         1 <= m <= k.  The first m columns of R and g[:m] are final from
         step m on.  The regular triangles back-substitute together and
-        the singular ones take the minimum-norm solve."""
+        the near-singular ones take the minimum-norm solve."""
         return _least_squares(self.R[rows, :m, :m], self.g[rows, :m])
 
     def iterates(self, rows: np.ndarray, m: int) -> np.ndarray:
@@ -445,83 +454,12 @@ def _lockstep(products: list, widths: list, B, cfgs: list, keep_iterates: bool) 
         _rotate_in(st.rot.transpose(1, 2, 0), hcol, st.g.T)
         st.R[:, :k, j], st.k = hcol[:k].T, k
 
-        residual = np.hypot(st.g[:, k], np.sqrt(_dots(st.bres, st.bres)))
-        rows = np.flatnonzero(singular_triangles(st.R[:, :k, :k]))
-        if rows.size:
-            # ||A z_k - b||^2 = g_k^2 + ||bres||^2 + misfit^2
-            residual[rows] = np.hypot(residual[rows], st.least_squares(rows, k)[1])
+        # ||A z_k - b||^2 = g_k^2 + ||bres||^2 + misfit^2, the misfit 0
+        # where R back-substitutes
+        residual = np.hypot(np.hypot(st.g[:, k], np.sqrt(_dots(st.bres, st.bres))),
+                            st.least_squares(slice(None), k)[1])
         st.res[:, k] = residual
         if leave([(residual <= st.threshold, StopReason.DISCREPANCY_MET),
                   (broken, StopReason.BREAKDOWN), (k >= st.max_iter, StopReason.MAX_ITER)],
                  k + 1):
             return results
-
-
-def tikhonov_direct_oracle(K: np.ndarray, L: np.ndarray, b: np.ndarray,
-                           mu: float) -> np.ndarray:
-    """Dense normal-equations solve of min ||K x - b||^2 + mu ||L x||^2.
-
-    Used as the ground truth the transformation must reproduce; never on
-    the fast path.
-    """
-    K = np.asarray(K, dtype=float)
-    L = np.asarray(L, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if K.ndim != 2 or L.ndim != 2 or K.shape[1] != L.shape[1]:
-        raise ShapeMismatch("K and L must share their column count")
-    if b.shape != (K.shape[0],):
-        raise ShapeMismatch("right-hand side length must match K's row count")
-    if mu < 0.0:
-        raise ValueError(f"mu must be nonnegative, got {mu!r}")
-    # imported here, not at module level: the CLI never calls this
-    # oracle, and scipy would add about 0.4 s to every CLI start
-    import scipy.linalg
-
-    a = K.T @ K + mu * (L.T @ L)
-    try:
-        factor = scipy.linalg.cho_factor(a)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularSystem("normal equations are singular; the null spaces of "
-                             "K and L intersect") from exc
-    return scipy.linalg.cho_solve(factor, K.T @ b)
-
-
-def discrepancy_mu_solve(K: np.ndarray, L: np.ndarray, b: np.ndarray,
-                         epsilon: float, eta: float = 1.01,
-                         mu_lo: float = 1e-14, mu_hi: float = 1e6,
-                         rtol: float = 1e-10) -> tuple[float, np.ndarray]:
-    """Find mu with ||K x_mu - b|| = eta * epsilon by bisection in log mu.
-
-    The residual norm grows monotonically with mu, so a sign change of
-    the bracket pins the root.  Raises NoRoot when no bracket exists
-    (noise level below the best attainable residual, or above ||b||).
-    """
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
-    target = eta * epsilon
-
-    def gap(log_mu: float) -> float:
-        x = tikhonov_direct_oracle(K, L, b, float(np.exp(log_mu)))
-        return float(np.linalg.norm(K @ x - b)) - target
-
-    lo, hi = float(np.log(mu_lo)), float(np.log(mu_hi))
-    flo, fhi = gap(lo), gap(hi)
-    grow = 0
-    while flo > 0.0 and grow < 8:
-        lo -= 10.0
-        flo = gap(lo)
-        grow += 1
-    grow = 0
-    while fhi < 0.0 and grow < 8:
-        hi += 10.0
-        fhi = gap(hi)
-        grow += 1
-    if flo > 0.0 or fhi < 0.0:
-        raise NoRoot("discrepancy level is not bracketed by any mu")
-    # imported here, not at module level: this oracle is the only user of
-    # scipy.optimize, which would add about 0.3 s to every CLI start
-    import scipy.optimize
-
-    root = scipy.optimize.brentq(gap, lo, hi, xtol=1e-12, rtol=max(rtol, 1e-15))
-    mu = float(np.exp(root))
-    return mu, tikhonov_direct_oracle(K, L, b, mu)

@@ -31,12 +31,8 @@ Mode by mode:
   the removal of the null-space component.
 
 The two-sided refit trades the exact penalty bookkeeping for data fit,
-which is the behaviour the iterative solver wants.  The exact fixed-mu
-minimizer is still recoverable: tikhonov_minimizer_via_transform solves
-the transformed problem on the subspace the substitution actually
-reaches (right/plain modes) or through the effective regularizer's
-pseudoinverse (two-sided), and maps back.  Both reproduce the dense
-general-form solution to rounding error.
+which is the behaviour the iterative solver wants; oracles recovers the
+exact fixed-mu minimizer through this transformation.
 
 The work comes in two steps.  factor_transform(K, reg) does everything
 that does not depend on the data: the split of K and, in two-sided
@@ -72,8 +68,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ShapeMismatch, SingularCore
-from .linalg import RANK_TOL, checked_rhs, thin_qr
+from .errors import ShapeMismatch
+from .linalg import checked_rhs, thin_qr
 from .regops import Mode, ProjectedRegularizer
 
 
@@ -307,60 +303,3 @@ def back_transform(ctx: StandardFormContext, z: np.ndarray) -> np.ndarray:
 def k2_operator(ctx: StandardFormContext) -> StandardFormContext:
     """The transformed operator, which is the context itself."""
     return ctx
-
-
-def _orthonormal_range(a: np.ndarray, rank: int) -> np.ndarray:
-    """Orthonormal basis of the range of a, known to have the given rank."""
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
-    if rank > 0 and s[rank - 1] <= RANK_TOL * max(1.0, float(s[0])):
-        raise SingularCore("effective regularizer has lower rank than expected")
-    return u[:, :rank]
-
-
-def tikhonov_minimizer_via_transform(K: np.ndarray, b: np.ndarray,
-                                     reg: ProjectedRegularizer,
-                                     mu: float) -> np.ndarray:
-    """Exact fixed-mu minimizer computed through the transformation.
-
-    Dense test path: solves the transformed penalized problem on the
-    subspace the substitution reaches and maps the solution back.  The
-    substitution z = core @ P @ x only sweeps the range of the effective
-    regularizer, so the identity penalty is minimized there; in
-    two-sided mode the data refit of the second split breaks that
-    bookkeeping, and the minimizer is routed through the effective
-    regularizer's pseudoinverse instead.  Agrees with the dense normal-equations
-    solution of the general-form problem to rounding error.
-    """
-    # imported here, not at module level: the CLI never calls this
-    # oracle, and scipy would add about 0.4 s to every CLI start
-    import scipy.linalg
-
-    K = np.asarray(K, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if mu <= 0.0:
-        raise ValueError("mu must be positive")
-    ctx = prepare_context(LinearOperator.from_matrix(K), b, reg)
-    n = ctx.n
-
-    if reg.mode is Mode.IDENTITY:
-        g = K.T @ K + mu * np.eye(n)
-        return scipy.linalg.cho_solve(scipy.linalg.cho_factor(g), K.T @ b)
-
-    if reg.mode in (Mode.RIGHT, Mode.PLAIN):
-        lam = reg.effective_matrix()
-        w = _orthonormal_range(lam, n - ctx.ell)
-        k2w = np.column_stack([ctx.matvec(w[:, j]) for j in range(w.shape[1])])
-        g = k2w.T @ k2w + mu * np.eye(w.shape[1])
-        s = scipy.linalg.cho_solve(scipy.linalg.cho_factor(g), k2w.T @ ctx.b1)
-        return back_transform(ctx, w @ s)
-
-    # Two-sided: the pseudoinverse of P core P is solve(P core P + V V^T, P z),
-    # because the shifted matrix acts as the core on the complement and as
-    # the identity on the null space.
-    vvt = reg.basis.V @ reg.basis.V.T
-    pinv_core = scipy.linalg.solve(reg.effective_matrix() + vvt, np.eye(n) - vvt)
-    k1 = K - ctx.Q @ (ctx.Q.T @ K)
-    khat = k1 @ pinv_core
-    g = khat.T @ khat + mu * np.eye(n)
-    zeta = scipy.linalg.cho_solve(scipy.linalg.cho_factor(g), khat.T @ ctx.b1)
-    return apply_pk_dagger(ctx, pinv_core @ zeta) + ctx.x0

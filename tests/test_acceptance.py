@@ -10,18 +10,16 @@ import numpy as np
 import pytest
 
 from regnear.cli import main
-from regnear.nearness import (NullSpaceBasis, build_projector,
-                              nearest_symmetric_with_nullspace,
+from regnear.nearness import (NullSpaceBasis, nearest_symmetric_with_nullspace,
                               nearest_with_nullspace, nearness_distance)
+from regnear.oracles import (build_projector, make_projector_closed,
+                             tikhonov_direct_oracle, tikhonov_minimizer_via_transform)
 from regnear.pipeline import run_single
 from regnear.problems import build_deriv2, build_phillips
 from regnear.regops import (RegularizerKind, make_nullspace_basis,
-                            make_projector_closed,
-                            make_regularization_matrix,
-                            regularizer_from_name)
-from regnear.solver import (SolverConfig, StopReason, rrgmres_solve,
-                            tikhonov_direct_oracle)
-from regnear.transform import LinearOperator, tikhonov_minimizer_via_transform
+                            make_regularization_matrix, regularizer_from_name)
+from regnear.solver import SolverConfig, StopReason, rrgmres_solve
+from regnear.transform import LinearOperator
 
 # Frobenius distance between the corner-corrected second-difference
 # stencil and its zeroed-edge-rows variant, independent of n.

@@ -1,4 +1,5 @@
 """Command-line harness: subcommands, config handling, exit codes, CSV."""
+import ast
 import csv
 import functools
 import itertools
@@ -821,13 +822,13 @@ def test_cli_import_leaves_out_numpy_fft():
 def test_cli_import_leaves_out_what_it_never_runs():
     # the table's median is a sorted midpoint of Python numbers, not
     # statistics (which loads fractions and decimal), the Gauss-Legendre
-    # rule of the quadrature oracles, from numpy.polynomial, is made on
-    # first use, and the pipeline module, with the layers only it uses,
-    # loads when solve or table runs
+    # rule of the quadrature oracles, from numpy.polynomial, lives with
+    # them in regnear.oracles, and the pipeline module, with the layers
+    # only it uses, loads when solve or table runs
     code = ("import sys, regnear.cli; sys.exit(sorted(m for m in "
             "('statistics', 'fractions', 'decimal', 'numpy.polynomial', "
-            "'regnear.pipeline', 'regnear.problems', 'regnear.transform', "
-            "'regnear.solver') if m in sys.modules) or None)")
+            "'regnear.oracles', 'regnear.pipeline', 'regnear.problems', "
+            "'regnear.transform', 'regnear.solver') if m in sys.modules) or None)")
     run = subprocess.run([sys.executable, "-c", code], env=_child_env(),
                          capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
@@ -852,6 +853,57 @@ for argv in (["distances", "--max-n", "20", "--out", "d.csv"],
     loaded = [m for m in unused if m in sys.modules]
     if loaded:
         sys.exit(f"{argv[0]} loaded {loaded}")
+"""
+    run = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=_child_env(),
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+
+
+def imported_modules(path):
+    """Every module a file of the package imports, at module level or in
+    a function, relative imports resolved against regnear; `from M
+    import x` gives M and M.x."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            yield from (a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["regnear" if node.level else "", node.module]))
+            yield base
+            yield from (f"{base}.{a.name}" for a in node.names)
+
+
+def test_only_the_oracles_import_scipy():
+    # the dense references live in regnear.oracles, the one module that
+    # imports scipy; no other module imports scipy or the oracles
+    package = Path(regnear.__file__).parent
+    assert "scipy.linalg" in set(imported_modules(package / "oracles.py"))
+    offenders = [(path.name, m) for path in sorted(package.glob("*.py"))
+                 if path.name != "oracles.py" for m in imported_modules(path)
+                 if m.split(".")[0] == "scipy" or m.startswith("regnear.oracles")]
+    assert offenders == []
+
+
+def test_no_command_loads_the_oracles_or_scipy(tmp_path):
+    # every command runs on numpy alone: table, solve below and above the
+    # dense crossover (at n = 400 K is structured), distances and nearest
+    write_matrix(str(tmp_path / "a.txt"), np.diag([2.0, 3.0, 4.0]) + 1.0)
+    write_matrix(str(tmp_path / "v.txt"), np.ones((3, 1)))
+    code = """
+import sys
+from regnear.cli import main
+
+for argv in (["table", "--n", "40", "--seeds", "1..2", "--out", "t.csv"],
+             ["solve", "--n", "40", "--reg", "P2L2tP2", "--out", "s"],
+             ["solve", "--n", "400", "--reg", "L20", "--out", "p"],
+             ["solve", "--problem", "deriv2", "--n", "400", "--reg", "L1dP1", "--out", "d"],
+             ["distances", "--max-n", "20", "--out", "d.csv"],
+             ["nearest", "--matrix", "a.txt", "--nullspace", "v.txt", "--out", "o.txt"]):
+    if main(argv) != 0:
+        sys.exit(f"{argv[0]} failed")
+    loaded = sorted(m for m in sys.modules
+                    if m == "regnear.oracles" or m.split(".")[0] == "scipy")
+    if loaded:
+        sys.exit(f"{' '.join(argv)} loaded {loaded}")
 """
     run = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=_child_env(),
                          capture_output=True, text=True)

@@ -12,9 +12,16 @@ from hypothesis.extra import numpy as hnp
 from regnear.errors import (ParseError, RankDeficient, ShapeMismatch,
                             SingularTriangular)
 from regnear.linalg import (RANK_TOL, frobenius_inner, frobenius_norm,
-                            matrix_to_text, min_norm_lstsq_solve, read_matrix,
-                            read_vector, solve_upper_triangular, thin_qr,
-                            write_matrix, write_vector)
+                            min_norm_lstsq_solve, read_matrix, read_vector,
+                            solve_upper_triangular, thin_qr, write_matrix,
+                            write_vector)
+
+
+def matrix_to_text(a) -> str:
+    """The text that write_matrix writes for a."""
+    buf = io.StringIO()
+    write_matrix(buf, a)
+    return buf.getvalue()
 
 
 class TestThinQR:

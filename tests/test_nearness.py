@@ -12,14 +12,12 @@ from hypothesis import strategies as st
 from regnear.errors import (BadDimension, DependentVectors, NotSymmetric,
                             RankDeficient, ShapeMismatch)
 from regnear.linalg import frobenius_inner, frobenius_norm
-from regnear.nearness import (NullSpaceBasis, build_projector,
-                              distance_from_products,
+from regnear.nearness import (NullSpaceBasis, distance_from_products,
                               nearest_symmetric_with_nullspace,
-                              nearest_two_vector, nearest_with_nullspace,
-                              nearness_distance)
+                              nearest_with_nullspace, nearness_distance)
+from regnear.oracles import build_projector, make_projector_closed, nearest_two_vector
 from regnear.regops import (RegularizerKind, make_nullspace_basis,
-                            make_projector_closed, make_regularization_matrix,
-                            stencil_product)
+                            make_regularization_matrix, stencil_product)
 
 
 # both symmetric-variant entry points share one square-and-symmetric check

@@ -8,12 +8,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from regnear.errors import BadDimension, ShapeMismatch
-from regnear.problems import (DENSE_MAX_N, NoiseInfo, adaptive_gauss_legendre,
-                              add_noise,
+from regnear.oracles import (adaptive_gauss_legendre, deriv2_entry_by_quadrature,
+                             phillips_offset_by_quadrature)
+from regnear.problems import (DENSE_MAX_N, NoiseInfo, _smooth_length, add_noise,
                               build_deriv2, build_phillips, build_problem,
-                              deriv2_entry_by_quadrature,
-                              phillips_offset_by_quadrature, phillips_offsets,
-                              relative_error)
+                              phillips_offsets, relative_error)
 from regnear.problems import TestProblem as ProblemInstance
 
 
@@ -255,6 +254,15 @@ class TestOperator:
                 terms = self.sampled_row(name, n, i) * x
                 error = abs(y[i] - math.fsum(terms.tolist()))
                 assert error <= self.SAMPLED_ROW_BOUND[name, kind] * np.abs(terms).sum()
+
+    @pytest.mark.parametrize("n", [321, 2000, 2001, 10**5, 10**6])
+    def test_fft_length_is_the_least_5_smooth_one(self, n):
+        # phillips' circulant embedding needs n + w - 1 points; its length
+        # is the least of every 2^a 3^b 5^c up to 2^21 at or above that,
+        # enumerated here apart from the loop in _smooth_length
+        size = n + int(np.count_nonzero(phillips_offsets(n))) - 1
+        smooth = {2**a * 3**b * 5**c for a in range(22) for b in range(14) for c in range(10)}
+        assert _smooth_length(size) == min(m for m in smooth if m >= size)
 
     @pytest.mark.parametrize("name", ["phillips", "deriv2"])
     @pytest.mark.parametrize("n", [DENSE_MAX_N + 1, 2000, 2001])

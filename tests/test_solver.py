@@ -1,18 +1,17 @@
 """Iterative solver tests against brute-force Krylov and dense oracles."""
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from regnear import solver
 from regnear.errors import NoRoot, ShapeMismatch, SingularSystem
 from regnear.linalg import RANK_TOL
+from regnear.oracles import discrepancy_mu_solve, tikhonov_direct_oracle
 from regnear.problems import add_noise, build_problem
 from regnear.regops import regularizer_from_name
 from regnear.solver import (RRGMRESResult, SolverConfig, StopReason,
-                            discrepancy_mu_solve, hessenberg_residual,
-                            rrgmres_block, rrgmres_solve,
-                            tikhonov_direct_oracle)
+                            hessenberg_residual, rrgmres_block, rrgmres_solve)
 from regnear.transform import LinearOperator, prepare_context
 
 
@@ -698,6 +697,49 @@ def draw_operator(rng, kind, n):
     return a, B, [SolverConfig(epsilon=0.0, max_iter=12)] * 3
 
 
+def near_singular_system(d, extra, p, seed):
+    """A d x d down-shift beside an extra x extra block 2I + 0.25 G, with
+    a Gaussian b whose first entry is scaled by 10^-p; G and then b are
+    drawn from default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+    a = np.zeros((d + extra, d + extra))
+    a[:d, :d] = np.eye(d, k=-1)
+    a[d:, d:] = 2.0 * np.eye(extra) + 0.25 * rng.standard_normal((extra, extra))
+    b = rng.standard_normal(d + extra)
+    b[0] *= 10.0 ** -p
+    return a, b
+
+
+def spied_run(a, b, frac):
+    """RRGMRES on (a, b) with epsilon = frac ||b|| / 1.01, keeping its
+    iterates: its config, its result and the smallest ratio dmin/rmax
+    of the rotated triangles it read."""
+    ratios = []
+
+    def spy(r, tol):
+        ratios.append(np.min(np.abs(np.diagonal(r, 0, -2, -1)).min(axis=-1, initial=np.inf)
+                             / np.abs(r).max(axis=(-2, -1), initial=1e-300)))
+        return singular_triangles(r, tol)
+
+    singular_triangles = solver.singular_triangles
+    cfg = SolverConfig(epsilon=frac * np.linalg.norm(b) / 1.01)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "singular_triangles", spy)
+        res = rrgmres_solve(LinearOperator.from_matrix(a), b, cfg, keep_iterates=True)
+    return cfg, res, min(ratios)
+
+
+def assert_logs_the_iterate_residual(a, b, cfg, res):
+    """Every logged residual is ||A z_k - b|| of the kept iterate to
+    1e-8 ||b||, and a discrepancy stop returns an iterate that meets the
+    threshold to that accuracy."""
+    bnorm = np.linalg.norm(b)
+    for z, (_, logged, _) in zip(res.iterates, res.log.entries[1:]):
+        assert abs(logged - np.linalg.norm(a @ z - b)) <= 1e-8 * bnorm
+    if res.stop_reason is StopReason.DISCREPANCY_MET:
+        assert np.linalg.norm(a @ res.z - b) <= cfg.eta * cfg.epsilon + 1e-8 * bnorm
+
+
 class TestIterates:
     @settings(max_examples=40, deadline=None)
     @given(kind=st.sampled_from(["gaussian", "shift", 0, 1]), n=st.integers(4, 30),
@@ -747,9 +789,6 @@ class TestIterates:
                 ks = [r.k for r in run()]
             assert len(calls) == 2 * max(ks) + len({k for k in ks if k >= 1}), ks
 
-    @pytest.mark.xfail(strict=True, reason="a rotated triangle just above the singular "
-                       "rule back-substitutes to an iterate whose residual the log does "
-                       "not report (ROADMAP item 5)")
     def test_near_singular_triangle_logs_the_iterate_residual(self):
         # the 5 x 5 down-shift: step 4's triangle is regular by the rule,
         # but its iterate has entries near 4e19, and the logged 1.85e-3
@@ -761,6 +800,34 @@ class TestIterates:
         bnorm = np.linalg.norm(b)
         for z, (_, logged, _) in zip(res.iterates, res.log.entries[1:]):
             assert abs(logged - np.linalg.norm(a @ z - b)) <= 1e-8 * bnorm
+
+    @pytest.mark.parametrize("frac", [0.0, 0.4])
+    def test_shift_beside_a_shifted_gaussian_block(self, frac):
+        # a 4 x 4 down-shift beside the block 2I + 0.25 G: the residual
+        # levels off at 0.478 ||b||, and step 7's triangle has a ratio of
+        # 4.6e-13, where the run breaks down
+        a, b = near_singular_system(4, 4, 0, 4251443)
+        cfg, res, ratio = spied_run(a, b, frac)
+        assert 1e-14 <= ratio <= 1e-8
+        assert_logs_the_iterate_residual(a, b, cfg, res)
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(3, 8), extra=st.sampled_from([0, 4]), p=st.integers(0, 8),
+           frac=st.sampled_from([0.0, 0.0, 1e-6, 1e-3]), seed=st.integers(0, 2**32 - 1))
+    # ratios 1.0e-10 and 7.6e-12, where back substitution logged residuals
+    # 8386 ||b|| and 981 ||b|| below those of the iterates
+    @example(d=6, extra=0, p=3, frac=0.0, seed=0)
+    @example(d=7, extra=4, p=3, frac=0.0, seed=3)
+    def test_near_singular_triangles_log_the_iterate_residual(self, d, extra, p, frac,
+                                                              seed):
+        # the down-shift's null vector enters the range-restricted space,
+        # and a first entry of b scaled by 10^-p puts the smallest ratio
+        # dmin/rmax of a rotated triangle anywhere from 1 to below 1e-14;
+        # the draws that reach [1e-14, 1e-8] count
+        a, b = near_singular_system(d, extra, p, seed)
+        cfg, res, ratio = spied_run(a, b, frac)
+        assume(1e-14 <= ratio <= 1e-8)
+        assert_logs_the_iterate_residual(a, b, cfg, res)
 
 
 class TestTikhonovOracle:

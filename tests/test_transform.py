@@ -10,13 +10,14 @@ from hypothesis import strategies as st
 
 from regnear.errors import RankDeficient, ShapeMismatch
 from regnear.linalg import thin_qr
+from regnear.oracles import tikhonov_direct_oracle, tikhonov_minimizer_via_transform
 from regnear.problems import add_noise, build_phillips, build_problem
 from regnear.regops import REGULARIZER_NAMES, Mode, regularizer_from_name
-from regnear.solver import SolverConfig, rrgmres_solve, tikhonov_direct_oracle
+from regnear.solver import SolverConfig, rrgmres_solve
 from regnear.transform import (LinearOperator, StandardFormContext,
                                apply_pk_dagger, back_transform,
                                factor_transform, k2_operator, prepare_context,
-                               project_rhs, tikhonov_minimizer_via_transform)
+                               project_rhs)
 
 
 class TestLinearOperator:
