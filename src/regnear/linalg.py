@@ -96,8 +96,6 @@ def solve_upper_triangular(r, c) -> np.ndarray:
         raise ShapeMismatch("triangular matrix must be square")
     if c.shape != r.shape[:-1]:
         raise ShapeMismatch("right-hand side length does not match")
-    if r.shape[-1] == 0:
-        return np.zeros_like(c)
     if np.any(singular_triangles(r)):
         raise SingularTriangular("diagonal entry too small for back substitution")
     x = np.empty(c.shape)

@@ -68,8 +68,6 @@ class NullSpaceBasis:
         if raw.ndim != 2:
             raise ShapeMismatch("expected a 2-d array of column vectors")
         n, ell = raw.shape
-        if ell == 0:
-            return cls.empty(n)
         q, _ = thin_qr(raw)
         return cls(n=n, ell=ell, V=q, raw=raw)
 
@@ -85,12 +83,11 @@ def nearest_with_nullspace(a, basis: NullSpaceBasis) -> np.ndarray:
     """Frobenius-closest matrix to `a` that annihilates span(basis).
 
     Equals a @ P for the orthogonal projector P; computed without
-    forming P.
+    forming P.  An empty basis subtracts exact zeros, so a comes back
+    bit for bit.
     """
     a = np.asarray(a, dtype=float)
     _check_basis(a, basis)
-    if basis.ell == 0:
-        return a.copy()
     av = a @ basis.V
     return a - av @ basis.V.T
 
@@ -113,6 +110,8 @@ def nearest_symmetric_with_nullspace(a, basis: NullSpaceBasis) -> np.ndarray:
     _check_basis(a, basis)
     _check_symmetric(a)
     if basis.ell == 0:
+        # the general formula's + V vtav V^T adds +0.0, which would turn
+        # a -0.0 entry into +0.0
         return a.copy()
     V = basis.V
     av = a @ V            # n x ell
@@ -153,8 +152,6 @@ def nearness_distance(a, basis: NullSpaceBasis, symmetric: bool = False) -> floa
     """
     a = np.asarray(a, dtype=float)
     _check_basis(a, basis)
-    if basis.ell == 0:
-        return 0.0
     av = a @ basis.V
     if not symmetric:
         return distance_from_products(basis.V, av)

@@ -34,7 +34,7 @@ from .errors import (BadDimension, DependentVectors, NoRoot, ShapeMismatch, Sing
 from .linalg import RANK_TOL, thin_qr
 from .nearness import _ORTHO_TOL
 from .problems import _phillips_solution
-from .regops import Mode, ProjectedRegularizer
+from .regops import Mode, ProjectedRegularizer, RegularizerKind
 from .transform import LinearOperator, apply_pk_dagger, back_transform, prepare_context
 
 # --- Tikhonov --------------------------------------------------------------
@@ -131,7 +131,7 @@ def tikhonov_minimizer_via_transform(K: np.ndarray, b: np.ndarray,
     ctx = prepare_context(LinearOperator.from_matrix(K), b, reg)
     n = ctx.n
 
-    if reg.mode is Mode.IDENTITY:
+    if reg.kind is RegularizerKind.IDENTITY:
         g = K.T @ K + mu * np.eye(n)
         return scipy.linalg.cho_solve(scipy.linalg.cho_factor(g), K.T @ b)
 

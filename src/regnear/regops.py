@@ -46,9 +46,9 @@ class RegularizerKind(str, Enum):
 
 
 class Mode(str, Enum):
-    """How the core matrix and the projector combine into the regularizer."""
+    """How the core matrix and the projector combine into the regularizer.
+    The identity is the RIGHT case with an empty basis, whose P is I."""
 
-    IDENTITY = "IDENTITY"      # L = I, no transformation needed
     RIGHT = "RIGHT"            # L = core @ P
     TWO_SIDED = "TWO_SIDED"    # L = P @ core @ P
     PLAIN = "PLAIN"            # L = core, used as-is (square, singular)
@@ -256,9 +256,10 @@ _KINDS = {
 # The named regularizers, in canonical output order: the kind of each
 # one's core, the mode that composes it and the null-space basis its
 # projector removes (first differences annihilate constants, second
-# differences affine trends).  A name fixes a ProjectedRegularizer.
+# differences affine trends, the identity nothing: its basis is
+# empty).  A name fixes a ProjectedRegularizer.
 _CATALOG = {
-    "I": (RegularizerKind.IDENTITY, Mode.IDENTITY, None),
+    "I": (RegularizerKind.IDENTITY, Mode.RIGHT, None),
     "L10": (RegularizerKind.L1_ZERO, Mode.PLAIN, "N1"),
     "L1dP1": (RegularizerKind.L1_DELTA, Mode.RIGHT, "N1"),
     "L20": (RegularizerKind.L2_ZERO, Mode.PLAIN, "N2"),
@@ -289,8 +290,8 @@ class ProjectedRegularizer:
     mode (how core and projector compose) and basis (the null space the
     projector enforces).  The kind's closed-form solve is bound to
     delta once, here, with no factorization, and no dense core is
-    stored: Ltilde (the regularizer itself in PLAIN and IDENTITY modes)
-    is assembled from (kind, n, delta) each time it is read.  An
+    stored: Ltilde (the regularizer itself in PLAIN mode and for I) is
+    assembled from (kind, n, delta) each time it is read.  An
     unknown name raises ValueError, and a numerically singular core
     raises SingularCore.
     """
@@ -350,7 +351,8 @@ class ProjectedRegularizer:
         In RIGHT mode it is the nearest matrix to the core whose null
         space contains span(basis), core @ P; in TWO_SIDED mode the
         nearest symmetric one, P @ core @ P.  Both are computed by
-        nearness.  In PLAIN and IDENTITY modes it is the core.
+        nearness; for I, whose basis is empty, that is the core itself.
+        In PLAIN mode it is the core.
         """
         if self.mode is Mode.RIGHT:
             return nearest_with_nullspace(self.Ltilde, self.basis)

@@ -347,17 +347,17 @@ class _Columns:
             big[tuple(map(slice, small.shape))] = small
             setattr(self, name, big)
 
-    def extend(self, k: int, v: np.ndarray, broken) -> None:
+    def extend(self, k: int, v: np.ndarray) -> None:
         """Store the basis vectors v_k, the rows of v, and split b along
-        them: g_k = v_k . bres, and bres loses that part.  A column that
-        broken marks has no new direction, so its g_k is 0 and its bres
-        stays.  The explicit remainder avoids the cancellation that
-        ||b||^2 - sum g_j^2 suffers when the basis captures b almost
-        entirely."""
+        them: g_k = v_k . bres, and bres loses that part.  A zero v_k,
+        the direction of a column whose new vector vanished, gives g_k
+        = 0 and leaves bres as it was.  The explicit remainder avoids
+        the cancellation that ||b||^2 - sum g_j^2 suffers when the basis
+        captures b almost entirely."""
         if k % SIZE == 0:
             self.grow()
         self.chunks[k // SIZE][:, k % SIZE] = v
-        self.g[:, k] = np.where(broken, 0.0, _dots(v, self.bres))
+        self.g[:, k] = _dots(v, self.bres)
         self.bres = self.bres - self.g[:, k, None] * v
 
     def least_squares(self, rows, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -432,7 +432,7 @@ def _lockstep(products: list, widths: list, B, cfgs: list, keep_iterates: bool) 
     empty = st.beta0 <= BREAKDOWN_TOL * st.res[:, 0]
     if leave([(empty, StopReason.BREAKDOWN)], 1):
         return results
-    st.extend(0, ab[~empty] / st.beta0[:, None], False)
+    st.extend(0, ab[~empty] / st.beta0[:, None])
 
     for k in itertools.count(1):  # every column leaves by its max_iter
         j = k - 1
@@ -448,9 +448,11 @@ def _lockstep(products: list, widths: list, B, cfgs: list, keep_iterates: bool) 
         hkk = np.sqrt(_dots(w, w))
         hcol = np.concatenate(((h + corr).T, hkk[None]))
 
-        # the basis of a column whose new direction vanishes cannot grow
+        # the basis of a column whose new direction vanishes cannot grow;
+        # its b is still split along any w left, so that the residual
+        # below is that of its iterate
         broken = hkk <= BREAKDOWN_TOL * st.beta0 / st.res[:, 0]
-        st.extend(k, w / np.where(broken, 1.0, hkk)[:, None], broken)
+        st.extend(k, w / np.where(hkk > 0.0, hkk, 1.0)[:, None])
         _rotate_in(st.rot.transpose(1, 2, 0), hcol, st.g.T)
         st.R[:, :k, j], st.k = hcol[:k].T, k
 

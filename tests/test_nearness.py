@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from regnear.errors import (BadDimension, DependentVectors, NotSymmetric,
                             RankDeficient, ShapeMismatch)
@@ -325,6 +326,28 @@ class TestNearnessDistance:
 
     def test_empty_basis(self):
         assert nearness_distance(np.eye(3), NullSpaceBasis.empty(3)) == 0.0
+
+    @pytest.mark.parametrize("symmetric_op", SYMMETRIC_OPS, ids=SYMMETRIC_IDS)
+    @pytest.mark.parametrize("bad", [0.5, np.nan], ids=["asymmetric", "nan"])
+    def test_empty_basis_still_checks_symmetry(self, symmetric_op, bad):
+        # an empty basis leaves nothing to project, but the symmetric
+        # variant must still refuse what it would refuse with a basis
+        a = np.eye(3)
+        a[0, 1] = bad
+        with pytest.raises(NotSymmetric):
+            symmetric_op(a, NullSpaceBasis.empty(3))
+
+    @settings(max_examples=100, deadline=None)
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1,
+                                                   max_side=6),
+                      elements=st.one_of(st.just(-0.0), st.floats(-1e300, 1e300))))
+    def test_empty_basis_takes_the_general_path(self, a):
+        # A - (A V) V^T with V of n x 0 subtracts exact zeros: a copy of
+        # A to the bit, -0.0 kept, and a distance of 0.0
+        basis = NullSpaceBasis.empty(a.shape[1])
+        out = nearest_with_nullspace(a, basis)
+        assert out.tobytes() == a.tobytes() and not np.shares_memory(out, a)
+        assert nearness_distance(a, basis) == 0.0
 
     def test_stencil_products_give_the_dense_bits(self):
         # the distances table passes the stencil product L2_TILDE V as

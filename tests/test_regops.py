@@ -342,7 +342,7 @@ class TestComposition:
         reg = regularizer_from_name(name, n, delta)
         eff = reg.effective_matrix()
         assert np.max(np.abs(eff @ reg.basis.V), initial=0.0) <= 1e-12
-        if reg.mode in (Mode.RIGHT, Mode.TWO_SIDED):
+        if reg.mode in (Mode.RIGHT, Mode.TWO_SIDED) and reg.basis.ell:
             p = make_projector_closed(f"P{reg.basis.ell}", n)
             expected = reg.Ltilde @ p
             if reg.mode is Mode.TWO_SIDED:
@@ -367,7 +367,7 @@ class TestNameTable:
                                      "P2L2tP2")
 
     @pytest.mark.parametrize("name,kind,mode", [
-        ("I", RegularizerKind.IDENTITY, Mode.IDENTITY),
+        ("I", RegularizerKind.IDENTITY, Mode.RIGHT),
         ("L10", RegularizerKind.L1_ZERO, Mode.PLAIN),
         ("L1dP1", RegularizerKind.L1_DELTA, Mode.RIGHT),
         ("L20", RegularizerKind.L2_ZERO, Mode.PLAIN),

@@ -801,6 +801,23 @@ class TestIterates:
         for z, (_, logged, _) in zip(res.iterates, res.log.entries[1:]):
             assert abs(logged - np.linalg.norm(a @ z - b)) <= 1e-8 * bnorm
 
+    @pytest.mark.parametrize("p", [7, 8, 9, 10])
+    def test_breakdown_step_logs_the_iterate_residual(self, p):
+        # the 3 x 3 down-shift with b_0 scaled by 10^-p breaks down at
+        # step 1 with a new direction small but not zero (hkk near 1e-15)
+        # and y near 8e6: b's part along that direction belongs in g_1,
+        # or the log misses ||A z - b|| by about |y| hkk, 1.6e-8 ||b||
+        # at p = 7
+        a = np.eye(3, k=-1)
+        b = np.random.default_rng(1).standard_normal(3)
+        b[0] *= 10.0 ** -p
+        res = rrgmres_solve(LinearOperator.from_matrix(a), b, SolverConfig(epsilon=0.0),
+                            keep_iterates=True)
+        assert res.stop_reason is StopReason.BREAKDOWN
+        bnorm = np.linalg.norm(b)
+        for z, (_, logged, _) in zip(res.iterates, res.log.entries[1:]):
+            assert abs(logged - np.linalg.norm(a @ z - b)) <= 1e-12 * bnorm
+
     @pytest.mark.parametrize("frac", [0.0, 0.4])
     def test_shift_beside_a_shifted_gaussian_block(self, frac):
         # a 4 x 4 down-shift beside the block 2I + 0.25 G: the residual

@@ -57,8 +57,16 @@ ROWS = ["deriv2,200,0.0001,L10,1,30,DISCREPANCY_MET,32,1,31,0,0.125",
         "deriv2,200,0.0001,L10,2,29,DISCREPANCY_MET,31,1,30,0,0.25"]
 
 
-def manifest(rows, files=None):
-    cells = golden.read_cells(HEADER + "\n".join(rows) + "\n")
+# the column order of a run CSV, which ends in the residual
+RUN_HEADER = ("problem,n,nu,regularizer,seed,iterations,matvecs,relative_error,"
+              "stop_reason,matvecs_prepare,matvecs_solve,matvecs_back,residual\n")
+RUN_ROWS = ["phillips,30,0,I,1,12,13,0.5,BREAKDOWN,0,13,0,7.5808746139063142e-15",
+            "phillips,30,0,I,3,12,13,0.75,BREAKDOWN,0,13,0,2.5e-15",
+            "phillips,30,0,I,3,12,13,0.75,BREAKDOWN,0,13,0,2.5e-15"]
+
+
+def manifest(rows, files=None, header=HEADER):
+    cells = golden.read_cells(header + "\n".join(rows) + "\n")
     return {"bytecode": "compiled at every start",
             "cases": {"table": {"args": ["table"], "exit": 0, "stdout": "aa",
                                 "stderr": "e0", "files": files or {"t.csv": "f0"},
@@ -107,3 +115,22 @@ class TestGoldenCompare:
         assert not identical
         assert lines[1:] == ["bad: differs in stderr", "k, stop reason and matvecs "
                              "equal in 0 of the 0 cells of the cases that differ"]
+
+    def test_reads_and_compares_the_residual(self):
+        # a repeated seed is a cell of its own; seed 1's residual moves by
+        # two units in the last place and the repeat of seed 3 by 0.04,
+        # while no relative_error moves
+        cells = golden.read_cells(RUN_HEADER + "\n".join(RUN_ROWS) + "\n")
+        assert sorted(cells) == ["phillips/30/0/I/1", "phillips/30/0/I/3",
+                                 "phillips/30/0/I/3#2"]
+        assert cells["phillips/30/0/I/3#2"]["residual"] == "2.5e-15"
+        moved = [RUN_ROWS[0].replace("063142e-15", "063173e-15"), RUN_ROWS[1],
+                 RUN_ROWS[2].replace("2.5e-15", "2.6e-15")]
+        identical, lines = golden.compare(
+            manifest(moved, files={"t.csv": "f1"}, header=RUN_HEADER),
+            manifest(RUN_ROWS, header=RUN_HEADER), {})
+        assert not identical
+        assert lines[1:] == [
+            "table: differs in file t.csv",
+            "k, stop reason and matvecs equal in 3 of the 3 cells of the cases that differ",
+            "residual moved in 2 cells; largest move 0.04, phillips/30/0/I/3#2"]

@@ -12,7 +12,7 @@ from regnear.errors import RankDeficient, ShapeMismatch
 from regnear.linalg import thin_qr
 from regnear.oracles import tikhonov_direct_oracle, tikhonov_minimizer_via_transform
 from regnear.problems import add_noise, build_phillips, build_problem
-from regnear.regops import REGULARIZER_NAMES, Mode, regularizer_from_name
+from regnear.regops import REGULARIZER_NAMES, Mode, RegularizerKind, regularizer_from_name
 from regnear.solver import SolverConfig, rrgmres_solve
 from regnear.transform import (LinearOperator, StandardFormContext,
                                apply_pk_dagger, back_transform,
@@ -340,7 +340,7 @@ class TestProjectedPseudoinverse:
 def assemble_k2(K, ctx, reg):
     """Dense reference for the transformed operator, mode by mode."""
     n = K.shape[1]
-    if reg.mode is Mode.IDENTITY:
+    if reg.kind is RegularizerKind.IDENTITY:
         return K.copy()
     if reg.mode is Mode.PLAIN:
         core_inv = np.linalg.pinv(reg.Ltilde)

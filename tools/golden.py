@@ -8,7 +8,7 @@ with a usage error.  Each run is a child process with OMP_NUM_THREADS=1
 in a directory of its own.  Its manifest entry holds the exit code, the
 sha256 of stdout, stderr and every file it wrote, and, for every CSV
 row of a table or solve, the cell's iterations, stop reason, the four
-matvec columns and relative_error.
+matvec columns, relative_error and residual.
 
 Run from the repository root:
 
@@ -21,7 +21,8 @@ The first form runs the set on the working tree and writes the manifest
 reports either "byte-identical" or, per table cell that differs,
 whether k, the stop reason and the matvecs are equal, how far
 relative_error moved, and how far it is from
-tests/data/default_sweep.csv.  It exits 0 when the two sides are
+tests/data/default_sweep.csv; and in how many cells the residual
+moved, and by how much at most.  It exits 0 when the two sides are
 byte-identical and 1 otherwise.
 
 Both sides run in the same bytecode state: each gets its own empty
@@ -81,13 +82,20 @@ def _sha(data: bytes) -> str:
 
 
 def read_cells(text: str) -> dict:
-    """The cells of a run CSV, keyed 'problem/n/nu/regularizer/seed'."""
-    cells = {}
+    """The cells of a run CSV, keyed 'problem/n/nu/regularizer/seed',
+    each with its residual when the CSV has that column.  A row that
+    repeats a key, as a table given a regularizer or seed twice writes,
+    is a cell of its own, keyed with '#2', '#3' and so on."""
+    cells, seen = {}, {}
     for row in csv.DictReader(io.StringIO(text)):
-        cells["/".join(row[c] for c in CELL_KEY)] = {
-            "k": row["iterations"], "stop": row["stop_reason"],
-            "matvecs": [row[c] for c in MATVECS],
-            "relative_error": row["relative_error"]}
+        cell = {"k": row["iterations"], "stop": row["stop_reason"],
+                "matvecs": [row[c] for c in MATVECS],
+                "relative_error": row["relative_error"]}
+        if "residual" in row:
+            cell["residual"] = row["residual"]
+        key = "/".join(row[c] for c in CELL_KEY)
+        seen[key] = seen.get(key, 0) + 1
+        cells[key if seen[key] == 1 else f"{key}#{seen[key]}"] = cell
     return cells
 
 
@@ -141,7 +149,7 @@ def compare(new: dict, old: dict, fixture: dict) -> tuple:
     lines = [f"bytecode: {new['bytecode']}"]
     if new["bytecode"] != old["bytecode"]:
         lines.append(f"bytecode differs: the other side was {old['bytecode']}")
-    moved, compared, kept = [], 0, 0
+    moved, residuals, compared, kept = [], [], 0, 0
     identical = True
     for name in sorted(set(new["cases"]) | set(old["cases"])):
         a, b = new["cases"].get(name), old["cases"].get(name)
@@ -171,6 +179,8 @@ def compare(new: dict, old: dict, fixture: dict) -> tuple:
                         if ref else None)
                 moved.append((_move(ca["relative_error"], cb["relative_error"]), key,
                               all(same.values()), dist))
+            if ca.get("residual") != cb.get("residual"):
+                residuals.append((_move(ca["residual"], cb["residual"]), key))
     if identical:
         return True, lines + ["byte-identical"]
     lines.append(f"k, stop reason and matvecs equal in {kept} of the {compared} cells "
@@ -184,6 +194,10 @@ def compare(new: dict, old: dict, fixture: dict) -> tuple:
             where = "not in the fixture" if dist is None else f"{dist:.2g} from the fixture"
             lines.append(f"  {key}: moved {move:.2g}, k/stop/matvecs "
                          f"{'equal' if same else 'DIFFER'}, {where}")
+    if residuals:
+        move, key = max(residuals)
+        lines.append(f"residual moved in {len(residuals)} cells; largest move "
+                     f"{move:.2g}, {key}")
     return False, lines
 
 
