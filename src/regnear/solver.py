@@ -26,8 +26,9 @@ matvec serves it.
 The running columns share one state, a struct of arrays along the
 column axis (_Columns): each column's basis, the remainder of b, R, g,
 the rotations, its residual history and its stopping data.  R is the
-only record of the singular rule, and the residual history the only
-record of the log, which a column's result reads when it leaves.
+only record of the singular rule, the residual history the only record
+of the log and the solutions y of each step the only record of the
+iterates, all of which a column's result reads when it leaves.
 Gram-Schmidt, the rotations, the norms and the stop tests run once per
 step for every column.  The state grows by a chunk of steps at a time,
 copying only the small arrays and never the stored basis, so max_iter
@@ -36,22 +37,25 @@ one take, which keeps each group's columns contiguous.  So a column's
 result is the one it would get alone, to rounding, and a group's
 results do not depend on the groups beside it.
 
-One method solves the least-squares problems of any set of columns at
-any step, and every iterate and residual is read through it: the
-iterates of the columns that stop, those kept on request and the k = 0
-stops, each combining its bases in one pass, and the misfit of every
-column at every step, which forms no iterate.  The regular triangles
-back-substitute together.  A triangle is near singular when linalg's
-rule at NEAR_SINGULAR_TOL = sqrt(u) holds for it (singular_triangles,
-read from R itself), or when its back-substituted y is longer than
-||g|| / (NEAR_SINGULAR_TOL rmax), which finds a singular value that R
-hides far below its smallest diagonal entry.  Back substitution there
-gives a y so large that the rounding of z = V y and of A z outweighs
-the residual it would be logged with (Brown & Walker 1997 on GMRES for
-nearly singular systems).  So such a triangle takes the minimum-norm
-solution of R y = g[:k] on its singular values above NEAR_SINGULAR_TOL
-times the largest, and the residual of step k, ||A z_k - b||, is the
-hypot of g[k], the remainder and the misfit ||R y - g[:k]||.
+Each step solves the least-squares problems of its running columns
+once, and every iterate and residual reads that solve: it gives the
+misfit of every column at the step, and its solutions y, kept as one
+array per step (ys), give every iterate, those of the columns that stop
+and those kept on request, each set combining its bases in one pass; a
+k = 0 stop returns z = 0.  The regular triangles back-substitute
+together, each as it would alone, so a column's y is the one it would
+get alone, and leaving the loop solves nothing again.  A triangle is
+near singular when linalg's rule at NEAR_SINGULAR_TOL = sqrt(u) holds
+for it (singular_triangles, read from R itself), or when its
+back-substituted y is longer than ||g|| / (NEAR_SINGULAR_TOL rmax),
+which finds a singular value that R hides far below its smallest
+diagonal entry.  Back substitution there gives a y so large that the
+rounding of z = V y and of A z outweighs the residual it would be
+logged with (Brown & Walker 1997 on GMRES for nearly singular systems).
+So such a triangle takes the minimum-norm solution of R y = g[:k] on
+its singular values above NEAR_SINGULAR_TOL times the largest, and the
+residual of step k, ||A z_k - b||, is the hypot of g[k], the remainder
+and the misfit ||R y - g[:k]||.
 """
 from __future__ import annotations
 
@@ -94,8 +98,9 @@ class SolverConfig:
             raise ValueError(f"eta must be finite and exceed 1, got {self.eta!r}")
         if not 0.0 <= self.epsilon < np.inf:
             raise ValueError(f"epsilon must be finite and nonnegative, got {self.epsilon!r}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be at least 1, got {self.max_iter!r}")
+        if (not isinstance(self.max_iter, (int, np.integer)) or isinstance(self.max_iter, bool)
+                or self.max_iter < 1):
+            raise ValueError(f"max_iter must be an integer of at least 1, got {self.max_iter!r}")
 
 
 @dataclass
@@ -316,23 +321,27 @@ class _Columns:
     problem: the triangle R (s, cap, cap), its right-hand side g (s,
     cap) and the cosines and sines of the rotations (s, 2, cap).  R is
     the only record of the singular rule, read by _least_squares.  The
-    basis is a list of chunks of SIZE steps, each (s, SIZE, n), and
-    widths counts the running columns of each group, whose columns are
-    contiguous and in group order.
+    basis is a list of chunks of SIZE steps, each (s, SIZE, n); ys is a
+    list with one entry per step m = 1..k, the solutions y of that
+    step's least-squares problems, (s, m), the only record of the
+    iterates; and widths counts the running columns of each group,
+    whose columns are contiguous and in group order.
     """
 
     def __init__(self, n: int, widths: list, **arrays):
         self.__dict__.update(arrays)
-        self.n, self.widths, self.chunks, self.k = n, list(widths), [], 0
+        self.n, self.widths, self.chunks, self.ys, self.k = n, list(widths), [], [], 0
 
     def take(self, keep: np.ndarray) -> None:
-        """Keep the columns that keep marks: every array, the basis chunk
-        by chunk so that it is never held twice, and the widths."""
+        """Keep the columns that keep marks: every array, the basis chunks
+        and the ys one entry at a time so that nothing is held twice, and
+        the widths."""
         for name, a in list(vars(self).items()):
             if isinstance(a, np.ndarray):
                 setattr(self, name, a[keep])
-        for i, c in enumerate(self.chunks):
-            self.chunks[i] = c[keep]
+        for entries in (self.chunks, self.ys):
+            for i, a in enumerate(entries):
+                entries[i] = a[keep]
         self.widths = np.bincount(self.group, minlength=len(self.widths)).tolist()
 
     def grow(self) -> None:
@@ -360,21 +369,13 @@ class _Columns:
         self.g[:, k] = _dots(v, self.bres)
         self.bres = self.bres - self.g[:, k, None] * v
 
-    def least_squares(self, rows, m: int) -> tuple[np.ndarray, np.ndarray]:
-        """The coefficients y of the iterates z_m of the columns rows,
-        (len(rows), m), and their misfits ||R y - g[:m]||, at any step
-        1 <= m <= k.  The first m columns of R and g[:m] are final from
-        step m on.  The regular triangles back-substitute together and
-        the near-singular ones take the minimum-norm solve."""
-        return _least_squares(self.R[rows, :m, :m], self.g[rows, :m])
-
     def iterates(self, rows: np.ndarray, m: int) -> np.ndarray:
         """The iterates z_m of the columns rows, (len(rows), n), at any
-        step m <= k, their bases combined in one pass; m = 0 gives z = 0."""
+        step m <= k: their bases combined in one pass with ys[m - 1],
+        the solutions that step m made; m = 0 gives z = 0."""
         if m == 0:
             return np.zeros((rows.size, self.n))
-        y = self.least_squares(rows, m)[0]
-        return _combination((p[rows] for p in _pieces(self.chunks, m)), y)
+        return _combination((p[rows] for p in _pieces(self.chunks, m)), self.ys[m - 1][rows])
 
 
 def _lockstep(products: list, widths: list, B, cfgs: list, keep_iterates: bool) -> list:
@@ -456,10 +457,11 @@ def _lockstep(products: list, widths: list, B, cfgs: list, keep_iterates: bool) 
         _rotate_in(st.rot.transpose(1, 2, 0), hcol, st.g.T)
         st.R[:, :k, j], st.k = hcol[:k].T, k
 
-        # ||A z_k - b||^2 = g_k^2 + ||bres||^2 + misfit^2, the misfit 0
-        # where R back-substitutes
-        residual = np.hypot(np.hypot(st.g[:, k], np.sqrt(_dots(st.bres, st.bres))),
-                            st.least_squares(slice(None), k)[1])
+        # the one least-squares solve of step k; ||A z_k - b||^2 = g_k^2 +
+        # ||bres||^2 + misfit^2, the misfit 0 where R back-substitutes
+        y, misfit = _least_squares(st.R[:, :k, :k], st.g[:, :k])
+        st.ys.append(y)
+        residual = np.hypot(np.hypot(st.g[:, k], np.sqrt(_dots(st.bres, st.bres))), misfit)
         st.res[:, k] = residual
         if leave([(residual <= st.threshold, StopReason.DISCREPANCY_MET),
                   (broken, StopReason.BREAKDOWN), (k >= st.max_iter, StopReason.MAX_ITER)],

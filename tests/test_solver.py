@@ -67,10 +67,16 @@ class TestSolverConfig:
         {"eta": 1.0}, {"eta": 0.5}, {"epsilon": -1.0},
         {"max_iter": 0}, {"max_iter": -5}, {"eta": np.nan},
         {"eta": np.inf}, {"epsilon": np.nan}, {"epsilon": np.inf},
+        {"max_iter": np.nan}, {"max_iter": np.inf}, {"max_iter": 2.5}, {"max_iter": True},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
+
+    def test_max_iter_may_be_a_numpy_integer(self):
+        res = rrgmres_solve(LinearOperator.from_matrix(np.eye(4, k=-1) + np.eye(4)),
+                            np.ones(4), SolverConfig(epsilon=0.0, max_iter=np.int64(2)))
+        assert (res.k, res.stop_reason) == (2, StopReason.MAX_ITER)
 
 
 class TestHessenbergResidual:
@@ -788,6 +794,33 @@ class TestIterates:
                 mp.setattr(solver, "_combination", counting)
                 ks = [r.k for r in run()]
             assert len(calls) == 2 * max(ks) + len({k for k in ks if k >= 1}), ks
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(["gaussian", "shift", 0, 1]), n=st.integers(4, 30),
+           caps=st.lists(st.integers(1, 12), min_size=3, max_size=3),
+           keep=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_each_triangle_is_solved_once_per_step(self, kind, n, caps, keep, seed):
+        # the step's least-squares solve is the only one: one call per
+        # step, on the triangle of every running column, serves the
+        # misfit, the iterate of a column that leaves and every kept one
+        sizes = []
+
+        def counting(R, g):
+            sizes.append(len(g))
+            return least_squares(R, g)
+
+        least_squares = solver._least_squares
+        a, B, _ = draw_operator(np.random.default_rng(seed), kind, n)
+        cfgs = [SolverConfig(epsilon=0.0, max_iter=cap) for cap in caps]
+        op = LinearOperator.from_matrix(a)
+        for run in (lambda: [rrgmres_solve(op, B[:, 0], cfgs[0], keep_iterates=keep)],
+                    lambda: rrgmres_block(op, B, cfgs, keep_iterates=keep)):
+            sizes.clear()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(solver, "_least_squares", counting)
+                ks = [r.k for r in run()]
+            assert len(sizes) == max(ks), ks
+            assert sum(sizes) == sum(ks), (sizes, ks)
 
     def test_near_singular_triangle_logs_the_iterate_residual(self):
         # the 5 x 5 down-shift: step 4's triangle is regular by the rule,

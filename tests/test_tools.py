@@ -50,6 +50,14 @@ class TestCodeLines:
         counts = [line.split() for line in capsys.readouterr().out.splitlines()]
         assert counts == [["__init__.py", "0"], ["mod.py", "8"], ["total", "8"]]
 
+    def test_compares_two_counts_by_module(self):
+        # a.py shrinks, b.py is new and c.py is gone: each side without a
+        # module counts 0 for it
+        lines = code_lines.compare({"a.py": 10, "b.py": 5}, {"a.py": 12, "c.py": 3})
+        assert [line.split() for line in lines] == [
+            ["module", "before", "after", "change"], ["a.py", "12", "10", "-2"],
+            ["b.py", "0", "5", "+5"], ["c.py", "3", "0", "-3"], ["total", "15", "15", "+0"]]
+
 
 HEADER = ("problem,n,nu,regularizer,seed,iterations,stop_reason,matvecs,"
           "matvecs_prepare,matvecs_solve,matvecs_back,relative_error\n")

@@ -8,14 +8,21 @@ do not count; a statement that spans several lines counts each of them.
 Run from the repository root:
 
     python3 tools/code_lines.py [package directory]
+    python3 tools/code_lines.py --against REV [package directory]
 
-It prints one count per module and the total.
+The first form prints one count per module and the total.  The second
+also exports REV with `git archive` (golden.export) into a temporary
+directory and prints, per module and in total, the count at REV, the
+count in the working tree and the difference; a module that exists on
+one side only counts 0 on the other.
 """
 from __future__ import annotations
 
+import argparse
 import ast
 import io
 import sys
+import tempfile
 import tokenize
 from pathlib import Path
 
@@ -45,14 +52,40 @@ def code_lines(path: Path) -> int:
     return len(lines - docstring_lines(ast.parse(source)))
 
 
+def counts(package: Path) -> dict:
+    """The code lines of each module of package, by file name."""
+    return {path.name: code_lines(path) for path in sorted(package.glob("*.py"))}
+
+
+def compare(new: dict, old: dict) -> list[str]:
+    """Report lines of two counts, new against old: per module of either
+    side, and in total, the old count, the new one and the difference."""
+    rows = [(name, old.get(name, 0), new.get(name, 0)) for name in sorted(set(new) | set(old))]
+    rows.append(("total", sum(old.values()), sum(new.values())))
+    return ([f"{'module':<16}{'before':>8}{'after':>8}{'change':>8}"]
+            + [f"{name:<16}{a:>8}{b:>8}{b - a:>+8}" for name, a, b in rows])
+
+
 def main(argv: list[str]) -> int:
-    package = Path(argv[1]) if len(argv) > 1 else Path("src/regnear")
-    total = 0
-    for path in sorted(package.glob("*.py")):
-        count = code_lines(path)
-        total += count
-        print(f"{path.name:<16}{count:>6}")
-    print(f"{'total':<16}{total:>6}")
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("package", nargs="?", default="src/regnear",
+                        help="the package directory (default: src/regnear)")
+    parser.add_argument("--against", metavar="REV",
+                        help="also count the package at REV and print the difference")
+    args = parser.parse_args(argv[1:])
+    package = Path(args.package)
+    new = counts(package)
+    if not args.against:
+        for name, count in new.items():
+            print(f"{name:<16}{count:>6}")
+        print(f"{'total':<16}{sum(new.values()):>6}")
+        return 0
+    from golden import ROOT, export  # tools/ is the script's directory
+    with tempfile.TemporaryDirectory(prefix="code-lines-") as tmp:
+        export(args.against, Path(tmp))
+        old = counts(Path(tmp) / package.resolve().relative_to(ROOT))
+    print(f"working tree against {args.against}")
+    print("\n".join(compare(new, old)))
     return 0
 
 
