@@ -28,24 +28,32 @@ def checked_rhs(b, m: int, block: bool = False) -> np.ndarray:
     """b as a float vector of length m, or with block as an m x s block
     of right-hand sides, s >= 1; ShapeMismatch for another shape,
     ValueError for a non-finite entry."""
-    b = np.asarray(b, dtype=float)
-    if block and (b.ndim != 2 or b.shape[0] != m or b.shape[1] < 1):
-        raise ShapeMismatch(f"right-hand sides have shape {b.shape}, expected ({m}, s)")
-    if not block and b.shape != (m,):
-        raise ShapeMismatch(f"right-hand side has shape {b.shape}, expected ({m},)")
+    b = checked_operand(b, m)
+    if b.ndim != 1 + block or 0 in b.shape[1:]:
+        raise ShapeMismatch(f"right-hand side has shape {b.shape}, expected "
+                            + (f"({m}, s)" if block else f"({m},)"))
     if not np.all(np.isfinite(b)):
         raise ValueError("right-hand side must be finite")
     return b
+
+
+def checked_operand(x, n: int) -> np.ndarray:
+    """x as a float array, a vector of length n or an n x s block, for
+    an operator that works down axis 0; ShapeMismatch for another
+    shape."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2) or x.shape[0] != n:
+        raise ShapeMismatch(f"operand has shape {x.shape}, expected ({n},) or ({n}, s)")
+    return x
 
 
 def thin_qr(a) -> tuple[np.ndarray, np.ndarray]:
     """Thin QR factorization of a tall matrix.
 
     Returns (Q, R) with Q of shape (m, k), R upper triangular (k, k),
-    where k is the number of columns.  Raises RankDeficient when a
-    diagonal entry of R falls below RANK_TOL times the Frobenius norm
-    of the input, and ShapeMismatch when the input has more columns
-    than rows.
+    where k is the number of columns.  Raises RankDeficient when
+    singular_triangles holds for R, and ShapeMismatch when the input
+    has more columns than rows.
     """
     a = _as_float_array(a, "matrix")
     if a.ndim != 2:
@@ -54,15 +62,11 @@ def thin_qr(a) -> tuple[np.ndarray, np.ndarray]:
     if m < k:
         raise ShapeMismatch(f"thin_qr needs rows >= cols, got {m}x{k}")
     q, r = np.linalg.qr(a, mode="reduced")
-    if k > 0:
-        scale = np.linalg.norm(a)
-        if np.min(np.abs(np.diag(r))) <= RANK_TOL * scale:
-            raise RankDeficient("input columns are numerically dependent")
-        # fix the sign ambiguity: diagonal of R nonnegative
-        signs = np.where(np.diag(r) < 0.0, -1.0, 1.0)
-        q = q * signs
-        r = r * signs[:, None]
-    return q, r
+    if singular_triangles(r):
+        raise RankDeficient("input columns are numerically dependent")
+    # fix the sign ambiguity: diagonal of R nonnegative
+    signs = np.where(np.diag(r) < 0.0, -1.0, 1.0)
+    return q * signs, r * signs[:, None]
 
 
 def triangle_is_singular(min_diag, max_entry, tol=RANK_TOL):
@@ -131,8 +135,17 @@ def frobenius_inner(a, b) -> float:
 
 
 def frobenius_norm(a) -> float:
+    """||a||_F of a finite array.  When its sum of squares overflows, the
+    norm is taken of a scaled by its largest magnitude, so it is inf
+    only when the norm itself is; otherwise it is numpy's norm, bit for
+    bit."""
     a = _as_float_array(a, "matrix")
-    return float(np.linalg.norm(a))
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(a))
+    if norm == np.inf:
+        top = float(np.max(np.abs(a)))
+        norm = top * float(np.linalg.norm(a / top))
+    return norm
 
 
 # --- plain-text matrix format -------------------------------------------

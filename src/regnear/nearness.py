@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadDimension, NotSymmetric, RankDeficient, ShapeMismatch
-from .linalg import thin_qr
+from .linalg import frobenius_norm, thin_qr
 
 _ORTHO_TOL = 1e-12
 _SPAN_TOL = 1e-10
@@ -50,7 +50,7 @@ class NullSpaceBasis:
             if raw.shape[0] != self.n:
                 raise ShapeMismatch("raw vectors have wrong length")
             resid = raw - V @ (V.T @ raw)
-            if np.linalg.norm(resid) > _SPAN_TOL * max(np.linalg.norm(raw), 1.0):
+            if frobenius_norm(resid) > _SPAN_TOL * max(frobenius_norm(raw), 1.0):
                 raise RankDeficient("raw vectors do not lie in span of the basis")
             object.__setattr__(self, "raw", raw)
 

@@ -32,6 +32,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import BadDimension, ShapeMismatch
+from .linalg import frobenius_norm
 from .transform import LinearOperator
 
 # The largest order at which K is stored dense.  Up to about this n one
@@ -295,8 +296,10 @@ def add_noise(problem: TestProblem, nu: float, seed: int) -> TestProblem:
 
 
 def relative_error(x_k: np.ndarray, x_hat: np.ndarray) -> float:
+    """||x_k - x_hat|| / ||x_hat||, with norms that stay finite where the
+    sum of squares overflows, as for an x_k near the noise guard."""
     x_k = np.asarray(x_k, dtype=float)
     x_hat = np.asarray(x_hat, dtype=float)
     if x_k.shape != x_hat.shape:
         raise ShapeMismatch(f"shape {x_k.shape} vs {x_hat.shape}")
-    return float(np.linalg.norm(x_k - x_hat) / np.linalg.norm(x_hat))
+    return frobenius_norm(x_k - x_hat) / frobenius_norm(x_hat)

@@ -29,8 +29,8 @@ from functools import partial
 
 import numpy as np
 
-from .errors import BadDimension, RankDeficient, ShapeMismatch, SingularCore
-from .linalg import triangle_is_singular
+from .errors import BadDimension, RankDeficient, SingularCore
+from .linalg import checked_operand, triangle_is_singular
 from .nearness import (_ORTHO_TOL, _SPAN_TOL, NullSpaceBasis,
                        nearest_symmetric_with_nullspace, nearest_with_nullspace)
 
@@ -90,9 +90,7 @@ def stencil_product(kind: RegularizerKind, n: int, X, delta: float = 1.0) -> np.
     """
     kind = RegularizerKind(kind)
     _check_catalog_args(kind, n, delta)
-    X = np.asarray(X, dtype=float)
-    if X.ndim not in (1, 2) or X.shape[0] != n:
-        raise ShapeMismatch(f"expected {n} rows, got shape {X.shape}")
+    X = checked_operand(X, n)
 
     stencil, overhang, _ = _KINDS[kind]
     top = (len(stencil) - 1) // 2
@@ -335,11 +333,7 @@ class ProjectedRegularizer:
         rows solve to a vector in the span of the basis, which the
         projection removes.
         """
-        z = np.asarray(z, dtype=float)
-        if z.ndim not in (1, 2) or z.shape[0] != self.n:
-            raise ShapeMismatch(f"expected shape ({self.n},) or ({self.n}, s), "
-                                f"got {z.shape}")
-        y = self._solve(z)
+        y = self._solve(checked_operand(z, self.n))
         if self.mode is not Mode.PLAIN:
             return y
         V = self.basis.V

@@ -17,11 +17,13 @@ right-hand sides; the Krylov spaces stay separate and only the per-step
 work is shared).  rrgmres_block takes an n x s block B and one
 SolverConfig per column, or several operators of one order with a
 block each, whose columns then run as consecutive groups of one loop.
-Each step applies each operator's matmat once, to the newest basis
-vectors of its columns still running, a contiguous slice of them: one
-product per column, which is the paper's cost model.  rrgmres_solve is
-the case s = 1 and applies A.matvec, so any object with shape and
-matvec serves it.
+Each step applies each operator's matvec once, to the block of the
+newest basis vectors of its columns still running, a contiguous slice
+of them: one product per column, which is the paper's cost model.  So
+an operator of rrgmres_block takes an n x s block in matvec, as
+LinearOperator and the standard-form context do.  rrgmres_solve is the
+case s = 1 and applies A.matvec to vectors alone, so any object with
+shape and a vector matvec serves it.
 
 The running columns share one state, a struct of arrays along the
 column axis (_Columns): each column's basis, the remainder of b, R, g,
@@ -246,7 +248,7 @@ def rrgmres_block(A, B, cfgs, keep_iterates: bool = False) -> list:
     blocks, one per operator: each block's columns run with its
     operator, all of them in the one loop, and cfgs and the results
     follow the columns of the blocks in order.  Each step applies each
-    operator's matmat once, to the block of the newest basis vectors of
+    operator's matvec once, to the block of the newest basis vectors of
     its columns still running, so a product with K serves them all.
     Each column keeps its own basis, rotated triangle, rotations, log
     and stop, and leaves the loop when it stops.  Its result is
@@ -263,7 +265,7 @@ def rrgmres_block(A, B, cfgs, keep_iterates: bool = False) -> list:
     B, cfgs = np.concatenate(blocks, axis=1), list(cfgs)
     if len(cfgs) != B.shape[1]:
         raise ShapeMismatch(f"{B.shape[1]} right-hand sides but {len(cfgs)} configs")
-    return _lockstep([a.matmat for a in A], [b.shape[1] for b in blocks], B, cfgs,
+    return _lockstep([a.matvec for a in A], [b.shape[1] for b in blocks], B, cfgs,
                      keep_iterates)
 
 

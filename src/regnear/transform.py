@@ -45,21 +45,23 @@ number of right-hand sides.  prepare_context(K, b, reg) is the two
 steps in a row.
 
 Each routine states its matrix-vector product cost.  The context is
-itself the transformed operator (shape, matvec, matmat) handed to the
-solver, and its matvec_count is the count of products with K that the
-wrapped LinearOperator keeps.  That count runs across every context
-made from one factor, so a driver that shares a factor counts one run
-as the factor's prepare_matvecs plus the products the run itself makes.
+itself the transformed operator (shape, matvec) handed to the solver,
+and its matvec_count is the count of products with K that the wrapped
+LinearOperator keeps.  That count runs across every context made from
+one factor, so a driver that shares a factor counts one run as the
+factor's prepare_matvecs plus the products the run itself makes.
 The count is a plain integer, not thread-safe: products with one
 operator are made from one thread at a time.
 
-Every per-b step also takes a block.  project_rhs of an m x s block of
-right-hand sides gives a context whose x0, b1 and solver_rhs are
-blocks; matmat and back_transform then work on each column of an n x s
-block.  A block product with K is one call (a GEMM when K is dense),
-and LinearOperator.matmat counts it as s products, one per column, so
-each column costs what it would alone and a driver reads a column's
-share as the count's rise divided by s.
+matvec is the one product method, of K and of the transformed operator
+alike.  It works down axis 0, on a vector or on each column of an n x s
+block, as the core's solve and back_transform do, and
+linalg.checked_operand is the one check of that shape.  project_rhs of
+an m x s block of right-hand sides gives a context whose x0, b1 and
+solver_rhs are blocks.  A block product with K is one call (a GEMM when
+K is dense), and LinearOperator.matvec counts it as s products, one per
+column, so each column costs what it would alone and a driver reads a
+column's share as the count's rise divided by s.
 """
 from __future__ import annotations
 
@@ -69,7 +71,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ShapeMismatch
-from .linalg import checked_rhs, thin_qr
+from .linalg import checked_operand, checked_rhs, thin_qr
 from .regops import Mode, ProjectedRegularizer
 
 
@@ -77,8 +79,8 @@ class LinearOperator:
     """Matrix-vector products with a running count.
 
     The callable applies the operator along axis 0: to a vector, or to
-    each column of a block.  matvec(v) counts one product and matmat(X)
-    counts one per column of X.  The count is not thread-safe:
+    each column of a block.  matvec counts one product for a vector and
+    one per column of a block.  The count is not thread-safe:
     concurrent products may be missed.
     """
 
@@ -98,21 +100,10 @@ class LinearOperator:
         return cls(a.shape, lambda v: a @ v)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        if v.shape != (self.shape[1],):
-            raise ShapeMismatch(
-                f"operand has shape {v.shape}, operator expects ({self.shape[1]},)")
-        self._count += 1
+        """The operator on a vector v, or on each column of a block."""
+        v = checked_operand(v, self.shape[1])
+        self._count += 1 if v.ndim == 1 else v.shape[1]
         return np.asarray(self._matvec(v), dtype=float)
-
-    def matmat(self, X: np.ndarray) -> np.ndarray:
-        """The operator on each column of X, one product per column."""
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[0] != self.shape[1]:
-            raise ShapeMismatch(
-                f"operand has shape {X.shape}, operator expects ({self.shape[1]}, s)")
-        self._count += X.shape[1]
-        return np.asarray(self._matvec(X), dtype=float)
 
     @property
     def matvec_count(self) -> int:
@@ -148,9 +139,6 @@ class StandardFormFactor:
             return t
         return t - self.Q2 @ (self.Q2.T @ t)
 
-    # the block product, which the solver's lockstep loop calls
-    matmat = matvec
-
     @property
     def matvec_count(self) -> int:
         """Products with K made so far through the wrapped operator.
@@ -180,18 +168,13 @@ def _as_operator(K) -> LinearOperator:
     return K if isinstance(K, LinearOperator) else LinearOperator.from_matrix(K)
 
 
-def _product(op: LinearOperator, y: np.ndarray) -> np.ndarray:
-    """K y for a vector y, or K on each column of a block y."""
-    return op.matvec(y) if y.ndim == 1 else op.matmat(y)
-
-
 def _k1(factor: StandardFormFactor, z: np.ndarray) -> np.ndarray:
     """(I - Q Q^T) K core^-1 z, the operator after the first split, for
     a vector z or on each column of a block.
 
     Costs exactly one product with K per column.
     """
-    t = _product(factor.op, factor.reg.core_solve(z))
+    t = factor.op.matvec(factor.reg.core_solve(z))
     return t - factor.Q @ (factor.Q.T @ t)
 
 
@@ -274,12 +257,10 @@ def apply_pk_dagger(ctx: StandardFormFactor, y: np.ndarray) -> np.ndarray:
     Costs one product with K per column when the null space is
     nontrivial, none otherwise.
     """
-    y = np.asarray(y, dtype=float)
-    if y.ndim not in (1, 2) or y.shape[0] != ctx.n:
-        raise ShapeMismatch(f"expected shape ({ctx.n},) or ({ctx.n}, s), got {y.shape}")
+    y = checked_operand(y, ctx.n)
     if ctx.ell == 0:
         return y.copy()
-    return y - ctx.W @ (ctx.Q.T @ _product(ctx.op, y))
+    return y - ctx.W @ (ctx.Q.T @ ctx.op.matvec(y))
 
 
 def back_transform(ctx: StandardFormContext, z: np.ndarray) -> np.ndarray:

@@ -1,12 +1,15 @@
 """Command-line harness: subcommands, config handling, exit codes, CSV."""
 import ast
+import contextlib
 import csv
 import functools
+import io
 import itertools
 import os
 import statistics
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -715,6 +718,21 @@ class TestNearestCommand:
     def test_requires_both_files(self, tmp_path):
         assert main(["nearest", "--out", str(tmp_path / "o.txt")]) == 2
 
+    def test_null_space_vectors_near_the_float_limit(self, tmp_path, capsys):
+        # entries of 1e200 square past the float range: the columns are
+        # independent all the same, and the span check still bounds the
+        # basis, with no numpy warning
+        v = 1e200 * np.column_stack([np.ones(3), [1.0, 2.0, 3.0]])
+        a_path, v_path = self.write_inputs(tmp_path, np.eye(3), v)
+        out = str(tmp_path / "o.txt")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["nearest", "--matrix", a_path, "--nullspace", v_path,
+                         "--out", out])
+        assert code == 0, capsys.readouterr().err
+        ahat = read_matrix(out)
+        assert np.max(np.abs(ahat @ (v / 1e200))) <= 1e-12
+
 
 @pytest.mark.parametrize("command", ["distances", "solve", "table", "nearest"])
 def test_unwritable_or_missing_file_is_config_error(command, tmp_path, capsys):
@@ -792,6 +810,59 @@ def test_overflowing_noise_norm_is_config_error(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: noise level ") and err.count("\n") == 1
     assert repr(float(argv[2])) in err
+
+
+@settings(max_examples=100, deadline=None)
+@given(command=st.sampled_from(["solve", "table"]),
+       problem=st.sampled_from(["phillips", "deriv2"]),
+       n=st.sampled_from([4, 5, 40, 321]),
+       noise=st.sampled_from(["5e152", "1e153", "1.3e154", "0", "5e-324", "nan",
+                              "-1", "1e-3"]),
+       eta=st.sampled_from(["1", "1.0000001", "1e300", "1.01"]),
+       max_iter=st.sampled_from(["0", "1", "100"]),
+       delta=st.sampled_from(["1e-20", "1e300", "1"]),
+       regs=st.lists(st.sampled_from(REGULARIZER_NAMES), min_size=1, max_size=3,
+                     unique=True),
+       seeds=st.sampled_from(["0", "1..2", "11"]))
+# deriv2's P2L2tP2 cells near the noise guard: x reaches 7.4e153, and
+# the sum of squares of its error overflowed
+@example(command="table", problem="deriv2", n=40, noise="1e153", eta="1.01",
+         max_iter="100", delta="1", regs=list(REGULARIZER_NAMES), seeds="1..2")
+def test_run_settings_at_their_bounds(command, problem, n, noise, eta, max_iter, delta,
+                                      regs, seeds):
+    # settings at and beyond each bound either run to finite CSV values
+    # or fail in one line with exit code 2 or 3, leaving no file, and no
+    # numpy warning gets out either way
+    argv = [command, "--problem", problem, "--n", str(n), "--noise", noise,
+            "--eta", eta, "--max-iter", max_iter, "--delta", delta]
+    if command == "solve":
+        # the prefix of out.csv and the two vector files
+        argv += ["--reg", regs[0], "--seed", seeds.split("..")[0], "--out", "out"]
+    else:
+        argv += ["--regs", ",".join(regs), "--seeds", seeds, "--out", "out.csv"]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        argv[-1] = os.path.join(tmp, argv[-1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv)
+        written = sorted(Path(tmp).iterdir())
+        assert code in (0, 2, 3)
+        if code:
+            assert err.getvalue().count("\n") == 1 and written == [], (err.getvalue(), written)
+            return
+        (table,) = [f for f in written if f.suffix == ".csv"]
+        with open(table) as f:
+            rows = list(csv.DictReader(f))
+        assert rows
+        for row in rows:
+            for column, value in row.items():
+                if value and column not in ("problem", "regularizer", "seed", "stop_reason"):
+                    assert np.isfinite(float(value)), (column, row)
+        for vector in written:
+            if vector.suffix == ".txt":
+                read_vector(str(vector))  # ParseError on a non-finite entry
 
 
 def _child_env():

@@ -61,6 +61,15 @@ class TestThinQR:
         with pytest.raises(ValueError):
             thin_qr([[1.0], [np.nan]])
 
+    def test_independent_columns_near_the_float_limit(self):
+        # ||a||_F overflows for these entries; the rule reads R alone
+        a = 1e200 * np.column_stack([np.ones(3), [1.0, 2.0, 3.0]])
+        q, r = thin_qr(a)
+        np.testing.assert_allclose(q.T @ q, np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(q @ r, a, rtol=1e-12)
+        with pytest.raises(RankDeficient):
+            thin_qr(1e200 * np.column_stack([np.ones(3), 2.0 * np.ones(3)]))
+
 
 class TestTriangularSolve:
     def test_scalar(self):
@@ -190,6 +199,14 @@ class TestFrobenius:
     def test_shape_error(self):
         with pytest.raises(ShapeMismatch):
             frobenius_inner(np.eye(2), np.eye(3))
+
+    def test_norm_past_the_squarable_range(self):
+        # the sum of squares overflows but the norm fits: scaled, it is
+        # finite; below that range it is numpy's norm bit for bit
+        assert frobenius_norm(np.full((2, 2), 1e200)) == pytest.approx(2e200, rel=1e-15)
+        assert frobenius_norm(np.full(4, 1e308)) == np.inf
+        a = np.random.default_rng(7).standard_normal((5, 3))
+        assert frobenius_norm(a) == np.linalg.norm(a)
 
 
 class TestTextFormat:

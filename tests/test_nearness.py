@@ -67,6 +67,15 @@ class TestNullSpaceBasis:
         with pytest.raises(RankDeficient):
             NullSpaceBasis(n=3, ell=1, V=v, raw=np.array([[0.0], [1.0], [0.0]]))
 
+    def test_span_check_near_the_float_limit(self):
+        # the norms of raw vectors of 1e200 overflow when squared; the
+        # check still bounds them, so a vector outside the span fails
+        v = np.zeros((3, 1))
+        v[0, 0] = 1.0
+        with pytest.raises(RankDeficient):
+            NullSpaceBasis(n=3, ell=1, V=v, raw=np.array([[1e200], [1e200], [0.0]]))
+        NullSpaceBasis(n=3, ell=1, V=v, raw=np.array([[1e200], [0.0], [0.0]]))
+
 
 class TestBuildProjector:
     def test_ones_n2(self):

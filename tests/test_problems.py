@@ -385,3 +385,9 @@ class TestRelativeError:
     def test_shape_guard(self):
         with pytest.raises(ShapeMismatch):
             relative_error(np.ones(3), np.ones(4))
+
+    def test_error_whose_square_overflows(self):
+        # an iterate near the noise guard: ||x_k - x_hat||^2 overflows,
+        # ||x_k - x_hat|| does not
+        x_hat = np.ones(40)
+        assert relative_error(x_hat + 7e153, x_hat) == pytest.approx(7e153, rel=1e-15)

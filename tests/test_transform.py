@@ -12,7 +12,8 @@ from regnear.errors import RankDeficient, ShapeMismatch
 from regnear.linalg import thin_qr
 from regnear.oracles import tikhonov_direct_oracle, tikhonov_minimizer_via_transform
 from regnear.problems import add_noise, build_phillips, build_problem
-from regnear.regops import REGULARIZER_NAMES, Mode, RegularizerKind, regularizer_from_name
+from regnear.regops import (REGULARIZER_NAMES, Mode, RegularizerKind, regularizer_from_name,
+                            stencil_product)
 from regnear.solver import SolverConfig, rrgmres_solve
 from regnear.transform import (LinearOperator, StandardFormContext,
                                apply_pk_dagger, back_transform,
@@ -133,19 +134,31 @@ class TestBlockProducts:
         # products (FFT, cumulative sums), down axis 0
         op = build_problem(name, n).op
         X = np.random.default_rng(n).standard_normal((n, 5))
-        Y = op.matmat(X)
+        Y = op.matvec(X)
         assert Y.shape == (n, 5) and op.matvec_count == 5
         columns_close(Y, [op.matvec(x) for x in X.T], 1e-13)
         assert op.matvec_count == 10
-        op.matmat(X[:, :1])
+        op.matvec(X[:, :1])
         assert op.matvec_count == 11
 
-    def test_matmat_shape_errors(self):
-        op = LinearOperator.from_matrix(np.eye(3))
-        for bad in (np.ones(3), np.ones((4, 2)), np.ones((3, 2, 1))):
+    @pytest.mark.parametrize("caller", [
+        lambda f, x: f.op.matvec(x),
+        lambda f, x: f.reg.core_solve(x),
+        apply_pk_dagger,
+        lambda f, x: stencil_product(f.reg.kind, f.n, x),
+    ], ids=["LinearOperator", "core_solve", "apply_pk_dagger", "stencil_product"])
+    def test_operand_shape_errors(self, caller):
+        # every caller of checked_operand: a vector of length n and an
+        # n x s block pass, any other shape raises before a product
+        factor = factor_transform(LinearOperator.from_matrix(np.eye(4)),
+                                  regularizer_from_name("L2tP2", 4))
+        start = factor.matvec_count
+        for bad in (np.float64(1.0), np.ones((4, 2, 1)), np.ones(3), np.ones((5, 2))):
             with pytest.raises(ShapeMismatch):
-                op.matmat(bad)
-        assert op.matvec_count == 0
+                caller(factor, bad)
+        assert factor.matvec_count == start
+        assert caller(factor, np.ones(4)).shape[1:] == ()
+        assert caller(factor, np.ones((4, 3))).shape[1:] == (3,)
 
     @pytest.mark.parametrize("name", REGULARIZER_NAMES)
     @pytest.mark.parametrize("problem, n", [("phillips", 200), ("deriv2", 400),
@@ -156,7 +169,7 @@ class TestBlockProducts:
         rng = np.random.default_rng(n)
         Z = rng.standard_normal((n, 4))
         start = factor.matvec_count
-        Y = factor.matmat(Z)
+        Y = factor.matvec(Z)
         assert factor.matvec_count - start == 4
         # the projections cancel most of K core^-1 z, whose norm is the
         # scale that rounding works at
