@@ -183,8 +183,8 @@ def cmd_nearest(args) -> int:
         ahat = nearest_symmetric_with_nullspace(a, basis)
     else:
         ahat = nearest_with_nullspace(a, basis)
-    write_matrix(args.out, ahat)
     dist = nearness_distance(a, basis, symmetric=args.symmetric)
+    write_matrix(args.out, ahat)
     print(f"distance {dist:.12g}")
     print(f"wrote {args.out}")
     return 0

@@ -9,6 +9,7 @@ without forming P; the dense projector is an oracle, in oracles.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,8 +100,8 @@ def _check_symmetric(a: np.ndarray) -> None:
     # infinite: either would pass a test for asymmetry
     if not np.all(np.isfinite(a)):
         raise NotSymmetric("input matrix has non-finite entries")
-    scale = max(np.linalg.norm(a), 1e-300)
-    if not np.linalg.norm(a - a.T) <= _ORTHO_TOL * scale:
+    scale = max(frobenius_norm(a), 1e-300)
+    if not frobenius_norm(a - a.T) <= _ORTHO_TOL * scale:
         raise NotSymmetric("input matrix is not symmetric")
 
 
@@ -127,14 +128,30 @@ def distance_from_products(V, av, atv=None) -> float:
     update A - P A P, whose blocks against span(V) and its complement W
     are V^T A V, V^T A W and W^T A V (W^T A W is kept), so its square is
     ||A V||^2 + ||A^T V||^2 - ||V^T A^T V||^2.
+
+    When a square overflows, the same formula runs once more on the
+    products scaled by a power of two, which is exact, and the result
+    is scaled back; below the overflow it is the plain formula, bit for
+    bit.
     """
+    with np.errstate(over="ignore", invalid="ignore"):
+        dist = _distance(V, av, atv)
+        if not math.isfinite(dist):
+            products = [p for p in (av, atv) if p is not None]
+            e = np.frexp(max(np.abs(p).max(initial=0.0) for p in products))[1]
+            dist = np.ldexp(_distance(V, *(np.ldexp(p, -e) for p in products)), e)
+    return float(dist)
+
+
+def _distance(V, av, atv=None):
+    """distance_from_products' formula, as a numpy scalar."""
     right = np.linalg.norm(av)
     if atv is None:
-        return float(right)
+        return right
     # ||V^T A W||^2, clamped so that rounding cannot put the symmetric
     # distance below the general one
     cross = np.linalg.norm(atv) ** 2 - np.linalg.norm(V.T @ atv) ** 2
-    return float(np.sqrt(right ** 2 + max(cross, 0.0)))
+    return np.sqrt(right ** 2 + max(cross, 0.0))
 
 
 def nearness_distance(a, basis: NullSpaceBasis, symmetric: bool = False) -> float:

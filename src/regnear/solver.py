@@ -20,10 +20,10 @@ block each, whose columns then run as consecutive groups of one loop.
 Each step applies each operator's matvec once, to the block of the
 newest basis vectors of its columns still running, a contiguous slice
 of them: one product per column, which is the paper's cost model.  So
-an operator of rrgmres_block takes an n x s block in matvec, as
-LinearOperator and the standard-form context do.  rrgmres_solve is the
-case s = 1 and applies A.matvec to vectors alone, so any object with
-shape and a vector matvec serves it.
+an operator takes an n x s block in matvec, as LinearOperator and the
+standard-form context do.  rrgmres_solve is rrgmres_block on one
+column, so its operator's matvec takes an n x 1 block too, and the loop
+applies an operator in one way only.
 
 The running columns share one state, a struct of arrays along the
 column axis (_Columns): each column's basis, the remainder of b, R, g,
@@ -221,23 +221,21 @@ def rrgmres_solve(A, b: np.ndarray, cfg: SolverConfig,
     """Iterate on the square operator A until the discrepancy principle
     is satisfied, the basis breaks down, or max_iter is reached.
 
-    The one-column case of rrgmres_block: A needs shape and matvec
-    alone.  Iteration k costs one application of A; the initial Krylov
-    seed A b costs one more.  A zero starting guess is implicit: the
-    k = 0 entry of the log is ||b||, and if that already meets the
-    discrepancy test no operator application happens at all.  The log
-    and solve_matvecs count the calls of A.matvec made here and nothing
-    else.  A b with non-finite entries raises ValueError before any call.
+    rrgmres_block on b as an n x 1 block: A needs shape and a matvec
+    that takes such a block.  Iteration k costs one application of A;
+    the initial Krylov seed A b costs one more.  A zero starting guess
+    is implicit: the k = 0 entry of the log is ||b||, and if that
+    already meets the discrepancy test no operator application happens
+    at all.  The log and solve_matvecs count the calls of A.matvec made
+    here and nothing else.  A b with non-finite entries raises
+    ValueError before any call.
 
     The residual logged at step k, compared with eta * epsilon and
     returned, is ||A z_k - b|| of the iterate z_k of that step, also
     when the rotated triangle is near singular (see _least_squares).  With
     keep_iterates the iterates of every step are returned as well.
     """
-    b = checked_rhs(b, _square(A))
-    (res,) = _lockstep([lambda X: A.matvec(X[:, 0])[:, None]], [1], b[:, None],
-                       [cfg], keep_iterates)
-    return res
+    return rrgmres_block(A, checked_rhs(b, _square(A))[:, None], [cfg], keep_iterates)[0]
 
 
 def rrgmres_block(A, B, cfgs, keep_iterates: bool = False) -> list:
@@ -248,14 +246,14 @@ def rrgmres_block(A, B, cfgs, keep_iterates: bool = False) -> list:
     blocks, one per operator: each block's columns run with its
     operator, all of them in the one loop, and cfgs and the results
     follow the columns of the blocks in order.  Each step applies each
-    operator's matvec once, to the block of the newest basis vectors of
-    its columns still running, so a product with K serves them all.
-    Each column keeps its own basis, rotated triangle, rotations, log
-    and stop, and leaves the loop when it stops.  Its result is
-    rrgmres_solve's for that column alone, to rounding, and the result
-    of a block does not depend on the blocks run beside it: its
-    solve_matvecs and log count the block columns it took part in, and
-    each operator's own count rises by the sum over its columns.
+    operator's matvec once, to the n x s' block of the newest basis
+    vectors of its columns still running, so a product with K serves
+    them all.  Each column keeps its own basis, rotated triangle,
+    rotations, log and stop, and leaves the loop when it stops.  Its
+    result is rrgmres_solve's for that column alone, to rounding, and
+    the result of a block does not depend on the blocks run beside it:
+    its solve_matvecs and log count the block columns it took part in,
+    and each operator's own count rises by the sum over its columns.
     """
     if not isinstance(A, (list, tuple)):
         A, B = [A], [B]
@@ -265,8 +263,7 @@ def rrgmres_block(A, B, cfgs, keep_iterates: bool = False) -> list:
     B, cfgs = np.concatenate(blocks, axis=1), list(cfgs)
     if len(cfgs) != B.shape[1]:
         raise ShapeMismatch(f"{B.shape[1]} right-hand sides but {len(cfgs)} configs")
-    return _lockstep([a.matvec for a in A], [b.shape[1] for b in blocks], B, cfgs,
-                     keep_iterates)
+    return _lockstep(A, [b.shape[1] for b in blocks], B, cfgs, keep_iterates)
 
 
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -274,14 +271,14 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-def _by_group(products: list, widths: list, X: np.ndarray) -> np.ndarray:
-    """(s, n): products[c] on the next widths[c] columns of the n x s
+def _by_group(ops: list, widths: list, X: np.ndarray) -> np.ndarray:
+    """(s, n): ops[c].matvec on the next widths[c] columns of the n x s
     block X, one call per group that has any, the results as the rows
     of a C-ordered array."""
     out, lo = np.empty(X.shape[::-1]), 0
-    for product, m in zip(products, widths):
+    for op, m in zip(ops, widths):
         if m:
-            out[lo:lo + m] = product(X[:, lo:lo + m]).T
+            out[lo:lo + m] = op.matvec(X[:, lo:lo + m]).T
         lo += m
     return out
 
@@ -380,14 +377,13 @@ class _Columns:
         return _combination((p[rows] for p in _pieces(self.chunks, m)), self.ys[m - 1][rows])
 
 
-def _lockstep(products: list, widths: list, B, cfgs: list, keep_iterates: bool) -> list:
-    """RRGMRES on the columns of B side by side: the one loop behind
-    rrgmres_solve and rrgmres_block.  The columns come in groups, the
-    first widths[0] of B, then the next widths[1], and so on, and
-    products[c](X) applies group c's operator to each column of an
-    n x s' block X.  Each step calls each product once, on a contiguous
-    slice of the newest basis vectors: those of its group's running
-    columns.
+def _lockstep(ops: list, widths: list, B, cfgs: list, keep_iterates: bool) -> list:
+    """RRGMRES on the columns of B side by side: the loop of
+    rrgmres_block.  The columns come in groups, the first widths[0] of
+    B, then the next widths[1], and so on, and group c runs with the
+    operator ops[c].  Each step calls each operator's matvec once, on a
+    contiguous n x s' slice of the newest basis vectors: those of its
+    group's running columns.
 
     The running columns are all at the same step k, and their state is
     one _Columns.  A column that stops takes its iterate, and its log,
@@ -400,7 +396,7 @@ def _lockstep(products: list, widths: list, B, cfgs: list, keep_iterates: bool) 
     results = [None] * s
     # res starts as ||b|| alone: the k = 0 stops leave before any grow
     st = _Columns(n, widths, cols=np.arange(s), res=bnorm[:, None], bres=bt,
-                  group=np.repeat(np.arange(len(products)), widths),
+                  group=np.repeat(np.arange(len(ops)), widths),
                   threshold=np.array([cfg.eta * cfg.epsilon for cfg in cfgs]),
                   max_iter=np.array([cfg.max_iter for cfg in cfgs]),
                   R=np.zeros((s, 0, 0)), g=np.zeros((s, 0)), rot=np.zeros((s, 2, 0)))
@@ -429,7 +425,7 @@ def _lockstep(products: list, widths: list, B, cfgs: list, keep_iterates: bool) 
 
     if leave([(bnorm <= st.threshold, StopReason.INITIAL_RESIDUAL_OK)], 0):
         return results
-    ab = _by_group(products, st.widths, B[:, st.cols])
+    ab = _by_group(ops, st.widths, B[:, st.cols])
     st.beta0 = np.sqrt(_dots(ab, ab))
     # A b vanished: the range-restricted space is empty
     empty = st.beta0 <= BREAKDOWN_TOL * st.res[:, 0]
@@ -439,7 +435,7 @@ def _lockstep(products: list, widths: list, B, cfgs: list, keep_iterates: bool) 
 
     for k in itertools.count(1):  # every column leaves by its max_iter
         j = k - 1
-        w = _by_group(products, st.widths, st.chunks[j // SIZE][:, j % SIZE].T)
+        w = _by_group(ops, st.widths, st.chunks[j // SIZE][:, j % SIZE].T)
         pieces = _pieces(st.chunks, k)
         # classical Gram-Schmidt in two block passes (CGS2); the second,
         # unconditional pass keeps the basis orthogonal to working precision

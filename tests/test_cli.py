@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import regnear
 import regnear.cli
@@ -37,6 +38,9 @@ from regnear.transform import LinearOperator, factor_transform
 SWEEP_FIXTURE = Path(__file__).parent / "data" / "default_sweep.csv"
 README = Path(__file__).resolve().parents[1] / "README.md"
 BLOCK_ROWS = regnear.cli._DISTANCE_BLOCK_ROWS
+# a symmetric matrix whose entries square past the float range, with
+# the basis of ones: both nearness distances are 5e200
+HUGE_MATRIX = np.array([[4e200, 1e200, 0.0], [1e200, 3e200, 1e200], [0.0, 1e200, 4e200]])
 
 
 @functools.lru_cache(maxsize=None)
@@ -333,10 +337,23 @@ class TestSolveCommand:
         cfg.write_text("banana = 7\n")
         assert main(["solve", "--config", str(cfg)]) == 2
 
-    def test_malformed_config_line(self, tmp_path):
+    def test_malformed_config_line(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("just some words\n")
+        cfg.write_text("n = 16\njust some words\n")
         assert main(["solve", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}:2: expected key=value\n"
+
+    @pytest.mark.parametrize("command", ["solve", "table"])
+    def test_non_finite_delta_rejected_before_any_build(self, command, tmp_path, capsys,
+                                                        monkeypatch):
+        built = []
+        monkeypatch.setattr(regnear.pipeline, "build_problem",
+                            lambda *args: built.append(args))
+        out = tmp_path / "x"
+        assert main([command, "--n", "16", "--delta", "nan", "--out", str(out)]) == 2
+        assert built == []
+        assert capsys.readouterr().err == "error: delta must be finite, got nan\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_config_file(self, tmp_path):
         assert main(["solve", "--config", str(tmp_path / "nope.cfg")]) == 2
@@ -515,6 +532,14 @@ class TestTableCommand:
         assert code == 2
         assert capsys.readouterr().out == ""  # no cell ran
 
+    def test_noise_column_has_17_significant_digits(self, tmp_path):
+        out = tmp_path / "t.csv"
+        assert main(["table", "--n", "16", "--noise", "0.1", "--regs", "I", "--seeds", "1",
+                     "--out", str(out)]) == 0
+        with open(out) as f:
+            rows = list(csv.DictReader(f))
+        assert [row["nu"] for row in rows] == ["0.10000000000000001"] * 2
+
     def test_rejects_empty_seed_list(self, tmp_path):
         code = main(["table", "--n", "16", "--seeds", ",",
                      "--out", str(tmp_path / "x.csv")])
@@ -640,6 +665,13 @@ class TestDistancesCommand:
         assert main(["distances", "--min-n", "2", "--max-n", "8",
                      "--out", str(tmp_path / "d.csv")]) == 2
 
+    @pytest.mark.parametrize("step", ["-1", "0"])
+    def test_non_positive_step_is_config_error(self, step, tmp_path, capsys):
+        out = tmp_path / "d.csv"
+        assert main(["distances", "--step", step, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: step must be positive\n"
+        assert not out.exists()
+
 
 class TestNearestCommand:
     def write_inputs(self, tmp_path, a, v):
@@ -714,6 +746,38 @@ class TestNearestCommand:
         assert code == 3
         assert "ParseError" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("symmetric", [["--symmetric", "false"], "symmetric = off"],
+                             ids=["flag", "config"])
+    def test_symmetric_off_is_the_plain_variant(self, symmetric, tmp_path):
+        # an asymmetric matrix, which the symmetric variant refuses
+        a = np.arange(16.0).reshape(4, 4)
+        a_path, v_path = self.write_inputs(tmp_path, a, np.ones((4, 1)))
+        files = ["--matrix", a_path, "--nullspace", v_path]
+        plain = tmp_path / "plain.txt"
+        assert main(["nearest", *files, "--out", str(plain)]) == 0
+        if isinstance(symmetric, str):
+            cfg = tmp_path / "off.cfg"
+            cfg.write_text(symmetric + "\n")
+            symmetric = ["--config", str(cfg)]
+        out = tmp_path / "off.txt"
+        assert main(["nearest", *files, *symmetric, "--out", str(out)]) == 0
+        assert out.read_bytes() == plain.read_bytes()
+
+    @pytest.mark.parametrize("symmetric", [[], ["--symmetric"]], ids=["plain", "symmetric"])
+    def test_entries_whose_squares_overflow(self, symmetric, tmp_path, capsys):
+        # ||A V|| and ||A||_F square past the float range; both distances
+        # still come out as 5e200, with no numpy warning
+        a_path, v_path = self.write_inputs(tmp_path, HUGE_MATRIX, np.ones((3, 1)))
+        out = tmp_path / "o.txt"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["nearest", "--matrix", a_path, "--nullspace", v_path, *symmetric,
+                         "--out", str(out)])
+        assert code == 0, capsys.readouterr().err
+        assert capsys.readouterr().out == f"distance 5e+200\nwrote {out}\n"
+        ahat = read_matrix(str(out))
+        assert np.max(np.abs(ahat @ np.ones(3))) <= 1e-12 * 4e200
 
     def test_requires_both_files(self, tmp_path):
         assert main(["nearest", "--out", str(tmp_path / "o.txt")]) == 2
@@ -863,6 +927,102 @@ def test_run_settings_at_their_bounds(command, problem, n, noise, eta, max_iter,
         for vector in written:
             if vector.suffix == ".txt":
                 read_vector(str(vector))  # ParseError on a non-finite entry
+
+
+# matrix entries at the edges of the float range, signed zeros included
+EDGE_ENTRIES = (0.0, -0.0, 1.0, -1.0, 1e-300, -1e-300, 1e200, -1e200, 1e300, -1e300)
+
+
+@st.composite
+def distances_argv(draw):
+    """A distances run with orders and steps at and beyond their bounds."""
+    return ["distances", "--min-n", str(draw(st.integers(2, 5))),
+            "--max-n", str(draw(st.sampled_from([3, 4, 5, 400]))),
+            "--step", str(draw(st.sampled_from([-1, 0, 1, 7]))), "--out", "out.csv"], {}
+
+
+@st.composite
+def nearest_argv(draw):
+    """A nearest run on a matrix of order at most 6 and a null-space file
+    of l in {0, 1, 2, n} vectors, square or not, orders matching or not,
+    entries from EDGE_ENTRIES; with the symmetric variant, on a mirrored
+    (symmetric) matrix or not."""
+    rows = draw(st.integers(1, 6))
+    cols = draw(st.one_of(st.just(rows), st.integers(1, 6)))
+    a = draw(hnp.arrays(np.float64, (rows, cols), elements=st.sampled_from(EDGE_ENTRIES)))
+    if rows == cols and draw(st.booleans()):
+        a = np.where(np.triu(np.ones(a.shape, dtype=bool)), a, a.T)
+    n = draw(st.one_of(st.just(cols), st.integers(1, 6)))
+    ell = draw(st.sampled_from([0, 1, 2, n]))
+    scale = draw(st.sampled_from([1.0, 1e-300, 1e200, 1e300]))
+    v = draw(st.one_of(
+        hnp.arrays(np.float64, (n, ell), elements=st.sampled_from(EDGE_ENTRIES)),
+        st.just(scale * np.vander(np.arange(1.0, n + 1.0), ell, increasing=True))))
+    symmetric = draw(st.sampled_from([[], ["--symmetric"], ["--symmetric", "false"]]))
+    return (["nearest", "--matrix", "a.txt", "--nullspace", "v.txt", *symmetric,
+             "--out", "out.txt"], {"a.txt": a, "v.txt": v})
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=st.one_of(distances_argv(), nearest_argv()))
+# the entries up to 4e200 whose squares overflowed in both variants
+@example(case=(["nearest", "--matrix", "a.txt", "--nullspace", "v.txt", "--out", "out.txt"],
+               {"a.txt": HUGE_MATRIX, "v.txt": np.ones((3, 1))}))
+@example(case=(["nearest", "--matrix", "a.txt", "--nullspace", "v.txt", "--symmetric",
+                "--out", "out.txt"], {"a.txt": HUGE_MATRIX, "v.txt": np.ones((3, 1))}))
+def test_distances_and_nearest_at_their_bounds(case):
+    # a run either writes its file and a finite distance, or fails in
+    # one line with exit code 2 or 3 and writes nothing, with no numpy
+    # warning either way
+    argv, inputs = case
+    out = io.StringIO()
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, a in inputs.items():
+            write_matrix(os.path.join(tmp, name), a)
+        argv = [os.path.join(tmp, x) if x in ("a.txt", "v.txt", "out.txt", "out.csv") else x
+                for x in argv]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+                code = main(argv)
+        written = sorted(p.name for p in Path(tmp).iterdir() if p.name not in inputs)
+        assert code in (0, 2, 3)
+        if code:
+            assert err.getvalue().count("\n") == 1, err.getvalue()
+            assert "Traceback" not in err.getvalue() and written == []
+            return
+        assert written == [os.path.basename(argv[-1])]
+        if argv[0] == "distances":
+            with open(argv[-1]) as f:
+                rows = list(csv.reader(f))[1:]
+            assert rows and all(np.isfinite(float(x)) for row in rows for x in row)
+        else:
+            read_matrix(argv[-1])  # ParseError on a non-finite entry
+            first = out.getvalue().splitlines()[0]
+            assert first.startswith("distance ") and np.isfinite(float(first.split()[1]))
+
+
+@pytest.mark.parametrize("argv, code, line", [
+    (["nearest", "--matrix", "a.txt", "--nullspace", "v.txt"], 0, "distance 5e+200"),
+    (["nearest", "--matrix", "a.txt", "--nullspace", "v.txt", "--symmetric"], 0,
+     "distance 5e+200"),
+    (["distances", "--step", "-1"], 2, "error: step must be positive"),
+], ids=["nearest", "nearest-symmetric", "distances-negative-step"])
+def test_bounds_under_python_m(argv, code, line, tmp_path):
+    # the same runs as python -m regnear.cli with every warning an error:
+    # the distance of entries whose squares overflow, and a bad step in
+    # one error line with no file
+    write_matrix(str(tmp_path / "a.txt"), HUGE_MATRIX)
+    write_matrix(str(tmp_path / "v.txt"), np.ones((3, 1)))
+    run = subprocess.run([sys.executable, "-W", "error", "-m", "regnear.cli", *argv,
+                          "--out", "out"], cwd=tmp_path, env=_child_env(),
+                         capture_output=True, text=True)
+    assert run.returncode == code, run.stderr
+    assert line in (run.stderr if code else run.stdout).splitlines()
+    assert (tmp_path / "out").exists() == (code == 0)
+    if code:
+        assert run.stderr.count("\n") == 1 and run.stdout == ""
 
 
 def _child_env():

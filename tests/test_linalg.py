@@ -241,6 +241,8 @@ class TestTextFormat:
 
     @pytest.mark.parametrize("text", [
         "oops\n",                 # header not two tokens
+        "3\n",                    # one header token
+        "1 1 1\n5\n",             # three header tokens over a valid row
         "2 x\n",                  # non-integer dimension
         "-1 2\n",                 # negative dimension
         "2 2\n1 2\n3\n",          # short row

@@ -6,7 +6,7 @@ random feasible competitors.
 """
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -66,6 +66,18 @@ class TestNullSpaceBasis:
         v[0, 0] = 1.0
         with pytest.raises(RankDeficient):
             NullSpaceBasis(n=3, ell=1, V=v, raw=np.array([[0.0], [1.0], [0.0]]))
+
+    def test_rejects_raw_of_wrong_length(self):
+        with pytest.raises(ShapeMismatch, match="raw"):
+            NullSpaceBasis(n=3, ell=1, V=np.ones((3, 1)) / np.sqrt(3.0), raw=np.ones((4, 1)))
+
+    def test_empty_rejects_a_negative_order(self):
+        with pytest.raises(BadDimension, match="-1"):
+            NullSpaceBasis.empty(-1)
+
+    def test_from_vectors_rejects_three_dimensions(self):
+        with pytest.raises(ShapeMismatch, match="2-d"):
+            NullSpaceBasis.from_vectors(np.ones((3, 1, 1)))
 
     def test_span_check_near_the_float_limit(self):
         # the norms of raw vectors of 1e200 overflow when squared; the
@@ -185,6 +197,14 @@ class TestNearestWithNullspace:
         basis = NullSpaceBasis(n=3, ell=1, V=np.ones((3, 1)) / np.sqrt(3.0))
         with pytest.raises(ShapeMismatch):
             nearest_with_nullspace(np.ones((2, 4)), basis)
+
+    @pytest.mark.parametrize("op", [nearest_with_nullspace, nearness_distance,
+                                    *SYMMETRIC_OPS],
+                             ids=["nearest", "distance", *(f"symmetric-{i}" for i in SYMMETRIC_IDS)])
+    def test_rejects_a_vector(self, op):
+        basis = NullSpaceBasis(n=3, ell=1, V=np.ones((3, 1)) / np.sqrt(3.0))
+        with pytest.raises(ShapeMismatch, match="expected a matrix"):
+            op(np.ones(3), basis)
 
 
 class TestNearestTwoVector:
@@ -350,6 +370,7 @@ class TestNearnessDistance:
     @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1,
                                                    max_side=6),
                       elements=st.one_of(st.just(-0.0), st.floats(-1e300, 1e300))))
+    @example(a=np.array([[-0.0, 2.0, -0.0], [1.0, -0.0, 3.0], [-5.0, 4.0, 1e300]]))
     def test_empty_basis_takes_the_general_path(self, a):
         # A - (A V) V^T with V of n x 0 subtracts exact zeros: a copy of
         # A to the bit, -0.0 kept, and a distance of 0.0
@@ -357,6 +378,14 @@ class TestNearnessDistance:
         out = nearest_with_nullspace(a, basis)
         assert out.tobytes() == a.tobytes() and not np.shares_memory(out, a)
         assert nearness_distance(a, basis) == 0.0
+        if a.shape[0] == a.shape[1]:
+            # the symmetric variant keeps the -0.0 entries of the upper
+            # triangle mirrored into a symmetric matrix too, which its
+            # general formula's + V (V^T A V) V^T would turn into +0.0
+            sym = np.where(np.triu(np.ones(a.shape, dtype=bool)), a, a.T)
+            out = nearest_symmetric_with_nullspace(sym, basis)
+            assert out.tobytes() == sym.tobytes() and not np.shares_memory(out, sym)
+            assert nearness_distance(sym, basis, symmetric=True) == 0.0
 
     def test_stencil_products_give_the_dense_bits(self):
         # the distances table passes the stencil product L2_TILDE V as

@@ -326,6 +326,14 @@ class TestNoise:
         assert np.array_equal(clean.b, p.b_hat)
         assert clean.epsilon == 0.0
 
+    def test_zero_noise_is_positive_zeros(self):
+        # nu = 0 stores +0.0 entries: scaling the draw by 0 would give
+        # -0.0 wherever the draw is negative
+        p = build_phillips(8)
+        for seed in (1, 2, 3):
+            e = add_noise(p, 0.0, seed).noise.e
+            assert np.array_equal(e, np.zeros(8)) and not np.signbit(e).any()
+
     def test_epsilon_property(self):
         p = add_noise(build_phillips(8), 1e-2, seed=2)
         assert p.epsilon == pytest.approx(np.linalg.norm(p.noise.e))

@@ -640,12 +640,33 @@ class TestRRGMRESBlock:
         assert np.array_equal(res.z, res.iterates[-1])
 
     def test_one_column_block_is_rrgmres_solve(self):
+        # one call path: the one-column block gives rrgmres_solve's result
+        # bit for bit, iterates included
         rng = np.random.default_rng(151)
         a = rng.standard_normal((12, 12)) + 4.0 * np.eye(12)
         b = rng.standard_normal(12)
         cfg = SolverConfig(epsilon=1e-6 * np.linalg.norm(b))
-        (res,) = assert_block_equals_singles(a, b[:, None], [cfg])
-        assert res.stop_reason is StopReason.DISCREPANCY_MET
+        for keep in (False, True):
+            (res,) = assert_block_equals_singles(a, b[:, None], [cfg], keep)
+            ref = rrgmres_solve(LinearOperator.from_matrix(a), b, cfg, keep)
+            assert res.stop_reason is ref.stop_reason is StopReason.DISCREPANCY_MET
+            assert (res.k, res.solve_matvecs, res.log.entries, res.residual) == (
+                ref.k, ref.solve_matvecs, ref.log.entries, ref.residual)
+            assert np.array_equal(res.z, ref.z)
+            if keep:
+                assert len(res.iterates) == len(ref.iterates) == res.k > 0
+                assert all(np.array_equal(z, zr) for z, zr in zip(res.iterates, ref.iterates))
+            else:
+                assert res.iterates is ref.iterates is None
+
+    def test_single_solve_hands_its_operator_one_column_blocks(self):
+        # rrgmres_solve applies its operator as rrgmres_block does: every
+        # operand is an n x 1 block, and each result is read as one
+        rng = np.random.default_rng(152)
+        op = RecordingOperator(rng.standard_normal((7, 7)) + 3.0 * np.eye(7))
+        res = rrgmres_solve(op, rng.standard_normal(7), SolverConfig(epsilon=0.0, max_iter=5))
+        assert res.solve_matvecs == len(op.inputs) == 6
+        assert all(x.shape == (7, 1) for x in op.inputs)
 
     def test_guards(self):
         op = LinearOperator.from_matrix(np.eye(3))

@@ -109,6 +109,11 @@ class TestPrepare:
         with pytest.raises(ShapeMismatch):
             prepare_context(LinearOperator.from_matrix(np.eye(6)), np.ones(6), reg)
 
+    def test_regularizer_of_another_order(self):
+        reg = regularizer_from_name("L1dP1", 6)
+        with pytest.raises(ShapeMismatch, match="regularizer built for n=6, operator has n=5"):
+            factor_transform(LinearOperator.from_matrix(np.eye(5)), reg)
+
     def test_core_solve_shape_guard(self):
         reg = regularizer_from_name("L1dP1", 5)
         with pytest.raises(ShapeMismatch):
