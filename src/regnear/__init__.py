@@ -13,7 +13,7 @@ import importlib
 # the public names, by the submodule that defines them
 _EXPORTS = {
     "errors": ("BadDimension", "DependentVectors", "NoRoot", "NotSymmetric",
-               "NumericsError", "ParseError", "RankDeficient", "ShapeMismatch",
+               "NumericsError", "OutOfRange", "ParseError", "RankDeficient", "ShapeMismatch",
                "SingularCore", "SingularSystem", "SingularTriangular"),
     "linalg": ("frobenius_inner", "frobenius_norm", "min_norm_lstsq_solve",
                "read_matrix", "read_vector", "solve_upper_triangular", "thin_qr",

@@ -192,9 +192,18 @@ def cmd_nearest(args) -> int:
 
 # --- entry point ----------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, whose usage errors exit with code 2 in one
+    line, as every other configuration error does; --help has the usage.
+    Its subcommand parsers are of this class too."""
+
+    def error(self, message):
+        self.exit(2, f"error: {self.prog}: {message}\n")
+
+
 def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     """The parser and its subcommand parsers by name."""
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="regnear",
         description="Null-space-aware regularizers, standard-form transformation, "
                     "and range-restricted GMRES experiments.")

@@ -46,6 +46,10 @@ class NoRoot(NumericsError):
     """A scalar root finder could not bracket the requested value."""
 
 
+class OutOfRange(NumericsError):
+    """A finite result lies beyond the largest float."""
+
+
 class ParseError(NumericsError):
     """A text file does not conform to the matrix/vector format."""
 

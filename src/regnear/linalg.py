@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ParseError, RankDeficient, ShapeMismatch, SingularTriangular
+from .errors import OutOfRange, ParseError, RankDeficient, ShapeMismatch, SingularTriangular
 
 RANK_TOL = 1e-12
 # sqrt(u), u the unit roundoff: a solution component along a singular
@@ -146,6 +146,35 @@ def frobenius_norm(a) -> float:
         top = float(np.max(np.abs(a)))
         norm = top * float(np.linalg.norm(a / top))
     return norm
+
+
+# a magnitude that scale_exponents scales by default: below it, the
+# squares of n entries, and of their products with an n x n matrix A,
+# sum to a finite value for n ||A||^2 up to 2**224
+LARGE = 2.0 ** 400
+
+
+def scale_exponents(a, limit: float = LARGE, axis=None) -> np.ndarray:
+    """The exponent e of 2, for a or for each slice of a along axis,
+    that brings its largest magnitude into [1/2, 1) as np.ldexp(a, -e),
+    where that magnitude exceeds limit, and 0 elsewhere.  Scaling by a
+    power of two is exact for every entry that stays in the normal range,
+    that is, within 2**-1021 of the largest; a computation made in that
+    scale that is homogeneous in a gives the bits it would give unscaled,
+    scaled by 2**-e, without the overflow."""
+    top = np.abs(a).max(axis=axis, initial=0.0)
+    return np.where(top > limit, np.frexp(top)[1], 0)
+
+
+def scaled_back(x, e, what: str):
+    """np.ldexp(x, e): what, computed from operands scaled by 2**-e
+    (scale_exponents), back in their scale.  Raises OutOfRange when a
+    finite entry leaves the float range."""
+    with np.errstate(over="ignore"):
+        out = np.ldexp(x, e)
+    if np.any(np.isinf(out) & np.isfinite(x)):
+        raise OutOfRange(f"{what} exceeds the float range")
+    return out
 
 
 # --- plain-text matrix format -------------------------------------------

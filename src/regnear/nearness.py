@@ -15,10 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadDimension, NotSymmetric, RankDeficient, ShapeMismatch
-from .linalg import frobenius_norm, thin_qr
+from .linalg import frobenius_norm, scale_exponents, scaled_back, thin_qr
 
 _ORTHO_TOL = 1e-12
 _SPAN_TOL = 1e-10
+# the entry points scale a matrix with a larger entry by a power of two
+# (linalg.scale_exponents): below it, every product and sum they form,
+# at most (1 + 3n) max|a|, stays finite for any order that fits in memory
+_LARGE = 2.0 ** 1000
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,8 +54,12 @@ class NullSpaceBasis:
             raw = np.atleast_2d(np.asarray(self.raw, dtype=float))
             if raw.shape[0] != self.n:
                 raise ShapeMismatch("raw vectors have wrong length")
-            resid = raw - V @ (V.T @ raw)
-            if frobenius_norm(resid) > _SPAN_TOL * max(frobenius_norm(raw), 1.0):
+            # vectors with a large entry are checked scaled by a power of
+            # two, which keeps their span; the floor 1.0 scales with them
+            e = int(scale_exponents(raw, _LARGE))
+            raw_s = np.ldexp(raw, -e)
+            resid = raw_s - V @ (V.T @ raw_s)
+            if frobenius_norm(resid) > _SPAN_TOL * max(frobenius_norm(raw_s), np.ldexp(1.0, -e)):
                 raise RankDeficient("raw vectors do not lie in span of the basis")
             object.__setattr__(self, "raw", raw)
 
@@ -64,12 +72,14 @@ class NullSpaceBasis:
     @classmethod
     def from_vectors(cls, vectors) -> "NullSpaceBasis":
         """Build a basis from the columns of `vectors`, orthonormalized by
-        thin QR (raising RankDeficient for dependent input)."""
+        thin QR (raising RankDeficient for dependent input); vectors with
+        an entry above _LARGE are scaled by a power of two first, which
+        keeps their span and their norms finite."""
         raw = np.atleast_2d(np.asarray(vectors, dtype=float))
         if raw.ndim != 2:
             raise ShapeMismatch("expected a 2-d array of column vectors")
         n, ell = raw.shape
-        q, _ = thin_qr(raw)
+        q, _ = thin_qr(np.ldexp(raw, -scale_exponents(raw, _LARGE)))
         return cls(n=n, ell=ell, V=q, raw=raw)
 
 
@@ -80,17 +90,25 @@ def _check_basis(a: np.ndarray, basis: NullSpaceBasis) -> None:
         raise ShapeMismatch(f"matrix has {a.shape[1]} columns, basis lives in dimension {basis.n}")
 
 
+def _scaled(a, basis: NullSpaceBasis) -> tuple[np.ndarray, int]:
+    """a as a float matrix checked against basis, scaled by 2**-e where
+    its entries are large, and e; scaled_back(result, e) undoes it."""
+    a = np.asarray(a, dtype=float)
+    _check_basis(a, basis)
+    e = int(scale_exponents(a, _LARGE))
+    return np.ldexp(a, -e), e
+
+
 def nearest_with_nullspace(a, basis: NullSpaceBasis) -> np.ndarray:
     """Frobenius-closest matrix to `a` that annihilates span(basis).
 
     Equals a @ P for the orthogonal projector P; computed without
     forming P.  An empty basis subtracts exact zeros, so a comes back
-    bit for bit.
+    bit for bit.  OutOfRange when an entry of the result exceeds the
+    float range.
     """
-    a = np.asarray(a, dtype=float)
-    _check_basis(a, basis)
-    av = a @ basis.V
-    return a - av @ basis.V.T
+    a, e = _scaled(a, basis)
+    return scaled_back(a - (a @ basis.V) @ basis.V.T, e, "nearest matrix")
 
 
 def _check_symmetric(a: np.ndarray) -> None:
@@ -107,17 +125,16 @@ def _check_symmetric(a: np.ndarray) -> None:
 
 def nearest_symmetric_with_nullspace(a, basis: NullSpaceBasis) -> np.ndarray:
     """Closest symmetric matrix with the prescribed null space: P a P."""
-    a = np.asarray(a, dtype=float)
-    _check_basis(a, basis)
+    a, e = _scaled(a, basis)
     _check_symmetric(a)
     if basis.ell == 0:
         # the general formula's + V vtav V^T adds +0.0, which would turn
         # a -0.0 entry into +0.0
-        return a.copy()
+        return scaled_back(a, e, "nearest matrix")
     V = basis.V
     av = a @ V            # n x ell
     vtav = V.T @ av       # ell x ell
-    return a - V @ av.T - av @ V.T + V @ vtav @ V.T
+    return scaled_back(a - V @ av.T - av @ V.T + V @ vtav @ V.T, e, "nearest matrix")
 
 
 def distance_from_products(V, av, atv=None) -> float:
@@ -130,15 +147,15 @@ def distance_from_products(V, av, atv=None) -> float:
     ||A V||^2 + ||A^T V||^2 - ||V^T A^T V||^2.
 
     When a square overflows, the same formula runs once more on the
-    products scaled by a power of two, which is exact, and the result
-    is scaled back; below the overflow it is the plain formula, bit for
-    bit.
+    products scaled by a power of two (linalg.scale_exponents), which is
+    exact, and the result is scaled back; below the overflow it is the
+    plain formula, bit for bit.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         dist = _distance(V, av, atv)
         if not math.isfinite(dist):
             products = [p for p in (av, atv) if p is not None]
-            e = np.frexp(max(np.abs(p).max(initial=0.0) for p in products))[1]
+            e = max(int(scale_exponents(p, 0.0)) for p in products)
             dist = np.ldexp(_distance(V, *(np.ldexp(p, -e) for p in products)), e)
     return float(dist)
 
@@ -166,11 +183,10 @@ def nearness_distance(a, basis: NullSpaceBasis, symmetric: bool = False) -> floa
     the catalog's L2_TILDE: this dense route and distance_from_products
     on the stencil product L2_TILDE V agree bit for bit at every order
     from 4 to 2000, where the form V^T (a V) differs at n = 78.
+    OutOfRange when the distance exceeds the float range.
     """
-    a = np.asarray(a, dtype=float)
-    _check_basis(a, basis)
-    av = a @ basis.V
-    if not symmetric:
-        return distance_from_products(basis.V, av)
-    _check_symmetric(a)
-    return distance_from_products(basis.V, av, a.T @ basis.V)
+    a, e = _scaled(a, basis)
+    if symmetric:
+        _check_symmetric(a)
+    atv = a.T @ basis.V if symmetric else None
+    return float(scaled_back(distance_from_products(basis.V, a @ basis.V, atv), e, "distance"))

@@ -28,9 +28,8 @@ applies an operator in one way only.
 The running columns share one state, a struct of arrays along the
 column axis (_Columns): each column's basis, the remainder of b, R, g,
 the rotations, its residual history and its stopping data.  R is the
-only record of the singular rule, the residual history the only record
-of the log and the solutions y of each step the only record of the
-iterates, all of which a column's result reads when it leaves.
+only record of the singular rule and the residual history the only
+record of the log, both of which a column's result reads when it leaves.
 Gram-Schmidt, the rotations, the norms and the stop tests run once per
 step for every column.  The state grows by a chunk of steps at a time,
 copying only the small arrays and never the stored basis, so max_iter
@@ -39,14 +38,24 @@ one take, which keeps each group's columns contiguous.  So a column's
 result is the one it would get alone, to rounding, and a group's
 results do not depend on the groups beside it.
 
+A column of B with an entry above linalg.LARGE = 2**400 runs scaled by
+a power of two, with its epsilon (linalg.scale_exponents), so that the
+squares of b and of A b stay finite; its iterates and residuals are
+scaled back when it leaves.  Every step is homogeneous in b, so the
+scaled run is the plain one to the bit, scaled, wherever the plain one
+does not overflow.
+
 Each step solves the least-squares problems of its running columns
-once, and every iterate and residual reads that solve: it gives the
-misfit of every column at the step, and its solutions y, kept as one
-array per step (ys), give every iterate, those of the columns that stop
-and those kept on request, each set combining its bases in one pass; a
-k = 0 stop returns z = 0.  The regular triangles back-substitute
-together, each as it would alone, so a column's y is the one it would
-get alone, and leaving the loop solves nothing again.  A triangle is
+once: the solve gives the misfit of every column at the step, and its
+solutions y, which the state does not keep, give the iterates of the
+columns that stop there, combining their bases in one pass; a k = 0
+stop returns z = 0.  Like GMRES (Saad 2003, section 6.5), the loop reads
+each residual from g and forms y only for the iterates it returns.  The
+regular triangles back-substitute together, each as it would alone, so
+a column's y is the one it would get alone.  With keep_iterates, a
+column that leaves solves the triangles of its earlier steps m again,
+R[:m, :m] with g[:m], which no later step changes, so each kept iterate
+is the one a run stopped at step m returns, bit for bit.  A triangle is
 near singular when linalg's rule at NEAR_SINGULAR_TOL = sqrt(u) holds
 for it (singular_triangles, read from R itself), or when its
 back-substituted y is longer than ||g|| / (NEAR_SINGULAR_TOL rmax),
@@ -69,8 +78,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ShapeMismatch
-from .linalg import (NEAR_SINGULAR_TOL, checked_rhs, min_norm_lstsq_solve,
-                     singular_triangles, solve_upper_triangular)
+from .linalg import (NEAR_SINGULAR_TOL, checked_rhs, min_norm_lstsq_solve, scale_exponents,
+                     scaled_back, singular_triangles, solve_upper_triangular)
 
 # A new Krylov direction, made from a unit vector, shorter than this
 # fraction of ||A b|| / ||b|| ends the basis; the same test, with ||A b||
@@ -228,7 +237,10 @@ def rrgmres_solve(A, b: np.ndarray, cfg: SolverConfig,
     already meets the discrepancy test no operator application happens
     at all.  The log and solve_matvecs count the calls of A.matvec made
     here and nothing else.  A b with non-finite entries raises
-    ValueError before any call.
+    ValueError before any call.  A b with an entry above linalg.LARGE
+    runs scaled by a power of two, with epsilon, and its results are
+    scaled back; OutOfRange when one of them, such as ||b||, is beyond
+    the float range.
 
     The residual logged at step k, compared with eta * epsilon and
     returned, is ||A z_k - b|| of the iterate z_k of that step, also
@@ -313,34 +325,32 @@ class _Columns:
     """The running columns of _lockstep, all at step k.
 
     Every array attribute runs along the column axis, axis 0, one entry
-    per running column: its column of B (cols) and operator group,
+    per running column: its column of B (cols) and operator group, the
+    exponent of the power of two that scaled it (scale), the scaled
     eta * epsilon (threshold), max_iter, ||A b|| (beta0), the remainder
     bres of b outside the basis, the residual of each step so far, res
     (s, cap) with res[:, 0] = ||b||, and the rotated least-squares
     problem: the triangle R (s, cap, cap), its right-hand side g (s,
     cap) and the cosines and sines of the rotations (s, 2, cap).  R is
-    the only record of the singular rule, read by _least_squares.  The
-    basis is a list of chunks of SIZE steps, each (s, SIZE, n); ys is a
-    list with one entry per step m = 1..k, the solutions y of that
-    step's least-squares problems, (s, m), the only record of the
-    iterates; and widths counts the running columns of each group,
-    whose columns are contiguous and in group order.
+    the only record of the singular rule, read by _least_squares, and
+    no least-squares solution y is kept: a step's y serves only the
+    columns that leave at it.  The basis is a list of chunks of SIZE steps,
+    each (s, SIZE, n), and widths counts the running columns of each
+    group, whose columns are contiguous and in group order.
     """
 
     def __init__(self, n: int, widths: list, **arrays):
         self.__dict__.update(arrays)
-        self.n, self.widths, self.chunks, self.ys, self.k = n, list(widths), [], [], 0
+        self.n, self.widths, self.chunks, self.k = n, list(widths), [], 0
 
     def take(self, keep: np.ndarray) -> None:
         """Keep the columns that keep marks: every array, the basis chunks
-        and the ys one entry at a time so that nothing is held twice, and
-        the widths."""
+        one at a time so that nothing is held twice, and the widths."""
         for name, a in list(vars(self).items()):
             if isinstance(a, np.ndarray):
                 setattr(self, name, a[keep])
-        for entries in (self.chunks, self.ys):
-            for i, a in enumerate(entries):
-                entries[i] = a[keep]
+        for i, a in enumerate(self.chunks):
+            self.chunks[i] = a[keep]
         self.widths = np.bincount(self.group, minlength=len(self.widths)).tolist()
 
     def grow(self) -> None:
@@ -368,13 +378,17 @@ class _Columns:
         self.g[:, k] = _dots(v, self.bres)
         self.bres = self.bres - self.g[:, k, None] * v
 
-    def iterates(self, rows: np.ndarray, m: int) -> np.ndarray:
-        """The iterates z_m of the columns rows, (len(rows), n), at any
-        step m <= k: their bases combined in one pass with ys[m - 1],
-        the solutions that step m made; m = 0 gives z = 0."""
+    def iterates(self, rows: np.ndarray, m: int, y=None) -> np.ndarray:
+        """The iterates z_m of the columns rows, (len(rows), n), at a
+        step m <= k, in the scale of their b: their bases combined in one
+        pass with y[rows], the solutions of step m's least-squares
+        problems.  Without y they are solved again from R[:m, :m] and
+        g[:m], which no step after m changes; m = 0 gives z = 0."""
         if m == 0:
             return np.zeros((rows.size, self.n))
-        return _combination((p[rows] for p in _pieces(self.chunks, m)), self.ys[m - 1][rows])
+        y = _least_squares(self.R[rows, :m, :m], self.g[rows, :m])[0] if y is None else y[rows]
+        z = _combination((p[rows] for p in _pieces(self.chunks, m)), y)
+        return scaled_back(z, self.scale[rows, None], "iterate")
 
 
 def _lockstep(ops: list, widths: list, B, cfgs: list, keep_iterates: bool) -> list:
@@ -386,33 +400,38 @@ def _lockstep(ops: list, widths: list, B, cfgs: list, keep_iterates: bool) -> li
     group's running columns.
 
     The running columns are all at the same step k, and their state is
-    one _Columns.  A column that stops takes its iterate, and its log,
-    read from its residual history, and leaves: the state takes the
-    rest, which keeps each group's running columns contiguous.
+    one _Columns.  A column that stops takes its iterate, from y, the
+    solutions of the step's least-squares problems, and its log, read
+    from its residual history, and leaves: the state takes the rest,
+    which keeps each group's running columns contiguous.
     """
     n, s = B.shape
-    bt = np.ascontiguousarray(B.T)          # each b as a row
+    scale = scale_exponents(B, axis=0)
+    bt = np.ldexp(B.T, -scale[:, None], order="C")  # each b as a row, scaled
     bnorm = np.sqrt(_dots(bt, bt))
     results = [None] * s
     # res starts as ||b|| alone: the k = 0 stops leave before any grow
-    st = _Columns(n, widths, cols=np.arange(s), res=bnorm[:, None], bres=bt,
+    st = _Columns(n, widths, cols=np.arange(s), res=bnorm[:, None], bres=bt, scale=scale,
                   group=np.repeat(np.arange(len(ops)), widths),
-                  threshold=np.array([cfg.eta * cfg.epsilon for cfg in cfgs]),
+                  threshold=np.ldexp([cfg.eta * cfg.epsilon for cfg in cfgs], -scale),
                   max_iter=np.array([cfg.max_iter for cfg in cfgs]),
                   R=np.zeros((s, 0, 0)), g=np.zeros((s, 0)), rot=np.zeros((s, 2, 0)))
 
-    def leave(stops: list, applies: int) -> bool:
+    def leave(stops: list, applies: int, y=None) -> bool:
         """The running columns that a mask of stops, a list of (mask,
         StopReason) pairs, marks take their results at step k, each with
-        the reason of the first mask that marks it and the log of its
-        residuals res[:k + 1], and leave.  True when no column is left."""
+        the reason of the first mask that marks it, its iterate from y,
+        the solutions of the step's least-squares problems (None at k =
+        0, whose iterate is 0), and the log of its residuals res[:k + 1],
+        and leave.  True when no column is left."""
         done = np.logical_or.reduce([mask for mask, _ in stops])
         if not done.any():
             return False
         rows = np.flatnonzero(done)
-        z = st.iterates(rows, st.k)
-        kept = [st.iterates(rows, m) for m in range(1, st.k + 1)] if keep_iterates else None
-        history = st.res[rows, :st.k + 1].tolist()
+        z = st.iterates(rows, st.k, y)
+        kept = ([st.iterates(rows, m, y if m == st.k else None) for m in range(1, st.k + 1)]
+                if keep_iterates else None)
+        history = scaled_back(st.res[rows, :st.k + 1], st.scale[rows, None], "residual").tolist()
         for j, i in enumerate(rows.tolist()):
             results[int(st.cols[i])] = RRGMRESResult(
                 z=z[j], k=st.k, residual=history[j][-1],
@@ -425,7 +444,7 @@ def _lockstep(ops: list, widths: list, B, cfgs: list, keep_iterates: bool) -> li
 
     if leave([(bnorm <= st.threshold, StopReason.INITIAL_RESIDUAL_OK)], 0):
         return results
-    ab = _by_group(ops, st.widths, B[:, st.cols])
+    ab = _by_group(ops, st.widths, np.ldexp(B[:, st.cols], -st.scale))
     st.beta0 = np.sqrt(_dots(ab, ab))
     # A b vanished: the range-restricted space is empty
     empty = st.beta0 <= BREAKDOWN_TOL * st.res[:, 0]
@@ -458,10 +477,9 @@ def _lockstep(ops: list, widths: list, B, cfgs: list, keep_iterates: bool) -> li
         # the one least-squares solve of step k; ||A z_k - b||^2 = g_k^2 +
         # ||bres||^2 + misfit^2, the misfit 0 where R back-substitutes
         y, misfit = _least_squares(st.R[:, :k, :k], st.g[:, :k])
-        st.ys.append(y)
         residual = np.hypot(np.hypot(st.g[:, k], np.sqrt(_dots(st.bres, st.bres))), misfit)
         st.res[:, k] = residual
         if leave([(residual <= st.threshold, StopReason.DISCREPANCY_MET),
                   (broken, StopReason.BREAKDOWN), (k >= st.max_iter, StopReason.MAX_ITER)],
-                 k + 1):
+                 k + 1, y):
             return results

@@ -41,6 +41,23 @@ BLOCK_ROWS = regnear.cli._DISTANCE_BLOCK_ROWS
 # a symmetric matrix whose entries square past the float range, with
 # the basis of ones: both nearness distances are 5e200
 HUGE_MATRIX = np.array([[4e200, 1e200, 0.0], [1e200, 3e200, 1e200], [0.0, 1e200, 4e200]])
+# nearest runs near the float maximum, each with the basis of ones: the
+# argv, the matrix, the exit code and the line it prints
+NEAR_MAX_RUNS = {
+    # a - a^T overflowed in the symmetry check
+    "asymmetric": (["--symmetric"], [[1.7e308, -1.7e308], [1.7e308, 1.0]], 3,
+                   "numerical failure: NotSymmetric: input matrix is not symmetric"),
+    # a V overflowed; the distance, sqrt(3) 1.7e308, is beyond the float range
+    "distance-beyond": ([], [[1.7e308, 1.7e308, 1.7e308], [0, 1, 0], [0, 0, 1]], 3,
+                        "numerical failure: OutOfRange: distance exceeds the float range"),
+    # the distance, 1.7e308 / sqrt(3), is finite, but the nearest
+    # matrix's entry -1.7e308 - 1.7e308 / 3 is not
+    "matrix-beyond": ([], [[1.7e308, 1.7e308, -1.7e308], [0, 1, 0], [0, 0, 1]], 3,
+                      "numerical failure: OutOfRange: nearest matrix exceeds the float range"),
+    # a V overflowed in a partial sum; the distance and the matrix are finite
+    "finite": ([], [[1.7e308, 1.7e308, -9e307], [0, 1, 0], [0, 0, 1]], 0,
+               "distance 1.44337567297e+308"),
+}
 
 
 @functools.lru_cache(maxsize=None)
@@ -930,7 +947,8 @@ def test_run_settings_at_their_bounds(command, problem, n, noise, eta, max_iter,
 
 
 # matrix entries at the edges of the float range, signed zeros included
-EDGE_ENTRIES = (0.0, -0.0, 1.0, -1.0, 1e-300, -1e-300, 1e200, -1e200, 1e300, -1e300)
+EDGE_ENTRIES = (0.0, -0.0, 1.0, -1.0, 1e-300, -1e-300, 1e200, -1e200, 1e300, -1e300,
+                1.7e308, -1.7e308)
 
 
 @st.composite
@@ -970,6 +988,20 @@ def nearest_argv(draw):
                {"a.txt": HUGE_MATRIX, "v.txt": np.ones((3, 1))}))
 @example(case=(["nearest", "--matrix", "a.txt", "--nullspace", "v.txt", "--symmetric",
                 "--out", "out.txt"], {"a.txt": HUGE_MATRIX, "v.txt": np.ones((3, 1))}))
+# NEAR_MAX_RUNS, whose entries near the float maximum overflowed
+@example(case=(["nearest", "--matrix", "a.txt", "--nullspace", "v.txt", "--symmetric",
+                "--out", "out.txt"], {"a.txt": np.array(NEAR_MAX_RUNS["asymmetric"][1]),
+                                      "v.txt": np.ones((2, 1))}))
+@example(case=(["nearest", "--matrix", "a.txt", "--nullspace", "v.txt", "--out", "out.txt"],
+               {"a.txt": np.array(NEAR_MAX_RUNS["distance-beyond"][1]), "v.txt": np.ones((3, 1))}))
+@example(case=(["nearest", "--matrix", "a.txt", "--nullspace", "v.txt", "--out", "out.txt"],
+               {"a.txt": np.array(NEAR_MAX_RUNS["matrix-beyond"][1]), "v.txt": np.ones((3, 1))}))
+@example(case=(["nearest", "--matrix", "a.txt", "--nullspace", "v.txt", "--out", "out.txt"],
+               {"a.txt": np.array(NEAR_MAX_RUNS["finite"][1]), "v.txt": np.ones((3, 1))}))
+# null-space vectors near the float maximum, whose span check overflowed
+@example(case=(["nearest", "--matrix", "a.txt", "--nullspace", "v.txt", "--out", "out.txt"],
+               {"a.txt": np.zeros((3, 3)),
+                "v.txt": np.array([[1e300, 1.0], [1.0, 1.7e308], [0.0, 1.0]])}))
 def test_distances_and_nearest_at_their_bounds(case):
     # a run either writes its file and a finite distance, or fails in
     # one line with exit code 2 or 3 and writes nothing, with no numpy
@@ -1003,18 +1035,94 @@ def test_distances_and_nearest_at_their_bounds(case):
             assert first.startswith("distance ") and np.isfinite(float(first.split()[1]))
 
 
-@pytest.mark.parametrize("argv, code, line", [
-    (["nearest", "--matrix", "a.txt", "--nullspace", "v.txt"], 0, "distance 5e+200"),
-    (["nearest", "--matrix", "a.txt", "--nullspace", "v.txt", "--symmetric"], 0,
+# list items of --noise, --regs and --seeds, each with the value it
+# lists, or None for an item the table refuses
+NOISE_ITEMS = {"1e-3": 1e-3, "0": 0.0, " 1e-2 ": 1e-2, "x": None, "-1": None, "nan": None,
+               "1e-3..1e-2": None}
+REG_ITEMS = {"I": "I", " L1dP1 ": "L1dP1", "L3": None}
+SEED_ITEMS = {"3": 3, "1": 1, " 2 ": 2, "1.5": None, "-1": None, "x": None}
+
+
+@st.composite
+def comma_list(draw, items):
+    """A comma list of keys of items, empty items among them, and the
+    values it lists, repeats kept, or None when the table must refuse it:
+    a bad item, or nothing listed."""
+    keys = draw(st.lists(st.sampled_from([*items, ""]), max_size=4))
+    values = [items[k] for k in keys if k]
+    return ",".join(keys), values if values and None not in values else None
+
+
+@st.composite
+def seed_range(draw):
+    """lo..hi with bounds that are integers or not, in order or reversed."""
+    lo, hi = draw(st.sampled_from(["0", "1", "2", "x", ""])), draw(
+        st.sampled_from(["0", "1", "3", "1.5", ""]))
+    try:
+        values = list(range(int(lo), int(hi) + 1))
+    except ValueError:
+        values = []
+    return f"{lo}..{hi}", values or None
+
+
+@settings(max_examples=150, deadline=None)
+@given(noise=comma_list(NOISE_ITEMS), regs=comma_list(REG_ITEMS),
+       seeds=st.one_of(comma_list(SEED_ITEMS), seed_range()))
+# repeats list their cells again: the golden case table-duplicates
+# depends on them
+@example(noise=("1e-3", [1e-3]), regs=("I", ["I"]), seeds=("3,3", [3, 3]))
+@example(noise=("1e-3", [1e-3]), regs=("I,I", ["I", "I"]), seeds=("1", [1]))
+@example(noise=("1e-3,1e-3", [1e-3, 1e-3]), regs=("I", ["I"]), seeds=("1", [1]))
+# a reversed range, and a list of empty items, list no seed
+@example(noise=("1e-3", [1e-3]), regs=("I", ["I"]), seeds=("2..1", None))
+@example(noise=("1e-3", [1e-3]), regs=("I", ["I"]), seeds=(",", None))
+def test_table_lists(noise, regs, seeds):
+    # a table either lists one row per (noise level, regularizer, seed)
+    # cell and a median row per (noise level, regularizer), repeats
+    # included, or exits 2 in one stderr line and writes no file; no
+    # numpy warning gets out either way
+    texts, listed = zip(noise, regs, seeds)
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out.csv")
+        argv = ["table", "--n", "8", *(f"--{name}={text}" for name, text in
+                                       zip(("noise", "regs", "seeds"), texts)), "--out", out]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse's usage error
+                    code = exc.code
+        if None in listed:
+            assert code == 2 and err.getvalue().count("\n") == 1, (argv, err.getvalue())
+            assert os.listdir(tmp) == []
+            return
+        assert code == 0, (argv, err.getvalue())
+        with open(out) as f:
+            cells = [(float(r["nu"]), r["regularizer"], r["seed"]) for r in csv.DictReader(f)]
+    nus, names, seed_list = listed
+    assert cells == [(nu, reg, seed) for nu in nus for reg in names
+                     for seed in [*map(str, seed_list), "median"]]
+
+
+@pytest.mark.parametrize("argv, matrix, code, line", [
+    (["nearest", "--matrix", "a.txt", "--nullspace", "v.txt"], HUGE_MATRIX, 0,
      "distance 5e+200"),
-    (["distances", "--step", "-1"], 2, "error: step must be positive"),
-], ids=["nearest", "nearest-symmetric", "distances-negative-step"])
-def test_bounds_under_python_m(argv, code, line, tmp_path):
+    (["nearest", "--matrix", "a.txt", "--nullspace", "v.txt", "--symmetric"], HUGE_MATRIX, 0,
+     "distance 5e+200"),
+    (["distances", "--step", "-1"], HUGE_MATRIX, 2, "error: step must be positive"),
+    *((["nearest", "--matrix", "a.txt", "--nullspace", "v.txt", *flags], np.array(a), code, line)
+      for flags, a, code, line in NEAR_MAX_RUNS.values()),
+], ids=["nearest", "nearest-symmetric", "distances-negative-step", *NEAR_MAX_RUNS])
+def test_bounds_under_python_m(argv, matrix, code, line, tmp_path):
     # the same runs as python -m regnear.cli with every warning an error:
-    # the distance of entries whose squares overflow, and a bad step in
-    # one error line with no file
-    write_matrix(str(tmp_path / "a.txt"), HUGE_MATRIX)
-    write_matrix(str(tmp_path / "v.txt"), np.ones((3, 1)))
+    # the distance of entries whose squares overflow, entries near the
+    # float maximum, which fail only where the answer is beyond the float
+    # range or a is not symmetric, and a bad step; a failure is one
+    # error line with no file
+    write_matrix(str(tmp_path / "a.txt"), matrix)
+    write_matrix(str(tmp_path / "v.txt"), np.ones((len(matrix), 1)))
     run = subprocess.run([sys.executable, "-W", "error", "-m", "regnear.cli", *argv,
                           "--out", "out"], cwd=tmp_path, env=_child_env(),
                          capture_output=True, text=True)

@@ -4,6 +4,8 @@ The closed-form answers frozen here were computed by hand from the
 projector formulas; the property tests check optimality directly against
 random feasible competitors.
 """
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -87,6 +89,22 @@ class TestNullSpaceBasis:
         with pytest.raises(RankDeficient):
             NullSpaceBasis(n=3, ell=1, V=v, raw=np.array([[1e200], [1e200], [0.0]]))
         NullSpaceBasis(n=3, ell=1, V=v, raw=np.array([[1e200], [0.0], [0.0]]))
+
+    def test_vectors_near_the_float_maximum(self):
+        # vectors with an entry near the float maximum are orthonormalized
+        # and span-checked scaled by one power of two: V^T raw overflowed,
+        # and a column of two 1.7e308, whose norm overflowed, read as
+        # dependent
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pair = NullSpaceBasis.from_vectors([[1.7e308], [1.7e308], [0.0]])
+            mixed = NullSpaceBasis.from_vectors([[1e300, 1.0], [1.0, 1.7e308], [0.0, 1.0]])
+        np.testing.assert_allclose(np.abs(pair.V[:, 0]), [2 ** -0.5, 2 ** -0.5, 0.0],
+                                   rtol=1e-15)
+        np.testing.assert_allclose(np.abs(mixed.V.T @ mixed.V), np.eye(2), atol=1e-15)
+        # the unit vectors along the two columns lie in span(V)
+        for col in (np.array([1.0, 1e-300, 0.0]), np.array([1e-308, 1.0, 1e-308])):
+            np.testing.assert_allclose(mixed.V @ (mixed.V.T @ col), col, atol=1e-15)
 
 
 class TestBuildProjector:

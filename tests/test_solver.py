@@ -1,11 +1,13 @@
 """Iterative solver tests against brute-force Krylov and dense oracles."""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from regnear import solver
-from regnear.errors import NoRoot, ShapeMismatch, SingularSystem
+from regnear.errors import NoRoot, OutOfRange, ShapeMismatch, SingularSystem
 from regnear.linalg import RANK_TOL
 from regnear.oracles import discrepancy_mu_solve, tikhonov_direct_oracle
 from regnear.problems import add_noise, build_problem
@@ -311,6 +313,51 @@ class TestRRGMRES:
         with pytest.raises(ValueError, match="finite"):
             rrgmres_solve(op, b, SolverConfig(epsilon=0.1))
         assert op.inputs == []
+
+    def test_a_power_of_two_scales_the_result_bit_for_bit(self):
+        # b 2^j with epsilon 2^j stops at the same step for the same
+        # reason, with z, the log and every kept iterate scaled by 2^j,
+        # bit for bit.  From j = 600 the squares of b overflow, and
+        # such a column runs scaled back into range, alone or as one
+        # column of a block beside columns that need no scaling
+        prob = add_noise(build_problem("deriv2", 200), 1e-3, seed=11)
+        ctx = prepare_context(prob.K, prob.b, regularizer_from_name("L1dP1", 200))
+        js = (-300, -40, 0, 40, 300, 500, 600, 900)
+        cfgs = [SolverConfig(epsilon=float(np.ldexp(prob.epsilon, j))) for j in js]
+        B = np.repeat(ctx.solver_rhs[:, None], len(js), axis=1)
+        ref = rrgmres_solve(ctx, ctx.solver_rhs, cfgs[js.index(0)], True)
+        refs = [ref] * len(js) + rrgmres_block(ctx, B, [cfgs[js.index(0)]] * len(js), True)
+        assert ref.stop_reason is StopReason.DISCREPANCY_MET and ref.k >= 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            runs = [rrgmres_solve(ctx, np.ldexp(ctx.solver_rhs, j), cfg, True)
+                    for j, cfg in zip(js, cfgs)] + rrgmres_block(ctx, np.ldexp(B, js), cfgs, True)
+        for j, res, ref in zip(js * 2, runs, refs):
+            assert (res.k, res.stop_reason) == (ref.k, ref.stop_reason), j
+            assert np.array_equal(res.z, np.ldexp(ref.z, j)), j
+            assert res.log.entries == [(m, float(np.ldexp(r, j)), mv)
+                                       for m, r, mv in ref.log.entries], j
+            assert np.array_equal(res.iterates, np.ldexp(ref.iterates, j)), j
+
+    def test_a_rhs_whose_squares_overflow_is_solved(self):
+        # ||b||^2 of 5e400 made ||b|| inf, and A b looked like a vanished
+        # direction: k = 0, BREAKDOWN and residual inf.  It runs scaled
+        # to the end of its five-dimensional Krylov space, as b = 1 does
+        a = LinearOperator.from_matrix(np.diag(np.arange(1.0, 6.0)))
+        one = rrgmres_solve(a, np.ones(5), SolverConfig())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            big = rrgmres_solve(a, np.full(5, 1e200), SolverConfig())
+            capped = rrgmres_solve(a, np.full(5, 1e200), SolverConfig(max_iter=4))
+            with pytest.raises(OutOfRange, match="residual"):
+                # ||b|| itself, 2.2e308, is beyond the float range
+                rrgmres_solve(a, np.full(5, 1e308), SolverConfig())
+        assert (big.k, big.stop_reason) == (one.k, one.stop_reason) == (5, StopReason.BREAKDOWN)
+        np.testing.assert_allclose(big.z, 1e200 * one.z, rtol=1e-13)
+        np.testing.assert_allclose(big.log.residuals()[:5], 1e200 * np.array(
+            one.log.residuals()[:5]), rtol=1e-13)
+        assert (capped.k, capped.stop_reason) == (4, StopReason.MAX_ITER)
+        assert np.isfinite(capped.residual) and capped.residual > 1e199
 
     def test_discrepancy_stop_obeys_threshold(self):
         rng = np.random.default_rng(110)
@@ -821,9 +868,10 @@ class TestIterates:
            caps=st.lists(st.integers(1, 12), min_size=3, max_size=3),
            keep=st.booleans(), seed=st.integers(0, 2**32 - 1))
     def test_each_triangle_is_solved_once_per_step(self, kind, n, caps, keep, seed):
-        # the step's least-squares solve is the only one: one call per
-        # step, on the triangle of every running column, serves the
-        # misfit, the iterate of a column that leaves and every kept one
+        # one call per step, on the triangle of every running column,
+        # serves the misfit and the iterate of a column that leaves; the
+        # state keeps no y, so with keep_iterates the columns that leave
+        # at step k solve their steps 1..k-1 again, one call per step
         sizes = []
 
         def counting(R, g):
@@ -840,8 +888,9 @@ class TestIterates:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(solver, "_least_squares", counting)
                 ks = [r.k for r in run()]
-            assert len(sizes) == max(ks), ks
-            assert sum(sizes) == sum(ks), (sizes, ks)
+            again = {k: max(k - 1, 0) * keep for k in ks}  # calls again at a leave at k
+            assert len(sizes) == max(ks) + sum(again.values()), ks
+            assert sum(sizes) == sum(ks) + sum(again[k] for k in ks), (sizes, ks)
 
     def test_near_singular_triangle_logs_the_iterate_residual(self):
         # the 5 x 5 down-shift: step 4's triangle is regular by the rule,
