@@ -15,22 +15,21 @@ _EXPORTS = {
     "errors": ("BadDimension", "DependentVectors", "NoRoot", "NotSymmetric",
                "NumericsError", "OutOfRange", "ParseError", "RankDeficient", "ShapeMismatch",
                "SingularCore", "SingularSystem", "SingularTriangular"),
-    "linalg": ("frobenius_inner", "frobenius_norm", "min_norm_lstsq_solve",
-               "read_matrix", "read_vector", "solve_upper_triangular", "thin_qr",
-               "write_matrix", "write_vector"),
+    "linalg": ("frobenius_norm", "min_norm_lstsq_solve", "read_matrix",
+               "solve_upper_triangular", "thin_qr", "write_matrix", "write_vector"),
     "nearness": ("NullSpaceBasis", "distance_from_products",
                  "nearest_symmetric_with_nullspace", "nearest_with_nullspace",
                  "nearness_distance"),
     "oracles": ("build_projector", "deriv2_entry_by_quadrature", "discrepancy_mu_solve",
-                "make_projector_closed", "nearest_two_vector", "tikhonov_direct_oracle",
-                "tikhonov_minimizer_via_transform"),
+                "hessenberg_residual", "make_projector_closed", "nearest_two_vector",
+                "tikhonov_direct_oracle", "tikhonov_minimizer_via_transform"),
     "problems": ("NoiseInfo", "TestProblem", "add_noise", "build_deriv2",
                  "build_phillips", "build_problem", "relative_error"),
     "regops": ("Mode", "ProjectedRegularizer", "REGULARIZER_NAMES",
                "RegularizerKind", "make_nullspace_basis", "make_regularization_matrix",
                "regularizer_from_name", "stacked_n2_bases", "stencil_product"),
     "solver": ("IterationLog", "RRGMRESResult", "SolverConfig", "StopReason",
-               "hessenberg_residual", "rrgmres_block", "rrgmres_solve"),
+               "rrgmres_block", "rrgmres_solve"),
     "transform": ("LinearOperator", "StandardFormContext", "StandardFormFactor",
                   "apply_pk_dagger", "back_transform", "factor_transform",
                   "k2_operator", "prepare_context", "project_rhs"),

@@ -74,11 +74,13 @@ def _config_defaults(parser: argparse.ArgumentParser, path: str) -> dict:
             raise ConfigError(f"unknown config key {key!r}; valid keys: {valid}")
         try:
             values[key] = (actions[key].type or str)(val)
-        except ValueError as exc:
+        except (ValueError, argparse.ArgumentTypeError) as exc:
             raise ConfigError(f"config key {key}: {exc}") from exc
     return values
 
 
+# the list and boolean parsers raise ArgumentTypeError, whose message
+# argparse shows as it is; a ValueError would read "invalid <parser> value"
 def _parse_seeds(text: str) -> tuple[int, ...]:
     text = text.strip()
     if ".." in text:
@@ -86,18 +88,18 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
         try:
             return tuple(range(int(lo), int(hi) + 1))
         except ValueError as exc:
-            raise ValueError(f"bad seed range {text!r}") from exc
+            raise argparse.ArgumentTypeError(f"bad seed range {text!r}") from exc
     try:
         return tuple(int(p) for p in text.split(",") if p)
     except ValueError as exc:
-        raise ValueError(f"bad seed list {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"bad seed list {text!r}") from exc
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
     try:
         return tuple(float(p) for p in text.split(",") if p)
     except ValueError as exc:
-        raise ValueError(f"bad number list {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"bad number list {text!r}") from exc
 
 
 def _parse_regs(text: str) -> tuple[str, ...]:
@@ -110,7 +112,7 @@ def _parse_bool(text: str) -> bool:
         return True
     if low in ("0", "false", "no", "off"):
         return False
-    raise ValueError(f"bad boolean {text!r}")
+    raise argparse.ArgumentTypeError(f"bad boolean {text!r}")
 
 
 # --- subcommands ----------------------------------------------------------

@@ -125,27 +125,18 @@ def min_norm_lstsq_solve(a, b, rcond=RANK_TOL) -> np.ndarray:
     return x
 
 
-def frobenius_inner(a, b) -> float:
-    """Frobenius inner product sum_ij a_ij * b_ij."""
-    a = _as_float_array(a, "first operand")
-    b = _as_float_array(b, "second operand")
-    if a.shape != b.shape:
-        raise ShapeMismatch(f"shape {a.shape} vs {b.shape}")
-    return float(np.sum(a * b))
-
-
 def frobenius_norm(a) -> float:
     """||a||_F of a finite array.  When its sum of squares overflows, the
-    norm is taken of a scaled by its largest magnitude, so it is inf
-    only when the norm itself is; otherwise it is numpy's norm, bit for
-    bit."""
+    norm is taken of a scaled by a power of two (scale_exponents) and
+    scaled back, so it is inf only when the norm itself is; otherwise it
+    is numpy's norm, bit for bit."""
     a = _as_float_array(a, "matrix")
     with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(a))
-    if norm == np.inf:
-        top = float(np.max(np.abs(a)))
-        norm = top * float(np.linalg.norm(a / top))
-    return norm
+        norm = np.linalg.norm(a)
+        if norm == np.inf:
+            e = scale_exponents(a, 0.0)
+            norm = np.ldexp(np.linalg.norm(np.ldexp(a, -e)), e)
+    return float(norm)
 
 
 # a magnitude that scale_exponents scales by default: below it, the
@@ -240,11 +231,3 @@ def write_vector(f, v) -> None:
     if v.ndim != 1:
         raise ShapeMismatch("write_vector expects a 1-d array")
     write_matrix(f, v.reshape(-1, 1))
-
-
-def read_vector(f) -> np.ndarray:
-    """Read an n x 1 or 1 x n matrix file as a vector."""
-    a = read_matrix(f)
-    if a.ndim != 2 or (1 not in a.shape and 0 not in a.shape):
-        raise ParseError("vector file must have a single row or column")
-    return a.reshape(-1)

@@ -6,16 +6,22 @@ P the orthogonal projector onto the complement of span(V).  When the
 perturbed matrix must stay symmetric the closest choice is P*A*P.
 These operations and the associated distances live here, computed
 without forming P; the dense projector is an oracle, in oracles.
+
+Large input is scaled by exact powers of two (linalg.scale_exponents),
+never by a division: the entry points scale a, and the distance scales
+the products a V as well, once each, before any square is formed; a
+result is scaled back by linalg.scaled_back, which raises OutOfRange
+when it leaves the float range.  distance_from_products is the formula
+alone, for products whose squares fit.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BadDimension, NotSymmetric, RankDeficient, ShapeMismatch
-from .linalg import frobenius_norm, scale_exponents, scaled_back, thin_qr
+from .linalg import LARGE, frobenius_norm, scale_exponents, scaled_back, thin_qr
 
 _ORTHO_TOL = 1e-12
 _SPAN_TOL = 1e-10
@@ -146,29 +152,22 @@ def distance_from_products(V, av, atv=None) -> float:
     are V^T A V, V^T A W and W^T A V (W^T A W is kept), so its square is
     ||A V||^2 + ||A^T V||^2 - ||V^T A^T V||^2.
 
-    When a square overflows, the same formula runs once more on the
-    products scaled by a power of two (linalg.scale_exponents), which is
-    exact, and the result is scaled back; below the overflow it is the
-    plain formula, bit for bit.
+    The formula alone: the squares of the products, and their sums,
+    must fit in a float.  Stencil products, whose entries are at most 1
+    in magnitude, always do; nearness_distance scales its products by a
+    power of two to meet this.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        dist = _distance(V, av, atv)
-        if not math.isfinite(dist):
-            products = [p for p in (av, atv) if p is not None]
-            e = max(int(scale_exponents(p, 0.0)) for p in products)
-            dist = np.ldexp(_distance(V, *(np.ldexp(p, -e) for p in products)), e)
-    return float(dist)
-
-
-def _distance(V, av, atv=None):
-    """distance_from_products' formula, as a numpy scalar."""
     right = np.linalg.norm(av)
     if atv is None:
-        return right
+        return float(right)
     # ||V^T A W||^2, clamped so that rounding cannot put the symmetric
-    # distance below the general one
-    cross = np.linalg.norm(atv) ** 2 - np.linalg.norm(V.T @ atv) ** 2
-    return np.sqrt(right ** 2 + max(cross, 0.0))
+    # distance below the general one.  Each square is a product, which
+    # rounds alike in every binade: numpy's ** 2 calls the C pow, which
+    # is not always correctly rounded, and 2**j a would not always give
+    # 2**j times the distance
+    left, inner = np.linalg.norm(atv), np.linalg.norm(V.T @ atv)
+    cross = left * left - inner * inner
+    return float(np.sqrt(right * right + max(cross, 0.0)))
 
 
 def nearness_distance(a, basis: NullSpaceBasis, symmetric: bool = False) -> float:
@@ -183,10 +182,16 @@ def nearness_distance(a, basis: NullSpaceBasis, symmetric: bool = False) -> floa
     the catalog's L2_TILDE: this dense route and distance_from_products
     on the stencil product L2_TILDE V agree bit for bit at every order
     from 4 to 2000, where the form V^T (a V) differs at n = 78.
-    OutOfRange when the distance exceeds the float range.
+
+    a is scaled by 2**-e where it holds an entry above 2**1000, and the
+    products by 2**-f where they hold one above linalg.LARGE = 2**400,
+    so that their squares fit; the distance comes back scaled by
+    2**(e + f).  OutOfRange when it exceeds the float range.
     """
     a, e = _scaled(a, basis)
     if symmetric:
         _check_symmetric(a)
-    atv = a.T @ basis.V if symmetric else None
-    return float(scaled_back(distance_from_products(basis.V, a @ basis.V, atv), e, "distance"))
+    products = [a @ basis.V] + ([a.T @ basis.V] if symmetric else [])
+    f = max(int(scale_exponents(p, LARGE)) for p in products)
+    dist = distance_from_products(basis.V, *(np.ldexp(p, -f) for p in products))
+    return float(scaled_back(dist, e + f, "distance"))

@@ -197,27 +197,6 @@ def _least_squares(R: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return y, misfit
 
 
-def hessenberg_residual(h: np.ndarray, beta: float) -> tuple[float, np.ndarray]:
-    """Residual and minimizer of ||beta e1 - h y|| for (k+1, k) Hessenberg h.
-
-    h is rotated into a triangle R with right-hand side g; the residual
-    is hypot(g[k], ||R y - g[:k]||), and the misfit term is nonzero only
-    when R is near singular and y is the minimum-norm least-squares solution.
-    """
-    h = np.asarray(h, dtype=float)
-    if h.ndim != 2 or h.shape[0] != h.shape[1] + 1:
-        raise ShapeMismatch(f"expected (k+1, k) Hessenberg block, got {h.shape}")
-    k = h.shape[1]
-    r = h.copy()
-    g = np.zeros(k + 1)
-    g[0] = float(beta)
-    rot = np.zeros((2, k))
-    for j in range(k):
-        _rotate_in(rot, r[:j + 2, j], g)
-    y, misfit = _least_squares(r[None, :k, :k], g[None, :k])
-    return float(np.hypot(g[k], misfit[0])), y[0]
-
-
 def _square(A) -> int:
     m, n = A.shape
     if m != n:

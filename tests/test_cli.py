@@ -1,4 +1,5 @@
 """Command-line harness: subcommands, config handling, exit codes, CSV."""
+import argparse
 import ast
 import contextlib
 import csv
@@ -24,7 +25,7 @@ import regnear.cli
 import regnear.pipeline
 from regnear.cli import (DEFAULT_NOISE, DEFAULT_SEEDS, _parse_floats, _parse_seeds,
                          main)
-from regnear.linalg import read_matrix, read_vector, write_matrix
+from regnear.linalg import read_matrix, write_matrix
 from regnear.nearness import distance_from_products
 from regnear.pipeline import RUN_COLUMNS, _fmt, _median, run_block, run_single
 from regnear.problems import (add_noise, build_phillips, build_problem,
@@ -245,8 +246,22 @@ class TestArgumentParsing:
         assert _parse_seeds("1,4,9") == (1, 4, 9)
 
     def test_bad_seed_text(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(argparse.ArgumentTypeError):
             _parse_seeds("a..b")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["table", "--seeds", "1..x"], "argument --seeds: bad seed range '1..x'"),
+        (["table", "--noise", "1e-2,abc"], "argument --noise: bad number list '1e-2,abc'"),
+        (["nearest", "--symmetric", "maybe"], "argument --symmetric: bad boolean 'maybe'"),
+    ], ids=["seeds", "noise", "symmetric"])
+    def test_bad_list_item_names_its_reason(self, argv, message, capsys):
+        # the usage error gives the parser's reason, not its function's name
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert err == f"error: regnear {argv[0]}: {message}\n"
+        assert "_parse_" not in err
 
     def test_float_list(self):
         assert _parse_floats("1e-2,1e-3") == (1e-2, 1e-3)
@@ -269,9 +284,10 @@ class TestSolveCommand:
             header, row = f.read().strip().split("\n")
         assert header == ",".join(RUN_COLUMNS)
         assert row.startswith("phillips,24,0.01,L1dP1,1,")
-        xk = read_vector(prefix + "_xk.txt")
-        xhat = read_vector(prefix + "_xhat.txt")
-        assert xk.shape == xhat.shape == (24,)
+        xk = read_matrix(prefix + "_xk.txt")
+        xhat = read_matrix(prefix + "_xhat.txt")
+        assert xk.shape == xhat.shape == (24, 1)
+        xk, xhat = xk[:, 0], xhat[:, 0]
         # the written vectors reproduce the reported relative error
         reported = float(row.split(",")[RUN_COLUMNS.index("relative_error")])
         assert relative_error(xk, xhat) == pytest.approx(reported, rel=1e-12)
@@ -943,7 +959,8 @@ def test_run_settings_at_their_bounds(command, problem, n, noise, eta, max_iter,
                     assert np.isfinite(float(value)), (column, row)
         for vector in written:
             if vector.suffix == ".txt":
-                read_vector(str(vector))  # ParseError on a non-finite entry
+                # ParseError on a non-finite entry
+                assert read_matrix(str(vector)).shape[1] == 1
 
 
 # matrix entries at the edges of the float range, signed zeros included

@@ -1,5 +1,5 @@
 """Kernel-level tests: QR, triangular and least-squares solves, Frobenius
-products, and the plain-text matrix format."""
+norms, and the plain-text matrix format."""
 import io
 import math
 
@@ -11,10 +11,9 @@ from hypothesis.extra import numpy as hnp
 
 from regnear.errors import (ParseError, RankDeficient, ShapeMismatch,
                             SingularTriangular)
-from regnear.linalg import (RANK_TOL, frobenius_inner, frobenius_norm,
-                            min_norm_lstsq_solve, read_matrix, read_vector,
-                            solve_upper_triangular, thin_qr, write_matrix,
-                            write_vector)
+from regnear.linalg import (RANK_TOL, frobenius_norm, min_norm_lstsq_solve,
+                            read_matrix, solve_upper_triangular, thin_qr,
+                            write_matrix, write_vector)
 
 
 def matrix_to_text(a) -> str:
@@ -158,22 +157,6 @@ class TestMinNormLstsq:
 
 
 class TestFrobenius:
-    def test_identity_pair(self):
-        assert frobenius_inner(np.eye(2), np.eye(2)) == 2.0
-
-    def test_single_entry_pick(self):
-        a = [[1.0, 2.0], [3.0, 4.0]]
-        b = [[0.0, 1.0], [0.0, 0.0]]
-        assert frobenius_inner(a, b) == 2.0
-
-    def test_symmetric_bilinear(self):
-        rng = np.random.default_rng(5)
-        a, b, c = (rng.standard_normal((3, 4)) for _ in range(3))
-        assert frobenius_inner(a, b) == pytest.approx(frobenius_inner(b, a), abs=1e-12)
-        lhs = frobenius_inner(2.0 * a + 0.5 * c, b)
-        rhs = 2.0 * frobenius_inner(a, b) + 0.5 * frobenius_inner(c, b)
-        assert lhs == pytest.approx(rhs, abs=1e-12)
-
     def test_triangle_inequality(self):
         rng = np.random.default_rng(6)
         for _ in range(20):
@@ -195,10 +178,6 @@ class TestFrobenius:
             lz[-1, :] = 0.0
             assert frobenius_norm(lt - lz) == pytest.approx(math.sqrt(10.0) / 4.0,
                                                             rel=1e-14)
-
-    def test_shape_error(self):
-        with pytest.raises(ShapeMismatch):
-            frobenius_inner(np.eye(2), np.eye(3))
 
     def test_norm_past_the_squarable_range(self):
         # the sum of squares overflows but the norm fits: scaled, it is
@@ -223,21 +202,13 @@ class TestTextFormat:
         v = np.array([1.5, -2.25, 1e-300])
         path = str(tmp_path / "v.txt")
         write_vector(path, v)
-        assert np.array_equal(read_vector(path), v)
+        assert np.array_equal(read_matrix(path), v[:, None])
 
     def test_header_format(self):
         text = matrix_to_text(np.eye(2))
         lines = text.strip().split("\n")
         assert lines[0] == "2 2"
         assert len(lines) == 3
-
-    def test_read_row_vector(self):
-        assert np.array_equal(read_vector(io.StringIO("1 3\n1 2 3\n")),
-                              [1.0, 2.0, 3.0])
-
-    def test_vector_rejects_full_matrix(self):
-        with pytest.raises(ParseError):
-            read_vector(io.StringIO("2 2\n1 2\n3 4\n"))
 
     @pytest.mark.parametrize("text", [
         "oops\n",                 # header not two tokens

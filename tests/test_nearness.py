@@ -14,7 +14,7 @@ from hypothesis.extra import numpy as hnp
 
 from regnear.errors import (BadDimension, DependentVectors, NotSymmetric,
                             RankDeficient, ShapeMismatch)
-from regnear.linalg import frobenius_inner, frobenius_norm
+from regnear.linalg import frobenius_norm
 from regnear.nearness import (NullSpaceBasis, distance_from_products,
                               nearest_symmetric_with_nullspace,
                               nearest_with_nullspace, nearness_distance)
@@ -207,7 +207,7 @@ class TestNearestWithNullspace:
         d = frobenius_norm(a - ahat)
         for _ in range(50):
             b = rng.standard_normal((4, 6)) @ p
-            ip = frobenius_inner(a - ahat, b)
+            ip = np.vdot(a - ahat, b)
             assert abs(ip) <= 1e-9 * max(frobenius_norm(a) * frobenius_norm(b), 1.0)
             assert d <= frobenius_norm(a - b) + 1e-12
 
@@ -312,7 +312,7 @@ class TestNearestSymmetric:
         for _ in range(50):
             m = rng.standard_normal((5, 5))
             b = p @ (m + m.T) @ p
-            assert abs(frobenius_inner(a - ahat, b)) <= 1e-9 * max(
+            assert abs(np.vdot(a - ahat, b)) <= 1e-9 * max(
                 frobenius_norm(a) * frobenius_norm(b), 1.0)
             assert d <= frobenius_norm(a - b) + 1e-12
 
@@ -480,3 +480,34 @@ class TestNearnessProperties:
         d_gen = nearness_distance(a, basis)
         d_sym = nearness_distance(a, basis, symmetric=True)
         assert d_gen <= d_sym <= d_gen * (1.0 + 1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(a=st.integers(3, 8).flatmap(lambda n: hnp.arrays(
+               np.float64, (n, n), elements=st.one_of(st.just(0.0), st.floats(1e-3, 1e3),
+                                                      st.floats(-1e3, -1e-3)))),
+           ell=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+    @example(a=np.array([[350.3744576367607, 350.3744576367607, 350.3744576367607, -999.0,
+                          350.3744576367607],
+                         [350.3744576367607, 350.3744576367607, 0.0, 350.3744576367607,
+                          -682.0138881274131],
+                         [350.3744576367607, 0.0, 350.3744576367607, 0.0, -299.98788364491315],
+                         [-999.0, 350.3744576367607, 0.0, 350.3744576367607, 0.001],
+                         [350.3744576367607, -682.0138881274131, -299.98788364491315, 0.001,
+                          350.3744576367607]]), ell=2, seed=9902)
+    def test_distance_is_homogeneous_across_both_thresholds(self, a, ell, seed):
+        # a scaled by 2**j, below, between and above the scaling of the
+        # products (linalg.LARGE = 2**400) and of a (2**1000): the
+        # distance scales by 2**j to the bit, with no numpy warning.  The
+        # example's symmetric distance moves at j = 500 where its squares
+        # are taken by numpy's ** 2, which calls the C pow
+        n = a.shape[0]
+        basis = random_basis(np.random.default_rng(seed), n, ell) if ell else (
+            NullSpaceBasis.empty(n))
+        sym = np.where(np.triu(np.ones(a.shape, dtype=bool)), a, a.T)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for m, symmetric in ((a, False), (sym, True)):
+                d = nearness_distance(m, basis, symmetric=symmetric)
+                for j in (-300, 0, 300, 500, 700, 900):
+                    assert nearness_distance(np.ldexp(m, j), basis,
+                                             symmetric=symmetric) == np.ldexp(d, j), (j, symmetric)

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 from regnear import solver
 from regnear.errors import NoRoot, OutOfRange, ShapeMismatch, SingularSystem
 from regnear.linalg import RANK_TOL
-from regnear.oracles import discrepancy_mu_solve, tikhonov_direct_oracle
+from regnear.oracles import discrepancy_mu_solve, hessenberg_residual, tikhonov_direct_oracle
 from regnear.problems import add_noise, build_problem
 from regnear.regops import regularizer_from_name
-from regnear.solver import (RRGMRESResult, SolverConfig, StopReason,
-                            hessenberg_residual, rrgmres_block, rrgmres_solve)
+from regnear.solver import (RRGMRESResult, SolverConfig, StopReason, rrgmres_block,
+                            rrgmres_solve)
 from regnear.transform import LinearOperator, prepare_context
 
 

@@ -1,7 +1,10 @@
-"""Tests of the repository tools: the code-line counter and the
-comparison logic of the reference-set gate."""
+"""Tests of the repository tools: the code-line counter, the
+comparison logic of the reference-set gate and the statistics of the
+paired benchmark comparison."""
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
@@ -13,6 +16,7 @@ def load_tool(name):
     return module
 
 
+ab = load_tool("ab")
 code_lines = load_tool("code_lines")
 golden = load_tool("golden")
 
@@ -142,3 +146,58 @@ class TestGoldenCompare:
             "table: differs in file t.csv",
             "k, stop reason and matvecs equal in 3 of the 3 cells of the cases that differ",
             "residual moved in 2 cells; largest move 0.04, phillips/30/0/I/3#2"]
+
+
+# ten parent runs with quartiles 0.995 and 1.005 around a median of 1.0
+PARENT = [0.99, 1.01, 0.995, 1.005, 1.0, 1.0, 0.995, 1.005, 0.99, 1.01]
+
+
+class TestABCompare:
+    @pytest.mark.parametrize("wins, losses, p", [
+        (10, 0, 2 / 1024), (0, 10, 2 / 1024), (9, 1, 22 / 1024), (1, 9, 22 / 1024),
+        (5, 5, 1.0), (0, 0, 1.0), (3, 0, 0.25)])
+    def test_sign_test_p_by_hand(self, wins, losses, p):
+        # two-sided: twice the tail of Binomial(wins + losses, 1/2) from
+        # the larger count up, at most 1
+        assert ab.sign_test_p(wins, losses) == p
+
+    def test_ties_count_for_neither_side(self):
+        s = ab.summarize([0.9] * 9 + [1.0], [1.0] * 10, "lower", 0.25)
+        assert (s["wins"], s["losses"], s["pairs"]) == (9, 0, 10)
+        assert s["p"] == 2 / 512
+
+    def test_gain_needs_nine_tenths_of_the_pairs_and_a_gap_past_the_iqr(self):
+        assert ab.summarize([0.9] * 10, PARENT, "lower", 0.25)["verdict"] == "gain"
+        nine = ab.summarize([0.9] * 9 + [1.1], PARENT, "lower", 0.25)
+        assert (nine["wins"], nine["p"], nine["verdict"]) == (9, 22 / 1024, "gain")
+        # eight wins of ten, or a median gap inside the parent's quartiles
+        eight = ab.summarize([0.9] * 8 + [1.1] * 2, PARENT, "lower", 0.25)
+        assert eight["verdict"] == "no change"
+        near = [p - 0.001 for p in PARENT]
+        assert ab.summarize(near, PARENT, "lower", 0.25)["verdict"] == "no change"
+        # nine pairs are too few, whatever they show
+        assert ab.summarize([0.9] * 9, PARENT[:9], "lower", 0.25)["verdict"] == "no change"
+
+    def test_higher_is_better_turns_the_direction(self):
+        s = ab.summarize([1.1] * 10, PARENT, "higher", 0.25)
+        assert (s["wins"], s["verdict"]) == (10, "gain")
+        assert s["relative"] == pytest.approx(0.1)
+        assert ab.summarize([0.7] * 10, PARENT, "higher", 0.25)["verdict"] == "worse"
+
+    def test_worse_is_beyond_the_bound(self):
+        s = ab.summarize([1.3] * 10, PARENT, "lower", 0.25)
+        assert (s["losses"], s["verdict"]) == (10, "worse")
+        assert s["relative"] == pytest.approx(0.3)
+        # slower in every pair, but by less than the bound
+        assert ab.summarize([1.2] * 10, PARENT, "lower", 0.25)["verdict"] == "no change"
+
+    def test_unresolved_when_the_parent_spreads_past_the_bound(self):
+        wide = [0.6, 1.4, 0.7, 1.3, 1.0, 1.0, 0.7, 1.3, 0.6, 1.4]
+        assert ab.summarize(list(reversed(wide)), wide, "lower", 0.25)["verdict"] == "unresolved"
+        # unless every run of the change reads better than every parent run
+        assert ab.summarize([0.5] * 10, wide, "lower", 0.25)["verdict"] == "no change"
+
+    def test_one_pair_has_degenerate_quartiles(self):
+        s = ab.summarize([0.2], [0.25], "lower", 0.25)
+        assert s["change"] == (0.2, 0.2, 0.2) and s["parent"] == (0.25, 0.25, 0.25)
+        assert (s["wins"], s["p"], s["verdict"]) == (1, 1.0, "no change")
