@@ -7,6 +7,11 @@ perturbed matrix must stay symmetric the closest choice is P*A*P.
 These operations and the associated distances live here, computed
 without forming P; the dense projector is an oracle, in oracles.
 
+A NullSpaceBasis is its V alone, checked orthonormal when it is made.
+Vectors given from outside reach it through from_vectors, whose thin
+QR is the one check on them: Householder QR leaves its input in span(Q)
+to rounding, so the vectors are neither kept nor checked again.
+
 Large input is scaled by exact powers of two (linalg.scale_exponents),
 never by a division: the entry points scale a, and the distance scales
 the products a V as well, once each, before any square is formed; a
@@ -24,7 +29,6 @@ from .errors import BadDimension, NotSymmetric, RankDeficient, ShapeMismatch
 from .linalg import LARGE, frobenius_norm, scale_exponents, scaled_back, thin_qr
 
 _ORTHO_TOL = 1e-12
-_SPAN_TOL = 1e-10
 # the entry points scale a matrix with a larger entry by a power of two
 # (linalg.scale_exponents): below it, every product and sum they form,
 # at most (1 + 3n) max|a|, stays finite for any order that fits in memory
@@ -35,58 +39,52 @@ _LARGE = 2.0 ** 1000
 class NullSpaceBasis:
     """Orthonormal basis of the null space to be enforced.
 
-    V holds the orthonormal columns.  raw, when present, keeps the
-    original (not necessarily orthonormal) vectors the basis was built
-    from; its span must agree with span(V).
+    V, an n x ell array with orthonormal columns and ell < n (or
+    ell = 0), is the one fact a basis carries; n and ell are read from
+    its shape.  Vectors from outside become a basis through
+    from_vectors, whose thin QR keeps their span.
     """
 
-    n: int
-    ell: int
     V: np.ndarray
-    raw: np.ndarray | None = None
 
     def __post_init__(self):
         V = np.asarray(self.V, dtype=float)
-        if V.shape != (self.n, self.ell):
-            raise ShapeMismatch(f"basis array has shape {V.shape}, expected {(self.n, self.ell)}")
+        if V.ndim != 2:
+            raise ShapeMismatch(f"basis array must be 2-d, got shape {V.shape}")
+        object.__setattr__(self, "V", V)
         if self.ell and self.ell >= self.n:
             raise BadDimension("basis must span a proper subspace (ell < n)")
-        object.__setattr__(self, "V", V)
-        if self.ell:
-            gram = V.T @ V
-            if np.max(np.abs(gram - np.eye(self.ell))) > _ORTHO_TOL:
-                raise RankDeficient("basis columns are not orthonormal")
-        if self.raw is not None:
-            raw = np.atleast_2d(np.asarray(self.raw, dtype=float))
-            if raw.shape[0] != self.n:
-                raise ShapeMismatch("raw vectors have wrong length")
-            # vectors with a large entry are checked scaled by a power of
-            # two, which keeps their span; the floor 1.0 scales with them
-            e = int(scale_exponents(raw, _LARGE))
-            raw_s = np.ldexp(raw, -e)
-            resid = raw_s - V @ (V.T @ raw_s)
-            if frobenius_norm(resid) > _SPAN_TOL * max(frobenius_norm(raw_s), np.ldexp(1.0, -e)):
-                raise RankDeficient("raw vectors do not lie in span of the basis")
-            object.__setattr__(self, "raw", raw)
+        if self.ell and np.max(np.abs(V.T @ V - np.eye(self.ell))) > _ORTHO_TOL:
+            raise RankDeficient("basis columns are not orthonormal")
+
+    @property
+    def n(self) -> int:
+        return self.V.shape[0]
+
+    @property
+    def ell(self) -> int:
+        return self.V.shape[1]
 
     @classmethod
     def empty(cls, n: int) -> "NullSpaceBasis":
         if n < 0:
             raise BadDimension(f"basis dimension must be nonnegative, got {n}")
-        return cls(n=n, ell=0, V=np.zeros((n, 0)))
+        return cls(np.zeros((n, 0)))
 
     @classmethod
     def from_vectors(cls, vectors) -> "NullSpaceBasis":
-        """Build a basis from the columns of `vectors`, orthonormalized by
-        thin QR (raising RankDeficient for dependent input); vectors with
-        an entry above _LARGE are scaled by a power of two first, which
-        keeps their span and their norms finite."""
-        raw = np.atleast_2d(np.asarray(vectors, dtype=float))
-        if raw.ndim != 2:
+        """Build a basis from the columns of `vectors` (a 1-d array is one
+        column), orthonormalized by thin QR (raising RankDeficient for
+        dependent input); vectors with an entry above _LARGE are scaled
+        by a power of two first, which keeps their span and their norms
+        finite."""
+        a = np.asarray(vectors, dtype=float)
+        if a.ndim == 1:
+            a = a[:, None]
+        if a.ndim != 2:
             raise ShapeMismatch("expected a 2-d array of column vectors")
-        n, ell = raw.shape
-        q, _ = thin_qr(np.ldexp(raw, -scale_exponents(raw, _LARGE)))
-        return cls(n=n, ell=ell, V=q, raw=raw)
+        q, _ = thin_qr(np.ldexp(a, -scale_exponents(a, _LARGE)))
+        return cls(q)
 
 
 def _check_basis(a: np.ndarray, basis: NullSpaceBasis) -> None:

@@ -134,7 +134,7 @@ def tikhonov_minimizer_via_transform(K: np.ndarray, b: np.ndarray,
     if mu <= 0.0:
         raise ValueError("mu must be positive")
     ctx = prepare_context(LinearOperator.from_matrix(K), b, reg)
-    n = ctx.n
+    n = ctx.shape[1]
 
     if reg.kind is RegularizerKind.IDENTITY:
         g = K.T @ K + mu * np.eye(n)
@@ -142,7 +142,7 @@ def tikhonov_minimizer_via_transform(K: np.ndarray, b: np.ndarray,
 
     if reg.mode in (Mode.RIGHT, Mode.PLAIN):
         lam = reg.effective_matrix()
-        w = _orthonormal_range(lam, n - ctx.ell)
+        w = _orthonormal_range(lam, n - reg.basis.ell)
         k2w = np.column_stack([ctx.matvec(w[:, j]) for j in range(w.shape[1])])
         g = k2w.T @ k2w + mu * np.eye(w.shape[1])
         s = scipy.linalg.cho_solve(scipy.linalg.cho_factor(g), k2w.T @ ctx.b1)

@@ -16,10 +16,11 @@ column of a block at once.  No regularizer holds an n x n array: its
 dense core is assembled only when asked for, and stencil_product
 applies a catalog matrix to an n x k block from its stencil in O(n k).
 A dense catalog matrix is its stencil applied to the identity.  One
-closed form gives every null-space basis: N1 is the first column of
-N2, and stacked_n2_bases lays the N2 bases of many orders in one
-array, so that one stencil product serves them all.  The module needs
-numpy alone.
+closed form gives every null-space basis: stacked_n2_bases lays the N2
+bases of many orders in one array, so that one stencil product serves
+them all, and checks that each is orthonormal; make_nullspace_basis
+reads its basis from that array for one order, and N1 is the first
+column of N2.  A basis is its V alone.  The module needs numpy alone.
 """
 from __future__ import annotations
 
@@ -31,8 +32,8 @@ import numpy as np
 
 from .errors import BadDimension, RankDeficient, SingularCore
 from .linalg import checked_operand, triangle_is_singular
-from .nearness import (_ORTHO_TOL, _SPAN_TOL, NullSpaceBasis,
-                       nearest_symmetric_with_nullspace, nearest_with_nullspace)
+from .nearness import (_ORTHO_TOL, NullSpaceBasis, nearest_symmetric_with_nullspace,
+                       nearest_with_nullspace)
 
 
 class RegularizerKind(str, Enum):
@@ -114,26 +115,22 @@ def stencil_product(kind: RegularizerKind, n: int, X, delta: float = 1.0) -> np.
 
 def make_nullspace_basis(which: str, n: int) -> NullSpaceBasis:
     """Closed-form orthonormal bases: N1 = constants, N2 = constants +
-    linear.  Both are read from the one closed form of _stacked_n2: N1
-    is the first column of N2, bit for bit."""
-    if n < 3:
-        raise BadDimension("null-space bases need n >= 3")
+    linear.  Both are read from stacked_n2_bases([n]), as a C-contiguous
+    copy: N1 is the first column of N2, bit for bit."""
+    V, _ = stacked_n2_bases([n])
     ell = {"N1": 1, "N2": 2}.get(which)
     if ell is None:
         raise ValueError(f"unknown null-space basis {which!r} (use 'N1' or 'N2')")
-    v1, v2, t, _ = _stacked_n2(np.array([n]))
-    return NullSpaceBasis(n=n, ell=ell, V=np.column_stack((v1[:n], v2[:n])[:ell]),
-                          raw=np.column_stack((np.ones(n), t[:n])[:ell]))
+    return NullSpaceBasis(V[:n, :ell].copy())
 
 
 def _stacked_n2(orders: np.ndarray) -> tuple[np.ndarray, ...]:
     """The closed form of the N2 bases of orders, stacked as
     stacked_n2_bases lays them out: the columns (v1, v2) of the bases,
-    the trend t = 1..n each is built from, and starts.  All three are
-    +0.0 on the zero rows.
+    +0.0 on the zero rows, and starts.
 
     Entry for entry the same arithmetic at every order: v1 = 1 / sqrt(n)
-    and v2 = (t - (n + 1) / 2) / sqrt(n (n^2 - 1) / 12).
+    and v2 = (t - (n + 1) / 2) / sqrt(n (n^2 - 1) / 12) for t = 1..n.
     """
     rows = orders + 1
     n = orders.astype(float)
@@ -143,9 +140,9 @@ def _stacked_n2(orders: np.ndarray) -> tuple[np.ndarray, ...]:
     v1 = np.repeat(1.0 / np.sqrt(n), rows)
     v2 = ((t - np.repeat((n + 1.0) / 2.0, rows))
           / np.repeat(np.sqrt(n * (n * n - 1.0) / 12.0), rows))
-    for column in (v1, v2, t):
+    for column in (v1, v2):
         column[ends - 1] = 0.0
-    return v1, v2, t, starts
+    return v1, v2, starts
 
 
 def stacked_n2_bases(orders) -> tuple[np.ndarray, np.ndarray]:
@@ -158,37 +155,25 @@ def stacked_n2_bases(orders) -> tuple[np.ndarray, np.ndarray]:
     each basis is the padding a three-point stencil reads at its edge,
     so one stencil_product of L2_TILDE, which keeps its overhang rows,
     over all of V gives on each basis's rows that order's own product,
-    bit for bit.  The checks of NullSpaceBasis run over every
-    order at once, with its tolerances: RankDeficient when a basis is
-    not orthonormal or does not span its vectors (1, t).
+    bit for bit.  The orthonormality check of NullSpaceBasis runs over
+    every order at once, with its tolerance: RankDeficient when a basis
+    is not orthonormal.
     """
     orders = np.asarray(orders, dtype=np.int64).reshape(-1)
     if orders.size == 0:
         raise BadDimension("stacked_n2_bases needs at least one order")
     if orders.min() < 3:
         raise BadDimension("null-space bases need n >= 3")
-    v1, v2, t, starts = _stacked_n2(orders)
-    one = np.ones(v1.size)
-    one[starts + orders] = 0.0
+    v1, v2, starts = _stacked_n2(orders)
 
     def per_order(x):
         """The sum of x over each order's rows."""
         return np.add.reduceat(x, starts)
 
-    def each_row(c):
-        """The value c of each order on each of its rows."""
-        return np.repeat(c, orders + 1)
-
-    # V^T V, and V^T raw for the raw vectors (1, t)
+    # V^T V of each order
     if np.max(np.abs([per_order(v1 * v1) - 1.0, per_order(v1 * v2),
                       per_order(v2 * v2) - 1.0])) > _ORTHO_TOL:
         raise RankDeficient("basis columns are not orthonormal")
-    resid_one = one - v1 * each_row(per_order(v1)) - v2 * each_row(per_order(v2))
-    resid_t = t - v1 * each_row(per_order(v1 * t)) - v2 * each_row(per_order(v2 * t))
-    resid_norm = np.sqrt(per_order(resid_one * resid_one + resid_t * resid_t))
-    raw_norm = np.sqrt(per_order(one + t * t))
-    if np.any(resid_norm > _SPAN_TOL * np.maximum(raw_norm, 1.0)):
-        raise RankDeficient("raw vectors do not lie in span of the basis")
     return np.column_stack((v1, v2)), starts
 
 

@@ -12,8 +12,9 @@ Q, W with K W = Q: Q R = K V is a thin QR and W = V R^-1.  It gives
 both things the transformation needs from (K V)^+ = R^-1 Q^T: the
 null-space component x0 = W Q^T b of the solution, and the oblique
 projector y - W Q^T K y of the back map.  R is checked once, when the
-split is made, and never solved with afterwards.  An empty basis gives
-an empty Q and W, whose products are exact zeros.
+split is made, and not kept: a factor holds each split as its Q and W
+alone, and reads its shape from K and ell from the basis.  An empty
+basis gives an empty Q and W, whose products are exact zeros.
 
 Mode by mode:
 
@@ -65,7 +66,7 @@ column's share as the count's rise divided by s.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -112,24 +113,21 @@ class LinearOperator:
 
 @dataclass(eq=False)
 class StandardFormFactor:
-    """What factor_transform computes from (K, regularizer) alone."""
+    """What factor_transform computes from (K, regularizer) alone: each
+    split as its Q and W.  The shape is op.shape, and ell is
+    reg.basis.ell."""
 
     reg: ProjectedRegularizer
     op: LinearOperator
-    m: int
-    n: int
-    ell: int
     Q: np.ndarray            # m x ell, thin QR factor of K V
-    R: np.ndarray            # ell x ell upper triangular
     W: np.ndarray            # n x ell, V R^-1, so that K W = Q
-    Q2: Optional[np.ndarray]  # the second split, in two-sided mode:
-    R2: Optional[np.ndarray]  # thin QR of K1 V
+    Q2: Optional[np.ndarray]  # the second split, in two-sided mode: Q2 R2 = K1 V
     W2: Optional[np.ndarray]  # and V R2^-1, so that K1 W2 = Q2
     prepare_matvecs: int
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (self.m, self.n)
+        return self.op.shape
 
     def matvec(self, z: np.ndarray) -> np.ndarray:
         """The transformed operator on z, a vector, or on each column of
@@ -161,9 +159,6 @@ class StandardFormContext(StandardFormFactor):
                              # b1 with the range of K1 V removed
 
 
-_FACTOR_FIELDS = tuple(f.name for f in fields(StandardFormFactor))
-
-
 def _as_operator(K) -> LinearOperator:
     return K if isinstance(K, LinearOperator) else LinearOperator.from_matrix(K)
 
@@ -178,18 +173,17 @@ def _k1(factor: StandardFormFactor, z: np.ndarray) -> np.ndarray:
     return t - factor.Q @ (factor.Q.T @ t)
 
 
-def _split_factor(apply, V: np.ndarray, m: int) -> tuple[np.ndarray, ...]:
-    """Q, R and W of one split: Q R = apply(V), made one column at a time
+def _split_factor(apply, V: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Q and W of one split: Q R = apply(V), made one column at a time
     with one application per column, and W = V R^-1, so apply(W) = Q.
 
-    thin_qr has checked R, so W is formed once here and no later step
-    solves with R.
+    thin_qr has checked R, so W is formed once here and R is not kept.
     """
     kv = np.empty((m, V.shape[1]))
     for j, v in enumerate(V.T):
         kv[:, j] = apply(v)
     Q, R = thin_qr(kv)
-    return Q, R, np.linalg.solve(R.T, V.T).T
+    return Q, np.linalg.solve(R.T, V.T).T
 
 
 def factor_transform(K, reg: ProjectedRegularizer) -> StandardFormFactor:
@@ -204,12 +198,11 @@ def factor_transform(K, reg: ProjectedRegularizer) -> StandardFormFactor:
         raise ShapeMismatch(f"regularizer built for n={reg.n}, operator has n={n}")
 
     start = op.matvec_count
-    Q, R, W = _split_factor(op.matvec, reg.basis.V, m)
-    factor = StandardFormFactor(reg=reg, op=op, m=m, n=n, ell=reg.basis.ell,
-                                Q=Q, R=R, W=W, Q2=None, R2=None, W2=None,
+    Q, W = _split_factor(op.matvec, reg.basis.V, m)
+    factor = StandardFormFactor(reg=reg, op=op, Q=Q, W=W, Q2=None, W2=None,
                                 prepare_matvecs=0)
     if reg.mode is Mode.TWO_SIDED:
-        factor.Q2, factor.R2, factor.W2 = _split_factor(
+        factor.Q2, factor.W2 = _split_factor(
             lambda v: _k1(factor, v), reg.basis.V, m)
     factor.prepare_matvecs = op.matvec_count - start
     return factor
@@ -222,11 +215,12 @@ def project_rhs(factor: StandardFormFactor, b: np.ndarray) -> StandardFormContex
 
     Costs no products with K and leaves the factor as it was.
     """
-    b = checked_rhs(b, factor.m, block=np.ndim(b) == 2)
+    b = checked_rhs(b, factor.shape[0], block=np.ndim(b) == 2)
     x0, b1 = _split_rhs(factor.Q, factor.W, b)
     x0_2, rhs = (None, b1) if factor.Q2 is None else _split_rhs(factor.Q2, factor.W2, b1)
-    shared = {name: getattr(factor, name) for name in _FACTOR_FIELDS}
-    return StandardFormContext(**shared, x0=x0, b1=b1, x0_2=x0_2, solver_rhs=rhs)
+    # a shallow copy of the factor's fields, whose arrays the context
+    # shares; a context given as the factor has its per-b pieces replaced
+    return StandardFormContext(**dict(vars(factor), x0=x0, b1=b1, x0_2=x0_2, solver_rhs=rhs))
 
 
 def _split_rhs(Q: np.ndarray, W: np.ndarray,
@@ -257,8 +251,8 @@ def apply_pk_dagger(ctx: StandardFormFactor, y: np.ndarray) -> np.ndarray:
     Costs one product with K per column when the null space is
     nontrivial, none otherwise.
     """
-    y = checked_operand(y, ctx.n)
-    if ctx.ell == 0:
+    y = checked_operand(y, ctx.shape[1])
+    if ctx.reg.basis.ell == 0:
         return y.copy()
     return y - ctx.W @ (ctx.Q.T @ ctx.op.matvec(y))
 

@@ -88,6 +88,11 @@ def manifest(rows, files=None, header=HEADER):
 
 
 class TestGoldenCompare:
+    def test_every_input_file_of_the_set_is_committed(self):
+        paths = [arg for args in golden.CASES.values() for arg in args
+                 if arg.startswith(str(golden.DATA))]
+        assert len(paths) == 10 and all(Path(p).is_file() for p in paths)
+
     def test_reads_the_cells_of_a_run_csv(self):
         cells = golden.read_cells(HEADER + ROWS[0] + "\n")
         assert cells == {"deriv2/200/0.0001/L10/1": {
@@ -177,6 +182,16 @@ class TestABCompare:
         assert ab.summarize(near, PARENT, "lower", 0.25)["verdict"] == "no change"
         # nine pairs are too few, whatever they show
         assert ab.summarize([0.9] * 9, PARENT[:9], "lower", 0.25)["verdict"] == "no change"
+
+    def test_gain_needs_a_gap_past_the_minimum_effect(self):
+        # a steady 0.37 % fall of the peak RSS in ten pairs of ten is no
+        # gain: the gap passes the tiny IQR but not 1 % of the median
+        parent = [40.39] * 5 + [40.38, 40.40] * 2 + [40.39]
+        steady = ab.summarize([40.24] * 10, parent, "lower", 0.05)
+        assert (steady["wins"], steady["verdict"]) == (10, "no change")
+        assert ab.summarize([39.9] * 10, parent, "lower", 0.05)["verdict"] == "gain"
+        assert ab.summarize([40.8] * 10, parent, "higher", 0.05)["verdict"] == "gain"
+        assert ab.summarize([40.6] * 10, parent, "higher", 0.05)["verdict"] == "no change"
 
     def test_higher_is_better_turns_the_direction(self):
         s = ab.summarize([1.1] * 10, PARENT, "higher", 0.25)

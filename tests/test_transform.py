@@ -63,14 +63,15 @@ class TestPrepare:
         np.testing.assert_allclose(ctx.x0, v * (v @ b), atol=1e-14)
         np.testing.assert_allclose(ctx.b1, b - v * (v @ b), atol=1e-14)
         np.testing.assert_allclose(np.abs(ctx.Q[:, 0]), np.abs(v), atol=1e-14)
-        np.testing.assert_allclose(ctx.R, [[1.0]], atol=1e-14)
+        V = reg.basis.V
+        np.testing.assert_allclose(ctx.W @ ctx.Q.T, V @ np.linalg.pinv(V), atol=1e-14)
 
     def test_empty_split(self):
         rng = np.random.default_rng(63)
         b = rng.standard_normal(4)
         reg = regularizer_from_name("I", 4)
         ctx = prepare_context(LinearOperator.from_matrix(np.eye(4)), b, reg)
-        assert ctx.ell == 0
+        assert reg.basis.ell == 0
         assert np.array_equal(ctx.x0, np.zeros(4))
         assert np.array_equal(ctx.b1, b)
         assert ctx.prepare_matvecs == 0
@@ -150,7 +151,7 @@ class TestBlockProducts:
         lambda f, x: f.op.matvec(x),
         lambda f, x: f.reg.core_solve(x),
         apply_pk_dagger,
-        lambda f, x: stencil_product(f.reg.kind, f.n, x),
+        lambda f, x: stencil_product(f.reg.kind, f.shape[1], x),
     ], ids=["LinearOperator", "core_solve", "apply_pk_dagger", "stencil_product"])
     def test_operand_shape_errors(self, caller):
         # every caller of checked_operand: a vector of length n and an
@@ -205,7 +206,7 @@ def same_or_both_none(a, b):
 
 def assert_same_context(ctx, ref):
     """Bit-for-bit equality of the per-b pieces and the second split."""
-    for name in ("x0", "b1", "x0_2", "solver_rhs", "Q2", "R2"):
+    for name in ("x0", "b1", "x0_2", "solver_rhs", "Q2", "W2"):
         assert same_or_both_none(getattr(ctx, name), getattr(ref, name)), name
     assert ctx.prepare_matvecs == ref.prepare_matvecs
 
@@ -221,7 +222,7 @@ class TestFactorOnce:
         op = LinearOperator.from_matrix(K)
         factor = factor_transform(op, reg)
         assert (factor.Q2 is None) == (reg.mode is not Mode.TWO_SIDED)
-        splits = ("Q", "R", "Q2", "R2")
+        splits = ("Q", "W", "Q2", "W2")
         factored = [None if getattr(factor, a) is None else getattr(factor, a).copy()
                     for a in splits]
         for _ in range(3):
@@ -315,7 +316,7 @@ class TestProjectedPseudoinverse:
         ctx = prepare_context(LinearOperator.from_matrix(K), rng.standard_normal(m),
                               reg)
         V = reg.basis.V
-        pk = np.eye(n) - V @ np.linalg.solve(ctx.R, ctx.Q.T @ K)
+        pk = np.eye(n) - V @ np.linalg.pinv(K @ V) @ K
         for _ in range(5):
             w = rng.standard_normal(n)
             np.testing.assert_allclose(apply_pk_dagger(ctx, w), pk @ w, atol=1e-12)
@@ -364,7 +365,7 @@ def assemble_k2(K, ctx, reg):
         core_inv = np.linalg.pinv(reg.Ltilde)
     else:
         core_inv = np.linalg.inv(reg.Ltilde)
-    k1 = K - ctx.Q @ (ctx.Q.T @ K) if ctx.ell else K.copy()
+    k1 = K - ctx.Q @ (ctx.Q.T @ K) if reg.basis.ell else K.copy()
     m = k1 @ core_inv
     if reg.mode is not Mode.TWO_SIDED:
         return m

@@ -22,7 +22,8 @@ sign-test p of wins against losses, and a verdict:
   the bound, as a fraction of the parent's median;
 * gain: over at least ten pairs, the change wins at least nine tenths
   of them, and its median is better than the parent's by more than the
-  parent's interquartile range;
+  parent's interquartile range and by more than MIN_EFFECT (1 %) of the
+  parent's median;
 * unresolved: the parent's interquartile range is wider than the bound,
   unless every run of the change reads better than every run of the
   parent;
@@ -48,6 +49,10 @@ ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("change", "parent")
 # fewer pairs than this claim no gain, whatever they show
 MIN_GAIN_PAIRS = 10
+# a median gap below this share of the parent's median is no gain, however
+# steady: a metric that repeats within a few parts in ten thousand, as the
+# peak RSS does, has a parent IQR far below what a change can be credited with
+MIN_EFFECT = 0.01
 
 
 def sign_test_p(wins: int, losses: int) -> float:
@@ -80,7 +85,8 @@ def summarize(change: list, parent: list, better: str, bound: float) -> dict:
     separated = all(sign * (p - c) > 0 for c in change for p in parent)
     if -gap > bound * base:
         verdict = "worse"
-    elif len(gains) >= MIN_GAIN_PAIRS and 10 * wins >= 9 * len(gains) and gap > iqr:
+    elif (len(gains) >= MIN_GAIN_PAIRS and 10 * wins >= 9 * len(gains)
+          and gap > max(iqr, MIN_EFFECT * base)):
         verdict = "gain"
     elif iqr > bound * base and not separated:
         verdict = "unresolved"

@@ -2,9 +2,15 @@
 
 The reference set is the fixed list of CLI runs whose outputs a change
 to the pipeline should leave alone: both default tables, the default
-distances, three solves at n = 2000 and 2001, three tables that take the
-failed-factor and repeated-argument paths, and two runs that must fail
-with a usage error.  Each run is a child process with OMP_NUM_THREADS=1
+distances and distances from 4 to 2000, three solves at n = 2000 and
+2001, three tables that take the failed-factor and repeated-argument
+paths, two runs that must fail with a usage error, and six `nearest`
+runs.  Those project the symmetric matrix of tests/data, and the same
+matrix scaled by 1e210 (past the products' scaling threshold, short of
+the matrix's), plain and symmetric, onto a two-column null space, and
+give a dependent null-space file, which must fail with exit code 3.
+The input files are read by absolute path from this tree, on both
+sides of a comparison, as the fixture is.  Each run is a child process with OMP_NUM_THREADS=1
 in a directory of its own.  Its manifest entry holds the exit code, the
 sha256 of stdout, stderr and every file it wrote, and, for every CSV
 row of a table or solve, the cell's iterations, stop reason, the four
@@ -44,13 +50,23 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-FIXTURE = ROOT / "tests" / "data" / "default_sweep.csv"
+DATA = ROOT / "tests" / "data"
+FIXTURE = DATA / "default_sweep.csv"
 
 _SOLVE = ["--noise", "1e-3", "--seed", "11", "--out", "solve"]
+
+
+def _nearest(matrix: str, nullspace: str, *flags: str) -> list:
+    """A nearest run on two input files of tests/data, by absolute path."""
+    return ["nearest", "--matrix", str(DATA / f"{matrix}.txt"),
+            "--nullspace", str(DATA / f"{nullspace}.txt"), *flags]
+
+
 CASES = {
     "table-phillips": ["table", "--problem", "phillips"],
     "table-deriv2": ["table", "--problem", "deriv2"],
     "distances": ["distances"],
+    "distances-2000": ["distances", "--min-n", "4", "--max-n", "2000"],
     "solve-phillips-L20-2000": ["solve", "--problem", "phillips", "--reg", "L20",
                                 "--n", "2000", *_SOLVE],
     "solve-phillips-L20-2001": ["solve", "--problem", "phillips", "--reg", "L20",
@@ -63,6 +79,12 @@ CASES = {
                          "--seeds", "3,1,3", "--noise", "1e-2,0"],
     "solve-bad-reg": ["solve", "--reg", "L3"],
     "table-bad-reg": ["table", "--regs", "I,L3"],
+    "nearest": _nearest("nearest_matrix", "nearest_nullspace"),
+    "nearest-symmetric": _nearest("nearest_matrix", "nearest_nullspace", "--symmetric"),
+    "nearest-1e210": _nearest("nearest_matrix_1e210", "nearest_nullspace"),
+    "nearest-1e210-symmetric": _nearest("nearest_matrix_1e210", "nearest_nullspace",
+                                        "--symmetric"),
+    "nearest-dependent": _nearest("nearest_matrix", "nearest_nullspace_dependent"),
 }
 
 CELL_KEY = ("problem", "n", "nu", "regularizer", "seed")
