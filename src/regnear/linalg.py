@@ -3,6 +3,15 @@
 Thin wrappers around LAPACK-backed numpy routines and one back
 substitution in numpy, with the error policy this package promises:
 explicit exceptions instead of silent NaNs or warnings.
+
+Every array that comes from outside meets two rules, each defined here
+once.  _as_float_array is the finiteness rule: a non-finite entry
+raises ValueError.  scale_exponents is the range rule: an array whose
+largest magnitude lies outside [1/limit, limit] is scaled by a power of
+two into [1/2, 1) before any square is taken of it, and scaled_back
+returns a result to the input's scale.  Scaling on both sides keeps
+squares from overflowing and from underflowing (Blue, ACM TOMS 4, 1978,
+on the norm of the reference BLAS).
 """
 from __future__ import annotations
 
@@ -26,15 +35,13 @@ def _as_float_array(a, name: str) -> np.ndarray:
 
 def checked_rhs(b, m: int, block: bool = False) -> np.ndarray:
     """b as a float vector of length m, or with block as an m x s block
-    of right-hand sides, s >= 1; ShapeMismatch for another shape,
-    ValueError for a non-finite entry."""
+    of right-hand sides, s >= 1; ShapeMismatch for another shape, and
+    _as_float_array's ValueError for a non-finite entry."""
     b = checked_operand(b, m)
     if b.ndim != 1 + block or 0 in b.shape[1:]:
         raise ShapeMismatch(f"right-hand side has shape {b.shape}, expected "
                             + (f"({m}, s)" if block else f"({m},)"))
-    if not np.all(np.isfinite(b)):
-        raise ValueError("right-hand side must be finite")
-    return b
+    return _as_float_array(b, "right-hand side")
 
 
 def checked_operand(x, n: int) -> np.ndarray:
@@ -126,35 +133,35 @@ def min_norm_lstsq_solve(a, b, rcond=RANK_TOL) -> np.ndarray:
 
 
 def frobenius_norm(a) -> float:
-    """||a||_F of a finite array.  When its sum of squares overflows, the
-    norm is taken of a scaled by a power of two (scale_exponents) and
-    scaled back, so it is inf only when the norm itself is; otherwise it
-    is numpy's norm, bit for bit."""
+    """||a||_F of a finite array: numpy's norm of a scaled by a power of
+    two (scale_exponents), scaled back, so that it neither overflows nor
+    underflows unless the norm itself lies beyond the float range, where
+    it is inf.  For an array whose largest magnitude lies in [1/LARGE,
+    LARGE] it is numpy's norm, bit for bit."""
     a = _as_float_array(a, "matrix")
+    e = scale_exponents(a)
     with np.errstate(over="ignore"):
-        norm = np.linalg.norm(a)
-        if norm == np.inf:
-            e = scale_exponents(a, 0.0)
-            norm = np.ldexp(np.linalg.norm(np.ldexp(a, -e)), e)
-    return float(norm)
+        return float(np.ldexp(np.linalg.norm(np.ldexp(a, -e)), e))
 
 
-# a magnitude that scale_exponents scales by default: below it, the
-# squares of n entries, and of their products with an n x n matrix A,
-# sum to a finite value for n ||A||^2 up to 2**224
+# a magnitude that scale_exponents scales by default, above it and below
+# its reciprocal: in between, the square of the largest entry is normal,
+# and the squares of n entries, and of their products with an n x n
+# matrix A, sum to a finite value for n ||A||^2 up to 2**224
 LARGE = 2.0 ** 400
 
 
 def scale_exponents(a, limit: float = LARGE, axis=None) -> np.ndarray:
     """The exponent e of 2, for a or for each slice of a along axis,
     that brings its largest magnitude into [1/2, 1) as np.ldexp(a, -e),
-    where that magnitude exceeds limit, and 0 elsewhere.  Scaling by a
-    power of two is exact for every entry that stays in the normal range,
-    that is, within 2**-1021 of the largest; a computation made in that
-    scale that is homogeneous in a gives the bits it would give unscaled,
-    scaled by 2**-e, without the overflow."""
+    where that magnitude lies outside [1/limit, limit], and 0 elsewhere,
+    a zero array included.  Scaling by a power of two is exact for every
+    entry that stays in the normal range, that is, within 2**-1021 of
+    the largest; a computation made in that scale that is homogeneous in
+    a gives the bits it would give unscaled, scaled by 2**-e, without
+    the overflow or the underflow."""
     top = np.abs(a).max(axis=axis, initial=0.0)
-    return np.where(top > limit, np.frexp(top)[1], 0)
+    return np.where((top > limit) | (top < 1.0 / limit), np.frexp(top)[1], 0)
 
 
 def scaled_back(x, e, what: str):

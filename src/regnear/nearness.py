@@ -12,12 +12,16 @@ Vectors given from outside reach it through from_vectors, whose thin
 QR is the one check on them: Householder QR leaves its input in span(Q)
 to rounding, so the vectors are neither kept nor checked again.
 
-Large input is scaled by exact powers of two (linalg.scale_exponents),
-never by a division: the entry points scale a, and the distance scales
-the products a V as well, once each, before any square is formed; a
-result is scaled back by linalg.scaled_back, which raises OutOfRange
-when it leaves the float range.  distance_from_products is the formula
-alone, for products whose squares fit.
+Every entry point meets linalg's two rules for arrays from outside,
+in one prologue (_scaled): a non-finite matrix, like a non-finite V,
+raises ValueError, and input out of range is scaled by exact powers of
+two (linalg.scale_exponents), never by a division.  The entry points
+scale a where its largest magnitude lies outside [2**-1000, 2**1000],
+and the distance scales the products a V as well, once each, before
+any square is formed, so that the squares neither overflow nor
+underflow; a result is scaled back by linalg.scaled_back, which raises
+OutOfRange when it leaves the float range.  distance_from_products is
+the formula alone, for products whose squares fit.
 """
 from __future__ import annotations
 
@@ -26,12 +30,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadDimension, NotSymmetric, RankDeficient, ShapeMismatch
-from .linalg import LARGE, frobenius_norm, scale_exponents, scaled_back, thin_qr
+from .linalg import LARGE, _as_float_array, frobenius_norm, scale_exponents, scaled_back, thin_qr
 
 _ORTHO_TOL = 1e-12
-# the entry points scale a matrix with a larger entry by a power of two
-# (linalg.scale_exponents): below it, every product and sum they form,
-# at most (1 + 3n) max|a|, stays finite for any order that fits in memory
+# the entry points scale a matrix whose largest entry lies above it, or
+# below its reciprocal, by a power of two (linalg.scale_exponents): below
+# it, every product and sum they form, at most (1 + 3n) max|a|, stays
+# finite for any order that fits in memory
 _LARGE = 2.0 ** 1000
 
 
@@ -41,21 +46,25 @@ class NullSpaceBasis:
 
     V, an n x ell array with orthonormal columns and ell < n (or
     ell = 0), is the one fact a basis carries; n and ell are read from
-    its shape.  Vectors from outside become a basis through
-    from_vectors, whose thin QR keeps their span.
+    its shape.  A V with a non-finite entry raises ValueError, one that
+    is not orthonormal RankDeficient.  Vectors from outside become a
+    basis through from_vectors, whose thin QR keeps their span.
     """
 
     V: np.ndarray
 
     def __post_init__(self):
-        V = np.asarray(self.V, dtype=float)
+        V = _as_float_array(self.V, "basis")
         if V.ndim != 2:
             raise ShapeMismatch(f"basis array must be 2-d, got shape {V.shape}")
         object.__setattr__(self, "V", V)
         if self.ell and self.ell >= self.n:
             raise BadDimension("basis must span a proper subspace (ell < n)")
-        if self.ell and np.max(np.abs(V.T @ V - np.eye(self.ell))) > _ORTHO_TOL:
-            raise RankDeficient("basis columns are not orthonormal")
+        # an entry above 2**511 makes a diagonal entry of V^T V inf, which
+        # fails the test, as a NaN from inf - inf elsewhere does
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.abs(V.T @ V - np.eye(self.ell)).max(initial=0.0) <= _ORTHO_TOL:
+                raise RankDeficient("basis columns are not orthonormal")
 
     @property
     def n(self) -> int:
@@ -75,9 +84,10 @@ class NullSpaceBasis:
     def from_vectors(cls, vectors) -> "NullSpaceBasis":
         """Build a basis from the columns of `vectors` (a 1-d array is one
         column), orthonormalized by thin QR (raising RankDeficient for
-        dependent input); vectors with an entry above _LARGE are scaled
-        by a power of two first, which keeps their span and their norms
-        finite."""
+        dependent input); vectors whose largest entry lies above _LARGE,
+        or below its reciprocal, are scaled by a power of two first,
+        which keeps their span and keeps their norms finite and
+        normal."""
         a = np.asarray(vectors, dtype=float)
         if a.ndim == 1:
             a = a[:, None]
@@ -87,20 +97,27 @@ class NullSpaceBasis:
         return cls(q)
 
 
-def _check_basis(a: np.ndarray, basis: NullSpaceBasis) -> None:
+def _scaled(a, basis: NullSpaceBasis, symmetric: bool = False) -> tuple[np.ndarray, int]:
+    """The one prologue of the entry points: a as a finite float matrix
+    (ValueError otherwise) whose column count is basis.n (ShapeMismatch
+    otherwise), scaled by 2**-e where its largest magnitude lies outside
+    [1/_LARGE, _LARGE], and e; scaled_back(result, e) undoes it.  With
+    symmetric, a must be square (ShapeMismatch) and symmetric to
+    _ORTHO_TOL in the Frobenius norm (NotSymmetric), whose own scaling
+    keeps the squares of a - a^T from overflowing or vanishing."""
+    a = _as_float_array(a, "matrix")
     if a.ndim != 2:
         raise ShapeMismatch("expected a matrix")
     if a.shape[1] != basis.n:
         raise ShapeMismatch(f"matrix has {a.shape[1]} columns, basis lives in dimension {basis.n}")
-
-
-def _scaled(a, basis: NullSpaceBasis) -> tuple[np.ndarray, int]:
-    """a as a float matrix checked against basis, scaled by 2**-e where
-    its entries are large, and e; scaled_back(result, e) undoes it."""
-    a = np.asarray(a, dtype=float)
-    _check_basis(a, basis)
     e = int(scale_exponents(a, _LARGE))
-    return np.ldexp(a, -e), e
+    a = np.ldexp(a, -e)
+    if symmetric:
+        if a.shape[0] != a.shape[1]:
+            raise ShapeMismatch("symmetric variant needs a square matrix")
+        if not frobenius_norm(a - a.T) <= _ORTHO_TOL * frobenius_norm(a):
+            raise NotSymmetric("input matrix is not symmetric")
+    return a, e
 
 
 def nearest_with_nullspace(a, basis: NullSpaceBasis) -> np.ndarray:
@@ -115,22 +132,9 @@ def nearest_with_nullspace(a, basis: NullSpaceBasis) -> np.ndarray:
     return scaled_back(a - (a @ basis.V) @ basis.V.T, e, "nearest matrix")
 
 
-def _check_symmetric(a: np.ndarray) -> None:
-    if a.shape[0] != a.shape[1]:
-        raise ShapeMismatch("symmetric variant needs a square matrix")
-    # a NaN would compare false, and an inf would make the scale
-    # infinite: either would pass a test for asymmetry
-    if not np.all(np.isfinite(a)):
-        raise NotSymmetric("input matrix has non-finite entries")
-    scale = max(frobenius_norm(a), 1e-300)
-    if not frobenius_norm(a - a.T) <= _ORTHO_TOL * scale:
-        raise NotSymmetric("input matrix is not symmetric")
-
-
 def nearest_symmetric_with_nullspace(a, basis: NullSpaceBasis) -> np.ndarray:
     """Closest symmetric matrix with the prescribed null space: P a P."""
-    a, e = _scaled(a, basis)
-    _check_symmetric(a)
+    a, e = _scaled(a, basis, symmetric=True)
     if basis.ell == 0:
         # the general formula's + V vtav V^T adds +0.0, which would turn
         # a -0.0 entry into +0.0
@@ -151,9 +155,10 @@ def distance_from_products(V, av, atv=None) -> float:
     ||A V||^2 + ||A^T V||^2 - ||V^T A^T V||^2.
 
     The formula alone: the squares of the products, and their sums,
-    must fit in a float.  Stencil products, whose entries are at most 1
-    in magnitude, always do; nearness_distance scales its products by a
-    power of two to meet this.
+    must neither overflow nor underflow.  The stencil products of the
+    distances table, whose entries are at most 1 in magnitude and whose
+    largest is far above 2**-400, always meet this; nearness_distance
+    scales its products by a power of two to meet it.
     """
     right = np.linalg.norm(av)
     if atv is None:
@@ -181,15 +186,16 @@ def nearness_distance(a, basis: NullSpaceBasis, symmetric: bool = False) -> floa
     on the stencil product L2_TILDE V agree bit for bit at every order
     from 4 to 2000, where the form V^T (a V) differs at n = 78.
 
-    a is scaled by 2**-e where it holds an entry above 2**1000, and the
-    products by 2**-f where they hold one above linalg.LARGE = 2**400,
-    so that their squares fit; the distance comes back scaled by
-    2**(e + f).  OutOfRange when it exceeds the float range.
+    a is scaled by 2**-e where its largest entry lies outside
+    [2**-1000, 2**1000], and the products by 2**-f where theirs lies
+    outside [2**-400, 2**400] (linalg.LARGE), read over both products
+    at once, so that their squares neither overflow nor underflow: a
+    zero a V does not keep a tiny a^T V from being scaled.  The
+    distance comes back scaled by 2**(e + f).  OutOfRange when it
+    exceeds the float range.
     """
-    a, e = _scaled(a, basis)
-    if symmetric:
-        _check_symmetric(a)
+    a, e = _scaled(a, basis, symmetric)
     products = [a @ basis.V] + ([a.T @ basis.V] if symmetric else [])
-    f = max(int(scale_exponents(p, LARGE)) for p in products)
+    f = int(scale_exponents(np.vstack(products), LARGE))
     dist = distance_from_products(basis.V, *(np.ldexp(p, -f) for p in products))
     return float(scaled_back(dist, e + f, "distance"))

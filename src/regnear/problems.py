@@ -297,9 +297,12 @@ def add_noise(problem: TestProblem, nu: float, seed: int) -> TestProblem:
 
 def relative_error(x_k: np.ndarray, x_hat: np.ndarray) -> float:
     """||x_k - x_hat|| / ||x_hat||, with norms that stay finite where the
-    sum of squares overflows, as for an x_k near the noise guard."""
+    sum of squares overflows, as for an x_k near the noise guard.
+    ValueError for a zero x_hat, against which no error is relative."""
     x_k = np.asarray(x_k, dtype=float)
     x_hat = np.asarray(x_hat, dtype=float)
     if x_k.shape != x_hat.shape:
         raise ShapeMismatch(f"shape {x_k.shape} vs {x_hat.shape}")
+    if not x_hat.any():
+        raise ValueError("relative error against a zero reference solution x_hat")
     return frobenius_norm(x_k - x_hat) / frobenius_norm(x_hat)

@@ -38,12 +38,13 @@ one take, which keeps each group's columns contiguous.  So a column's
 result is the one it would get alone, to rounding, and a group's
 results do not depend on the groups beside it.
 
-A column of B with an entry above linalg.LARGE = 2**400 runs scaled by
-a power of two, with its epsilon (linalg.scale_exponents), so that the
-squares of b and of A b stay finite; its iterates and residuals are
-scaled back when it leaves.  Every step is homogeneous in b, so the
-scaled run is the plain one to the bit, scaled, wherever the plain one
-does not overflow.
+A column of B whose largest entry lies outside [2**-400, 2**400]
+(linalg.LARGE) runs scaled by a power of two, with its epsilon
+(linalg.scale_exponents), so that the squares of b and of A b neither
+overflow nor underflow; its iterates and residuals are scaled back when
+it leaves.  Every step is homogeneous in b, so the scaled run is the
+plain one to the bit, scaled, wherever the plain one does not overflow
+or underflow.
 
 Each step solves the least-squares problems of its running columns
 once: the solve gives the misfit of every column at the step, and its
@@ -216,10 +217,10 @@ def rrgmres_solve(A, b: np.ndarray, cfg: SolverConfig,
     already meets the discrepancy test no operator application happens
     at all.  The log and solve_matvecs count the calls of A.matvec made
     here and nothing else.  A b with non-finite entries raises
-    ValueError before any call.  A b with an entry above linalg.LARGE
-    runs scaled by a power of two, with epsilon, and its results are
-    scaled back; OutOfRange when one of them, such as ||b||, is beyond
-    the float range.
+    ValueError before any call.  A b whose largest entry lies outside
+    [1/linalg.LARGE, linalg.LARGE] runs scaled by a power of two, with
+    epsilon, and its results are scaled back; OutOfRange when one of
+    them, such as ||b||, is beyond the float range.
 
     The residual logged at step k, compared with eta * epsilon and
     returned, is ||A z_k - b|| of the iterate z_k of that step, also
@@ -388,12 +389,15 @@ def _lockstep(ops: list, widths: list, B, cfgs: list, keep_iterates: bool) -> li
     scale = scale_exponents(B, axis=0)
     bt = np.ldexp(B.T, -scale[:, None], order="C")  # each b as a row, scaled
     bnorm = np.sqrt(_dots(bt, bt))
+    # a tiny b with a large epsilon scales its threshold past the float
+    # range: inf, which every residual meets, as it does unscaled
+    with np.errstate(over="ignore"):
+        threshold = np.ldexp([cfg.eta * cfg.epsilon for cfg in cfgs], -scale)
     results = [None] * s
     # res starts as ||b|| alone: the k = 0 stops leave before any grow
     st = _Columns(n, widths, cols=np.arange(s), res=bnorm[:, None], bres=bt, scale=scale,
                   group=np.repeat(np.arange(len(ops)), widths),
-                  threshold=np.ldexp([cfg.eta * cfg.epsilon for cfg in cfgs], -scale),
-                  max_iter=np.array([cfg.max_iter for cfg in cfgs]),
+                  threshold=threshold, max_iter=np.array([cfg.max_iter for cfg in cfgs]),
                   R=np.zeros((s, 0, 0)), g=np.zeros((s, 0)), rot=np.zeros((s, 2, 0)))
 
     def leave(stops: list, applies: int, y=None) -> bool:

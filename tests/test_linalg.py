@@ -181,8 +181,10 @@ class TestFrobenius:
 
     def test_norm_past_the_squarable_range(self):
         # the sum of squares overflows but the norm fits: scaled, it is
-        # finite; below that range it is numpy's norm bit for bit
+        # finite; where the squares underflow, scaled, it is not 0; in
+        # between it is numpy's norm bit for bit
         assert frobenius_norm(np.full((2, 2), 1e200)) == pytest.approx(2e200, rel=1e-15)
+        assert frobenius_norm(np.full((2, 2), 1e-200)) == pytest.approx(2e-200, rel=1e-15, abs=0)
         assert frobenius_norm(np.full(4, 1e308)) == np.inf
         a = np.random.default_rng(7).standard_normal((5, 3))
         assert frobenius_norm(a) == np.linalg.norm(a)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from regnear.errors import (BadDimension, DependentVectors, NotSymmetric,
-                            RankDeficient, ShapeMismatch)
+                            OutOfRange, RankDeficient, ShapeMismatch)
 from regnear.linalg import frobenius_norm, scale_exponents
 from regnear.nearness import (_LARGE, NullSpaceBasis, distance_from_products,
                               nearest_symmetric_with_nullspace,
@@ -62,6 +62,22 @@ class TestNullSpaceBasis:
     def test_rejects_wrong_shape(self):
         with pytest.raises(ShapeMismatch, match="2-d"):
             NullSpaceBasis(np.ones(4) / 2.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite(self, bad):
+        # a NaN compares false with the orthonormality tolerance, and an
+        # inf is not a reason to read the columns as dependent
+        V = np.ones((3, 1)) / np.sqrt(3.0)
+        V[0, 0] = bad
+        with pytest.raises(ValueError, match="basis contains non-finite entries"):
+            NullSpaceBasis(V)
+
+    def test_entries_whose_squares_overflow_are_not_orthonormal(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for V in ([[1.7e308], [0.0]], [[1e200, 1e200], [1e200, -1e200], [0.0, 0.0]]):
+                with pytest.raises(RankDeficient, match="orthonormal"):
+                    NullSpaceBasis(np.array(V))
 
     def test_empty_rejects_a_negative_order(self):
         with pytest.raises(BadDimension, match="-1"):
@@ -229,6 +245,20 @@ class TestNearestWithNullspace:
         with pytest.raises(ShapeMismatch):
             nearest_with_nullspace(np.ones((2, 4)), basis)
 
+    @pytest.mark.parametrize("op", [nearest_with_nullspace, nearness_distance],
+                             ids=["nearest", "distance"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_rejects_non_finite(self, op, bad):
+        # neither a NaN result nor a RuntimeWarning from a - (a V) V^T:
+        # the matrix is refused at the boundary
+        a = np.eye(3)
+        a[1, 2] = bad
+        basis = NullSpaceBasis(np.ones((3, 1)) / np.sqrt(3.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="matrix contains non-finite entries"):
+                op(a, basis)
+
     @pytest.mark.parametrize("op", [nearest_with_nullspace, nearness_distance,
                                     *SYMMETRIC_OPS],
                              ids=["nearest", "distance", *(f"symmetric-{i}" for i in SYMMETRIC_IDS)])
@@ -340,12 +370,24 @@ class TestNearestSymmetric:
     def test_rejects_non_finite(self, symmetric_op, bad):
         # one bad entry in an asymmetric matrix: a NaN makes every norm
         # NaN, an inf makes the scale infinite, and neither may pass as
-        # symmetric
+        # symmetric.  Both are refused as non-finite, before symmetry is
+        # read, as by the plain variant
         a = np.triu(np.ones((3, 3)))
         a[0, 1] = bad
         basis = NullSpaceBasis(np.ones((3, 1)) / np.sqrt(3.0))
-        with pytest.raises(NotSymmetric):
+        with pytest.raises(ValueError, match="non-finite"):
             symmetric_op(a, basis)
+
+    @pytest.mark.parametrize("symmetric_op", SYMMETRIC_OPS, ids=SYMMETRIC_IDS)
+    def test_rejects_a_tiny_asymmetry(self, symmetric_op):
+        # the squares of a - a^T underflow to 0 unscaled: a is read in
+        # the scale where they do not
+        a = np.zeros((3, 3))
+        a[0, 1] = 1e-301
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotSymmetric):
+                symmetric_op(a, NullSpaceBasis(np.ones((3, 1)) / np.sqrt(3.0)))
 
     @pytest.mark.parametrize("symmetric_op", SYMMETRIC_OPS, ids=SYMMETRIC_IDS)
     def test_rejects_rectangular(self, symmetric_op):
@@ -388,14 +430,25 @@ class TestNearnessDistance:
         assert nearness_distance(np.eye(3), NullSpaceBasis.empty(3)) == 0.0
 
     @pytest.mark.parametrize("symmetric_op", SYMMETRIC_OPS, ids=SYMMETRIC_IDS)
-    @pytest.mark.parametrize("bad", [0.5, np.nan], ids=["asymmetric", "nan"])
-    def test_empty_basis_still_checks_symmetry(self, symmetric_op, bad):
+    @pytest.mark.parametrize("bad, error", [(0.5, NotSymmetric), (np.nan, ValueError)],
+                             ids=["asymmetric", "nan"])
+    def test_empty_basis_still_checks_symmetry(self, symmetric_op, bad, error):
         # an empty basis leaves nothing to project, but the symmetric
         # variant must still refuse what it would refuse with a basis
         a = np.eye(3)
         a[0, 1] = bad
-        with pytest.raises(NotSymmetric):
+        with pytest.raises(error):
             symmetric_op(a, NullSpaceBasis.empty(3))
+
+    def test_a_zero_product_beside_a_tiny_one_is_scaled(self):
+        # a V is exactly 0 and a^T V is 2**-600, whose square underflows:
+        # both products take the exponent of their joint largest entry
+        a = np.zeros((3, 3))
+        a[0, 0], a[2, 0] = 1.0, 2.0 ** -600
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = nearness_distance(a, NullSpaceBasis(np.eye(3)[:, 2:]), symmetric=True)
+        assert d == 2.0 ** -600
 
     @settings(max_examples=100, deadline=None)
     @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1,
@@ -509,8 +562,9 @@ class TestNearnessProperties:
                           350.3744576367607]]), ell=2, seed=9902)
     def test_distance_is_homogeneous_across_both_thresholds(self, a, ell, seed):
         # a scaled by 2**j, below, between and above the scaling of the
-        # products (linalg.LARGE = 2**400) and of a (2**1000): the
-        # distance scales by 2**j to the bit, with no numpy warning.  The
+        # products (linalg.LARGE = 2**400) and of a (2**1000), on both
+        # sides: the distance scales by 2**j to the bit, with no numpy
+        # warning.  The
         # example's symmetric distance moves at j = 500 where its squares
         # are taken by numpy's ** 2, which calls the C pow
         n = a.shape[0]
@@ -521,6 +575,51 @@ class TestNearnessProperties:
             warnings.simplefilter("error")
             for m, symmetric in ((a, False), (sym, True)):
                 d = nearness_distance(m, basis, symmetric=symmetric)
-                for j in (-300, 0, 300, 500, 700, 900):
+                for j in (-900, -600, -300, 0, 300, 500, 700, 900):
                     assert nearness_distance(np.ldexp(m, j), basis,
                                              symmetric=symmetric) == np.ldexp(d, j), (j, symmetric)
+
+
+# any float, with the extremes drawn often: subnormals, signed zeros, the
+# float maximum, NaN and the infinities
+ANY_FLOAT = st.one_of(st.floats(), st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1e-301, 1.7e308, -1.7e308, np.nan, np.inf, -np.inf]))
+# the reasons for which the nearness boundary may refuse its input
+REFUSALS = (ValueError, ShapeMismatch, NotSymmetric, RankDeficient, BadDimension, OutOfRange)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_the_boundary_refuses_or_answers_finitely(data):
+    # whatever float matrix and basis arrive, each entry point either
+    # returns a finite result, a matrix of finite entries or a finite
+    # distance >= 0, or raises one of its reasons, never a numpy warning.
+    # A square matrix is mirrored into a symmetric one half of the time,
+    # so that the symmetric variants get past their symmetry check
+    n = data.draw(st.integers(1, 6), label="n")
+    m = data.draw(st.sampled_from([n, *range(1, 7)]), label="m")
+    a = data.draw(hnp.arrays(np.float64, (m, n), elements=ANY_FLOAT), label="a")
+    if m == n and data.draw(st.booleans(), label="mirror"):
+        a = np.where(np.triu(np.ones(a.shape, dtype=bool)), a, a.T)
+    how = data.draw(st.sampled_from(["empty", "vectors", "V"]), label="basis")
+    raw = data.draw(hnp.arrays(np.float64, (n, data.draw(st.integers(1, 2))),
+                               elements=ANY_FLOAT), label="raw")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            basis = (NullSpaceBasis.empty(n) if how == "empty" else
+                     NullSpaceBasis.from_vectors(raw) if how == "vectors" else NullSpaceBasis(raw))
+        except REFUSALS:
+            return
+        for op in (nearest_with_nullspace, nearest_symmetric_with_nullspace):
+            try:
+                out = op(a, basis)
+            except REFUSALS:
+                continue
+            assert out.shape == a.shape and np.all(np.isfinite(out))
+        for symmetric in (False, True):
+            try:
+                d = nearness_distance(a, basis, symmetric=symmetric)
+            except REFUSALS:
+                continue
+            assert np.isfinite(d) and d >= 0.0

@@ -399,3 +399,9 @@ class TestRelativeError:
         # ||x_k - x_hat|| does not
         x_hat = np.ones(40)
         assert relative_error(x_hat + 7e153, x_hat) == pytest.approx(7e153, rel=1e-15)
+
+    def test_zero_reference_is_refused(self):
+        # no error is relative to x_hat = 0: a ValueError that says so,
+        # where dividing by its norm would raise ZeroDivisionError
+        with pytest.raises(ValueError, match="zero reference"):
+            relative_error(np.ones(3), np.zeros(3))

@@ -318,11 +318,12 @@ class TestRRGMRES:
         # b 2^j with epsilon 2^j stops at the same step for the same
         # reason, with z, the log and every kept iterate scaled by 2^j,
         # bit for bit.  From j = 600 the squares of b overflow, and
-        # such a column runs scaled back into range, alone or as one
-        # column of a block beside columns that need no scaling
+        # from j = -600 they underflow; such a column runs scaled back
+        # into range, alone or as one column of a block beside columns
+        # that need no scaling
         prob = add_noise(build_problem("deriv2", 200), 1e-3, seed=11)
         ctx = prepare_context(prob.K, prob.b, regularizer_from_name("L1dP1", 200))
-        js = (-300, -40, 0, 40, 300, 500, 600, 900)
+        js = (-900, -600, -300, -40, 0, 40, 300, 500, 600, 900)
         cfgs = [SolverConfig(epsilon=float(np.ldexp(prob.epsilon, j))) for j in js]
         B = np.repeat(ctx.solver_rhs[:, None], len(js), axis=1)
         ref = rrgmres_solve(ctx, ctx.solver_rhs, cfgs[js.index(0)], True)
@@ -338,6 +339,18 @@ class TestRRGMRES:
             assert res.log.entries == [(m, float(np.ldexp(r, j)), mv)
                                        for m, r, mv in ref.log.entries], j
             assert np.array_equal(res.iterates, np.ldexp(ref.iterates, j)), j
+
+    def test_a_tiny_rhs_with_a_large_epsilon_stops_at_once(self):
+        # b scaled up by 2**996 takes epsilon with it, past the float
+        # range: the threshold is inf, which ||b|| meets, as it does
+        # unscaled, and no overflow warning is raised on the way
+        a = LinearOperator.from_matrix(np.diag(np.arange(1.0, 6.0)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = rrgmres_solve(a, np.full(5, 1e-300), SolverConfig(epsilon=1e10))
+        assert (res.k, res.stop_reason) == (0, StopReason.INITIAL_RESIDUAL_OK)
+        assert res.residual == pytest.approx(np.sqrt(5.0) * 1e-300, rel=1e-15, abs=0)
+        assert a.matvec_count == 0
 
     def test_a_rhs_whose_squares_overflow_is_solved(self):
         # ||b||^2 of 5e400 made ||b|| inf, and A b looked like a vanished

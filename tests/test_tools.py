@@ -91,7 +91,7 @@ class TestGoldenCompare:
     def test_every_input_file_of_the_set_is_committed(self):
         paths = [arg for args in golden.CASES.values() for arg in args
                  if arg.startswith(str(golden.DATA))]
-        assert len(paths) == 10 and all(Path(p).is_file() for p in paths)
+        assert len(paths) == 14 and all(Path(p).is_file() for p in paths)
 
     def test_reads_the_cells_of_a_run_csv(self):
         cells = golden.read_cells(HEADER + ROWS[0] + "\n")

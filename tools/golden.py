@@ -4,11 +4,12 @@ The reference set is the fixed list of CLI runs whose outputs a change
 to the pipeline should leave alone: both default tables, the default
 distances and distances from 4 to 2000, three solves at n = 2000 and
 2001, three tables that take the failed-factor and repeated-argument
-paths, two runs that must fail with a usage error, and six `nearest`
-runs.  Those project the symmetric matrix of tests/data, and the same
+paths, two runs that must fail with a usage error, and eight `nearest`
+runs.  Those project the symmetric matrix of tests/data, the same
 matrix scaled by 1e210 (past the products' scaling threshold, short of
-the matrix's), plain and symmetric, onto a two-column null space, and
-give a dependent null-space file, which must fail with exit code 3.
+the matrix's) and by 1e-300 (where the products' squares underflow),
+plain and symmetric, onto a two-column null space, and give a
+dependent null-space file, which must fail with exit code 3.
 The input files are read by absolute path from this tree, on both
 sides of a comparison, as the fixture is.  Each run is a child process with OMP_NUM_THREADS=1
 in a directory of its own.  Its manifest entry holds the exit code, the
@@ -84,6 +85,9 @@ CASES = {
     "nearest-1e210": _nearest("nearest_matrix_1e210", "nearest_nullspace"),
     "nearest-1e210-symmetric": _nearest("nearest_matrix_1e210", "nearest_nullspace",
                                         "--symmetric"),
+    "nearest-1e-300": _nearest("nearest_matrix_1e-300", "nearest_nullspace"),
+    "nearest-1e-300-symmetric": _nearest("nearest_matrix_1e-300", "nearest_nullspace",
+                                         "--symmetric"),
     "nearest-dependent": _nearest("nearest_matrix", "nearest_nullspace_dependent"),
 }
 
