@@ -81,8 +81,12 @@ def triangle_is_singular(min_diag, max_entry, tol=RANK_TOL):
     smallest diagonal magnitude at or below tol times its largest entry
     magnitude.  Elementwise over arrays of triangles.  tol is RANK_TOL,
     or NEAR_SINGULAR_TOL where a triangle near that rule is not to be
-    back-substituted."""
-    return min_diag <= tol * np.maximum(max_entry, 1e-300)
+    back-substituted.  The rule is read on each triangle scaled by the
+    power of two of scale_exponents, so that tol times a tiny largest
+    entry does not underflow: a triangle in [1/LARGE, LARGE] is read
+    unscaled, and a zero triangle is singular."""
+    e = scale_exponents(max_entry, axis=())
+    return np.ldexp(min_diag, -e) <= tol * np.ldexp(max_entry, -e)
 
 
 def singular_triangles(r, tol=RANK_TOL) -> np.ndarray:
@@ -96,9 +100,7 @@ def solve_upper_triangular(r, c) -> np.ndarray:
     """Back substitution for an upper-triangular system R x = c, or for
     each of a stack of them: r of shape (..., k, k) and c of (..., k).
 
-    Row by row from the bottom: x_i = (c_i - R[i, i+1:] @ x[i+1:]) / R_ii,
-    the dot one BLAS call per system, so each system of a stack is solved
-    as it would be alone.  Raises SingularTriangular when
+    back_substitute, after checks: raises SingularTriangular when
     triangle_is_singular holds for any R.
     """
     r = _as_float_array(r, "triangular matrix")
@@ -109,6 +111,17 @@ def solve_upper_triangular(r, c) -> np.ndarray:
         raise ShapeMismatch("right-hand side length does not match")
     if np.any(singular_triangles(r)):
         raise SingularTriangular("diagonal entry too small for back substitution")
+    return back_substitute(r, c)
+
+
+def back_substitute(r: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """solve_upper_triangular with no check, for finite, regular
+    triangles r, (..., k, k), and right-hand sides c, (..., k).
+
+    Row by row from the bottom: x_i = (c_i - R[i, i+1:] @ x[i+1:]) / R_ii,
+    the dot one BLAS call per system, so each system of a stack is solved
+    as it would be alone.
+    """
     x = np.empty(c.shape)
     for i in range(r.shape[-1] - 1, -1, -1):
         dot = np.matmul(r[..., i:i + 1, i + 1:], x[..., i + 1:, None])[..., 0, 0]
@@ -132,6 +145,12 @@ def min_norm_lstsq_solve(a, b, rcond=RANK_TOL) -> np.ndarray:
     return x
 
 
+def dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (s, n) arrays, each one BLAS dot, the
+    one np.linalg.norm takes of a vector with itself."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
 def frobenius_norm(a) -> float:
     """||a||_F of a finite array: numpy's norm of a scaled by a power of
     two (scale_exponents), scaled back, so that it neither overflows nor
@@ -142,6 +161,17 @@ def frobenius_norm(a) -> float:
     e = scale_exponents(a)
     with np.errstate(over="ignore"):
         return float(np.ldexp(np.linalg.norm(np.ldexp(a, -e)), e))
+
+
+def column_norms(a) -> np.ndarray:
+    """frobenius_norm of each column of the finite 2-d array a, bit for
+    bit: each column scaled by its own power of two, and its norm one
+    row of dots."""
+    a = _as_float_array(a, "matrix")
+    e = scale_exponents(a, axis=0)
+    rows = np.ldexp(a.T, -e[:, None], order="C")
+    with np.errstate(over="ignore"):
+        return np.ldexp(np.sqrt(dots(rows, rows)), e)
 
 
 # a magnitude that scale_exponents scales by default, above it and below

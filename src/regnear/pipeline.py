@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import BadDimension, ConfigError, NumericsError
 from .linalg import write_vector
-from .problems import add_noise, build_problem, relative_error
+from .problems import add_noise, build_problem, relative_errors
 from .regops import catalog_entry, regularizer_from_name
 from .solver import SolverConfig, rrgmres_block
 from .transform import back_transform, factor_transform, project_rhs
@@ -53,18 +53,39 @@ class RunResult:
     x: np.ndarray
 
     def csv_row(self) -> str:
-        return ",".join(_fmt(getattr(self, c)) for c in RUN_COLUMNS)
+        return csv_rows([self])[:-1]
 
     def breakdown_line(self) -> str:
-        return (f"{self.problem} n={self.n} nu={_fmt(self.nu)} "
-                f"{self.regularizer} seed={self.seed}: "
-                f"matvecs {self.matvecs} = prepare {self.matvecs_prepare} "
-                f"+ solve {self.matvecs_solve} + back {self.matvecs_back}; "
-                f"k={self.iterations} {self.stop_reason}")
+        return breakdown_lines([self])[:-1]
 
 
 # the CSV columns: every field of a run but its solution vector
 RUN_COLUMNS = tuple(f.name for f in fields(RunResult) if f.name != "x")
+# a CSV row and a breakdown line as % templates of a run's fields, each
+# field written as _fmt writes it: %.17g for a float and str otherwise
+_CSV_ROW = (",".join("%.17g" if f.type in (float, "float") else "%s" for f in fields(RunResult)
+                     if f.name != "x") + "\n", RUN_COLUMNS)
+_BREAKDOWN_LINE = ("%s n=%s nu=%.17g %s seed=%s: matvecs %s = prepare %s + solve %s + back %s; "
+                   "k=%s %s\n",
+                   ("problem", "n", "nu", "regularizer", "seed", "matvecs", "matvecs_prepare",
+                    "matvecs_solve", "matvecs_back", "iterations", "stop_reason"))
+
+
+def _filled(template: tuple, runs: list) -> str:
+    """The lines of runs, one per run, from a (template, field names)
+    pair: one % over the template repeated."""
+    text, names = template
+    return (text * len(runs)) % tuple(getattr(r, c) for r in runs for c in names)
+
+
+def csv_rows(runs: list) -> str:
+    """The CSV rows of runs, each ending in a newline."""
+    return _filled(_CSV_ROW, runs)
+
+
+def breakdown_lines(runs: list) -> str:
+    """The breakdown lines of runs, each ending in a newline."""
+    return _filled(_BREAKDOWN_LINE, runs)
 
 
 def _back(ctx, z: np.ndarray) -> tuple[np.ndarray, int]:
@@ -75,27 +96,29 @@ def _back(ctx, z: np.ndarray) -> tuple[np.ndarray, int]:
     return x, (ctx.matvec_count - before) // z.shape[1]
 
 
-def _run_result(prob, factor, res, x: np.ndarray, back_mv: int) -> RunResult:
-    """The row of one run.  It reports the factor's own prepare count,
-    so its columns do not depend on how many runs share the factor."""
+def _run_result(prob, factor, res, x: np.ndarray, back_mv: int, error: float) -> RunResult:
+    """The row of one run, whose relative error is error.  It reports
+    the factor's own prepare count, so its columns do not depend on how
+    many runs share the factor."""
     return RunResult(
         problem=prob.name, n=prob.n, nu=prob.noise.nu,
         regularizer=factor.reg.name, seed=prob.noise.seed, iterations=res.k,
         matvecs=factor.prepare_matvecs + res.solve_matvecs + back_mv,
-        relative_error=relative_error(x, prob.x_hat),
+        relative_error=error,
         stop_reason=res.stop_reason.value,
         matvecs_prepare=factor.prepare_matvecs, matvecs_solve=res.solve_matvecs,
         matvecs_back=back_mv, residual=res.residual, x=x)
 
 
 def run_block(probs: list, factors: list, eta: float, max_iter: int = 100) -> list:
-    """The runs of each of the noisy problems probs, which share K, with
-    each of factors (factor_transform of that K and a regularizer), all
-    in lockstep: one projection per factor of the block of their
-    right-hand sides, one rrgmres_block with a group of columns per
-    factor, and one back-transform per factor.  Returns the rows factor
-    by factor, each list in the order of probs; each row counts the
-    columns its own run took, so it reads as the run alone would."""
+    """The runs of each of the noisy problems probs, noisy copies of one
+    problem that share K and x_hat, with each of factors
+    (factor_transform of that K and a regularizer), all in lockstep: one
+    projection per factor of the block of their right-hand sides, one
+    rrgmres_block with a group of columns per factor, and one
+    back-transform and one relative_errors per factor.  Returns the rows
+    factor by factor, each list in the order of probs; each row counts
+    the columns its own run took, so it reads as the run alone would."""
     b = np.column_stack([p.b for p in probs])
     ctxs = [project_rhs(factor, b) for factor in factors]
     cfgs = [SolverConfig(eta=eta, epsilon=p.epsilon, max_iter=max_iter) for p in probs]
@@ -104,8 +127,9 @@ def run_block(probs: list, factors: list, eta: float, max_iter: int = 100) -> li
     for c, (factor, ctx) in enumerate(zip(factors, ctxs)):
         res = sols[c * len(probs):(c + 1) * len(probs)]
         xs, back_mv = _back(ctx, np.column_stack([r.z for r in res]))
-        rows.append([_run_result(p, factor, r, x, back_mv)
-                     for p, r, x in zip(probs, res, xs.T.copy())])
+        errors = relative_errors(xs, probs[0].x_hat).tolist()
+        rows.append([_run_result(p, factor, r, x, back_mv, e)
+                     for p, r, x, e in zip(probs, res, xs.T.copy(), errors)])
     return rows
 
 
@@ -211,7 +235,9 @@ def table(args) -> int:
             factors[reg] = factor_transform(base.op, regularizer_from_name(reg, n, delta))
         except NumericsError as exc:
             failed[reg] = exc
-    lines = [",".join(RUN_COLUMNS)]
+    # the file's text in pieces that each end in a newline: a block's
+    # rows, and its breakdown lines on stdout, in one call each
+    pieces = [",".join(RUN_COLUMNS) + "\n"]
     for nu in args.noise:
         noisy = [add_noise(base, nu, seed) for seed in args.seeds]
         blocks = dict(zip(factors, run_block(noisy, list(factors.values()), args.eta,
@@ -221,13 +247,15 @@ def table(args) -> int:
             if reg in failed:
                 tag = f"ERROR_{type(failed[reg]).__name__}"
                 for seed in args.seeds:
-                    lines.append(_partial_row(problem, n, nu, reg, str(seed), stop_reason=tag))
+                    pieces.append(_partial_row(problem, n, nu, reg, str(seed), stop_reason=tag)
+                                  + "\n")
                     print(f"{problem} n={n} nu={_fmt(nu)} {reg} seed={seed}: {tag}: {failed[reg]}")
-            for r in runs:
-                lines.append(r.csv_row())
-                print(r.breakdown_line())
-            lines.append(_median_row(problem, n, nu, reg, runs))
+            pieces.append(csv_rows(runs))
+            print(breakdown_lines(runs), end="")
+            pieces.append(_median_row(problem, n, nu, reg, runs) + "\n")
+    text = "".join(pieces)
     with open(out, "w") as f:
-        f.write("\n".join(lines) + "\n")
-    print(f"wrote {out} ({len(lines) - 1} rows)")
+        f.write(text)
+    rows = text.count("\n") - 1
+    print(f"wrote {out} ({rows} rows)")
     return 0

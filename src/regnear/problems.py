@@ -32,7 +32,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import BadDimension, ShapeMismatch
-from .linalg import frobenius_norm
+from .linalg import column_norms, frobenius_norm
 from .transform import LinearOperator
 
 # The largest order at which K is stored dense.  Up to about this n one
@@ -306,3 +306,18 @@ def relative_error(x_k: np.ndarray, x_hat: np.ndarray) -> float:
     if not x_hat.any():
         raise ValueError("relative error against a zero reference solution x_hat")
     return frobenius_norm(x_k - x_hat) / frobenius_norm(x_hat)
+
+
+def relative_errors(X: np.ndarray, x_hat: np.ndarray) -> np.ndarray:
+    """relative_error of each column of the n x s array X against x_hat,
+    bit for bit: ||x_hat|| taken once and the column norms of X - x_hat
+    in one call (linalg.column_norms)."""
+    X = np.asarray(X, dtype=float)
+    x_hat = np.asarray(x_hat, dtype=float)
+    if X.ndim != 2 or x_hat.ndim != 1 or X.shape[0] != x_hat.size:
+        raise ShapeMismatch(f"shape {X.shape} vs {x_hat.shape}")
+    if not x_hat.any():
+        raise ValueError("relative error against a zero reference solution x_hat")
+    norms = column_norms(X - x_hat[:, None])
+    with np.errstate(over="ignore"):  # inf, as relative_error's Python division gives
+        return norms / frobenius_norm(x_hat)

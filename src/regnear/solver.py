@@ -25,18 +25,18 @@ standard-form context do.  rrgmres_solve is rrgmres_block on one
 column, so its operator's matvec takes an n x 1 block too, and the loop
 applies an operator in one way only.
 
-The running columns share one state, a struct of arrays along the
-column axis (_Columns): each column's basis, the remainder of b, R, g,
-the rotations, its residual history and its stopping data.  R is the
+The running columns share one state, a struct of arrays along the column
+axis (_Columns): each column's basis, the remainder of b, R, g, the
+rotations, R^-1, its residual history and its stopping data.  R is the
 only record of the singular rule and the residual history the only
 record of the log, both of which a column's result reads when it leaves.
-Gram-Schmidt, the rotations, the norms and the stop tests run once per
-step for every column.  The state grows by a chunk of steps at a time,
-copying only the small arrays and never the stored basis, so max_iter
-bounds the loop and not the memory; a column that stops leaves through
-one take, which keeps each group's columns contiguous.  So a column's
-result is the one it would get alone, to rounding, and a group's
-results do not depend on the groups beside it.
+Gram-Schmidt, the rotations, the update of R^-1, the norms and the stop
+tests run once per step for every column.  The state grows by a chunk of
+steps at a time, copying only the small arrays and never the stored
+basis, so max_iter bounds the loop and not the memory; a column that
+stops leaves through one take, which keeps each group's columns
+contiguous.  So a column's result is the one it would get alone, to
+rounding, and a group's results do not depend on the groups beside it.
 
 A column of B whose largest entry lies outside [2**-400, 2**400]
 (linalg.LARGE) runs scaled by a power of two, with its epsilon
@@ -46,14 +46,21 @@ it leaves.  Every step is homogeneous in b, so the scaled run is the
 plain one to the bit, scaled, wherever the plain one does not overflow
 or underflow.
 
-Each step solves the least-squares problems of its running columns
-once: the solve gives the misfit of every column at the step, and its
-solutions y, which the state does not keep, give the iterates of the
-columns that stop there, combining their bases in one pass; a k = 0
-stop returns z = 0.  Like GMRES (Saad 2003, section 6.5), the loop reads
-each residual from g and forms y only for the iterates it returns.  The
-regular triangles back-substitute together, each as it would alone, so
-a column's y is the one it would get alone.  With keep_iterates, a
+Each step forms a least-squares solution y only where it is read.  Like
+GMRES (Saad 2003, section 6.5), the loop reads each residual from g, and
+y serves the iterates it returns, combining the bases of the columns
+that stop at the step in one pass (a k = 0 stop returns z = 0), and the
+misfit of a near-singular triangle.  The state keeps R^-1 beside R, one
+column a step, -R^-1 r / rho above the diagonal and 1 / rho on it (one
+batched product), with running ||R^-1||_F and max |R|.  A triangle with
+NEAR_SINGULAR_TOL rmax ||R^-1||_F at or below MARGIN, a margin below 1,
+passes the length test below unsolved, as ||y|| <= ||R^-1||_F ||g||: its
+misfit is 0, and it back-substitutes only when its column leaves.  The
+other triangles, and those whose R^-1 has left the float range, are
+solved at the step for their misfit, and a column that leaves takes that
+y.  Either way a column's y is the back substitution it would get alone,
+so the bound moves no bit; the regular triangles of a step
+back-substitute together, each as it would alone.  With keep_iterates, a
 column that leaves solves the triangles of its earlier steps m again,
 R[:m, :m] with g[:m], which no later step changes, so each kept iterate
 is the one a run stopped at step m returns, bit for bit.  A triangle is
@@ -62,10 +69,10 @@ for it (singular_triangles, read from R itself), or when its
 back-substituted y is longer than ||g|| / (NEAR_SINGULAR_TOL rmax),
 which finds a singular value that R hides far below its smallest
 diagonal entry.  Back substitution there gives a y so large that the
-rounding of z = V y and of A z outweighs the residual it would be
-logged with (Brown & Walker 1997 on GMRES for nearly singular systems).
-So such a triangle takes the minimum-norm solution of R y = g[:k] on
-its singular values above NEAR_SINGULAR_TOL times the largest, and the
+rounding of z = V y and of A z outweighs the residual it would be logged
+with (Brown & Walker 1997 on GMRES for nearly singular systems).  So
+such a triangle takes the minimum-norm solution of R y = g[:k] on its
+singular values above NEAR_SINGULAR_TOL times the largest, and the
 residual of step k, ||A z_k - b||, is the hypot of g[k], the remainder
 and the misfit ||R y - g[:k]||.
 """
@@ -79,14 +86,21 @@ from typing import Optional
 import numpy as np
 
 from .errors import ShapeMismatch
-from .linalg import (NEAR_SINGULAR_TOL, checked_rhs, min_norm_lstsq_solve, scale_exponents,
-                     scaled_back, singular_triangles, solve_upper_triangular)
+from .linalg import (NEAR_SINGULAR_TOL, back_substitute, checked_rhs, dots,
+                     min_norm_lstsq_solve, scale_exponents, scaled_back, singular_triangles,
+                     solve_upper_triangular)
 
 # A new Krylov direction, made from a unit vector, shorter than this
 # fraction of ||A b|| / ||b|| ends the basis; the same test, with ||A b||
 # against ||b||, rejects a vanishing A b.  Both sides scale alike with A
 # and neither depends on the scale of b.
 BREAKDOWN_TOL = 1e-14
+# A triangle R with NEAR_SINGULAR_TOL rmax ||R^-1||_F at or below this
+# margin passes the length test of _least_squares without being solved:
+# ||y|| <= ||R^-1||_F ||g||, and the margin below 1 absorbs the rounding
+# of R^-1, of y and of both norms, each of relative size about
+# cond(R) u <= MARGIN sqrt(u)
+MARGIN = 0.5
 
 
 class StopReason(str, Enum):
@@ -139,10 +153,6 @@ class RRGMRESResult:
     iterates: Optional[list] = None
 
 
-def _apply_rotation(cs, sn, a, b):
-    return cs * a + sn * b, -sn * a + cs * b
-
-
 def _make_rotation(a, b):
     # elementwise over a batch; a zero pair takes the identity rotation
     r = np.hypot(a, b)
@@ -164,13 +174,15 @@ def _rotate_in(rot: np.ndarray, col: np.ndarray, g: np.ndarray):
     """
     j = col.shape[0] - 2
     c = list(col)
-    for i in range(j):
-        c[i], c[i + 1] = _apply_rotation(rot[0, i], rot[1, i], c[i], c[i + 1])
+    for i, cs, sn in zip(range(j), rot[0], rot[1]):
+        a, b = c[i], c[i + 1]
+        c[i], c[i + 1] = cs * a + sn * b, cs * b - sn * a
     cs, sn, rr = _make_rotation(c[j], c[j + 1])
     rot[0, j], rot[1, j] = cs, sn
     col[:j + 1] = c[:j] + [rr]
     col[j + 1] = 0.0
-    g[j], g[j + 1] = _apply_rotation(cs, sn, g[j], g[j + 1])
+    a, b = g[j], g[j + 1]
+    g[j], g[j + 1] = cs * a + sn * b, cs * b - sn * a
 
 
 def _least_squares(R: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -258,11 +270,6 @@ def rrgmres_block(A, B, cfgs, keep_iterates: bool = False) -> list:
     return _lockstep(A, [b.shape[1] for b in blocks], B, cfgs, keep_iterates)
 
 
-def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot products of two (s, n) arrays, each one BLAS dot."""
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
-
-
 def _by_group(ops: list, widths: list, X: np.ndarray) -> np.ndarray:
     """(s, n): ops[c].matvec on the next widths[c] columns of the n x s
     block X, one call per group that has any, the results as the rows
@@ -311,38 +318,47 @@ class _Columns:
     bres of b outside the basis, the residual of each step so far, res
     (s, cap) with res[:, 0] = ||b||, and the rotated least-squares
     problem: the triangle R (s, cap, cap), its right-hand side g (s,
-    cap) and the cosines and sines of the rotations (s, 2, cap).  R is
-    the only record of the singular rule, read by _least_squares, and
-    no least-squares solution y is kept: a step's y serves only the
-    columns that leave at it.  The basis is a list of chunks of SIZE steps,
-    each (s, SIZE, n), and widths counts the running columns of each
-    group, whose columns are contiguous and in group order.
+    cap) and the cosines and sines of the rotations (s, 2, cap).  Beside
+    R run its inverse Rinv (s, cap, cap), the square of ||R^-1||_F
+    (rinv2) and max |R| (rmax), each grown by one column a step and
+    non-finite, quietly, once R^-1 leaves the float range; they serve
+    only the bound that spares a triangle its back substitution
+    (MARGIN).  R is the only record of the singular rule, read by
+    _least_squares, and no least-squares solution y is kept: a step's y
+    serves only the columns that leave at it.  The basis is a list of
+    chunks of SIZE steps, each (s, SIZE, n), and widths counts the
+    running columns of each group, whose columns are contiguous and in
+    group order.
     """
 
     def __init__(self, n: int, widths: list, **arrays):
-        self.__dict__.update(arrays)
+        s = sum(widths)
+        self.__dict__.update(arrays, R=np.zeros((s, 0, 0)), Rinv=np.zeros((s, 0, 0)),
+                             g=np.zeros((s, 0)), rot=np.zeros((s, 2, 0)),
+                             rinv2=np.zeros(s), rmax=np.zeros(s))
         self.n, self.widths, self.chunks, self.k = n, list(widths), [], 0
 
     def take(self, keep: np.ndarray) -> None:
-        """Keep the columns that keep marks: every array, the basis chunks
-        one at a time so that nothing is held twice, and the widths."""
-        for name, a in list(vars(self).items()):
-            if isinstance(a, np.ndarray):
-                setattr(self, name, a[keep])
+        """Keep the columns that keep marks: every array and the basis
+        chunks, one at a time so that nothing is held twice, and the
+        widths."""
+        for name in [name for name, a in vars(self).items() if isinstance(a, np.ndarray)]:
+            setattr(self, name, getattr(self, name)[keep])
         for i, a in enumerate(self.chunks):
             self.chunks[i] = a[keep]
         self.widths = np.bincount(self.group, minlength=len(self.widths)).tolist()
 
     def grow(self) -> None:
-        """Room for SIZE more steps: one more basis chunk, and R, g, the
-        rotations and res in the leading corner of zero arrays that hold
-        SIZE more.  Nothing stored is copied but the small state."""
+        """Room for SIZE more steps: one more basis chunk, and R, Rinv, g,
+        the rotations and res in the leading corner of zero arrays that
+        hold SIZE more, each old array released before the next new one
+        is made.  Nothing stored is copied but the small state."""
         s, cap = self.cols.size, self.g.shape[1] + SIZE
         self.chunks.append(np.empty((s, SIZE, self.n)))
-        for name, shape in (("R", (cap, cap)), ("g", (cap,)), ("rot", (2, cap)),
-                            ("res", (cap,))):
-            small, big = getattr(self, name), np.zeros((s, *shape))
-            big[tuple(map(slice, small.shape))] = small
+        for name, shape in (("R", (cap, cap)), ("Rinv", (cap, cap)), ("g", (cap,)),
+                            ("rot", (2, cap)), ("res", (cap,))):
+            big = np.zeros((s, *shape))
+            big[tuple(map(slice, getattr(self, name).shape))] = getattr(self, name)
             setattr(self, name, big)
 
     def extend(self, k: int, v: np.ndarray) -> None:
@@ -355,8 +371,33 @@ class _Columns:
         if k % SIZE == 0:
             self.grow()
         self.chunks[k // SIZE][:, k % SIZE] = v
-        self.g[:, k] = _dots(v, self.bres)
+        self.g[:, k] = dots(v, self.bres)
         self.bres = self.bres - self.g[:, k, None] * v
+
+    def add_column(self, hcol: np.ndarray) -> np.ndarray:
+        """Step k + 1: rotate the Hessenberg column hcol, (k + 2, s), into
+        column k of R, and append column k of R^-1, -R^-1 r / rho above
+        the diagonal and 1 / rho on it, where r and rho are the new
+        column's entries above and on the diagonal: one batched product,
+        with rinv2 and rmax.  Returns the mask of the columns whose new
+        triangle the bound clears, NEAR_SINGULAR_TOL rmax ||R^-1||_F <=
+        MARGIN.  That bound implies linalg's rule at NEAR_SINGULAR_TOL,
+        as ||R^-1||_F >= 1 / min |rho|, and it holds for no R^-1 with a
+        non-finite entry.  hcol is overwritten."""
+        j = self.k
+        _rotate_in(self.rot.transpose(1, 2, 0), hcol, self.g.T)
+        self.R[:, :j + 1, j], self.k = hcol[:j + 1].T, j + 1
+        # hcol[j + 1] is 0 after the rotation: it holds the running max
+        hcol[j + 1] = self.rmax
+        self.rmax = np.abs(hcol).max(axis=0)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            inv = 1.0 / hcol[j]
+            col = self.Rinv[:, :j + 1, j]
+            col[:, :j] = np.matmul(self.Rinv[:, :j, :j], hcol[:j].T[:, :, None])[:, :, 0]
+            col *= -inv[:, None]
+            col[:, j] = inv
+            self.rinv2 += dots(col, col)
+            return self.rmax * np.sqrt(self.rinv2) <= MARGIN / NEAR_SINGULAR_TOL
 
     def iterates(self, rows: np.ndarray, m: int, y=None) -> np.ndarray:
         """The iterates z_m of the columns rows, (len(rows), n), at a
@@ -381,14 +422,14 @@ def _lockstep(ops: list, widths: list, B, cfgs: list, keep_iterates: bool) -> li
 
     The running columns are all at the same step k, and their state is
     one _Columns.  A column that stops takes its iterate, from y, the
-    solutions of the step's least-squares problems, and its log, read
+    solution of its least-squares problem at the step, and its log, read
     from its residual history, and leaves: the state takes the rest,
     which keeps each group's running columns contiguous.
     """
     n, s = B.shape
     scale = scale_exponents(B, axis=0)
     bt = np.ldexp(B.T, -scale[:, None], order="C")  # each b as a row, scaled
-    bnorm = np.sqrt(_dots(bt, bt))
+    bnorm = np.sqrt(dots(bt, bt))
     # a tiny b with a large epsilon scales its threshold past the float
     # range: inf, which every residual meets, as it does unscaled
     with np.errstate(over="ignore"):
@@ -397,8 +438,7 @@ def _lockstep(ops: list, widths: list, B, cfgs: list, keep_iterates: bool) -> li
     # res starts as ||b|| alone: the k = 0 stops leave before any grow
     st = _Columns(n, widths, cols=np.arange(s), res=bnorm[:, None], bres=bt, scale=scale,
                   group=np.repeat(np.arange(len(ops)), widths),
-                  threshold=threshold, max_iter=np.array([cfg.max_iter for cfg in cfgs]),
-                  R=np.zeros((s, 0, 0)), g=np.zeros((s, 0)), rot=np.zeros((s, 2, 0)))
+                  threshold=threshold, max_iter=np.array([cfg.max_iter for cfg in cfgs]))
 
     def leave(stops: list, applies: int, y=None) -> bool:
         """The running columns that a mask of stops, a list of (mask,
@@ -428,7 +468,7 @@ def _lockstep(ops: list, widths: list, B, cfgs: list, keep_iterates: bool) -> li
     if leave([(bnorm <= st.threshold, StopReason.INITIAL_RESIDUAL_OK)], 0):
         return results
     ab = _by_group(ops, st.widths, np.ldexp(B[:, st.cols], -st.scale))
-    st.beta0 = np.sqrt(_dots(ab, ab))
+    st.beta0 = np.sqrt(dots(ab, ab))
     # A b vanished: the range-restricted space is empty
     empty = st.beta0 <= BREAKDOWN_TOL * st.res[:, 0]
     if leave([(empty, StopReason.BREAKDOWN)], 1):
@@ -446,7 +486,7 @@ def _lockstep(ops: list, widths: list, B, cfgs: list, keep_iterates: bool) -> li
         corr = _coefficients(pieces, w)
         w = w - _combination(pieces, corr)
         del pieces  # no view of the basis outlives the step's take
-        hkk = np.sqrt(_dots(w, w))
+        hkk = np.sqrt(dots(w, w))
         hcol = np.concatenate(((h + corr).T, hkk[None]))
 
         # the basis of a column whose new direction vanishes cannot grow;
@@ -454,15 +494,23 @@ def _lockstep(ops: list, widths: list, B, cfgs: list, keep_iterates: bool) -> li
         # below is that of its iterate
         broken = hkk <= BREAKDOWN_TOL * st.beta0 / st.res[:, 0]
         st.extend(k, w / np.where(hkk > 0.0, hkk, 1.0)[:, None])
-        _rotate_in(st.rot.transpose(1, 2, 0), hcol, st.g.T)
-        st.R[:, :k, j], st.k = hcol[:k].T, k
+        cleared = st.add_column(hcol)
 
-        # the one least-squares solve of step k; ||A z_k - b||^2 = g_k^2 +
-        # ||bres||^2 + misfit^2, the misfit 0 where R back-substitutes
-        y, misfit = _least_squares(st.R[:, :k, :k], st.g[:, :k])
-        residual = np.hypot(np.hypot(st.g[:, k], np.sqrt(_dots(st.bres, st.bres))), misfit)
+        # ||A z_k - b||^2 = g_k^2 + ||bres||^2 + misfit^2, the misfit 0
+        # where R back-substitutes.  A triangle that the bound clears does;
+        # the others are solved now, for their misfit
+        y, misfit = np.zeros((cleared.size, k)), np.zeros(cleared.size)
+        if not cleared.all():
+            y[~cleared], misfit[~cleared] = _least_squares(st.R[~cleared, :k, :k],
+                                                           st.g[~cleared, :k])
+        residual = np.hypot(np.hypot(st.g[:, k], np.sqrt(dots(st.bres, st.bres))), misfit)
         st.res[:, k] = residual
-        if leave([(residual <= st.threshold, StopReason.DISCREPANCY_MET),
-                  (broken, StopReason.BREAKDOWN), (k >= st.max_iter, StopReason.MAX_ITER)],
-                 k + 1, y):
+        stops = [(residual <= st.threshold, StopReason.DISCREPANCY_MET),
+                 (broken, StopReason.BREAKDOWN), (k >= st.max_iter, StopReason.MAX_ITER)]
+        # a cleared triangle is solved only for the iterate of a column
+        # that leaves, by the back substitution _least_squares would make
+        late = np.logical_or.reduce([mask for mask, _ in stops]) & cleared
+        if late.any():
+            y[late] = back_substitute(st.R[late, :k, :k], st.g[late, :k])
+        if leave(stops, k + 1, y):
             return results

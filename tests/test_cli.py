@@ -27,7 +27,8 @@ from regnear.cli import (DEFAULT_NOISE, DEFAULT_SEEDS, _parse_floats, _parse_see
                          main)
 from regnear.linalg import read_matrix, write_matrix
 from regnear.nearness import distance_from_products
-from regnear.pipeline import RUN_COLUMNS, _fmt, _median, run_block, run_single
+from regnear.pipeline import (RUN_COLUMNS, RunResult, _fmt, _median, breakdown_lines,
+                              csv_rows, run_block, run_single)
 from regnear.problems import (add_noise, build_phillips, build_problem,
                               relative_error)
 from regnear.regops import (REGULARIZER_NAMES, Mode, RegularizerKind,
@@ -111,6 +112,24 @@ class TestRunSingle:
         assert parts[0] == "phillips"
         assert int(parts[RUN_COLUMNS.index("n")]) == 16
         assert float(parts[RUN_COLUMNS.index("relative_error")]) == r.relative_error
+
+    def test_block_lines_are_each_runs_fields(self):
+        # one % over a repeated template writes each field as _fmt does,
+        # %.17g for a float and str for the rest, in every line of a block
+        values = [0.1, 1.0 / 3.0, 0.0, -0.0, 1e-300, 5e-324, 7.4e153, 1.7976931348623157e308,
+                  np.inf, np.nan, 2.0, np.float64(0.25)]
+        runs = [RunResult(problem="deriv2", n=200, nu=nu, regularizer="L1dP1", seed=seed,
+                          iterations=34, matvecs=40, relative_error=err,
+                          stop_reason="MAX_ITER", matvecs_prepare=3, matvecs_solve=35,
+                          matvecs_back=2, residual=res, x=np.zeros(1))
+                for seed, (nu, err, res) in enumerate(itertools.product(values[:3], values,
+                                                                        values[::-1]))]
+        assert csv_rows(runs) == "".join(
+            ",".join(_fmt(getattr(r, c)) for c in RUN_COLUMNS) + "\n" for r in runs)
+        assert breakdown_lines(runs) == "".join(
+            f"deriv2 n=200 nu={_fmt(r.nu)} L1dP1 seed={r.seed}: matvecs 40 = prepare 3 "
+            f"+ solve 35 + back 2; k=34 MAX_ITER\n" for r in runs)
+        assert csv_rows([]) == breakdown_lines([]) == ""
 
 
     @settings(max_examples=60, deadline=None)

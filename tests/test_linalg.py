@@ -5,14 +5,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from regnear.errors import (ParseError, RankDeficient, ShapeMismatch,
                             SingularTriangular)
-from regnear.linalg import (RANK_TOL, frobenius_norm, min_norm_lstsq_solve,
-                            read_matrix, solve_upper_triangular, thin_qr,
+from regnear.linalg import (RANK_TOL, column_norms, frobenius_norm, min_norm_lstsq_solve,
+                            read_matrix, singular_triangles, solve_upper_triangular, thin_qr,
                             write_matrix, write_vector)
 
 
@@ -69,6 +69,16 @@ class TestThinQR:
         with pytest.raises(RankDeficient):
             thin_qr(1e200 * np.column_stack([np.ones(3), 2.0 * np.ones(3)]))
 
+    def test_orthogonal_columns_below_the_normal_range(self):
+        # RANK_TOL times a largest entry of 1e-315 underflows; the rule is
+        # read on R scaled by a power of two, where the two orthogonal
+        # columns are independent
+        q, r = thin_qr(1e-315 * np.eye(3)[:, :2])
+        assert np.array_equal(q, np.eye(3)[:, :2])
+        assert np.array_equal(r, 1e-315 * np.eye(2))
+        with pytest.raises(RankDeficient):
+            thin_qr(1e-315 * np.column_stack([np.ones(3), np.ones(3)]))
+
 
 class TestTriangularSolve:
     def test_scalar(self):
@@ -114,6 +124,36 @@ class TestTriangularSolve:
         for xi, ri, ci in zip(x, r, c):
             assert np.array_equal(xi, solve_upper_triangular(ri, ci))
         assert solve_upper_triangular(r[:0], c[:0]).shape == (0, k)
+
+    def test_regular_triangle_below_the_normal_range(self):
+        # entries of 1e-310 are subnormal: the rule reads the triangle
+        # scaled, finds it regular, and back substitution solves it
+        r = 1e-310 * np.array([[2.0, 1.0], [0.0, 4.0]])
+        x = solve_upper_triangular(r, 1e-310 * np.array([4.0, 4.0]))
+        np.testing.assert_allclose(x, [1.5, 1.0], rtol=1e-12)
+        assert not singular_triangles(r)
+
+    def test_zero_triangle_stays_singular(self):
+        assert singular_triangles(np.zeros((3, 3)))
+        assert singular_triangles(np.zeros((2, 2)), 1e-300)
+        with pytest.raises(SingularTriangular):
+            solve_upper_triangular(np.zeros((2, 2)), np.ones(2))
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(1, 6), ratio=st.floats(1e-16, 1e-6), e=st.integers(-1060, 1000),
+           seed=st.integers(0, 2**32 - 1))
+    def test_a_power_of_two_leaves_the_verdict(self, k, ratio, e, seed):
+        # a triangle scaled by 2**e, its entries still normal, gets the
+        # verdict it gets unscaled, also where tol times its largest entry
+        # would underflow; in [2**-400, 2**400] the rule reads it unscaled
+        rng = np.random.default_rng(seed)
+        r = np.triu(rng.uniform(0.5, 1.0, (k, k)))
+        r[k - 1, k - 1] = ratio
+        scaled = np.ldexp(r, e)
+        assume(np.abs(r[r != 0]).min() * 2.0 ** e >= np.finfo(float).tiny)
+        assume(np.isfinite(scaled).all())
+        for tol in (RANK_TOL, 1e-8):
+            assert singular_triangles(scaled, tol) == singular_triangles(r, tol)
 
     def test_one_singular_triangle_fails_the_stack(self):
         r = np.stack([np.eye(2), [[1.0, 1.0], [0.0, 0.0]]])
@@ -188,6 +228,18 @@ class TestFrobenius:
         assert frobenius_norm(np.full(4, 1e308)) == np.inf
         a = np.random.default_rng(7).standard_normal((5, 3))
         assert frobenius_norm(a) == np.linalg.norm(a)
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 70), s=st.integers(1, 5),
+           exps=st.lists(st.sampled_from([0, 3, -3, 130, -130, 154, 200, -200, 300, -300]),
+                         min_size=5, max_size=5),
+           seed=st.integers(0, 2**32 - 1))
+    def test_column_norms_are_each_columns_norm(self, n, s, exps, seed):
+        # bit for bit, columns past 2**400 and below 2**-400 included
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((n, s)) * 10.0 ** np.array(exps[:s], dtype=float)
+        norms = column_norms(a)
+        assert [float(v) for v in norms] == [frobenius_norm(a[:, j]) for j in range(s)]
 
 
 class TestTextFormat:

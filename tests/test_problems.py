@@ -12,7 +12,7 @@ from regnear.oracles import (adaptive_gauss_legendre, deriv2_entry_by_quadrature
                              phillips_offset_by_quadrature)
 from regnear.problems import (DENSE_MAX_N, NoiseInfo, _smooth_length, add_noise,
                               build_deriv2, build_phillips, build_problem,
-                              phillips_offsets, relative_error)
+                              phillips_offsets, relative_error, relative_errors)
 from regnear.problems import TestProblem as ProblemInstance
 
 
@@ -405,3 +405,41 @@ class TestRelativeError:
         # where dividing by its norm would raise ZeroDivisionError
         with pytest.raises(ValueError, match="zero reference"):
             relative_error(np.ones(3), np.zeros(3))
+        with pytest.raises(ValueError, match="zero reference"):
+            relative_errors(np.ones((3, 2)), np.zeros(3))
+
+    def test_block_shape_guard(self):
+        for X, x_hat in ((np.ones((3, 2)), np.ones(4)), (np.ones(3), np.ones(3)),
+                         (np.ones((3, 2)), np.ones((3, 1)))):
+            with pytest.raises(ShapeMismatch):
+                relative_errors(X, x_hat)
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 60), s=st.integers(1, 6),
+           exps=st.lists(st.sampled_from([0, -3, 3, 121, 150, 153, 200, -121, -200, -300]),
+                         min_size=6, max_size=6),
+           hat_exp=st.sampled_from([0, 5, -5, 200, -200]), seed=st.integers(0, 2**32 - 1))
+    @example(n=40, s=2, exps=[153, 153, 0, 0, 0, 0], hat_exp=0, seed=0)
+    def test_block_errors_are_each_columns_error(self, n, s, exps, hat_exp, seed):
+        # bit for bit, with columns past 2**400 (1.2e121 and up), near the
+        # noise guard and below 2**-400
+        rng = np.random.default_rng(seed)
+        x_hat = rng.standard_normal(n) * 10.0 ** hat_exp
+        X = rng.standard_normal((n, s)) * 10.0 ** np.array(exps[:s], dtype=float)
+        errors = relative_errors(X, x_hat)
+        assert errors.tolist() == [relative_error(X[:, j], x_hat) for j in range(s)]
+
+    def test_block_errors_of_iterates_near_the_noise_guard(self):
+        # the iterates of deriv2's table at --noise 1e153, which reach
+        # 7.4e153: each row's relative_error is relative_error of its x
+        from regnear.pipeline import run_block
+        from regnear.regops import regularizer_from_name
+        from regnear.transform import factor_transform
+        base = build_problem("deriv2", 40)
+        probs = [add_noise(base, 1e153, seed) for seed in (1, 2)]
+        factors = [factor_transform(base.op, regularizer_from_name(name, 40, 1e-6))
+                   for name in ("I", "L1dP1", "P2L2tP2")]
+        rows = [r for block in run_block(probs, factors, 1.01) for r in block]
+        assert max(np.abs(r.x).max() for r in rows) > 1e153
+        for r in rows:
+            assert r.relative_error == relative_error(r.x, base.x_hat)

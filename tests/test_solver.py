@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from regnear import solver
 from regnear.errors import NoRoot, OutOfRange, ShapeMismatch, SingularSystem
-from regnear.linalg import RANK_TOL
+from regnear.linalg import NEAR_SINGULAR_TOL, RANK_TOL, frobenius_norm, singular_triangles
 from regnear.oracles import discrepancy_mu_solve, hessenberg_residual, tikhonov_direct_oracle
 from regnear.problems import add_noise, build_problem
 from regnear.regops import regularizer_from_name
@@ -800,18 +800,20 @@ def near_singular_system(d, extra, p, seed):
 def spied_run(a, b, frac):
     """RRGMRES on (a, b) with epsilon = frac ||b|| / 1.01, keeping its
     iterates: its config, its result and the smallest ratio dmin/rmax
-    of the rotated triangles it read."""
+    of the rotated triangles it formed, each read as its step adds it."""
     ratios = []
 
-    def spy(r, tol):
-        ratios.append(np.min(np.abs(np.diagonal(r, 0, -2, -1)).min(axis=-1, initial=np.inf)
-                             / np.abs(r).max(axis=(-2, -1), initial=1e-300)))
-        return singular_triangles(r, tol)
+    def spy(st, hcol):
+        cleared = add_column(st, hcol)
+        r = st.R[:, :st.k, :st.k]
+        ratios.append(np.min(np.abs(np.diagonal(r, 0, -2, -1)).min(axis=-1)
+                             / np.maximum(np.abs(r).max(axis=(-2, -1)), 1e-300)))
+        return cleared
 
-    singular_triangles = solver.singular_triangles
+    add_column = solver._Columns.add_column
     cfg = SolverConfig(epsilon=frac * np.linalg.norm(b) / 1.01)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver, "singular_triangles", spy)
+        mp.setattr(solver._Columns, "add_column", spy)
         res = rrgmres_solve(LinearOperator.from_matrix(a), b, cfg, keep_iterates=True)
     return cfg, res, min(ratios)
 
@@ -880,30 +882,50 @@ class TestIterates:
     @given(kind=st.sampled_from(["gaussian", "shift", 0, 1]), n=st.integers(4, 30),
            caps=st.lists(st.integers(1, 12), min_size=3, max_size=3),
            keep=st.booleans(), seed=st.integers(0, 2**32 - 1))
-    def test_each_triangle_is_solved_once_per_step(self, kind, n, caps, keep, seed):
-        # one call per step, on the triangle of every running column,
-        # serves the misfit and the iterate of a column that leaves; the
-        # state keeps no y, so with keep_iterates the columns that leave
-        # at step k solve their steps 1..k-1 again, one call per step
-        sizes = []
+    def test_a_triangle_is_solved_only_where_it_is_read(self, kind, n, caps, keep, seed):
+        # at step k, back substitution serves the triangles that the R^-1
+        # bound does not clear, for their misfit (_least_squares), and the
+        # cleared triangles of the columns that leave at k, for their
+        # iterates (back_substitute); no triangle is solved twice in a
+        # step.  With keep_iterates, the columns that leave at k solve
+        # their steps 1..k-1 again, one call per step
+        steps = []  # per step: its cleared mask and the triangles solved
 
-        def counting(R, g):
-            sizes.append(len(g))
-            return least_squares(R, g)
+        def adding(state, hcol):
+            cleared = add_column(state, hcol)
+            steps.append((cleared.copy(), []))
+            return cleared
 
-        least_squares = solver._least_squares
+        def spying(path, f):
+            def spy(R, g):
+                steps[-1][1].extend((path, len(g[i]), R[i].tobytes() + g[i].tobytes())
+                                    for i in range(len(g)))
+                return f(R, g)
+            return spy
+
+        add_column = solver._Columns.add_column
         a, B, _ = draw_operator(np.random.default_rng(seed), kind, n)
         cfgs = [SolverConfig(epsilon=0.0, max_iter=cap) for cap in caps]
         op = LinearOperator.from_matrix(a)
         for run in (lambda: [rrgmres_solve(op, B[:, 0], cfgs[0], keep_iterates=keep)],
                     lambda: rrgmres_block(op, B, cfgs, keep_iterates=keep)):
-            sizes.clear()
+            steps.clear()
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(solver, "_least_squares", counting)
+                mp.setattr(solver._Columns, "add_column", adding)
+                mp.setattr(solver, "_least_squares", spying("full", solver._least_squares))
+                mp.setattr(solver, "back_substitute", spying("late", solver.back_substitute))
                 ks = [r.k for r in run()]
-            again = {k: max(k - 1, 0) * keep for k in ks}  # calls again at a leave at k
-            assert len(sizes) == max(ks) + sum(again.values()), ks
-            assert sum(sizes) == sum(ks) + sum(again[k] for k in ks), (sizes, ks)
+            assert len(steps) == max(ks)
+            for k, (cleared, solved) in enumerate(steps, 1):
+                leaving = np.array([kk == k for kk in ks if kk >= k])
+                now = [(path, key) for path, m, key in solved if m == k]
+                expected = (["full"] * int((~cleared).sum())
+                            + ["late"] * int((cleared & leaving).sum()))
+                assert sorted(path for path, _ in now) == sorted(expected), (k, ks)
+                assert len({key for _, key in now}) == len(now), (k, ks)
+                again = sorted((path, m) for path, m, _ in solved if m < k)
+                assert again == [("full", m) for m in range(1, k)
+                                 for _ in range(int(leaving.sum()) * keep)], (k, ks)
 
     def test_near_singular_triangle_logs_the_iterate_residual(self):
         # the 5 x 5 down-shift: step 4's triangle is regular by the rule,
@@ -961,6 +983,190 @@ class TestIterates:
         cfg, res, ratio = spied_run(a, b, frac)
         assume(1e-14 <= ratio <= 1e-8)
         assert_logs_the_iterate_residual(a, b, cfg, res)
+
+
+U = np.finfo(float).eps / 2
+
+
+def triangle_state(R):
+    """A one-column solver state whose steps add the columns of the
+    upper triangle R, with a positive diagonal, as Hessenberg columns
+    with a zero subdiagonal: each rotation is the identity, so the
+    state's R is R to the bit.  Returns the state and the masks that
+    add_column returned, one per step."""
+    k = R.shape[0]
+    state = solver._Columns(1, [1], cols=np.arange(1), res=np.zeros((1, 1)))
+    while state.g.shape[1] < k + 1:
+        state.grow()
+    cleared = []
+    for j in range(k):
+        hcol = np.zeros((j + 2, 1))
+        hcol[:j + 1, 0] = R[:j + 1, j]
+        cleared.append(bool(state.add_column(hcol)[0]))
+    assert np.array_equal(state.R[0, :k, :k], R)
+    return state, cleared
+
+
+def random_triangle(rng, k, spread):
+    """A k x k upper triangle with Gaussian entries above the diagonal
+    and a positive diagonal spread over `spread` decades."""
+    R = np.triu(rng.standard_normal((k, k)), 1)
+    R[np.diag_indices(k)] = 10.0 ** -rng.uniform(0.0, spread, k)
+    return R
+
+
+def assert_inverse(R, X):
+    """X, a kept R^-1 with finite entries, is within 4 k cond_F(R) u
+    ||R^-1||_F of R^-1 wherever cond_F(R) u < 1/4; both are compared
+    with R scaled by a power of two to a largest entry in [1/2, 1)."""
+    k = R.shape[0]
+    if not np.isfinite(X).all():
+        return
+    e = int(np.frexp(np.abs(R).max())[1])
+    R, X = np.ldexp(R, -e), np.ldexp(X, e)
+    with np.errstate(all="ignore"):
+        inv = np.linalg.inv(R)
+    kappa = np.linalg.norm(R) * np.linalg.norm(inv)
+    if kappa * U < 0.25:
+        assert np.linalg.norm(X - inv) <= 4 * k * kappa * U * np.linalg.norm(inv)
+
+
+def assert_cleared_passes(R, g):
+    """A triangle that the bound clears is regular by the rule, and
+    _least_squares back-substitutes it, misfit 0, for its own g and for
+    the g that makes y longest, R's smallest right singular vector
+    times R."""
+    assert not singular_triangles(R, NEAR_SINGULAR_TOL)
+    v = np.linalg.svd(R)[2][-1]
+    for rhs in (g, R @ v):
+        y, misfit = solver._least_squares(R[None], rhs[None])
+        assert misfit[0] == 0.0
+        assert np.array_equal(y[0], solver.back_substitute(R, rhs))
+        assert (NEAR_SINGULAR_TOL * float(np.abs(R).max()) * frobenius_norm(y[0])
+                <= solver.MARGIN * 1.01 * frobenius_norm(rhs))
+
+
+def spied_triangles(a, B, cfgs):
+    """rrgmres_block on (a, B): every triangle it formed, with its g,
+    its kept R^-1 and whether the bound cleared it."""
+    seen = []
+
+    def adding(state, hcol):
+        cleared = add_column(state, hcol)
+        k = state.k
+        seen.extend(zip(state.R[:, :k, :k].copy(), state.g[:, :k].copy(),
+                        state.Rinv[:, :k, :k].copy(), cleared))
+        return cleared
+
+    add_column = solver._Columns.add_column
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver._Columns, "add_column", adding)
+        rrgmres_block(LinearOperator.from_matrix(a), B, cfgs)
+    return seen
+
+
+def assert_same_results(res, ref):
+    for r, q in zip(res, ref):
+        assert (r.k, r.stop_reason, r.log.entries) == (q.k, q.stop_reason, q.log.entries)
+        assert r.z.tobytes() == q.z.tobytes()
+        assert [z.tobytes() for z in r.iterates] == [z.tobytes() for z in q.iterates]
+
+
+class TestInverseBound:
+    """R^-1 kept beside R, and the bound NEAR_SINGULAR_TOL rmax
+    ||R^-1||_F <= MARGIN that spares a triangle its back substitution."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(1, 24), spread=st.floats(0.0, 9.0), e=st.sampled_from([0, 0, 300, -990]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_kept_inverse_on_random_triangles(self, k, spread, e, seed):
+        # R^-1 is R^-1 to a cond(R) u-scaled tolerance; a clearing is
+        # regular by the rule and passes the length test, down to
+        # triangles scaled by 2**-990, where tol rmax underflows unscaled
+        R = np.ldexp(random_triangle(np.random.default_rng(seed), k, spread), e)
+        state, cleared = triangle_state(R)
+        for m in range(1, k + 1):
+            assert_inverse(R[:m, :m], state.Rinv[0, :m, :m])
+            if cleared[m - 1]:
+                assert_cleared_passes(R[:m, :m], np.ones(m))
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(3, 8), extra=st.sampled_from([0, 4]), p=st.integers(0, 8),
+           seed=st.integers(0, 2**32 - 1))
+    @example(d=6, extra=0, p=3, seed=0)
+    @example(d=7, extra=4, p=3, seed=3)
+    def test_kept_inverse_on_the_near_singular_family(self, d, extra, p, seed):
+        # the down-shift family of test_near_singular_triangles_log_the_
+        # iterate_residual: its triangles come near the rule and past it
+        a, b = near_singular_system(d, extra, p, seed)
+        for R, g, X, cleared in spied_triangles(a, b[:, None], [SolverConfig()]):
+            assert_inverse(R, X)
+            if cleared:
+                assert_cleared_passes(R, g)
+            assert cleared or not np.isfinite(X).all() or (
+                NEAR_SINGULAR_TOL * float(np.abs(R).max()) * frobenius_norm(X)
+                > solver.MARGIN * 0.99)
+
+    @settings(max_examples=80, deadline=None)
+    @given(k=st.integers(2, 12), edge=st.floats(1.001 * solver.MARGIN, 4.0),
+           seed=st.integers(0, 2**32 - 1))
+    @example(k=2, edge=1.001 * solver.MARGIN, seed=66634)
+    @example(k=5, edge=1.0, seed=0)
+    @example(k=5, edge=1.0 + 1e-9, seed=0)
+    def test_a_triangle_at_the_length_rules_edge_takes_the_full_path(self, k, edge, seed):
+        # a last column delta e_k, delta = NEAR_SINGULAR_TOL rmax / edge,
+        # puts the length test's ratio, NEAR_SINGULAR_TOL rmax ||y|| /
+        # ||g||, at edge for g = delta e_k, whose y is e_k: above MARGIN,
+        # up to the test's edge at 1 and past it, the bound never clears
+        # the triangle, whose misfit _least_squares then reads, by back
+        # substitution or, past the edge, the minimum-norm solution.  (At
+        # MARGIN itself the bound may round to MARGIN and clear it, which
+        # the length test, at half its edge, allows; a 1 x 1 triangle's
+        # ratio is NEAR_SINGULAR_TOL.)
+        rng = np.random.default_rng(seed)
+        R = np.triu(rng.uniform(-1.0, 1.0, (k, k)), 1) + np.diag(rng.uniform(1.0, 2.0, k))
+        R[:, k - 1] = 0.0
+        R[k - 1, k - 1] = NEAR_SINGULAR_TOL * np.abs(R).max() / edge
+        g = R[:, k - 1].copy()
+        state, cleared = triangle_state(R)
+        assert not cleared[-1]
+        y = solver.back_substitute(R, g)
+        assert np.array_equal(y, np.eye(k)[k - 1])
+        ratio = NEAR_SINGULAR_TOL * np.abs(R).max() / g[k - 1]
+        assert ratio == pytest.approx(edge, rel=1e-12)
+        misfit = solver._least_squares(R[None], g[None])[1][0]
+        assert misfit == 0.0 or edge > 1.0 - 1e-9
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(["gaussian", "shift", 0, 1, "near"]), n=st.integers(4, 30),
+           caps=st.lists(st.integers(1, 12), min_size=3, max_size=3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_the_bound_moves_no_bit(self, kind, n, caps, seed):
+        # with MARGIN = 0 the bound clears no triangle, and every step
+        # solves every triangle; the results, kept iterates included, are
+        # the same to the bit
+        rng = np.random.default_rng(seed)
+        if kind == "near":
+            a, b = near_singular_system(int(rng.integers(3, 9)), int(rng.choice([0, 4])),
+                                        int(rng.integers(0, 9)), seed)
+            B = np.column_stack([b, rng.standard_normal((b.size, 2))])
+        else:
+            a, B, _ = draw_operator(rng, kind, n)
+        cfgs = [SolverConfig(epsilon=0.0, max_iter=cap) for cap in caps]
+        op = LinearOperator.from_matrix(a)
+        res = rrgmres_block(op, B, cfgs, keep_iterates=True)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "MARGIN", 0.0)
+            ref = rrgmres_block(op, B, cfgs, keep_iterates=True)
+        assert_same_results(res, ref)
+
+    def test_a_zero_column_makes_no_warning(self):
+        # a nilpotent operator sends the basis to zero: R gets a zero
+        # column and R^-1 an infinite entry, quietly (RuntimeWarnings are
+        # errors here), and the triangle takes the full path
+        seen = spied_triangles(np.eye(3, k=-1), np.eye(3)[:, 1:2], [SolverConfig()])
+        assert any(not np.isfinite(X).all() for _, _, X, _ in seen)
+        assert not any(cleared for _, _, X, cleared in seen if not np.isfinite(X).all())
 
 
 class TestTikhonovOracle:
