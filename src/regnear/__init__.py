@@ -14,9 +14,9 @@ import importlib
 _EXPORTS = {
     "errors": ("BadDimension", "DependentVectors", "NoRoot", "NotSymmetric",
                "NumericsError", "OutOfRange", "ParseError", "RankDeficient", "ShapeMismatch",
-               "SingularCore", "SingularSystem", "SingularTriangular"),
-    "linalg": ("frobenius_norm", "min_norm_lstsq_solve", "read_matrix",
-               "solve_upper_triangular", "thin_qr", "write_matrix", "write_vector"),
+               "SingularCore", "SingularSystem"),
+    "linalg": ("frobenius_norm", "min_norm_lstsq_solve", "read_matrix", "thin_qr",
+               "write_matrix", "write_vector"),
     "nearness": ("NullSpaceBasis", "distance_from_products",
                  "nearest_symmetric_with_nullspace", "nearest_with_nullspace",
                  "nearness_distance"),

@@ -79,6 +79,20 @@ def _config_defaults(parser: argparse.ArgumentParser, path: str) -> dict:
     return values
 
 
+def _number(kind, text: str):
+    """kind(text) for a number spelled in plain ASCII: int and float alone
+    also read Python's digit separators, 1_0 as 10, and non-ASCII
+    digits."""
+    if "_" in text or not text.isascii():
+        raise ValueError(f"not a plain number: {text!r}")
+    return kind(text)
+
+
+def _items(text: str) -> list:
+    """The items of a comma list, stripped, with the blank ones skipped."""
+    return [p.strip() for p in text.split(",") if p.strip()]
+
+
 # the list and boolean parsers raise ArgumentTypeError, whose message
 # argparse shows as it is; a ValueError would read "invalid <parser> value"
 def _parse_seeds(text: str) -> tuple[int, ...]:
@@ -86,24 +100,24 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
     if ".." in text:
         lo, _, hi = text.partition("..")
         try:
-            return tuple(range(int(lo), int(hi) + 1))
+            return tuple(range(_number(int, lo), _number(int, hi) + 1))
         except ValueError as exc:
             raise argparse.ArgumentTypeError(f"bad seed range {text!r}") from exc
     try:
-        return tuple(int(p) for p in text.split(",") if p)
+        return tuple(_number(int, p) for p in _items(text))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad seed list {text!r}") from exc
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
     try:
-        return tuple(float(p) for p in text.split(",") if p)
+        return tuple(_number(float, p) for p in _items(text))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad number list {text!r}") from exc
 
 
 def _parse_regs(text: str) -> tuple[str, ...]:
-    return tuple(p.strip() for p in text.split(",") if p.strip())
+    return tuple(_items(text))
 
 
 def _parse_bool(text: str) -> bool:

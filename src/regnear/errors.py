@@ -22,10 +22,6 @@ class RankDeficient(NumericsError):
     """A factorization found the input numerically rank deficient."""
 
 
-class SingularTriangular(NumericsError):
-    """A triangular solve met a diagonal entry too small to divide by."""
-
-
 class DependentVectors(NumericsError):
     """Two vectors expected to be independent are numerically parallel."""
 

@@ -1,8 +1,10 @@
 """Dense linear-algebra kernels and the plain-text matrix format.
 
-Thin wrappers around LAPACK-backed numpy routines and one back
-substitution in numpy, with the error policy this package promises:
-explicit exceptions instead of silent NaNs or warnings.
+Thin wrappers around LAPACK-backed numpy routines, with the error
+policy this package promises: explicit exceptions instead of silent
+NaNs or warnings.  back_substitute, a back substitution in numpy,
+checks nothing: its caller reads the singular rule below on its
+triangles first.
 
 Every array that comes from outside meets two rules, each defined here
 once.  _as_float_array is the finiteness rule: a non-finite entry
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import OutOfRange, ParseError, RankDeficient, ShapeMismatch, SingularTriangular
+from .errors import OutOfRange, ParseError, RankDeficient, ShapeMismatch
 
 RANK_TOL = 1e-12
 # sqrt(u), u the unit roundoff: a solution component along a singular
@@ -96,27 +98,11 @@ def singular_triangles(r, tol=RANK_TOL) -> np.ndarray:
                                 np.abs(r).max(axis=(-2, -1), initial=0.0), tol)
 
 
-def solve_upper_triangular(r, c) -> np.ndarray:
-    """Back substitution for an upper-triangular system R x = c, or for
-    each of a stack of them: r of shape (..., k, k) and c of (..., k).
-
-    back_substitute, after checks: raises SingularTriangular when
-    triangle_is_singular holds for any R.
-    """
-    r = _as_float_array(r, "triangular matrix")
-    c = _as_float_array(c, "right-hand side")
-    if r.ndim < 2 or r.shape[-1] != r.shape[-2]:
-        raise ShapeMismatch("triangular matrix must be square")
-    if c.shape != r.shape[:-1]:
-        raise ShapeMismatch("right-hand side length does not match")
-    if np.any(singular_triangles(r)):
-        raise SingularTriangular("diagonal entry too small for back substitution")
-    return back_substitute(r, c)
-
-
 def back_substitute(r: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """solve_upper_triangular with no check, for finite, regular
-    triangles r, (..., k, k), and right-hand sides c, (..., k).
+    """Back substitution for the upper-triangular systems R x = c of a
+    stack: r of shape (..., k, k) and c of (..., k), finite, and each R
+    regular by singular_triangles, which is read by the caller; nothing
+    is checked here.
 
     Row by row from the bottom: x_i = (c_i - R[i, i+1:] @ x[i+1:]) / R_ii,
     the dot one BLAS call per system, so each system of a stack is solved

@@ -40,11 +40,16 @@ rounding, and a group's results do not depend on the groups beside it.
 
 A column of B whose largest entry lies outside [2**-400, 2**400]
 (linalg.LARGE) runs scaled by a power of two, with its epsilon
-(linalg.scale_exponents), so that the squares of b and of A b neither
-overflow nor underflow; its iterates and residuals are scaled back when
-it leaves.  Every step is homogeneous in b, so the scaled run is the
-plain one to the bit, scaled, wherever the plain one does not overflow
-or underflow.
+(linalg.scale_exponents), so that the squares of b neither overflow
+nor underflow; so does its operator, where the product A b lies outside
+that range: every product of the column is scaled by the power of two
+that brings A b into [1/2, 1).  Its iterates and residuals are scaled
+back when it leaves.  Every step is homogeneous in b and in A, the test
+of a vanishing A b, A b = 0, included, so the scaled run is the plain
+one to the bit, scaled, wherever the plain one does not overflow or
+underflow.  Each product is read once where it enters the loop
+(_by_group): a non-finite entry raises ValueError before any arithmetic
+on it can warn.
 
 Each step forms a least-squares solution y only where it is read.  Like
 GMRES (Saad 2003, section 6.5), the loop reads each residual from g, and
@@ -86,14 +91,13 @@ from typing import Optional
 import numpy as np
 
 from .errors import ShapeMismatch
-from .linalg import (NEAR_SINGULAR_TOL, back_substitute, checked_rhs, dots,
-                     min_norm_lstsq_solve, scale_exponents, scaled_back, singular_triangles,
-                     solve_upper_triangular)
+from .linalg import (NEAR_SINGULAR_TOL, _as_float_array, back_substitute, checked_rhs, dots,
+                     min_norm_lstsq_solve, scale_exponents, scaled_back, singular_triangles)
 
 # A new Krylov direction, made from a unit vector, shorter than this
-# fraction of ||A b|| / ||b|| ends the basis; the same test, with ||A b||
-# against ||b||, rejects a vanishing A b.  Both sides scale alike with A
-# and neither depends on the scale of b.
+# fraction of ||A b|| / ||b|| ends the basis: both sides scale alike with
+# A, and neither depends on the scale of b.  A b itself vanishes only
+# where it is 0, a test that no power of two on A or b can move.
 BREAKDOWN_TOL = 1e-14
 # A triangle R with NEAR_SINGULAR_TOL rmax ||R^-1||_F at or below this
 # margin passes the length test of _least_squares without being solved:
@@ -191,17 +195,19 @@ def _least_squares(R: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
     The triangles that linalg's rule at NEAR_SINGULAR_TOL
     (singular_triangles) reads as regular back-substitute together, with
-    misfit 0.  Each near-singular one, by that rule or by a y longer
-    than ||g|| / (NEAR_SINGULAR_TOL rmax), takes the minimum-norm
-    least-squares solution on its singular values above
-    NEAR_SINGULAR_TOL times the largest.  Returns y, (r, m), and the
-    misfits ||R y - g||.  The rotations are orthogonal, so this has the
-    minimizers and the singular values of the unrotated (m+1, m)
-    problem, whose residual is hypot(g_m, misfit).
+    misfit 0: back_substitute reads no rule again, and the loop has
+    already read every product that entered R and g as finite.  Each
+    near-singular one, by that rule or by a y longer than ||g|| /
+    (NEAR_SINGULAR_TOL rmax), takes the minimum-norm least-squares
+    solution on its singular values above NEAR_SINGULAR_TOL times the
+    largest.  Returns y, (r, m), and the misfits ||R y - g||.  The
+    rotations are orthogonal, so this has the minimizers and the
+    singular values of the unrotated (m+1, m) problem, whose residual is
+    hypot(g_m, misfit).
     """
     near = singular_triangles(R, NEAR_SINGULAR_TOL)
     y, misfit = np.zeros(g.shape), np.zeros(len(g))
-    y[~near] = solve_upper_triangular(R[~near], g[~near])
+    y[~near] = back_substitute(R[~near], g[~near])
     rmax = np.abs(R).max(axis=(1, 2), initial=0.0)
     near |= NEAR_SINGULAR_TOL * rmax * np.linalg.norm(y, axis=1) > np.linalg.norm(g, axis=1)
     for i in np.flatnonzero(near):
@@ -229,10 +235,12 @@ def rrgmres_solve(A, b: np.ndarray, cfg: SolverConfig,
     already meets the discrepancy test no operator application happens
     at all.  The log and solve_matvecs count the calls of A.matvec made
     here and nothing else.  A b with non-finite entries raises
-    ValueError before any call.  A b whose largest entry lies outside
+    ValueError before any call, and so does a product of A with one,
+    as it comes back.  A b whose largest entry lies outside
     [1/linalg.LARGE, linalg.LARGE] runs scaled by a power of two, with
-    epsilon, and its results are scaled back; OutOfRange when one of
-    them, such as ||b||, is beyond the float range.
+    epsilon, and so do the products of A where A b lies outside that
+    range; the results are scaled back, and OutOfRange is raised when
+    one of them, such as ||b||, is beyond the float range.
 
     The residual logged at step k, compared with eta * epsilon and
     returned, is ||A z_k - b|| of the iterate z_k of that step, also
@@ -270,16 +278,19 @@ def rrgmres_block(A, B, cfgs, keep_iterates: bool = False) -> list:
     return _lockstep(A, [b.shape[1] for b in blocks], B, cfgs, keep_iterates)
 
 
-def _by_group(ops: list, widths: list, X: np.ndarray) -> np.ndarray:
+def _by_group(ops: list, widths: list, X: np.ndarray, e: np.ndarray) -> np.ndarray:
     """(s, n): ops[c].matvec on the next widths[c] columns of the n x s
     block X, one call per group that has any, the results as the rows
-    of a C-ordered array."""
+    of a C-ordered array, row i scaled by 2**-e[i].  Every product
+    enters the loop here and is read once, before any arithmetic:
+    linalg's finiteness rule raises ValueError for a non-finite entry."""
     out, lo = np.empty(X.shape[::-1]), 0
     for op, m in zip(ops, widths):
         if m:
             out[lo:lo + m] = op.matvec(X[:, lo:lo + m]).T
         lo += m
-    return out
+    out = _as_float_array(out, "operator product")
+    return np.ldexp(out, -e[:, None], out=out) if e.any() else out
 
 
 def _pieces(chunks: list, k: int) -> list:
@@ -313,12 +324,13 @@ class _Columns:
 
     Every array attribute runs along the column axis, axis 0, one entry
     per running column: its column of B (cols) and operator group, the
-    exponent of the power of two that scaled it (scale), the scaled
-    eta * epsilon (threshold), max_iter, ||A b|| (beta0), the remainder
-    bres of b outside the basis, the residual of each step so far, res
-    (s, cap) with res[:, 0] = ||b||, and the rotated least-squares
-    problem: the triangle R (s, cap, cap), its right-hand side g (s,
-    cap) and the cosines and sines of the rotations (s, 2, cap).  Beside
+    exponents of the powers of two that scaled it (scale) and its
+    operator's products (ascale), the scaled eta * epsilon (threshold),
+    max_iter, the scaled ||A b|| (beta0), the remainder bres of b
+    outside the basis, the residual of each step so far, res (s, cap)
+    with res[:, 0] = ||b||, and the rotated least-squares problem: the
+    triangle R (s, cap, cap), its right-hand side g (s, cap) and the
+    cosines and sines of the rotations (s, 2, cap).  Beside
     R run its inverse Rinv (s, cap, cap), the square of ||R^-1||_F
     (rinv2) and max |R| (rmax), each grown by one column a step and
     non-finite, quietly, once R^-1 leaves the float range; they serve
@@ -409,7 +421,7 @@ class _Columns:
             return np.zeros((rows.size, self.n))
         y = _least_squares(self.R[rows, :m, :m], self.g[rows, :m])[0] if y is None else y[rows]
         z = _combination((p[rows] for p in _pieces(self.chunks, m)), y)
-        return scaled_back(z, self.scale[rows, None], "iterate")
+        return scaled_back(z, (self.scale - self.ascale)[rows, None], "iterate")
 
 
 def _lockstep(ops: list, widths: list, B, cfgs: list, keep_iterates: bool) -> list:
@@ -467,17 +479,21 @@ def _lockstep(ops: list, widths: list, B, cfgs: list, keep_iterates: bool) -> li
 
     if leave([(bnorm <= st.threshold, StopReason.INITIAL_RESIDUAL_OK)], 0):
         return results
-    ab = _by_group(ops, st.widths, np.ldexp(B[:, st.cols], -st.scale))
+    ab = _by_group(ops, st.widths, np.ldexp(B[:, st.cols], -st.scale), np.zeros_like(st.scale))
+    # each column's products run scaled by the power of two that brings
+    # its A b into range; in place, as a block of A b can be large
+    st.ascale = scale_exponents(ab, axis=1)
+    np.ldexp(ab, -st.ascale[:, None], out=ab)
     st.beta0 = np.sqrt(dots(ab, ab))
     # A b vanished: the range-restricted space is empty
-    empty = st.beta0 <= BREAKDOWN_TOL * st.res[:, 0]
+    empty = st.beta0 == 0.0
     if leave([(empty, StopReason.BREAKDOWN)], 1):
         return results
     st.extend(0, ab[~empty] / st.beta0[:, None])
 
     for k in itertools.count(1):  # every column leaves by its max_iter
         j = k - 1
-        w = _by_group(ops, st.widths, st.chunks[j // SIZE][:, j % SIZE].T)
+        w = _by_group(ops, st.widths, st.chunks[j // SIZE][:, j % SIZE].T, st.ascale)
         pieces = _pieces(st.chunks, k)
         # classical Gram-Schmidt in two block passes (CGS2); the second,
         # unconditional pass keeps the basis orthogonal to working precision

@@ -1072,30 +1072,35 @@ def test_distances_and_nearest_at_their_bounds(case):
 
 
 # list items of --noise, --regs and --seeds, each with the value it
-# lists, or None for an item the table refuses
+# lists, or None for an item the table refuses.  A number is spelled in
+# plain ASCII: int and float alone read the digit separator of 1_0 (as
+# 10) and non-ASCII digits
 NOISE_ITEMS = {"1e-3": 1e-3, "0": 0.0, " 1e-2 ": 1e-2, "x": None, "-1": None, "nan": None,
-               "1e-3..1e-2": None}
-REG_ITEMS = {"I": "I", " L1dP1 ": "L1dP1", "L3": None}
-SEED_ITEMS = {"3": 3, "1": 1, " 2 ": 2, "1.5": None, "-1": None, "x": None}
+               "1e-3..1e-2": None, "1_0": None, "1e-0_3": None, "\uff11": None}
+REG_ITEMS = {"I": "I", " L1dP1 ": "L1dP1", "L3": None, "L_20": None}
+SEED_ITEMS = {"3": 3, "1": 1, " 2 ": 2, "1.5": None, "-1": None, "x": None, "1_0": None,
+              "\u0663": None}
 
 
 @st.composite
 def comma_list(draw, items):
-    """A comma list of keys of items, empty items among them, and the
-    values it lists, repeats kept, or None when the table must refuse it:
-    a bad item, or nothing listed."""
-    keys = draw(st.lists(st.sampled_from([*items, ""]), max_size=4))
-    values = [items[k] for k in keys if k]
+    """A comma list of keys of items, empty and blank items among them,
+    and the values it lists, repeats kept, or None when the table must
+    refuse it: a bad item, or nothing listed."""
+    keys = draw(st.lists(st.sampled_from([*items, "", " "]), max_size=4))
+    values = [items[k] for k in keys if k.strip()]
     return ",".join(keys), values if values and None not in values else None
 
 
 @st.composite
 def seed_range(draw):
-    """lo..hi with bounds that are integers or not, in order or reversed."""
-    lo, hi = draw(st.sampled_from(["0", "1", "2", "x", ""])), draw(
-        st.sampled_from(["0", "1", "3", "1.5", ""]))
+    """lo..hi with bounds that are integers or not, in order or reversed,
+    spelled in plain ASCII or not."""
+    lo, hi = draw(st.sampled_from(["0", "1", "2", "x", "", "1_0", "\u0661"])), draw(
+        st.sampled_from(["0", "1", "3", "1.5", "", "1_2", "\u0663"]))
+    plain = all(x.isascii() and "_" not in x for x in (lo, hi))
     try:
-        values = list(range(int(lo), int(hi) + 1))
+        values = list(range(int(lo), int(hi) + 1)) if plain else []
     except ValueError:
         values = []
     return f"{lo}..{hi}", values or None
@@ -1112,6 +1117,13 @@ def seed_range(draw):
 # a reversed range, and a list of empty items, list no seed
 @example(noise=("1e-3", [1e-3]), regs=("I", ["I"]), seeds=("2..1", None))
 @example(noise=("1e-3", [1e-3]), regs=("I", ["I"]), seeds=(",", None))
+# a blank item is an empty one; int and float read 1_0 as 10 and the
+# Arabic-Indic digit three as 3, which the lists refuse
+@example(noise=("1e-3", [1e-3]), regs=("I", ["I"]), seeds=("1, ,3", [1, 3]))
+@example(noise=("1e-3", [1e-3]), regs=("I", ["I"]), seeds=("1_0", None))
+@example(noise=("1e-3", [1e-3]), regs=("I", ["I"]), seeds=("1_0..1_2", None))
+@example(noise=("1e-3", [1e-3]), regs=("I", ["I"]), seeds=("\u0663", None))
+@example(noise=("1_0", None), regs=("I", ["I"]), seeds=("1", [1]))
 def test_table_lists(noise, regs, seeds):
     # a table either lists one row per (noise level, regularizer, seed)
     # cell and a median row per (noise level, regularizer), repeats

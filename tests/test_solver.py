@@ -30,6 +30,16 @@ class RecordingOperator:
         return self.a @ v
 
 
+class ScaledOperator:
+    """op times 2**j times factor, as an operator."""
+
+    def __init__(self, op, j, factor=1.0):
+        self.op, self.j, self.factor, self.shape = op, j, factor, op.shape
+
+    def matvec(self, x):
+        return self.factor * np.ldexp(self.op.matvec(x), self.j)
+
+
 def krylov_brute_force(a, b, k):
     """Least-squares minimizer over span{Ab, A^2 b, ..., A^k b}."""
     cols = []
@@ -339,6 +349,78 @@ class TestRRGMRES:
             assert res.log.entries == [(m, float(np.ldexp(r, j)), mv)
                                        for m, r, mv in ref.log.entries], j
             assert np.array_equal(res.iterates, np.ldexp(ref.iterates, j)), j
+
+    def test_a_power_of_two_on_the_operator_scales_the_result_bit_for_bit(self):
+        # A 2^j stops at the same step for the same reason, with the same
+        # matvecs and log, and with z and every kept iterate scaled by
+        # 2^-j, bit for bit.  From |j| = 600 the squares of the products
+        # overflow or underflow; such a column runs with its products
+        # scaled back into range, alone or as one operator group of a
+        # block beside groups that need no scaling
+        prob = add_noise(build_problem("deriv2", 200), 1e-3, seed=11)
+        ctx = prepare_context(prob.K, prob.b, regularizer_from_name("L1dP1", 200))
+        cfg = SolverConfig(epsilon=prob.epsilon)
+        js = (-600, -300, -50, 0, 50, 300, 600)
+        ops = [ScaledOperator(ctx, j) for j in js]
+        ref = rrgmres_solve(ctx, ctx.solver_rhs, cfg, True)
+        assert ref.stop_reason is StopReason.DISCREPANCY_MET and ref.k >= 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            runs = [rrgmres_solve(op, ctx.solver_rhs, cfg, True) for op in ops]
+            runs += rrgmres_block(ops, [ctx.solver_rhs[:, None]] * len(js), [cfg] * len(js),
+                                  True)
+            big = rrgmres_solve(ScaledOperator(ctx, 0, 1e200), ctx.solver_rhs, cfg)
+        for j, res in zip(js * 2, runs):
+            assert (res.k, res.stop_reason, res.solve_matvecs) == (
+                ref.k, ref.stop_reason, ref.solve_matvecs), j
+            assert res.log.entries == ref.log.entries, j
+            assert np.array_equal(res.z, np.ldexp(ref.z, -j)), j
+            assert np.array_equal(res.iterates, np.ldexp(ref.iterates, -j)), j
+        # 1e200 is no power of two: its products round apart from A's,
+        # and the ill-posed problem amplifies that rounding
+        assert (big.k, big.stop_reason) == (ref.k, ref.stop_reason)
+        assert np.linalg.norm(1e200 * big.z - ref.z) <= 1e-6 * np.linalg.norm(ref.z)
+
+    def test_a_small_operator_is_not_a_vanished_one(self):
+        # A b of a well-conditioned operator scaled by 2^-50 is about
+        # 1e-15 ||b||: the test of a vanishing A b read it as 0 and
+        # stopped at k = 0 by BREAKDOWN with z = 0.  A b vanishes only
+        # where it is 0, so the run is A's, to the bit
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((6, 6)) + 6.0 * np.eye(6)
+        b = rng.standard_normal(6)
+        ref = rrgmres_solve(LinearOperator.from_matrix(a), b, SolverConfig())
+        res = rrgmres_solve(LinearOperator.from_matrix(np.ldexp(a, -50)), b, SolverConfig())
+        assert (ref.k, ref.stop_reason) == (6, StopReason.BREAKDOWN)
+        assert (res.k, res.stop_reason, res.solve_matvecs) == (
+            ref.k, ref.stop_reason, ref.solve_matvecs)
+        assert np.array_equal(res.z, np.ldexp(ref.z, 50))
+
+    @pytest.mark.parametrize("bad, call", [(np.inf, 3), (np.nan, None)],
+                             ids=["inf-on-the-third-call", "always-nan"])
+    def test_a_non_finite_product_is_rejected_where_it_enters(self, bad, call):
+        # an operator whose product has an infinite entry at its third
+        # call, or a NaN at every call, fails with ValueError naming the
+        # product, before any arithmetic on it can warn
+        rng = np.random.default_rng(113)
+        a = rng.standard_normal((6, 6))
+        calls = []
+
+        class Faulty:
+            shape = (6, 6)
+
+            def matvec(self, x):
+                calls.append(x)
+                y = a @ x
+                if call in (None, len(calls)):
+                    y[0] = bad
+                return y
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="operator product contains non-finite"):
+                rrgmres_solve(Faulty(), rng.standard_normal(6), SolverConfig(epsilon=0.0))
+        assert len(calls) == (call or 1)
 
     def test_a_tiny_rhs_with_a_large_epsilon_stops_at_once(self):
         # b scaled up by 2**996 takes epsilon with it, past the float
@@ -883,13 +965,16 @@ class TestIterates:
            caps=st.lists(st.integers(1, 12), min_size=3, max_size=3),
            keep=st.booleans(), seed=st.integers(0, 2**32 - 1))
     def test_a_triangle_is_solved_only_where_it_is_read(self, kind, n, caps, keep, seed):
-        # at step k, back substitution serves the triangles that the R^-1
-        # bound does not clear, for their misfit (_least_squares), and the
-        # cleared triangles of the columns that leave at k, for their
-        # iterates (back_substitute); no triangle is solved twice in a
-        # step.  With keep_iterates, the columns that leave at k solve
-        # their steps 1..k-1 again, one call per step
+        # at step k, _least_squares serves the triangles that the R^-1
+        # bound does not clear, for their misfit ("full"), and
+        # back_substitute the cleared triangles of the columns that leave
+        # at k, for their iterates ("late"); the back substitutions that
+        # _least_squares makes itself ("inner") solve only triangles it
+        # was given.  No triangle is solved twice in a step.  With
+        # keep_iterates, the columns that leave at k solve their steps
+        # 1..k-1 again, one _least_squares call per step
         steps = []  # per step: its cleared mask and the triangles solved
+        inside = []  # the spied calls under way
 
         def adding(state, hcol):
             cleared = add_column(state, hcol)
@@ -898,9 +983,13 @@ class TestIterates:
 
         def spying(path, f):
             def spy(R, g):
-                steps[-1][1].extend((path, len(g[i]), R[i].tobytes() + g[i].tobytes())
-                                    for i in range(len(g)))
-                return f(R, g)
+                steps[-1][1].extend(("inner" if inside else path, len(g[i]),
+                                     R[i].tobytes() + g[i].tobytes()) for i in range(len(g)))
+                inside.append(path)
+                try:
+                    return f(R, g)
+                finally:
+                    inside.pop()
             return spy
 
         add_column = solver._Columns.add_column
@@ -918,12 +1007,15 @@ class TestIterates:
             assert len(steps) == max(ks)
             for k, (cleared, solved) in enumerate(steps, 1):
                 leaving = np.array([kk == k for kk in ks if kk >= k])
-                now = [(path, key) for path, m, key in solved if m == k]
+                now = [(path, key) for path, m, key in solved if m == k and path != "inner"]
                 expected = (["full"] * int((~cleared).sum())
                             + ["late"] * int((cleared & leaving).sum()))
                 assert sorted(path for path, _ in now) == sorted(expected), (k, ks)
                 assert len({key for _, key in now}) == len(now), (k, ks)
-                again = sorted((path, m) for path, m, _ in solved if m < k)
+                inner = [key for path, _, key in solved if path == "inner"]
+                assert len(set(inner)) == len(inner), (k, ks)
+                assert set(inner) <= {key for path, _, key in solved if path == "full"}, (k, ks)
+                again = sorted((path, m) for path, m, _ in solved if m < k and path != "inner")
                 assert again == [("full", m) for m in range(1, k)
                                  for _ in range(int(leaving.sum()) * keep)], (k, ks)
 
