@@ -15,8 +15,7 @@ _EXPORTS = {
     "errors": ("BadDimension", "DependentVectors", "NoRoot", "NotSymmetric",
                "NumericsError", "OutOfRange", "ParseError", "RankDeficient", "ShapeMismatch",
                "SingularCore", "SingularSystem"),
-    "linalg": ("frobenius_norm", "min_norm_lstsq_solve", "read_matrix", "thin_qr",
-               "write_matrix", "write_vector"),
+    "linalg": ("frobenius_norm", "read_matrix", "thin_qr", "write_matrix", "write_vector"),
     "nearness": ("NullSpaceBasis", "distance_from_products",
                  "nearest_symmetric_with_nullspace", "nearest_with_nullspace",
                  "nearness_distance"),

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -74,18 +75,23 @@ def _config_defaults(parser: argparse.ArgumentParser, path: str) -> dict:
             raise ConfigError(f"unknown config key {key!r}; valid keys: {valid}")
         try:
             values[key] = (actions[key].type or str)(val)
-        except (ValueError, argparse.ArgumentTypeError) as exc:
+        except argparse.ArgumentTypeError as exc:
             raise ConfigError(f"config key {key}: {exc}") from exc
     return values
 
 
 def _number(kind, text: str):
-    """kind(text) for a number spelled in plain ASCII: int and float alone
-    also read Python's digit separators, 1_0 as 10, and non-ASCII
-    digits."""
-    if "_" in text or not text.isascii():
-        raise ValueError(f"not a plain number: {text!r}")
-    return kind(text)
+    """kind(text) for a number spelled in plain ASCII, and
+    ArgumentTypeError for any other text: int and float alone also read
+    Python's digit separators, 1_0 as 10, and non-ASCII digits.  Every
+    numeric option reads its value with it, as partial(_number, kind),
+    and so does every list item."""
+    try:
+        if "_" not in text and text.isascii():
+            return kind(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"bad number {text!r}")
 
 
 def _items(text: str) -> list:
@@ -93,26 +99,27 @@ def _items(text: str) -> list:
     return [p.strip() for p in text.split(",") if p.strip()]
 
 
-# the list and boolean parsers raise ArgumentTypeError, whose message
-# argparse shows as it is; a ValueError would read "invalid <parser> value"
+# the number, list and boolean parsers raise ArgumentTypeError, whose
+# message argparse shows as it is; a ValueError would read "invalid
+# <parser> value"
 def _parse_seeds(text: str) -> tuple[int, ...]:
     text = text.strip()
     if ".." in text:
         lo, _, hi = text.partition("..")
         try:
             return tuple(range(_number(int, lo), _number(int, hi) + 1))
-        except ValueError as exc:
+        except argparse.ArgumentTypeError as exc:
             raise argparse.ArgumentTypeError(f"bad seed range {text!r}") from exc
     try:
         return tuple(_number(int, p) for p in _items(text))
-    except ValueError as exc:
+    except argparse.ArgumentTypeError as exc:
         raise argparse.ArgumentTypeError(f"bad seed list {text!r}") from exc
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
     try:
         return tuple(_number(float, p) for p in _items(text))
-    except ValueError as exc:
+    except argparse.ArgumentTypeError as exc:
         raise argparse.ArgumentTypeError(f"bad number list {text!r}") from exc
 
 
@@ -235,18 +242,19 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
         sp.add_argument("--out", default=out, help="output path (CSV file or prefix)")
         sp.set_defaults(func=func)
 
+    integer, real = partial(_number, int), partial(_number, float)
     # the run flags that solve and table share
     problem = [("--problem", dict(choices=("phillips", "deriv2"), default="phillips")),
-               ("--n", dict(type=int, default=200))]
-    solver = [("--eta", dict(type=float, default=1.01)),
-              ("--delta", dict(type=float, default=1.0)),
-              ("--max-iter", dict(type=int, default=100))]
+               ("--n", dict(type=integer, default=200))]
+    solver = [("--eta", dict(type=real, default=1.01)),
+              ("--delta", dict(type=real, default=1.0)),
+              ("--max-iter", dict(type=integer, default=100))]
 
     add_command("solve", cmd_solve, "run a single experiment cell", "solve",
                 *problem,
-                ("--noise", dict(type=float, default=1e-2)),
+                ("--noise", dict(type=real, default=1e-2)),
                 ("--reg", dict(default="I")),
-                ("--seed", dict(type=int, default=1)),
+                ("--seed", dict(type=integer, default=1)),
                 *solver)
     # the table's default output name follows --problem
     add_command("table", cmd_table, "full noise x regularizer x seed sweep", None,
@@ -260,9 +268,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
                 *solver)
     add_command("distances", cmd_distances, "nearness distances versus matrix order",
                 "distances.csv",
-                ("--min-n", dict(type=int, default=4)),
-                ("--max-n", dict(type=int, default=400)),
-                ("--step", dict(type=int, default=1)))
+                ("--min-n", dict(type=integer, default=4)),
+                ("--max-n", dict(type=integer, default=400)),
+                ("--step", dict(type=integer, default=1)))
     add_command("nearest", cmd_nearest,
                 "project a matrix file onto a null-space constraint", "nearest.txt",
                 ("--matrix", dict(help="matrix text file for A")),

@@ -4,7 +4,8 @@ Thin wrappers around LAPACK-backed numpy routines, with the error
 policy this package promises: explicit exceptions instead of silent
 NaNs or warnings.  back_substitute, a back substitution in numpy,
 checks nothing: its caller reads the singular rule below on its
-triangles first.
+triangles first, and calls LAPACK's least squares (np.linalg.lstsq)
+itself where that rule holds.
 
 Every array that comes from outside meets two rules, each defined here
 once.  _as_float_array is the finiteness rule: a non-finite entry
@@ -112,22 +113,6 @@ def back_substitute(r: np.ndarray, c: np.ndarray) -> np.ndarray:
     for i in range(r.shape[-1] - 1, -1, -1):
         dot = np.matmul(r[..., i:i + 1, i + 1:], x[..., i + 1:, None])[..., 0, 0]
         x[..., i] = (c[..., i] - dot) / r[..., i, i]
-    return x
-
-
-def min_norm_lstsq_solve(a, b, rcond=RANK_TOL) -> np.ndarray:
-    """Minimum-norm least-squares solution of a x = b.
-
-    Rank is decided by singular values relative to the largest one:
-    those at or below rcond times it count as zero, by default with the
-    package-wide threshold RANK_TOL.  For consistent systems this
-    returns the solution orthogonal to the null space of a.
-    """
-    a = _as_float_array(a, "matrix")
-    b = _as_float_array(b, "right-hand side")
-    if a.ndim != 2 or b.shape[0] != a.shape[0]:
-        raise ShapeMismatch("incompatible shapes for least squares")
-    x, *_ = np.linalg.lstsq(a, b, rcond=rcond)
     return x
 
 

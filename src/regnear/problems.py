@@ -296,22 +296,17 @@ def add_noise(problem: TestProblem, nu: float, seed: int) -> TestProblem:
 
 
 def relative_error(x_k: np.ndarray, x_hat: np.ndarray) -> float:
-    """||x_k - x_hat|| / ||x_hat||, with norms that stay finite where the
-    sum of squares overflows, as for an x_k near the noise guard.
-    ValueError for a zero x_hat, against which no error is relative."""
-    x_k = np.asarray(x_k, dtype=float)
-    x_hat = np.asarray(x_hat, dtype=float)
-    if x_k.shape != x_hat.shape:
-        raise ShapeMismatch(f"shape {x_k.shape} vs {x_hat.shape}")
-    if not x_hat.any():
-        raise ValueError("relative error against a zero reference solution x_hat")
-    return frobenius_norm(x_k - x_hat) / frobenius_norm(x_hat)
+    """||x_k - x_hat|| / ||x_hat|| of the vector x_k: relative_errors of
+    x_k as one column."""
+    return float(relative_errors(np.expand_dims(x_k, -1), x_hat)[0])
 
 
 def relative_errors(X: np.ndarray, x_hat: np.ndarray) -> np.ndarray:
-    """relative_error of each column of the n x s array X against x_hat,
-    bit for bit: ||x_hat|| taken once and the column norms of X - x_hat
-    in one call (linalg.column_norms)."""
+    """||x - x_hat|| / ||x_hat|| for each column x of the n x s array X,
+    with norms that stay finite where the sum of squares overflows, as
+    for an x near the noise guard: ||x_hat|| taken once and the column
+    norms of X - x_hat in one call (linalg.column_norms).  ValueError
+    for a zero x_hat, against which no error is relative."""
     X = np.asarray(X, dtype=float)
     x_hat = np.asarray(x_hat, dtype=float)
     if X.ndim != 2 or x_hat.ndim != 1 or X.shape[0] != x_hat.size:
@@ -319,5 +314,5 @@ def relative_errors(X: np.ndarray, x_hat: np.ndarray) -> np.ndarray:
     if not x_hat.any():
         raise ValueError("relative error against a zero reference solution x_hat")
     norms = column_norms(X - x_hat[:, None])
-    with np.errstate(over="ignore"):  # inf, as relative_error's Python division gives
+    with np.errstate(over="ignore"):  # an error beyond the float range is inf
         return norms / frobenius_norm(x_hat)

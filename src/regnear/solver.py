@@ -51,24 +51,26 @@ underflow.  Each product is read once where it enters the loop
 (_by_group): a non-finite entry raises ValueError before any arithmetic
 on it can warn.
 
-Each step forms a least-squares solution y only where it is read.  Like
-GMRES (Saad 2003, section 6.5), the loop reads each residual from g, and
-y serves the iterates it returns, combining the bases of the columns
-that stop at the step in one pass (a k = 0 stop returns z = 0), and the
-misfit of a near-singular triangle.  The state keeps R^-1 beside R, one
-column a step, -R^-1 r / rho above the diagonal and 1 / rho on it (one
-batched product), with running ||R^-1||_F and max |R|.  A triangle with
-NEAR_SINGULAR_TOL rmax ||R^-1||_F at or below MARGIN, a margin below 1,
-passes the length test below unsolved, as ||y|| <= ||R^-1||_F ||g||: its
-misfit is 0, and it back-substitutes only when its column leaves.  The
-other triangles, and those whose R^-1 has left the float range, are
-solved at the step for their misfit, and a column that leaves takes that
-y.  Either way a column's y is the back substitution it would get alone,
-so the bound moves no bit; the regular triangles of a step
-back-substitute together, each as it would alone.  With keep_iterates, a
-column that leaves solves the triangles of its earlier steps m again,
-R[:m, :m] with g[:m], which no later step changes, so each kept iterate
-is the one a run stopped at step m returns, bit for bit.  A triangle is
+An iterate gets its least-squares solution y in one place,
+_Columns.iterates: y solves step m's triangle R[:m, :m] against g[:m]
+(_least_squares), which no later step changes, and the bases of the
+columns it serves combine with it in one pass (m = 0 gives z = 0).  The
+columns that stop at step k take z_k from it, and with keep_iterates
+every z_m, m <= k, of which z_k is the last; so each kept iterate is
+the one a run stopped at step m returns, bit for bit.  Like GMRES
+(Saad 2003, section 6.5), the loop reads each residual from g, so a
+step solves a triangle only for the misfit of a near-singular one.  The
+state keeps R^-1 beside R, one column a step, -R^-1 r / rho above the
+diagonal and 1 / rho on it (one batched product), with running
+||R^-1||_F and max |R|.  A triangle with NEAR_SINGULAR_TOL rmax
+||R^-1||_F at or below MARGIN, a margin below 1, passes the length test
+below unsolved, as ||y|| <= ||R^-1||_F ||g||: its misfit is 0, and the
+step does not solve it.  The other triangles, and those whose R^-1 has
+left the float range, are solved at the step for their misfit, and a
+column among them that leaves solves its triangle again for its
+iterate.  A triangle's solve does not depend on the stack it is in, and
+on a cleared triangle neither rule below fires, so _least_squares gives
+it the back substitution and the bound moves no bit.  A triangle is
 near singular when linalg's rule at NEAR_SINGULAR_TOL = sqrt(u) holds
 for it (singular_triangles, read from R itself), or when its
 back-substituted y is longer than ||g|| / (NEAR_SINGULAR_TOL rmax),
@@ -92,7 +94,7 @@ import numpy as np
 
 from .errors import ShapeMismatch
 from .linalg import (NEAR_SINGULAR_TOL, _as_float_array, back_substitute, checked_rhs, dots,
-                     min_norm_lstsq_solve, scale_exponents, scaled_back, singular_triangles)
+                     scale_exponents, scaled_back, singular_triangles)
 
 # A new Krylov direction, made from a unit vector, shorter than this
 # fraction of ||A b|| / ||b|| ends the basis: both sides scale alike with
@@ -198,12 +200,12 @@ def _least_squares(R: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray
     misfit 0: back_substitute reads no rule again, and the loop has
     already read every product that entered R and g as finite.  Each
     near-singular one, by that rule or by a y longer than ||g|| /
-    (NEAR_SINGULAR_TOL rmax), takes the minimum-norm least-squares
-    solution on its singular values above NEAR_SINGULAR_TOL times the
-    largest.  Returns y, (r, m), and the misfits ||R y - g||.  The
-    rotations are orthogonal, so this has the minimizers and the
-    singular values of the unrotated (m+1, m) problem, whose residual is
-    hypot(g_m, misfit).
+    (NEAR_SINGULAR_TOL rmax), takes LAPACK's minimum-norm least-squares
+    solution (np.linalg.lstsq) on its singular values above
+    NEAR_SINGULAR_TOL times the largest.  Returns y, (r, m), and the
+    misfits ||R y - g||.  The rotations are orthogonal, so this has the
+    minimizers and the singular values of the unrotated (m+1, m)
+    problem, whose residual is hypot(g_m, misfit).
     """
     near = singular_triangles(R, NEAR_SINGULAR_TOL)
     y, misfit = np.zeros(g.shape), np.zeros(len(g))
@@ -211,7 +213,7 @@ def _least_squares(R: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray
     rmax = np.abs(R).max(axis=(1, 2), initial=0.0)
     near |= NEAR_SINGULAR_TOL * rmax * np.linalg.norm(y, axis=1) > np.linalg.norm(g, axis=1)
     for i in np.flatnonzero(near):
-        y[i] = min_norm_lstsq_solve(R[i], g[i], NEAR_SINGULAR_TOL)
+        y[i] = np.linalg.lstsq(R[i], g[i], rcond=NEAR_SINGULAR_TOL)[0]
         misfit[i] = np.linalg.norm(R[i] @ y[i] - g[i])
     return y, misfit
 
@@ -334,13 +336,13 @@ class _Columns:
     R run its inverse Rinv (s, cap, cap), the square of ||R^-1||_F
     (rinv2) and max |R| (rmax), each grown by one column a step and
     non-finite, quietly, once R^-1 leaves the float range; they serve
-    only the bound that spares a triangle its back substitution
+    only the bound that spares a triangle its solve at the step
     (MARGIN).  R is the only record of the singular rule, read by
-    _least_squares, and no least-squares solution y is kept: a step's y
-    serves only the columns that leave at it.  The basis is a list of
-    chunks of SIZE steps, each (s, SIZE, n), and widths counts the
-    running columns of each group, whose columns are contiguous and in
-    group order.
+    _least_squares, and no least-squares solution y is kept: iterates
+    solves y from R and g where it forms an iterate.  The basis is a
+    list of chunks of SIZE steps, each (s, SIZE, n), and widths counts
+    the running columns of each group, whose columns are contiguous and
+    in group order.
     """
 
     def __init__(self, n: int, widths: list, **arrays):
@@ -411,15 +413,15 @@ class _Columns:
             self.rinv2 += dots(col, col)
             return self.rmax * np.sqrt(self.rinv2) <= MARGIN / NEAR_SINGULAR_TOL
 
-    def iterates(self, rows: np.ndarray, m: int, y=None) -> np.ndarray:
+    def iterates(self, rows: np.ndarray, m: int) -> np.ndarray:
         """The iterates z_m of the columns rows, (len(rows), n), at a
-        step m <= k, in the scale of their b: their bases combined in one
-        pass with y[rows], the solutions of step m's least-squares
-        problems.  Without y they are solved again from R[:m, :m] and
-        g[:m], which no step after m changes; m = 0 gives z = 0."""
+        step m <= k, in the scale of their b: the one place where an
+        iterate gets its y, solved by _least_squares from R[:m, :m] and
+        g[:m], which no step after m changes, and their bases combined
+        with it in one pass; m = 0 gives z = 0."""
         if m == 0:
             return np.zeros((rows.size, self.n))
-        y = _least_squares(self.R[rows, :m, :m], self.g[rows, :m])[0] if y is None else y[rows]
+        y = _least_squares(self.R[rows, :m, :m], self.g[rows, :m])[0]
         z = _combination((p[rows] for p in _pieces(self.chunks, m)), y)
         return scaled_back(z, (self.scale - self.ascale)[rows, None], "iterate")
 
@@ -433,10 +435,10 @@ def _lockstep(ops: list, widths: list, B, cfgs: list, keep_iterates: bool) -> li
     group's running columns.
 
     The running columns are all at the same step k, and their state is
-    one _Columns.  A column that stops takes its iterate, from y, the
-    solution of its least-squares problem at the step, and its log, read
-    from its residual history, and leaves: the state takes the rest,
-    which keeps each group's running columns contiguous.
+    one _Columns.  A column that stops takes its iterate, from R and g
+    (_Columns.iterates), and its log, read from its residual history,
+    and leaves: the state takes the rest, which keeps each group's
+    running columns contiguous.
     """
     n, s = B.shape
     scale = scale_exponents(B, axis=0)
@@ -452,20 +454,19 @@ def _lockstep(ops: list, widths: list, B, cfgs: list, keep_iterates: bool) -> li
                   group=np.repeat(np.arange(len(ops)), widths),
                   threshold=threshold, max_iter=np.array([cfg.max_iter for cfg in cfgs]))
 
-    def leave(stops: list, applies: int, y=None) -> bool:
+    def leave(stops: list, applies: int) -> bool:
         """The running columns that a mask of stops, a list of (mask,
         StopReason) pairs, marks take their results at step k, each with
-        the reason of the first mask that marks it, its iterate from y,
-        the solutions of the step's least-squares problems (None at k =
-        0, whose iterate is 0), and the log of its residuals res[:k + 1],
-        and leave.  True when no column is left."""
+        the reason of the first mask that marks it, its iterate z_k
+        (_Columns.iterates; with keep_iterates, the last of its iterates
+        z_1..z_k), and the log of its residuals res[:k + 1], and leave.
+        True when no column is left."""
         done = np.logical_or.reduce([mask for mask, _ in stops])
         if not done.any():
             return False
         rows = np.flatnonzero(done)
-        z = st.iterates(rows, st.k, y)
-        kept = ([st.iterates(rows, m, y if m == st.k else None) for m in range(1, st.k + 1)]
-                if keep_iterates else None)
+        kept = [st.iterates(rows, m) for m in range(1, st.k + 1)] if keep_iterates else None
+        z = kept[-1] if kept else st.iterates(rows, st.k)
         history = scaled_back(st.res[rows, :st.k + 1], st.scale[rows, None], "residual").tolist()
         for j, i in enumerate(rows.tolist()):
             results[int(st.cols[i])] = RRGMRESResult(
@@ -514,19 +515,14 @@ def _lockstep(ops: list, widths: list, B, cfgs: list, keep_iterates: bool) -> li
 
         # ||A z_k - b||^2 = g_k^2 + ||bres||^2 + misfit^2, the misfit 0
         # where R back-substitutes.  A triangle that the bound clears does;
-        # the others are solved now, for their misfit
-        y, misfit = np.zeros((cleared.size, k)), np.zeros(cleared.size)
+        # the others are solved now, for their misfit alone: the iterates
+        # of the columns that leave solve theirs again (_Columns.iterates)
+        misfit = np.zeros(cleared.size)
         if not cleared.all():
-            y[~cleared], misfit[~cleared] = _least_squares(st.R[~cleared, :k, :k],
-                                                           st.g[~cleared, :k])
+            misfit[~cleared] = _least_squares(st.R[~cleared, :k, :k], st.g[~cleared, :k])[1]
         residual = np.hypot(np.hypot(st.g[:, k], np.sqrt(dots(st.bres, st.bres))), misfit)
         st.res[:, k] = residual
-        stops = [(residual <= st.threshold, StopReason.DISCREPANCY_MET),
-                 (broken, StopReason.BREAKDOWN), (k >= st.max_iter, StopReason.MAX_ITER)]
-        # a cleared triangle is solved only for the iterate of a column
-        # that leaves, by the back substitution _least_squares would make
-        late = np.logical_or.reduce([mask for mask, _ in stops]) & cleared
-        if late.any():
-            y[late] = back_substitute(st.R[late, :k, :k], st.g[late, :k])
-        if leave(stops, k + 1, y):
+        if leave([(residual <= st.threshold, StopReason.DISCREPANCY_MET),
+                  (broken, StopReason.BREAKDOWN), (k >= st.max_iter, StopReason.MAX_ITER)],
+                 k + 1):
             return results

@@ -282,6 +282,30 @@ class TestArgumentParsing:
         assert err == f"error: regnear {argv[0]}: {message}\n"
         assert "_parse_" not in err
 
+    # every scalar option reads a number spelled in plain ASCII, as the
+    # list items do: int and float alone read 1_0 as 10 and the
+    # Arabic-Indic or fullwidth digits as digits
+    @pytest.mark.parametrize("command, option, text", [
+        ("solve", "n", "1_0"), ("solve", "seed", "\u0663"), ("solve", "max-iter", "1_0"),
+        ("solve", "eta", "1_0"), ("solve", "delta", "\uff11"), ("solve", "noise", "1_0e-3"),
+        ("table", "n", "\u0661\u0666"), ("table", "max-iter", "\u0665"),
+        ("distances", "min-n", "\u0664"), ("distances", "max-n", "1_0"),
+        ("distances", "step", "\uff11"),
+    ])
+    def test_a_scalar_option_reads_plain_ascii(self, command, option, text, tmp_path, capsys):
+        out = str(tmp_path / "out")
+        with pytest.raises(SystemExit) as exc:
+            main([command, f"--{option}", text, "--out", out])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            f"error: regnear {command}: argument --{option}: bad number {text!r}\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{option} = {text}\n", encoding="utf-8")
+        assert main([command, "--config", str(cfg), "--out", out]) == 2
+        key = option.replace("-", "_")
+        assert capsys.readouterr().err == f"error: config key {key}: bad number {text!r}\n"
+        assert list(tmp_path.iterdir()) == [cfg]
+
     def test_float_list(self):
         assert _parse_floats("1e-2,1e-3") == (1e-2, 1e-3)
 

@@ -1,4 +1,4 @@
-"""Kernel-level tests: QR, back substitution and least-squares solves,
+"""Kernel-level tests: QR, back substitution and the singular rule,
 Frobenius norms, and the plain-text matrix format."""
 import io
 import math
@@ -11,8 +11,8 @@ from hypothesis.extra import numpy as hnp
 
 from regnear.errors import ParseError, RankDeficient, ShapeMismatch
 from regnear.linalg import (RANK_TOL, back_substitute, column_norms, frobenius_norm,
-                            min_norm_lstsq_solve, read_matrix, singular_triangles, thin_qr,
-                            write_matrix, write_vector)
+                            read_matrix, singular_triangles, thin_qr, write_matrix,
+                            write_vector)
 
 
 def matrix_to_text(a) -> str:
@@ -139,41 +139,6 @@ class TestTriangularSolve:
         assume(np.isfinite(scaled).all())
         for tol in (RANK_TOL, 1e-8):
             assert singular_triangles(scaled, tol) == singular_triangles(r, tol)
-
-
-class TestMinNormLstsq:
-    def test_identity(self):
-        b = np.array([1.0, 2.0, 3.0])
-        np.testing.assert_allclose(min_norm_lstsq_solve(np.eye(3), b), b)
-
-    def test_minimal_norm_on_rank_one(self):
-        x = min_norm_lstsq_solve([[1.0, 0.0], [0.0, 0.0]], [5.0, 7.0])
-        np.testing.assert_allclose(x, [5.0, 0.0], atol=1e-14)
-
-    def test_consistent_singular_system_orthogonal_to_nullspace(self):
-        # first-difference square matrix with zero last row; null space = constants
-        n = 5
-        a = np.zeros((n, n))
-        idx = np.arange(n - 1)
-        a[idx, idx] = 0.5
-        a[idx, idx + 1] = -0.5
-        rng = np.random.default_rng(3)
-        b = a @ rng.standard_normal(n)  # guaranteed in range(a)
-        x = min_norm_lstsq_solve(a, b)
-        assert np.linalg.norm(a @ x - b) <= 1e-12
-        assert abs(np.sum(x)) <= 1e-10
-
-    def test_matches_pinv(self):
-        rng = np.random.default_rng(11)
-        a = rng.standard_normal((6, 4))
-        b = rng.standard_normal(6)
-        np.testing.assert_allclose(min_norm_lstsq_solve(a, b),
-                                   np.linalg.pinv(a, rcond=RANK_TOL) @ b,
-                                   atol=1e-12)
-
-    def test_shape_error(self):
-        with pytest.raises(ShapeMismatch):
-            min_norm_lstsq_solve(np.eye(3), np.ones(4))
 
 
 class TestFrobenius:

@@ -391,8 +391,11 @@ class TestRelativeError:
         assert relative_error(x + pert, x) == pytest.approx(0.01)
 
     def test_shape_guard(self):
-        with pytest.raises(ShapeMismatch):
-            relative_error(np.ones(3), np.ones(4))
+        # a non-vector x_k is refused, not read as a block or a scalar
+        for x_k, x_hat in ((np.ones(3), np.ones(4)), (np.ones((3, 1)), np.ones(3)),
+                           (1.0, np.ones(1))):
+            with pytest.raises(ShapeMismatch):
+                relative_error(x_k, x_hat)
 
     def test_error_whose_square_overflows(self):
         # an iterate near the noise guard: ||x_k - x_hat||^2 overflows,

@@ -156,6 +156,31 @@ class TestHessenbergResidual:
             hessenberg_residual(np.ones((3, 1)), 1.0)
 
 
+class TestLeastSquares:
+    """_least_squares on triangles that its rule reads as near singular,
+    where it takes LAPACK's minimum-norm solution."""
+
+    def test_minimal_norm_on_rank_one(self):
+        y, misfit = solver._least_squares(np.array([[[1.0, 0.0], [0.0, 0.0]]]),
+                                          np.array([[5.0, 7.0]]))
+        np.testing.assert_allclose(y[0], [5.0, 0.0], atol=1e-14)
+        assert misfit[0] == pytest.approx(7.0, rel=1e-14)
+
+    def test_consistent_singular_system_orthogonal_to_nullspace(self):
+        # first-difference triangle with zero last row; null space = constants
+        n = 5
+        a = np.zeros((n, n))
+        idx = np.arange(n - 1)
+        a[idx, idx] = 0.5
+        a[idx, idx + 1] = -0.5
+        rng = np.random.default_rng(3)
+        b = a @ rng.standard_normal(n)  # guaranteed in range(a)
+        y, misfit = solver._least_squares(a[None], b[None])
+        assert np.linalg.norm(a @ y[0] - b) <= 1e-12
+        assert misfit[0] <= 1e-12
+        assert abs(np.sum(y[0])) <= 1e-10
+
+
 class TestRRGMRES:
     def test_initial_residual_already_small(self):
         op = LinearOperator.from_matrix(np.eye(3))
@@ -965,34 +990,46 @@ class TestIterates:
            caps=st.lists(st.integers(1, 12), min_size=3, max_size=3),
            keep=st.booleans(), seed=st.integers(0, 2**32 - 1))
     def test_a_triangle_is_solved_only_where_it_is_read(self, kind, n, caps, keep, seed):
-        # at step k, _least_squares serves the triangles that the R^-1
-        # bound does not clear, for their misfit ("full"), and
-        # back_substitute the cleared triangles of the columns that leave
-        # at k, for their iterates ("late"); the back substitutions that
-        # _least_squares makes itself ("inner") solve only triangles it
-        # was given.  No triangle is solved twice in a step.  With
-        # keep_iterates, the columns that leave at k solve their steps
-        # 1..k-1 again, one _least_squares call per step
-        steps = []  # per step: its cleared mask and the triangles solved
-        inside = []  # the spied calls under way
+        # at step k, the step's own _least_squares call ("misfit") solves
+        # exactly the triangles that the R^-1 bound does not clear, and
+        # _Columns.iterates ("iterate") calls it once on exactly the
+        # triangles of step k of the columns that leave at k, and with
+        # keep_iterates once more on their triangles of each step m < k;
+        # back_substitute runs only inside _least_squares.  So a cleared
+        # column that does not leave has no triangle solved, and an
+        # uncleared one that leaves is solved twice, once for each
+        steps = []  # per step: its cleared mask, R, g and the calls made
+        under_way = []  # the spied calls under way
 
         def adding(state, hcol):
             cleared = add_column(state, hcol)
-            steps.append((cleared.copy(), []))
+            k = state.k
+            steps.append((cleared.copy(), state.R[:, :k, :k].copy(), state.g[:, :k].copy(), []))
             return cleared
 
-        def spying(path, f):
-            def spy(R, g):
-                steps[-1][1].extend(("inner" if inside else path, len(g[i]),
-                                     R[i].tobytes() + g[i].tobytes()) for i in range(len(g)))
-                inside.append(path)
-                try:
-                    return f(R, g)
-                finally:
-                    inside.pop()
-            return spy
+        def forming(state, rows, m):
+            under_way.append("iterate")
+            try:
+                return iterates(state, rows, m)
+            finally:
+                under_way.pop()
 
-        add_column = solver._Columns.add_column
+        def solving(R, g):
+            path = "iterate" if under_way[-1:] == ["iterate"] else "misfit"
+            steps[-1][3].append((path, g.shape[1],
+                                 sorted(R[i].tobytes() + g[i].tobytes() for i in range(len(g)))))
+            under_way.append("solve")
+            try:
+                return least_squares(R, g)
+            finally:
+                under_way.pop()
+
+        def substituting(R, g):
+            assert under_way[-1:] == ["solve"]
+            return back_substitute(R, g)
+
+        add_column, iterates = solver._Columns.add_column, solver._Columns.iterates
+        least_squares, back_substitute = solver._least_squares, solver.back_substitute
         a, B, _ = draw_operator(np.random.default_rng(seed), kind, n)
         cfgs = [SolverConfig(epsilon=0.0, max_iter=cap) for cap in caps]
         op = LinearOperator.from_matrix(a)
@@ -1001,23 +1038,25 @@ class TestIterates:
             steps.clear()
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(solver._Columns, "add_column", adding)
-                mp.setattr(solver, "_least_squares", spying("full", solver._least_squares))
-                mp.setattr(solver, "back_substitute", spying("late", solver.back_substitute))
+                mp.setattr(solver._Columns, "iterates", forming)
+                mp.setattr(solver, "_least_squares", solving)
+                mp.setattr(solver, "back_substitute", substituting)
                 ks = [r.k for r in run()]
             assert len(steps) == max(ks)
-            for k, (cleared, solved) in enumerate(steps, 1):
+            for k, (cleared, R, g, calls) in enumerate(steps, 1):
                 leaving = np.array([kk == k for kk in ks if kk >= k])
-                now = [(path, key) for path, m, key in solved if m == k and path != "inner"]
-                expected = (["full"] * int((~cleared).sum())
-                            + ["late"] * int((cleared & leaving).sum()))
-                assert sorted(path for path, _ in now) == sorted(expected), (k, ks)
-                assert len({key for _, key in now}) == len(now), (k, ks)
-                inner = [key for path, _, key in solved if path == "inner"]
-                assert len(set(inner)) == len(inner), (k, ks)
-                assert set(inner) <= {key for path, _, key in solved if path == "full"}, (k, ks)
-                again = sorted((path, m) for path, m, _ in solved if m < k and path != "inner")
-                assert again == [("full", m) for m in range(1, k)
-                                 for _ in range(int(leaving.sum()) * keep)], (k, ks)
+
+                def triangles(mask, m):
+                    return sorted(R[i, :m, :m].tobytes() + g[i, :m].tobytes()
+                                  for i in np.flatnonzero(mask))
+
+                expected = [] if cleared.all() else [("misfit", k, triangles(~cleared, k))]
+                if leaving.any():
+                    expected += [("iterate", m, triangles(leaving, m))
+                                 for m in (range(1, k + 1) if keep else [k])]
+                assert calls == expected, (k, ks)
+                idle = set(triangles(cleared & ~leaving, k))
+                assert not idle & {t for _, m, ts in calls if m == k for t in ts}, (k, ks)
 
     def test_near_singular_triangle_logs_the_iterate_residual(self):
         # the 5 x 5 down-shift: step 4's triangle is regular by the rule,
