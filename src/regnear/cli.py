@@ -13,13 +13,22 @@ problems, the transformation nor the solver.
 
 All numeric CSV output is written with 17 significant digits so reruns
 of identical configurations are byte-identical.  Exit codes: 0 success,
-2 configuration error (a file that cannot be read or written, or a
-size that does not fit in memory, included), 3 numerical failure (the
-bad content of an input file that could be read included).
+2 configuration error (a file that cannot be read or written, stdout
+included, or a size that does not fit in memory), 3 numerical failure
+(the bad content of an input file that could be read included).
+
+`run` is the process entry of both `python -m regnear.cli` and the
+`regnear` script.  It flushes stdout itself, so that a stdout that
+cannot be written exits 2, and freezes the garbage collector before the
+interpreter shuts down, so that the shutdown collections skip the
+objects numpy and regnear leave behind.  `main`, which the tests call
+in process, and the library leave the collector alone.
 """
 from __future__ import annotations
 
 import argparse
+import gc
+import os
 import sys
 from functools import partial
 
@@ -304,5 +313,42 @@ def main(argv=None) -> int:
         return 3
 
 
+def _flush_stdout() -> bool:
+    """Flush stdout, and False if it cannot be written: then one error
+    line goes to stderr, and stdout's descriptor is pointed at
+    os.devnull, so that the interpreter's own flush at exit cannot fail
+    again."""
+    try:
+        if sys.stdout is not None:  # None when the process started without fd 1
+            sys.stdout.flush()
+        return True
+    except OSError as exc:
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return False
+
+
+def run() -> None:
+    """The process entry, for `python -m regnear.cli` and the `regnear`
+    script: exit with main's code, or 2 if stdout cannot be written.
+    Before the interpreter shuts down it freezes the garbage collector,
+    which moves every tracked object (about 22,000, most of them
+    numpy's) into the permanent generation, so the shutdown collections
+    skip them: the operating system frees that memory right afterwards
+    anyway.  atexit handlers, the flush of stdio and the teardown of
+    modules still run.  main itself leaves the collector alone, since
+    the tests call it in process."""
+    try:
+        try:
+            code = main()
+        except SystemExit as exc:  # argparse's --help and usage errors
+            code = exc.code
+        sys.exit(code if _flush_stdout() else 2)
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -4,6 +4,7 @@ import ast
 import contextlib
 import csv
 import functools
+import gc
 import io
 import itertools
 import os
@@ -39,6 +40,7 @@ from regnear.transform import LinearOperator, factor_transform
 
 SWEEP_FIXTURE = Path(__file__).parent / "data" / "default_sweep.csv"
 README = Path(__file__).resolve().parents[1] / "README.md"
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 BLOCK_ROWS = regnear.cli._DISTANCE_BLOCK_ROWS
 # a symmetric matrix whose entries square past the float range, with
 # the basis of ones: both nearness distances are 5e200
@@ -1184,25 +1186,152 @@ def test_table_lists(noise, regs, seeds):
     (["nearest", "--matrix", "a.txt", "--nullspace", "v.txt", "--symmetric"], HUGE_MATRIX, 0,
      "distance 5e+200"),
     (["distances", "--step", "-1"], HUGE_MATRIX, 2, "error: step must be positive"),
+    (["distances", "--bogus"], HUGE_MATRIX, 2,
+     "error: regnear: unrecognized arguments: --bogus"),
     *((["nearest", "--matrix", "a.txt", "--nullspace", "v.txt", *flags], np.array(a), code, line)
       for flags, a, code, line in NEAR_MAX_RUNS.values()),
-], ids=["nearest", "nearest-symmetric", "distances-negative-step", *NEAR_MAX_RUNS])
+], ids=["nearest", "nearest-symmetric", "distances-negative-step", "usage-error",
+        *NEAR_MAX_RUNS])
 def test_bounds_under_python_m(argv, matrix, code, line, tmp_path):
-    # the same runs as python -m regnear.cli with every warning an error:
-    # the distance of entries whose squares overflow, entries near the
-    # float maximum, which fail only where the answer is beyond the float
-    # range or a is not symmetric, and a bad step; a failure is one
-    # error line with no file
+    # the same runs as python -m regnear.cli, and through the function
+    # the regnear script calls, with every warning an error: the distance
+    # of entries whose squares overflow, entries near the float maximum,
+    # which fail only where the answer is beyond the float range or a is
+    # not symmetric, a bad step and a usage error; a failure is one error
+    # line with no file, and both routes exit with main's code and print
+    # the same
     write_matrix(str(tmp_path / "a.txt"), matrix)
     write_matrix(str(tmp_path / "v.txt"), np.ones((len(matrix), 1)))
-    run = subprocess.run([sys.executable, "-W", "error", "-m", "regnear.cli", *argv,
-                          "--out", "out"], cwd=tmp_path, env=_child_env(),
+    outputs = []
+    for route in _cli_routes():
+        run = subprocess.run([sys.executable, "-W", "error", *route, *argv,
+                              "--out", "out"], cwd=tmp_path, env=_child_env(),
+                             capture_output=True, text=True)
+        assert run.returncode == code, (route, run.stderr)
+        assert line in (run.stderr if code else run.stdout).splitlines()
+        assert (tmp_path / "out").exists() == (code == 0)
+        if code:
+            assert run.stderr.count("\n") == 1 and run.stdout == ""
+        (tmp_path / "out").unlink(missing_ok=True)
+        outputs.append((run.stdout, run.stderr))
+    assert outputs[0] == outputs[1]
+
+
+def _script_target() -> tuple[str, str]:
+    """The module and function of the regnear console script, as
+    pyproject.toml's [project.scripts] names them."""
+    section = PYPROJECT.read_text().split("[project.scripts]")[1].split("\n[")[0]
+    for line in section.splitlines():
+        name, _, target = line.partition("=")
+        if name.strip() == "regnear":
+            module, _, func = target.strip().strip('"').partition(":")
+            return module, func
+    raise AssertionError("pyproject.toml has no regnear script")
+
+
+def _cli_routes() -> list[list[str]]:
+    """The interpreter arguments of the two ways to start the CLI, each
+    followed by the CLI's own: python -m, and a stand-in for the
+    console script that pip writes, which calls the function it names
+    and exits with what that returns."""
+    module, func = _script_target()
+    script = (f"import sys; from {module} import {func}; "
+              f"sys.argv[0] = 'regnear'; sys.exit({func}())")
+    return [["-m", "regnear.cli"], ["-c", script]]
+
+
+@pytest.mark.parametrize("route", ["python -m", "script"])
+def test_the_process_entry_freezes_the_collector(route, tmp_path):
+    # both routes end in the entry, which freezes the collector before
+    # the interpreter shuts down; an atexit hook, which runs after it,
+    # reads the count of frozen objects
+    module, func = _script_target()
+    start = {"python -m": "runpy.run_module('regnear.cli', run_name='__main__')",
+             "script": f"from {module} import {func}; sys.exit({func}())"}[route]
+    code = f"""
+import atexit, gc, os, runpy, sys
+atexit.register(lambda: os.write(2, b"frozen %d\\n" % gc.get_freeze_count()))
+sys.argv = ["regnear", "distances", "--max-n", "20", "--out", "d.csv"]
+{start}
+"""
+    run = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=_child_env(),
                          capture_output=True, text=True)
-    assert run.returncode == code, run.stderr
-    assert line in (run.stderr if code else run.stdout).splitlines()
-    assert (tmp_path / "out").exists() == (code == 0)
-    if code:
-        assert run.stderr.count("\n") == 1 and run.stdout == ""
+    assert run.returncode == 0, run.stderr
+    frozen = run.stderr.splitlines()[-1]
+    assert frozen.startswith("frozen ") and int(frozen.split()[1]) > 0, run.stderr
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["distances", "--max-n", "20", "--out", "d.csv"], 0),
+    (["nearest", "--matrix", "a.txt", "--nullspace", "v.txt", "--out", "o.txt"], 0),
+    (["solve", "--n", "16", "--out", "s"], 0),
+    (["table", "--n", "16", "--seeds", "1..2", "--regs", "I,L20", "--out", "t.csv"], 0),
+    (["distances", "--step", "-1"], 2),
+    (["distances", "--out", "missing/d.csv"], 2),
+    (["distances", "--memory-error"], 2),
+    (["nearest", "--matrix", "a.txt", "--nullspace", "dependent.txt"], 3),
+    (["distances", "--bogus"], 2),
+], ids=["distances", "nearest", "solve", "table", "config-error", "os-error",
+        "memory-error", "numerical-failure", "usage-error"])
+def test_main_leaves_the_collector_alone(argv, code, tmp_path, monkeypatch):
+    # only the process entry freezes the collector: main, which the
+    # tests call in process, leaves it enabled or disabled and its
+    # frozen objects as it found them, whatever the outcome
+    monkeypatch.chdir(tmp_path)
+    write_matrix("a.txt", np.diag([2.0, 3.0, 4.0]) + 1.0)
+    write_matrix("v.txt", np.ones((3, 1)))
+    write_matrix("dependent.txt", np.ones((3, 2)))
+    if "--memory-error" in argv:
+        def no_memory(orders):
+            raise MemoryError
+
+        monkeypatch.setattr(regnear.cli, "stacked_n2_bases", no_memory)
+        argv = argv[:1]
+    enabled = gc.isenabled()
+    try:
+        for state in (gc.enable, gc.disable):
+            state()
+            before = (gc.isenabled(), gc.get_freeze_count())
+            with contextlib.redirect_stderr(io.StringIO()), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                try:
+                    assert main(argv) == code
+                except SystemExit as exc:  # argparse's usage error
+                    assert exc.code == code
+            assert (gc.isenabled(), gc.get_freeze_count()) == before
+    finally:
+        (gc.enable if enabled else gc.disable)()
+
+
+def test_only_the_entry_touches_the_collector():
+    # no module of the package but the CLI imports gc, and in the CLI
+    # only the process entry uses it
+    package = Path(regnear.__file__).parent
+    assert [path.name for path in sorted(package.glob("*.py"))
+            if "gc" in set(imported_modules(path))] == ["cli.py"]
+    tree = ast.parse((package / "cli.py").read_text())
+    users = [node.name for node in tree.body
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+             and any(isinstance(n, ast.Name) and n.id == "gc" for n in ast.walk(node))]
+    assert users == ["run"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [["distances", "--max-n", "20", "--out", "d.csv"],
+                                  ["table", "--n", "40", "--seeds", "1..2", "--out", "t.csv"]],
+                         ids=["distances", "table"])
+def test_unwritable_stdout_exits_2(argv, tmp_path):
+    # with stdout buffered, its lines are written when it is flushed,
+    # after main returns; a stdout that cannot take them is a file that
+    # cannot be written: one error line, exit code 2, on both routes
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    for route in _cli_routes():
+        with open("/dev/full", "w") as full:
+            run = subprocess.run([sys.executable, *route, *argv], cwd=tmp_path, env=env,
+                                 stdout=full, stderr=subprocess.PIPE, text=True)
+        assert run.returncode == 2, (route, run.stderr)
+        assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1, run.stderr
 
 
 def _child_env():
