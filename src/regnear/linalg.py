@@ -123,21 +123,19 @@ def dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def frobenius_norm(a) -> float:
-    """||a||_F of a finite array: numpy's norm of a scaled by a power of
-    two (scale_exponents), scaled back, so that it neither overflows nor
-    underflows unless the norm itself lies beyond the float range, where
-    it is inf.  For an array whose largest magnitude lies in [1/LARGE,
-    LARGE] it is numpy's norm, bit for bit."""
-    a = _as_float_array(a, "matrix")
-    e = scale_exponents(a)
-    with np.errstate(over="ignore"):
-        return float(np.ldexp(np.linalg.norm(np.ldexp(a, -e)), e))
+    """||a||_F of a finite array: column_norms of a raveled into one
+    column.  It neither overflows nor underflows unless the norm itself
+    lies beyond the float range, where it is inf.  For an array whose
+    largest magnitude lies in [1/LARGE, LARGE] it is numpy's norm, bit
+    for bit: numpy's norm too is the square root of one BLAS dot of the
+    raveled array with itself."""
+    return float(column_norms(np.ravel(a, order="K")[:, None])[0])
 
 
 def column_norms(a) -> np.ndarray:
-    """frobenius_norm of each column of the finite 2-d array a, bit for
-    bit: each column scaled by its own power of two, and its norm one
-    row of dots."""
+    """The norm of each column of the finite 2-d array a: each column
+    scaled by its own power of two (scale_exponents), the square root of
+    its one BLAS dot with itself, scaled back."""
     a = _as_float_array(a, "matrix")
     e = scale_exponents(a, axis=0)
     rows = np.ldexp(a.T, -e[:, None], order="C")

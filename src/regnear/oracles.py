@@ -126,8 +126,12 @@ def tikhonov_minimizer_via_transform(K: np.ndarray, b: np.ndarray,
     regularizer, so the identity penalty is minimized there; in
     two-sided mode the data refit of the second split breaks that
     bookkeeping, and the minimizer is routed through the effective
-    regularizer's pseudoinverse instead.  Agrees with the dense normal-equations
-    solution of the general-form problem to rounding error.
+    regularizer's pseudoinverse instead.  That route reads the first of
+    the context's two splits, (Q, W), alone: it removes the range of Q
+    from K and from b (b - Q Q^T b) itself, and adds the first split's
+    null-space component at the end.  Agrees with the dense
+    normal-equations solution of the general-form problem to rounding
+    error.
     """
     K = np.asarray(K, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -145,7 +149,7 @@ def tikhonov_minimizer_via_transform(K: np.ndarray, b: np.ndarray,
         w = _orthonormal_range(lam, n - reg.basis.ell)
         k2w = np.column_stack([ctx.matvec(w[:, j]) for j in range(w.shape[1])])
         g = k2w.T @ k2w + mu * np.eye(w.shape[1])
-        s = scipy.linalg.cho_solve(scipy.linalg.cho_factor(g), k2w.T @ ctx.b1)
+        s = scipy.linalg.cho_solve(scipy.linalg.cho_factor(g), k2w.T @ ctx.solver_rhs)
         return back_transform(ctx, w @ s)
 
     # Two-sided: the pseudoinverse of P core P is solve(P core P + V V^T, P z),
@@ -153,11 +157,12 @@ def tikhonov_minimizer_via_transform(K: np.ndarray, b: np.ndarray,
     # the identity on the null space.
     vvt = reg.basis.V @ reg.basis.V.T
     pinv_core = scipy.linalg.solve(reg.effective_matrix() + vvt, np.eye(n) - vvt)
-    k1 = K - ctx.Q @ (ctx.Q.T @ K)
+    (q, _), _ = ctx.splits
+    k1 = K - q @ (q.T @ K)
     khat = k1 @ pinv_core
     g = khat.T @ khat + mu * np.eye(n)
-    zeta = scipy.linalg.cho_solve(scipy.linalg.cho_factor(g), khat.T @ ctx.b1)
-    return apply_pk_dagger(ctx, pinv_core @ zeta) + ctx.x0
+    zeta = scipy.linalg.cho_solve(scipy.linalg.cho_factor(g), khat.T @ (b - q @ (q.T @ b)))
+    return apply_pk_dagger(ctx, pinv_core @ zeta) + ctx.x0s[0]
 
 
 # --- RRGMRES' small least-squares problem ----------------------------------

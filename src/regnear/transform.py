@@ -12,38 +12,45 @@ Q, W with K W = Q: Q R = K V is a thin QR and W = V R^-1.  It gives
 both things the transformation needs from (K V)^+ = R^-1 Q^T: the
 null-space component x0 = W Q^T b of the solution, and the oblique
 projector y - W Q^T K y of the back map.  R is checked once, when the
-split is made, and not kept: a factor holds each split as its Q and W
-alone, and reads its shape from K and ell from the basis.  An empty
-basis gives an empty Q and W, whose products are exact zeros.
+split is made, and not kept: a factor holds its splits as a tuple of
+(Q, W) pairs, and reads its shape from K and ell from the basis.  An
+empty basis gives an empty Q and W, whose products are exact zeros.
 
 Mode by mode:
 
-* right-projected (core @ P): the null-space component is split off
-  against the data by the split of K, and the invertible core is
-  absorbed by a core solve per application;
+* right-projected (core @ P): one split, of K.  It splits the
+  null-space component off against the data, and the invertible core
+  is absorbed by a core solve per application;
 * two-sided (P @ core @ P): the same first split and core solve, then a
   second split of the same shape for the projector left of the core.
   It is the split of K1, where K1 = (I - Q Q^T) K core^-1 is the
   operator after the first split, and it refits the null-space
-  component against the data once more.  One factor holds both splits;
+  component against the data once more;
 * plain singular square matrices: the split plus the minimal-norm
   pseudoinverse action of the full matrix, a solve with its
   invertible completion (zero rows replaced by unit rows) followed by
   the removal of the null-space component.
+
+Every split is handled the same way.  The operator after m splits is
+K core^-1 with the range of each of the first m splits' Q removed in
+turn; the transformed operator is the one after all of them, and the
+second split is made against the one after the first.  b is split
+along each split in turn, and back_transform undoes the later splits
+in reverse order before the core solve and the first split's
+projector.
 
 The two-sided refit trades the exact penalty bookkeeping for data fit,
 which is the behaviour the iterative solver wants; oracles recovers the
 exact fixed-mu minimizer through this transformation.
 
 The work comes in two steps.  factor_transform(K, reg) does everything
-that does not depend on the data: the split of K and, in two-sided
-mode, the split of K1; the core's solve belongs to the regularizer.
-It costs ell products with K (2*ell in two-sided mode) and
-records that count.  project_rhs(factor, b) then computes the per-b
-pieces, the null-space component x0 and the split-off right-hand side
-b1 of each split, with no product with K, so one factor serves any
-number of right-hand sides.  prepare_context(K, b, reg) is the two
-steps in a row.
+that does not depend on the data: the splits; the core's solve belongs
+to the regularizer.  It costs ell products with K (2*ell in two-sided
+mode) and records that count.  project_rhs(factor, b) then computes
+the per-b pieces, the null-space component of each split (x0s) and b
+with the range of each split's Q removed (solver_rhs), with no product
+with K, so one factor serves any number of right-hand sides.
+prepare_context(K, b, reg) is the two steps in a row.
 
 Each routine states its matrix-vector product cost.  The context is
 itself the transformed operator (shape, matvec) handed to the solver,
@@ -58,16 +65,17 @@ matvec is the one product method, of K and of the transformed operator
 alike.  It works down axis 0, on a vector or on each column of an n x s
 block, as the core's solve and back_transform do, and
 linalg.checked_operand is the one check of that shape.  project_rhs of
-an m x s block of right-hand sides gives a context whose x0, b1 and
-solver_rhs are blocks.  A block product with K is one call (a GEMM when
-K is dense), and LinearOperator.matvec counts it as s products, one per
-column, so each column costs what it would alone and a driver reads a
-column's share as the count's rise divided by s.
+an m x s block of right-hand sides gives a context whose x0s and
+solver_rhs are blocks, and back_transform takes z in the layout of
+solver_rhs, a vector or an n x s block.  A block product with K is one
+call (a GEMM when K is dense), and LinearOperator.matvec counts it as s
+products, one per column, so each column costs what it would alone and
+a driver reads a column's share as the count's rise divided by s.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -113,16 +121,14 @@ class LinearOperator:
 
 @dataclass(eq=False)
 class StandardFormFactor:
-    """What factor_transform computes from (K, regularizer) alone: each
-    split as its Q and W.  The shape is op.shape, and ell is
+    """What factor_transform computes from (K, regularizer) alone: its
+    splits, each as its (Q, W) pair.  The shape is op.shape, and ell is
     reg.basis.ell."""
 
     reg: ProjectedRegularizer
     op: LinearOperator
-    Q: np.ndarray            # m x ell, thin QR factor of K V
-    W: np.ndarray            # n x ell, V R^-1, so that K W = Q
-    Q2: Optional[np.ndarray]  # the second split, in two-sided mode: Q2 R2 = K1 V
-    W2: Optional[np.ndarray]  # and V R2^-1, so that K1 W2 = Q2
+    splits: tuple[tuple[np.ndarray, np.ndarray], ...]  # (Q, W) with K W = Q, then
+                                                       # K1 W = Q in two-sided mode
     prepare_matvecs: int
 
     @property
@@ -132,10 +138,7 @@ class StandardFormFactor:
     def matvec(self, z: np.ndarray) -> np.ndarray:
         """The transformed operator on z, a vector, or on each column of
         an n x s block.  Costs exactly one product with K per column."""
-        t = _k1(self, z)
-        if self.Q2 is None:
-            return t
-        return t - self.Q2 @ (self.Q2.T @ t)
+        return _after(self, z, len(self.splits))
 
     @property
     def matvec_count(self) -> int:
@@ -152,25 +155,25 @@ class StandardFormFactor:
 class StandardFormContext(StandardFormFactor):
     """A factor together with the per-b pieces project_rhs computed."""
 
-    x0: np.ndarray           # null-space component of the solution
-    b1: np.ndarray           # right-hand side with the range of K V removed
-    x0_2: Optional[np.ndarray]  # x0 of the second split, when there is one
-    solver_rhs: np.ndarray   # data vector the solver iterates on: b1, or
-                             # b1 with the range of K1 V removed
+    x0s: tuple[np.ndarray, ...]  # null-space component of each split
+    solver_rhs: np.ndarray       # b with the range of each split's Q removed
 
 
 def _as_operator(K) -> LinearOperator:
     return K if isinstance(K, LinearOperator) else LinearOperator.from_matrix(K)
 
 
-def _k1(factor: StandardFormFactor, z: np.ndarray) -> np.ndarray:
-    """(I - Q Q^T) K core^-1 z, the operator after the first split, for
-    a vector z or on each column of a block.
+def _after(factor: StandardFormFactor, z: np.ndarray, m: int) -> np.ndarray:
+    """K core^-1 z with the range of each of the first m splits' Q
+    removed in turn, for a vector z or on each column of a block: the
+    operator after m splits.
 
     Costs exactly one product with K per column.
     """
     t = factor.op.matvec(factor.reg.core_solve(z))
-    return t - factor.Q @ (factor.Q.T @ t)
+    for Q, _ in factor.splits[:m]:
+        t = t - Q @ (Q.T @ t)
+    return t
 
 
 def _split_factor(apply, V: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -198,38 +201,32 @@ def factor_transform(K, reg: ProjectedRegularizer) -> StandardFormFactor:
         raise ShapeMismatch(f"regularizer built for n={reg.n}, operator has n={n}")
 
     start = op.matvec_count
-    Q, W = _split_factor(op.matvec, reg.basis.V, m)
-    factor = StandardFormFactor(reg=reg, op=op, Q=Q, W=W, Q2=None, W2=None,
-                                prepare_matvecs=0)
+    factor = StandardFormFactor(reg=reg, op=op, prepare_matvecs=0,
+                                splits=(_split_factor(op.matvec, reg.basis.V, m),))
     if reg.mode is Mode.TWO_SIDED:
-        factor.Q2, factor.W2 = _split_factor(
-            lambda v: _k1(factor, v), reg.basis.V, m)
+        factor.splits += (_split_factor(lambda v: _after(factor, v, 1), reg.basis.V, m),)
     factor.prepare_matvecs = op.matvec_count - start
     return factor
 
 
 def project_rhs(factor: StandardFormFactor, b: np.ndarray) -> StandardFormContext:
-    """The per-b step: x0 and b1 of each split, for a right-hand side b
-    or for each column of an m x s block of them, whose pieces are then
-    blocks too.
+    """The per-b step: split b along each split in turn, for a
+    right-hand side b or for each column of an m x s block of them,
+    whose pieces are then blocks too.  A split with (operator) W = Q
+    fits what is left of b by the operator on span(V), as the vector
+    W Q^T b, and leaves the rest of b to the next split.
 
     Costs no products with K and leaves the factor as it was.
     """
     b = checked_rhs(b, factor.shape[0], block=np.ndim(b) == 2)
-    x0, b1 = _split_rhs(factor.Q, factor.W, b)
-    x0_2, rhs = (None, b1) if factor.Q2 is None else _split_rhs(factor.Q2, factor.W2, b1)
+    x0s = []
+    for Q, W in factor.splits:
+        qtb = Q.T @ b
+        x0s.append(W @ qtb)
+        b = b - Q @ qtb
     # a shallow copy of the factor's fields, whose arrays the context
     # shares; a context given as the factor has its per-b pieces replaced
-    return StandardFormContext(**dict(vars(factor), x0=x0, b1=b1, x0_2=x0_2, solver_rhs=rhs))
-
-
-def _split_rhs(Q: np.ndarray, W: np.ndarray,
-               b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """x0 and b1 of one split with (operator) W = Q: the least-squares
-    fit of b by the operator on span(V), as the vector W Q^T b, and the
-    rest of b."""
-    qtb = Q.T @ b
-    return W @ qtb, b - Q @ qtb
+    return StandardFormContext(**dict(vars(factor), x0s=tuple(x0s), solver_rhs=b))
 
 
 def prepare_context(K, b: np.ndarray, reg: ProjectedRegularizer) -> StandardFormContext:
@@ -245,8 +242,9 @@ def prepare_context(K, b: np.ndarray, reg: ProjectedRegularizer) -> StandardForm
 
 
 def apply_pk_dagger(ctx: StandardFormFactor, y: np.ndarray) -> np.ndarray:
-    """Oblique projector that restores the null-space component's slot:
-    y - W Q^T K y, for a vector y or on each column of an n x s block.
+    """Oblique projector of the first split that restores the null-space
+    component's slot: y - W Q^T K y, for a vector y or on each column of
+    an n x s block.
 
     Costs one product with K per column when the null space is
     nontrivial, none otherwise.
@@ -254,25 +252,32 @@ def apply_pk_dagger(ctx: StandardFormFactor, y: np.ndarray) -> np.ndarray:
     y = checked_operand(y, ctx.shape[1])
     if ctx.reg.basis.ell == 0:
         return y.copy()
-    return y - ctx.W @ (ctx.Q.T @ ctx.op.matvec(y))
+    Q, W = ctx.splits[0]
+    return y - W @ (Q.T @ ctx.op.matvec(y))
 
 
 def back_transform(ctx: StandardFormContext, z: np.ndarray) -> np.ndarray:
     """Map a transformed-space solution back to the original variables:
-    a vector z, or each column of an n x s block Z for the context of a
-    block of right-hand sides.
+    a vector z for the context of one right-hand side, or each column of
+    an n x s block Z for the context of an m x s block of them.  Any
+    other shape raises ShapeMismatch.
 
     Costs one product with K per column when the null space is
     nontrivial, none otherwise, and one more in two-sided mode, for the
-    second split's projector z - W2 Q2^T K1 z.  The residual is
+    second split's projector z - W Q^T K1 z.  The residual is
     preserved exactly: for the returned x, ||K x - b|| equals the
     transformed residual.
     """
-    if ctx.Q2 is not None:
-        # the second split's oblique projector, with K1 in place of K
-        z = z - ctx.W2 @ (ctx.Q2.T @ _k1(ctx, z)) + ctx.x0_2
+    z = checked_operand(z, ctx.shape[1])
+    if z.shape[1:] != ctx.solver_rhs.shape[1:]:
+        raise ShapeMismatch(f"z has shape {z.shape}, the context's right-hand "
+                            f"side {ctx.solver_rhs.shape}")
+    for m in range(len(ctx.splits) - 1, 0, -1):
+        # split m's oblique projector, with the operator after m splits
+        Q, W = ctx.splits[m]
+        z = z - W @ (Q.T @ _after(ctx, z, m)) + ctx.x0s[m]
     y = ctx.reg.core_solve(z)
-    return apply_pk_dagger(ctx, y) + ctx.x0
+    return apply_pk_dagger(ctx, y) + ctx.x0s[0]
 
 
 def k2_operator(ctx: StandardFormContext) -> StandardFormContext:

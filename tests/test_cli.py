@@ -1473,12 +1473,17 @@ def test_package_import_loads_no_submodule():
     assert run.returncode == 0, run.stderr
 
 
+def _readme_blocks() -> list[str]:
+    """The README's python blocks, in order."""
+    return [block.split("```")[0] for block in README.read_text().split("```python")[1:]]
+
+
 def _readme_imports() -> list[str]:
     """The names the README's examples import from regnear."""
     import ast
     names = []
-    for block in README.read_text().split("```python")[1:]:
-        for node in ast.walk(ast.parse(block.split("```")[0])):
+    for block in _readme_blocks():
+        for node in ast.walk(ast.parse(block)):
             if isinstance(node, ast.ImportFrom) and node.module == "regnear":
                 names += [a.name for a in node.names]
     return names
@@ -1496,6 +1501,14 @@ def test_every_public_name_resolves():
             f"from regnear import {', '.join(readme)}")
     run = subprocess.run([sys.executable, "-c", code], env=_child_env(),
                          capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+
+
+def test_readme_examples_run(tmp_path):
+    # every python block of the README, in order and in one namespace, as
+    # a reader who pastes them one after another runs them
+    run = subprocess.run([sys.executable, "-c", "\n".join(_readme_blocks())], cwd=tmp_path,
+                         env=_child_env(), capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
 
 

@@ -173,6 +173,9 @@ class TestFrobenius:
         assert frobenius_norm(np.full(4, 1e308)) == np.inf
         a = np.random.default_rng(7).standard_normal((5, 3))
         assert frobenius_norm(a) == np.linalg.norm(a)
+        # in every memory layout, as numpy ravels it in the order it is stored
+        for b in (np.asfortranarray(a), a[::2, ::-1], a.T, a[:, 1], a[::-2, 0]):
+            assert frobenius_norm(b) == np.linalg.norm(b)
 
     @settings(max_examples=80, deadline=None)
     @given(n=st.integers(1, 70), s=st.integers(1, 5),

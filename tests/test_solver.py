@@ -1098,7 +1098,9 @@ class TestIterates:
         assert_logs_the_iterate_residual(a, b, cfg, res)
 
     @settings(max_examples=60, deadline=None)
-    @given(d=st.integers(3, 8), extra=st.sampled_from([0, 4]), p=st.integers(0, 8),
+    # d >= 4 and p in 2..4 reach the ratio band in about 60 % of draws;
+    # d = 3, or p outside 2..4, in few enough that the filter rejects most
+    @given(d=st.integers(4, 8), extra=st.sampled_from([0, 4]), p=st.integers(2, 4),
            frac=st.sampled_from([0.0, 0.0, 1e-6, 1e-3]), seed=st.integers(0, 2**32 - 1))
     # ratios 1.0e-10 and 7.6e-12, where back substitution logged residuals
     # 8386 ||b|| and 981 ||b|| below those of the iterates

@@ -153,6 +153,44 @@ class TestGoldenCompare:
             "residual moved in 2 cells; largest move 0.04, phillips/30/0/I/3#2"]
 
 
+def exits(**codes):
+    """A manifest of cases with the given exit codes and nothing else."""
+    return {"bytecode": "compiled at every start",
+            "cases": {name.replace("_", "-"): {"args": [], "exit": code, "stdout": "s",
+                                               "stderr": "e", "files": {}, "cells": {}}
+                      for name, code in codes.items()}}
+
+
+class TestGoldenExitCodes:
+    def test_each_failing_case_is_one_of_the_set(self):
+        assert set(golden.EXPECTED_EXIT) <= set(golden.CASES)
+
+    def test_names_each_case_with_another_exit_code(self):
+        assert golden.unexpected_exits(exits(table_phillips=0, solve_bad_reg=2,
+                                             nearest_dependent=3)) == []
+        # a table that crashes, a usage error that passes and a failure
+        # with the wrong code
+        assert golden.unexpected_exits(exits(table_phillips=1, solve_bad_reg=0,
+                                             nearest_dependent=2, distances=0)) == [
+            "nearest-dependent: exit code 2, expected 3",
+            "solve-bad-reg: exit code 0, expected 2",
+            "table-phillips: exit code 1, expected 0"]
+
+    @pytest.mark.parametrize("against", [False, True])
+    def test_an_unexpected_exit_code_fails_the_run(self, against, monkeypatch, capsys, tmp_path):
+        # in both forms, and with --against even where both sides agree
+        crashed = exits(table_phillips=1, solve_bad_reg=2)
+        monkeypatch.setattr(golden, "run_set", lambda tree, scratch: crashed)
+        monkeypatch.setattr(golden, "export", lambda rev, dest: None)
+        argv = ["golden.py", "--manifest", str(tmp_path / "m.json")]
+        argv += ["--against", "HEAD"] if against else []
+        assert golden.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == "table-phillips: exit code 1, expected 0\n"
+        monkeypatch.setattr(golden, "run_set", lambda tree, scratch: exits(table_phillips=0))
+        assert golden.main(argv) == 0
+
+
 # ten parent runs with quartiles 0.995 and 1.005 around a median of 1.0
 PARENT = [0.99, 1.01, 0.995, 1.005, 1.0, 1.0, 0.995, 1.005, 0.99, 1.01]
 

@@ -60,11 +60,12 @@ class TestPrepare:
         reg = regularizer_from_name("L1dP1", n)
         ctx = prepare_context(LinearOperator.from_matrix(np.eye(n)), b, reg)
         v = reg.basis.V[:, 0]
-        np.testing.assert_allclose(ctx.x0, v * (v @ b), atol=1e-14)
-        np.testing.assert_allclose(ctx.b1, b - v * (v @ b), atol=1e-14)
-        np.testing.assert_allclose(np.abs(ctx.Q[:, 0]), np.abs(v), atol=1e-14)
+        (Q, W), = ctx.splits
+        np.testing.assert_allclose(ctx.x0s[0], v * (v @ b), atol=1e-14)
+        np.testing.assert_allclose(ctx.solver_rhs, b - v * (v @ b), atol=1e-14)
+        np.testing.assert_allclose(np.abs(Q[:, 0]), np.abs(v), atol=1e-14)
         V = reg.basis.V
-        np.testing.assert_allclose(ctx.W @ ctx.Q.T, V @ np.linalg.pinv(V), atol=1e-14)
+        np.testing.assert_allclose(W @ Q.T, V @ np.linalg.pinv(V), atol=1e-14)
 
     def test_empty_split(self):
         rng = np.random.default_rng(63)
@@ -72,8 +73,8 @@ class TestPrepare:
         reg = regularizer_from_name("I", 4)
         ctx = prepare_context(LinearOperator.from_matrix(np.eye(4)), b, reg)
         assert reg.basis.ell == 0
-        assert np.array_equal(ctx.x0, np.zeros(4))
-        assert np.array_equal(ctx.b1, b)
+        assert np.array_equal(ctx.x0s[0], np.zeros(4))
+        assert np.array_equal(ctx.solver_rhs, b)
         assert ctx.prepare_matvecs == 0
 
     @pytest.mark.parametrize("name,expected", [
@@ -185,8 +186,9 @@ class TestBlockProducts:
         B = base.b_hat[:, None] + rng.standard_normal((n, 4))
         ctx = project_rhs(factor, B)
         singles = [project_rhs(factor, b) for b in B.T]
-        for field in ("x0", "b1", "solver_rhs"):
-            columns_close(getattr(ctx, field), [getattr(c, field) for c in singles], 1e-14)
+        # each split's x0, and what is left of b after the last split
+        for piece, columns in zip(per_b_pieces(ctx), zip(*map(per_b_pieces, singles))):
+            columns_close(piece, columns, 1e-14)
         start = factor.matvec_count
         X = back_transform(ctx, Z)
         per_column = (factor.matvec_count - start) // 4
@@ -199,15 +201,24 @@ class TestBlockProducts:
         columns_close(X, xs, 1e-13)
 
 
-def same_or_both_none(a, b):
-    return (a is None and b is None) or (
-        a is not None and b is not None and np.array_equal(a, b))
+def per_b_pieces(ctx):
+    """The null-space component of each split, then solver_rhs."""
+    return (*ctx.x0s, ctx.solver_rhs)
+
+
+def split_arrays(factor):
+    """Q and W of each split, in order."""
+    return [a for pair in factor.splits for a in pair]
+
+
+def same_arrays(a, b):
+    return len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 def assert_same_context(ctx, ref):
-    """Bit-for-bit equality of the per-b pieces and the second split."""
-    for name in ("x0", "b1", "x0_2", "solver_rhs", "Q2", "W2"):
-        assert same_or_both_none(getattr(ctx, name), getattr(ref, name)), name
+    """Bit-for-bit equality of the per-b pieces and the splits."""
+    assert same_arrays(per_b_pieces(ctx), per_b_pieces(ref))
+    assert same_arrays(split_arrays(ctx), split_arrays(ref))
     assert ctx.prepare_matvecs == ref.prepare_matvecs
 
 
@@ -221,10 +232,8 @@ class TestFactorOnce:
         reg = regularizer_from_name(name, n)
         op = LinearOperator.from_matrix(K)
         factor = factor_transform(op, reg)
-        assert (factor.Q2 is None) == (reg.mode is not Mode.TWO_SIDED)
-        splits = ("Q", "W", "Q2", "W2")
-        factored = [None if getattr(factor, a) is None else getattr(factor, a).copy()
-                    for a in splits]
+        assert len(factor.splits) == (2 if reg.mode is Mode.TWO_SIDED else 1)
+        factored = [a.copy() for a in split_arrays(factor)]
         for _ in range(3):
             b = rng.standard_normal(n)
             before = op.matvec_count
@@ -233,8 +242,7 @@ class TestFactorOnce:
             assert_same_context(ctx, prepare_context(K, b, reg))
             # a context serves as a factor for the next right-hand side
             assert_same_context(project_rhs(ctx, -b), project_rhs(factor, -b))
-        for a, before in zip(splits, factored):
-            assert same_or_both_none(getattr(factor, a), before), a
+        assert same_arrays(split_arrays(factor), factored)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("name", ["I", "L10"])
@@ -273,7 +281,7 @@ class TestSplit:
     @given(n=st.integers(4, 40), extra_rows=st.integers(0, 20),
            seed=st.integers(0, 2**32 - 1), name=st.sampled_from(REGULARIZER_NAMES))
     def test_w_maps_to_q_and_x0_fits_best(self, n, extra_rows, seed, name):
-        # each split is K W = Q (K1 W2 = Q2 for the second), and
+        # each split is K W = Q (K1 W = Q for the second), and
         # x0 = W Q^T b fits b at least as well as any K V c
         rng = np.random.default_rng(seed)
         m = n + extra_rows
@@ -282,17 +290,20 @@ class TestSplit:
         reg = regularizer_from_name(name, n)
         ctx = prepare_context(K, b, reg)
         V = reg.basis.V
-        assert ctx.W.shape == V.shape
-        assert (np.linalg.norm(K @ ctx.W - ctx.Q)
-                <= 1e-10 * max(np.linalg.norm(ctx.Q), 1.0))
-        if reg.mode is Mode.TWO_SIDED:
-            k1 = (K - ctx.Q @ (ctx.Q.T @ K)) @ np.linalg.inv(reg.Ltilde)
-            assert (np.linalg.norm(k1 @ ctx.W2 - ctx.Q2)
-                    <= 1e-10 * max(np.linalg.norm(ctx.Q2), 1.0))
-        np.testing.assert_allclose(V @ (V.T @ ctx.x0), ctx.x0,
-                                   atol=1e-12 * max(np.linalg.norm(ctx.x0), 1.0))
-        fit = np.linalg.norm(K @ ctx.x0 - b)
-        c_best = V.T @ ctx.x0
+        (Q, W), *second = ctx.splits
+        assert W.shape == V.shape
+        assert (np.linalg.norm(K @ W - Q)
+                <= 1e-10 * max(np.linalg.norm(Q), 1.0))
+        assert len(second) == (reg.mode is Mode.TWO_SIDED)
+        for Q2, W2 in second:
+            k1 = (K - Q @ (Q.T @ K)) @ np.linalg.inv(reg.Ltilde)
+            assert (np.linalg.norm(k1 @ W2 - Q2)
+                    <= 1e-10 * max(np.linalg.norm(Q2), 1.0))
+        x0 = ctx.x0s[0]
+        np.testing.assert_allclose(V @ (V.T @ x0), x0,
+                                   atol=1e-12 * max(np.linalg.norm(x0), 1.0))
+        fit = np.linalg.norm(K @ x0 - b)
+        c_best = V.T @ x0
         for c in (rng.standard_normal(reg.basis.ell),
                   c_best + 1e-3 * rng.standard_normal(reg.basis.ell)):
             assert fit <= np.linalg.norm(K @ (V @ c) - b) + 1e-12 * np.linalg.norm(b)
@@ -332,7 +343,7 @@ class TestProjectedPseudoinverse:
         for _ in range(20):
             w = rng.standard_normal(n)
             kx = K @ apply_pk_dagger(ctx, w)
-            assert np.max(np.abs(ctx.Q.T @ kx)) <= 1e-10 * np.linalg.norm(K)
+            assert np.max(np.abs(ctx.splits[0][0].T @ kx)) <= 1e-10 * np.linalg.norm(K)
 
     def test_annihilates_basis_direction(self):
         rng = np.random.default_rng(73)
@@ -365,7 +376,8 @@ def assemble_k2(K, ctx, reg):
         core_inv = np.linalg.pinv(reg.Ltilde)
     else:
         core_inv = np.linalg.inv(reg.Ltilde)
-    k1 = K - ctx.Q @ (ctx.Q.T @ K) if reg.basis.ell else K.copy()
+    q = ctx.splits[0][0]
+    k1 = K - q @ (q.T @ K) if reg.basis.ell else K.copy()
     m = k1 @ core_inv
     if reg.mode is not Mode.TWO_SIDED:
         return m
@@ -427,13 +439,15 @@ class TestTransformedOperator:
         b = rng.standard_normal(n)
         right = prepare_context(LinearOperator.from_matrix(K), b,
                                 regularizer_from_name("L2tP2", n))
-        assert np.array_equal(right.solver_rhs, right.b1)
-        assert right.Q2 is None and right.x0_2 is None
+        (q, _), = right.splits
+        assert np.array_equal(right.solver_rhs, b - q @ (q.T @ b))
+        assert len(right.x0s) == 1
         two = prepare_context(LinearOperator.from_matrix(K), b,
                               regularizer_from_name("P2L2tP2", n))
         # the second split re-projects the first one's right-hand side
-        q2 = two.Q2
-        np.testing.assert_allclose(two.solver_rhs, two.b1 - q2 @ (q2.T @ two.b1),
+        (q1, _), (q2, _) = two.splits
+        b1 = b - q1 @ (q1.T @ b)
+        np.testing.assert_allclose(two.solver_rhs, b1 - q2 @ (q2.T @ b1),
                                    atol=1e-12)
 
 
@@ -446,7 +460,7 @@ class TestBackTransform:
         for name in ("L1dP1", "L10"):
             ctx = prepare_context(LinearOperator.from_matrix(K), b,
                                   regularizer_from_name(name, n))
-            np.testing.assert_allclose(back_transform(ctx, np.zeros(n)), ctx.x0,
+            np.testing.assert_allclose(back_transform(ctx, np.zeros(n)), ctx.x0s[0],
                                        atol=1e-14)
 
     def test_identity_mode_is_copy(self):
@@ -487,6 +501,27 @@ class TestBackTransform:
             rhs = np.linalg.norm(ctx.matvec(z) - ctx.solver_rhs)
             assert lhs == pytest.approx(rhs, abs=1e-10 * max(1.0, rhs))
 
+    @pytest.mark.parametrize("name", REGULARIZER_NAMES)
+    def test_z_must_have_the_layout_of_the_right_hand_side(self, name):
+        # a context of one b takes a vector, and one of an m x s block an
+        # n x s block: an n x n block once had x0 added along its rows,
+        # an n x 3 block raised numpy's broadcasting error, and a vector
+        # given to a block context came back as an n x s array
+        rng = np.random.default_rng(96)
+        n = 6
+        op = LinearOperator.from_matrix(rng.standard_normal((n, n)) + 3 * np.eye(n))
+        factor = factor_transform(op, regularizer_from_name(name, n))
+        one = project_rhs(factor, rng.standard_normal(n))
+        block = project_rhs(factor, rng.standard_normal((n, 3)))
+        before = op.matvec_count
+        for ctx, z in ((one, np.ones((n, n))), (one, np.ones((n, 3))),
+                       (block, np.ones(n)), (block, np.ones((n, 2)))):
+            with pytest.raises(ShapeMismatch):
+                back_transform(ctx, z)
+        assert op.matvec_count == before
+        assert back_transform(one, np.ones(n)).shape == (n,)
+        assert back_transform(block, np.ones((n, 3))).shape == (n, 3)
+
     @pytest.mark.parametrize("name,cost", [("I", 0), ("L1dP1", 1), ("L10", 1),
                                            ("P2L2tP2", 2)])
     def test_back_matvec_cost(self, name, cost):
@@ -513,7 +548,7 @@ class TestSquareSingularCoincidence:
                                 regularizer_from_name(plain, 30))
         ctx_r = prepare_context(LinearOperator.from_matrix(prob.K), prob.b,
                                 regularizer_from_name(invertible, 30))
-        np.testing.assert_allclose(ctx_p.b1, ctx_r.b1, atol=1e-14)
+        np.testing.assert_allclose(ctx_p.solver_rhs, ctx_r.solver_rhs, atol=1e-14)
         rng = np.random.default_rng(94)
         scale = np.linalg.norm(prob.K)
         for _ in range(5):

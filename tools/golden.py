@@ -9,7 +9,9 @@ runs.  Those project the symmetric matrix of tests/data, the same
 matrix scaled by 1e210 (past the products' scaling threshold, short of
 the matrix's) and by 1e-300 (where the products' squares underflow),
 plain and symmetric, onto a two-column null space, and give a
-dependent null-space file, which must fail with exit code 3.
+dependent null-space file, which must fail with exit code 3.  Each
+case has the exit code it must give (EXPECTED_EXIT): 2 for the two
+usage errors, 3 for the dependent null space and 0 for the rest.
 The input files are read by absolute path from this tree, on both
 sides of a comparison, as the fixture is.  Each run is a child process with OMP_NUM_THREADS=1
 in a directory of its own.  Its manifest entry holds the exit code, the
@@ -29,8 +31,10 @@ reports either "byte-identical" or, per table cell that differs,
 whether k, the stop reason and the matvecs are equal, how far
 relative_error moved, and how far it is from
 tests/data/default_sweep.csv; and in how many cells the residual
-moved, and by how much at most.  It exits 0 when the two sides are
-byte-identical and 1 otherwise.
+moved, and by how much at most.  Both forms name each case of the
+working tree whose exit code is not the one it must give, and exit 1
+if there is one.  Otherwise the first form exits 0, and the second 0
+when the two sides are byte-identical and 1 when they are not.
 
 Both sides run in the same bytecode state: each gets its own empty
 PYTHONPYCACHEPREFIX, and PYTHONDONTWRITEBYTECODE is passed on as it is
@@ -90,6 +94,9 @@ CASES = {
                                          "--symmetric"),
     "nearest-dependent": _nearest("nearest_matrix", "nearest_nullspace_dependent"),
 }
+
+# the exit code of each case that must fail; every other case must exit 0
+EXPECTED_EXIT = {"solve-bad-reg": 2, "table-bad-reg": 2, "nearest-dependent": 3}
 
 CELL_KEY = ("problem", "n", "nu", "regularizer", "seed")
 MATVECS = ("matvecs", "matvecs_prepare", "matvecs_solve", "matvecs_back")
@@ -154,6 +161,14 @@ def export(rev: str, dest: Path) -> None:
                           check=True, capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(data)) as tar:
         tar.extractall(dest, filter="data")
+
+
+def unexpected_exits(manifest: dict) -> list:
+    """A report line for each case of manifest whose exit code is not
+    the one it must give."""
+    return [f"{name}: exit code {case['exit']}, expected {EXPECTED_EXIT.get(name, 0)}"
+            for name, case in sorted(manifest["cases"].items())
+            if case["exit"] != EXPECTED_EXIT.get(name, 0)]
 
 
 def _digests(case: dict) -> dict:
@@ -240,16 +255,19 @@ def main(argv: list) -> int:
         new = run_set(ROOT, tmp / "new")
         if args.manifest:
             Path(args.manifest).write_text(json.dumps(new, indent=1, sort_keys=True) + "\n")
+        bad = unexpected_exits(new)
+        for line in bad:
+            print(line, file=sys.stderr)
         if not args.against:
             if not args.manifest:
                 print(json.dumps(new, indent=1, sort_keys=True))
-            return 0
+            return 1 if bad else 0
         export(args.against, tmp / "tree")
         old = run_set(tmp / "tree", tmp / "old")
     identical, lines = compare(new, old, read_cells(FIXTURE.read_text()))
     print(f"working tree against {args.against}")
     print("\n".join(lines))
-    return 0 if identical else 1
+    return 0 if identical and not bad else 1
 
 
 if __name__ == "__main__":
