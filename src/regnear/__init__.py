@@ -27,8 +27,8 @@ _EXPORTS = {
     "regops": ("Mode", "ProjectedRegularizer", "REGULARIZER_NAMES",
                "RegularizerKind", "make_nullspace_basis", "make_regularization_matrix",
                "regularizer_from_name", "stacked_n2_bases", "stencil_product"),
-    "solver": ("IterationLog", "RRGMRESResult", "SolverConfig", "StopReason",
-               "rrgmres_block", "rrgmres_solve"),
+    "solver": ("RRGMRESResult", "SolverConfig", "StopReason", "rrgmres_block",
+               "rrgmres_solve"),
     "transform": ("LinearOperator", "StandardFormContext", "StandardFormFactor",
                   "apply_pk_dagger", "back_transform", "factor_transform",
                   "k2_operator", "prepare_context", "project_rhs"),

@@ -52,12 +52,6 @@ class RunResult:
     residual: float
     x: np.ndarray
 
-    def csv_row(self) -> str:
-        return csv_rows([self])[:-1]
-
-    def breakdown_line(self) -> str:
-        return breakdown_lines([self])[:-1]
-
 
 # the CSV columns: every field of a run but its solution vector
 RUN_COLUMNS = tuple(f.name for f in fields(RunResult) if f.name != "x")
@@ -180,11 +174,10 @@ def solve(args) -> int:
     prefix = args.out
     csv_path = f"{prefix}.csv"
     with open(csv_path, "w") as f:
-        f.write(",".join(RUN_COLUMNS) + "\n")
-        f.write(result.csv_row() + "\n")
+        f.write(",".join(RUN_COLUMNS) + "\n" + csv_rows([result]))
     write_vector(f"{prefix}_xk.txt", result.x)
     write_vector(f"{prefix}_xhat.txt", base.x_hat)
-    print(result.breakdown_line())
+    print(breakdown_lines([result]), end="")
     print(f"wrote {csv_path}, {prefix}_xk.txt, {prefix}_xhat.txt")
     return 0
 

@@ -28,8 +28,8 @@ applies an operator in one way only.
 The running columns share one state, a struct of arrays along the column
 axis (_Columns): each column's basis, the remainder of b, R, g, the
 rotations, R^-1, its residual history and its stopping data.  R is the
-only record of the singular rule and the residual history the only
-record of the log, both of which a column's result reads when it leaves.
+only record of the singular rule and the residual history is the
+result's residuals, both of which a column reads when it leaves.
 Gram-Schmidt, the rotations, the update of R^-1, the norms and the stop
 tests run once per step for every column.  The state grows by a chunk of
 steps at a time, copying only the small arrays and never the stored
@@ -86,7 +86,7 @@ and the misfit ||R y - g[:k]||.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -135,26 +135,21 @@ class SolverConfig:
             raise ValueError(f"max_iter must be an integer of at least 1, got {self.max_iter!r}")
 
 
-@dataclass
-class IterationLog:
-    """Residual history, entries (k, residual, matvecs) for k = 0..k of
-    the stop, built once when a column leaves the loop.  matvecs counts
-    operator applications since the solve started, so entry k of a
-    transformed run reads k+1."""
-
-    entries: list = field(default_factory=list)
-
-    def residuals(self) -> list:
-        return [r for _, r, _ in self.entries]
-
-
 @dataclass(eq=False)
 class RRGMRESResult:
+    """One solve: the iterate z of the stop step k, its residual
+    ||A z - b||, the stop reason and the products with A it took
+    (solve_matvecs).  residuals holds ||A z_m - b|| for m = 0..k, in the
+    scale of b: residuals[0] = ||b|| and residuals[-1] = residual.  By
+    step m >= 1 the solve has made m + 1 products, the seed A b
+    included; a stop at k = 0 made none, or A b alone where it vanished
+    (BREAKDOWN).  With keep_iterates, iterates holds z_1..z_k."""
+
     z: np.ndarray
     k: int
     residual: float
     stop_reason: StopReason
-    log: IterationLog
+    residuals: list
     solve_matvecs: int
     iterates: Optional[list] = None
 
@@ -233,21 +228,21 @@ def rrgmres_solve(A, b: np.ndarray, cfg: SolverConfig,
     rrgmres_block on b as an n x 1 block: A needs shape and a matvec
     that takes such a block.  Iteration k costs one application of A;
     the initial Krylov seed A b costs one more.  A zero starting guess
-    is implicit: the k = 0 entry of the log is ||b||, and if that
-    already meets the discrepancy test no operator application happens
-    at all.  The log and solve_matvecs count the calls of A.matvec made
-    here and nothing else.  A b with non-finite entries raises
-    ValueError before any call, and so does a product of A with one,
-    as it comes back.  A b whose largest entry lies outside
-    [1/linalg.LARGE, linalg.LARGE] runs scaled by a power of two, with
-    epsilon, and so do the products of A where A b lies outside that
-    range; the results are scaled back, and OutOfRange is raised when
-    one of them, such as ||b||, is beyond the float range.
+    is implicit: residuals[0] is ||b||, and if that already meets the
+    discrepancy test no operator application happens at all.
+    solve_matvecs counts the calls of A.matvec made here and nothing
+    else.  A b with non-finite entries raises ValueError before any
+    call, and so does a product of A with one, as it comes back.  A b
+    whose largest entry lies outside [1/linalg.LARGE, linalg.LARGE]
+    runs scaled by a power of two, with epsilon, and so do the products
+    of A where A b lies outside that range; the results are scaled back,
+    and OutOfRange is raised when one of them, such as ||b||, is beyond
+    the float range.
 
-    The residual logged at step k, compared with eta * epsilon and
-    returned, is ||A z_k - b|| of the iterate z_k of that step, also
-    when the rotated triangle is near singular (see _least_squares).  With
-    keep_iterates the iterates of every step are returned as well.
+    The residual of step k, compared with eta * epsilon and returned, is
+    ||A z_k - b|| of the iterate z_k of that step, also when the rotated
+    triangle is near singular (see _least_squares).  With keep_iterates
+    the iterates of every step are returned as well.
     """
     return rrgmres_block(A, checked_rhs(b, _square(A))[:, None], [cfg], keep_iterates)[0]
 
@@ -263,10 +258,10 @@ def rrgmres_block(A, B, cfgs, keep_iterates: bool = False) -> list:
     operator's matvec once, to the n x s' block of the newest basis
     vectors of its columns still running, so a product with K serves
     them all.  Each column keeps its own basis, rotated triangle,
-    rotations, log and stop, and leaves the loop when it stops.  Its
-    result is rrgmres_solve's for that column alone, to rounding, and
-    the result of a block does not depend on the blocks run beside it:
-    its solve_matvecs and log count the block columns it took part in,
+    rotations, residuals and stop, and leaves the loop when it stops.
+    Its result is rrgmres_solve's for that column alone, to rounding,
+    and the result of a block does not depend on the blocks run beside
+    it: its solve_matvecs counts the block columns it took part in,
     and each operator's own count rises by the sum over its columns.
     """
     if not isinstance(A, (list, tuple)):
@@ -436,9 +431,9 @@ def _lockstep(ops: list, widths: list, B, cfgs: list, keep_iterates: bool) -> li
 
     The running columns are all at the same step k, and their state is
     one _Columns.  A column that stops takes its iterate, from R and g
-    (_Columns.iterates), and its log, read from its residual history,
-    and leaves: the state takes the rest, which keeps each group's
-    running columns contiguous.
+    (_Columns.iterates), and its residual history, and leaves: the
+    state takes the rest, which keeps each group's running columns
+    contiguous.
     """
     n, s = B.shape
     scale = scale_exponents(B, axis=0)
@@ -459,7 +454,7 @@ def _lockstep(ops: list, widths: list, B, cfgs: list, keep_iterates: bool) -> li
         StopReason) pairs, marks take their results at step k, each with
         the reason of the first mask that marks it, its iterate z_k
         (_Columns.iterates; with keep_iterates, the last of its iterates
-        z_1..z_k), and the log of its residuals res[:k + 1], and leave.
+        z_1..z_k), and its residuals res[:k + 1], and leave.
         True when no column is left."""
         done = np.logical_or.reduce([mask for mask, _ in stops])
         if not done.any():
@@ -472,8 +467,7 @@ def _lockstep(ops: list, widths: list, B, cfgs: list, keep_iterates: bool) -> li
             results[int(st.cols[i])] = RRGMRESResult(
                 z=z[j], k=st.k, residual=history[j][-1],
                 stop_reason=next(reason for mask, reason in stops if mask[i]),
-                log=IterationLog([(m, r, m + (m > 0)) for m, r in enumerate(history[j])]),
-                solve_matvecs=applies,
+                residuals=history[j], solve_matvecs=applies,
                 iterates=None if kept is None else [zm[j] for zm in kept])
         st.take(~done)
         return st.cols.size == 0

@@ -14,7 +14,7 @@ from regnear.nearness import (NullSpaceBasis, nearest_symmetric_with_nullspace,
                               nearest_with_nullspace, nearness_distance)
 from regnear.oracles import (build_projector, make_projector_closed,
                              tikhonov_direct_oracle, tikhonov_minimizer_via_transform)
-from regnear.pipeline import run_single
+from regnear.pipeline import breakdown_lines, run_single
 from regnear.problems import build_deriv2, build_phillips
 from regnear.regops import (RegularizerKind, make_nullspace_basis,
                             make_regularization_matrix, regularizer_from_name)
@@ -197,14 +197,14 @@ def test_criterion_06_solver_against_brute_force():
             ref = krylov_brute_force(a, b, k)
             assert np.linalg.norm(zk - ref) <= 1e-8 * max(
                 np.linalg.norm(ref), 1.0)
-            logged = res.log.entries[k][1]
+            logged = res.residuals[k]
             explicit = np.linalg.norm(a @ zk - b)
             assert abs(logged - explicit) <= 1e-8 * bnorm
-        resids = res.log.residuals()
+        resids = res.residuals
         drops = zip(resids, resids[1:])
         assert all(nxt <= cur + 1e-12 * bnorm for cur, nxt in drops)
     print("criterion 6 PASS: iterates match the brute-force subspace "
-          "minimizer, residual log is explicit-correct and monotone")
+          "minimizer, residuals are explicit-correct and monotone")
 
 
 def test_criterion_07_smooth_bump_benchmark(phillips_sweep):
@@ -246,7 +246,7 @@ def test_criterion_09_matvec_accounting(phillips_sweep, tmp_path, capsys):
             assert r.iterations >= 1
             assert r.matvecs == r.iterations + 3
             assert r.matvecs_prepare == 1 and r.matvecs_back == 1
-            line = r.breakdown_line()
+            line = breakdown_lines([r])
             assert "prepare 1" in line
             assert f"solve {r.iterations + 1}" in line
             assert "back 1" in line

@@ -100,7 +100,7 @@ class TestRunSingle:
     def test_breakdown_line_mentions_phases(self):
         r = run_single(build_phillips(16), 1e-2, seed=2, reg_name="P2L2tP2",
                        eta=1.01, delta=1.0)
-        line = r.breakdown_line()
+        line = breakdown_lines([r])
         assert f"prepare {r.matvecs_prepare}" in line
         assert f"solve {r.matvecs_solve}" in line
         assert f"back {r.matvecs_back}" in line
@@ -109,7 +109,7 @@ class TestRunSingle:
     def test_csv_row_matches_columns(self):
         r = run_single(build_phillips(16), 1e-3, seed=1, reg_name="I",
                        eta=1.01, delta=1.0)
-        parts = r.csv_row().split(",")
+        parts = csv_rows([r]).rstrip("\n").split(",")
         assert len(parts) == len(RUN_COLUMNS)
         assert parts[0] == "phillips"
         assert int(parts[RUN_COLUMNS.index("n")]) == 16

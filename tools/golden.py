@@ -1,17 +1,22 @@
 """Run the reference set of regnear commands and compare two trees.
 
 The reference set is the fixed list of CLI runs whose outputs a change
-to the pipeline should leave alone: both default tables, the default
-distances and distances from 4 to 2000, three solves at n = 2000 and
-2001, three tables that take the failed-factor and repeated-argument
-paths, two runs that must fail with a usage error, and eight `nearest`
-runs.  Those project the symmetric matrix of tests/data, the same
-matrix scaled by 1e210 (past the products' scaling threshold, short of
-the matrix's) and by 1e-300 (where the products' squares underflow),
-plain and symmetric, onto a two-column null space, and give a
-dependent null-space file, which must fail with exit code 3.  Each
-case has the exit code it must give (EXPECTED_EXIT): 2 for the two
-usage errors, 3 for the dependent null space and 0 for the rest.
+to the pipeline should leave alone: both default tables, both tables
+at n = 400 with two seeds, the default distances and distances from 4
+to 2000, three solves at n = 2000 and 2001, three tables that take the
+failed-factor and repeated-argument paths, two runs that must fail
+with a usage error, and eight `nearest` runs.  The n = 400 tables lie
+above the dense crossover (problems.DENSE_MAX_N), so each noise level's
+lockstep loop runs K's structured block products, cumulative sums for
+deriv2 and the FFT for phillips, over one operator group per
+regularizer.  The `nearest` runs project the symmetric matrix of
+tests/data, the same matrix scaled by 1e210 (past the products'
+scaling threshold, short of the matrix's) and by 1e-300 (where the
+products' squares underflow), plain and symmetric, onto a two-column
+null space, and give a dependent null-space file, which must fail with
+exit code 3.  Each case has the exit code it must give
+(EXPECTED_EXIT): 2 for the two usage errors, 3 for the dependent null
+space and 0 for the rest.
 The input files are read by absolute path from this tree, on both
 sides of a comparison, as the fixture is.  Each run is a child process with OMP_NUM_THREADS=1
 in a directory of its own.  Its manifest entry holds the exit code, the
@@ -70,6 +75,8 @@ def _nearest(matrix: str, nullspace: str, *flags: str) -> list:
 CASES = {
     "table-phillips": ["table", "--problem", "phillips"],
     "table-deriv2": ["table", "--problem", "deriv2"],
+    "table-deriv2-400": ["table", "--problem", "deriv2", "--n", "400", "--seeds", "1..2"],
+    "table-phillips-400": ["table", "--problem", "phillips", "--n", "400", "--seeds", "1..2"],
     "distances": ["distances"],
     "distances-2000": ["distances", "--min-n", "4", "--max-n", "2000"],
     "solve-phillips-L20-2000": ["solve", "--problem", "phillips", "--reg", "L20",
