@@ -19,9 +19,6 @@ _EXPORTS = {
     "nearness": ("NullSpaceBasis", "distance_from_products",
                  "nearest_symmetric_with_nullspace", "nearest_with_nullspace",
                  "nearness_distance"),
-    "oracles": ("build_projector", "deriv2_entry_by_quadrature", "discrepancy_mu_solve",
-                "hessenberg_residual", "make_projector_closed", "nearest_two_vector",
-                "tikhonov_direct_oracle", "tikhonov_minimizer_via_transform"),
     "problems": ("NoiseInfo", "TestProblem", "add_noise", "build_deriv2",
                  "build_phillips", "build_problem", "relative_error"),
     "regops": ("Mode", "ProjectedRegularizer", "REGULARIZER_NAMES",

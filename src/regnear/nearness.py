@@ -5,7 +5,7 @@ Frobenius-closest matrix whose null space contains span(V) is A*P with
 P the orthogonal projector onto the complement of span(V).  When the
 perturbed matrix must stay symmetric the closest choice is P*A*P.
 These operations and the associated distances live here, computed
-without forming P; the dense projector is an oracle, in oracles.
+without forming P; the dense projector is a test oracle, in tests/oracles.py.
 
 A NullSpaceBasis is its V alone, checked orthonormal when it is made.
 Vectors given from outside reach it through from_vectors, whose thin

@@ -7,8 +7,8 @@ exactly.  The convolution problem on [-6, 6] has one closed form per
 diagonal offset, Hansen's row plus a term for the kernel's support
 edge, evaluated for all offsets in one vectorised expression; the
 Green's-function problem on [0, 1] has piecewise-bilinear kernel pieces
-and exact entry formulas.  The *_by_quadrature oracles in oracles
-cross-check both.
+and exact entry formulas.  The *_by_quadrature oracles in
+tests/oracles.py cross-check both.
 
 K is handed on as an operator.  At or below DENSE_MAX_N a builder
 stores dense K and a product is one GEMV, a block product one GEMM.

@@ -40,8 +40,8 @@ in reverse order before the core solve and the first split's
 projector.
 
 The two-sided refit trades the exact penalty bookkeeping for data fit,
-which is the behaviour the iterative solver wants; oracles recovers the
-exact fixed-mu minimizer through this transformation.
+which is the behaviour the iterative solver wants; tests/oracles.py
+recovers the exact fixed-mu minimizer through this transformation.
 
 The work comes in two steps.  factor_transform(K, reg) does everything
 that does not depend on the data: the splits; the core's solve belongs

@@ -1,8 +1,7 @@
 """Dense references that the tests check the pipeline against.
 
-No CLI command runs any of these, and this is the one module of the
-package that imports scipy: the pipeline runs on numpy alone, and no
-other module imports this one.
+No CLI command runs any of these: they live with the tests, and the
+package itself runs on numpy alone.
 
 * Tikhonov: tikhonov_direct_oracle is the dense normal-equations solve
   of the general-form problem, and discrepancy_mu_solve the
@@ -15,10 +14,6 @@ other module imports this one.
   (right/plain modes) or through the effective regularizer's
   pseudoinverse (two-sided), and maps back.  Both reproduce the dense
   general-form solution to rounding error.
-* RRGMRES' small least-squares problem: hessenberg_residual rotates a
-  (k+1) x k Hessenberg block with the solver's own rotations and solves
-  it with the solver's own rule, so the tests can check both against a
-  dense least-squares solve.
 * The test problems: an adaptive Gauss-Legendre quadrature serves the
   *_by_quadrature oracles, which integrate the entries of phillips and
   deriv2 independently of their closed forms.
@@ -33,14 +28,13 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from .errors import (BadDimension, DependentVectors, NoRoot, ShapeMismatch, SingularCore,
-                     SingularSystem)
-from .linalg import RANK_TOL, thin_qr
-from .nearness import _ORTHO_TOL
-from .problems import _phillips_solution
-from .regops import Mode, ProjectedRegularizer, RegularizerKind
-from .solver import _least_squares, _rotate_in
-from .transform import LinearOperator, apply_pk_dagger, back_transform, prepare_context
+from regnear.errors import (BadDimension, DependentVectors, NoRoot, ShapeMismatch,
+                           SingularCore, SingularSystem)
+from regnear.linalg import RANK_TOL, thin_qr
+from regnear.nearness import _ORTHO_TOL
+from regnear.problems import _phillips_solution
+from regnear.regops import Mode, ProjectedRegularizer, RegularizerKind
+from regnear.transform import LinearOperator, apply_pk_dagger, back_transform, prepare_context
 
 # --- Tikhonov --------------------------------------------------------------
 
@@ -163,30 +157,6 @@ def tikhonov_minimizer_via_transform(K: np.ndarray, b: np.ndarray,
     g = khat.T @ khat + mu * np.eye(n)
     zeta = scipy.linalg.cho_solve(scipy.linalg.cho_factor(g), khat.T @ (b - q @ (q.T @ b)))
     return apply_pk_dagger(ctx, pinv_core @ zeta) + ctx.x0s[0]
-
-
-# --- RRGMRES' small least-squares problem ----------------------------------
-
-
-def hessenberg_residual(h: np.ndarray, beta: float) -> tuple[float, np.ndarray]:
-    """Residual and minimizer of ||beta e1 - h y|| for (k+1, k) Hessenberg h.
-
-    h is rotated into a triangle R with right-hand side g; the residual
-    is hypot(g[k], ||R y - g[:k]||), and the misfit term is nonzero only
-    when R is near singular and y is the minimum-norm least-squares solution.
-    """
-    h = np.asarray(h, dtype=float)
-    if h.ndim != 2 or h.shape[0] != h.shape[1] + 1:
-        raise ShapeMismatch(f"expected (k+1, k) Hessenberg block, got {h.shape}")
-    k = h.shape[1]
-    r = h.copy()
-    g = np.zeros(k + 1)
-    g[0] = float(beta)
-    rot = np.zeros((2, k))
-    for j in range(k):
-        _rotate_in(rot, r[:j + 2, j], g)
-    y, misfit = _least_squares(r[None, :k, :k], g[None, :k])
-    return float(np.hypot(g[k], misfit[0])), y[0]
 
 
 # --- quadrature of the test problems' entries -------------------------------

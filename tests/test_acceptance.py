@@ -12,8 +12,8 @@ import pytest
 from regnear.cli import main
 from regnear.nearness import (NullSpaceBasis, nearest_symmetric_with_nullspace,
                               nearest_with_nullspace, nearness_distance)
-from regnear.oracles import (build_projector, make_projector_closed,
-                             tikhonov_direct_oracle, tikhonov_minimizer_via_transform)
+from oracles import (build_projector, make_projector_closed,
+                     tikhonov_direct_oracle, tikhonov_minimizer_via_transform)
 from regnear.pipeline import breakdown_lines, run_single
 from regnear.problems import build_deriv2, build_phillips
 from regnear.regops import (RegularizerKind, make_nullspace_basis,

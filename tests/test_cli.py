@@ -1340,8 +1340,8 @@ def _child_env():
 
 
 def test_cli_import_leaves_out_scipy_optimize():
-    # only the dense oracles need scipy; the CLI must start without
-    # paying for its import
+    # the package runs on numpy alone; only the tests' dense oracles need
+    # scipy, and the CLI must start without paying for its import
     code = "import sys, regnear.cli; sys.exit('scipy.optimize' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code],
                           env=_child_env()).returncode == 0
@@ -1363,11 +1363,11 @@ def test_cli_import_leaves_out_what_it_never_runs():
     # the table's median is a sorted midpoint of Python numbers, not
     # statistics (which loads fractions and decimal), the Gauss-Legendre
     # rule of the quadrature oracles, from numpy.polynomial, lives with
-    # them in regnear.oracles, and the pipeline module, with the layers
-    # only it uses, loads when solve or table runs
+    # them in the tests, and the pipeline module, with the layers only it
+    # uses, loads when solve or table runs
     code = ("import sys, regnear.cli; sys.exit(sorted(m for m in "
             "('statistics', 'fractions', 'decimal', 'numpy.polynomial', "
-            "'regnear.oracles', 'regnear.pipeline', 'regnear.problems', "
+            "'regnear.pipeline', 'regnear.problems', "
             "'regnear.transform', 'regnear.solver') if m in sys.modules) or None)")
     run = subprocess.run([sys.executable, "-c", code], env=_child_env(),
                          capture_output=True, text=True)
@@ -1412,14 +1412,12 @@ def imported_modules(path):
             yield from (f"{base}.{a.name}" for a in node.names)
 
 
-def test_only_the_oracles_import_scipy():
-    # the dense references live in regnear.oracles, the one module that
-    # imports scipy; no other module imports scipy or the oracles
+def test_no_package_module_imports_scipy():
+    # the package declares numpy as its one dependency; the dense
+    # references that need scipy live with the tests
     package = Path(regnear.__file__).parent
-    assert "scipy.linalg" in set(imported_modules(package / "oracles.py"))
     offenders = [(path.name, m) for path in sorted(package.glob("*.py"))
-                 if path.name != "oracles.py" for m in imported_modules(path)
-                 if m.split(".")[0] == "scipy" or m.startswith("regnear.oracles")]
+                 for m in imported_modules(path) if m.split(".")[0] == "scipy"]
     assert offenders == []
 
 
@@ -1440,8 +1438,7 @@ for argv in (["table", "--n", "40", "--seeds", "1..2", "--out", "t.csv"],
              ["nearest", "--matrix", "a.txt", "--nullspace", "v.txt", "--out", "o.txt"]):
     if main(argv) != 0:
         sys.exit(f"{argv[0]} failed")
-    loaded = sorted(m for m in sys.modules
-                    if m == "regnear.oracles" or m.split(".")[0] == "scipy")
+    loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
     if loaded:
         sys.exit(f"{' '.join(argv)} loaded {loaded}")
 """
@@ -1524,17 +1521,21 @@ def test_table_leaves_out_numpy_ma(tmp_path):
         assert run.returncode == 0, run.stderr
 
 
-# Runs every subcommand at a small size, in the working directory, with
-# scipy blocked when the first argument is "block".
-_EVERY_COMMAND = """
+# A meta path finder that refuses every scipy import, once it is put on
+# sys.meta_path.
+_NO_SCIPY = """
 import sys
 
-if sys.argv[1] == "block":
-    class NoScipy:
-        def find_spec(self, name, path=None, target=None):
-            if name.split(".")[0] == "scipy":
-                raise ImportError(f"{name} is blocked")
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+"""
 
+# Runs every subcommand at a small size, in the working directory, with
+# scipy blocked when the first argument is "block".
+_EVERY_COMMAND = _NO_SCIPY + """
+if sys.argv[1] == "block":
     sys.meta_path.insert(0, NoScipy())
 
 from regnear.cli import main
@@ -1552,6 +1553,27 @@ for argv in runs:
     if main(argv) != 0:
         sys.exit(f"{argv} failed")
 """
+
+
+def test_every_public_name_loads_without_scipy():
+    # numpy is the package's one declared dependency: with scipy refused,
+    # the package and every name in its __all__ still load
+    code = _NO_SCIPY + """
+sys.meta_path.insert(0, NoScipy())
+import regnear
+
+for name in regnear.__all__:
+    getattr(regnear, name)
+try:
+    import scipy.linalg
+except ImportError:
+    pass
+else:
+    sys.exit("scipy was not refused")
+"""
+    run = subprocess.run([sys.executable, "-c", code], env=_child_env(),
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
 
 
 def test_every_command_runs_without_scipy(tmp_path):

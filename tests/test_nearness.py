@@ -18,7 +18,7 @@ from regnear.linalg import frobenius_norm, scale_exponents
 from regnear.nearness import (_LARGE, NullSpaceBasis, distance_from_products,
                               nearest_symmetric_with_nullspace,
                               nearest_with_nullspace, nearness_distance)
-from regnear.oracles import build_projector, make_projector_closed, nearest_two_vector
+from oracles import build_projector, make_projector_closed, nearest_two_vector
 from regnear.regops import (RegularizerKind, make_nullspace_basis,
                             make_regularization_matrix, stencil_product)
 

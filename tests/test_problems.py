@@ -8,8 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from regnear.errors import BadDimension, ShapeMismatch
-from regnear.oracles import (adaptive_gauss_legendre, deriv2_entry_by_quadrature,
-                             phillips_offset_by_quadrature)
+from oracles import (adaptive_gauss_legendre, deriv2_entry_by_quadrature,
+                     phillips_offset_by_quadrature)
 from regnear.problems import (DENSE_MAX_N, NoiseInfo, _smooth_length, add_noise,
                               build_deriv2, build_phillips, build_problem,
                               phillips_offsets, relative_error, relative_errors)

@@ -14,7 +14,7 @@ import regnear
 from regnear import regops
 from regnear.errors import BadDimension, RankDeficient, ShapeMismatch, SingularCore
 from regnear.linalg import RANK_TOL
-from regnear.oracles import build_projector, make_projector_closed
+from oracles import build_projector, make_projector_closed
 from regnear.regops import (Mode, ProjectedRegularizer, REGULARIZER_NAMES,
                             RegularizerKind, make_nullspace_basis,
                             make_regularization_matrix, regularizer_from_name,

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from regnear import solver
 from regnear.errors import NoRoot, OutOfRange, ShapeMismatch, SingularSystem
 from regnear.linalg import NEAR_SINGULAR_TOL, RANK_TOL, frobenius_norm, singular_triangles
-from regnear.oracles import discrepancy_mu_solve, hessenberg_residual, tikhonov_direct_oracle
+from oracles import discrepancy_mu_solve, tikhonov_direct_oracle
 from regnear.problems import add_noise, build_problem
 from regnear.regops import regularizer_from_name
 from regnear.solver import (RRGMRESResult, SolverConfig, StopReason, rrgmres_block,
@@ -91,20 +91,42 @@ class TestSolverConfig:
         assert (res.k, res.stop_reason) == (2, StopReason.MAX_ITER)
 
 
+def _hessenberg_residual(h, beta):
+    """Residual and minimizer of ||beta e1 - h y|| for (k+1, k) Hessenberg h,
+    by the solver's own rotations and least-squares rule.
+
+    h is rotated into a triangle R with right-hand side g; the residual
+    is hypot(g[k], ||R y - g[:k]||), and the misfit term is nonzero only
+    when R is near singular and y is the minimum-norm least-squares solution.
+    """
+    h = np.asarray(h, dtype=float)
+    if h.ndim != 2 or h.shape[0] != h.shape[1] + 1:
+        raise ShapeMismatch(f"expected (k+1, k) Hessenberg block, got {h.shape}")
+    k = h.shape[1]
+    r = h.copy()
+    g = np.zeros(k + 1)
+    g[0] = float(beta)
+    rot = np.zeros((2, k))
+    for j in range(k):
+        solver._rotate_in(rot, r[:j + 2, j], g)
+    y, misfit = solver._least_squares(r[None, :k, :k], g[None, :k])
+    return float(np.hypot(g[k], misfit[0])), y[0]
+
+
 class TestHessenbergResidual:
     def test_exact_solve(self):
-        res, y = hessenberg_residual(np.array([[1.0], [0.0]]), 1.0)
+        res, y = _hessenberg_residual(np.array([[1.0], [0.0]]), 1.0)
         assert res == pytest.approx(0.0, abs=1e-15)
         np.testing.assert_allclose(y, [1.0], atol=1e-15)
 
     def test_two_by_one(self):
         # min over y of ||(1,0) - y(1,1)||: y = 1/2, residual 1/sqrt(2)
-        res, y = hessenberg_residual(np.array([[1.0], [1.0]]), 1.0)
+        res, y = _hessenberg_residual(np.array([[1.0], [1.0]]), 1.0)
         assert res == pytest.approx(1.0 / np.sqrt(2.0), rel=1e-14)
         np.testing.assert_allclose(y, [0.5], atol=1e-14)
 
     def test_degenerate_zero_columns(self):
-        res, y = hessenberg_residual(np.zeros((1, 0)), 2.0)
+        res, y = _hessenberg_residual(np.zeros((1, 0)), 2.0)
         assert res == pytest.approx(2.0)
         assert y.shape == (0,)
 
@@ -113,7 +135,7 @@ class TestHessenbergResidual:
         for k in (2, 4, 6):
             h = np.triu(rng.standard_normal((k + 1, k)), -1)
             beta = float(rng.standard_normal())
-            res, y = hessenberg_residual(h, beta)
+            res, y = _hessenberg_residual(h, beta)
             c = np.zeros(k + 1)
             c[0] = beta
             y_ref, *_ = np.linalg.lstsq(h, c, rcond=None)
@@ -141,7 +163,7 @@ class TestHessenbergResidual:
                 # an earlier column keeps the Hessenberg pattern
                 h[:, j] = h[:, int(rng.integers(j))]
         beta = float(rng.standard_normal())
-        res, y = hessenberg_residual(h, beta)
+        res, y = _hessenberg_residual(h, beta)
         c = np.zeros(k + 1)
         c[0] = beta
         y_ref, *_ = np.linalg.lstsq(h, c, rcond=RANK_TOL)
@@ -151,9 +173,9 @@ class TestHessenbergResidual:
 
     def test_shape_guard(self):
         with pytest.raises(ShapeMismatch):
-            hessenberg_residual(np.eye(3), 1.0)
+            _hessenberg_residual(np.eye(3), 1.0)
         with pytest.raises(ShapeMismatch):
-            hessenberg_residual(np.ones((3, 1)), 1.0)
+            _hessenberg_residual(np.ones((3, 1)), 1.0)
 
 
 class TestLeastSquares:

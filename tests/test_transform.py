@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from regnear.errors import RankDeficient, ShapeMismatch
 from regnear.linalg import thin_qr
-from regnear.oracles import tikhonov_direct_oracle, tikhonov_minimizer_via_transform
+from oracles import tikhonov_direct_oracle, tikhonov_minimizer_via_transform
 from regnear.problems import add_noise, build_phillips, build_problem
 from regnear.regops import (REGULARIZER_NAMES, Mode, RegularizerKind, regularizer_from_name,
                             stencil_product)
