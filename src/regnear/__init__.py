@@ -12,10 +12,10 @@ import importlib
 
 # the public names, by the submodule that defines them
 _EXPORTS = {
-    "errors": ("BadDimension", "DependentVectors", "NoRoot", "NotSymmetric",
-               "NumericsError", "OutOfRange", "ParseError", "RankDeficient", "ShapeMismatch",
-               "SingularCore", "SingularSystem"),
-    "linalg": ("frobenius_norm", "read_matrix", "thin_qr", "write_matrix", "write_vector"),
+    "errors": ("BadDimension", "NotSymmetric", "NumericsError", "OutOfRange", "ParseError",
+               "RankDeficient", "ShapeMismatch", "SingularCore"),
+    "linalg": ("LinearOperator", "frobenius_norm", "read_matrix", "thin_qr", "write_matrix",
+               "write_vector"),
     "nearness": ("NullSpaceBasis", "distance_from_products",
                  "nearest_symmetric_with_nullspace", "nearest_with_nullspace",
                  "nearness_distance"),
@@ -26,7 +26,7 @@ _EXPORTS = {
                "regularizer_from_name", "stacked_n2_bases", "stencil_product"),
     "solver": ("RRGMRESResult", "SolverConfig", "StopReason", "rrgmres_block",
                "rrgmres_solve"),
-    "transform": ("LinearOperator", "StandardFormContext", "StandardFormFactor",
+    "transform": ("StandardFormContext", "StandardFormFactor",
                   "apply_pk_dagger", "back_transform", "factor_transform",
                   "k2_operator", "prepare_context", "project_rhs"),
 }

@@ -35,7 +35,7 @@ from functools import partial
 import numpy as np
 
 from .errors import ConfigError, NumericsError
-from .linalg import read_matrix, write_matrix
+from .linalg import plain_number, read_matrix, write_matrix
 from .nearness import (NullSpaceBasis, distance_from_products,
                        nearest_symmetric_with_nullspace,
                        nearest_with_nullspace, nearness_distance)
@@ -90,17 +90,13 @@ def _config_defaults(parser: argparse.ArgumentParser, path: str) -> dict:
 
 
 def _number(kind, text: str):
-    """kind(text) for a number spelled in plain ASCII, and
-    ArgumentTypeError for any other text: int and float alone also read
-    Python's digit separators, 1_0 as 10, and non-ASCII digits.  Every
-    numeric option reads its value with it, as partial(_number, kind),
-    and so does every list item."""
+    """linalg.plain_number(kind, text), with ArgumentTypeError for any
+    text that it refuses.  Every numeric option reads its value with it,
+    as partial(_number, kind), and so does every list item."""
     try:
-        if "_" not in text and text.isascii():
-            return kind(text)
+        return plain_number(kind, text)
     except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"bad number {text!r}")
+        raise argparse.ArgumentTypeError(f"bad number {text!r}") from None
 
 
 def _items(text: str) -> list:

@@ -22,24 +22,12 @@ class RankDeficient(NumericsError):
     """A factorization found the input numerically rank deficient."""
 
 
-class DependentVectors(NumericsError):
-    """Two vectors expected to be independent are numerically parallel."""
-
-
 class NotSymmetric(NumericsError):
     """A matrix required to be symmetric is not, beyond round-off."""
 
 
 class SingularCore(NumericsError):
     """The invertible core of a composed regularizer is numerically singular."""
-
-
-class SingularSystem(NumericsError):
-    """A dense linear system could not be solved reliably."""
-
-
-class NoRoot(NumericsError):
-    """A scalar root finder could not bracket the requested value."""
 
 
 class OutOfRange(NumericsError):

@@ -1,4 +1,5 @@
-"""Dense linear-algebra kernels and the plain-text matrix format.
+"""Dense linear-algebra kernels, the counted operator, and the
+plain-text matrix format.
 
 Thin wrappers around LAPACK-backed numpy routines, with the error
 policy this package promises: explicit exceptions instead of silent
@@ -6,6 +7,10 @@ NaNs or warnings.  back_substitute, a back substitution in numpy,
 checks nothing: its caller reads the singular rule below on its
 triangles first, and calls LAPACK's least squares (np.linalg.lstsq)
 itself where that rule holds.
+
+LinearOperator is the operator that counts its products, K's in the
+pipeline; its matvec takes the operands that checked_operand, the one
+check of an operand's shape, lets through.
 
 Every array that comes from outside meets two rules, each defined here
 once.  _as_float_array is the finiteness rule: a non-finite entry
@@ -17,6 +22,8 @@ squares from overflowing and from underflowing (Blue, ACM TOMS 4, 1978,
 on the norm of the reference BLAS).
 """
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 
@@ -55,6 +62,43 @@ def checked_operand(x, n: int) -> np.ndarray:
     if x.ndim not in (1, 2) or x.shape[0] != n:
         raise ShapeMismatch(f"operand has shape {x.shape}, expected ({n},) or ({n}, s)")
     return x
+
+
+class LinearOperator:
+    """Matrix-vector products with a running count.
+
+    The callable applies the operator along axis 0: to a vector, or to
+    each column of a block.  matvec counts one product for a vector and
+    one per column of a block.  An operator made on another's product,
+    LinearOperator(op.shape, op.matvec), is a counting handle on op:
+    each product through it counts on both.  The count is not
+    thread-safe: concurrent products may be missed.
+    """
+
+    def __init__(self, shape: tuple[int, int], matvec: Callable[[np.ndarray], np.ndarray]):
+        m, n = shape
+        if m < 1 or n < 1:
+            raise ShapeMismatch("operator shape must be positive")
+        self.shape = (int(m), int(n))
+        self._matvec = matvec
+        self._count = 0
+
+    @classmethod
+    def from_matrix(cls, a: np.ndarray) -> "LinearOperator":
+        a = np.asarray(a, dtype=float)
+        if a.ndim != 2:
+            raise ShapeMismatch("from_matrix expects a 2-d array")
+        return cls(a.shape, lambda v: a @ v)
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        """The operator on a vector v, or on each column of a block."""
+        v = checked_operand(v, self.shape[1])
+        self._count += 1 if v.ndim == 1 else v.shape[1]
+        return np.asarray(self._matvec(v), dtype=float)
+
+    @property
+    def matvec_count(self) -> int:
+        return self._count
 
 
 def thin_qr(a) -> tuple[np.ndarray, np.ndarray]:
@@ -180,6 +224,17 @@ def scaled_back(x, e, what: str):
 # entries written with 17 significant digits so values round-trip exactly.
 
 
+def plain_number(kind, text: str):
+    """kind(text) for a number spelled in plain ASCII, and ValueError for
+    any other text: int and float alone also read Python's digit
+    separators, 1_0 as 10, and non-ASCII digits.  The one rule for a
+    number read from text: a matrix file's header and entries, and the
+    CLI's every numeric value."""
+    if "_" in text or not text.isascii():
+        raise ValueError(f"bad number {text!r}")
+    return kind(text)
+
+
 def write_matrix(f, a) -> None:
     """Write a matrix to an open text file or file path."""
     a = np.atleast_2d(_as_float_array(a, "matrix"))
@@ -209,7 +264,7 @@ def read_matrix(f) -> np.ndarray:
     if len(header) != 2:
         raise ParseError("expected header line 'rows cols'")
     try:
-        rows, cols = int(header[0]), int(header[1])
+        rows, cols = plain_number(int, header[0]), plain_number(int, header[1])
     except ValueError as exc:
         raise ParseError(f"bad header: {header!r}") from exc
     if rows < 0 or cols < 0:
@@ -220,7 +275,7 @@ def read_matrix(f) -> np.ndarray:
         if len(parts) != cols:
             raise ParseError(f"row {i + 1}: expected {cols} entries, got {len(parts)}")
         try:
-            data.append([float(p) for p in parts])
+            data.append([plain_number(float, p) for p in parts])
         except ValueError as exc:
             raise ParseError(f"row {i + 1}: non-numeric entry") from exc
     if f.read().strip():

@@ -10,14 +10,15 @@ Green's-function problem on [0, 1] has piecewise-bilinear kernel pieces
 and exact entry formulas.  The *_by_quadrature oracles in
 tests/oracles.py cross-check both.
 
-K is handed on as an operator.  At or below DENSE_MAX_N a builder
-stores dense K and a product is one GEMV, a block product one GEMM.
-Above it a builder allocates no n x n array: phillips, symmetric
-Toeplitz, multiplies through a circulant embedding and the FFT, and
-deriv2, semiseparable, through two cumulative sums of its generators,
-in O(n log n) and O(n).  Both work down axis 0, so one callable serves
-a vector and each column of a block.  Dense K is then assembled from
-the same closed forms each time it is read.
+K is handed on as an operator, linalg's counted LinearOperator, so a
+problem loads neither the transformation nor the regularizers.  At or
+below DENSE_MAX_N a builder stores dense K and a product is one GEMV, a
+block product one GEMM.  Above it a builder allocates no n x n array:
+phillips, symmetric Toeplitz, multiplies through a circulant embedding
+and the FFT, and deriv2, semiseparable, through two cumulative sums of
+its generators, in O(n log n) and O(n).  Both work down axis 0, so one
+callable serves a vector and each column of a block.  Dense K is then
+assembled from the same closed forms each time it is read.
 
 The synthetic data are noise-free right-hand sides b_hat = K x_hat with
 a constant vector added to x_hat, plus Gaussian noise rescaled to a
@@ -32,8 +33,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import BadDimension, ShapeMismatch
-from .linalg import column_norms, frobenius_norm
-from .transform import LinearOperator
+from .linalg import LinearOperator, column_norms, frobenius_norm
 
 # The largest order at which K is stored dense.  Up to about this n one
 # GEMV is as fast as the structured product; see CHANGES.md for the

@@ -53,13 +53,16 @@ with K, so one factor serves any number of right-hand sides.
 prepare_context(K, b, reg) is the two steps in a row.
 
 Each routine states its matrix-vector product cost.  The context is
-itself the transformed operator (shape, matvec) handed to the solver,
-and its matvec_count is the count of products with K that the wrapped
-LinearOperator keeps.  That count runs across every context made from
-one factor, so a driver that shares a factor counts one run as the
-factor's prepare_matvecs plus the products the run itself makes.
-The count is a plain integer, not thread-safe: products with one
-operator are made from one thread at a time.
+itself the transformed operator (shape, matvec) handed to the solver.
+Each factor makes its products with K through a counting handle of its
+own, LinearOperator(K.shape, K.matvec), so a product counts on the
+handle and on K's operator alike.  A factor's matvec_count is the
+handle's: it covers the factor and the contexts made from it, and no
+other factor moves it.  prepare_matvecs is that count when factoring
+ends, so a driver that shares a factor counts one run as
+prepare_matvecs plus the products the run itself makes.  The counts
+are plain integers, not thread-safe: products with one operator are
+made from one thread at a time.
 
 matvec is the one product method, of K and of the transformed operator
 alike.  It works down axis 0, on a vector or on each column of an n x s
@@ -75,48 +78,12 @@ a driver reads a column's share as the count's rise divided by s.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .errors import ShapeMismatch
-from .linalg import checked_operand, checked_rhs, thin_qr
+from .linalg import LinearOperator, checked_operand, checked_rhs, thin_qr
 from .regops import Mode, ProjectedRegularizer
-
-
-class LinearOperator:
-    """Matrix-vector products with a running count.
-
-    The callable applies the operator along axis 0: to a vector, or to
-    each column of a block.  matvec counts one product for a vector and
-    one per column of a block.  The count is not thread-safe:
-    concurrent products may be missed.
-    """
-
-    def __init__(self, shape: tuple[int, int], matvec: Callable[[np.ndarray], np.ndarray]):
-        m, n = shape
-        if m < 1 or n < 1:
-            raise ShapeMismatch("operator shape must be positive")
-        self.shape = (int(m), int(n))
-        self._matvec = matvec
-        self._count = 0
-
-    @classmethod
-    def from_matrix(cls, a: np.ndarray) -> "LinearOperator":
-        a = np.asarray(a, dtype=float)
-        if a.ndim != 2:
-            raise ShapeMismatch("from_matrix expects a 2-d array")
-        return cls(a.shape, lambda v: a @ v)
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        """The operator on a vector v, or on each column of a block."""
-        v = checked_operand(v, self.shape[1])
-        self._count += 1 if v.ndim == 1 else v.shape[1]
-        return np.asarray(self._matvec(v), dtype=float)
-
-    @property
-    def matvec_count(self) -> int:
-        return self._count
 
 
 @dataclass(eq=False)
@@ -142,12 +109,10 @@ class StandardFormFactor:
 
     @property
     def matvec_count(self) -> int:
-        """Products with K made so far through the wrapped operator.
-
-        The count is cumulative: it spans every factor and context that
-        shares the operator, so with one factor serving several
-        right-hand sides it covers all of their runs.
-        """
+        """Products with K made so far through this factor's handle: by
+        the factor step and by every context made from the factor, so
+        with one factor serving several right-hand sides it covers all
+        of their runs."""
         return self.op.matvec_count
 
 
@@ -193,19 +158,20 @@ def factor_transform(K, reg: ProjectedRegularizer) -> StandardFormFactor:
     """The factor step: all the work that does not depend on b.
 
     Costs ell products with K (2*ell in two-sided mode, whose second
-    split transforms the basis once more through K1).
+    split transforms the basis once more through K1), made through the
+    factor's own handle on K.
     """
-    op = _as_operator(K)
-    m, n = op.shape
+    base = _as_operator(K)
+    m, n = base.shape
     if reg.n != n:
         raise ShapeMismatch(f"regularizer built for n={reg.n}, operator has n={n}")
 
-    start = op.matvec_count
+    op = LinearOperator(base.shape, base.matvec)
     factor = StandardFormFactor(reg=reg, op=op, prepare_matvecs=0,
                                 splits=(_split_factor(op.matvec, reg.basis.V, m),))
     if reg.mode is Mode.TWO_SIDED:
         factor.splits += (_split_factor(lambda v: _after(factor, v, 1), reg.basis.V, m),)
-    factor.prepare_matvecs = op.matvec_count - start
+    factor.prepare_matvecs = op.matvec_count
     return factor
 
 

@@ -21,6 +21,8 @@ package itself runs on numpy alone.
   make_projector_closed gives P1 and P2 entry by entry, and
   nearest_two_vector is the two-vector nearness correction in its own
   closed form.
+* The failures that only these references raise: SingularSystem,
+  NoRoot and DependentVectors, each a regnear.errors.NumericsError.
 """
 from __future__ import annotations
 
@@ -28,13 +30,28 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from regnear.errors import (BadDimension, DependentVectors, NoRoot, ShapeMismatch,
-                           SingularCore, SingularSystem)
-from regnear.linalg import RANK_TOL, thin_qr
+from regnear.errors import BadDimension, NumericsError, ShapeMismatch, SingularCore
+from regnear.linalg import RANK_TOL, LinearOperator, thin_qr
 from regnear.nearness import _ORTHO_TOL
 from regnear.problems import _phillips_solution
 from regnear.regops import Mode, ProjectedRegularizer, RegularizerKind
-from regnear.transform import LinearOperator, apply_pk_dagger, back_transform, prepare_context
+from regnear.transform import apply_pk_dagger, back_transform, prepare_context
+
+
+# --- Failures that only these references raise -----------------------------
+
+
+class DependentVectors(NumericsError):
+    """Two vectors expected to be independent are numerically parallel."""
+
+
+class SingularSystem(NumericsError):
+    """A dense linear system could not be solved reliably."""
+
+
+class NoRoot(NumericsError):
+    """A scalar root finder could not bracket the requested value."""
+
 
 # --- Tikhonov --------------------------------------------------------------
 

@@ -1374,6 +1374,17 @@ def test_cli_import_leaves_out_what_it_never_runs():
     assert run.returncode == 0, run.stderr
 
 
+def test_problems_import_leaves_out_the_transformation():
+    # a problem's counted operator comes from linalg, so building K loads
+    # neither the transformation, the regularizer catalog nor nearness
+    code = ("import sys, regnear.problems; sys.exit(sorted(m for m in "
+            "('regnear.transform', 'regnear.regops', 'regnear.nearness') "
+            "if m in sys.modules) or None)")
+    run = subprocess.run([sys.executable, "-c", code], env=_child_env(),
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+
+
 def test_distances_and_nearest_leave_out_the_solve_pipeline(tmp_path):
     # the two commands run on regops and nearness alone: the problems,
     # the transformation, the solver and numpy.random (which only the

@@ -223,6 +223,9 @@ class TestTextFormat:
         "1 1\nnan\n",             # non-finite value
         "2 2\n1 2\n3 4\n5 6\n",   # a row beyond the header's count
         "1 1\n1\n\nx\n",          # content after a blank line
+        "1 1\n1_0\n",             # a digit separator in an entry
+        "1_0 1\n" + "1\n" * 10,   # and in the header, over the ten rows it reads
+        "1 1\n\u0661\n",          # a non-ASCII digit
     ])
     def test_parse_errors(self, text):
         with pytest.raises(ParseError):

@@ -12,13 +12,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from regnear.errors import (BadDimension, DependentVectors, NotSymmetric,
-                            OutOfRange, RankDeficient, ShapeMismatch)
+from regnear.errors import (BadDimension, NotSymmetric, OutOfRange, RankDeficient,
+                            ShapeMismatch)
 from regnear.linalg import frobenius_norm, scale_exponents
 from regnear.nearness import (_LARGE, NullSpaceBasis, distance_from_products,
                               nearest_symmetric_with_nullspace,
                               nearest_with_nullspace, nearness_distance)
-from oracles import build_projector, make_projector_closed, nearest_two_vector
+from oracles import (DependentVectors, build_projector, make_projector_closed,
+                     nearest_two_vector)
 from regnear.regops import (RegularizerKind, make_nullspace_basis,
                             make_regularization_matrix, stencil_product)
 

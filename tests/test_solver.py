@@ -7,9 +7,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from regnear import solver
-from regnear.errors import NoRoot, OutOfRange, ShapeMismatch, SingularSystem
+from regnear.errors import OutOfRange, ShapeMismatch
 from regnear.linalg import NEAR_SINGULAR_TOL, RANK_TOL, frobenius_norm, singular_triangles
-from oracles import discrepancy_mu_solve, tikhonov_direct_oracle
+from oracles import NoRoot, SingularSystem, discrepancy_mu_solve, tikhonov_direct_oracle
 from regnear.problems import add_noise, build_problem
 from regnear.regops import regularizer_from_name
 from regnear.solver import (RRGMRESResult, SolverConfig, StopReason, rrgmres_block,

@@ -275,6 +275,25 @@ class TestFactorOnce:
             assert ctx.prepare_matvecs == 4
         assert contexts[0].matvec_count == op.matvec_count == 4 + 2
 
+    def test_each_factor_counts_its_own_products(self):
+        # two factors on one operator: the products through one leave the
+        # other's counts alone, and the operator counts every product
+        # through either
+        rng = np.random.default_rng(68)
+        n = 10
+        op = LinearOperator.from_matrix(rng.standard_normal((n, n)) + 4.0 * np.eye(n))
+        two = factor_transform(op, regularizer_from_name("P2L2tP2", n))
+        one = factor_transform(op, regularizer_from_name("L20", n))
+        assert (two.matvec_count, one.matvec_count, op.matvec_count) == (4, 2, 6)
+        ctx = project_rhs(two, rng.standard_normal(n))
+        ctx.matvec(rng.standard_normal((n, 3)))
+        back_transform(ctx, rng.standard_normal(n))  # two products in two-sided mode
+        assert (ctx.matvec_count, two.matvec_count) == (9, 9)
+        assert (one.matvec_count, op.matvec_count) == (2, 11)
+        one.matvec(rng.standard_normal(n))
+        assert (two.matvec_count, one.matvec_count, op.matvec_count) == (9, 3, 12)
+        assert (two.prepare_matvecs, one.prepare_matvecs) == (4, 2)
+
 
 class TestSplit:
     @settings(max_examples=60, deadline=None)
