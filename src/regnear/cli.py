@@ -60,7 +60,7 @@ def __getattr__(name: str):
 def _parse_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             for lineno, line in enumerate(f, 1):
                 line = line.strip()
                 if not line or line.startswith("#"):
@@ -291,8 +291,8 @@ def main(argv=None) -> int:
     --config file, else from the parser's default: the file's values
     become the subcommand's defaults and the flags are parsed again."""
     parser, commands = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         if args.config:
             command = commands[args.command]
             command.set_defaults(**_config_defaults(command, args.config))

@@ -255,11 +255,15 @@ def read_matrix(f) -> np.ndarray:
     """Read a matrix in the plain-text format; raises ParseError on bad input.
 
     The header fixes the row count: blank lines may follow the last
-    row, anything else is bad input.
+    row, anything else is bad input.  A path is read as ASCII text in
+    every locale, and any other byte is bad input.
     """
     if isinstance(f, (str, bytes)):
-        with open(f) as fh:
-            return read_matrix(fh)
+        with open(f, encoding="ascii") as fh:
+            try:
+                return read_matrix(fh)
+            except UnicodeDecodeError as exc:
+                raise ParseError("a byte that is not ASCII in the matrix file") from None
     header = f.readline().split()
     if len(header) != 2:
         raise ParseError("expected header line 'rows cols'")

@@ -55,31 +55,27 @@ class RunResult:
 
 # the CSV columns: every field of a run but its solution vector
 RUN_COLUMNS = tuple(f.name for f in fields(RunResult) if f.name != "x")
-# a CSV row and a breakdown line as % templates of a run's fields, each
-# field written as _fmt writes it: %.17g for a float and str otherwise
-_CSV_ROW = (",".join("%.17g" if f.type in (float, "float") else "%s" for f in fields(RunResult)
-                     if f.name != "x") + "\n", RUN_COLUMNS)
-_BREAKDOWN_LINE = ("%s n=%s nu=%.17g %s seed=%s: matvecs %s = prepare %s + solve %s + back %s; "
-                   "k=%s %s\n",
-                   ("problem", "n", "nu", "regularizer", "seed", "matvecs", "matvecs_prepare",
-                    "matvecs_solve", "matvecs_back", "iterations", "stop_reason"))
+_HEADER = ",".join(RUN_COLUMNS) + "\n"
+# the start of a run's stdout line: its breakdown, or its factor's failure
+_PREFIX = "{problem} n={n} nu={nu:.17g} {regularizer} seed={seed}: "
 
 
-def _filled(template: tuple, runs: list) -> str:
-    """The lines of runs, one per run, from a (template, field names)
-    pair: one % over the template repeated."""
-    text, names = template
-    return (text * len(runs)) % tuple(getattr(r, c) for r in runs for c in names)
+def _row(cells) -> str:
+    """The CSV row of cells, a mapping from column to value: each column
+    of RUN_COLUMNS as _fmt writes its value, or blank if it has none."""
+    return ",".join(_fmt(cells[c]) if c in cells else "" for c in RUN_COLUMNS) + "\n"
 
 
 def csv_rows(runs: list) -> str:
     """The CSV rows of runs, each ending in a newline."""
-    return _filled(_CSV_ROW, runs)
+    return "".join(_row(vars(r)) for r in runs)
 
 
 def breakdown_lines(runs: list) -> str:
     """The breakdown lines of runs, each ending in a newline."""
-    return _filled(_BREAKDOWN_LINE, runs)
+    line = _PREFIX + ("matvecs {matvecs} = prepare {matvecs_prepare} + solve {matvecs_solve} "
+                      "+ back {matvecs_back}; k={iterations} {stop_reason}\n")
+    return "".join(line.format_map(vars(r)) for r in runs)
 
 
 def _back(ctx, z: np.ndarray) -> tuple[np.ndarray, int]:
@@ -112,7 +108,8 @@ def run_block(probs: list, factors: list, eta: float, max_iter: int = 100) -> li
     rrgmres_block with a group of columns per factor, and one
     back-transform and one relative_errors per factor.  Returns the rows
     factor by factor, each list in the order of probs; each row counts
-    the columns its own run took, so it reads as the run alone would."""
+    the columns its own run took, so it reads as the run alone would.
+    A row's x is its column of the factor's back-transform, a view."""
     b = np.column_stack([p.b for p in probs])
     ctxs = [project_rhs(factor, b) for factor in factors]
     cfgs = [SolverConfig(eta=eta, epsilon=p.epsilon, max_iter=max_iter) for p in probs]
@@ -123,7 +120,7 @@ def run_block(probs: list, factors: list, eta: float, max_iter: int = 100) -> li
         xs, back_mv = _back(ctx, np.column_stack([r.z for r in res]))
         errors = relative_errors(xs, probs[0].x_hat).tolist()
         rows.append([_run_result(p, factor, r, x, back_mv, e)
-                     for p, r, x, e in zip(probs, res, xs.T.copy(), errors)])
+                     for p, r, x, e in zip(probs, res, xs.T, errors)])
     return rows
 
 
@@ -174,7 +171,7 @@ def solve(args) -> int:
     prefix = args.out
     csv_path = f"{prefix}.csv"
     with open(csv_path, "w") as f:
-        f.write(",".join(RUN_COLUMNS) + "\n" + csv_rows([result]))
+        f.write(_HEADER + csv_rows([result]))
     write_vector(f"{prefix}_xk.txt", result.x)
     write_vector(f"{prefix}_xhat.txt", base.x_hat)
     print(breakdown_lines([result]), end="")
@@ -182,26 +179,11 @@ def solve(args) -> int:
     return 0
 
 
-def _partial_row(problem: str, n: int, nu: float, reg: str, seed: str,
-                 **cells: str) -> str:
-    """A CSV row for one table cell with the given columns; the others
-    are blank."""
-    cells.update(problem=problem, n=str(n), nu=_fmt(nu), regularizer=reg,
-                 seed=seed)
-    return ",".join(cells.get(c, "") for c in RUN_COLUMNS)
-
-
 def _median(values: list) -> float:
     """The median of a list of numbers, as np.median gives it: the middle
     one, or the mean of the middle two."""
     v, h = sorted(values), len(values) // 2
     return float(v[h] if len(v) % 2 else (v[h - 1] + v[h]) / 2)
-
-
-def _median_row(problem: str, n: int, nu: float, reg: str, runs: list) -> str:
-    medians = {c: _fmt(_median([getattr(r, c) for r in runs]))
-               for c in ("iterations", "matvecs", "relative_error")} if runs else {}
-    return _partial_row(problem, n, nu, reg, "median", **medians)
 
 
 def table(args) -> int:
@@ -230,22 +212,24 @@ def table(args) -> int:
             failed[reg] = exc
     # the file's text in pieces that each end in a newline: a block's
     # rows, and its breakdown lines on stdout, in one call each
-    pieces = [",".join(RUN_COLUMNS) + "\n"]
+    pieces = [_HEADER]
     for nu in args.noise:
         noisy = [add_noise(base, nu, seed) for seed in args.seeds]
         blocks = dict(zip(factors, run_block(noisy, list(factors.values()), args.eta,
                                              args.max_iter))) if factors else {}
         for reg in args.regs:
             runs = blocks.get(reg, [])
+            cells = dict(problem=problem, n=n, nu=nu, regularizer=reg)
             if reg in failed:
                 tag = f"ERROR_{type(failed[reg]).__name__}"
                 for seed in args.seeds:
-                    pieces.append(_partial_row(problem, n, nu, reg, str(seed), stop_reason=tag)
-                                  + "\n")
-                    print(f"{problem} n={n} nu={_fmt(nu)} {reg} seed={seed}: {tag}: {failed[reg]}")
+                    pieces.append(_row(dict(cells, seed=seed, stop_reason=tag)))
+                    print(_PREFIX.format(seed=seed, **cells) + f"{tag}: {failed[reg]}")
             pieces.append(csv_rows(runs))
             print(breakdown_lines(runs), end="")
-            pieces.append(_median_row(problem, n, nu, reg, runs) + "\n")
+            medians = {c: _median([getattr(r, c) for r in runs])
+                       for c in ("iterations", "matvecs", "relative_error")} if runs else {}
+            pieces.append(_row(dict(cells, seed="median", **medians)))
     text = "".join(pieces)
     with open(out, "w") as f:
         f.write(text)

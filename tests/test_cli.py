@@ -116,8 +116,8 @@ class TestRunSingle:
         assert float(parts[RUN_COLUMNS.index("relative_error")]) == r.relative_error
 
     def test_block_lines_are_each_runs_fields(self):
-        # one % over a repeated template writes each field as _fmt does,
-        # %.17g for a float and str for the rest, in every line of a block
+        # every line of a block writes each field as _fmt does, %.17g for
+        # a float and str for the rest
         values = [0.1, 1.0 / 3.0, 0.0, -0.0, 1e-300, 5e-324, 7.4e153, 1.7976931348623157e308,
                   np.inf, np.nan, 2.0, np.float64(0.25)]
         runs = [RunResult(problem="deriv2", n=200, nu=nu, regularizer="L1dP1", seed=seed,
@@ -936,6 +936,76 @@ def test_other_out_of_memory_is_config_error(tmp_path, capsys, monkeypatch):
     assert main(["distances", "--out", str(tmp_path / "d.csv")]) == 2
     err = capsys.readouterr().err
     assert err == "error: out of memory: Unable to allocate 128 bytes\n"
+
+
+def test_seed_range_out_of_memory_is_config_error(tmp_path, capsys, monkeypatch):
+    # the flags are parsed inside main's error handling: an allocation
+    # that fails while a flag is read ends in one error line too
+    def no_memory(text):
+        raise MemoryError("seed range")
+
+    monkeypatch.setattr(regnear.cli, "_parse_seeds", no_memory)
+    out = tmp_path / "t.csv"
+    assert main(["table", "--n", "10", "--seeds", "1..200000000", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: out of memory: seed range\n"
+    assert not out.exists()
+
+
+def test_seed_range_beyond_the_address_space(tmp_path):
+    # the same range for real, in a child whose address space is capped
+    # at 1.5 GB: the tuple of 2e8 seeds cannot be allocated
+    code = ("import resource, sys; from regnear.cli import run; "
+            "hard = resource.getrlimit(resource.RLIMIT_AS)[1]; "
+            "resource.setrlimit(resource.RLIMIT_AS, (1500 * 2**20, hard)); "
+            "sys.argv = ['regnear', 'table', '--n', '10', '--seeds', '1..200000000', "
+            "'--out', 'seeds.csv']; run()")
+    run = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=_child_env(),
+                         capture_output=True, text=True)
+    assert run.returncode == 2, run.stderr
+    assert run.stderr.startswith("error: out of memory") and run.stderr.count("\n") == 1
+    assert "Traceback" not in run.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+# a POSIX locale with Python's UTF-8 mode and locale coercion off: the
+# locale's encoding is ASCII
+ASCII_LOCALE = {"LC_ALL": "POSIX", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+
+
+@pytest.mark.parametrize("locale", [{}, ASCII_LOCALE], ids=["default", "ascii"])
+@pytest.mark.parametrize("data", [b"3 1\n1\n1\n\xff\n", b"3 1\n1\n1\n\xc2\xa01\n"],
+                         ids=["0xff", "no-break-space"])
+def test_a_matrix_file_byte_beyond_ascii_is_a_parse_error(data, locale, tmp_path):
+    # in every locale: exit 3, one line and no output file
+    write_matrix(str(tmp_path / "a.txt"), np.eye(3))
+    (tmp_path / "v.txt").write_bytes(data)
+    run = subprocess.run([sys.executable, "-m", "regnear.cli", "nearest", "--matrix", "a.txt",
+                          "--nullspace", "v.txt", "--out", "o.txt"], cwd=tmp_path,
+                         env=dict(_child_env(), **locale), capture_output=True, text=True)
+    assert run.returncode == 3, run.stderr
+    assert run.stderr.startswith("numerical failure: ParseError: ")
+    assert run.stderr.count("\n") == 1
+    assert not (tmp_path / "o.txt").exists()
+
+
+@pytest.mark.parametrize("locale", [{}, ASCII_LOCALE], ids=["default", "ascii"])
+def test_a_config_file_is_read_as_utf8(locale, tmp_path):
+    (tmp_path / "t.cfg").write_bytes("# Gr\u00fc\u00dfe\nn = 10\nregs = I\nseeds = 1\n"
+                                     "noise = 1e-2\n".encode("utf-8"))
+    run = subprocess.run([sys.executable, "-m", "regnear.cli", "table", "--config", "t.cfg",
+                          "--out", "t.csv"], cwd=tmp_path,
+                         env=dict(_child_env(), **locale), capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert len((tmp_path / "t.csv").read_text().splitlines()) == 3
+
+
+def test_a_config_file_that_is_not_utf8_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "t.cfg"
+    cfg.write_bytes(b"# \xff\nn = 10\n")
+    assert main(["table", "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "t.csv").exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -231,6 +231,18 @@ class TestTextFormat:
         with pytest.raises(ParseError):
             read_matrix(io.StringIO(text))
 
+    @pytest.mark.parametrize("data", [
+        b"3 1\n1\n1\n\xff\n",        # a byte of no text in ASCII or UTF-8
+        b"1 2\n1\xc2\xa02\n",         # a UTF-8 no-break space between two entries
+    ], ids=["0xff", "no-break-space"])
+    def test_a_file_is_read_as_ascii(self, data, tmp_path):
+        # in any locale: the no-break space, which str.split takes for a
+        # separator once decoded as UTF-8, is a parse error too
+        path = tmp_path / "m.txt"
+        path.write_bytes(data)
+        with pytest.raises(ParseError):
+            read_matrix(str(path))
+
     def test_blank_lines_may_follow_the_rows(self):
         got = read_matrix(io.StringIO("2 1\n1\n2\n\n  \n"))
         assert np.array_equal(got, [[1.0], [2.0]])
